@@ -27,7 +27,7 @@ from .data import (
     make_synthetic_task,
     pixel_set_batch,
 )
-from .decomp import CardinalityError, cp_decompose, reconstruct_cp
+from .decomp import CardinalityError, RankDeficiencyError, cp_decompose, reconstruct_cp
 from .models import (
     PRESETS,
     TABLE_FACTORIZATIONS,
@@ -264,7 +264,14 @@ def cmd_decompose(args) -> int:
     if not components:
         raise ConfigError("decompose needs a component count (--components or decompose.components)")
     tensor = read_tensor(input_path)
-    factors = cp_decompose(tensor, components)
+    try:
+        factors = cp_decompose(tensor, components)
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(
+            f"{components} components requested, but the linear system is "
+            f"rank-deficient: {exc}",
+            detected_rank=exc.detected_rank,
+        ) from exc
     recon = reconstruct_cp(factors)
     denom = float(np.linalg.norm(tensor))
     err = float(np.linalg.norm(recon - tensor))
@@ -386,7 +393,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CardinalityError as exc:
+    except (CardinalityError, RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _DATA_ERRORS as exc:

@@ -5,6 +5,12 @@ pass builds a fresh acyclic graph; :func:`backward` replays it once in
 reverse creation order. Values are treated as immutable once created,
 which keeps independent passes safe to run concurrently as long as each
 owns its graph.
+
+An op writes in place only into arrays it allocated itself. It never
+writes into its inputs' data, parameters, batchnorm running statistics
+or the gradient handed to its backward function: ``add`` passes one
+gradient object to both parents, and graphs may share leaves across
+threads.
 """
 
 from __future__ import annotations
@@ -274,49 +280,53 @@ def batchnorm(
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     m = x.data.shape[0]
-    if mode == "train":
-        if m < 2:
-            raise DegenerateBatchError(
-                f"train-mode batchnorm needs >= 2 rows, got {m}"
-            )
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        state.mean = (1.0 - momentum) * state.mean + momentum * mean
-        state.var = (1.0 - momentum) * state.var + momentum * var
-    else:
+    if mode == "eval":
+        inv_std = 1.0 / np.sqrt(state.var + BN_EPS)
         mean = state.mean
-        var = state.var
+        y = x.data - mean
+        y *= gamma.data * inv_std
+        y += beta.data
 
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean) * inv_std
-    y = xhat * gamma.data + beta.data
-
-    if mode == "train":
-
-        def bwd(g):
-            gxhat = g * gamma.data
-            gx = inv_std * (
-                gxhat
-                - gxhat.mean(axis=0)
-                - xhat * (gxhat * xhat).mean(axis=0)
-            )
-            return ((x, gx), (gamma, (g * xhat).sum(axis=0)), (beta, g.sum(axis=0)))
-
-    else:
-
-        def bwd(g):
+        def bwd_eval(g):
+            # the normalized input is rebuilt only when a gradient is needed
+            xhat = (x.data - mean) * inv_std
             return (
-                (x, g * gamma.data * inv_std),
-                (gamma, (g * xhat).sum(axis=0)),
+                (x, g * (gamma.data * inv_std)),
+                (gamma, np.einsum("ij,ij->j", g, xhat)),
                 (beta, g.sum(axis=0)),
             )
+
+        return _result(y, (x, gamma, beta), bwd_eval)
+
+    if m < 2:
+        raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
+    mean = x.data.mean(axis=0)
+    xhat = x.data - mean
+    var = np.einsum("ij,ij->j", xhat, xhat) / m
+    state.mean = (1.0 - momentum) * state.mean + momentum * mean
+    state.var = (1.0 - momentum) * state.var + momentum * var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std
+    y = xhat * gamma.data
+    y += beta.data
+
+    def bwd(g):
+        # Ioffe & Szegedy (2015): gx = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat))
+        sum_g = g.sum(axis=0)
+        sum_gx = np.einsum("ij,ij->j", g, xhat)
+        scale = gamma.data * inv_std
+        gx = xhat * (-scale * sum_gx / m)
+        gx += g * scale
+        gx -= scale * sum_g / m
+        return ((x, gx), (gamma, sum_gx), (beta, sum_g))
 
     return _result(y, (x, gamma, beta), bwd)
 
 
 def pair_aggregate(a: Tensor, b: Tensor) -> Tensor:
-    """Per-set feature matrices: contract two (batch, set, width) tensors
-    over the set axis into (batch, width_a, width_b)."""
+    """Per-set feature matrices ``a[k].T @ b[k]``: contract two
+    (batch, set, width) tensors over the set axis into
+    (batch, width_a, width_b) with one batched GEMM."""
     if (
         a.data.ndim != 3
         or b.data.ndim != 3
@@ -329,11 +339,11 @@ def pair_aggregate(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         return (
-            (a, np.einsum("bst,bnt->bns", g, b.data)),
-            (b, np.einsum("bst,bns->bnt", g, a.data)),
+            (a, np.matmul(b.data, g.transpose(0, 2, 1))),
+            (b, np.matmul(a.data, g)),
         )
 
-    return _result(np.einsum("bns,bnt->bst", a.data, b.data), (a, b), bwd)
+    return _result(np.matmul(a.data.transpose(0, 2, 1), b.data), (a, b), bwd)
 
 
 def sum_product(factors) -> Tensor:

@@ -176,6 +176,18 @@ class TestDecomposeCommand:
         assert code == 1
         assert "N >= 4" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::pinset.decomp.ConditioningWarning")
+    def test_rank_deficient_system_exits_1_with_rank(self, tmp_path, capsys):
+        src = tmp_path / "t.txt"
+        write_tensor(src, np.random.default_rng(0).uniform(-1, 1, size=(6, 6, 6)))
+        code = main(["decompose", "--input", str(src), "--components", "36", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "36 components requested" in err
+        assert "numeric rank 35" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_zero_tensor(self, tmp_path):
         src = tmp_path / "z.txt"
         write_tensor(src, np.zeros((2, 2)))

@@ -130,3 +130,25 @@ def test_primitive_gradients(trial):
     )
 
     assert worst < TOL, f"worst primitive gradient error {worst:.3e}"
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_gradients_with_near_constant_column(mode):
+    # a column with std ~1e-3 makes inv_std ~300 and the normalization
+    # nearly singular, where cancellation in the gradient shows first
+    gen = RngState(77).generator()
+    x0 = gen.uniform(-1, 1, size=(64, 5))
+    x0[:, 2] = 0.4 + 1e-3 * gen.standard_normal(64)
+    gamma = gen.uniform(0.5, 1.5, size=5)
+    beta = gen.uniform(-0.5, 0.5, size=5)
+    state = BatchNormState(5)
+    state.mean = x0.mean(axis=0)
+    state.var = x0.var(axis=0)
+    w = _weighted(gen, (64, 5))
+
+    def bn_loss(x, g, b):
+        return w(batchnorm(x, g, b, state.copy(), mode))
+
+    assert _check(lambda t: bn_loss(t, Tensor(gamma), Tensor(beta)), x0) < TOL
+    assert _check(lambda t: bn_loss(Tensor(x0), t, Tensor(beta)), gamma) < TOL
+    assert _check(lambda t: bn_loss(Tensor(x0), Tensor(gamma), t), beta) < TOL

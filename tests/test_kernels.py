@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pinset
 from pinset import kernels
 from pinset.rng import RngState
 
@@ -83,10 +85,11 @@ def test_set_backend_validation(restore_backend):
 
 def test_env_flag_selects_numpy_backend():
     code = "from pinset import kernels; print(kernels.active_backend())"
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(pinset.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PINSET_BACKEND": "numpy"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir, "PINSET_BACKEND": "numpy"},
     )
     assert out.stdout.strip() == "numpy"

@@ -15,6 +15,7 @@ from pinset.tensor import (
     finite_difference_gradient,
     matmul,
     mul,
+    pair_aggregate,
     relu,
     reshape,
     set_softmax,
@@ -23,6 +24,11 @@ from pinset.tensor import (
     sum_all,
     transpose,
 )
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class TestMatmul:
@@ -123,6 +129,57 @@ class TestBatchnorm:
         a = batchnorm(Tensor(x[perm]), gamma, beta, state, "eval").data
         b = batchnorm(Tensor(x), gamma, beta, state, "eval").data[perm]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_never_writes_inputs_gradient_or_running_state(self, mode):
+        gen = RngState(8).generator()
+        x = Tensor(_read_only(gen.uniform(-1, 1, size=(6, 3))), requires_grad=True)
+        gamma = Tensor(_read_only(gen.uniform(0.5, 1.5, size=3)), requires_grad=True)
+        beta = Tensor(_read_only(gen.uniform(-0.5, 0.5, size=3)), requires_grad=True)
+        state = BatchNormState(3)
+        state.mean = _read_only(gen.uniform(-1, 1, size=3))
+        state.var = _read_only(gen.uniform(0.5, 2, size=3))
+        old_mean, old_var = state.mean, state.var
+        saved = [a.copy() for a in (x.data, gamma.data, beta.data, old_mean, old_var)]
+        g = _read_only(gen.uniform(-1, 1, size=(6, 3)))
+
+        out = batchnorm(x, gamma, beta, state, mode)
+        out._backward(g)
+
+        rebound = mode == "train"
+        assert (state.mean is not old_mean) == rebound
+        assert (state.var is not old_var) == rebound
+        for before, after in zip(saved, (x.data, gamma.data, beta.data, old_mean, old_var)):
+            np.testing.assert_array_equal(before, after)
+
+
+class TestPairAggregate:
+    @pytest.mark.parametrize("batch,n,s,t", [(1, 5, 3, 4), (3, 1, 2, 5), (2, 7, 4, 3)])
+    def test_matches_einsum_definition(self, batch, n, s, t):
+        gen = RngState(16).generator()
+        a = Tensor(gen.uniform(-1, 1, size=(batch, n, s)), requires_grad=True)
+        b = Tensor(gen.uniform(-1, 1, size=(batch, n, t)), requires_grad=True)
+        g = gen.uniform(-1, 1, size=(batch, s, t))
+        out = pair_aggregate(a, b)
+        np.testing.assert_allclose(
+            out.data, np.einsum("bns,bnt->bst", a.data, b.data), rtol=0, atol=1e-12
+        )
+        grads = backward(sum_all(mul(out, Tensor(g))))
+        np.testing.assert_allclose(
+            grads[a], np.einsum("bst,bnt->bns", g, b.data), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            grads[b], np.einsum("bst,bns->bnt", g, a.data), rtol=0, atol=1e-12
+        )
+
+    def test_read_only_inputs_and_gradient(self):
+        gen = RngState(17).generator()
+        a, b, g = (
+            _read_only(gen.uniform(-1, 1, size=shape)) for shape in ((2, 5, 3), (2, 5, 4), (2, 3, 4))
+        )
+        out = pair_aggregate(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        (_, ga), (_, gb) = out._backward(g)
+        assert ga.shape == a.shape and gb.shape == b.shape
 
 
 class TestSquashing:
