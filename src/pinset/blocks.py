@@ -26,7 +26,6 @@ from .tensor import (
     reshape,
     set_softmax,
     squashing,
-    sum_over_set,
     sum_product,
     tile_rows,
     transpose,
@@ -267,10 +266,11 @@ def aggregate(
 def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
     """Order-n sum-product aggregation of one set.
 
-    Order 1 degenerates to sum pooling over the set; order 2 reproduces
-    :func:`aggregate` (reshaped, no dropout); higher orders use the
-    sum-product kernel. More than one set-softmax output is rejected for
-    n > 2 since repeated set normalization shrinks the products toward 0.
+    The result has one axis per MLP: order 1 is sum pooling over the set,
+    order 2 equals :func:`aggregate` (reshaped, no dropout). Every order
+    runs on :func:`sum_product`. More than one set-softmax output is
+    rejected for n > 2 since repeated set normalization shrinks the
+    products toward 0.
     """
     if not mlps:
         raise ValueError("need at least one MLP")
@@ -285,15 +285,6 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
             )
     n, _ = x.data.shape
     outs = [m.forward(x, mode, set_size=n) for m in mlps]
-    if n_order == 1:
-        c = outs[0].data.shape[1]
-        return reshape(sum_over_set(reshape(outs[0], (1, n, c))), (c,))
-    if n_order == 2:
-        s = outs[0].data.shape[1]
-        t = outs[1].data.shape[1]
-        h1 = reshape(outs[0], (1, n, s))
-        h2 = reshape(outs[1], (1, n, t))
-        return reshape(pair_aggregate(h1, h2), (s, t))
     return sum_product(outs)
 
 

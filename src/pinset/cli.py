@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -27,7 +28,13 @@ from .data import (
     make_synthetic_task,
     pixel_set_batch,
 )
-from .decomp import CardinalityError, RankDeficiencyError, cp_decompose, reconstruct_cp
+from .decomp import (
+    CardinalityError,
+    ConditioningWarning,
+    RankDeficiencyError,
+    cp_decompose,
+    reconstruct_cp,
+)
 from .models import (
     PRESETS,
     TABLE_FACTORIZATIONS,
@@ -265,13 +272,18 @@ def cmd_decompose(args) -> int:
         raise ConfigError("decompose needs a component count (--components or decompose.components)")
     tensor = read_tensor(input_path)
     try:
-        factors = cp_decompose(tensor, components)
+        # the text comes back on the result; it is printed once on success
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            factors = cp_decompose(tensor, components)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
             f"{components} components requested, but the linear system is "
             f"rank-deficient: {exc}",
             detected_rank=exc.detected_rank,
         ) from exc
+    if factors.conditioning_warning:
+        print(f"warning: {factors.conditioning_warning}", file=sys.stderr)
     recon = reconstruct_cp(factors)
     denom = float(np.linalg.norm(tensor))
     err = float(np.linalg.norm(recon - tensor))

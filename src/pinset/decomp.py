@@ -245,18 +245,6 @@ def vandermonde_factors(dims, count: int, nodes=None) -> list[np.ndarray]:
     return factors
 
 
-def _row_products(factors: list[np.ndarray], count: int) -> np.ndarray:
-    """Row-major flattening of the row-wise factor products.
-
-    Multiplies in the same order as the sum-product kernel so the solve
-    sees bit-identical coefficients.
-    """
-    flat = np.ones((count, 1))
-    for f in factors:
-        flat = (flat[:, :, None] * f[:, None, :]).reshape(count, -1)
-    return flat
-
-
 def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     """Decompose a dense tensor into ``count`` sum-product components.
 
@@ -282,7 +270,8 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
         )
 
     lead_factors = vandermonde_factors(lead_dims, count, nodes)
-    flat = _row_products(lead_factors, count)  # (count, bound)
+    # the Khatri-Rao product of the sum-product kernel, multiplied left to right
+    flat = kernels._khatri_rao(lead_factors, count)  # (count, bound)
     b = flat.T.copy()
     a = np.ascontiguousarray(np.transpose(t_arr, order).reshape(bound, sorted_dims[-1]))
 

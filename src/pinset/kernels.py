@@ -1,182 +1,79 @@
-"""Hot kernels for the order-n sum-product aggregation.
+"""The order-n sum-product aggregation as BLAS matrix products.
 
-The order-2 aggregation is a plain matrix product and stays on BLAS. The
-general order-n form
+    out[a_1, ..., a_n] = sum_i  prod_j  F_j[i, a_j]
 
-    out[a_1, ..., a_n] = sum_i  prod_j  factors[j][i, a_j]
-
-is a genuine nested loop, so it is compiled with numba when available. A
-pure-numpy einsum fallback is kept behind the ``PINSET_BACKEND`` env flag
-(``numba`` or ``numpy``; default prefers numba, falls back silently).
-``benchmarks/bench_kernels.py`` compares the two paths.
-
-Factors are passed packed: an (N, sum_j c_j) array plus column offsets,
-which keeps the numba signatures free of reflected lists.
+With KR the row-wise Khatri-Rao product, the output matricized at any split
+k is ``KR(F_1..F_k)^T KR(F_{k+1}..F_n)``, one GEMM; the forward pass takes
+the narrowest split. The gradient for factor j is an MTTKRP (matricized
+tensor times Khatri-Rao product; Kolda & Bader, SIAM Review 2009),
+``grad_j[i, a] = sum_{l, r} P_j[i, l] G[l, a, r] S_j[i, r]``, with prefix
+``P_j = KR(F_1..F_{j-1})`` and suffix ``S_j = KR(F_{j+1}..F_n)`` built once
+per backward pass: the wider meets G in a GEMM, the narrower a per-row sum.
 """
 
 from __future__ import annotations
 
-import os
-import string
+import functools
+import itertools
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI boxes without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_backend = os.environ.get("PINSET_BACKEND", "numba" if _HAVE_NUMBA else "numpy")
-if _backend not in ("numba", "numpy"):
-    raise ValueError(f"PINSET_BACKEND must be 'numba' or 'numpy', got {_backend!r}")
-if _backend == "numba" and not _HAVE_NUMBA:
-    _backend = "numpy"
-
 
 def active_backend() -> str:
-    return _backend
+    return "numpy"
 
 
-def set_backend(name: str) -> None:
-    """Select the kernel backend at runtime (mainly for tests/benchmarks)."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba is not importable in this environment")
-    _backend = name
+def _khatri_rao(factors, rows: int) -> np.ndarray:
+    """Row-wise Khatri-Rao product, ``(rows, prod c_j)`` in row-major order,
+    multiplied left to right; no factors give a column of ones. ``decomp``
+    builds its solve coefficients with it too."""
+    # one factor is passed through untouched, so that order 2 is the very
+    # product tensor.pair_aggregate computes, bit for bit
+    if len(factors) < 2:
+        return factors[0] if factors else np.ones((rows, 1))
+    return functools.reduce(_outer_columns, [np.ascontiguousarray(f.T) for f in factors]).T
 
 
-def pack_factors(factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack per-axis factor matrices column-wise into one contiguous array."""
-    n_rows = factors[0].shape[0]
-    dims = np.array([f.shape[1] for f in factors], dtype=np.int64)
-    offsets = np.zeros(len(factors) + 1, dtype=np.int64)
-    np.cumsum(dims, out=offsets[1:])
-    packed = np.empty((n_rows, int(offsets[-1])), dtype=np.float64)
-    for j, f in enumerate(factors):
-        if f.shape[0] != n_rows:
-            raise ValueError(
-                f"factor {j} has {f.shape[0]} rows, expected {n_rows}"
-            )
-        packed[:, offsets[j] : offsets[j + 1]] = f
-    return packed, offsets, dims
+def _outer_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One Khatri-Rao step on transposed ``(width, rows)`` operands; with the
+    rows contiguous every multiply runs along them, several times faster than
+    broadcasting over a narrow trailing axis."""
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
 
 
-@njit(cache=True)
-def _sum_product_fwd_numba(packed, offsets, dims, out):
-    n_axes = dims.shape[0]
-    n_rows = packed.shape[0]
-    total = out.shape[0]
-    idx = np.zeros(n_axes, dtype=np.int64)
-    for d in range(total):
-        # decode row-major multi-index for flat position d
-        rem = d
-        for j in range(n_axes - 1, -1, -1):
-            idx[j] = rem % dims[j]
-            rem //= dims[j]
-        acc = 0.0
-        for i in range(n_rows):  # left-to-right over the set axis
-            p = 1.0
-            for j in range(n_axes):
-                p *= packed[i, offsets[j] + idx[j]]
-            acc += p
-        out[d] = acc
-
-
-@njit(cache=True)
-def _sum_product_bwd_numba(packed, offsets, dims, grad_flat, grad_packed):
-    n_axes = dims.shape[0]
-    n_rows = packed.shape[0]
-    total = grad_flat.shape[0]
-    idx = np.zeros(n_axes, dtype=np.int64)
-    left = np.empty(n_axes, dtype=np.float64)
-    right = np.empty(n_axes, dtype=np.float64)
-    for d in range(total):
-        rem = d
-        for j in range(n_axes - 1, -1, -1):
-            idx[j] = rem % dims[j]
-            rem //= dims[j]
-        g = grad_flat[d]
-        if g == 0.0:
-            continue
-        for i in range(n_rows):
-            # leave-one-out products via prefix/suffix accumulation
-            acc = 1.0
-            for j in range(n_axes):
-                left[j] = acc
-                acc *= packed[i, offsets[j] + idx[j]]
-            acc = 1.0
-            for j in range(n_axes - 1, -1, -1):
-                right[j] = acc
-                acc *= packed[i, offsets[j] + idx[j]]
-            for j in range(n_axes):
-                grad_packed[i, offsets[j] + idx[j]] += g * left[j] * right[j]
-
-
-def _unpack(packed, offsets, n_axes):
-    return [packed[:, offsets[j] : offsets[j + 1]] for j in range(n_axes)]
-
-
-def _einsum_script(n_axes: int) -> tuple[str, list[str]]:
-    if n_axes > 25:
-        raise ValueError(f"sum-product order {n_axes} exceeds einsum label budget")
-    labels = list(string.ascii_lowercase[:n_axes])
-    inputs = [f"z{a}" for a in labels]
-    return ",".join(inputs) + "->" + "".join(labels), labels
-
-
-def _sum_product_fwd_numpy(packed, offsets, dims, out):
-    factors = _unpack(packed, offsets, len(dims))
-    script, _ = _einsum_script(len(dims))
-    out[:] = np.einsum(script, *factors, optimize=True).reshape(-1)
-
-
-def _sum_product_bwd_numpy(packed, offsets, dims, grad_flat, grad_packed):
-    n_axes = len(dims)
-    factors = _unpack(packed, offsets, n_axes)
-    g = grad_flat.reshape(tuple(int(c) for c in dims))
-    if n_axes == 1:
-        grad_packed += g[None, :]
-        return
-    labels = list(string.ascii_lowercase[:n_axes])
-    for j in range(n_axes):
-        others = [f"z{labels[k]}" for k in range(n_axes) if k != j]
-        script = "".join(labels) + ("," if others else "") + ",".join(others)
-        script += f"->z{labels[j]}"
-        args = [factors[k] for k in range(n_axes) if k != j]
-        grad_packed[:, offsets[j] : offsets[j + 1]] += np.einsum(
-            script, g, *args, optimize=True
-        )
+def _checked(factors) -> list[np.ndarray]:
+    arrays = [np.asarray(f, dtype=np.float64) for f in factors]
+    for j, f in enumerate(arrays):
+        if f.shape[0] != arrays[0].shape[0]:
+            raise ValueError(f"factor {j} has {f.shape[0]} rows, expected {arrays[0].shape[0]}")
+    return arrays
 
 
 def sum_product_forward(factors) -> np.ndarray:
     """Flat sum-over-rows of entrywise factor products, row-major order."""
-    packed, offsets, dims = pack_factors(factors)
-    out = np.empty(int(np.prod(dims)), dtype=np.float64)
-    if _backend == "numba":
-        _sum_product_fwd_numba(packed, offsets, dims, out)
-    else:
-        _sum_product_fwd_numpy(packed, offsets, dims, out)
-    return out
+    arrays = _checked(factors)
+    widths = [f.shape[1] for f in arrays]
+    # the narrowest split; ties go to the later k
+    k = min(range(len(arrays) + 1), key=lambda k: (math.prod(widths[:k]) + math.prod(widths[k:]), -k))
+    rows = arrays[0].shape[0]
+    return (_khatri_rao(arrays[:k], rows).T @ _khatri_rao(arrays[k:], rows)).reshape(-1)
 
 
 def sum_product_backward(factors, grad_flat) -> list[np.ndarray]:
     """Gradients of ``sum(grad_flat * forward)`` with respect to each factor."""
-    packed, offsets, dims = pack_factors(factors)
-    grad_flat = np.ascontiguousarray(grad_flat, dtype=np.float64).reshape(-1)
-    grad_packed = np.zeros_like(packed)
-    if _backend == "numba":
-        _sum_product_bwd_numba(packed, offsets, dims, grad_flat, grad_packed)
-    else:
-        _sum_product_bwd_numpy(packed, offsets, dims, grad_flat, grad_packed)
-    return _unpack(grad_packed, offsets, len(dims))
+    cols = [np.ascontiguousarray(f.T) for f in _checked(factors)]
+    ones = np.ones((1, cols[0].shape[1]))
+    prefixes = [ones, *itertools.accumulate(cols[:-1], _outer_columns)]
+    suffixes = [*itertools.accumulate(cols[:0:-1], lambda s, f: _outer_columns(f, s))][::-1] + [ones]
+    g = np.asarray(grad_flat, dtype=np.float64).reshape(-1)
+    grads = []
+    for f, p, s in zip(cols, prefixes, suffixes):
+        c, rows = f.shape
+        if p.shape[0] >= s.shape[0]:
+            t = (g.reshape(p.shape[0], -1).T @ p).reshape(c, -1, rows)
+            grads.append(np.ascontiguousarray(np.einsum("ari,ri->ia", t, s)))
+        else:
+            t = (g.reshape(-1, s.shape[0]) @ s).reshape(-1, c, rows)
+            grads.append(np.ascontiguousarray(np.einsum("lai,li->ia", t, p)))
+    return grads

@@ -187,17 +187,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a,), bwd)
 
 
-def sum_over_set(a: Tensor) -> Tensor:
-    """Column sums over the set axis of a (batch, set, feature) tensor."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"expected a rank-3 tensor, got shape {a.data.shape}")
-
-    def bwd(g):
-        return ((a, np.broadcast_to(g[:, None, :], a.data.shape).copy()),)
-
-    return _result(a.data.sum(axis=1), (a,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -350,7 +339,8 @@ def sum_product(factors) -> Tensor:
     """Order-n aggregation: sum over rows of entrywise factor products.
 
     ``factors`` are rank-2 tensors sharing their row count; the result has
-    one axis per factor. Runs on the kernel backend (numba or numpy).
+    one axis per factor. Forward and backward are Khatri-Rao GEMMs from
+    :mod:`pinset.kernels`.
     """
     if any(f.data.ndim != 2 for f in factors):
         raise ShapeError("sum_product factors must be rank-2")

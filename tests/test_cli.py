@@ -176,7 +176,6 @@ class TestDecomposeCommand:
         assert code == 1
         assert "N >= 4" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::pinset.decomp.ConditioningWarning")
     def test_rank_deficient_system_exits_1_with_rank(self, tmp_path, capsys):
         src = tmp_path / "t.txt"
         write_tensor(src, np.random.default_rng(0).uniform(-1, 1, size=(6, 6, 6)))
@@ -187,6 +186,19 @@ class TestDecomposeCommand:
         assert "numeric rank 35" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_ill_conditioned_success_prints_one_warning_line(self, tmp_path, capsys):
+        src = tmp_path / "t.txt"
+        write_tensor(src, np.random.default_rng(0).uniform(-1, 1, size=(4, 8, 8)))
+        code = main(["decompose", "--input", str(src), "--components", "32", "--out", str(tmp_path)])
+        assert code == 0
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: linear solve condition")
+        assert "cp_decompose(" not in err
+        report = json.loads((tmp_path / "t.decompose.json").read_text())
+        assert report["conditioning_warning"] == lines[0][len("warning: "):]
 
     def test_zero_tensor(self, tmp_path):
         src = tmp_path / "z.txt"

@@ -27,7 +27,6 @@ from pinset.tensor import (
     softmax_cross_entropy,
     squashing,
     sum_all,
-    sum_over_set,
     sum_product,
     tile_rows,
     transpose,
@@ -116,8 +115,6 @@ def test_primitive_gradients(trial):
 
     wt = _weighted(gen, (6, 3))
     worst = max(worst, _check(lambda t: wt(tile_rows(t, 3)), gen.uniform(-1, 1, size=(2, 3))))
-    wo = _weighted(gen, (2, 3))
-    worst = max(worst, _check(lambda t: wo(sum_over_set(t)), gen.uniform(-1, 1, size=(2, 4, 3))))
     wtr = _weighted(gen, (3, 4))
     worst = max(worst, _check(lambda t: wtr(transpose(t)), gen.uniform(-1, 1, size=(4, 3))))
     wre = _weighted(gen, (12,))

@@ -1,20 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import pinset
 from pinset import kernels
 from pinset.rng import RngState
-
-
-@pytest.fixture
-def restore_backend():
-    original = kernels.active_backend()
-    yield
-    kernels.set_backend(original)
 
 
 def _random_factors(dims, rows, seed):
@@ -32,29 +20,41 @@ def _brute_force(factors, dims):
     return out
 
 
-@pytest.mark.parametrize("dims", [(3,), (2, 3), (2, 3, 2), (2, 2, 2, 3)])
-def test_forward_matches_brute_force_on_both_backends(dims, restore_backend):
+def _brute_force_mttkrp(factors, weights, dims):
+    """grad_j[i, a] = sum over entries with a_j = a of w * prod_{k != j} F_k[i, a_k]."""
+    rows = factors[0].shape[0]
+    w = weights.reshape(dims)
+    grads = [np.zeros_like(f) for f in factors]
+    for idx in np.ndindex(*dims):
+        for i in range(rows):
+            for j, a in enumerate(idx):
+                others = [factors[k][i, b] for k, b in enumerate(idx) if k != j]
+                grads[j][i, a] += w[idx] * np.prod(others)
+    return grads
+
+
+SHAPES = [(3,), (2, 3), (3, 1, 2), (2, 3, 2), (2, 2, 2, 3), (2, 1, 2, 2, 3), (2, 2, 1, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_forward_matches_brute_force(dims):
     factors = _random_factors(dims, 5, seed=1)
-    expected = _brute_force(factors, dims)
-    for backend in ("numpy", "numba"):
-        kernels.set_backend(backend)
-        out = kernels.sum_product_forward(factors).reshape(dims)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+    out = kernels.sum_product_forward(factors).reshape(dims)
+    np.testing.assert_allclose(out, _brute_force(factors, dims), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(4,), (3, 4), (2, 3, 4), (2, 2, 3, 2)])
-def test_backward_backend_parity(dims, restore_backend):
+@pytest.mark.parametrize("dims", SHAPES)
+def test_backward_matches_brute_force(dims):
     factors = _random_factors(dims, 6, seed=2)
     grad = RngState(3).generator().uniform(-1, 1, size=int(np.prod(dims)))
-    results = {}
-    for backend in ("numpy", "numba"):
-        kernels.set_backend(backend)
-        results[backend] = kernels.sum_product_backward(factors, grad)
-    for a, b in zip(results["numpy"], results["numba"]):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    grads = kernels.sum_product_backward(factors, grad)
+    expected = _brute_force_mttkrp(factors, grad, dims)
+    assert [g.shape for g in grads] == [f.shape for f in factors]
+    for got, want in zip(grads, expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_backward_matches_finite_differences(restore_backend):
+def test_backward_matches_finite_differences():
     dims = (2, 3, 2)
     factors = _random_factors(dims, 4, seed=4)
     weights = RngState(5).generator().uniform(-1, 1, size=int(np.prod(dims)))
@@ -75,21 +75,6 @@ def test_backward_matches_finite_differences(restore_backend):
 
 def test_row_count_mismatch_rejected():
     with pytest.raises(ValueError, match="rows"):
-        kernels.pack_factors([np.ones((3, 2)), np.ones((4, 2))])
-
-
-def test_set_backend_validation(restore_backend):
-    with pytest.raises(ValueError, match="backend"):
-        kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "from pinset import kernels; print(kernels.active_backend())"
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(pinset.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir, "PINSET_BACKEND": "numpy"},
-    )
-    assert out.stdout.strip() == "numpy"
+        kernels.sum_product_forward([np.ones((3, 2)), np.ones((4, 2))])
+    with pytest.raises(ValueError, match="rows"):
+        kernels.sum_product_backward([np.ones((3, 2)), np.ones((4, 2))], np.ones(4))
