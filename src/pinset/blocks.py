@@ -32,6 +32,7 @@ from .tensor import (
 )
 
 ACTIVATION_KINDS = ("relu", "softmax_set", "squashing", "none")
+BROADCAST_ACTIVATION_KINDS = ("relu", "none")
 
 
 class ExpressivenessWarning(UserWarning):
@@ -138,13 +139,7 @@ class Mlp:
             return "none" if self.spec.classifier_tail else self.spec.final_activation
         return self.spec.hidden_activation
 
-    def forward(
-        self,
-        x: Tensor,
-        mode: str,
-        set_size: int | None = None,
-        preact_sink: list | None = None,
-    ) -> Tensor:
+    def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
@@ -156,12 +151,7 @@ class Mlp:
                 h = add(h, self.biases[i])
             if self.bn_gamma[i] is not None:
                 h = batchnorm(h, self.bn_gamma[i], self.bn_beta[i], self.bn_states[i], mode)
-            kind = self._layer_activation(i)
-            if preact_sink is not None and kind == "relu":
-                # lets callers confirm finite-difference probes stay away
-                # from the activation kink
-                preact_sink.append(h.data)
-            h = _apply_activation(h, kind, set_size)
+            h = _apply_activation(h, self._layer_activation(i), set_size)
         return h
 
     def uses_softmax_set(self) -> bool:
@@ -235,7 +225,6 @@ def aggregate(
     x: Tensor,
     mode: str = "eval",
     gen: np.random.Generator | None = None,
-    preact_sink: list | None = None,
 ) -> Tensor:
     """Permutation-invariant set feature: flatten(mlp1(X)^T mlp2(X)).
 
@@ -254,8 +243,8 @@ def aggregate(
             stacklevel=2,
         )
     flat = reshape(batched, (b * n, p))
-    h1 = reshape(block.mlp1.forward(flat, mode, set_size=n, preact_sink=preact_sink), (b, n, s))
-    h2 = reshape(block.mlp2.forward(flat, mode, set_size=n, preact_sink=preact_sink), (b, n, t))
+    h1 = reshape(block.mlp1.forward(flat, mode, set_size=n), (b, n, s))
+    h2 = reshape(block.mlp2.forward(flat, mode, set_size=n), (b, n, t))
     feature = reshape(pair_aggregate(h1, h2), (b, s * t))
     feature = dropout(feature, block.dropout_ratio, gen, mode)
     if single:
@@ -289,8 +278,26 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
 
 
 @dataclass
+class BroadcastSpec:
+    """Output width of a broadcast block, plus the batch normalization and
+    activation applied after the linear mix."""
+
+    out_width: int
+    use_batchnorm: bool = True
+    activation: str = "relu"
+
+    def __post_init__(self):
+        if self.activation not in BROADCAST_ACTIVATION_KINDS:
+            raise ValueError(
+                f"unknown broadcast activation {self.activation!r}, expected one "
+                f"of {BROADCAST_ACTIVATION_KINDS}"
+            )
+
+
+@dataclass
 class BroadcastBlock:
-    """Mixes a set feature into each element: z_i = Wx x_i + Wy y + b.
+    """Mixes a set feature into each element: z_i = Wx x_i + Wy y + b,
+    optionally followed by batch normalization and a relu.
 
     The bilinear element-feature interaction term is deliberately absent;
     each output row depends on its own element and the shared set feature
@@ -300,6 +307,10 @@ class BroadcastBlock:
     w_x: Tensor  # (d_z, d_x)
     w_y: Tensor  # (d_z, d_y)
     bias: Tensor  # (d_z,)
+    gamma: Tensor | None = None
+    beta: Tensor | None = None
+    state: BatchNormState | None = None
+    activation: str = "none"
 
     def __post_init__(self):
         dz = self.w_x.data.shape[0]
@@ -314,36 +325,37 @@ class BroadcastBlock:
         return self.w_x.data.shape[1], self.w_y.data.shape[1], self.w_x.data.shape[0]
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {f"{prefix}w_x": self.w_x, f"{prefix}w_y": self.w_y, f"{prefix}bias": self.bias}
+        out = {f"{prefix}w_x": self.w_x, f"{prefix}w_y": self.w_y, f"{prefix}bias": self.bias}
+        if self.gamma is not None:
+            out[f"{prefix}bn_gamma"] = self.gamma
+            out[f"{prefix}bn_beta"] = self.beta
+        return out
+
+    def norm_states(self, prefix: str = "") -> dict[str, BatchNormState]:
+        return {} if self.state is None else {f"{prefix}bn": self.state}
 
 
-def make_broadcast_block(d_x: int, d_y: int, d_z: int, rng: RngState) -> BroadcastBlock:
+def make_broadcast_block(d_x: int, d_y: int, spec: BroadcastSpec, rng: RngState) -> BroadcastBlock:
     gen = rng.generator()
+    d_z = spec.out_width
     bx = 1.0 / np.sqrt(d_x)
     by = 1.0 / np.sqrt(d_y)
-    return BroadcastBlock(
+    block = BroadcastBlock(
         w_x=Tensor(gen.uniform(-bx, bx, size=(d_z, d_x)), requires_grad=True),
         w_y=Tensor(gen.uniform(-by, by, size=(d_z, d_y)), requires_grad=True),
         bias=Tensor(np.zeros(d_z), requires_grad=True),
+        activation=spec.activation,
     )
-
-
-def broadcast(block: BroadcastBlock, x: Tensor, y: Tensor) -> Tensor:
-    """Combine one set's element features (N, d_x) with its set feature
-    (d_y,) into (N, d_z)."""
-    d_x, d_y, _ = block.widths
-    if x.data.ndim != 2 or x.data.shape[1] != d_x:
-        raise ValueError(f"expected elements of width {d_x}, got shape {x.data.shape}")
-    if y.data.shape != (d_y,):
-        raise ValueError(f"expected a set feature of width {d_y}, got shape {y.data.shape}")
-    n = x.data.shape[0]
-    xw = matmul(x, transpose(block.w_x))
-    yw = matmul(reshape(y, (1, d_y)), transpose(block.w_y))
-    return add(add(xw, tile_rows(yw, n)), block.bias)
+    if spec.use_batchnorm:
+        block.gamma = Tensor(np.ones(d_z), requires_grad=True)
+        block.beta = Tensor(np.zeros(d_z), requires_grad=True)
+        block.state = BatchNormState(d_z)
+    return block
 
 
 def broadcast_batched(block: BroadcastBlock, x_flat: Tensor, y: Tensor, set_size: int) -> Tensor:
-    """Batched broadcast on stacked rows (B*N, d_x) with features (B, d_y)."""
+    """The linear mix on stacked rows (B*N, d_x) with set features
+    (B, d_y): each set's feature row is tiled over its ``set_size`` rows."""
     d_x, d_y, _ = block.widths
     if x_flat.data.ndim != 2 or x_flat.data.shape[1] != d_x:
         raise ValueError(f"expected stacked rows of width {d_x}, got shape {x_flat.data.shape}")

@@ -14,8 +14,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import verify as verify_mod
 from .config import ConfigError, Field, parse_override, read_config, validate
 from .data import (
@@ -33,7 +31,6 @@ from .decomp import (
     ConditioningWarning,
     RankDeficiencyError,
     cp_decompose,
-    reconstruct_cp,
 )
 from .models import (
     PRESETS,
@@ -284,10 +281,7 @@ def cmd_decompose(args) -> int:
         ) from exc
     if factors.conditioning_warning:
         print(f"warning: {factors.conditioning_warning}", file=sys.stderr)
-    recon = reconstruct_cp(factors)
-    denom = float(np.linalg.norm(tensor))
-    err = float(np.linalg.norm(recon - tensor))
-    rel = err / denom if denom > 0 else err
+    rel = factors.rel_residual
 
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(input_path))[0]

@@ -15,6 +15,7 @@ import numpy as np
 from .blocks import (
     AggregationBlock,
     BroadcastBlock,
+    BroadcastSpec,
     Mlp,
     MlpSpec,
     aggregate,
@@ -34,13 +35,6 @@ class AggregationSpec:
     @property
     def feature_length(self) -> int:
         return self.mlp1.out_width * self.mlp2.out_width
-
-
-@dataclass
-class BroadcastSpec:
-    out_width: int
-    use_batchnorm: bool = True
-    activation: str = "relu"
 
 
 @dataclass
@@ -87,19 +81,14 @@ class Model:
             mlp2=Mlp(config.aggregation.mlp2, rng.child("agg1", 1)),
             dropout_ratio=config.aggregation.dropout_ratio,
         )
-        self.broadcast_layers = []
+        self.broadcast_layers: list[BroadcastBlock] = []
         in_width = config.input_width
         for i, spec in enumerate(config.broadcasts):
-            block = make_broadcast_block(
-                in_width, config.aggregation.feature_length, spec.out_width, rng.child("bc", i)
+            self.broadcast_layers.append(
+                make_broadcast_block(
+                    in_width, config.aggregation.feature_length, spec, rng.child("bc", i)
+                )
             )
-            if spec.use_batchnorm:
-                gamma = Tensor(np.ones(spec.out_width), requires_grad=True)
-                beta = Tensor(np.zeros(spec.out_width), requires_grad=True)
-                state = BatchNormState(spec.out_width)
-            else:
-                gamma = beta = state = None
-            self.broadcast_layers.append((block, gamma, beta, state, spec.activation))
             in_width = spec.out_width
         if config.aggregation2 is not None:
             self.agg2 = AggregationBlock(
@@ -116,13 +105,7 @@ class Model:
             self.agg2 = None
         self.head = Mlp(config.head, rng.child("head")) if config.head is not None else None
 
-    def forward(
-        self,
-        sets,
-        mode: str = "eval",
-        gen: np.random.Generator | None = None,
-        preact_sink: list | None = None,
-    ) -> Tensor:
+    def forward(self, sets, mode: str = "eval", gen: np.random.Generator | None = None) -> Tensor:
         x = sets if isinstance(sets, Tensor) else Tensor(np.asarray(sets, dtype=np.float64))
         single = x.data.ndim == 2
         if single:
@@ -132,33 +115,28 @@ class Model:
                 f"expected sets of width {self.config.input_width}, got shape {x.data.shape}"
             )
         b, n, p = x.data.shape
-        feature = aggregate(self.agg1, x, mode, gen, preact_sink=preact_sink)
+        feature = aggregate(self.agg1, x, mode, gen)
         if self.broadcast_layers:
             z = reshape(x, (b * n, p))
-            for block, gamma, beta, state, activation in self.broadcast_layers:
+            for block in self.broadcast_layers:
                 z = broadcast_batched(block, z, feature, n)
-                if gamma is not None:
-                    z = batchnorm(z, gamma, beta, state, mode)
-                if activation == "relu":
-                    if preact_sink is not None:
-                        preact_sink.append(z.data)
+                if block.gamma is not None:
+                    z = batchnorm(z, block.gamma, block.beta, block.state, mode)
+                if block.activation == "relu":
                     z = relu(z)
             width = z.data.shape[1]
-            feature = aggregate(self.agg2, reshape(z, (b, n, width)), mode, gen, preact_sink=preact_sink)
+            feature = aggregate(self.agg2, reshape(z, (b, n, width)), mode, gen)
         out = feature
         if self.head is not None:
-            out = self.head.forward(feature, mode, preact_sink=preact_sink)
+            out = self.head.forward(feature, mode)
         if single:
             return reshape(out, (out.data.shape[1],))
         return out
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.agg1.parameters("agg1.")
-        for i, (block, gamma, beta, _, _) in enumerate(self.broadcast_layers):
+        for i, block in enumerate(self.broadcast_layers):
             out.update(block.parameters(f"bc{i}."))
-            if gamma is not None:
-                out[f"bc{i}.bn_gamma"] = gamma
-                out[f"bc{i}.bn_beta"] = beta
         if self.agg2 is not None:
             out.update(self.agg2.parameters("agg2."))
         if self.head is not None:
@@ -167,9 +145,8 @@ class Model:
 
     def norm_states(self) -> dict[str, BatchNormState]:
         out = self.agg1.norm_states("agg1.")
-        for i, (_, _, _, state, _) in enumerate(self.broadcast_layers):
-            if state is not None:
-                out[f"bc{i}.bn"] = state
+        for i, block in enumerate(self.broadcast_layers):
+            out.update(block.norm_states(f"bc{i}."))
         if self.agg2 is not None:
             out.update(self.agg2.norm_states("agg2."))
         if self.head is not None:

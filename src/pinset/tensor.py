@@ -2,15 +2,12 @@
 
 Every operation records its inputs on the output node, so each forward
 pass builds a fresh acyclic graph; :func:`backward` replays it once in
-reverse creation order. Values are treated as immutable once created,
-which keeps independent passes safe to run concurrently as long as each
-owns its graph.
+reverse creation order. Values are treated as immutable once created.
 
 An op writes in place only into arrays it allocated itself. It never
 writes into its inputs' data, parameters, batchnorm running statistics
 or the gradient handed to its backward function: ``add`` passes one
-gradient object to both parents, and graphs may share leaves across
-threads.
+gradient object to both parents.
 """
 
 from __future__ import annotations
@@ -63,6 +60,19 @@ def _result(data, parents, backward_fn) -> Tensor:
     return out
 
 
+def _reachable(root: Tensor) -> list[Tensor]:
+    """Every node of the graph behind ``root``, each once."""
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.extend(node._parents)
+    return list(seen.values())
+
+
 def backward(loss: Tensor, params=()) -> dict:
     """Gradients of a scalar loss for every requires-grad leaf.
 
@@ -72,18 +82,10 @@ def backward(loss: Tensor, params=()) -> dict:
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
 
-    # collect the reachable graph; creation order is a topological order
-    seen = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen[id(node)] = node
-        stack.extend(node._parents)
-
+    # creation order is a topological order
+    nodes = _reachable(loss)
     grads = {id(loss): np.ones(())}
-    tensors = sorted(seen.values(), key=lambda t: t._id, reverse=True)
+    tensors = sorted(nodes, key=lambda t: t._id, reverse=True)
     for node in tensors:
         g = grads.pop(id(node), None)
         if g is None or node._backward is None:
@@ -100,7 +102,7 @@ def backward(loss: Tensor, params=()) -> dict:
                 grads[key] = contrib
 
     out = {}
-    for node in seen.values():
+    for node in nodes:
         if node.requires_grad and node._backward is None:
             out[node] = grads.get(id(node), np.zeros(node.data.shape))
     for p in params:

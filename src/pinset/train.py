@@ -97,10 +97,6 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
 
-def _forward_logits(model: Model, sets: np.ndarray, mode: str, gen=None) -> Tensor:
-    return model.forward(Tensor(sets), mode, gen)
-
-
 def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     """Accuracy, error rate, mean loss, and exact per-class counts."""
     if batch.size == 0:
@@ -112,7 +108,7 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     for start in range(0, batch.size, chunk):
         sets = batch.sets[start : start + chunk]
         labels = batch.labels[start : start + chunk]
-        logits = _forward_logits(model, sets, "eval")
+        logits = model.forward(sets, "eval")
         loss = softmax_cross_entropy(logits, labels)
         loss_sum += float(loss.data) * sets.shape[0]
         pred = logits.data.argmax(axis=1)
@@ -168,7 +164,7 @@ def train(
                 continue  # a singleton batch starves the head's normalization
             sets = train_batch.sets[idx]
             labels = train_batch.labels[idx]
-            logits = _forward_logits(model, sets, "train", dropout_gen)
+            logits = model.forward(sets, "train", dropout_gen)
             loss = softmax_cross_entropy(logits, labels)
             value = float(loss.data)
             if not np.isfinite(value):

@@ -7,17 +7,14 @@ decomposition at its cardinality bound, rank stability under small
 perturbations, finite-difference gradient agreement, and the
 no-activation collapse with its element-wise decomposition.
 
-Suites are deterministic given the master seed; independent trials may run
-on a thread pool capped by the ``PINSET_THREADS`` environment variable.
+Suites are deterministic given the master seed.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +30,13 @@ from .blocks import (
 )
 from .models import build_model, gradcheck_config, pixel_s_config
 from .rng import RngState
-from .tensor import Tensor, backward, finite_difference_gradient, softmax_cross_entropy
+from .tensor import (
+    Tensor,
+    _reachable,
+    backward,
+    finite_difference_gradient,
+    softmax_cross_entropy,
+)
 
 SUITE_NAMES = ("invariance", "mdd", "cp", "rankstab", "gradcheck", "collapse")
 
@@ -80,14 +83,6 @@ class SuiteResult:
         }
 
 
-def _pool_map(fn, items):
-    threads = int(os.environ.get("PINSET_THREADS", "1"))
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def relative_error(a, b) -> float:
     """Guarded relative error: |a-b| scaled by max(|a|, |b|, 1)."""
     a = np.asarray(a, dtype=np.float64)
@@ -130,7 +125,7 @@ def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
             permuted = aggregate(_block, Tensor(x[perm]), "eval")
             return float(np.max(np.abs(base.data - permuted.data)))
 
-        diffs = _pool_map(trial, list(range(pairs_per_config)))
+        diffs = [trial(i) for i in range(pairs_per_config)]
         result.properties.append(
             PropertyResult(
                 name=f"aggregate_invariance[{act1},{act2}]",
@@ -151,7 +146,7 @@ def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
         permuted = model.forward(x[perm], "eval")
         return float(np.max(np.abs(base.data - permuted.data)))
 
-    diffs = _pool_map(logits_trial, list(range(pairs_per_config)))
+    diffs = [logits_trial(i) for i in range(pairs_per_config)]
     result.properties.append(
         PropertyResult(
             name="classifier_logits_invariance",
@@ -204,7 +199,7 @@ def run_mdd(seed: int, instances: int = 200, lambdas: int = 10, corrupt=None) ->
         ortho = float(np.max(np.abs(gram - np.eye(l - m)))) if l > m else 0.0
         return float(worst_resid), kernel_ok, annihilation, ortho
 
-    rows = _pool_map(trial, list(range(instances)))
+    rows = [trial(i) for i in range(instances)]
     resids = [r[0] for r in rows]
     result.properties.append(
         PropertyResult(
@@ -359,7 +354,7 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
             return False, np.inf
         return probe.achieved_rank == s, float(np.linalg.norm(probe.delta))
 
-    rows = _pool_map(deficient, list(range(deficient_trials)))
+    rows = [deficient(i) for i in range(deficient_trials)]
     norms = [r[1] for r in rows]
     result.properties.append(
         PropertyResult(
@@ -390,7 +385,7 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
         frac = decomp.rank_stability_trial(y, eps, 20, root.child("stable-draw", i))
         return frac
 
-    fracs = _pool_map(stable, list(range(stable_trials)))
+    fracs = [stable(i) for i in range(stable_trials)]
     result.properties.append(
         PropertyResult(
             name="full_rank_survives_small_perturbation",
@@ -407,6 +402,19 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
 # gradient checks
 
 
+# the backward closure :func:`pinset.tensor.relu` attaches to its output
+_RELU_BACKWARD = "relu.<locals>.bwd"
+
+
+def _relu_inputs(out: Tensor) -> list[np.ndarray]:
+    """Inputs of every relu node in the graph behind ``out``."""
+    return [
+        node._parents[0].data
+        for node in _reachable(out)
+        if node._backward is not None and node._backward.__qualname__ == _RELU_BACKWARD
+    ]
+
+
 def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     """Seeded batch whose loss is differentiable with margin: every relu
     pre-activation stays at least ``margin`` from the kink (finite
@@ -415,9 +423,8 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
         gen = root.child("batch", index, attempt).generator()
         sets = gen.uniform(-1.0, 1.0, size=(4, 12, model.config.input_width))
         labels = gen.integers(0, model.config.class_count, size=4)
-        sink: list = []
-        model.forward(sets, "train", preact_sink=sink)
-        smallest = min(float(np.min(np.abs(a))) for a in sink) if sink else np.inf
+        preacts = _relu_inputs(model.forward(sets, "train"))
+        smallest = min((float(np.min(np.abs(a))) for a in preacts), default=np.inf)
         if smallest > margin:
             return sets, labels
     raise RuntimeError("could not draw a batch clear of activation kinks")

@@ -3,12 +3,12 @@ import pytest
 
 from pinset.blocks import (
     AggregationBlock,
+    BroadcastSpec,
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
     aggregate,
     aggregate_order_n,
-    broadcast,
     broadcast_batched,
     make_broadcast_block,
     per_element_contribution,
@@ -79,7 +79,7 @@ class TestAggregate:
             out = aggregate(block, Tensor(x), "eval")
         h1 = block.mlp1.forward(Tensor(x), "eval").data
         h2 = block.mlp2.forward(Tensor(x), "eval").data
-        np.testing.assert_allclose(out.data.reshape(12, 16), h1.T @ h2, atol=1e-12)
+        np.testing.assert_allclose(out.data.reshape(12, 16), h1.T @ h2, rtol=0, atol=1e-12)
         assert numeric_rank(out.data.reshape(12, 16)) <= 1
 
     def test_permutation_invariance(self):
@@ -112,7 +112,7 @@ class TestAggregate:
         batch_out = aggregate(block, Tensor(sets), "eval").data
         for i in range(4):
             single = aggregate(block, Tensor(sets[i]), "eval").data
-            np.testing.assert_allclose(batch_out[i], single, atol=1e-13)
+            np.testing.assert_allclose(batch_out[i], single, rtol=0, atol=1e-13)
 
     def test_small_set_warns_not_rejects(self):
         block = _block()
@@ -129,7 +129,7 @@ class TestAggregateOrderN:
         mlp.biases[0].data = np.zeros(3)
         x = RngState(11).generator().uniform(-1, 1, size=(9, 3))
         out = aggregate_order_n([mlp], Tensor(x), "eval")
-        np.testing.assert_allclose(out.data, x.sum(axis=0), atol=1e-14)
+        np.testing.assert_allclose(out.data, x.sum(axis=0), rtol=0, atol=1e-14)
 
     def test_order_two_matches_aggregate_exactly(self):
         block = _block()
@@ -182,50 +182,76 @@ class TestAggregateOrderN:
             assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _broadcast_block(d_x, d_y, d_z, seed):
+    return make_broadcast_block(d_x, d_y, BroadcastSpec(d_z), RngState(seed))
+
+
+def _broadcast_one(block, x, y):
+    """broadcast_batched on a single set (N, d_x) with its feature (d_y,)."""
+    return broadcast_batched(block, Tensor(x), Tensor(y.reshape(1, -1)), x.shape[0]).data
+
+
 class TestBroadcast:
     def test_identity_on_elements(self):
-        block = make_broadcast_block(3, 2, 3, RngState(16))
+        block = _broadcast_block(3, 2, 3, 16)
         block.w_x.data = np.eye(3)
         block.w_y.data = np.zeros((3, 2))
         block.bias.data = np.zeros(3)
         x = RngState(17).generator().uniform(-1, 1, size=(5, 3))
-        out = broadcast(block, Tensor(x), Tensor(np.ones(2)))
-        np.testing.assert_allclose(out.data, x, atol=1e-14)
+        out = _broadcast_one(block, x, np.ones(2))
+        np.testing.assert_allclose(out, x, rtol=0, atol=1e-14)
 
     def test_pure_set_feature(self):
-        block = make_broadcast_block(3, 2, 2, RngState(18))
+        block = _broadcast_block(3, 2, 2, 18)
         block.w_x.data = np.zeros((2, 3))
         block.w_y.data = np.eye(2)
         block.bias.data = np.zeros(2)
         y = np.array([0.5, -1.5])
-        out = broadcast(block, Tensor(np.ones((4, 3))), Tensor(y))
-        np.testing.assert_allclose(out.data, np.tile(y, (4, 1)), atol=1e-14)
+        out = _broadcast_one(block, np.ones((4, 3)), y)
+        np.testing.assert_allclose(out, np.tile(y, (4, 1)), rtol=0, atol=1e-14)
 
     def test_permutation_equivariance(self):
-        block = make_broadcast_block(3, 4, 5, RngState(19))
+        block = _broadcast_block(3, 4, 5, 19)
         gen = RngState(20).generator()
         y = gen.uniform(-1, 1, size=4)
         for _ in range(20):
             x = gen.uniform(-1, 1, size=(7, 3))
             perm = gen.permutation(7)
-            a = broadcast(block, Tensor(x[perm]), Tensor(y)).data
-            b = broadcast(block, Tensor(x), Tensor(y)).data[perm]
+            a = _broadcast_one(block, x[perm], y)
+            b = _broadcast_one(block, x, y)[perm]
             np.testing.assert_array_equal(a, b)
 
     def test_batched_matches_per_set(self):
-        block = make_broadcast_block(3, 4, 5, RngState(21))
+        block = _broadcast_block(3, 4, 5, 21)
+        block.bias.data = RngState(24).generator().uniform(-1, 1, size=5)
         gen = RngState(22).generator()
         sets = gen.uniform(-1, 1, size=(3, 6, 3))
         feats = gen.uniform(-1, 1, size=(3, 4))
         flat = broadcast_batched(block, Tensor(sets.reshape(18, 3)), Tensor(feats), 6).data
         for i in range(3):
-            single = broadcast(block, Tensor(sets[i]), Tensor(feats[i])).data
-            np.testing.assert_allclose(flat[6 * i : 6 * (i + 1)], single, atol=1e-14)
+            expected = sets[i] @ block.w_x.data.T + feats[i] @ block.w_y.data.T + block.bias.data
+            np.testing.assert_allclose(flat[6 * i : 6 * (i + 1)], expected, rtol=0, atol=1e-14)
 
     def test_width_mismatch(self):
-        block = make_broadcast_block(3, 2, 4, RngState(23))
+        block = _broadcast_block(3, 2, 4, 23)
         with pytest.raises(ValueError, match="width"):
-            broadcast(block, Tensor(np.ones((5, 7))), Tensor(np.ones(2)))
+            broadcast_batched(block, Tensor(np.ones((5, 7))), Tensor(np.ones((1, 2))), 5)
+        with pytest.raises(ValueError, match="width"):
+            broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 3))), 5)
+
+    def test_spec_owns_normalization_and_activation(self):
+        plain = make_broadcast_block(3, 2, BroadcastSpec(4, False, "none"), RngState(25))
+        assert plain.gamma is None and plain.state is None and plain.activation == "none"
+        assert list(plain.parameters("bc0.")) == ["bc0.w_x", "bc0.w_y", "bc0.bias"]
+        assert plain.norm_states("bc0.") == {}
+        normed = make_broadcast_block(3, 2, BroadcastSpec(4), RngState(25))
+        np.testing.assert_array_equal(normed.w_x.data, plain.w_x.data)
+        np.testing.assert_array_equal(normed.w_y.data, plain.w_y.data)
+        assert normed.activation == "relu"
+        assert list(normed.parameters("bc0.")) == [
+            "bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"
+        ]
+        assert list(normed.norm_states("bc0.")) == ["bc0.bn"]
 
 
 class TestPerElementContribution:

@@ -143,14 +143,6 @@ class TestVerifyCommand:
         result = verify.run_mdd(0, instances=20, corrupt=corrupt)
         assert not result.passed
 
-    def test_thread_pool_results_order_stable(self, monkeypatch):
-        baseline = verify.run_mdd(1, instances=24)
-        monkeypatch.setenv("PINSET_THREADS", "4")
-        threaded = verify.run_mdd(1, instances=24)
-        assert [p.as_dict() for p in baseline.properties] == [
-            p.as_dict() for p in threaded.properties
-        ]
-
 
 class TestDecomposeCommand:
     def test_round_trip(self, tmp_path, capsys):
@@ -166,7 +158,7 @@ class TestDecomposeCommand:
         recon = np.zeros((2, 3))
         for i in range(2):
             recon += np.outer(factors[0][i], factors[1][i])
-        np.testing.assert_allclose(recon, t, atol=1e-6)
+        np.testing.assert_allclose(recon, t, rtol=0, atol=1e-6)
 
     def test_below_bound_exits_1_with_minimum(self, tmp_path, capsys):
         t = np.ones((4, 4))

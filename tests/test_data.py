@@ -167,14 +167,14 @@ class TestAugment:
     def test_unit_scale_is_identity(self):
         batch = self._batch()
         out = augment(batch, [("random_scale", {"low": 1.0, "high": 1.0})], RngState(12))
-        np.testing.assert_allclose(out.sets, batch.sets, atol=1e-15)
+        np.testing.assert_allclose(out.sets, batch.sets, rtol=0, atol=1e-15)
 
     def test_forced_rotation_oracle(self):
         batch = SetBatch(sets=np.array([[[1.0, 0.0, 0.0]]]), labels=np.array([0]))
         out = augment(
             batch, [("random_rotation", {"angle": np.pi / 2})], RngState(13)
         )
-        np.testing.assert_allclose(out.sets[0, 0], [0.0, 0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(out.sets[0, 0], [0.0, 0.0, -1.0], rtol=0, atol=1e-12)
 
     def test_rotation_needs_three_coords(self):
         with pytest.raises(ValueError, match="3 coordinate"):

@@ -47,7 +47,7 @@ class TestKernelBasis:
         basis = kernel_basis(np.array([[1.0, 1.0]]))
         expected = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
         sign = np.sign(basis[0, 0]) or 1.0
-        np.testing.assert_allclose(basis * sign, expected, atol=1e-12)
+        np.testing.assert_allclose(basis * sign, expected, rtol=0, atol=1e-12)
 
     def test_identity_has_empty_kernel(self):
         assert kernel_basis(np.eye(3)).shape == (3, 0)
@@ -58,7 +58,7 @@ class TestKernelBasis:
         basis = kernel_basis(b)
         assert basis.shape == (5, 2)
         assert np.max(np.abs(b @ basis)) < 1e-10
-        np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2), rtol=0, atol=1e-12)
 
     def test_rank_deficient_reports_detected_rank(self):
         b = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -71,12 +71,12 @@ class TestMddSolve:
     def test_identity_system(self):
         a = np.arange(6.0).reshape(2, 3)
         sol = mdd_solve(np.eye(2), a)
-        np.testing.assert_allclose(sol.particular, a, atol=1e-14)
+        np.testing.assert_allclose(sol.particular, a, rtol=0, atol=1e-14)
         assert sol.kernel_basis.shape == (2, 0)
 
     def test_min_norm_hand_case(self):
         sol = mdd_solve(np.array([[1.0, 1.0]]), np.array([[2.0]]))
-        np.testing.assert_allclose(sol.particular, [[1.0], [1.0]], atol=1e-12)
+        np.testing.assert_allclose(sol.particular, [[1.0], [1.0]], rtol=0, atol=1e-12)
         assert sol.kernel_basis.shape == (2, 1)
 
     def test_all_sampled_solutions_solve_the_system(self):
@@ -96,7 +96,7 @@ class TestMddSolve:
         with pytest.raises(ValueError, match="allow_wide"):
             mdd_solve(b, a)
         sol = mdd_solve(b, a, allow_wide=True)
-        np.testing.assert_allclose(sol.particular, a, atol=1e-14)
+        np.testing.assert_allclose(sol.particular, a, rtol=0, atol=1e-14)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficiencyError):
@@ -131,8 +131,8 @@ class TestSampleSolution:
         c1 = sample_solution(sol, np.array([[1.0]]))
         c2 = sample_solution(sol, np.array([[-1.0]]))
         assert np.max(np.abs(c1 - c2)) > 0.1
-        np.testing.assert_allclose(b @ c1, a, atol=1e-12)
-        np.testing.assert_allclose(b @ c2, a, atol=1e-12)
+        np.testing.assert_allclose(b @ c1, a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b @ c2, a, rtol=0, atol=1e-12)
 
     def test_empty_kernel_ignores_empty_lambda(self):
         sol = mdd_solve(np.eye(2), np.ones((2, 2)))
@@ -178,7 +178,7 @@ class TestVandermondeFactors:
 class TestCpDecompose:
     def test_zero_tensor(self):
         factors = cp_decompose(np.zeros((2, 3)), 2)
-        np.testing.assert_allclose(reconstruct_cp(factors), np.zeros((2, 3)), atol=1e-12)
+        np.testing.assert_allclose(reconstruct_cp(factors), np.zeros((2, 3)), rtol=0, atol=1e-12)
 
     def test_rank_one_matrix_exact(self):
         gen = RngState(5).generator()
@@ -218,7 +218,7 @@ class TestCpDecompose:
     def test_vector_decomposition(self):
         t = np.array([1.0, -2.0, 3.0])
         factors = cp_decompose(t, 5)
-        np.testing.assert_allclose(reconstruct_cp(factors), t, atol=1e-10)
+        np.testing.assert_allclose(reconstruct_cp(factors), t, rtol=0, atol=1e-10)
 
 
 class TestReconstructCp:
@@ -250,7 +250,7 @@ class TestReconstructCp:
                         factors[0][i, a] * factors[1][i, b] * factors[2][i, c]
                         for i in range(4)
                     )
-        np.testing.assert_allclose(out, brute, atol=1e-12)
+        np.testing.assert_allclose(out, brute, rtol=0, atol=1e-12)
 
 
 class TestPerturbToFullRank:

@@ -5,11 +5,22 @@ central finite differences (h = 1e-5) on random inputs in [-1, 1], 100
 seeded trials per primitive, guarded relative error below 1e-6. Inputs
 for the relu trial are kept a safe margin away from the kink, where the
 derivative does not exist and finite differences are meaningless.
+
+A small model with a broadcast block is checked end to end the way the
+gradcheck verify suite checks its preset, which has no broadcast block.
 """
 
 import numpy as np
 import pytest
 
+from pinset.blocks import BroadcastSpec, MlpSpec
+from pinset.models import (
+    AggregationSpec,
+    ModelConfig,
+    build_model,
+    gradcheck_config,
+    pixel_l_config,
+)
 from pinset.rng import RngState
 from pinset.tensor import (
     BatchNormState,
@@ -31,6 +42,7 @@ from pinset.tensor import (
     tile_rows,
     transpose,
 )
+from pinset.verify import _draw_gradcheck_batch, _relu_inputs, relative_error
 
 TRIALS = 100
 H = 1e-5
@@ -149,3 +161,56 @@ def test_batchnorm_gradients_with_near_constant_column(mode):
     assert _check(lambda t: bn_loss(t, Tensor(gamma), Tensor(beta)), x0) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), t, Tensor(beta)), gamma) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), Tensor(gamma), t), beta) < TOL
+
+
+def _broadcast_config() -> ModelConfig:
+    # one broadcast block (batchnorm + relu) between two aggregations; the
+    # gradcheck preset has no broadcast block
+    def mlp(width):
+        return MlpSpec([width, 5, 3], final_activation="softmax_set")
+
+    return ModelConfig(
+        task="synthetic",
+        input_width=3,
+        class_count=3,
+        aggregation=AggregationSpec(mlp(3), mlp(3), dropout_ratio=0.0),
+        broadcasts=[BroadcastSpec(4)],
+        aggregation2=AggregationSpec(mlp(4), mlp(4), dropout_ratio=0.0),
+        head=MlpSpec([9, 6, 3], classifier_tail=True),
+    )
+
+
+def test_relu_walk_finds_every_relu_input():
+    for cfg, count in ((gradcheck_config(), 3), (pixel_l_config(), 11)):
+        model = build_model(cfg, RngState(3))
+        gen = RngState(4).generator()
+        sets = gen.uniform(-1, 1, size=(2, 32, cfg.input_width))
+        preacts = _relu_inputs(model.forward(sets, "train", gen))
+        assert len(preacts) == count
+    # only the two broadcast blocks emit 256-wide rows in pixel-l
+    assert sum(a.shape == (64, 256) for a in preacts) == 2
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_broadcast_model_gradients(index):
+    model = build_model(_broadcast_config(), RngState(90))
+    params = model.parameters()
+    assert {"bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"} <= set(params)
+    sets, labels = _draw_gradcheck_batch(model, RngState(91), index, margin=10 * H)
+
+    def loss_value() -> float:
+        return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
+
+    loss = softmax_cross_entropy(model.forward(sets, "train"), labels)
+    grads = backward(loss, list(params.values()))
+    for name, p in params.items():
+        original = p.data
+
+        def probe(arr, _p=p):
+            _p.data = arr
+            return loss_value()
+
+        fd = finite_difference_gradient(probe, original.copy(), h=H)
+        p.data = original
+        err = relative_error(grads[p], fd)
+        assert err < 1e-4, f"{name}: guarded relative error {err:.3e}"

@@ -6,6 +6,7 @@ import pytest
 from pinset.models import (
     PRESETS,
     TABLE_FACTORIZATIONS,
+    BroadcastSpec,
     build_model,
     config_from_flat,
     config_to_flat,
@@ -140,6 +141,15 @@ class TestConfigRoundTrip:
         cfg = cfg_fn()
         restored = config_from_flat(config_to_flat(cfg))
         assert config_to_flat(restored) == config_to_flat(cfg)
+
+    @pytest.mark.parametrize("activation", ["squashing", "rleu"])
+    def test_bad_broadcast_activation_rejected(self, activation):
+        with pytest.raises(ValueError, match="broadcast activation"):
+            BroadcastSpec(256, activation=activation)
+        flat = config_to_flat(pixel_l_config())
+        flat["model.broadcasts.activation"] = activation
+        with pytest.raises(ValueError, match="broadcast activation"):
+            config_from_flat(flat)
 
 
 class TestCheckpointRebuild:

@@ -62,13 +62,13 @@ class TestSetSoftmax:
     def test_closed_form_column(self):
         x = np.array([[np.log(1.0)], [np.log(3.0)]])
         out = set_softmax(Tensor(x))
-        np.testing.assert_allclose(out.data, [[0.25], [0.75]], atol=1e-15)
+        np.testing.assert_allclose(out.data, [[0.25], [0.75]], rtol=0, atol=1e-15)
 
     def test_columns_sum_to_one_entries_in_open_interval(self):
         gen = RngState(3).generator()
         x = gen.uniform(-5, 5, size=(13, 7))
         out = set_softmax(Tensor(x)).data
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         assert np.all(out > 0) and np.all(out < 1)
 
     def test_permutation_equivariance(self):
@@ -84,9 +84,9 @@ class TestSetSoftmax:
         gen = RngState(5).generator()
         x = gen.uniform(-1, 1, size=(3, 6, 2))
         out = set_softmax(Tensor(x)).data
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         single = set_softmax(Tensor(x[1])).data
-        np.testing.assert_allclose(out[1], single, atol=1e-15)
+        np.testing.assert_allclose(out[1], single, rtol=0, atol=1e-15)
 
 
 class TestBatchnorm:
@@ -99,14 +99,14 @@ class TestBatchnorm:
         gamma, beta, state = self._layer(3)
         x = RngState(6).generator().uniform(-1, 1, size=(5, 3))
         out = batchnorm(Tensor(x), gamma, beta, state, "eval").data
-        np.testing.assert_allclose(out, x / np.sqrt(1.0 + BN_EPS), atol=1e-15)
-        np.testing.assert_allclose(out, x, atol=1e-4)
+        np.testing.assert_allclose(out, x / np.sqrt(1.0 + BN_EPS), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out, x, rtol=0, atol=1e-4)
 
     def test_train_two_point_column(self):
         gamma, beta, state = self._layer(1)
         out = batchnorm(Tensor([[1.0], [3.0]]), gamma, beta, state, "train").data
         expected = (np.array([[1.0], [3.0]]) - 2.0) / np.sqrt(1.0 + BN_EPS)
-        np.testing.assert_allclose(out, expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_train_updates_running_stats(self):
         gamma, beta, state = self._layer(1)
@@ -190,7 +190,7 @@ class TestSquashing:
     def test_unit_norm_row_halves(self):
         v = np.array([[0.6, 0.8]])
         out = squashing(Tensor(v)).data
-        np.testing.assert_allclose(out, 0.5 * v, atol=1e-15)
+        np.testing.assert_allclose(out, 0.5 * v, rtol=0, atol=1e-15)
 
     def test_output_norms_below_one(self):
         gen = RngState(8).generator()
@@ -203,7 +203,7 @@ class TestSquashing:
         x = gen.uniform(-2, 2, size=(6, 3))
         r = np.linalg.norm(x, axis=1, keepdims=True)
         expected = x * r / (1.0 + r * r)
-        np.testing.assert_allclose(squashing(Tensor(x)).data, expected, atol=1e-15)
+        np.testing.assert_allclose(squashing(Tensor(x)).data, expected, rtol=0, atol=1e-15)
 
 
 class TestBackward:
@@ -254,7 +254,7 @@ class TestBackward:
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4)), requires_grad=True)
         loss = softmax_cross_entropy(logits, np.array([1, 3]))
-        np.testing.assert_allclose(float(loss.data), np.log(4.0), atol=1e-12)
+        np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=0, atol=1e-12)
 
     def test_add_bias_broadcast_gradient(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
@@ -274,7 +274,7 @@ class TestBackward:
 class TestFiniteDifference:
     def test_sum_of_squares(self):
         fd = finite_difference_gradient(lambda v: float((v * v).sum()), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(fd, [2.0, 4.0], atol=1e-9)
+        np.testing.assert_allclose(fd, [2.0, 4.0], rtol=0, atol=1e-9)
 
     def test_constant_function(self):
         fd = finite_difference_gradient(lambda v: 3.5, np.ones((2, 2)))
