@@ -32,7 +32,6 @@ from .tensor import (
 )
 
 ACTIVATION_KINDS = ("relu", "softmax_set", "squashing", "none")
-BROADCAST_ACTIVATION_KINDS = ("relu", "none")
 
 
 class ExpressivenessWarning(UserWarning):
@@ -42,15 +41,17 @@ class ExpressivenessWarning(UserWarning):
 @dataclass
 class MlpSpec:
     """Layer widths plus the per-layer template: linear, then batch
-    normalization when enabled, then the activation."""
+    normalization on every layer but the last when enabled, then
+    ``hidden_activation`` (``final_activation`` on the last layer).
+
+    With the defaults the last layer is a plain linear map, as a
+    classifier head needs."""
 
     layer_dims: list[int]
     hidden_activation: str = "relu"
     final_activation: str = "none"
     use_batchnorm: bool = True
-    batchnorm_on_final: bool = False
     use_bias: bool = True
-    classifier_tail: bool = False  # last layer stays a plain linear map
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
@@ -128,16 +129,10 @@ class Mlp:
         return i == self.n_layers - 1
 
     def _layer_has_bn(self, i: int) -> bool:
-        if not self.spec.use_batchnorm:
-            return False
-        if self._is_final(i):
-            return self.spec.batchnorm_on_final and not self.spec.classifier_tail
-        return True
+        return self.spec.use_batchnorm and not self._is_final(i)
 
     def _layer_activation(self, i: int) -> str:
-        if self._is_final(i):
-            return "none" if self.spec.classifier_tail else self.spec.final_activation
-        return self.spec.hidden_activation
+        return self.spec.final_activation if self._is_final(i) else self.spec.hidden_activation
 
     def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
@@ -186,8 +181,6 @@ class AggregationBlock:
     dropout_ratio: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout_ratio < 1.0:
-            raise ValueError(f"dropout ratio must be in [0, 1), got {self.dropout_ratio}")
         if self.mlp1.spec.in_width != self.mlp2.spec.in_width:
             raise ValueError("both MLPs must read the same element width")
 
@@ -211,15 +204,6 @@ class AggregationBlock:
         return out
 
 
-def _as_batched(x: Tensor) -> tuple[Tensor, bool]:
-    if x.data.ndim == 2:
-        n, p = x.data.shape
-        return reshape(x, (1, n, p)), True
-    if x.data.ndim == 3:
-        return x, False
-    raise ValueError(f"expected a set (N, p) or batch (B, N, p), got shape {x.data.shape}")
-
-
 def aggregate(
     block: AggregationBlock,
     x: Tensor,
@@ -228,12 +212,13 @@ def aggregate(
 ) -> Tensor:
     """Permutation-invariant set feature: flatten(mlp1(X)^T mlp2(X)).
 
-    Accepts one set (N, p) or a batch (B, N, p); returns a flat feature of
-    length s*t (or a (B, s*t) batch). Dropout is applied to the flattened
+    Maps a batch of sets (B, N, p) to its (B, s*t) flattened features; a
+    single set goes in as (1, N, p). Dropout is applied to the flattened
     output in train mode.
     """
-    batched, single = _as_batched(x)
-    b, n, p = batched.data.shape
+    if x.data.ndim != 3:
+        raise ValueError(f"expected a batch of sets (B, N, p), got shape {x.data.shape}")
+    b, n, p = x.data.shape
     s, t = block.out_widths
     if n < min(s, t):
         warnings.warn(
@@ -242,14 +227,11 @@ def aggregate(
             ExpressivenessWarning,
             stacklevel=2,
         )
-    flat = reshape(batched, (b * n, p))
+    flat = reshape(x, (b * n, p))
     h1 = reshape(block.mlp1.forward(flat, mode, set_size=n), (b, n, s))
     h2 = reshape(block.mlp2.forward(flat, mode, set_size=n), (b, n, t))
     feature = reshape(pair_aggregate(h1, h2), (b, s * t))
-    feature = dropout(feature, block.dropout_ratio, gen, mode)
-    if single:
-        return reshape(feature, (s * t,))
-    return feature
+    return dropout(feature, block.dropout_ratio, gen, mode)
 
 
 def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
@@ -267,7 +249,7 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
         raise ValueError(f"expected one set (N, p), got shape {x.data.shape}")
     n_order = len(mlps)
     if n_order > 2:
-        softmax_count = sum(1 for m in mlps if m._layer_activation(m.n_layers - 1) == "softmax_set")
+        softmax_count = sum(1 for m in mlps if m.spec.final_activation == "softmax_set")
         if softmax_count > 1:
             raise ValueError(
                 f"{softmax_count} set-softmax outputs at order {n_order}; at most one is usable"
@@ -278,26 +260,9 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
 
 
 @dataclass
-class BroadcastSpec:
-    """Output width of a broadcast block, plus the batch normalization and
-    activation applied after the linear mix."""
-
-    out_width: int
-    use_batchnorm: bool = True
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.activation not in BROADCAST_ACTIVATION_KINDS:
-            raise ValueError(
-                f"unknown broadcast activation {self.activation!r}, expected one "
-                f"of {BROADCAST_ACTIVATION_KINDS}"
-            )
-
-
-@dataclass
 class BroadcastBlock:
     """Mixes a set feature into each element: z_i = Wx x_i + Wy y + b,
-    optionally followed by batch normalization and a relu.
+    followed by batch normalization and a relu.
 
     The bilinear element-feature interaction term is deliberately absent;
     each output row depends on its own element and the shared set feature
@@ -307,10 +272,9 @@ class BroadcastBlock:
     w_x: Tensor  # (d_z, d_x)
     w_y: Tensor  # (d_z, d_y)
     bias: Tensor  # (d_z,)
-    gamma: Tensor | None = None
-    beta: Tensor | None = None
-    state: BatchNormState | None = None
-    activation: str = "none"
+    gamma: Tensor  # (d_z,)
+    beta: Tensor  # (d_z,)
+    state: BatchNormState
 
     def __post_init__(self):
         dz = self.w_x.data.shape[0]
@@ -325,32 +289,30 @@ class BroadcastBlock:
         return self.w_x.data.shape[1], self.w_y.data.shape[1], self.w_x.data.shape[0]
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = {f"{prefix}w_x": self.w_x, f"{prefix}w_y": self.w_y, f"{prefix}bias": self.bias}
-        if self.gamma is not None:
-            out[f"{prefix}bn_gamma"] = self.gamma
-            out[f"{prefix}bn_beta"] = self.beta
-        return out
+        return {
+            f"{prefix}w_x": self.w_x,
+            f"{prefix}w_y": self.w_y,
+            f"{prefix}bias": self.bias,
+            f"{prefix}bn_gamma": self.gamma,
+            f"{prefix}bn_beta": self.beta,
+        }
 
     def norm_states(self, prefix: str = "") -> dict[str, BatchNormState]:
-        return {} if self.state is None else {f"{prefix}bn": self.state}
+        return {f"{prefix}bn": self.state}
 
 
-def make_broadcast_block(d_x: int, d_y: int, spec: BroadcastSpec, rng: RngState) -> BroadcastBlock:
+def make_broadcast_block(d_x: int, d_y: int, d_z: int, rng: RngState) -> BroadcastBlock:
     gen = rng.generator()
-    d_z = spec.out_width
     bx = 1.0 / np.sqrt(d_x)
     by = 1.0 / np.sqrt(d_y)
-    block = BroadcastBlock(
+    return BroadcastBlock(
         w_x=Tensor(gen.uniform(-bx, bx, size=(d_z, d_x)), requires_grad=True),
         w_y=Tensor(gen.uniform(-by, by, size=(d_z, d_y)), requires_grad=True),
         bias=Tensor(np.zeros(d_z), requires_grad=True),
-        activation=spec.activation,
+        gamma=Tensor(np.ones(d_z), requires_grad=True),
+        beta=Tensor(np.zeros(d_z), requires_grad=True),
+        state=BatchNormState(d_z),
     )
-    if spec.use_batchnorm:
-        block.gamma = Tensor(np.ones(d_z), requires_grad=True)
-        block.beta = Tensor(np.zeros(d_z), requires_grad=True)
-        block.state = BatchNormState(d_z)
-    return block
 
 
 def broadcast_batched(block: BroadcastBlock, x_flat: Tensor, y: Tensor, set_size: int) -> Tensor:

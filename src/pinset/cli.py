@@ -15,6 +15,7 @@ import sys
 import warnings
 
 from . import verify as verify_mod
+from .blocks import ACTIVATION_KINDS
 from .config import ConfigError, Field, parse_override, read_config, validate
 from .data import (
     IdxCountMismatchError,
@@ -75,8 +76,8 @@ _MODEL_KEYS = {
     "model.classes": Field("int", 0),
     "model.agg.mlp1": Field("intlist"),
     "model.agg.mlp2": Field("intlist"),
-    "model.agg.act1": Field("str", "softmax_set"),
-    "model.agg.act2": Field("str", "softmax_set"),
+    "model.agg.act1": Field("str", "softmax_set", choices=ACTIVATION_KINDS),
+    "model.agg.act2": Field("str", "softmax_set", choices=ACTIVATION_KINDS),
     "model.agg.batchnorm": Field("bool", True),
     "model.agg.dropout": Field("float", 0.1),
     "model.head": Field("intlist"),
@@ -135,25 +136,27 @@ def _build_custom_model_config(cfg: dict) -> ModelConfig:
             raise ConfigError(f"custom model needs {key!r}", key=key)
     p = cfg["model.input_width"]
     classes = cfg["model.classes"]
-    mlp1 = MlpSpec(
-        [p] + cfg["model.agg.mlp1"],
-        final_activation=cfg["model.agg.act1"],
-        use_batchnorm=cfg["model.agg.batchnorm"],
-    )
-    mlp2 = MlpSpec(
-        [p] + cfg["model.agg.mlp2"],
-        final_activation=cfg["model.agg.act2"],
-        use_batchnorm=cfg["model.agg.batchnorm"],
-    )
-    feature = mlp1.out_width * mlp2.out_width
-    head = MlpSpec([feature] + cfg["model.head"] + [classes], classifier_tail=True)
-    return ModelConfig(
-        task="synthetic",
-        input_width=p,
-        class_count=classes,
-        aggregation=AggregationSpec(mlp1, mlp2, cfg["model.agg.dropout"]),
-        head=head,
-    )
+    try:
+        mlp1 = MlpSpec(
+            [p] + cfg["model.agg.mlp1"],
+            final_activation=cfg["model.agg.act1"],
+            use_batchnorm=cfg["model.agg.batchnorm"],
+        )
+        mlp2 = MlpSpec(
+            [p] + cfg["model.agg.mlp2"],
+            final_activation=cfg["model.agg.act2"],
+            use_batchnorm=cfg["model.agg.batchnorm"],
+        )
+        feature = mlp1.out_width * mlp2.out_width
+        return ModelConfig(
+            task="synthetic",
+            input_width=p,
+            class_count=classes,
+            aggregation=AggregationSpec(mlp1, mlp2, cfg["model.agg.dropout"]),
+            head=MlpSpec([feature] + cfg["model.head"] + [classes]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"custom model: {exc}") from exc
 
 
 def _model_config_from(cfg: dict) -> ModelConfig:
@@ -199,15 +202,27 @@ def _load_task_data(cfg: dict, seed: int) -> tuple[SetBatch, SetBatch]:
     return train_batch, test_batch
 
 
+def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
+    """The model must read the data's element width and have a logit for
+    every label."""
+    for batch in batches:
+        if batch.sets.shape[2] != config.input_width:
+            raise ConfigError(
+                f"model expects element width {config.input_width}, "
+                f"data has width {batch.sets.shape[2]}"
+            )
+        if batch.size and batch.labels.max() >= config.class_count:
+            raise ConfigError(
+                f"data has label {batch.labels.max()}, "
+                f"model has {config.class_count} classes"
+            )
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args, TRAIN_SCHEMA)
     train_batch, test_batch = _load_task_data(cfg, args.seed)
     model_config = _model_config_from(cfg)
-    if model_config.input_width != train_batch.sets.shape[2]:
-        raise ConfigError(
-            f"model expects element width {model_config.input_width}, "
-            f"data has width {train_batch.sets.shape[2]}"
-        )
+    _check_data_fits(model_config, train_batch, test_batch)
     rng = RngState(args.seed)
     model = build_model(model_config, rng.child("model"))
     train_cfg = TrainConfig(
@@ -238,6 +253,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args, EVAL_SCHEMA)
     model, _, epoch, _ = load_checkpoint(cfg["eval.checkpoint"])
     _, test_batch = _load_task_data(cfg, args.seed)
+    _check_data_fits(model.config, test_batch)
     metrics = evaluate(model, test_batch)
     metrics["epoch"] = epoch
     print(json.dumps(metrics, indent=2))

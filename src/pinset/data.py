@@ -217,10 +217,10 @@ def pixel_set_batch(
 
 @dataclass
 class SyntheticTaskSpec:
-    generator: str = "quadrant-majority"
+    """Sizes, seed and margin of the quadrant-majority task: 2-D points,
+    4 classes."""
+
     set_size: int = 32
-    input_width: int = 2
-    class_count: int = 4
     train_size: int = 2000
     test_size: int = 500
     seed: int = 0
@@ -267,15 +267,11 @@ def _quadrant_batch(rng: RngState, spec: SyntheticTaskSpec, count: int) -> SetBa
     for i in range(count):
         sets[i], labels[i] = _quadrant_set(gen, spec.set_size, spec.margin)
     digest = _digest(sets.tobytes(), labels.tobytes())
-    return SetBatch(sets=sets, labels=labels, digest=digest, meta={"generator": spec.generator})
+    return SetBatch(sets=sets, labels=labels, digest=digest, meta={"generator": "quadrant-majority"})
 
 
 def make_synthetic_task(spec: SyntheticTaskSpec) -> tuple[SetBatch, SetBatch]:
     """Deterministic train/test batches with permutation-invariant labels."""
-    if spec.generator != "quadrant-majority":
-        raise ValueError(f"unknown generator {spec.generator!r}")
-    if spec.input_width != 2 or spec.class_count != 4:
-        raise ValueError("quadrant-majority uses 2-D points and 4 classes")
     root = RngState(spec.seed)
     train = _quadrant_batch(root.child("train"), spec, spec.train_size)
     test = _quadrant_batch(root.child("test"), spec, spec.test_size)

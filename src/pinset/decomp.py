@@ -98,15 +98,25 @@ class PerturbationProbe:
     achieved_rank: int
 
 
+def _rank(s: np.ndarray, tol: float, need_rows_of: tuple[int, int] | None = None) -> int:
+    """Count singular values ``s`` (descending) above ``tol`` times the
+    largest. With ``need_rows_of``, the shape of the matrix they came
+    from, raise unless that rank is its full row count."""
+    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.count_nonzero(s > tol * s[0]))
+    if need_rows_of is not None and rank < need_rows_of[0]:
+        raise RankDeficiencyError(
+            f"matrix of shape {need_rows_of} has numeric rank {rank}, "
+            f"need full row rank {need_rows_of[0]}",
+            detected_rank=rank,
+        )
+    return rank
+
+
 def numeric_rank(m, tol: float = RANK_TOL) -> int:
     """Count singular values above ``tol`` times the largest one."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    arr = _as_matrix(m, "m")
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _rank(np.linalg.svd(_as_matrix(m, "m"), compute_uv=False), tol)
 
 
 def kernel_basis(b, tol: float = RANK_TOL) -> np.ndarray:
@@ -116,16 +126,9 @@ def kernel_basis(b, tol: float = RANK_TOL) -> np.ndarray:
     of the row count.
     """
     arr = _as_matrix(b, "b")
-    m, l = arr.shape
     _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.count_nonzero(s > tol * s[0]))
-    if rank < m:
-        raise RankDeficiencyError(
-            f"matrix of shape {arr.shape} has numeric rank {rank}, "
-            f"need full row rank {m}",
-            detected_rank=rank,
-        )
-    return vt[m:].T.copy()
+    _rank(s, tol, arr.shape)
+    return vt[arr.shape[0]:].T.copy()
 
 
 def _refine_solution(b: np.ndarray, a: np.ndarray, c: np.ndarray, apply_pinv) -> np.ndarray:
@@ -151,15 +154,15 @@ def _refine_solution(b: np.ndarray, a: np.ndarray, c: np.ndarray, apply_pinv) ->
     return best
 
 
-def mdd_solve(b, a, allow_wide: bool = False, rank_tol: float = RANK_TOL) -> MddSolution:
-    """Solve ``B C = A`` for full-row-rank ``B``.
+def mdd_solve(b, a, rank_tol: float = RANK_TOL) -> MddSolution:
+    """Solve ``B C = A`` for full-row-rank ``B`` of shape (m, l) and ``A``
+    of shape (m, n), for any n.
 
     Returns the minimum-Frobenius-norm particular solution together with
     an orthonormal kernel basis; every solution is
     ``particular + kernel_basis @ lam`` for a free (l-m, n) matrix.
-    ``allow_wide`` permits systems with more rows than right-hand-side
-    columns (m > n), which the construction never needs forbidden but the
-    default rejects.
+    Raises :class:`RankDeficiencyError` when ``B``'s numeric rank at
+    ``rank_tol`` falls short of m.
     """
     b_arr = _as_matrix(b, "b")
     a_arr = _as_matrix(a, "a")
@@ -169,21 +172,9 @@ def mdd_solve(b, a, allow_wide: bool = False, rank_tol: float = RANK_TOL) -> Mdd
             f"row mismatch: b has shape {b_arr.shape}, a has shape {a_arr.shape}"
         )
     n = a_arr.shape[1]
-    if m > n and not allow_wide:
-        raise ValueError(
-            f"m={m} exceeds n={n}; pass allow_wide=True to solve anyway"
-        )
 
     u, s, vt = np.linalg.svd(b_arr, full_matrices=True)
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(
-        np.count_nonzero(s > rank_tol * s[0])
-    )
-    if rank < m:
-        raise RankDeficiencyError(
-            f"matrix of shape {b_arr.shape} has numeric rank {rank}, "
-            f"need full row rank {m}",
-            detected_rank=rank,
-        )
+    _rank(s, rank_tol, b_arr.shape)
 
     def apply_pinv(rhs):
         return vt[:m].T @ ((u.T @ rhs) / s[:, None])
@@ -285,7 +276,7 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
         )
         warnings.warn(warning, ConditioningWarning, stacklevel=2)
 
-    sol = mdd_solve(b, a, allow_wide=True, rank_tol=_CONSTRUCTED_RANK_TOL)
+    sol = mdd_solve(b, a, rank_tol=_CONSTRUCTED_RANK_TOL)
     sorted_factors = lead_factors + [sol.particular]
 
     factors: list[np.ndarray] = [None] * len(dims)  # type: ignore[list-item]

@@ -15,7 +15,6 @@ import numpy as np
 from .blocks import (
     AggregationBlock,
     BroadcastBlock,
-    BroadcastSpec,
     Mlp,
     MlpSpec,
     aggregate,
@@ -32,6 +31,10 @@ class AggregationSpec:
     mlp2: MlpSpec
     dropout_ratio: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout_ratio < 1.0:
+            raise ValueError(f"dropout ratio must be in [0, 1), got {self.dropout_ratio}")
+
     @property
     def feature_length(self) -> int:
         return self.mlp1.out_width * self.mlp2.out_width
@@ -44,7 +47,7 @@ class ModelConfig:
     class_count: int
     aggregation: AggregationSpec
     head: MlpSpec | None = None
-    broadcasts: list[BroadcastSpec] = field(default_factory=list)
+    broadcasts: list[int] = field(default_factory=list)  # widths, batchnorm + relu each
     aggregation2: AggregationSpec | None = None
 
     def __post_init__(self):
@@ -83,13 +86,13 @@ class Model:
         )
         self.broadcast_layers: list[BroadcastBlock] = []
         in_width = config.input_width
-        for i, spec in enumerate(config.broadcasts):
+        for i, width in enumerate(config.broadcasts):
             self.broadcast_layers.append(
                 make_broadcast_block(
-                    in_width, config.aggregation.feature_length, spec, rng.child("bc", i)
+                    in_width, config.aggregation.feature_length, width, rng.child("bc", i)
                 )
             )
-            in_width = spec.out_width
+            in_width = width
         if config.aggregation2 is not None:
             self.agg2 = AggregationBlock(
                 mlp1=Mlp(config.aggregation2.mlp1, rng.child("agg2", 0)),
@@ -106,10 +109,10 @@ class Model:
         self.head = Mlp(config.head, rng.child("head")) if config.head is not None else None
 
     def forward(self, sets, mode: str = "eval", gen: np.random.Generator | None = None) -> Tensor:
+        """Logits (B, classes) of a batch of sets (B, N, p), or the (B, s*t)
+        set features when the config has no head. Pass one set as (1, N, p).
+        """
         x = sets if isinstance(sets, Tensor) else Tensor(np.asarray(sets, dtype=np.float64))
-        single = x.data.ndim == 2
-        if single:
-            x = reshape(x, (1, *x.data.shape))
         if x.data.ndim != 3 or x.data.shape[2] != self.config.input_width:
             raise ValueError(
                 f"expected sets of width {self.config.input_width}, got shape {x.data.shape}"
@@ -120,18 +123,12 @@ class Model:
             z = reshape(x, (b * n, p))
             for block in self.broadcast_layers:
                 z = broadcast_batched(block, z, feature, n)
-                if block.gamma is not None:
-                    z = batchnorm(z, block.gamma, block.beta, block.state, mode)
-                if block.activation == "relu":
-                    z = relu(z)
+                z = relu(batchnorm(z, block.gamma, block.beta, block.state, mode))
             width = z.data.shape[1]
             feature = aggregate(self.agg2, reshape(z, (b, n, width)), mode, gen)
-        out = feature
-        if self.head is not None:
-            out = self.head.forward(feature, mode)
-        if single:
-            return reshape(out, (out.data.shape[1],))
-        return out
+        if self.head is None:
+            return feature
+        return self.head.forward(feature, mode)
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.agg1.parameters("agg1.")
@@ -181,15 +178,9 @@ def _mlp_counts(spec: MlpSpec, prefix: str) -> tuple[list[tuple[str, int]], int]
     for i in range(n_layers):
         linear = dims[i] * dims[i + 1] + (dims[i + 1] if spec.use_bias else 0)
         rows.append((f"{prefix}layer{i}.linear", linear))
-        is_final = i == n_layers - 1
-        has_bn = spec.use_batchnorm and (
-            (spec.batchnorm_on_final and not spec.classifier_tail) if is_final else True
-        )
-        if has_bn:
+        if spec.use_batchnorm and i < n_layers - 1:
             rows.append((f"{prefix}layer{i}.batchnorm", 2 * dims[i + 1]))
-    extra = 0
-    if spec.use_batchnorm and not spec.classifier_tail and not spec.batchnorm_on_final:
-        extra = 2 * dims[-1]
+    extra = 2 * dims[-1] if spec.use_batchnorm else 0
     return rows, extra
 
 
@@ -212,16 +203,15 @@ def param_count(config: ModelConfig) -> ParamReport:
     add_block("aggregation", agg_rows)
 
     in_width = config.input_width
-    for i, spec in enumerate(config.broadcasts):
+    for i, width in enumerate(config.broadcasts):
         bc_rows = [
-            (f"bc{i}.w_x", spec.out_width * in_width),
-            (f"bc{i}.w_y", spec.out_width * config.aggregation.feature_length),
-            (f"bc{i}.bias", spec.out_width),
+            (f"bc{i}.w_x", width * in_width),
+            (f"bc{i}.w_y", width * config.aggregation.feature_length),
+            (f"bc{i}.bias", width),
+            (f"bc{i}.batchnorm", 2 * width),
         ]
-        if spec.use_batchnorm:
-            bc_rows.append((f"bc{i}.batchnorm", 2 * spec.out_width))
         add_block(f"broadcast{i}", bc_rows)
-        in_width = spec.out_width
+        in_width = width
 
     if config.aggregation2 is not None:
         agg2_rows: list[tuple[str, int]] = []
@@ -281,7 +271,7 @@ def pixel_s_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
             mlp1=_softmax_mlp([input_width, 64, 128, 32]),
             mlp2=_softmax_mlp([input_width, 64, 128, 32]),
         ),
-        head=MlpSpec([1024, 256, class_count], classifier_tail=True),
+        head=MlpSpec([1024, 256, class_count]),
     )
 
 
@@ -296,12 +286,12 @@ def pixel_l_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
             mlp1=_softmax_mlp([input_width, 64, 128, 32]),
             mlp2=_softmax_mlp([input_width, 64, 128, 32]),
         ),
-        broadcasts=[BroadcastSpec(256), BroadcastSpec(256)],
+        broadcasts=[256, 256],
         aggregation2=AggregationSpec(
             mlp1=_softmax_mlp([256, 64, 128, 32]),
             mlp2=_softmax_mlp([256, 64, 128, 32]),
         ),
-        head=MlpSpec([1024, 512, class_count], classifier_tail=True),
+        head=MlpSpec([1024, 512, class_count]),
     )
 
 
@@ -315,7 +305,7 @@ def quadrant_config() -> ModelConfig:
             mlp1=_softmax_mlp([2, 16, 16]),
             mlp2=_softmax_mlp([2, 16, 16]),
         ),
-        head=MlpSpec([256, 64, 4], classifier_tail=True),
+        head=MlpSpec([256, 64, 4]),
     )
 
 
@@ -329,7 +319,7 @@ def digits_config(class_count: int = 10) -> ModelConfig:
             mlp1=_softmax_mlp([3, 32, 64, 16]),
             mlp2=_softmax_mlp([3, 32, 64, 16]),
         ),
-        head=MlpSpec([256, 64, class_count], classifier_tail=True),
+        head=MlpSpec([256, 64, class_count]),
     )
 
 
@@ -345,7 +335,7 @@ def gradcheck_config() -> ModelConfig:
             mlp2=_softmax_mlp([3, 8, 6]),
             dropout_ratio=0.0,
         ),
-        head=MlpSpec([36, 12, 4], classifier_tail=True),
+        head=MlpSpec([36, 12, 4]),
     )
 
 
@@ -377,9 +367,7 @@ def _mlp_to_flat(prefix: str, spec: MlpSpec, out: dict[str, str]) -> None:
     out[f"{prefix}.hidden_act"] = spec.hidden_activation
     out[f"{prefix}.final_act"] = spec.final_activation
     out[f"{prefix}.batchnorm"] = _bool_str(spec.use_batchnorm)
-    out[f"{prefix}.batchnorm_final"] = _bool_str(spec.batchnorm_on_final)
     out[f"{prefix}.bias"] = _bool_str(spec.use_bias)
-    out[f"{prefix}.classifier_tail"] = _bool_str(spec.classifier_tail)
 
 
 def _mlp_from_flat(prefix: str, d: dict[str, str]) -> MlpSpec:
@@ -388,9 +376,7 @@ def _mlp_from_flat(prefix: str, d: dict[str, str]) -> MlpSpec:
         hidden_activation=d[f"{prefix}.hidden_act"],
         final_activation=d[f"{prefix}.final_act"],
         use_batchnorm=_parse_bool(d[f"{prefix}.batchnorm"]),
-        batchnorm_on_final=_parse_bool(d[f"{prefix}.batchnorm_final"]),
         use_bias=_parse_bool(d[f"{prefix}.bias"]),
-        classifier_tail=_parse_bool(d[f"{prefix}.classifier_tail"]),
     )
 
 
@@ -405,9 +391,7 @@ def config_to_flat(cfg: ModelConfig) -> dict[str, str]:
     _mlp_to_flat("model.agg.mlp1", cfg.aggregation.mlp1, out)
     _mlp_to_flat("model.agg.mlp2", cfg.aggregation.mlp2, out)
     if cfg.broadcasts:
-        out["model.broadcasts.widths"] = ",".join(str(b.out_width) for b in cfg.broadcasts)
-        out["model.broadcasts.batchnorm"] = _bool_str(cfg.broadcasts[0].use_batchnorm)
-        out["model.broadcasts.activation"] = cfg.broadcasts[0].activation
+        out["model.broadcasts.widths"] = ",".join(str(w) for w in cfg.broadcasts)
     if cfg.aggregation2 is not None:
         out["model.agg2.dropout"] = repr(cfg.aggregation2.dropout_ratio)
         _mlp_to_flat("model.agg2.mlp1", cfg.aggregation2.mlp1, out)
@@ -417,7 +401,31 @@ def config_to_flat(cfg: ModelConfig) -> dict[str, str]:
     return out
 
 
+def _check_retired(d: dict[str, str]) -> None:
+    """Earlier versions wrote four more keys. At the values every model
+    had they are ignored; any other value described a model this code
+    cannot build, so it is refused rather than loaded as a different one."""
+    for key, value in d.items():
+        stem, _, name = key.rpartition(".")
+        if name == "classifier_tail":
+            # the last layer was plain linear, as it is now when final_act is none
+            ok = value == "false" or d.get(f"{stem}.final_act") == "none"
+        elif name == "batchnorm_final":
+            ok = value == "false"
+        elif key == "model.broadcasts.batchnorm":
+            ok = value == "true"
+        elif key == "model.broadcasts.activation":
+            ok = value == "relu"
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{key} = {value}: a retired option this version cannot build")
+
+
 def config_from_flat(d: dict[str, str]) -> ModelConfig:
+    """Inverse of :func:`config_to_flat`; also reads the metadata of
+    earlier versions (see :func:`_check_retired`)."""
+    _check_retired(d)
     aggregation = AggregationSpec(
         mlp1=_mlp_from_flat("model.agg.mlp1", d),
         mlp2=_mlp_from_flat("model.agg.mlp2", d),
@@ -425,12 +433,7 @@ def config_from_flat(d: dict[str, str]) -> ModelConfig:
     )
     broadcasts = []
     if "model.broadcasts.widths" in d:
-        use_bn = _parse_bool(d["model.broadcasts.batchnorm"])
-        act = d["model.broadcasts.activation"]
-        broadcasts = [
-            BroadcastSpec(int(w), use_bn, act)
-            for w in d["model.broadcasts.widths"].split(",")
-        ]
+        broadcasts = [int(w) for w in d["model.broadcasts.widths"].split(",")]
     aggregation2 = None
     if "model.agg2.mlp1.dims" in d:
         aggregation2 = AggregationSpec(

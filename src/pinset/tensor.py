@@ -245,12 +245,6 @@ class BatchNormState:
         self.mean = np.zeros(width)
         self.var = np.ones(width)
 
-    def copy(self) -> "BatchNormState":
-        fresh = BatchNormState(len(self.mean))
-        fresh.mean = self.mean.copy()
-        fresh.var = self.var.copy()
-        return fresh
-
 
 def batchnorm(
     x: Tensor,

@@ -21,6 +21,8 @@ from .models import Model, ModelConfig, build_model
 from .rng import RngState
 from .tensor import Tensor, backward, softmax_cross_entropy
 
+LR_DROP_FACTOR = 10.0
+
 CHECKPOINT_MAGIC = b"DMPP"
 CHECKPOINT_VERSION = 1
 
@@ -40,12 +42,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class LrSchedule:
-    """Constant rate with a single divide-by-factor drop, plus an optional
-    linear warmup used by large-scene configurations (off by default)."""
+    """Constant rate with a single drop by :data:`LR_DROP_FACTOR` at
+    ``drop_epoch``, plus an optional linear warmup (off by default)."""
 
     initial: float
     drop_epoch: int
-    drop_factor: float = 10.0
     warmup_epochs: int = 0
 
     def rate(self, epoch: int) -> float:
@@ -53,7 +54,7 @@ class LrSchedule:
             return self.initial * (epoch + 1) / self.warmup_epochs
         if epoch < self.drop_epoch:
             return self.initial
-        return self.initial / self.drop_factor
+        return self.initial / LR_DROP_FACTOR
 
 
 @dataclass

@@ -95,10 +95,6 @@ def relative_error(a, b) -> float:
 # invariance
 
 
-def _random_permutation_matrix(gen, n):
-    return gen.permutation(n)
-
-
 def _invariance_block(act1: str, act2: str, rng: RngState) -> AggregationBlock:
     return AggregationBlock(
         mlp1=Mlp(MlpSpec([3, 16, 12], final_activation=act1), rng.child(0)),
@@ -120,9 +116,9 @@ def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
         def trial(i, _block=block, _a1=act1, _a2=act2):
             gen = root.child("pair", _a1, _a2, i).generator()
             x = gen.uniform(-1.0, 1.0, size=(n_elements, 3))
-            perm = _random_permutation_matrix(gen, n_elements)
-            base = aggregate(_block, Tensor(x), "eval")
-            permuted = aggregate(_block, Tensor(x[perm]), "eval")
+            perm = gen.permutation(n_elements)
+            base = aggregate(_block, Tensor(x[None]), "eval")
+            permuted = aggregate(_block, Tensor(x[perm][None]), "eval")
             return float(np.max(np.abs(base.data - permuted.data)))
 
         diffs = [trial(i) for i in range(pairs_per_config)]
@@ -141,9 +137,9 @@ def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
     def logits_trial(i):
         gen = root.child("logits", i).generator()
         x = gen.uniform(-1.0, 1.0, size=(784, 3))
-        perm = _random_permutation_matrix(gen, 784)
-        base = model.forward(x, "eval")
-        permuted = model.forward(x[perm], "eval")
+        perm = gen.permutation(784)
+        base = model.forward(x[None], "eval")
+        permuted = model.forward(x[perm][None], "eval")
         return float(np.max(np.abs(base.data - permuted.data)))
 
     diffs = [logits_trial(i) for i in range(pairs_per_config)]
@@ -512,11 +508,11 @@ def run_collapse(seed: int, pairs: int = 50, deepsets_sets: int = 100) -> SuiteR
         x = gen.uniform(-1.0, 1.0, size=(n_elements, 6))
         q, _ = np.linalg.qr(gen.standard_normal((n_elements, n_elements)))
         mixed = q @ x
-        base = aggregate(linear_block, Tensor(x), "eval")
-        other = aggregate(linear_block, Tensor(mixed), "eval")
+        base = aggregate(linear_block, Tensor(x[None]), "eval")
+        other = aggregate(linear_block, Tensor(mixed[None]), "eval")
         agree_diffs.append(float(np.max(np.abs(base.data - other.data))))
-        base_s = aggregate(softmax_block, Tensor(x), "eval")
-        other_s = aggregate(softmax_block, Tensor(mixed), "eval")
+        base_s = aggregate(softmax_block, Tensor(x[None]), "eval")
+        other_s = aggregate(softmax_block, Tensor(mixed[None]), "eval")
         broken_diffs.append(float(np.max(np.abs(base_s.data - other_s.data))))
 
     result.properties.append(
@@ -552,7 +548,7 @@ def run_collapse(seed: int, pairs: int = 50, deepsets_sets: int = 100) -> SuiteR
     for i in range(deepsets_sets):
         gen = root.child("deepsets", i).generator()
         x = gen.uniform(-1.0, 1.0, size=(16, 3))
-        total = aggregate(block, Tensor(x), "eval").data.reshape(6, 5)
+        total = aggregate(block, Tensor(x[None]), "eval").data.reshape(6, 5)
         contributions = np.zeros((6, 5))
         for row in x:
             h = per_element_contribution(block, row)

@@ -3,7 +3,6 @@ import pytest
 
 from pinset.blocks import (
     AggregationBlock,
-    BroadcastSpec,
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
@@ -76,7 +75,7 @@ class TestAggregate:
         block = _block(act1="none", act2="none", use_batchnorm=False)
         x = RngState(6).generator().uniform(-1, 1, size=(1, 3))
         with pytest.warns(ExpressivenessWarning):
-            out = aggregate(block, Tensor(x), "eval")
+            out = aggregate(block, Tensor(x[None]), "eval")
         h1 = block.mlp1.forward(Tensor(x), "eval").data
         h2 = block.mlp2.forward(Tensor(x), "eval").data
         np.testing.assert_allclose(out.data.reshape(12, 16), h1.T @ h2, rtol=0, atol=1e-12)
@@ -88,8 +87,8 @@ class TestAggregate:
         for _ in range(100):
             x = gen.uniform(-1, 1, size=(64, 3))
             perm = gen.permutation(64)
-            a = aggregate(block, Tensor(x), "eval").data
-            b = aggregate(block, Tensor(x[perm]), "eval").data
+            a = aggregate(block, Tensor(x[None]), "eval").data
+            b = aggregate(block, Tensor(x[perm][None]), "eval").data
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_orthogonal_mixing_collapse_without_activations(self):
@@ -101,8 +100,8 @@ class TestAggregate:
         for _ in range(20):
             x = gen.uniform(-1, 1, size=(16, 3))
             q, _ = np.linalg.qr(gen.standard_normal((16, 16)))
-            a = aggregate(block, Tensor(x), "eval").data
-            b = aggregate(block, Tensor(q @ x), "eval").data
+            a = aggregate(block, Tensor(x[None]), "eval").data
+            b = aggregate(block, Tensor((q @ x)[None]), "eval").data
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_batched_matches_per_set(self):
@@ -111,15 +110,19 @@ class TestAggregate:
         sets = gen.uniform(-1, 1, size=(4, 20, 3))
         batch_out = aggregate(block, Tensor(sets), "eval").data
         for i in range(4):
-            single = aggregate(block, Tensor(sets[i]), "eval").data
-            np.testing.assert_allclose(batch_out[i], single, rtol=0, atol=1e-13)
+            alone = aggregate(block, Tensor(sets[i : i + 1]), "eval").data
+            np.testing.assert_allclose(batch_out[i : i + 1], alone, rtol=0, atol=1e-13)
 
     def test_small_set_warns_not_rejects(self):
         block = _block()
-        x = np.ones((4, 3))  # min(s, t) = 12 > 4
+        x = np.ones((2, 4, 3))  # min(s, t) = 12 > 4
         with pytest.warns(ExpressivenessWarning):
             out = aggregate(block, Tensor(x), "eval")
-        assert out.data.shape == (12 * 16,)
+        assert out.data.shape == (2, 12 * 16)
+
+    def test_single_set_needs_batch_axis(self):
+        with pytest.raises(ValueError, match=r"\(B, N, p\)"):
+            aggregate(_block(), Tensor(np.ones((20, 3))), "eval")
 
 
 class TestAggregateOrderN:
@@ -134,7 +137,7 @@ class TestAggregateOrderN:
     def test_order_two_matches_aggregate_exactly(self):
         block = _block()
         x = RngState(12).generator().uniform(-1, 1, size=(30, 3))
-        via_block = aggregate(block, Tensor(x), "eval").data.reshape(12, 16)
+        via_block = aggregate(block, Tensor(x[None]), "eval").data.reshape(12, 16)
         via_order = aggregate_order_n([block.mlp1, block.mlp2], Tensor(x), "eval").data
         np.testing.assert_array_equal(via_block, via_order)
 
@@ -183,7 +186,7 @@ class TestAggregateOrderN:
 
 
 def _broadcast_block(d_x, d_y, d_z, seed):
-    return make_broadcast_block(d_x, d_y, BroadcastSpec(d_z), RngState(seed))
+    return make_broadcast_block(d_x, d_y, d_z, RngState(seed))
 
 
 def _broadcast_one(block, x, y):
@@ -239,19 +242,14 @@ class TestBroadcast:
         with pytest.raises(ValueError, match="width"):
             broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 3))), 5)
 
-    def test_spec_owns_normalization_and_activation(self):
-        plain = make_broadcast_block(3, 2, BroadcastSpec(4, False, "none"), RngState(25))
-        assert plain.gamma is None and plain.state is None and plain.activation == "none"
-        assert list(plain.parameters("bc0.")) == ["bc0.w_x", "bc0.w_y", "bc0.bias"]
-        assert plain.norm_states("bc0.") == {}
-        normed = make_broadcast_block(3, 2, BroadcastSpec(4), RngState(25))
-        np.testing.assert_array_equal(normed.w_x.data, plain.w_x.data)
-        np.testing.assert_array_equal(normed.w_y.data, plain.w_y.data)
-        assert normed.activation == "relu"
-        assert list(normed.parameters("bc0.")) == [
+    def test_block_owns_normalization(self):
+        block = _broadcast_block(3, 2, 4, 25)
+        assert list(block.parameters("bc0.")) == [
             "bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"
         ]
-        assert list(normed.norm_states("bc0.")) == ["bc0.bn"]
+        np.testing.assert_array_equal(block.gamma.data, np.ones(4))
+        np.testing.assert_array_equal(block.beta.data, np.zeros(4))
+        assert list(block.norm_states("bc0.")) == ["bc0.bn"]
 
 
 class TestPerElementContribution:
@@ -269,7 +267,7 @@ class TestPerElementContribution:
         block = self._element_block()
         gen = RngState(26).generator()
         x = gen.uniform(-1, 1, size=(16, 3))
-        total = aggregate(block, Tensor(x), "eval").data.reshape(6, 5)
+        total = aggregate(block, Tensor(x[None]), "eval").data.reshape(6, 5)
         acc = np.zeros((6, 5))
         for row in x:
             acc += per_element_contribution(block, row)

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from pinset import verify
+from pinset import models, verify
 from pinset.cli import main
+from pinset.data import write_idx
+from pinset.rng import RngState
 from pinset.textio import read_tensor, write_tensor
+from pinset.train import save_checkpoint
 
 QUADRANT_CFG = """
 task = quadrant
@@ -120,6 +123,56 @@ class TestTrainCommand:
         metrics = json.loads(capsys.readouterr().out)
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert metrics["error_rate"] == 1.0 - metrics["accuracy"]
+
+
+def _pixel_idx_config(tmp_path, model_lines: str) -> str:
+    # six 4x4 images (16-pixel sets of width 3) labelled 0..5 per split
+    images = np.arange(6 * 16, dtype=np.uint8).reshape(6, 4, 4)
+    labels = np.array([0, 9, 2, 3, 7, 5], dtype=np.uint8)
+    lines = ["task = pixel-idx", model_lines]
+    for split in ("train", "test"):
+        write_idx(tmp_path / f"{split}-images", tmp_path / f"{split}-labels", images, labels)
+        lines.append(f"data.{split}_images = {tmp_path / f'{split}-images'}")
+        lines.append(f"data.{split}_labels = {tmp_path / f'{split}-labels'}")
+    path = tmp_path / "pixel.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _one_config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    return lines[0]
+
+
+class TestConfigErrorsAreOneLine:
+    def test_unknown_aggregation_activation(self, quadrant_config, tmp_path, capsys):
+        argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "model.agg.act1=tanh"]) == 1
+        assert "model.agg.act1" in _one_config_error(capsys)
+
+    def test_dropout_out_of_range(self, quadrant_config, tmp_path, capsys):
+        argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "model.agg.dropout=1.5"]) == 1
+        assert "dropout ratio" in _one_config_error(capsys)
+
+    def test_eval_checkpoint_on_data_of_other_width(self, tmp_path, capsys):
+        ckpt = tmp_path / "quadrant.dmpp"
+        save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
+        cfg = _pixel_idx_config(tmp_path, "model.preset = quadrant")
+        argv = ["eval", "--config", cfg, "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        assert main(argv) == 1
+        assert "element width 2, data has width 3" in _one_config_error(capsys)
+
+    def test_labels_beyond_class_count(self, tmp_path, capsys):
+        cfg = _pixel_idx_config(
+            tmp_path,
+            "model.preset = custom\nmodel.input_width = 3\nmodel.classes = 4\n"
+            "model.agg.mlp1 = 4\nmodel.agg.mlp2 = 4\nmodel.head = 8",
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "label 9, model has 4 classes" in _one_config_error(capsys)
 
 
 class TestVerifyCommand:

@@ -142,10 +142,6 @@ class TestSyntheticTask:
         np.testing.assert_array_equal(a_test.labels, b_test.labels)
         assert a_train.digest == b_train.digest
 
-    def test_unknown_generator(self):
-        with pytest.raises(ValueError, match="generator"):
-            make_synthetic_task(SyntheticTaskSpec(generator="nope"))
-
     def test_margin_respected(self):
         train, _ = make_synthetic_task(SyntheticTaskSpec(train_size=30, test_size=5, seed=3))
         assert np.min(np.abs(train.sets)) >= 0.15

@@ -90,12 +90,11 @@ class TestMddSolve:
             c = sample_solution(sol, lam)
             assert np.linalg.norm(b @ c - a) / denom < 1e-8
 
-    def test_wide_systems_need_flag(self):
+    def test_wide_systems_solve(self):
+        # more rows than right-hand-side columns (m > n)
         b = np.eye(3)
         a = np.ones((3, 2))
-        with pytest.raises(ValueError, match="allow_wide"):
-            mdd_solve(b, a)
-        sol = mdd_solve(b, a, allow_wide=True)
+        sol = mdd_solve(b, a)
         np.testing.assert_allclose(sol.particular, a, rtol=0, atol=1e-14)
 
     def test_rank_deficient_rejected(self):

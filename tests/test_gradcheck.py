@@ -13,7 +13,7 @@ gradcheck verify suite checks its preset, which has no broadcast block.
 import numpy as np
 import pytest
 
-from pinset.blocks import BroadcastSpec, MlpSpec
+from pinset.blocks import MlpSpec
 from pinset.models import (
     AggregationSpec,
     ModelConfig,
@@ -150,13 +150,13 @@ def test_batchnorm_gradients_with_near_constant_column(mode):
     x0[:, 2] = 0.4 + 1e-3 * gen.standard_normal(64)
     gamma = gen.uniform(0.5, 1.5, size=5)
     beta = gen.uniform(-0.5, 0.5, size=5)
-    state = BatchNormState(5)
-    state.mean = x0.mean(axis=0)
-    state.var = x0.var(axis=0)
     w = _weighted(gen, (64, 5))
 
     def bn_loss(x, g, b):
-        return w(batchnorm(x, g, b, state.copy(), mode))
+        # a fresh state per call: every probe starts from the same statistics
+        state = BatchNormState(5)
+        state.mean, state.var = x0.mean(axis=0), x0.var(axis=0)
+        return w(batchnorm(x, g, b, state, mode))
 
     assert _check(lambda t: bn_loss(t, Tensor(gamma), Tensor(beta)), x0) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), t, Tensor(beta)), gamma) < TOL
@@ -174,9 +174,9 @@ def _broadcast_config() -> ModelConfig:
         input_width=3,
         class_count=3,
         aggregation=AggregationSpec(mlp(3), mlp(3), dropout_ratio=0.0),
-        broadcasts=[BroadcastSpec(4)],
+        broadcasts=[4],
         aggregation2=AggregationSpec(mlp(4), mlp(4), dropout_ratio=0.0),
-        head=MlpSpec([9, 6, 3], classifier_tail=True),
+        head=MlpSpec([9, 6, 3]),
     )
 
 

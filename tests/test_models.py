@@ -1,12 +1,16 @@
+import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from pinset.blocks import MlpSpec
 from pinset.models import (
     PRESETS,
     TABLE_FACTORIZATIONS,
-    BroadcastSpec,
+    AggregationSpec,
+    ModelConfig,
     build_model,
     config_from_flat,
     config_to_flat,
@@ -36,15 +40,15 @@ TABLE_TOTALS_K = {
 class TestBuildModel:
     def test_pixel_s_logits_shape(self):
         model = build_model(pixel_s_config(), RngState(0))
-        x = RngState(1).generator().uniform(-1, 1, size=(784, 3))
+        x = RngState(1).generator().uniform(-1, 1, size=(1, 784, 3))
         logits = model.forward(x, "eval")
-        assert logits.data.shape == (10,)
+        assert logits.data.shape == (1, 10)
 
     def test_point_config_feature_length(self):
         model = build_model(point_ablation_config(32, 32), RngState(2))
-        x = RngState(3).generator().uniform(-1, 1, size=(1024, 6))
+        x = RngState(3).generator().uniform(-1, 1, size=(1, 1024, 6))
         feature = model.forward(x, "eval")
-        assert feature.data.shape == (1024,)
+        assert feature.data.shape == (1, 1024)
 
     def test_pixel_l_runs_forward(self):
         model = build_model(pixel_l_config(), RngState(4))
@@ -130,8 +134,8 @@ class TestEndToEndInvariance:
         for _ in range(20):
             x = gen.uniform(-1, 1, size=(48, cfg.input_width))
             perm = gen.permutation(48)
-            a = model.forward(x, "eval").data
-            b = model.forward(x[perm], "eval").data
+            a = model.forward(x[None], "eval").data
+            b = model.forward(x[perm][None], "eval").data
             assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -142,13 +146,60 @@ class TestConfigRoundTrip:
         restored = config_from_flat(config_to_flat(cfg))
         assert config_to_flat(restored) == config_to_flat(cfg)
 
+    def test_every_field_survives_round_trip(self):
+        # each spec differs from the others, so a value written once for
+        # several blocks shows up as a difference
+        def mlp(dims, hidden, final, batchnorm=True, bias=True):
+            return MlpSpec(dims, hidden, final, use_batchnorm=batchnorm, use_bias=bias)
+
+        cfg = ModelConfig(
+            task="point-classification",
+            input_width=3,
+            class_count=4,
+            aggregation=AggregationSpec(
+                mlp([3, 5, 2], "squashing", "softmax_set", batchnorm=False),
+                mlp([3, 6, 3], "none", "relu", bias=False),
+                dropout_ratio=0.25,
+            ),
+            broadcasts=[5, 7],
+            aggregation2=AggregationSpec(
+                mlp([7, 4, 2], "softmax_set", "squashing"),
+                mlp([7, 3, 3], "relu", "none", batchnorm=False, bias=False),
+                dropout_ratio=0.5,
+            ),
+            head=mlp([6, 8, 4], "squashing", "none", bias=False),
+        )
+        aggs = [cfg.aggregation, cfg.aggregation2]
+        specs = [cfg, cfg.head, *aggs] + [m for a in aggs for m in (a.mlp1, a.mlp2)]
+        for kind in (ModelConfig, AggregationSpec, MlpSpec):
+            for f in dataclasses.fields(kind):
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                    continue
+                default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+                values = [getattr(s, f.name) for s in specs if isinstance(s, kind)]
+                assert any(v != default for v in values), f"{kind.__name__}.{f.name} left at default"
+        assert config_from_flat(config_to_flat(cfg)) == cfg
+
     @pytest.mark.parametrize("activation", ["squashing", "rleu"])
     def test_bad_broadcast_activation_rejected(self, activation):
-        with pytest.raises(ValueError, match="broadcast activation"):
-            BroadcastSpec(256, activation=activation)
         flat = config_to_flat(pixel_l_config())
         flat["model.broadcasts.activation"] = activation
-        with pytest.raises(ValueError, match="broadcast activation"):
+        with pytest.raises(ValueError, match="model.broadcasts.activation"):
+            config_from_flat(flat)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model.agg.mlp1.batchnorm_final", "true"),
+            ("model.agg.mlp1.classifier_tail", "true"),  # final_act is softmax_set
+            ("model.broadcasts.batchnorm", "false"),
+            ("model.broadcasts.activation", "none"),
+        ],
+    )
+    def test_retired_option_values_refused(self, key, value):
+        flat = config_to_flat(pixel_l_config())
+        flat[key] = value
+        with pytest.raises(ValueError, match="retired option"):
             config_from_flat(flat)
 
 
@@ -172,3 +223,50 @@ class TestCheckpointRebuild:
         np.testing.assert_array_equal(a, b)
         for name, buf in state.buffers.items():
             np.testing.assert_array_equal(opt.buffers[name], buf)
+
+    def test_retired_metadata_keys_load_bit_identical(self, tmp_path):
+        def mlp(width):
+            return MlpSpec([width, 5, 3], final_activation="softmax_set")
+
+        cfg = ModelConfig(
+            task="synthetic",
+            input_width=3,
+            class_count=3,
+            aggregation=AggregationSpec(mlp(3), mlp(3)),
+            broadcasts=[4],
+            aggregation2=AggregationSpec(mlp(4), mlp(4)),
+            head=MlpSpec([9, 6, 3]),
+        )
+        model = build_model(cfg, RngState(12))
+        x = RngState(13).generator().uniform(-1, 1, size=(4, 20, 3))
+        model.forward(x, "train", RngState(14).generator())
+        path = os.path.join(tmp_path, "model.dmpp")
+        save_checkpoint(path, model, epoch=1, rng=RngState(12))
+
+        # the keys earlier versions also wrote, at the values they held
+        retired = {"model.broadcasts.batchnorm": "true", "model.broadcasts.activation": "relu"}
+        for prefix in ("model.agg.mlp1", "model.agg.mlp2", "model.agg2.mlp1", "model.agg2.mlp2"):
+            retired[f"{prefix}.batchnorm_final"] = "false"
+            retired[f"{prefix}.classifier_tail"] = "false"
+        retired["model.head.batchnorm_final"] = "false"
+        retired["model.head.classifier_tail"] = "true"
+        raw = open(path, "rb").read()
+        (meta_len,) = struct.unpack("<Q", raw[8:16])
+        meta = dict(line.split(" = ", 1) for line in raw[16 : 16 + meta_len].decode().splitlines())
+        text = "".join(f"{k} = {v}\n" for k, v in sorted({**meta, **retired}.items())).encode()
+        old_path = os.path.join(tmp_path, "old.dmpp")
+        with open(old_path, "wb") as f:
+            f.write(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + meta_len :])
+
+        restored, _, _, old_meta = load_checkpoint(old_path)
+        assert retired.items() <= old_meta.items()
+        assert restored.config == cfg
+        for (name, p), q in zip(model.parameters().items(), restored.parameters().values()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        for st, st2 in zip(model.norm_states().values(), restored.norm_states().values()):
+            np.testing.assert_array_equal(st.mean, st2.mean)
+            np.testing.assert_array_equal(st.var, st2.var)
+        probe = RngState(15).generator().uniform(-1, 1, size=(3, 20, 3))
+        np.testing.assert_array_equal(
+            model.forward(probe, "eval").data, restored.forward(probe, "eval").data
+        )
