@@ -15,12 +15,15 @@ import numpy as np
 
 from .rng import RngState
 from .tensor import (
+    BN_EPS,
     Tensor,
     BatchNormState,
     add,
+    affine,
     batchnorm,
     dropout,
     matmul,
+    mul,
     pair_aggregate,
     relu,
     reshape,
@@ -96,6 +99,18 @@ def _apply_activation(h: Tensor, kind: str, set_size: int | None) -> Tensor:
     return reshape(set_softmax(grouped), (rows, width))
 
 
+def _fold_batchnorm(w: Tensor, b: Tensor | None, gamma: Tensor, beta: Tensor, state: BatchNormState):
+    """Eval-mode batchnorm folded into the linear map before it:
+    ``W' = W diag(s)`` and ``b' = (b - mean) s + beta`` with
+    ``s = gamma / sqrt(var + BN_EPS)`` (Jacob et al., CVPR 2018). Only the
+    small parameter tensors are touched, and gradients reach all four."""
+    scale = mul(gamma, Tensor(1.0 / np.sqrt(state.var + BN_EPS)))
+    centre = Tensor(-state.mean)
+    if b is not None:
+        centre = add(b, centre)
+    return mul(w, scale), add(mul(centre, scale), beta)
+
+
 class Mlp:
     """An MlpSpec bound to parameters, applied row-wise to stacked sets."""
 
@@ -135,18 +150,36 @@ class Mlp:
         return self.spec.final_activation if self._is_final(i) else self.spec.hidden_activation
 
     def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
+        """Apply every layer to the rows of ``x``.
+
+        Train mode runs each layer as ``affine`` (linear plus bias), then
+        batchnorm on batch statistics, then the activation. Eval mode
+        folds each batchnorm's stored statistics into its layer's weights
+        and bias, so a layer is one ``affine`` with the relu fused in;
+        other activations follow it. The fold is built from tape ops, so
+        gradients still reach every parameter in both modes.
+        """
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
             )
         h = x
         for i in range(self.n_layers):
-            h = matmul(h, self.weights[i])
-            if self.biases[i] is not None:
-                h = add(h, self.biases[i])
-            if self.bn_gamma[i] is not None:
-                h = batchnorm(h, self.bn_gamma[i], self.bn_beta[i], self.bn_states[i], mode)
-            h = _apply_activation(h, self._layer_activation(i), set_size)
+            kind = self._layer_activation(i)
+            w, b = self.weights[i], self.biases[i]
+            if mode == "train":
+                h = affine(h, w, b)
+                if self.bn_gamma[i] is not None:
+                    h = batchnorm(h, self.bn_gamma[i], self.bn_beta[i], self.bn_states[i], mode)
+                h = _apply_activation(h, kind, set_size)
+            else:
+                if self.bn_gamma[i] is not None:
+                    w, b = _fold_batchnorm(w, b, self.bn_gamma[i], self.bn_beta[i], self.bn_states[i])
+                h = affine(h, w, b, relu=kind == "relu")
+                if kind != "relu":
+                    h = _apply_activation(h, kind, set_size)
         return h
 
     def uses_softmax_set(self) -> bool:
@@ -333,7 +366,8 @@ def per_element_contribution(block: AggregationBlock, element) -> np.ndarray:
 
     Valid only when both MLPs act element-wise (no set softmax): then the
     aggregation is the sum over elements of these rank-<=1 outer products.
-    Evaluated in eval mode so normalization layers are fixed affine maps.
+    Evaluated in eval mode, where each batchnorm is folded into its
+    layer's weights and bias, so every layer is a fixed affine map.
     """
     if block.mlp1.uses_softmax_set() or block.mlp2.uses_softmax_set():
         raise ValueError(

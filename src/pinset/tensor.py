@@ -126,6 +126,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), bwd)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor:
+    """One dense layer ``x @ w + b``, optionally followed by a relu.
+
+    The product, the bias row and the relu share the one array this op
+    allocates; ``b`` may be None. Without relu this equals
+    ``add(matmul(x, w), b)`` bit for bit, gradients included.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
+    if b is not None and b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"cannot add shapes {(x.data.shape[0], w.data.shape[1])} + {b.data.shape}")
+    y = x.data @ w.data
+    if b is not None:
+        y += b.data
+    if relu:
+        # np.maximum (unlike where) propagates NaN, keeping divergence visible
+        np.maximum(y, 0.0, out=y)
+
+    def bwd(g):
+        if relu:
+            g = g * (y > 0)  # y > 0 exactly where the pre-activation was
+        grads = [(x, g @ w.data.T), (w, x.data.T @ g)]
+        if b is not None:
+            grads.append((b, g.sum(axis=0)))
+        return grads
+
+    return _result(y, (x, w) if b is None else (x, w, b), bwd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; a trailing-dim vector broadcasts as a bias row."""
     if a.data.shape == b.data.shape:
@@ -145,14 +174,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product with a same-shape tensor or a python scalar."""
+    """Elementwise product with a same-shape tensor, a trailing-dim vector
+    (scaling each column) or a python scalar."""
     if isinstance(b, Tensor):
-        if a.data.shape != b.data.shape:
+        if a.data.shape == b.data.shape:
+
+            def bwd(g):
+                return ((a, g * b.data), (b, g * a.data))
+
+        elif b.data.ndim == 1 and a.data.ndim >= 1 and a.data.shape[-1] == b.data.shape[0]:
+
+            def bwd(g):
+                axes = tuple(range(g.ndim - 1))
+                return ((a, g * b.data), (b, (g * a.data).sum(axis=axes)))
+
+        else:
             raise ShapeError(f"cannot multiply shapes {a.data.shape} * {b.data.shape}")
-
-        def bwd(g):
-            return ((a, g * b.data), (b, g * a.data))
-
         return _result(a.data * b.data, (a, b), bwd)
 
     c = float(b)
@@ -190,6 +227,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    # the mask is taken while the input is hot in cache: rebuilding it in
+    # backward rereads 8 bytes per element instead of 1
     mask = a.data > 0
 
     def bwd(g):
@@ -208,9 +247,9 @@ def set_softmax(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"set_softmax needs at least 2 axes, got {a.data.shape}")
     axis = a.data.ndim - 2
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -386,6 +425,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
             f"expected (batch, classes) logits with (batch,) labels, got "
             f"{logits.data.shape} and {labels.shape}"
         )
+    classes = logits.data.shape[1]
+    if labels.dtype.kind not in "iu":
+        raise ValueError(
+            f"labels must be integer class indices for {classes} classes, got dtype {labels.dtype}"
+        )
+    bad = (labels < 0) | (labels >= classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} is out of range for {classes} classes")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     n = logits.data.shape[0]

@@ -6,6 +6,7 @@ from pinset.blocks import (
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
+    _apply_activation,
     aggregate,
     aggregate_order_n,
     broadcast_batched,
@@ -14,7 +15,7 @@ from pinset.blocks import (
 )
 from pinset.decomp import numeric_rank
 from pinset.rng import RngState
-from pinset.tensor import Tensor
+from pinset.tensor import Tensor, add, batchnorm, matmul
 
 
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
@@ -68,6 +69,58 @@ class TestMlpForward:
         mlp = Mlp(MlpSpec([3, 4]), RngState(5))
         with pytest.raises(ValueError, match="width"):
             mlp.forward(Tensor(np.ones((2, 5))), "eval")
+
+
+def _with_running_stats(mlp: Mlp, seed: int) -> Mlp:
+    gen = RngState(seed).generator()
+    for state, gamma, beta in zip(mlp.bn_states, mlp.bn_gamma, mlp.bn_beta):
+        if state is not None:
+            width = state.mean.shape[0]
+            state.mean = gen.uniform(-0.5, 0.5, size=width)
+            state.var = gen.uniform(0.2, 2.0, size=width)
+            gamma.data = gen.uniform(0.5, 1.5, size=width)
+            beta.data = gen.uniform(-0.5, 0.5, size=width)
+    return mlp
+
+
+def _unfused_eval(mlp: Mlp, x: Tensor, set_size: int) -> Tensor:
+    """Eval-mode forward as four separate ops per layer, no folding."""
+    h = x
+    for i in range(mlp.n_layers):
+        h = matmul(h, mlp.weights[i])
+        if mlp.biases[i] is not None:
+            h = add(h, mlp.biases[i])
+        if mlp.bn_gamma[i] is not None:
+            h = batchnorm(h, mlp.bn_gamma[i], mlp.bn_beta[i], mlp.bn_states[i], "eval")
+        h = _apply_activation(h, mlp._layer_activation(i), set_size)
+    return h
+
+
+class TestMlpEvalFold:
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("kind", ["relu", "softmax_set", "none"])
+    def test_matches_unfused_reference(self, kind, use_bias):
+        spec = MlpSpec([3, 8, 6, 5], hidden_activation=kind, final_activation=kind, use_bias=use_bias)
+        mlp = _with_running_stats(Mlp(spec, RngState(30)), 31)
+        x = Tensor(RngState(32).generator().uniform(-1, 1, size=(4 * 9, 3)))
+        got = mlp.forward(x, "eval", set_size=9).data
+        want = _unfused_eval(mlp, x, 9).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_eval_does_not_touch_running_stats(self):
+        mlp = _with_running_stats(Mlp(MlpSpec([3, 8, 5]), RngState(33)), 34)
+        before = [(s.mean.copy(), s.var.copy()) for s in mlp.bn_states if s is not None]
+        mlp.forward(Tensor(np.ones((4, 3))), "eval")
+        after = [(s.mean, s.var) for s in mlp.bn_states if s is not None]
+        for (m0, v0), (m1, v1) in zip(before, after):
+            np.testing.assert_array_equal(m0, m1)
+            np.testing.assert_array_equal(v0, v1)
+
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    def test_invalid_mode_rejected(self, use_batchnorm):
+        mlp = Mlp(MlpSpec([3, 4, 2], use_batchnorm=use_batchnorm), RngState(35))
+        with pytest.raises(ValueError, match="mode"):
+            mlp.forward(Tensor(np.ones((4, 3))), "Eval")
 
 
 class TestAggregate:

@@ -8,12 +8,15 @@ derivative does not exist and finite differences are meaningless.
 
 A small model with a broadcast block is checked end to end the way the
 gradcheck verify suite checks its preset, which has no broadcast block.
+Eval mode, where each batchnorm is folded into its layer's weights, is
+checked end to end on the gradcheck preset and on the order-n
+aggregation, both with non-trivial running statistics.
 """
 
 import numpy as np
 import pytest
 
-from pinset.blocks import MlpSpec
+from pinset.blocks import Mlp, MlpSpec, aggregate_order_n
 from pinset.models import (
     AggregationSpec,
     ModelConfig,
@@ -25,7 +28,9 @@ from pinset.rng import RngState
 from pinset.tensor import (
     BatchNormState,
     Tensor,
+    _reachable,
     add,
+    affine,
     backward,
     batchnorm,
     finite_difference_gradient,
@@ -138,6 +143,27 @@ def test_primitive_gradients(trial):
         _check(lambda t: softmax_cross_entropy(t, labels), gen.uniform(-1, 1, size=(5, 4))),
     )
 
+    # a stream of their own keeps the draws of the checks above unchanged
+    gd = RngState(2000 + trial).generator()
+    for use_relu in (False, True):
+        # redraw until every pre-activation is clear of the relu kink
+        while True:
+            xd, wd, bd = (gd.uniform(-1, 1, size=s) for s in ((4, 3), (3, 5), 5))
+            if np.min(np.abs(xd @ wd + bd)) > 1e-3 and np.min(np.abs(xd @ wd)) > 1e-3:
+                break
+        wf = _weighted(gd, (4, 5))
+        worst = max(worst, _check(lambda t: wf(affine(t, Tensor(wd), Tensor(bd), use_relu)), xd))
+        worst = max(worst, _check(lambda t: wf(affine(Tensor(xd), t, Tensor(bd), use_relu)), wd))
+        worst = max(worst, _check(lambda t: wf(affine(Tensor(xd), Tensor(wd), t, use_relu)), bd))
+        worst = max(worst, _check(lambda t: wf(affine(t, Tensor(wd), None, use_relu)), xd))
+        worst = max(worst, _check(lambda t: wf(affine(Tensor(xd), t, None, use_relu)), wd))
+
+    wm = _weighted(gd, (4, 5))
+    rows = gd.uniform(-1, 1, size=(4, 5))
+    col = gd.uniform(-1, 1, size=5)
+    worst = max(worst, _check(lambda t: wm(mul(t, Tensor(col))), rows))
+    worst = max(worst, _check(lambda t: wm(mul(Tensor(rows), t)), col))
+
     assert worst < TOL, f"worst primitive gradient error {worst:.3e}"
 
 
@@ -161,6 +187,90 @@ def test_batchnorm_gradients_with_near_constant_column(mode):
     assert _check(lambda t: bn_loss(t, Tensor(gamma), Tensor(beta)), x0) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), t, Tensor(beta)), gamma) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), Tensor(gamma), t), beta) < TOL
+
+
+def _randomize_norm_states(states, gen) -> None:
+    # stored statistics away from their (0, 1) start, so the fold matters
+    for state in states:
+        width = state.mean.shape[0]
+        state.mean = gen.uniform(-0.5, 0.5, size=width)
+        state.var = gen.uniform(0.2, 2.0, size=width)
+
+
+def _affine_preacts(out: Tensor) -> list[np.ndarray]:
+    """Pre-activations of every ``affine`` node behind ``out``, rebuilt
+    from its operands: eval mode fuses the relu into the op."""
+    preacts = []
+    for node in _reachable(out):
+        if node._backward is not None and node._backward.__qualname__ == "affine.<locals>.bwd":
+            x, w, *b = (p.data for p in node._parents)
+            preacts.append(x @ w + (b[0] if b else 0.0))
+    return preacts
+
+
+def _draw_clear_of_kinks(forward, draw, gen):
+    """Redraw inputs until every eval-mode pre-activation is at least
+    10*H from the relu kink, where finite differences are meaningless."""
+    for _ in range(64):
+        inputs = draw(gen)
+        if min(float(np.min(np.abs(a))) for a in _affine_preacts(forward(inputs))) > 10 * H:
+            return inputs
+    raise RuntimeError("could not draw inputs clear of activation kinks")
+
+
+def _check_parameters(params: dict, loss_of) -> None:
+    grads = backward(loss_of(), list(params.values()))
+    for name, p in params.items():
+        original = p.data
+
+        def probe(arr, _p=p):
+            _p.data = arr
+            return float(loss_of().data)
+
+        fd = finite_difference_gradient(probe, original.copy(), h=H)
+        p.data = original
+        err = relative_error(grads[p], fd)
+        assert err < 1e-4, f"{name}: guarded relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_eval_mode_model_gradients(index):
+    model = build_model(gradcheck_config(), RngState(92))
+    gen = RngState(93).child(index).generator()
+    _randomize_norm_states(model.norm_states().values(), gen)
+    params = model.parameters()
+    for name, p in params.items():
+        if name.endswith("bn_gamma"):
+            p.data = gen.uniform(0.5, 1.5, size=p.data.shape)
+        elif name.endswith("bn_beta"):
+            p.data = gen.uniform(-0.5, 0.5, size=p.data.shape)
+    assert any(name.endswith("bn_gamma") for name in params)
+
+    def draw(g):
+        return g.uniform(-1.0, 1.0, size=(4, 12, 3)), g.integers(0, 4, size=4)
+
+    sets, labels = _draw_clear_of_kinks(lambda inp: model.forward(inp[0], "eval"), draw, gen)
+    _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "eval"), labels))
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2)])
+def test_eval_mode_order_n_gradients(dims):
+    gen = RngState(94).generator()
+    mlps = [
+        Mlp(MlpSpec([3, 6, c], final_activation="softmax_set" if j == 0 else "none"), RngState(95).child(j))
+        for j, c in enumerate(dims)
+    ]
+    params = {}
+    for j, m in enumerate(mlps):
+        _randomize_norm_states(m.norm_states().values(), gen)
+        params.update(m.parameters(f"m{j}."))
+    weights = Tensor(gen.uniform(-1.0, 1.0, size=dims))
+
+    def forward(x):
+        return aggregate_order_n(mlps, Tensor(x), "eval")
+
+    x = _draw_clear_of_kinks(forward, lambda g: g.uniform(-1.0, 1.0, size=(10, 3)), gen)
+    _check_parameters(params, lambda: sum_all(mul(forward(x), weights)))
 
 
 def _broadcast_config() -> ModelConfig:
@@ -197,20 +307,4 @@ def test_broadcast_model_gradients(index):
     params = model.parameters()
     assert {"bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"} <= set(params)
     sets, labels = _draw_gradcheck_batch(model, RngState(91), index, margin=10 * H)
-
-    def loss_value() -> float:
-        return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
-
-    loss = softmax_cross_entropy(model.forward(sets, "train"), labels)
-    grads = backward(loss, list(params.values()))
-    for name, p in params.items():
-        original = p.data
-
-        def probe(arr, _p=p):
-            _p.data = arr
-            return loss_value()
-
-        fd = finite_difference_gradient(probe, original.copy(), h=H)
-        p.data = original
-        err = relative_error(grads[p], fd)
-        assert err < 1e-4, f"{name}: guarded relative error {err:.3e}"
+    _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "train"), labels))

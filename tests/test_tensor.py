@@ -9,6 +9,7 @@ from pinset.tensor import (
     ShapeError,
     Tensor,
     add,
+    affine,
     backward,
     batchnorm,
     dropout,
@@ -54,6 +55,80 @@ class TestMatmul:
             assert np.max(np.abs(left - right)) < 1e-10
 
 
+class TestAffine:
+    def _operands(self, seed):
+        gen = RngState(seed).generator()
+        x = Tensor(gen.uniform(-1, 1, size=(7, 4)), requires_grad=True)
+        w = Tensor(gen.uniform(-1, 1, size=(4, 5)), requires_grad=True)
+        b = Tensor(gen.uniform(-1, 1, size=5), requires_grad=True)
+        return x, w, b, gen.uniform(-1, 1, size=(7, 5))
+
+    def test_bitwise_equals_matmul_then_add(self):
+        x, w, b, g = self._operands(20)
+        fused = affine(x, w, b)
+        unfused = add(matmul(x, w), b)
+        np.testing.assert_array_equal(fused.data, unfused.data)
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        want = backward(sum_all(mul(unfused, Tensor(g))))
+        for t in (x, w, b):
+            np.testing.assert_array_equal(got[t], want[t])
+
+    def test_without_bias_equals_matmul(self):
+        x, w, _, g = self._operands(21)
+        fused = affine(x, w, None)
+        assert fused._parents == (x, w)
+        np.testing.assert_array_equal(fused.data, matmul(x, w).data)
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        want = backward(sum_all(mul(matmul(x, w), Tensor(g))))
+        for t in (x, w):
+            np.testing.assert_array_equal(got[t], want[t])
+
+    def test_relu_equals_relu_of_matmul_then_add(self):
+        x, w, b, g = self._operands(22)
+        fused = affine(x, w, b, relu=True)
+        unfused = relu(add(matmul(x, w), b))
+        assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        np.testing.assert_array_equal(fused.data, unfused.data)
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        want = backward(sum_all(mul(unfused, Tensor(g))))
+        for t in (x, w, b):
+            np.testing.assert_array_equal(got[t], want[t])
+
+    def test_relu_propagates_nan(self):
+        out = affine(Tensor([[np.nan, 1.0]]), Tensor(np.ones((2, 1))), None, relu=True)
+        assert np.isnan(out.data[0, 0])
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), None)
+        with pytest.raises(ShapeError, match=r"\(4,\)"):
+            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("use_relu", [False, True])
+    def test_never_writes_inputs_or_gradient(self, use_relu):
+        gen = RngState(23).generator()
+        arrays = [_read_only(gen.uniform(-1, 1, size=s)) for s in ((6, 3), (3, 4), (4,), (6, 4))]
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        out = affine(x, w, b, relu=use_relu)
+        grads = out._backward(arrays[3])
+        assert [t.shape for _, t in grads] == [(6, 3), (3, 4), (4,)]
+
+
+class TestMulBroadcast:
+    def test_scales_each_column(self):
+        a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        v = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        out = mul(a, v)
+        np.testing.assert_array_equal(out.data, np.arange(6.0).reshape(3, 2) * [2.0, -1.0])
+        grads = backward(sum_all(out))
+        np.testing.assert_array_equal(grads[a], np.tile([2.0, -1.0], (3, 1)))
+        np.testing.assert_array_equal(grads[v], [6.0, 9.0])
+
+    def test_leading_dim_vector_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(3, 2\).*\(3,\)"):
+            mul(Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+
+
 class TestSetSoftmax:
     def test_uniform_on_zeros(self):
         out = set_softmax(Tensor(np.zeros((4, 2))))
@@ -79,6 +154,12 @@ class TestSetSoftmax:
             direct = set_softmax(Tensor(x[perm])).data
             permuted = set_softmax(Tensor(x)).data[perm]
             assert np.max(np.abs(direct - permuted)) < 1e-12
+
+    def test_matches_two_step_formula_bitwise(self):
+        gen = RngState(24).generator()
+        x = gen.uniform(-5, 5, size=(2, 9, 4))
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(set_softmax(Tensor(x)).data, e / e.sum(axis=1, keepdims=True))
 
     def test_batched_normalizes_within_each_set(self):
         gen = RngState(5).generator()
@@ -251,6 +332,15 @@ class TestBackward:
         values = np.unique(out.data)
         assert set(values).issubset({0.0, 2.0})
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_cross_entropy_rejects_out_of_range_labels(self, bad):
+        with pytest.raises(ValueError, match=rf"^label {bad} is out of range for 4 classes$"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, bad]))
+
+    def test_cross_entropy_rejects_non_integer_labels(self):
+        with pytest.raises(ValueError, match=r"^labels must be integer class indices for 4 classes, got dtype float64$"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 4))), np.array([0.0, 1.5]))
+
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4)), requires_grad=True)
         loss = softmax_cross_entropy(logits, np.array([1, 3]))
@@ -305,6 +395,13 @@ def test_relu_permutation_equivariance_exact():
     np.testing.assert_array_equal(
         relu(Tensor(x[perm])).data, relu(Tensor(x)).data[perm]
     )
+
+
+def test_relu_backward_masks_non_positive_inputs():
+    x = Tensor(_read_only(np.array([[-1.0, 0.0, 2.0]])), requires_grad=True)
+    out = relu(x)
+    ((_, gx),) = out._backward(_read_only(np.array([[5.0, 6.0, 7.0]])))
+    np.testing.assert_array_equal(gx, [[0.0, 0.0, 7.0]])
 
 
 def test_finite_values_preserved_by_public_ops():

@@ -207,6 +207,14 @@ class TestEvaluate:
         assert metrics["accuracy"] == 1.0
         assert metrics["correct"] == 30
 
+    @pytest.mark.parametrize("bad", [4, 9, -1])
+    def test_label_outside_class_range_rejected(self, bad):
+        model = build_model(quadrant_config(), RngState(17))
+        sets = RngState(18).generator().uniform(-1, 1, size=(3, 16, 2))
+        batch = SetBatch(sets=sets, labels=[0, bad, 3])
+        with pytest.raises(ValueError, match=rf"^label {bad} is out of range for 4 classes$"):
+            evaluate(model, batch)
+
     def test_empty_dataset_rejected(self):
         model = build_model(quadrant_config(), RngState(13))
         with pytest.raises(ValueError, match="empty"):
