@@ -152,12 +152,15 @@ class Mlp:
     def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
         """Apply every layer to the rows of ``x``.
 
-        Train mode runs each layer as ``affine`` (linear plus bias), then
-        batchnorm on batch statistics, then the activation. Eval mode
-        folds each batchnorm's stored statistics into its layer's weights
-        and bias, so a layer is one ``affine`` with the relu fused in;
-        other activations follow it. The fold is built from tape ops, so
-        gradients still reach every parameter in both modes.
+        Each layer is one tape op with the relu fused in; other
+        activations follow it. Train mode runs a batchnorm layer as one
+        ``batchnorm(h, ..., w=w, b=b)``: it normalizes ``h @ w`` by batch
+        statistics, where the bias cancels, so ``b`` only shifts the
+        running mean. Eval mode folds each batchnorm's stored statistics
+        into its layer's weights and bias and runs one ``affine``. A layer
+        without batchnorm is one ``affine`` in both modes. The fold is
+        built from tape ops, so gradients still reach every parameter in
+        both modes.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -168,18 +171,19 @@ class Mlp:
         h = x
         for i in range(self.n_layers):
             kind = self._layer_activation(i)
-            w, b = self.weights[i], self.biases[i]
-            if mode == "train":
-                h = affine(h, w, b)
-                if self.bn_gamma[i] is not None:
-                    h = batchnorm(h, self.bn_gamma[i], self.bn_beta[i], self.bn_states[i], mode)
-                h = _apply_activation(h, kind, set_size)
+            fuse_relu = kind == "relu"
+            w, b, gamma = self.weights[i], self.biases[i], self.bn_gamma[i]
+            if gamma is None:
+                h = affine(h, w, b, relu=fuse_relu)
+            elif mode == "train":
+                h = batchnorm(
+                    h, gamma, self.bn_beta[i], self.bn_states[i], mode, w=w, b=b, relu=fuse_relu
+                )
             else:
-                if self.bn_gamma[i] is not None:
-                    w, b = _fold_batchnorm(w, b, self.bn_gamma[i], self.bn_beta[i], self.bn_states[i])
-                h = affine(h, w, b, relu=kind == "relu")
-                if kind != "relu":
-                    h = _apply_activation(h, kind, set_size)
+                w, b = _fold_batchnorm(w, b, gamma, self.bn_beta[i], self.bn_states[i])
+                h = affine(h, w, b, relu=fuse_relu)
+            if not fuse_relu:
+                h = _apply_activation(h, kind, set_size)
         return h
 
     def uses_softmax_set(self) -> bool:

@@ -46,6 +46,7 @@ from .models import (
 from .rng import RngState
 from .textio import TextTensorError, read_tensor, write_tensor
 from .train import (
+    CheckpointError,
     DivergenceError,
     TrainConfig,
     evaluate,
@@ -67,6 +68,7 @@ _DATA_ERRORS = (
     IdxTruncatedError,
     IdxCountMismatchError,
     TextTensorError,
+    CheckpointError,
 )
 
 

@@ -152,6 +152,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
             grads.append((b, g.sum(axis=0)))
         return grads
 
+    if relu:
+        bwd.preactivation = lambda: x.data @ w.data + (0.0 if b is None else b.data)
     return _result(y, (x, w) if b is None else (x, w, b), bwd)
 
 
@@ -234,8 +236,17 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g * mask),)
 
+    bwd.preactivation = lambda: a.data
     # np.maximum (unlike where) propagates NaN, keeping divergence visible
     return _result(np.maximum(a.data, 0.0), (a,), bwd)
+
+
+def _relu_in_place(y: np.ndarray) -> np.ndarray:
+    """Relu of an array the calling op allocated, in place. Returns the
+    1-byte mask of positive entries, taken while ``y`` is in cache."""
+    mask = y > 0
+    np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
+    return mask
 
 
 def set_softmax(a: Tensor) -> Tensor:
@@ -292,17 +303,38 @@ def batchnorm(
     state: BatchNormState,
     mode: str,
     momentum: float = 0.1,
+    *,
+    w: Tensor | None = None,
+    b: Tensor | None = None,
+    relu: bool = False,
 ) -> Tensor:
-    """Per-feature normalization over the rows of a 2-D tensor.
+    """Per-feature normalization over the rows of a 2-D tensor, then
+    ``gamma * xhat + beta`` and, when ``relu`` is set, a relu.
 
     Train mode normalizes by batch statistics (biased variance plus
     ``BN_EPS``) and folds them into the running statistics; eval mode uses
     the stored statistics. Train mode needs at least two rows.
+
+    In train mode ``w`` and ``b`` fuse the dense layer in front: the op
+    normalizes ``x @ w``. Subtracting the batch mean cancels any bias, so
+    ``BN(x @ w + b) == BN(x @ w)``; ``b`` only shifts the batch mean that
+    goes into the running mean, and its gradient is exactly zero. Eval
+    mode takes neither: ``Mlp.forward`` folds eval batchnorm into the
+    layer's weights and runs ``affine`` instead.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got shape {x.data.shape}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if w is None and b is not None:
+        raise ValueError("batchnorm takes a bias only together with a weight matrix w")
+    if w is not None:
+        if mode != "train":
+            raise ValueError("only train-mode batchnorm fuses a linear map; eval mode folds it into w")
+        if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+            raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
+        if b is not None and b.data.shape != (w.data.shape[1],):
+            raise ShapeError(f"bias of shape {b.data.shape} does not fit {w.data.shape[1]} columns")
     m = x.data.shape[0]
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(state.var + BN_EPS)
@@ -310,8 +342,11 @@ def batchnorm(
         y = x.data - mean
         y *= gamma.data * inv_std
         y += beta.data
+        mask = _relu_in_place(y) if relu else None
 
         def bwd_eval(g):
+            if relu:
+                g = g * mask
             # the normalized input is rebuilt only when a gradient is needed
             xhat = (x.data - mean) * inv_std
             return (
@@ -320,31 +355,53 @@ def batchnorm(
                 (beta, g.sum(axis=0)),
             )
 
+        if relu:
+            bwd_eval.preactivation = lambda: (x.data - mean) * (gamma.data * inv_std) + beta.data
         return _result(y, (x, gamma, beta), bwd_eval)
 
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
-    mean = x.data.mean(axis=0)
-    xhat = x.data - mean
+    if w is None:
+        mean = x.data.mean(axis=0)
+        xhat = x.data - mean
+    else:
+        xhat = x.data @ w.data
+        mean = xhat.mean(axis=0)
+        xhat -= mean
     var = np.einsum("ij,ij->j", xhat, xhat) / m
-    state.mean = (1.0 - momentum) * state.mean + momentum * mean
+    batch_mean = mean if b is None else mean + b.data
+    state.mean = (1.0 - momentum) * state.mean + momentum * batch_mean
     state.var = (1.0 - momentum) * state.var + momentum * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     y = xhat * gamma.data
     y += beta.data
+    mask = _relu_in_place(y) if relu else None
 
     def bwd(g):
-        # Ioffe & Szegedy (2015): gx = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat))
-        sum_g = g.sum(axis=0)
-        sum_gx = np.einsum("ij,ij->j", g, xhat)
+        # Ioffe & Szegedy (2015), in the one array the masking (or copy) makes:
+        # gz = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat))
+        gz = g * mask if relu else g.copy()
+        sum_g = gz.sum(axis=0)
+        sum_gx = np.einsum("ij,ij->j", gz, xhat)
         scale = gamma.data * inv_std
-        gx = xhat * (-scale * sum_gx / m)
-        gx += g * scale
-        gx -= scale * sum_g / m
-        return ((x, gx), (gamma, sum_gx), (beta, sum_g))
+        gz *= scale
+        gz -= scale * sum_g / m
+        gz -= xhat * (scale * sum_gx / m)
+        if w is None:
+            grads = [(x, gz)]
+        else:
+            grads = [(x, gz @ w.data.T), (w, x.data.T @ gz)]
+        grads += [(gamma, sum_gx), (beta, sum_g)]
+        if b is not None:
+            grads.append((b, np.zeros(b.data.shape)))
+        return grads
 
-    return _result(y, (x, gamma, beta), bwd)
+    if relu:
+        # rebuilt on request, so no full-size pre-activation stays alive
+        bwd.preactivation = lambda: xhat * gamma.data + beta.data
+    parents = (x, gamma, beta) if w is None else (x, w, gamma, beta)
+    return _result(y, parents if b is None else parents + (b,), bwd)
 
 
 def pair_aggregate(a: Tensor, b: Tensor) -> Tensor:

@@ -3,12 +3,17 @@
 The optimizer is plain SGD with momentum and L2 weight decay folded into
 the gradient. Checkpoints are a small versioned binary container that
 round-trips parameters, normalization statistics, and optimizer buffers
-bit-exactly.
+bit-exactly. They are written atomically and checked on load: a damaged
+file raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import math
+import os
+import secrets
 import struct
 import time
 from dataclasses import dataclass, field
@@ -38,6 +43,11 @@ class DivergenceError(RuntimeError):
         )
         self.epoch = epoch
         self.batch = batch
+
+
+class CheckpointError(ValueError):
+    """Checkpoint file that is truncated or malformed, or whose tensors
+    disagree with the model its own metadata describes."""
 
 
 @dataclass
@@ -251,14 +261,41 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_tensor(f) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<Q", f.read(8))
-    name = f.read(name_len).decode()
-    (rank,) = struct.unpack("<Q", f.read(8))
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape).copy()
-    return name, arr
+class _Reader:
+    """Cursor over a checkpoint's bytes. Every length is checked against
+    the bytes left before anything is read or allocated."""
+
+    def __init__(self, raw: bytes, path):
+        self.raw = memoryview(raw)
+        self.pos = 0
+        self.path = path
+
+    def left(self) -> int:
+        return len(self.raw) - self.pos
+
+    def take(self, n: int, what: str) -> memoryview:
+        start, self.pos = self.pos, self.pos + n
+        if self.pos > len(self.raw):
+            raise CheckpointError(f"{self.path}: truncated: {what} needs {n} bytes, {len(self.raw) - start} left")
+        return self.raw[start : self.pos]
+
+    def u64(self, what: str) -> int:
+        return struct.unpack("<Q", self.take(8, what))[0]
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not utf-8: {exc}") from None
+
+
+def _read_tensor(r: _Reader) -> tuple[str, tuple[int, ...], memoryview]:
+    """One tensor record: name, shape and raw payload. Arrays are made
+    only once the whole file has been checked."""
+    name = r.text(r.u64("tensor name length"), "tensor name")
+    rank = r.u64(f"rank of {name}")
+    shape = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"shape of {name}"))
+    return name, shape, r.take(8 * math.prod(shape), f"data of {name}")
 
 
 def save_checkpoint(
@@ -300,44 +337,101 @@ def save_checkpoint(
     buf.write(struct.pack("<Q", len(tensors)))
     for name, arr in tensors:
         _write_tensor(buf, name, arr)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    _write_atomic(path, buf.getvalue())
+
+
+def _write_atomic(path, payload: bytes) -> None:
+    """Write through a temp file in the target's directory, then rename it
+    over the target: readers see the old file or the new one, never part
+    of one. The temp file is removed when anything fails."""
+    directory, base = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{base}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
     """Rebuild the model (bit-exact parameters), optimizer state, and
-    epoch counter from a checkpoint file."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        meta: dict[str, str] = {}
-        for line in f.read(meta_len).decode().splitlines():
-            key, _, value = line.partition(" = ")
-            meta[key] = value
-        (count,) = struct.unpack("<Q", f.read(8))
-        tensors = dict(_read_tensor(f) for _ in range(count))
+    epoch counter from a checkpoint file.
 
-    config = models_mod.config_from_flat(meta)
-    seed = int(meta.get("train.seed", "0"))
-    model = build_model(config, RngState(seed))
-    for name, p in model.parameters().items():
+    Raises :class:`CheckpointError` for a truncated or malformed file and
+    for tensors that are missing, unexpected or of the wrong shape for
+    the model the metadata describes.
+    """
+    with open(path, "rb") as f:
+        r = _Reader(f.read(), path)
+    magic = bytes(r.take(4, "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
+    (version,) = struct.unpack("<I", r.take(4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    meta: dict[str, str] = {}
+    for line in r.text(r.u64("metadata length"), "metadata").splitlines():
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise CheckpointError(f"{path}: malformed metadata line {line!r}")
+        meta[key] = value
+    count = r.u64("tensor count")
+    if count > r.left() // 16:  # a tensor takes at least its name length and rank
+        raise CheckpointError(f"{path}: truncated: {count} tensors cannot fit in {r.left()} bytes")
+    records: dict[str, tuple[tuple[int, ...], memoryview]] = {}
+    for _ in range(count):
+        name, shape, payload = _read_tensor(r)
+        if name in records:
+            raise CheckpointError(f"{path}: tensor {name} appears twice")
+        records[name] = shape, payload
+    if r.left():
+        raise CheckpointError(f"{path}: {r.left()} unexpected bytes after the last tensor")
+
+    try:
+        config = models_mod.config_from_flat(meta)
+        model = build_model(config, RngState(int(meta.get("train.seed", "0"))))
+        optimizer = OptimizerState(
+            momentum=float(meta.get("optimizer.momentum", "0.9")),
+            weight_decay=float(meta.get("optimizer.weight_decay", "0.0001")),
+            lr=float(meta.get("optimizer.lr", "0.01")),
+        )
+        epoch = int(meta.get("train.epoch", "0"))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: metadata does not describe a model: {exc}") from None
+
+    params = model.parameters()
+    required = {f"param.{name}": p.data.shape for name, p in params.items()}
+    for name, st in model.norm_states().items():
+        required[f"norm.{name}.mean"] = required[f"norm.{name}.var"] = st.mean.shape
+    allowed = {**required, **{f"momentum.{name}": p.data.shape for name, p in params.items()}}
+    missing = sorted(required.keys() - records.keys())
+    if missing:
+        raise CheckpointError(f"{path}: {len(missing)} tensors missing, first {missing[0]}")
+    for name, (shape, _) in records.items():
+        if name not in allowed:
+            raise CheckpointError(f"{path}: unexpected tensor {name}")
+        if shape != allowed[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {shape}, the stored config gives {allowed[name]}"
+            )
+    tensors = {
+        name: np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        for name, (shape, payload) in records.items()
+    }
+
+    for name, p in params.items():
         p.data = tensors[f"param.{name}"]
     for name, st in model.norm_states().items():
         st.mean = tensors[f"norm.{name}.mean"]
         st.var = tensors[f"norm.{name}.var"]
-
-    optimizer = OptimizerState(
-        momentum=float(meta.get("optimizer.momentum", "0.9")),
-        weight_decay=float(meta.get("optimizer.weight_decay", "0.0001")),
-        lr=float(meta.get("optimizer.lr", "0.01")),
-    )
     for name, arr in tensors.items():
         if name.startswith("momentum."):
             optimizer.buffers[name[len("momentum.") :]] = arr
-    epoch = int(meta.get("train.epoch", "0"))
     return model, optimizer, epoch, meta

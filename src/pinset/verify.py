@@ -398,16 +398,15 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
 # gradient checks
 
 
-# the backward closure :func:`pinset.tensor.relu` attaches to its output
-_RELU_BACKWARD = "relu.<locals>.bwd"
-
-
 def _relu_inputs(out: Tensor) -> list[np.ndarray]:
-    """Inputs of every relu node in the graph behind ``out``."""
+    """Pre-activations of every relu in the graph behind ``out``: each op
+    that applies a relu (``relu``, and ``affine`` or ``batchnorm`` with
+    ``relu=True``) gives its backward a ``preactivation()`` that returns or
+    rebuilds them."""
     return [
-        node._parents[0].data
+        node._backward.preactivation()
         for node in _reachable(out)
-        if node._backward is not None and node._backward.__qualname__ == _RELU_BACKWARD
+        if hasattr(node._backward, "preactivation")
     ]
 
 

@@ -1,12 +1,14 @@
+import functools
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pinset import models, verify
+from pinset import cli, models, verify
 from pinset.cli import main
 from pinset.data import write_idx
 from pinset.rng import RngState
@@ -173,6 +175,40 @@ class TestConfigErrorsAreOneLine:
         )
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "label 9, model has 4 classes" in _one_config_error(capsys)
+
+
+class TestDamagedCheckpointExits2:
+    @pytest.fixture
+    def eval_damaged(self, quadrant_config, tmp_path, monkeypatch, capsys):
+        # one parser for the thousands of runs below; main still maps every error
+        monkeypatch.setattr(cli, "_build_parser", functools.lru_cache(cli._build_parser))
+        path = tmp_path / "damaged.dmpp"
+        argv = ["eval", "--config", quadrant_config, "--out", str(tmp_path), "--set", f"eval.checkpoint={path}"]
+
+        def run(payload: bytes) -> str:
+            path.write_bytes(payload)
+            code = main(argv)
+            err = capsys.readouterr().err
+            lines = err.strip().splitlines()
+            assert code == 2 and len(lines) == 1 and lines[0].startswith("data error: "), err
+            return lines[0]
+
+        return run
+
+    def test_every_truncation_and_header_byte_flip(self, eval_damaged, tmp_path):
+        model = models.build_model(models.gradcheck_config(), RngState(0))
+        model.forward(RngState(1).generator().uniform(-1, 1, size=(4, 12, 3)), "train")
+        save_checkpoint(tmp_path / "gradcheck.dmpp", model, epoch=1, rng=RngState(0))
+        raw = (tmp_path / "gradcheck.dmpp").read_bytes()
+        for end in range(len(raw)):
+            assert "truncated" in eval_damaged(raw[:end]), end
+        # magic, version, metadata length, metadata and tensor count
+        (meta_len,) = struct.unpack("<Q", raw[8:16])
+        for i in range(16 + meta_len + 8):
+            eval_damaged(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :])
+
+    def test_text_file(self, eval_damaged):
+        assert "not a checkpoint (magic b'hell')" in eval_damaged(b"hello, world\n")
 
 
 class TestVerifyCommand:

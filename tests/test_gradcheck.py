@@ -13,9 +13,12 @@ checked end to end on the gradcheck preset and on the order-n
 aggregation, both with non-trivial running statistics.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from pinset import tensor as tensor_mod
 from pinset.blocks import Mlp, MlpSpec, aggregate_order_n
 from pinset.models import (
     AggregationSpec,
@@ -26,6 +29,7 @@ from pinset.models import (
 )
 from pinset.rng import RngState
 from pinset.tensor import (
+    BN_EPS,
     BatchNormState,
     Tensor,
     _reachable,
@@ -164,7 +168,82 @@ def test_primitive_gradients(trial):
     worst = max(worst, _check(lambda t: wm(mul(t, Tensor(col))), rows))
     worst = max(worst, _check(lambda t: wm(mul(Tensor(rows), t)), col))
 
+    # the fused train-mode layer w -> batchnorm -> relu, on a stream of its own
+    gb = RngState(3000 + trial).generator()
+    worst = max(worst, _check(sum_all, gb.uniform(-1, 1, size=(3, 4))))
+    for use_relu in (False, True):
+        for use_bias in (False, True):
+            # redraw until every pre-activation is clear of the relu kink
+            while True:
+                xb, wb = gb.uniform(-1, 1, size=(6, 3)), gb.uniform(-1, 1, size=(3, 4))
+                gam, bet, bb = gb.uniform(0.5, 1.5, size=4), gb.uniform(-0.5, 0.5, size=4), gb.uniform(-1, 1, size=4)
+                z = xb @ wb
+                z = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS)
+                if not use_relu or np.min(np.abs(gam * z + bet)) > 1e-3:
+                    break
+            wbn = _weighted(gb, (6, 4))
+            operands = [xb, wb, gam, bet] + ([bb] if use_bias else [])
+
+            def fused_loss(t, k, _relu=use_relu, _operands=operands):
+                x_, w_, g_, be_, *b_ = [t if j == k else Tensor(a) for j, a in enumerate(_operands)]
+                state = BatchNormState(4)
+                return wbn(batchnorm(x_, g_, be_, state, "train", w=w_, b=b_[0] if b_ else None, relu=_relu))
+
+            for k, operand in enumerate(operands):
+                worst = max(worst, _check(lambda t, _k=k: fused_loss(t, _k), operand))
+
     assert worst < TOL, f"worst primitive gradient error {worst:.3e}"
+
+
+def _taped_primitives() -> set[str]:
+    """Public ``pinset.tensor`` functions that record a backward on the tape."""
+    return {
+        name
+        for name, fn in vars(tensor_mod).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == tensor_mod.__name__
+        and not name.startswith("_")
+        and "_result(" in inspect.getsource(fn)
+    }
+
+
+def test_every_taped_primitive_is_gradchecked(monkeypatch):
+    """Every primitive with an analytic backward is differentiated by
+    ``finite_difference_gradient`` in one trial of the primitive checks:
+    it is called on the very array the oracle perturbs."""
+    probed = []  # the array finite_difference_gradient is perturbing, if any
+    checked = set()
+    module = globals()
+
+    def wrap(name, op):
+        def wrapper(*args, **kwargs):
+            if probed:
+                operands = list(args) + list(kwargs.values())
+                operands += [t for a in operands if isinstance(a, list) for t in a]
+                if any(isinstance(a, Tensor) and a.data is probed[-1] for a in operands):
+                    checked.add(name)
+            return op(*args, **kwargs)
+
+        return wrapper
+
+    primitives = _taped_primitives()
+    for name in primitives:
+        wrapper = wrap(name, getattr(tensor_mod, name))
+        monkeypatch.setattr(tensor_mod, name, wrapper)
+        if name in module:
+            monkeypatch.setitem(module, name, wrapper)
+
+    def oracle(f, x, h=1e-5, _fd=finite_difference_gradient):
+        probed.append(x)
+        try:
+            return _fd(f, x, h)
+        finally:
+            probed.pop()
+
+    monkeypatch.setitem(module, "finite_difference_gradient", oracle)
+    test_primitive_gradients(0)
+    assert primitives - checked == set(), "never gradchecked against finite differences"
+    assert {"batchnorm", "affine", "matmul", "sum_product"} <= primitives
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -299,6 +378,31 @@ def test_relu_walk_finds_every_relu_input():
         assert len(preacts) == count
     # only the two broadcast blocks emit 256-wide rows in pixel-l
     assert sum(a.shape == (64, 256) for a in preacts) == 2
+
+
+def test_relu_walk_rebuilds_fused_preactivations():
+    # fused w -> batchnorm -> relu MLP layers, then a broadcast-style
+    # batchnorm + relu without a linear map
+    mlp = Mlp(MlpSpec([3, 8, 6, 5]), RngState(96))
+    gen = RngState(97).generator()
+    x = Tensor(gen.uniform(-1, 1, size=(12, 3)))
+    gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=5)), Tensor(gen.uniform(-0.5, 0.5, size=5))
+    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(5), "train", relu=True)
+    got = {a.shape: a for a in _relu_inputs(out)}
+
+    # the same layers unfused: affine, then batchnorm, then relu
+    want, h = {}, x
+    for i in range(mlp.n_layers):
+        h = affine(h, mlp.weights[i], mlp.biases[i])
+        if mlp.bn_gamma[i] is not None:
+            h = batchnorm(h, mlp.bn_gamma[i], mlp.bn_beta[i], BatchNormState(h.shape[1]), "train")
+            want[h.shape] = h.data
+            h = relu(h)
+    h = batchnorm(h, gamma, beta, BatchNormState(5), "train")
+    want[h.shape] = h.data
+    assert sorted(got) == sorted(want) == [(12, 5), (12, 6), (12, 8)]
+    for shape, a in want.items():
+        np.testing.assert_allclose(got[shape], a, rtol=1e-12, atol=0, err_msg=str(shape))
 
 
 @pytest.mark.parametrize("index", range(2))

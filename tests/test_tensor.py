@@ -234,6 +234,93 @@ class TestBatchnorm:
             np.testing.assert_array_equal(before, after)
 
 
+class TestBatchnormFused:
+    """Train-mode ``batchnorm(x, ..., w=w, b=b, relu=...)`` against the
+    unfused ``affine`` -> ``batchnorm`` -> ``relu`` chain."""
+
+    def _operands(self, seed, use_bias=True):
+        gen = RngState(seed).generator()
+        x = Tensor(gen.uniform(-1, 1, size=(9, 4)), requires_grad=True)
+        w = Tensor(gen.uniform(-1, 1, size=(4, 5)), requires_grad=True)
+        b = Tensor(gen.uniform(-1, 1, size=5), requires_grad=True) if use_bias else None
+        gamma = Tensor(gen.uniform(0.5, 1.5, size=5), requires_grad=True)
+        beta = Tensor(gen.uniform(-0.5, 0.5, size=5), requires_grad=True)
+        return x, w, b, gamma, beta, gen.uniform(-1, 1, size=(9, 5))
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("use_relu", [True, False])
+    def test_matches_unfused_reference(self, use_relu, use_bias):
+        x, w, b, gamma, beta, g = self._operands(40, use_bias)
+        state, ref_state = BatchNormState(5), BatchNormState(5)
+        fused = batchnorm(x, gamma, beta, state, "train", w=w, b=b, relu=use_relu)
+        unfused = batchnorm(affine(x, w, b), gamma, beta, ref_state, "train")
+        if use_relu:
+            unfused = relu(unfused)
+            assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        np.testing.assert_allclose(fused.data, unfused.data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.mean, ref_state.mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.var, ref_state.var, rtol=1e-12, atol=0)
+
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        want = backward(sum_all(mul(unfused, Tensor(g))))
+        for t in (x, w, gamma, beta):
+            np.testing.assert_allclose(got[t], want[t], rtol=1e-12, atol=0)
+        if use_bias:
+            assert np.array_equal(got[b], np.zeros(5))
+            assert np.max(np.abs(want[b])) < 1e-12  # the reference's is zero up to rounding
+
+    def test_bias_moves_only_the_running_mean(self):
+        x, w, b, gamma, beta, _ = self._operands(41)
+        with_bias, without = BatchNormState(5), BatchNormState(5)
+        a = batchnorm(x, gamma, beta, with_bias, "train", w=w, b=b).data
+        c = batchnorm(x, gamma, beta, without, "train", w=w).data
+        np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(with_bias.var, without.var)
+        np.testing.assert_allclose(with_bias.mean - without.mean, 0.1 * b.data, rtol=1e-12, atol=0)
+
+    def test_propagates_nan(self):
+        x, w, b, gamma, beta, _ = self._operands(42)
+        x.data[0, 0] = np.nan
+        out = batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=b, relu=True)
+        assert np.isnan(out.data).all()  # the NaN reaches every row through the batch mean
+
+    @pytest.mark.parametrize("use_relu", [True, False])
+    def test_never_writes_inputs_gradient_or_running_state(self, use_relu):
+        gen = RngState(43).generator()
+        shapes = ((6, 3), (3, 4), (4,), (4,), (4,), (6, 4), (4,), (4,))
+        x, w, b, gamma, beta, g, mean, var = (_read_only(gen.uniform(0.5, 1.5, size=s)) for s in shapes)
+        saved = [a.copy() for a in (x, w, b, gamma, beta, g, mean, var)]
+        state = BatchNormState(4)
+        state.mean, state.var = mean, var
+        params = [Tensor(a, requires_grad=True) for a in (x, w, b, gamma, beta)]
+        out = batchnorm(params[0], params[3], params[4], state, "train", w=params[1], b=params[2], relu=use_relu)
+        grads = out._backward(g)
+        if use_relu:
+            out._backward.preactivation()
+        assert [t.shape for _, t in grads] == [(6, 3), (3, 4), (4,), (4,), (4,)]
+        for before, after in zip(saved, (x, w, b, gamma, beta, g, mean, var)):
+            np.testing.assert_array_equal(before, after)
+
+    def test_single_row_rejected(self):
+        x, w, b, gamma, beta, _ = self._operands(44)
+        with pytest.raises(DegenerateBatchError):
+            batchnorm(Tensor(x.data[:1]), gamma, beta, BatchNormState(5), "train", w=w, b=b, relu=True)
+
+    def test_linear_map_rejected_in_eval_mode(self):
+        x, w, b, gamma, beta, _ = self._operands(45)
+        with pytest.raises(ValueError, match="eval"):
+            batchnorm(x, gamma, beta, BatchNormState(5), "eval", w=w)
+        with pytest.raises(ValueError, match="bias only together with a weight"):
+            batchnorm(affine(x, w, None), gamma, beta, BatchNormState(5), "train", b=b)
+
+    def test_shape_mismatches_rejected(self):
+        x, w, b, gamma, beta, _ = self._operands(46)
+        with pytest.raises(ShapeError, match=r"\(9, 4\).*\(5, 5\)"):
+            batchnorm(x, gamma, beta, BatchNormState(5), "train", w=Tensor(np.ones((5, 5))))
+        with pytest.raises(ShapeError, match=r"\(4,\)"):
+            batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=Tensor(np.ones(4)))
+
+
 class TestPairAggregate:
     @pytest.mark.parametrize("batch,n,s,t", [(1, 5, 3, 4), (3, 1, 2, 5), (2, 7, 4, 3)])
     def test_matches_einsum_definition(self, batch, n, s, t):

@@ -1,11 +1,17 @@
+import io
+import os
+import struct
+
 import numpy as np
 import pytest
 
+from pinset import train as train_mod
 from pinset.data import SetBatch, SyntheticTaskSpec, make_synthetic_task
-from pinset.models import build_model, quadrant_config
+from pinset.models import build_model, gradcheck_config, quadrant_config
 from pinset.rng import RngState
 from pinset.tensor import Tensor, backward, softmax_cross_entropy
 from pinset.train import (
+    CheckpointError,
     DivergenceError,
     LrSchedule,
     OptimizerState,
@@ -252,3 +258,121 @@ class TestMetricsCsv:
         assert lines[0] == "epoch,split,loss,accuracy,error_rate,lr,wall_seconds"
         loss_field = lines[1].split(",")[2]
         assert float(loss_field) == rows[0]["loss"]
+
+
+def _checkpoint_parts(tmp_path, momentum=True):
+    """Metadata bytes and named tensors of a saved gradcheck-preset model
+    with non-trivial running statistics, plus the saved file's bytes."""
+    model = build_model(gradcheck_config(), RngState(20))
+    model.forward(RngState(21).generator().uniform(-1, 1, size=(4, 12, 3)), "train")
+    state = OptimizerState()
+    if momentum:
+        state.buffers = {name: np.full_like(p.data, 0.5) for name, p in model.parameters().items()}
+    path = tmp_path / "gradcheck.dmpp"
+    save_checkpoint(path, model, state, epoch=2, rng=RngState(20))
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    tensors = [(f"param.{name}", p.data) for name, p in model.parameters().items()]
+    for name, st in model.norm_states().items():
+        tensors += [(f"norm.{name}.mean", st.mean), (f"norm.{name}.var", st.var)]
+    tensors += [(f"momentum.{name}", buf) for name, buf in state.buffers.items()]
+    return raw[16 : 16 + meta_len], tensors, raw
+
+
+def _container(meta: bytes, tensors, version=1) -> bytes:
+    """A checkpoint file in the documented layout, built independently of
+    save_checkpoint."""
+    buf = io.BytesIO()
+    buf.write(b"DMPP" + struct.pack("<IQ", version, len(meta)) + meta + struct.pack("<Q", len(tensors)))
+    for name, arr in tensors:
+        encoded = name.encode()
+        buf.write(struct.pack("<Q", len(encoded)) + encoded)
+        buf.write(struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
+        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return buf.getvalue()
+
+
+class TestCheckpointFile:
+    def test_layout_matches_the_documented_format(self, tmp_path):
+        meta, tensors, raw = _checkpoint_parts(tmp_path)
+        assert raw == _container(meta, tensors)
+
+    def test_save_leaves_only_the_target(self, tmp_path):
+        _checkpoint_parts(tmp_path)
+        assert os.listdir(tmp_path) == ["gradcheck.dmpp"]
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_save_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch, failing):
+        _, _, before = _checkpoint_parts(tmp_path)
+
+        def fail(*args):
+            raise OSError(f"{failing} failed")
+
+        monkeypatch.setattr(train_mod.os, failing, fail)
+        with pytest.raises(OSError, match=f"{failing} failed"):
+            save_checkpoint(tmp_path / "gradcheck.dmpp", build_model(gradcheck_config(), RngState(22)))
+        assert os.listdir(tmp_path) == ["gradcheck.dmpp"]
+        assert (tmp_path / "gradcheck.dmpp").read_bytes() == before
+
+
+class TestCheckpointErrors:
+    """Every malformed checkpoint raises one CheckpointError, before any
+    array is built from it."""
+
+    def _load(self, tmp_path, payload: bytes, match: str):
+        path = tmp_path / "damaged.dmpp"
+        path.write_bytes(payload)
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
+    def test_intact_container_loads(self, tmp_path):
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        path = tmp_path / "rebuilt.dmpp"
+        path.write_bytes(_container(meta, tensors))
+        model, optimizer, epoch, _ = load_checkpoint(path)
+        assert epoch == 2 and len(optimizer.buffers) == len(model.parameters())
+
+    def test_text_file_and_wrong_version(self, tmp_path):
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        self._load(tmp_path, b"hello, world\n", r"not a checkpoint \(magic b'hell'\)")
+        self._load(tmp_path, _container(meta, tensors, version=2), "unsupported checkpoint version 2")
+
+    def test_length_fields_beyond_the_file(self, tmp_path):
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        raw = _container(meta, tensors)
+        huge = struct.pack("<Q", 2**63)
+        self._load(tmp_path, raw[:8] + huge + raw[16:], "truncated: metadata needs 9223372036854775808 bytes")
+        start = 16 + len(meta)
+        self._load(tmp_path, raw[:start] + huge + raw[start + 8 :], "truncated: 9223372036854775808 tensors")
+        name_len = start + 8
+        self._load(tmp_path, raw[:name_len] + huge + raw[name_len + 8 :], "truncated: tensor name needs")
+        rank = name_len + 8 + len(tensors[0][0])
+        self._load(tmp_path, raw[:rank] + huge + raw[rank + 8 :], "truncated: shape of")
+        self._load(tmp_path, raw[: rank + 8] + struct.pack("<Q", 2**40) + raw[rank + 16 :], "truncated: data of")
+
+    def test_undecodable_or_unusable_metadata(self, tmp_path):
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        self._load(tmp_path, _container(b"\xff" + meta, tensors), "metadata is not utf-8")
+        self._load(tmp_path, _container(meta + b"no separator\n", tensors), "malformed metadata line 'no separator'")
+        lines = meta.decode().splitlines(keepends=True)
+        no_task = "".join(line for line in lines if not line.startswith("model.task "))
+        self._load(tmp_path, _container(no_task.encode(), tensors), "metadata lacks key 'model.task'")
+        bad_dims = meta.replace(b"model.agg.mlp1.dims = 3,", b"model.agg.mlp1.dims = x,")
+        assert bad_dims != meta
+        self._load(tmp_path, _container(bad_dims, tensors), "metadata does not describe a model")
+
+    def test_missing_extra_duplicate_and_trailing(self, tmp_path):
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        self._load(tmp_path, _container(meta, tensors[1:]), f"1 tensors missing, first {tensors[0][0]}")
+        self._load(tmp_path, _container(meta, tensors + [("param.spare", np.ones(2))]), "unexpected tensor param.spare")
+        self._load(tmp_path, _container(meta, tensors + tensors[:1]), f"tensor {tensors[0][0]} appears twice")
+        self._load(tmp_path, _container(meta, tensors) + b"\0", "1 unexpected bytes after the last tensor")
+
+    @pytest.mark.parametrize("prefix", ["param.", "norm.", "momentum."])
+    def test_shape_that_disagrees_with_the_config(self, tmp_path, prefix):
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        i = next(i for i, (name, _) in enumerate(tensors) if name.startswith(prefix))
+        name, arr = tensors[i]
+        tensors[i] = (name, np.append(arr, 1.0))
+        self._load(tmp_path, _container(meta, tensors), f"tensor {name} has shape \\({arr.size + 1},\\)")
