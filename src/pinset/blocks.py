@@ -24,6 +24,7 @@ from .tensor import (
     dropout,
     matmul,
     mul,
+    no_grad,
     pair_aggregate,
     relu,
     reshape,
@@ -352,19 +353,36 @@ def make_broadcast_block(d_x: int, d_y: int, d_z: int, rng: RngState) -> Broadca
     )
 
 
-def broadcast_batched(block: BroadcastBlock, x_flat: Tensor, y: Tensor, set_size: int) -> Tensor:
-    """The linear mix on stacked rows (B*N, d_x) with set features
-    (B, d_y): each set's feature row is tiled over its ``set_size`` rows."""
+def broadcast_batched(
+    block: BroadcastBlock, x_flat: Tensor, y: Tensor, set_size: int, mode: str
+) -> Tensor:
+    """The whole block on stacked rows (B*N, d_x) with set features
+    (B, d_y): ``relu(BN(x W_x^T + y W_y^T + b))``, each set's feature row
+    tiled over its ``set_size`` rows.
+
+    The small per-set row ``y W_y^T + b`` (B, d_z) is formed first and
+    tiled; the rest is one fused op per mode. Train mode passes the tiled
+    rows to ``batchnorm`` as a row-aligned bias of the GEMM it normalizes.
+    Eval mode folds the stored statistics into ``W_x^T`` and the per-set
+    row, then runs one ``affine``.
+    """
     d_x, d_y, _ = block.widths
     if x_flat.data.ndim != 2 or x_flat.data.shape[1] != d_x:
         raise ValueError(f"expected stacked rows of width {d_x}, got shape {x_flat.data.shape}")
     if y.data.ndim != 2 or y.data.shape[1] != d_y:
         raise ValueError(f"expected batch features of width {d_y}, got shape {y.data.shape}")
-    xw = matmul(x_flat, transpose(block.w_x))
-    yw = tile_rows(matmul(y, transpose(block.w_y)), set_size)
-    return add(add(xw, yw), block.bias)
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    w = transpose(block.w_x)
+    row = add(matmul(y, transpose(block.w_y)), block.bias)
+    if mode == "train":
+        b = tile_rows(row, set_size)
+        return batchnorm(x_flat, block.gamma, block.beta, block.state, mode, w=w, b=b, relu=True)
+    w, row = _fold_batchnorm(w, row, block.gamma, block.beta, block.state)
+    return affine(x_flat, w, tile_rows(row, set_size), relu=True)
 
 
+@no_grad()
 def per_element_contribution(block: AggregationBlock, element) -> np.ndarray:
     """One element's additive share of the aggregated feature matrix.
 

@@ -22,7 +22,7 @@ from .blocks import (
     make_broadcast_block,
 )
 from .rng import RngState
-from .tensor import BatchNormState, Tensor, batchnorm, reshape
+from .tensor import BatchNormState, Tensor, reshape
 
 
 @dataclass
@@ -122,8 +122,7 @@ class Model:
         if self.broadcast_layers:
             z = reshape(x, (b * n, p))
             for block in self.broadcast_layers:
-                z = broadcast_batched(block, z, feature, n)
-                z = batchnorm(z, block.gamma, block.beta, block.state, mode, relu=True)
+                z = broadcast_batched(block, z, feature, n, mode)
             width = z.data.shape[1]
             feature = aggregate(self.agg2, reshape(z, (b, n, width)), mode, gen)
         if self.head is None:

@@ -8,10 +8,14 @@ An op writes in place only into arrays it allocated itself. It never
 writes into its inputs' data, parameters, batchnorm running statistics
 or the gradient handed to its backward function: ``add`` passes one
 gradient object to both parents.
+
+Forwards run under :func:`no_grad` record nothing: their results have no
+parents, so nothing keeps the arrays an op saved for its backward.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -19,6 +23,7 @@ import numpy as np
 from . import kernels
 
 _ids = itertools.count()
+_recording = True  # cleared inside no_grad()
 
 BN_EPS = 1e-5
 
@@ -51,9 +56,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run forwards that are never differentiated without building a
+    graph: every result made inside is a leaf that does not require grad.
+    Use as ``with no_grad():`` or as the decorator ``@no_grad()``. Nests,
+    and recording resumes on exit, also when the body raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -129,14 +148,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor:
     """One dense layer ``x @ w + b``, optionally followed by a relu.
 
-    The product, the bias row and the relu share the one array this op
-    allocates; ``b`` may be None. Without relu this equals
-    ``add(matmul(x, w), b)`` bit for bit, gradients included.
+    The product, the bias and the relu share the one array this op
+    allocates. ``b`` is a bias row of shape ``(d,)``, a row-aligned
+    ``(rows, d)`` array with one bias per row, or None. Without relu this
+    equals ``add(matmul(x, w), b)`` bit for bit, gradients included.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-    if b is not None and b.data.shape != (w.data.shape[1],):
-        raise ShapeError(f"cannot add shapes {(x.data.shape[0], w.data.shape[1])} + {b.data.shape}")
+    out_shape = (x.data.shape[0], w.data.shape[1])
+    if b is not None and b.data.shape not in (out_shape[1:], out_shape):
+        raise ShapeError(f"cannot add shapes {out_shape} + {b.data.shape}")
+    row_aligned = b is not None and b.data.ndim == 2
     y = x.data @ w.data
     if b is not None:
         y += b.data
@@ -149,7 +171,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
             g = g * (y > 0)  # y > 0 exactly where the pre-activation was
         grads = [(x, g @ w.data.T), (w, x.data.T @ g)]
         if b is not None:
-            grads.append((b, g.sum(axis=0)))
+            grads.append((b, g if row_aligned else g.sum(axis=0)))
         return grads
 
     if relu:
@@ -316,11 +338,14 @@ def batchnorm(
     the stored statistics. Train mode needs at least two rows.
 
     In train mode ``w`` and ``b`` fuse the dense layer in front: the op
-    normalizes ``x @ w``. Subtracting the batch mean cancels any bias, so
-    ``BN(x @ w + b) == BN(x @ w)``; ``b`` only shifts the batch mean that
-    goes into the running mean, and its gradient is exactly zero. Eval
-    mode takes neither: ``Mlp.forward`` folds eval batchnorm into the
-    layer's weights and runs ``affine`` instead.
+    normalizes ``x @ w + b``. A ``(d,)`` bias row is cancelled by
+    subtracting the batch mean, so ``BN(x @ w + b) == BN(x @ w)``; it only
+    shifts the batch mean that goes into the running mean, and its
+    gradient is exactly zero. A row-aligned ``(rows, d)`` bias differs
+    from row to row, so it is added, and its gradient is the masked,
+    normalized ``g`` that the GEMM gradients read. Eval mode takes
+    neither: ``Mlp.forward`` and ``broadcast_batched`` fold eval batchnorm
+    into the layer's weights and bias and run ``affine`` instead.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got shape {x.data.shape}")
@@ -333,8 +358,10 @@ def batchnorm(
             raise ValueError("only train-mode batchnorm fuses a linear map; eval mode folds it into w")
         if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
             raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-        if b is not None and b.data.shape != (w.data.shape[1],):
-            raise ShapeError(f"bias of shape {b.data.shape} does not fit {w.data.shape[1]} columns")
+        out_shape = (x.data.shape[0], w.data.shape[1])
+        if b is not None and b.data.shape not in (out_shape[1:], out_shape):
+            raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
+    row_aligned = b is not None and b.data.ndim == 2
     m = x.data.shape[0]
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(state.var + BN_EPS)
@@ -366,10 +393,12 @@ def batchnorm(
         xhat = x.data - mean
     else:
         xhat = x.data @ w.data
+        if row_aligned:
+            xhat += b.data
         mean = xhat.mean(axis=0)
         xhat -= mean
     var = np.einsum("ij,ij->j", xhat, xhat) / m
-    batch_mean = mean if b is None else mean + b.data
+    batch_mean = mean if b is None or row_aligned else mean + b.data
     state.mean = (1.0 - momentum) * state.mean + momentum * batch_mean
     state.var = (1.0 - momentum) * state.var + momentum * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -394,7 +423,7 @@ def batchnorm(
             grads = [(x, gz @ w.data.T), (w, x.data.T @ gz)]
         grads += [(gamma, sum_gx), (beta, sum_g)]
         if b is not None:
-            grads.append((b, np.zeros(b.data.shape)))
+            grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
         return grads
 
     if relu:

@@ -24,7 +24,7 @@ from . import models as models_mod
 from .data import SetBatch
 from .models import Model, ModelConfig, build_model
 from .rng import RngState
-from .tensor import Tensor, backward, softmax_cross_entropy
+from .tensor import Tensor, backward, no_grad, softmax_cross_entropy
 
 LR_DROP_FACTOR = 10.0
 
@@ -107,9 +107,20 @@ class TrainConfig:
     warmup_epochs: int = 0
     checkpoint_every: int = 0  # 0: only at the end
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2, got {self.batch_size}: batch normalization "
+                "needs two sets per batch"
+            )
 
+
+@no_grad()
 def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
-    """Accuracy, error rate, mean loss, and exact per-class counts."""
+    """Accuracy, error rate, mean loss, and exact per-class counts.
+    Runs under ``no_grad``: nothing differentiates these forwards."""
     if batch.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     classes = model.config.class_count
@@ -141,6 +152,20 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     }
 
 
+def _step(model, params, sets, labels, gen, state, epoch: int, batch: int) -> tuple[float, int]:
+    """One SGD step on one batch: its loss and its count of correct
+    predictions. The step's tape lives in this frame only, so it is freed
+    on return, before the next forward or the epoch's evaluation."""
+    logits = model.forward(sets, "train", gen)
+    loss = softmax_cross_entropy(logits, labels)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise DivergenceError(epoch, batch, value)
+    grad_map = backward(loss, list(params.values()))
+    sgd_step(params, {name: grad_map[p] for name, p in params.items()}, state)
+    return value, int((logits.data.argmax(axis=1) == labels).sum())
+
+
 def train(
     model: Model,
     train_batch: SetBatch,
@@ -153,13 +178,17 @@ def train(
 
     Deterministic given the seed: shuffling and dropout draw from streams
     derived per epoch. Writes checkpoints under ``out_dir`` when given.
+    Needs at least two training sets (batch normalization needs two rows)
+    and one test set; both are checked before any epoch runs.
     """
+    if train_batch.size < 2:
+        raise ValueError(f"training needs at least 2 sets, got {train_batch.size}")
+    if test_batch.size < 1:
+        raise ValueError("every epoch ends with an evaluation, but the test set is empty")
     params = model.parameters()
     state = OptimizerState(momentum=cfg.momentum, weight_decay=cfg.weight_decay, lr=cfg.lr)
     schedule = LrSchedule(cfg.lr, cfg.lr_drop_epoch, warmup_epochs=cfg.warmup_epochs)
     history: list[dict] = []
-    param_list = list(params.values())
-    names_by_id = {id(p): name for name, p in params.items()}
 
     for epoch in range(cfg.epochs):
         state.lr = schedule.rate(epoch)
@@ -173,18 +202,12 @@ def train(
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue  # a singleton batch starves the head's normalization
-            sets = train_batch.sets[idx]
             labels = train_batch.labels[idx]
-            logits = model.forward(sets, "train", dropout_gen)
-            loss = softmax_cross_entropy(logits, labels)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise DivergenceError(epoch, bi, value)
-            grad_map = backward(loss, param_list)
-            grads = {names_by_id[id(p)]: g for p, g in grad_map.items() if id(p) in names_by_id}
-            sgd_step(params, grads, state)
+            value, correct = _step(
+                model, params, train_batch.sets[idx], labels, dropout_gen, state, epoch, bi
+            )
             loss_sum += value * idx.size
-            hit += int((logits.data.argmax(axis=1) == labels).sum())
+            hit += correct
             seen += idx.size
         train_time = time.perf_counter() - t0
         history.append(

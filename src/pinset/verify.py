@@ -35,6 +35,7 @@ from .tensor import (
     _reachable,
     backward,
     finite_difference_gradient,
+    no_grad,
     softmax_cross_entropy,
 )
 
@@ -103,6 +104,7 @@ def _invariance_block(act1: str, act2: str, rng: RngState) -> AggregationBlock:
     )
 
 
+@no_grad()
 def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
     """aggregate(PX) == aggregate(X) for every activation pair, and for
     full classifier logits, within 1e-12."""
@@ -440,8 +442,9 @@ def run_gradcheck(seed: int, batches: int = 10, step: float = 1e-5) -> SuiteResu
         sets, labels = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
 
         def loss_value() -> float:
-            logits = model.forward(sets, "train")
-            return float(softmax_cross_entropy(logits, labels).data)
+            with no_grad():
+                logits = model.forward(sets, "train")
+                return float(softmax_cross_entropy(logits, labels).data)
 
         logits = model.forward(Tensor(sets), "train")
         loss = softmax_cross_entropy(logits, labels)
@@ -486,6 +489,7 @@ def _linear_block(rng: RngState, final1: str, final2: str) -> AggregationBlock:
     )
 
 
+@no_grad()
 def run_collapse(seed: int, pairs: int = 50, deepsets_sets: int = 100) -> SuiteResult:
     """Bias-free linear aggregation sees only X^T X (orthogonal mixes
     agree); one set-softmax breaks that; element-wise blocks decompose

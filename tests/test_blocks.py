@@ -15,7 +15,7 @@ from pinset.blocks import (
 )
 from pinset.decomp import numeric_rank
 from pinset.rng import RngState
-from pinset.tensor import Tensor, add, batchnorm, matmul
+from pinset.tensor import BN_EPS, Tensor, add, batchnorm, matmul
 
 
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
@@ -242,9 +242,47 @@ def _broadcast_block(d_x, d_y, d_z, seed):
     return make_broadcast_block(d_x, d_y, d_z, RngState(seed))
 
 
-def _broadcast_one(block, x, y):
-    """broadcast_batched on a single set (N, d_x) with its feature (d_y,)."""
-    return broadcast_batched(block, Tensor(x), Tensor(y.reshape(1, -1)), x.shape[0]).data
+def _randomize_normalization(block, seed):
+    """Random running statistics, gamma and beta, so eval mode is no
+    near-identity."""
+    gen = RngState(seed).generator()
+    d_z = block.gamma.data.shape[0]
+    block.state.mean = gen.uniform(-0.5, 0.5, size=d_z)
+    block.state.var = gen.uniform(0.5, 2.0, size=d_z)
+    block.gamma.data = gen.uniform(0.5, 1.5, size=d_z)
+    block.beta.data = gen.uniform(-0.5, 0.5, size=d_z)
+
+
+def _broadcast_preactivation(block, sets, feats):
+    """x W_x^T + y W_y^T + b in plain numpy for sets (B, N, d_x) and
+    features (B, d_y), stacked to (B*N, d_z)."""
+    w_x, w_y, bias = block.w_x.data, block.w_y.data, block.bias.data
+    return np.concatenate([s @ w_x.T + f @ w_y.T + bias for s, f in zip(sets, feats)])
+
+
+def _broadcast_reference(block, sets, feats, mode):
+    """relu(BN(x W_x^T + y W_y^T + b)) in plain numpy. Train mode
+    normalizes by the batch's biased statistics, eval mode by the stored
+    ones."""
+    z = _broadcast_preactivation(block, sets, feats)
+    if mode == "train":
+        mean, var = z.mean(axis=0), z.var(axis=0)
+    else:
+        mean, var = block.state.mean, block.state.var
+    return np.maximum((z - mean) / np.sqrt(var + BN_EPS) * block.gamma.data + block.beta.data, 0.0)
+
+
+def _broadcast(block, sets, feats, mode):
+    """broadcast_batched on sets (B, N, d_x) with their features (B, d_y)."""
+    b, n, d_x = sets.shape
+    return broadcast_batched(block, Tensor(sets.reshape(b * n, d_x)), Tensor(feats), n, mode).data
+
+
+MODES = ("eval", "train")
+
+
+def _assert_close(actual, desired):
+    np.testing.assert_allclose(actual, desired, rtol=0, atol=1e-14)
 
 
 class TestBroadcast:
@@ -253,47 +291,78 @@ class TestBroadcast:
         block.w_x.data = np.eye(3)
         block.w_y.data = np.zeros((3, 2))
         block.bias.data = np.zeros(3)
-        x = RngState(17).generator().uniform(-1, 1, size=(5, 3))
-        out = _broadcast_one(block, x, np.ones(2))
-        np.testing.assert_allclose(out, x, rtol=0, atol=1e-14)
+        sets = RngState(17).generator().uniform(-1, 1, size=(2, 5, 3))
+        feats = np.ones((2, 2))
+        # with the initial statistics eval mode only divides by sqrt(1 + eps)
+        out = _broadcast(block, sets, feats, "eval")
+        expected = np.maximum(sets.reshape(10, 3), 0.0) / np.sqrt(1.0 + BN_EPS)
+        _assert_close(out, expected)
+        for mode in MODES:
+            out = _broadcast(block, sets, feats, mode)
+            _assert_close(out, _broadcast_reference(block, sets, feats, mode))
 
     def test_pure_set_feature(self):
         block = _broadcast_block(3, 2, 2, 18)
         block.w_x.data = np.zeros((2, 3))
         block.w_y.data = np.eye(2)
         block.bias.data = np.zeros(2)
-        y = np.array([0.5, -1.5])
-        out = _broadcast_one(block, np.ones((4, 3)), y)
-        np.testing.assert_allclose(out, np.tile(y, (4, 1)), rtol=0, atol=1e-14)
+        _randomize_normalization(block, 19)
+        feats = np.array([[0.5, -1.5], [-0.25, 1.0], [2.0, 0.75]])
+        sets = RngState(20).generator().uniform(-1, 1, size=(3, 4, 3))
+        for mode in MODES:
+            out = _broadcast(block, sets, feats, mode)
+            _assert_close(out, _broadcast_reference(block, sets, feats, mode))
+            # every element of a set gets the same row
+            for i in range(3):
+                np.testing.assert_array_equal(out[4 * i : 4 * (i + 1)], np.tile(out[4 * i], (4, 1)))
 
     def test_permutation_equivariance(self):
         block = _broadcast_block(3, 4, 5, 19)
+        _randomize_normalization(block, 21)
         gen = RngState(20).generator()
-        y = gen.uniform(-1, 1, size=4)
+        feats = gen.uniform(-1, 1, size=(1, 4))
         for _ in range(20):
-            x = gen.uniform(-1, 1, size=(7, 3))
+            sets = gen.uniform(-1, 1, size=(1, 7, 3))
             perm = gen.permutation(7)
-            a = _broadcast_one(block, x[perm], y)
-            b = _broadcast_one(block, x, y)[perm]
-            np.testing.assert_array_equal(a, b)
+            for mode in MODES:
+                a = _broadcast(block, sets[:, perm], feats, mode)
+                b = _broadcast(block, sets, feats, mode)
+                _assert_close(b, _broadcast_reference(block, sets, feats, mode))
+                if mode == "eval":
+                    np.testing.assert_array_equal(a, b[perm])
+                else:  # the batch mean sums the rows in another order
+                    _assert_close(a, b[perm])
 
     def test_batched_matches_per_set(self):
         block = _broadcast_block(3, 4, 5, 21)
         block.bias.data = RngState(24).generator().uniform(-1, 1, size=5)
+        _randomize_normalization(block, 23)
         gen = RngState(22).generator()
         sets = gen.uniform(-1, 1, size=(3, 6, 3))
         feats = gen.uniform(-1, 1, size=(3, 4))
-        flat = broadcast_batched(block, Tensor(sets.reshape(18, 3)), Tensor(feats), 6).data
+        # eval mode acts row by row, so each set can be checked on its own
+        flat = _broadcast(block, sets, feats, "eval")
         for i in range(3):
-            expected = sets[i] @ block.w_x.data.T + feats[i] @ block.w_y.data.T + block.bias.data
-            np.testing.assert_allclose(flat[6 * i : 6 * (i + 1)], expected, rtol=0, atol=1e-14)
+            expected = _broadcast_reference(block, sets[i : i + 1], feats[i : i + 1], "eval")
+            _assert_close(flat[6 * i : 6 * (i + 1)], expected)
+        # train mode normalizes over the whole batch and moves the running
+        # statistics by the batch's mean (bias included) and variance
+        mean, var = block.state.mean.copy(), block.state.var.copy()
+        flat = _broadcast(block, sets, feats, "train")
+        _assert_close(flat, _broadcast_reference(block, sets, feats, "train"))
+        z = _broadcast_preactivation(block, sets, feats)
+        np.testing.assert_allclose(block.state.mean, 0.9 * mean + 0.1 * z.mean(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(block.state.var, 0.9 * var + 0.1 * z.var(axis=0), rtol=0, atol=1e-15)
 
     def test_width_mismatch(self):
         block = _broadcast_block(3, 2, 4, 23)
-        with pytest.raises(ValueError, match="width"):
-            broadcast_batched(block, Tensor(np.ones((5, 7))), Tensor(np.ones((1, 2))), 5)
-        with pytest.raises(ValueError, match="width"):
-            broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 3))), 5)
+        for mode in MODES:
+            with pytest.raises(ValueError, match="width"):
+                broadcast_batched(block, Tensor(np.ones((5, 7))), Tensor(np.ones((1, 2))), 5, mode)
+            with pytest.raises(ValueError, match="width"):
+                broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 3))), 5, mode)
+        with pytest.raises(ValueError, match="mode"):
+            broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 2))), 5, "test")
 
     def test_block_owns_normalization(self):
         block = _broadcast_block(3, 2, 4, 25)

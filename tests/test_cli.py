@@ -177,6 +177,24 @@ class TestConfigErrorsAreOneLine:
         assert "label 9, model has 4 classes" in _one_config_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("train.batch_size=1", "train.batch_size must be >= 2, got 1"),
+        ("train.batch_size=-4", "train.batch_size must be >= 2, got -4"),
+        ("train.batch_size=0", "train.batch_size must be >= 2, got 0"),
+        ("data.train_size=1", "training needs at least 2 sets, data.train_size gives 1"),
+        ("data.test_size=0", "data.test_size gives no test sets"),
+        ("train.epochs=-1", "train.epochs must be >= 0, got -1"),
+    ],
+)
+def test_bad_training_size_is_one_config_error(override, message, quadrant_config, tmp_path, capsys):
+    argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "o"), "--set", override]
+    assert main(argv) == 1
+    assert message in _one_config_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 class TestDamagedCheckpointExits2:
     @pytest.fixture
     def eval_damaged(self, quadrant_config, tmp_path, monkeypatch, capsys):

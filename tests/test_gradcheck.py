@@ -9,8 +9,8 @@ derivative does not exist and finite differences are meaningless.
 A small model with a broadcast block is checked end to end the way the
 gradcheck verify suite checks its preset, which has no broadcast block.
 Eval mode, where each batchnorm is folded into its layer's weights, is
-checked end to end on the gradcheck preset and on the order-n
-aggregation, both with non-trivial running statistics.
+checked end to end on the gradcheck preset, on the broadcast model and on
+the order-n aggregation, all with non-trivial running statistics.
 """
 
 import inspect
@@ -192,6 +192,40 @@ def test_primitive_gradients(trial):
             for k, operand in enumerate(operands):
                 worst = max(worst, _check(lambda t, _k=k: fused_loss(t, _k), operand))
 
+    # a row-aligned (rows, d) bias, as the broadcast blocks pass it, on a
+    # stream of its own
+    gr = RngState(4000 + trial).generator()
+    for use_relu in (False, True):
+        while True:
+            xr, wr_, br = (gr.uniform(-1, 1, size=s) for s in ((6, 3), (3, 4), (6, 4)))
+            if np.min(np.abs(xr @ wr_ + br)) > 1e-3:
+                break
+        wra = _weighted(gr, (6, 4))
+        operands = [xr, wr_, br]
+
+        def row_affine_loss(t, k, _relu=use_relu, _operands=operands):
+            x_, w_, b_ = [t if j == k else Tensor(a) for j, a in enumerate(_operands)]
+            return wra(affine(x_, w_, b_, _relu))
+
+        for k, operand in enumerate(operands):
+            worst = max(worst, _check(lambda t, _k=k: row_affine_loss(t, _k), operand))
+    while True:
+        xr, wr_, br = (gr.uniform(-1, 1, size=s) for s in ((6, 3), (3, 4), (6, 4)))
+        gam, bet = gr.uniform(0.5, 1.5, size=4), gr.uniform(-0.5, 0.5, size=4)
+        z = xr @ wr_ + br
+        z = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS)
+        if np.min(np.abs(gam * z + bet)) > 1e-3:
+            break
+    wrb = _weighted(gr, (6, 4))
+    operands = [xr, wr_, gam, bet, br]
+
+    def row_bn_loss(t, k):
+        x_, w_, g_, be_, b_ = [t if j == k else Tensor(a) for j, a in enumerate(operands)]
+        return wrb(batchnorm(x_, g_, be_, BatchNormState(4), "train", w=w_, b=b_, relu=True))
+
+    for k, operand in enumerate(operands):
+        worst = max(worst, _check(lambda t, _k=k: row_bn_loss(t, _k), operand))
+
     assert worst < TOL, f"worst primitive gradient error {worst:.3e}"
 
 
@@ -276,6 +310,19 @@ def _randomize_norm_states(states, gen) -> None:
         state.var = gen.uniform(0.2, 2.0, size=width)
 
 
+def _randomize_for_eval(model, gen, also=()) -> dict:
+    """Random running statistics, gamma and beta (and the parameters named
+    in ``also``), so the eval fold matters; returns the parameters."""
+    _randomize_norm_states(model.norm_states().values(), gen)
+    params = model.parameters()
+    for name, p in params.items():
+        if name.endswith("bn_gamma"):
+            p.data = gen.uniform(0.5, 1.5, size=p.data.shape)
+        elif name.endswith("bn_beta") or name in also:
+            p.data = gen.uniform(-0.5, 0.5, size=p.data.shape)
+    return params
+
+
 def _affine_preacts(out: Tensor) -> list[np.ndarray]:
     """Pre-activations of every ``affine`` node behind ``out``, rebuilt
     from its operands: eval mode fuses the relu into the op."""
@@ -316,13 +363,7 @@ def _check_parameters(params: dict, loss_of) -> None:
 def test_eval_mode_model_gradients(index):
     model = build_model(gradcheck_config(), RngState(92))
     gen = RngState(93).child(index).generator()
-    _randomize_norm_states(model.norm_states().values(), gen)
-    params = model.parameters()
-    for name, p in params.items():
-        if name.endswith("bn_gamma"):
-            p.data = gen.uniform(0.5, 1.5, size=p.data.shape)
-        elif name.endswith("bn_beta"):
-            p.data = gen.uniform(-0.5, 0.5, size=p.data.shape)
+    params = _randomize_for_eval(model, gen)
     assert any(name.endswith("bn_gamma") for name in params)
 
     def draw(g):
@@ -403,6 +444,21 @@ def test_relu_walk_rebuilds_fused_preactivations():
     assert sorted(got) == sorted(want) == [(12, 5), (12, 6), (12, 8)]
     for shape, a in want.items():
         np.testing.assert_allclose(got[shape], a, rtol=1e-12, atol=0, err_msg=str(shape))
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_eval_mode_broadcast_model_gradients(index):
+    # eval mode folds each broadcast block's statistics into W_x^T and the
+    # per-set row before its one affine op
+    model = build_model(_broadcast_config(), RngState(98))
+    gen = RngState(99).child(index).generator()
+    params = _randomize_for_eval(model, gen, also=("bc0.bias",))
+
+    def draw(g):
+        return g.uniform(-1.0, 1.0, size=(4, 12, 3)), g.integers(0, 3, size=4)
+
+    sets, labels = _draw_clear_of_kinks(lambda inp: model.forward(inp[0], "eval"), draw, gen)
+    _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "eval"), labels))
 
 
 @pytest.mark.parametrize("index", range(2))

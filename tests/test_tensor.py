@@ -16,6 +16,7 @@ from pinset.tensor import (
     finite_difference_gradient,
     matmul,
     mul,
+    no_grad,
     pair_aggregate,
     relu,
     reshape,
@@ -93,6 +94,23 @@ class TestAffine:
         want = backward(sum_all(mul(unfused, Tensor(g))))
         for t in (x, w, b):
             np.testing.assert_array_equal(got[t], want[t])
+
+    @pytest.mark.parametrize("use_relu", [False, True])
+    def test_row_aligned_bias_equals_matmul_then_add(self, use_relu):
+        x, w, _, g = self._operands(24)
+        b = Tensor(RngState(25).generator().uniform(-1, 1, size=(7, 5)), requires_grad=True)
+        fused = affine(x, w, b, relu=use_relu)
+        unfused = add(matmul(x, w), b)
+        if use_relu:
+            unfused = relu(unfused)
+            assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        np.testing.assert_array_equal(fused.data, unfused.data)
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        want = backward(sum_all(mul(unfused, Tensor(g))))
+        for t in (x, w, b):
+            np.testing.assert_array_equal(got[t], want[t])
+        with pytest.raises(ShapeError, match=r"\(6, 5\)"):
+            affine(x, w, Tensor(np.zeros((6, 5))))
 
     def test_relu_propagates_nan(self):
         out = affine(Tensor([[np.nan, 1.0]]), Tensor(np.ones((2, 1))), None, relu=True)
@@ -269,6 +287,24 @@ class TestBatchnormFused:
             assert np.array_equal(got[b], np.zeros(5))
             assert np.max(np.abs(want[b])) < 1e-12  # the reference's is zero up to rounding
 
+    def test_row_aligned_bias_matches_unfused_reference(self):
+        # a (rows, d) bias differs between rows, so it is not cancelled
+        x, w, _, gamma, beta, g = self._operands(47)
+        b = Tensor(RngState(48).generator().uniform(-1, 1, size=(9, 5)), requires_grad=True)
+        state, ref_state = BatchNormState(5), BatchNormState(5)
+        fused = batchnorm(x, gamma, beta, state, "train", w=w, b=b, relu=True)
+        unfused = relu(batchnorm(add(matmul(x, w), b), gamma, beta, ref_state, "train"))
+        assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        np.testing.assert_allclose(fused.data, unfused.data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.mean, ref_state.mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.var, ref_state.var, rtol=1e-12, atol=0)
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        want = backward(sum_all(mul(unfused, Tensor(g))))
+        for t in (x, w, b, gamma, beta):
+            np.testing.assert_allclose(got[t], want[t], rtol=1e-12, atol=1e-15)
+        with pytest.raises(ShapeError, match=r"\(8, 5\)"):
+            batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=Tensor(np.ones((8, 5))))
+
     def test_bias_moves_only_the_running_mean(self):
         x, w, b, gamma, beta, _ = self._operands(41)
         with_bias, without = BatchNormState(5), BatchNormState(5)
@@ -319,6 +355,52 @@ class TestBatchnormFused:
             batchnorm(x, gamma, beta, BatchNormState(5), "train", w=Tensor(np.ones((5, 5))))
         with pytest.raises(ShapeError, match=r"\(4,\)"):
             batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=Tensor(np.ones(4)))
+
+
+class TestNoGrad:
+    def _operands(self):
+        gen = RngState(50).generator()
+        x = Tensor(gen.uniform(-1, 1, size=(4, 3)))
+        w = Tensor(gen.uniform(-1, 1, size=(3, 2)), requires_grad=True)
+        return x, w
+
+    def _records(self) -> bool:
+        x, w = self._operands()
+        out = matmul(x, w)
+        return out.requires_grad and out._parents == (x, w) and out._backward is not None
+
+    def test_records_no_parents(self):
+        x, w = self._operands()
+        recorded = affine(x, w, None, relu=True)
+        with no_grad():
+            out = affine(x, w, None, relu=True)
+            loss = sum_all(out)
+        np.testing.assert_array_equal(out.data, recorded.data)
+        for node in (out, loss):
+            assert node._parents == () and node._backward is None and not node.requires_grad
+        assert self._records()
+
+    def test_recording_resumes_after_an_exception(self):
+        with pytest.raises(ShapeError):
+            with no_grad():
+                _, w = self._operands()
+                matmul(w, w)
+        assert self._records()
+
+    def test_nests(self):
+        with no_grad():
+            with no_grad():
+                assert not self._records()
+            assert not self._records()
+        assert self._records()
+
+    def test_as_decorator(self):
+        @no_grad()
+        def forward():
+            return self._records()
+
+        assert forward() is False and forward() is False
+        assert self._records()
 
 
 class TestPairAggregate:

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import struct
@@ -5,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from pinset import models as models_mod
+from pinset import tensor as tensor_mod
 from pinset import train as train_mod
 from pinset.data import SetBatch, SyntheticTaskSpec, make_synthetic_task
 from pinset.models import build_model, gradcheck_config, quadrant_config
@@ -107,6 +110,21 @@ class TestTrainLoop:
         for name, p in model.parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 1), ("batch_size", 0), ("batch_size", -4), ("epochs", -1)])
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= (2|0), got {value}"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("train_size, test_size", [(1, 32), (0, 32), (64, 0)])
+    def test_too_few_sets_rejected_before_training(self, train_size, test_size):
+        train_b, test_b = _tiny_task(train_size=train_size, test_size=test_size)
+        model = build_model(quadrant_config(), RngState(1))
+        before = {n: p.data.copy() for n, p in model.parameters().items()}
+        with pytest.raises(ValueError, match="at least 2 sets|test set is empty"):
+            train(model, train_b, test_b, TrainConfig(epochs=1), RngState(2))
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, before[name])
+
     def test_same_seed_bitwise_identical_history(self):
         train_b, test_b = _tiny_task()
         histories = []
@@ -176,7 +194,72 @@ class TestTrainLoop:
         assert a == b
 
 
+def _count_tape_nodes(monkeypatch) -> list:
+    """Wrap ``tensor._result``; the returned list collects every node that
+    records a backward."""
+    taped = []
+    result = tensor_mod._result
+
+    def counting_result(*args):
+        node = result(*args)
+        if node._backward is not None:
+            taped.append(node)
+        return node
+
+    monkeypatch.setattr(tensor_mod, "_result", counting_result)
+    return taped
+
+
+def _live_taped_tensors() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._backward is not None)
+
+
+class TestTapeLifetime:
+    def test_no_tape_alive_when_a_forward_or_evaluate_starts(self, monkeypatch):
+        train_b, test_b = _tiny_task()
+        model = build_model(models_mod.pixel_l_config(input_width=2, class_count=4), RngState(30))
+        live = []  # (what was entered, taped tensors alive at entry)
+        forward = models_mod.Model.forward
+        evaluate_ = train_mod.evaluate
+
+        def spying_forward(self, sets, mode="eval", gen=None):
+            live.append((f"forward {mode}", _live_taped_tensors()))
+            return forward(self, sets, mode, gen)
+
+        def spying_evaluate(*args, **kwargs):
+            live.append(("evaluate", _live_taped_tensors()))
+            return evaluate_(*args, **kwargs)
+
+        monkeypatch.setattr(models_mod.Model, "forward", spying_forward)
+        monkeypatch.setattr(train_mod, "evaluate", spying_evaluate)
+        train(model, train_b, test_b, TrainConfig(epochs=2, batch_size=16), RngState(31))
+        entered = [what for what, _ in live]
+        assert entered.count("forward train") == 2 * 4 and entered.count("evaluate") == 2
+        assert [(what, n) for what, n in live if n] == []
+
+
 class TestEvaluate:
+    def test_builds_no_tape(self, monkeypatch):
+        train_b, test_b = _tiny_task()
+        model = build_model(quadrant_config(), RngState(32))
+        train(model, train_b, test_b, TrainConfig(epochs=1), RngState(33))
+        taped = _count_tape_nodes(monkeypatch)
+        # the same function without its no_grad decorator records a tape
+        recording = getattr(evaluate, "__wrapped__", evaluate)(model, test_b, chunk=16)
+        assert len(taped) > 0
+        del taped[:]
+        assert evaluate(model, test_b, chunk=16) == recording
+        assert len(taped) == 0, f"evaluate recorded {len(taped)} tape nodes"
+
+    def test_recording_resumes_after_a_rejected_label(self):
+        model = build_model(quadrant_config(), RngState(34))
+        sets = RngState(35).generator().uniform(-1, 1, size=(3, 16, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(model, SetBatch(sets=sets, labels=[0, 7, 3]))
+        logits = model.forward(sets, "eval")
+        assert logits._backward is not None and logits.requires_grad
+
     def test_constant_predictor_on_balanced_ten_classes(self):
         from pinset.models import digits_config
 
