@@ -49,6 +49,7 @@ from .train import (
     CheckpointError,
     DivergenceError,
     TrainConfig,
+    check_sizes,
     evaluate,
     load_checkpoint,
     train,
@@ -225,29 +226,17 @@ def cmd_train(args) -> int:
     train_batch, test_batch = _load_task_data(cfg, args.seed)
     model_config = _model_config_from(cfg)
     _check_data_fits(model_config, train_batch, test_batch)
-    if train_batch.size < 2:
-        raise ConfigError(
-            f"training needs at least 2 sets, data.train_size gives {train_batch.size}",
-            key="data.train_size",
-        )
-    if test_batch.size == 0:
-        raise ConfigError(
-            "every epoch ends with an evaluation, but data.test_size gives no test sets",
-            key="data.test_size",
-        )
-    try:
-        train_cfg = TrainConfig(
-            epochs=cfg["train.epochs"],
-            batch_size=cfg["train.batch_size"],
-            lr=cfg["optimizer.lr"],
-            momentum=cfg["optimizer.momentum"],
-            weight_decay=cfg["optimizer.weight_decay"],
-            lr_drop_epoch=cfg["train.lr_drop_epoch"],
-            warmup_epochs=cfg["train.warmup_epochs"],
-            checkpoint_every=cfg["train.checkpoint_every"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train.{exc}") from exc
+    check_sizes(train_batch, test_batch)
+    train_cfg = TrainConfig(
+        epochs=cfg["train.epochs"],
+        batch_size=cfg["train.batch_size"],
+        lr=cfg["optimizer.lr"],
+        momentum=cfg["optimizer.momentum"],
+        weight_decay=cfg["optimizer.weight_decay"],
+        lr_drop_epoch=cfg["train.lr_drop_epoch"],
+        warmup_epochs=cfg["train.warmup_epochs"],
+        checkpoint_every=cfg["train.checkpoint_every"],
+    )
     rng = RngState(args.seed)
     model = build_model(model_config, rng.child("model"))
     os.makedirs(args.out, exist_ok=True)

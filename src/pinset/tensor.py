@@ -343,9 +343,10 @@ def batchnorm(
     shifts the batch mean that goes into the running mean, and its
     gradient is exactly zero. A row-aligned ``(rows, d)`` bias differs
     from row to row, so it is added, and its gradient is the masked,
-    normalized ``g`` that the GEMM gradients read. Eval mode takes
-    neither: ``Mlp.forward`` and ``broadcast_batched`` fold eval batchnorm
-    into the layer's weights and bias and run ``affine`` instead.
+    normalized ``g`` that the GEMM gradients read. ``relu`` is taken only
+    together with ``w``. Eval mode takes none of the three: ``Mlp.forward``
+    and ``broadcast_batched`` fold eval batchnorm into the layer's weights
+    and bias and run ``affine`` instead.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got shape {x.data.shape}")
@@ -353,6 +354,8 @@ def batchnorm(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if w is None and b is not None:
         raise ValueError("batchnorm takes a bias only together with a weight matrix w")
+    if w is None and relu:
+        raise ValueError("batchnorm takes relu only together with a weight matrix w")
     if w is not None:
         if mode != "train":
             raise ValueError("only train-mode batchnorm fuses a linear map; eval mode folds it into w")
@@ -369,11 +372,8 @@ def batchnorm(
         y = x.data - mean
         y *= gamma.data * inv_std
         y += beta.data
-        mask = _relu_in_place(y) if relu else None
 
         def bwd_eval(g):
-            if relu:
-                g = g * mask
             # the normalized input is rebuilt only when a gradient is needed
             xhat = (x.data - mean) * inv_std
             return (
@@ -382,8 +382,6 @@ def batchnorm(
                 (beta, g.sum(axis=0)),
             )
 
-        if relu:
-            bwd_eval.preactivation = lambda: (x.data - mean) * (gamma.data * inv_std) + beta.data
         return _result(y, (x, gamma, beta), bwd_eval)
 
     if m < 2:

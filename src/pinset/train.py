@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models as models_mod
+from .config import ConfigError
 from .data import SetBatch
 from .models import Model, ModelConfig, build_model
 from .rng import RngState
@@ -108,13 +109,31 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
     def __post_init__(self):
+        # ConfigError is a ValueError that names the run-config key at fault
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}", key="train.epochs")
         if self.batch_size < 2:
-            raise ValueError(
-                f"batch_size must be >= 2, got {self.batch_size}: batch normalization "
-                "needs two sets per batch"
+            raise ConfigError(
+                f"train.batch_size must be >= 2, got {self.batch_size}: batch normalization "
+                "needs two sets per batch",
+                key="train.batch_size",
             )
+
+
+def check_sizes(train_batch: SetBatch, test_batch: SetBatch) -> None:
+    """Training needs at least two training sets, because batch
+    normalization needs two rows, and one test set, because every epoch
+    ends with an evaluation. Raises ConfigError naming the size at fault."""
+    if train_batch.size < 2:
+        raise ConfigError(
+            f"training needs at least 2 sets, data.train_size gives {train_batch.size}",
+            key="data.train_size",
+        )
+    if test_batch.size < 1:
+        raise ConfigError(
+            "every epoch ends with an evaluation, but data.test_size gives no test sets",
+            key="data.test_size",
+        )
 
 
 @no_grad()
@@ -152,20 +171,6 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     }
 
 
-def _step(model, params, sets, labels, gen, state, epoch: int, batch: int) -> tuple[float, int]:
-    """One SGD step on one batch: its loss and its count of correct
-    predictions. The step's tape lives in this frame only, so it is freed
-    on return, before the next forward or the epoch's evaluation."""
-    logits = model.forward(sets, "train", gen)
-    loss = softmax_cross_entropy(logits, labels)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise DivergenceError(epoch, batch, value)
-    grad_map = backward(loss, list(params.values()))
-    sgd_step(params, {name: grad_map[p] for name, p in params.items()}, state)
-    return value, int((logits.data.argmax(axis=1) == labels).sum())
-
-
 def train(
     model: Model,
     train_batch: SetBatch,
@@ -178,14 +183,11 @@ def train(
 
     Deterministic given the seed: shuffling and dropout draw from streams
     derived per epoch. Writes checkpoints under ``out_dir`` when given.
-    Needs at least two training sets (batch normalization needs two rows)
-    and one test set; both are checked before any epoch runs.
+    The data sizes are checked by ``check_sizes`` before any epoch runs.
     """
-    if train_batch.size < 2:
-        raise ValueError(f"training needs at least 2 sets, got {train_batch.size}")
-    if test_batch.size < 1:
-        raise ValueError("every epoch ends with an evaluation, but the test set is empty")
+    check_sizes(train_batch, test_batch)
     params = model.parameters()
+    param_list = list(params.values())
     state = OptimizerState(momentum=cfg.momentum, weight_decay=cfg.weight_decay, lr=cfg.lr)
     schedule = LrSchedule(cfg.lr, cfg.lr_drop_epoch, warmup_epochs=cfg.warmup_epochs)
     history: list[dict] = []
@@ -203,12 +205,18 @@ def train(
             if idx.size < 2:
                 continue  # a singleton batch starves the head's normalization
             labels = train_batch.labels[idx]
-            value, correct = _step(
-                model, params, train_batch.sets[idx], labels, dropout_gen, state, epoch, bi
-            )
+            logits = model.forward(train_batch.sets[idx], "train", dropout_gen)
+            loss = softmax_cross_entropy(logits, labels)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise DivergenceError(epoch, bi, value)
+            grad_map = backward(loss, param_list)
+            sgd_step(params, {name: grad_map[p] for name, p in params.items()}, state)
             loss_sum += value * idx.size
-            hit += correct
+            hit += int((logits.data.argmax(axis=1) == labels).sum())
             seen += idx.size
+            # free this step's tape before the next forward and the evaluation
+            del logits, loss, grad_map
         train_time = time.perf_counter() - t0
         history.append(
             {

@@ -422,13 +422,15 @@ def test_relu_walk_finds_every_relu_input():
 
 
 def test_relu_walk_rebuilds_fused_preactivations():
-    # fused w -> batchnorm -> relu MLP layers, then a broadcast-style
-    # batchnorm + relu without a linear map
+    # fused w -> batchnorm -> relu MLP layers, then a broadcast block's
+    # batchnorm with a row-aligned bias: 4 sets of 3 rows, one tiled row each
     mlp = Mlp(MlpSpec([3, 8, 6, 5]), RngState(96))
     gen = RngState(97).generator()
     x = Tensor(gen.uniform(-1, 1, size=(12, 3)))
-    gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=5)), Tensor(gen.uniform(-0.5, 0.5, size=5))
-    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(5), "train", relu=True)
+    w_x, per_set = Tensor(gen.uniform(-1, 1, size=(5, 7))), Tensor(gen.uniform(-1, 1, size=(4, 7)))
+    gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=7)), Tensor(gen.uniform(-0.5, 0.5, size=7))
+    tiled = tile_rows(per_set, 3)
+    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), "train", w=w_x, b=tiled, relu=True)
     got = {a.shape: a for a in _relu_inputs(out)}
 
     # the same layers unfused: affine, then batchnorm, then relu
@@ -439,9 +441,10 @@ def test_relu_walk_rebuilds_fused_preactivations():
             h = batchnorm(h, mlp.bn_gamma[i], mlp.bn_beta[i], BatchNormState(h.shape[1]), "train")
             want[h.shape] = h.data
             h = relu(h)
-    h = batchnorm(h, gamma, beta, BatchNormState(5), "train")
+    h = batchnorm(add(matmul(h, w_x), tiled), gamma, beta, BatchNormState(7), "train")
     want[h.shape] = h.data
-    assert sorted(got) == sorted(want) == [(12, 5), (12, 6), (12, 8)]
+    np.testing.assert_allclose(out.data, relu(h).data, rtol=1e-12, atol=0)
+    assert sorted(got) == sorted(want) == [(12, 6), (12, 7), (12, 8)]
     for shape, a in want.items():
         np.testing.assert_allclose(got[shape], a, rtol=1e-12, atol=0, err_msg=str(shape))
 

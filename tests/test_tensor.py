@@ -348,6 +348,9 @@ class TestBatchnormFused:
             batchnorm(x, gamma, beta, BatchNormState(5), "eval", w=w)
         with pytest.raises(ValueError, match="bias only together with a weight"):
             batchnorm(affine(x, w, None), gamma, beta, BatchNormState(5), "train", b=b)
+        for mode in ("train", "eval"):
+            with pytest.raises(ValueError, match="relu only together with a weight"):
+                batchnorm(affine(x, w, None), gamma, beta, BatchNormState(5), mode, relu=True)
 
     def test_shape_mismatches_rejected(self):
         x, w, b, gamma, beta, _ = self._operands(46)
