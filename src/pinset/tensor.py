@@ -16,7 +16,9 @@ parents, so nothing keeps the arrays an op saved for its backward.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
+import os
 
 import numpy as np
 
@@ -26,6 +28,42 @@ _ids = itertools.count()
 _recording = True  # cleared inside no_grad()
 
 BN_EPS = 1e-5
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_FREED_BYTES = 1 << 30
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed memory in the process; runs once at import.
+
+    Every forward frees its arrays as it goes. By default glibc serves
+    large arrays from fresh ``mmap`` regions and trims the heap top once
+    they are freed, so the next step or eval chunk faults in zeroed pages
+    from the kernel again. Raising both thresholds to 1 GiB makes freed
+    arrays stay in the heap for reuse. The cost: up to 1 GiB of freed
+    heap stays mapped in the process instead of going back to the OS.
+    Peak RSS does not change, because it is reached before the frees.
+
+    Does nothing without glibc, without a ``mallopt`` symbol, or once a
+    call returns 0. Looks glibc up through ``os.confstr`` and the
+    process's own symbols, not ``ctypes.util``, which costs milliseconds.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+        if mallopt(param, _KEEP_FREED_BYTES) == 0:
+            return
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):

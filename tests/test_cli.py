@@ -186,6 +186,8 @@ class TestConfigErrorsAreOneLine:
         ("data.train_size=1", "training needs at least 2 sets, data.train_size gives 1"),
         ("data.test_size=0", "data.test_size gives no test sets"),
         ("train.epochs=-1", "train.epochs must be >= 0, got -1"),
+        ("train.checkpoint_every=-1", "train.checkpoint_every must be >= 0, got -1"),
+        ("train.warmup_epochs=-2", "train.warmup_epochs must be >= 0, got -2"),
     ],
 )
 def test_bad_training_size_is_one_config_error(override, message, quadrant_config, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+from pinset import tensor as tensor_mod
 from pinset.rng import RngState
 from pinset.tensor import (
     BN_EPS,
@@ -586,3 +589,69 @@ def test_finite_values_preserved_by_public_ops():
     ]
     for out in outs:
         assert np.all(np.isfinite(out))
+
+
+def _raiser(exc):
+    def fail(*args):
+        raise exc
+
+    return fail
+
+
+class TestKeepFreedMemory:
+    """The import-time allocator setting: two exact mallopt calls on
+    glibc, and nothing, silently, anywhere else."""
+
+    @pytest.fixture
+    def fake_glibc(self, monkeypatch):
+        """Installs a fake glibc whose mallopt returns ``result`` and
+        records its arguments in the list it returns."""
+
+        def install(result=1):
+            calls = []
+
+            def mallopt(param, value):
+                calls.append((param, value))
+                return result
+
+            monkeypatch.setattr(tensor_mod.os, "confstr", lambda name: "glibc 2.36")
+            monkeypatch.setattr(tensor_mod.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+            return calls
+
+        return install
+
+    def test_glibc_gets_both_thresholds(self, fake_glibc):
+        calls = fake_glibc()
+        tensor_mod._keep_freed_memory()
+        # M_TRIM_THRESHOLD, then M_MMAP_THRESHOLD, both 1 GiB
+        assert calls == [(-1, 1 << 30), (-3, 1 << 30)]
+
+    @pytest.mark.parametrize(
+        "confstr",
+        [lambda name: None, _raiser(ValueError("unrecognized configuration name")), _raiser(OSError(22, "EINVAL"))],
+    )
+    def test_no_glibc_version_leaves_malloc_alone(self, fake_glibc, monkeypatch, confstr):
+        calls = fake_glibc()
+        monkeypatch.setattr(tensor_mod.os, "confstr", confstr)
+        tensor_mod._keep_freed_memory()
+        assert calls == []
+
+    def test_no_confstr_leaves_malloc_alone(self, fake_glibc, monkeypatch):
+        calls = fake_glibc()
+        monkeypatch.delattr(tensor_mod.os, "confstr")
+        tensor_mod._keep_freed_memory()
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "cdll", [lambda name: types.SimpleNamespace(), _raiser(OSError("cannot open shared object"))]
+    )
+    def test_libc_without_mallopt(self, fake_glibc, monkeypatch, cdll):
+        calls = fake_glibc()
+        monkeypatch.setattr(tensor_mod.ctypes, "CDLL", cdll)
+        tensor_mod._keep_freed_memory()
+        assert calls == []
+
+    def test_refused_call_ends_the_setting(self, fake_glibc):
+        calls = fake_glibc(result=0)
+        tensor_mod._keep_freed_memory()
+        assert calls == [(-1, 1 << 30)]

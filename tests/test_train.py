@@ -2,6 +2,8 @@ import gc
 import io
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +323,62 @@ class TestEvaluate:
         b = evaluate(model, SetBatch(sets=permuted, labels=test_b.labels.copy()))
         assert a["accuracy"] == b["accuracy"]
         assert a["correct"] == b["correct"]
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+# Runs in a fresh process: in this one, earlier tests have already grown
+# glibc's dynamic thresholds, which hides the faults the setting removes.
+_FAULT_PROBE = """
+import resource
+
+from pinset.data import SyntheticTaskSpec, make_synthetic_task
+from pinset.models import build_model, quadrant_config
+from pinset.rng import RngState
+from pinset.tensor import backward, softmax_cross_entropy
+from pinset.train import OptimizerState, evaluate, sgd_step
+
+train_b, test_b = make_synthetic_task(SyntheticTaskSpec(set_size=32, train_size=128, test_size=256, seed=40))
+model = build_model(quadrant_config(), RngState(41))
+params = model.parameters()
+param_list = list(params.values())
+state = OptimizerState()
+gen = RngState(42).generator()
+
+
+def steps_and_evaluate():
+    for start in range(0, train_b.size, 32):
+        logits = model.forward(train_b.sets[start : start + 32], "train", gen)
+        grad_map = backward(softmax_cross_entropy(logits, train_b.labels[start : start + 32]), param_list)
+        sgd_step(params, {name: grad_map[p] for name, p in params.items()}, state)
+    evaluate(model, test_b)
+
+
+steps_and_evaluate()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps_and_evaluate()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator setting in pinset.tensor applies only to glibc")
+def test_warm_steps_and_evaluate_fault_in_no_fresh_pages():
+    """Freed arrays stay in the heap (``tensor._keep_freed_memory``), so
+    warm train steps and eval chunks reuse their pages. Without the
+    setting, 4 quadrant steps and a 256-set evaluate take about 480
+    minor faults."""
+    src = os.path.dirname(os.path.dirname(tensor_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    faults = int(result.stdout)
+    assert faults < 64, f"4 warm train steps and a 256-set evaluate took {faults} minor page faults"
 
 
 class TestMetricsCsv:
