@@ -26,7 +26,6 @@ from .tensor import (
     mul,
     no_grad,
     pair_aggregate,
-    relu,
     reshape,
     set_softmax,
     squashing,
@@ -85,10 +84,10 @@ def _init_linear(gen: np.random.Generator, d_in: int, d_out: int, use_bias: bool
 
 
 def _apply_activation(h: Tensor, kind: str, set_size: int | None) -> Tensor:
+    """An activation other than relu, after a layer's op. ``Mlp.forward``
+    fuses every relu into the ``affine`` or ``batchnorm`` op itself."""
     if kind == "none":
         return h
-    if kind == "relu":
-        return relu(h)
     if kind == "squashing":
         return squashing(h)
     # softmax over the set axis: fold the stacked rows back into sets
@@ -177,9 +176,7 @@ class Mlp:
             if gamma is None:
                 h = affine(h, w, b, relu=fuse_relu)
             elif mode == "train":
-                h = batchnorm(
-                    h, gamma, self.bn_beta[i], self.bn_states[i], mode, w=w, b=b, relu=fuse_relu
-                )
+                h = batchnorm(h, gamma, self.bn_beta[i], self.bn_states[i], w=w, b=b, relu=fuse_relu)
             else:
                 w, b = _fold_batchnorm(w, b, gamma, self.bn_beta[i], self.bn_states[i])
                 h = affine(h, w, b, relu=fuse_relu)
@@ -377,7 +374,7 @@ def broadcast_batched(
     row = add(matmul(y, transpose(block.w_y)), block.bias)
     if mode == "train":
         b = tile_rows(row, set_size)
-        return batchnorm(x_flat, block.gamma, block.beta, block.state, mode, w=w, b=b, relu=True)
+        return batchnorm(x_flat, block.gamma, block.beta, block.state, w=w, b=b, relu=True)
     w, row = _fold_batchnorm(w, row, block.gamma, block.beta, block.state)
     return affine(x_flat, w, tile_rows(row, set_size), relu=True)
 

@@ -356,6 +356,10 @@ def cmd_params(args) -> int:
                 raise ConfigError(
                     f"bad value for params.factorization: {spec!r}", key="params.factorization"
                 ) from exc
+            if s < 1 or t < 1:
+                raise ConfigError(
+                    f"params.factorization needs positive widths, got {spec!r}", key="params.factorization"
+                )
             pairs = [(s, t)]
         for s, t in pairs:
             report = param_count(point_ablation_config(s, t))

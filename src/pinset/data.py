@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .rng import RngState
 
 IMAGE_MAGIC = 0x00000803
@@ -190,7 +191,14 @@ def pixel_set_batch(
     rng: RngState | None = None,
     downsample: int = 1,
 ) -> SetBatch:
-    """Convert a stack of images to a batch of pixel sets."""
+    """Convert a stack of images to a batch of pixel sets, each image
+    first mean-pooled by ``downsample``, which must divide its sides."""
+    sides = images.shape[1:]
+    if downsample < 1 or sides[0] % downsample or sides[1] % downsample:
+        raise ConfigError(
+            f"data.downsample must be a positive divisor of the image sides {sides}, got {downsample}",
+            key="data.downsample",
+        )
     sets = []
     for i in range(images.shape[0]):
         img = images[i]
@@ -225,6 +233,14 @@ class SyntheticTaskSpec:
     test_size: int = 500
     seed: int = 0
     margin: float = 0.15
+
+    def __post_init__(self):
+        # fewer than 2 elements never give a majority with a lead of 2, so
+        # _quadrant_set would redraw forever
+        if self.set_size < 2:
+            raise ConfigError(f"data.set_size must be >= 2, got {self.set_size}", key="data.set_size")
+        if not 0.0 <= self.margin <= 1.0:
+            raise ConfigError(f"data.margin must be in [0, 1], got {self.margin}", key="data.margin")
 
 
 def quadrant_of(point) -> int:

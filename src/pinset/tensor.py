@@ -28,6 +28,7 @@ _ids = itertools.count()
 _recording = True  # cleared inside no_grad()
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # weight of each batch in the running statistics
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -288,22 +289,11 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a,), bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    # the mask is taken while the input is hot in cache: rebuilding it in
-    # backward rereads 8 bytes per element instead of 1
-    mask = a.data > 0
-
-    def bwd(g):
-        return ((a, g * mask),)
-
-    bwd.preactivation = lambda: a.data
-    # np.maximum (unlike where) propagates NaN, keeping divergence visible
-    return _result(np.maximum(a.data, 0.0), (a,), bwd)
-
-
 def _relu_in_place(y: np.ndarray) -> np.ndarray:
     """Relu of an array the calling op allocated, in place. Returns the
-    1-byte mask of positive entries, taken while ``y`` is in cache."""
+    1-byte mask of positive entries for the backward: taken here, while
+    ``y`` is hot in cache, it costs one byte per element to keep, where
+    rebuilding it in the backward would reread eight."""
     mask = y > 0
     np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
     return mask
@@ -361,82 +351,47 @@ def batchnorm(
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
-    mode: str,
-    momentum: float = 0.1,
     *,
-    w: Tensor | None = None,
+    w: Tensor,
     b: Tensor | None = None,
     relu: bool = False,
 ) -> Tensor:
-    """Per-feature normalization over the rows of a 2-D tensor, then
-    ``gamma * xhat + beta`` and, when ``relu`` is set, a relu.
+    """One train-mode layer: ``x @ w + b``, normalized per feature over
+    the rows by batch statistics (biased variance plus ``BN_EPS``), then
+    ``gamma * xhat + beta`` and, when ``relu`` is set, a relu. Needs at
+    least two rows. The batch statistics are folded into the running
+    statistics with weight ``BN_MOMENTUM``.
 
-    Train mode normalizes by batch statistics (biased variance plus
-    ``BN_EPS``) and folds them into the running statistics; eval mode uses
-    the stored statistics. Train mode needs at least two rows.
+    A ``(d,)`` bias row is cancelled by subtracting the batch mean, so
+    ``BN(x @ w + b) == BN(x @ w)``; it only shifts the batch mean that goes
+    into the running mean, and its gradient is exactly zero. A row-aligned
+    ``(rows, d)`` bias differs from row to row, so it is added, and its
+    gradient is the masked, normalized ``g`` that the GEMM gradients read.
 
-    In train mode ``w`` and ``b`` fuse the dense layer in front: the op
-    normalizes ``x @ w + b``. A ``(d,)`` bias row is cancelled by
-    subtracting the batch mean, so ``BN(x @ w + b) == BN(x @ w)``; it only
-    shifts the batch mean that goes into the running mean, and its
-    gradient is exactly zero. A row-aligned ``(rows, d)`` bias differs
-    from row to row, so it is added, and its gradient is the masked,
-    normalized ``g`` that the GEMM gradients read. ``relu`` is taken only
-    together with ``w``. Eval mode takes none of the three: ``Mlp.forward``
-    and ``broadcast_batched`` fold eval batchnorm into the layer's weights
-    and bias and run ``affine`` instead.
+    There is no eval mode: ``Mlp.forward`` and ``broadcast_batched`` fold
+    the stored statistics into the layer's weights and bias and run
+    ``affine`` instead.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got shape {x.data.shape}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if w is None and b is not None:
-        raise ValueError("batchnorm takes a bias only together with a weight matrix w")
-    if w is None and relu:
-        raise ValueError("batchnorm takes relu only together with a weight matrix w")
-    if w is not None:
-        if mode != "train":
-            raise ValueError("only train-mode batchnorm fuses a linear map; eval mode folds it into w")
-        if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-            raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-        out_shape = (x.data.shape[0], w.data.shape[1])
-        if b is not None and b.data.shape not in (out_shape[1:], out_shape):
-            raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
+    if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
+    out_shape = (x.data.shape[0], w.data.shape[1])
+    if b is not None and b.data.shape not in (out_shape[1:], out_shape):
+        raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
     row_aligned = b is not None and b.data.ndim == 2
     m = x.data.shape[0]
-    if mode == "eval":
-        inv_std = 1.0 / np.sqrt(state.var + BN_EPS)
-        mean = state.mean
-        y = x.data - mean
-        y *= gamma.data * inv_std
-        y += beta.data
-
-        def bwd_eval(g):
-            # the normalized input is rebuilt only when a gradient is needed
-            xhat = (x.data - mean) * inv_std
-            return (
-                (x, g * (gamma.data * inv_std)),
-                (gamma, np.einsum("ij,ij->j", g, xhat)),
-                (beta, g.sum(axis=0)),
-            )
-
-        return _result(y, (x, gamma, beta), bwd_eval)
-
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
-    if w is None:
-        mean = x.data.mean(axis=0)
-        xhat = x.data - mean
-    else:
-        xhat = x.data @ w.data
-        if row_aligned:
-            xhat += b.data
-        mean = xhat.mean(axis=0)
-        xhat -= mean
+    xhat = x.data @ w.data
+    if row_aligned:
+        xhat += b.data
+    mean = xhat.mean(axis=0)
+    xhat -= mean
     var = np.einsum("ij,ij->j", xhat, xhat) / m
     batch_mean = mean if b is None or row_aligned else mean + b.data
-    state.mean = (1.0 - momentum) * state.mean + momentum * batch_mean
-    state.var = (1.0 - momentum) * state.var + momentum * var
+    state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
+    state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     y = xhat * gamma.data
@@ -453,11 +408,7 @@ def batchnorm(
         gz *= scale
         gz -= scale * sum_g / m
         gz -= xhat * (scale * sum_gx / m)
-        if w is None:
-            grads = [(x, gz)]
-        else:
-            grads = [(x, gz @ w.data.T), (w, x.data.T @ gz)]
-        grads += [(gamma, sum_gx), (beta, sum_g)]
+        grads = [(x, gz @ w.data.T), (w, x.data.T @ gz), (gamma, sum_gx), (beta, sum_g)]
         if b is not None:
             grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
         return grads
@@ -465,7 +416,7 @@ def batchnorm(
     if relu:
         # rebuilt on request, so no full-size pre-activation stays alive
         bwd.preactivation = lambda: xhat * gamma.data + beta.data
-    parents = (x, gamma, beta) if w is None else (x, w, gamma, beta)
+    parents = (x, w, gamma, beta)
     return _result(y, parents if b is None else parents + (b,), bwd)
 
 

@@ -118,8 +118,8 @@ class TrainConfig:
                 "needs two sets per batch",
                 key="train.batch_size",
             )
-        # 0 turns either off; a negative value would silently act as a setting
-        for key in ("warmup_epochs", "checkpoint_every"):
+        # a negative value would silently act as 0
+        for key in ("lr_drop_epoch", "warmup_epochs", "checkpoint_every"):
             value = getattr(self, key)
             if value < 0:
                 raise ConfigError(f"train.{key} must be >= 0, got {value}", key=f"train.{key}")

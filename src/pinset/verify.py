@@ -402,9 +402,8 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
 
 def _relu_inputs(out: Tensor) -> list[np.ndarray]:
     """Pre-activations of every relu in the graph behind ``out``: each op
-    that applies a relu (``relu``, and ``affine`` or ``batchnorm`` with
-    ``relu=True``) gives its backward a ``preactivation()`` that returns or
-    rebuilds them."""
+    that fuses a relu (``affine`` or ``batchnorm`` with ``relu=True``)
+    gives its backward a ``preactivation()`` that rebuilds them."""
     return [
         node._backward.preactivation()
         for node in _reachable(out)

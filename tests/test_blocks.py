@@ -6,7 +6,6 @@ from pinset.blocks import (
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
-    _apply_activation,
     aggregate,
     aggregate_order_n,
     broadcast_batched,
@@ -15,7 +14,7 @@ from pinset.blocks import (
 )
 from pinset.decomp import numeric_rank
 from pinset.rng import RngState
-from pinset.tensor import BN_EPS, Tensor, add, batchnorm, matmul
+from pinset.tensor import BN_EPS, Tensor
 
 
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
@@ -83,16 +82,24 @@ def _with_running_stats(mlp: Mlp, seed: int) -> Mlp:
     return mlp
 
 
-def _unfused_eval(mlp: Mlp, x: Tensor, set_size: int) -> Tensor:
-    """Eval-mode forward as four separate ops per layer, no folding."""
+def _unfused_eval(mlp: Mlp, x: np.ndarray, set_size: int) -> np.ndarray:
+    """Eval-mode forward in plain numpy, one step at a time per layer:
+    linear map, batchnorm by the stored statistics, activation."""
     h = x
     for i in range(mlp.n_layers):
-        h = matmul(h, mlp.weights[i])
+        h = h @ mlp.weights[i].data
         if mlp.biases[i] is not None:
-            h = add(h, mlp.biases[i])
-        if mlp.bn_gamma[i] is not None:
-            h = batchnorm(h, mlp.bn_gamma[i], mlp.bn_beta[i], mlp.bn_states[i], "eval")
-        h = _apply_activation(h, mlp._layer_activation(i), set_size)
+            h = h + mlp.biases[i].data
+        state = mlp.bn_states[i]
+        if state is not None:
+            h = (h - state.mean) / np.sqrt(state.var + BN_EPS) * mlp.bn_gamma[i].data + mlp.bn_beta[i].data
+        kind = mlp._layer_activation(i)
+        if kind == "relu":
+            h = np.maximum(h, 0.0)
+        elif kind == "softmax_set":
+            sets = h.reshape(-1, set_size, h.shape[1])
+            e = np.exp(sets - sets.max(axis=1, keepdims=True))
+            h = (e / e.sum(axis=1, keepdims=True)).reshape(h.shape)
     return h
 
 
@@ -104,7 +111,7 @@ class TestMlpEvalFold:
         mlp = _with_running_stats(Mlp(spec, RngState(30)), 31)
         x = Tensor(RngState(32).generator().uniform(-1, 1, size=(4 * 9, 3)))
         got = mlp.forward(x, "eval", set_size=9).data
-        want = _unfused_eval(mlp, x, 9).data
+        want = _unfused_eval(mlp, x.data, 9)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_eval_does_not_touch_running_stats(self):

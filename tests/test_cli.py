@@ -188,10 +188,22 @@ class TestConfigErrorsAreOneLine:
         ("train.epochs=-1", "train.epochs must be >= 0, got -1"),
         ("train.checkpoint_every=-1", "train.checkpoint_every must be >= 0, got -1"),
         ("train.warmup_epochs=-2", "train.warmup_epochs must be >= 0, got -2"),
+        ("train.lr_drop_epoch=-1", "train.lr_drop_epoch must be >= 0, got -1"),
+        ("data.set_size=0", "data.set_size must be >= 2, got 0"),
+        ("data.set_size=1", "data.set_size must be >= 2, got 1"),
+        ("data.margin=5", "data.margin must be in [0, 1], got 5.0"),
+        ("data.margin=-0.1", "data.margin must be in [0, 1], got -0.1"),
+        ("data.downsample=0", "data.downsample must be a positive divisor of the image sides (4, 4), got 0"),
+        ("data.downsample=-2", "data.downsample must be a positive divisor of the image sides (4, 4), got -2"),
+        ("data.downsample=3", "data.downsample must be a positive divisor of the image sides (4, 4), got 3"),
     ],
 )
 def test_bad_training_size_is_one_config_error(override, message, quadrant_config, tmp_path, capsys):
-    argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "o"), "--set", override]
+    config = quadrant_config
+    if override.startswith("data.downsample"):
+        # only the pixel-idx task reads the key: 4x4 images
+        config = _pixel_idx_config(tmp_path, "model.preset = pixel-s")
+    argv = ["train", "--config", config, "--out", str(tmp_path / "o"), "--set", override]
     assert main(argv) == 1
     assert message in _one_config_error(capsys)
     assert not (tmp_path / "o").exists()
@@ -343,6 +355,12 @@ class TestParamsCommand:
         empty = tmp_path / "empty.cfg"
         empty.write_text("")
         assert main(["params", "--config", str(empty)]) == 1
+
+    @pytest.mark.parametrize("factorization", ["0x4", "-2x4", "4x0"])
+    def test_non_positive_factorization_is_one_config_error(self, factorization, tmp_path, capsys):
+        argv = ["params", "--out", str(tmp_path), "--set", "params.preset=table6"]
+        assert main(argv + ["--set", f"params.factorization={factorization}"]) == 1
+        assert "params.factorization" in _one_config_error(capsys)
 
 
 def _extract_json(capsys):

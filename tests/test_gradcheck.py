@@ -2,9 +2,11 @@
 
 The analytic gradient of a scalar loss through each op is compared with
 central finite differences (h = 1e-5) on random inputs in [-1, 1], 100
-seeded trials per primitive, guarded relative error below 1e-6. Inputs
-for the relu trial are kept a safe margin away from the kink, where the
-derivative does not exist and finite differences are meaningless.
+seeded trials per primitive, guarded relative error below 1e-6. The relu
+exists only fused into ``affine`` and ``batchnorm``; their trials redraw
+inputs until every pre-activation is a safe margin away from the kink,
+where the derivative does not exist and finite differences are
+meaningless.
 
 A small model with a broadcast block is checked end to end the way the
 gradcheck verify suite checks its preset, which has no broadcast block.
@@ -41,7 +43,6 @@ from pinset.tensor import (
     matmul,
     mul,
     pair_aggregate,
-    relu,
     reshape,
     set_softmax,
     softmax_cross_entropy,
@@ -100,19 +101,6 @@ def test_primitive_gradients(trial):
     ws = _weighted(gen, (6, 3))
     worst = max(worst, _check(lambda t: ws(set_softmax(t)), gen.uniform(-1, 1, size=(6, 3))))
     worst = max(worst, _check(lambda t: ws(squashing(t)), gen.uniform(-1, 1, size=(6, 3))))
-
-    relu_in = gen.uniform(-1, 1, size=(6, 3))
-    relu_in = np.where(np.abs(relu_in) < 1e-3, 0.5, relu_in)  # keep clear of the kink
-    worst = max(worst, _check(lambda t: ws(relu(t)), relu_in))
-
-    gamma = gen.uniform(0.5, 1.5, size=3)
-    beta = gen.uniform(-0.5, 0.5, size=3)
-    for mode in ("train", "eval"):
-        def bn_loss(t, _mode=mode):
-            state = BatchNormState(3)
-            return ws(batchnorm(t, Tensor(gamma), Tensor(beta), state, _mode))
-
-        worst = max(worst, _check(bn_loss, gen.uniform(-1, 1, size=(6, 3))))
 
     a3 = gen.uniform(-1, 1, size=(2, 5, 3))
     b3 = gen.uniform(-1, 1, size=(2, 5, 4))
@@ -187,7 +175,7 @@ def test_primitive_gradients(trial):
             def fused_loss(t, k, _relu=use_relu, _operands=operands):
                 x_, w_, g_, be_, *b_ = [t if j == k else Tensor(a) for j, a in enumerate(_operands)]
                 state = BatchNormState(4)
-                return wbn(batchnorm(x_, g_, be_, state, "train", w=w_, b=b_[0] if b_ else None, relu=_relu))
+                return wbn(batchnorm(x_, g_, be_, state, w=w_, b=b_[0] if b_ else None, relu=_relu))
 
             for k, operand in enumerate(operands):
                 worst = max(worst, _check(lambda t, _k=k: fused_loss(t, _k), operand))
@@ -221,7 +209,7 @@ def test_primitive_gradients(trial):
 
     def row_bn_loss(t, k):
         x_, w_, g_, be_, b_ = [t if j == k else Tensor(a) for j, a in enumerate(operands)]
-        return wrb(batchnorm(x_, g_, be_, BatchNormState(4), "train", w=w_, b=b_, relu=True))
+        return wrb(batchnorm(x_, g_, be_, BatchNormState(4), w=w_, b=b_, relu=True))
 
     for k, operand in enumerate(operands):
         worst = max(worst, _check(lambda t, _k=k: row_bn_loss(t, _k), operand))
@@ -280,23 +268,28 @@ def test_every_taped_primitive_is_gradchecked(monkeypatch):
     assert {"batchnorm", "affine", "matmul", "sum_product"} <= primitives
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_batchnorm_gradients_with_near_constant_column(mode):
-    # a column with std ~1e-3 makes inv_std ~300 and the normalization
-    # nearly singular, where cancellation in the gradient shows first
+@pytest.mark.parametrize("use_relu", [False, True])
+def test_batchnorm_gradients_with_near_constant_column(use_relu):
+    # a column of x @ w with std 1e-3 makes inv_std ~1000 and the
+    # normalization nearly singular, where cancellation in the gradient
+    # shows first
     gen = RngState(77).generator()
-    x0 = gen.uniform(-1, 1, size=(64, 5))
-    x0[:, 2] = 0.4 + 1e-3 * gen.standard_normal(64)
+    x0 = gen.uniform(-1, 1, size=(64, 4))
+    w0 = gen.uniform(-1, 1, size=(4, 5))
+    w0[:, 2] *= 1e-3 / (x0 @ w0[:, 2]).std()
     gamma = gen.uniform(0.5, 1.5, size=5)
     beta = gen.uniform(-0.5, 0.5, size=5)
-    w = _weighted(gen, (64, 5))
+    weights = _weighted(gen, (64, 5))
+    z = x0 @ w0
+    preact = gamma * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS) + beta
+    assert np.min(np.abs(preact)) > 1e-3  # this draw is clear of the relu kink
 
     def bn_loss(x, g, b):
-        # a fresh state per call: every probe starts from the same statistics
-        state = BatchNormState(5)
-        state.mean, state.var = x0.mean(axis=0), x0.var(axis=0)
-        return w(batchnorm(x, g, b, state, mode))
+        return weights(batchnorm(x, g, b, BatchNormState(5), w=Tensor(w0), relu=use_relu))
 
+    # no check for w: a step of H along its scaled column moves that
+    # column's std by about 1 %, so finite differences are off there; its
+    # gradient x^T gz reads the same gz as the gradient of x
     assert _check(lambda t: bn_loss(t, Tensor(gamma), Tensor(beta)), x0) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), t, Tensor(beta)), gamma) < TOL
     assert _check(lambda t: bn_loss(Tensor(x0), Tensor(gamma), t), beta) < TOL
@@ -430,20 +423,23 @@ def test_relu_walk_rebuilds_fused_preactivations():
     w_x, per_set = Tensor(gen.uniform(-1, 1, size=(5, 7))), Tensor(gen.uniform(-1, 1, size=(4, 7)))
     gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=7)), Tensor(gen.uniform(-0.5, 0.5, size=7))
     tiled = tile_rows(per_set, 3)
-    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), "train", w=w_x, b=tiled, relu=True)
+    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), w=w_x, b=tiled, relu=True)
     got = {a.shape: a for a in _relu_inputs(out)}
 
-    # the same layers unfused: affine, then batchnorm, then relu
-    want, h = {}, x
+    def bn(z, g, b):
+        return (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS) * g + b
+
+    # the same layers unfused in plain numpy: linear map, batchnorm, relu
+    want, h = {}, x.data
     for i in range(mlp.n_layers):
-        h = affine(h, mlp.weights[i], mlp.biases[i])
+        h = h @ mlp.weights[i].data + mlp.biases[i].data
         if mlp.bn_gamma[i] is not None:
-            h = batchnorm(h, mlp.bn_gamma[i], mlp.bn_beta[i], BatchNormState(h.shape[1]), "train")
-            want[h.shape] = h.data
-            h = relu(h)
-    h = batchnorm(add(matmul(h, w_x), tiled), gamma, beta, BatchNormState(7), "train")
-    want[h.shape] = h.data
-    np.testing.assert_allclose(out.data, relu(h).data, rtol=1e-12, atol=0)
+            h = bn(h, mlp.bn_gamma[i].data, mlp.bn_beta[i].data)
+            want[h.shape] = h
+            h = np.maximum(h, 0.0)
+    h = bn(h @ w_x.data + tiled.data, gamma.data, beta.data)
+    want[h.shape] = h
+    np.testing.assert_allclose(out.data, np.maximum(h, 0.0), rtol=1e-12, atol=0)
     assert sorted(got) == sorted(want) == [(12, 6), (12, 7), (12, 8)]
     for shape, a in want.items():
         np.testing.assert_allclose(got[shape], a, rtol=1e-12, atol=0, err_msg=str(shape))

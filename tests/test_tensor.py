@@ -7,6 +7,7 @@ from pinset import tensor as tensor_mod
 from pinset.rng import RngState
 from pinset.tensor import (
     BN_EPS,
+    BN_MOMENTUM,
     BatchNormState,
     DegenerateBatchError,
     ShapeError,
@@ -21,7 +22,6 @@ from pinset.tensor import (
     mul,
     no_grad,
     pair_aggregate,
-    relu,
     reshape,
     set_softmax,
     softmax_cross_entropy,
@@ -87,31 +87,37 @@ class TestAffine:
         for t in (x, w):
             np.testing.assert_array_equal(got[t], want[t])
 
+    @staticmethod
+    def _reference(x, w, b, g, relu):
+        """``x @ w + b`` and its relu in plain numpy, with the gradients of
+        ``sum(out * g)`` for x, w and b (summed over rows for a bias row)."""
+        pre = x @ w + b
+        gm = g * (pre > 0) if relu else g
+        gb = gm if b.ndim == 2 else gm.sum(axis=0)
+        return np.maximum(pre, 0.0) if relu else pre, (gm @ w.T, x.T @ gm, gb)
+
     def test_relu_equals_relu_of_matmul_then_add(self):
         x, w, b, g = self._operands(22)
         fused = affine(x, w, b, relu=True)
-        unfused = relu(add(matmul(x, w), b))
+        want, want_grads = self._reference(x.data, w.data, b.data, g, relu=True)
         assert np.any(fused.data == 0) and np.any(fused.data > 0)
-        np.testing.assert_array_equal(fused.data, unfused.data)
+        np.testing.assert_array_equal(fused.data, want)
         got = backward(sum_all(mul(fused, Tensor(g))))
-        want = backward(sum_all(mul(unfused, Tensor(g))))
-        for t in (x, w, b):
-            np.testing.assert_array_equal(got[t], want[t])
+        for t, want_grad in zip((x, w, b), want_grads):
+            np.testing.assert_array_equal(got[t], want_grad)
 
     @pytest.mark.parametrize("use_relu", [False, True])
     def test_row_aligned_bias_equals_matmul_then_add(self, use_relu):
         x, w, _, g = self._operands(24)
         b = Tensor(RngState(25).generator().uniform(-1, 1, size=(7, 5)), requires_grad=True)
         fused = affine(x, w, b, relu=use_relu)
-        unfused = add(matmul(x, w), b)
+        want, want_grads = self._reference(x.data, w.data, b.data, g, use_relu)
         if use_relu:
-            unfused = relu(unfused)
             assert np.any(fused.data == 0) and np.any(fused.data > 0)
-        np.testing.assert_array_equal(fused.data, unfused.data)
+        np.testing.assert_array_equal(fused.data, want)
         got = backward(sum_all(mul(fused, Tensor(g))))
-        want = backward(sum_all(mul(unfused, Tensor(g))))
-        for t in (x, w, b):
-            np.testing.assert_array_equal(got[t], want[t])
+        for t, want_grad in zip((x, w, b), want_grads):
+            np.testing.assert_array_equal(got[t], want_grad)
         with pytest.raises(ShapeError, match=r"\(6, 5\)"):
             affine(x, w, Tensor(np.zeros((6, 5))))
 
@@ -191,73 +197,88 @@ class TestSetSoftmax:
         np.testing.assert_allclose(out[1], single, rtol=0, atol=1e-15)
 
 
+def _bn_layer_reference(x, w, b, gamma, beta, relu, g):
+    """relu(BN(x @ w + b)) in plain numpy, by batch statistics: the output,
+    the batch mean and biased variance, and the gradients of
+    ``sum(out * g)``, each column's through its explicit Jacobian
+    ``gamma * inv_std * (I - 1/m - xhat xhat^T / m)``."""
+    z = x @ w + (0.0 if b is None else b)
+    m = z.shape[0]
+    mean, var = z.mean(axis=0), z.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (z - mean) * inv_std
+    pre = xhat * gamma + beta
+    gp = g * (pre > 0) if relu else g
+    gz = np.empty_like(z)
+    for j in range(z.shape[1]):
+        jac = np.eye(m) - 1.0 / m - np.outer(xhat[:, j], xhat[:, j]) / m
+        gz[:, j] = gamma[j] * inv_std[j] * (jac @ gp[:, j])
+    grads = {"x": gz @ w.T, "w": x.T @ gz, "gamma": (gp * xhat).sum(axis=0), "beta": gp.sum(axis=0)}
+    if b is not None:
+        grads["b"] = gz if b.ndim == 2 else gz.sum(axis=0)
+    return np.maximum(pre, 0.0) if relu else pre, mean, var, grads
+
+
 class TestBatchnorm:
+    """Hand-computed cases of the fused layer with ``w`` the identity."""
+
     def _layer(self, width):
         gamma = Tensor(np.ones(width), requires_grad=True)
         beta = Tensor(np.zeros(width), requires_grad=True)
-        return gamma, beta, BatchNormState(width)
-
-    def test_eval_with_unit_stats_is_near_identity(self):
-        gamma, beta, state = self._layer(3)
-        x = RngState(6).generator().uniform(-1, 1, size=(5, 3))
-        out = batchnorm(Tensor(x), gamma, beta, state, "eval").data
-        np.testing.assert_allclose(out, x / np.sqrt(1.0 + BN_EPS), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(out, x, rtol=0, atol=1e-4)
+        return gamma, beta, BatchNormState(width), Tensor(np.eye(width))
 
     def test_train_two_point_column(self):
-        gamma, beta, state = self._layer(1)
-        out = batchnorm(Tensor([[1.0], [3.0]]), gamma, beta, state, "train").data
+        gamma, beta, state, w = self._layer(1)
+        out = batchnorm(Tensor([[1.0], [3.0]]), gamma, beta, state, w=w).data
         expected = (np.array([[1.0], [3.0]]) - 2.0) / np.sqrt(1.0 + BN_EPS)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_train_updates_running_stats(self):
-        gamma, beta, state = self._layer(1)
-        batchnorm(Tensor([[1.0], [3.0]]), gamma, beta, state, "train")
+        gamma, beta, state, w = self._layer(1)
+        batchnorm(Tensor([[1.0], [3.0]]), gamma, beta, state, w=w)
         np.testing.assert_allclose(state.mean, [0.2])  # 0.9*0 + 0.1*2
         np.testing.assert_allclose(state.var, [1.0])  # 0.9*1 + 0.1*1
 
     def test_single_row_train_rejected(self):
-        gamma, beta, state = self._layer(2)
+        gamma, beta, state, w = self._layer(2)
         with pytest.raises(DegenerateBatchError):
-            batchnorm(Tensor(np.ones((1, 2))), gamma, beta, state, "train")
+            batchnorm(Tensor(np.ones((1, 2))), gamma, beta, state, w=w)
 
-    def test_eval_permutation_equivariance(self):
-        gamma, beta, state = self._layer(4)
+    def test_permutation_equivariance(self):
+        gamma, beta, _, w = self._layer(4)
         gen = RngState(7).generator()
-        state.mean = gen.uniform(-1, 1, size=4)
-        state.var = gen.uniform(0.5, 2, size=4)
         x = gen.uniform(-1, 1, size=(9, 4))
         perm = gen.permutation(9)
-        a = batchnorm(Tensor(x[perm]), gamma, beta, state, "eval").data
-        b = batchnorm(Tensor(x), gamma, beta, state, "eval").data[perm]
-        np.testing.assert_array_equal(a, b)
+        a = batchnorm(Tensor(x[perm]), gamma, beta, BatchNormState(4), w=w, relu=True).data
+        b = batchnorm(Tensor(x), gamma, beta, BatchNormState(4), w=w, relu=True).data[perm]
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_never_writes_inputs_gradient_or_running_state(self, mode):
-        gen = RngState(8).generator()
-        x = Tensor(_read_only(gen.uniform(-1, 1, size=(6, 3))), requires_grad=True)
-        gamma = Tensor(_read_only(gen.uniform(0.5, 1.5, size=3)), requires_grad=True)
-        beta = Tensor(_read_only(gen.uniform(-0.5, 0.5, size=3)), requires_grad=True)
-        state = BatchNormState(3)
-        state.mean = _read_only(gen.uniform(-1, 1, size=3))
-        state.var = _read_only(gen.uniform(0.5, 2, size=3))
-        old_mean, old_var = state.mean, state.var
-        saved = [a.copy() for a in (x.data, gamma.data, beta.data, old_mean, old_var)]
-        g = _read_only(gen.uniform(-1, 1, size=(6, 3)))
 
-        out = batchnorm(x, gamma, beta, state, mode)
-        out._backward(g)
-
-        rebound = mode == "train"
-        assert (state.mean is not old_mean) == rebound
-        assert (state.var is not old_var) == rebound
-        for before, after in zip(saved, (x.data, gamma.data, beta.data, old_mean, old_var)):
-            np.testing.assert_array_equal(before, after)
+def _bn_layer_reference(x, w, b, gamma, beta, relu, g):
+    """relu(BN(x @ w + b)) in plain numpy, by batch statistics: the output,
+    the batch mean and biased variance, and the gradients of
+    ``sum(out * g)``, each column's through its explicit Jacobian
+    ``gamma * inv_std * (I - 1/m - xhat xhat^T / m)``."""
+    z = x @ w + (0.0 if b is None else b)
+    m = z.shape[0]
+    mean, var = z.mean(axis=0), z.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (z - mean) * inv_std
+    pre = xhat * gamma + beta
+    gp = g * (pre > 0) if relu else g
+    gz = np.empty_like(z)
+    for j in range(z.shape[1]):
+        jac = np.eye(m) - 1.0 / m - np.outer(xhat[:, j], xhat[:, j]) / m
+        gz[:, j] = gamma[j] * inv_std[j] * (jac @ gp[:, j])
+    grads = {"x": gz @ w.T, "w": x.T @ gz, "gamma": (gp * xhat).sum(axis=0), "beta": gp.sum(axis=0)}
+    if b is not None:
+        grads["b"] = gz if b.ndim == 2 else gz.sum(axis=0)
+    return np.maximum(pre, 0.0) if relu else pre, mean, var, grads
 
 
 class TestBatchnormFused:
-    """Train-mode ``batchnorm(x, ..., w=w, b=b, relu=...)`` against the
-    unfused ``affine`` -> ``batchnorm`` -> ``relu`` chain."""
+    """``batchnorm(x, ..., w=w, b=b, relu=...)`` against the unfused
+    linear -> batchnorm -> relu chain in plain numpy."""
 
     def _operands(self, seed, use_bias=True):
         gen = RngState(seed).generator()
@@ -268,59 +289,57 @@ class TestBatchnormFused:
         beta = Tensor(gen.uniform(-0.5, 0.5, size=5), requires_grad=True)
         return x, w, b, gamma, beta, gen.uniform(-1, 1, size=(9, 5))
 
+    def _check_forward(self, x, w, b, gamma, beta, g, use_relu):
+        """Assert the output and running statistics match the reference;
+        return the op's gradients, the reference's and their tensors."""
+        state = BatchNormState(5)
+        fused = batchnorm(x, gamma, beta, state, w=w, b=b, relu=use_relu)
+        want, mean, var, want_grads = _bn_layer_reference(
+            x.data, w.data, None if b is None else b.data, gamma.data, beta.data, use_relu, g
+        )
+        if use_relu:
+            assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        np.testing.assert_allclose(fused.data, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.mean, BN_MOMENTUM * mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.var, (1.0 - BN_MOMENTUM) + BN_MOMENTUM * var, rtol=1e-12, atol=0)
+        got = backward(sum_all(mul(fused, Tensor(g))))
+        named = {"x": x, "w": w, "gamma": gamma, "beta": beta}
+        if b is not None:
+            named["b"] = b
+        return got, want_grads, named
+
     @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("use_relu", [True, False])
     def test_matches_unfused_reference(self, use_relu, use_bias):
         x, w, b, gamma, beta, g = self._operands(40, use_bias)
-        state, ref_state = BatchNormState(5), BatchNormState(5)
-        fused = batchnorm(x, gamma, beta, state, "train", w=w, b=b, relu=use_relu)
-        unfused = batchnorm(affine(x, w, b), gamma, beta, ref_state, "train")
-        if use_relu:
-            unfused = relu(unfused)
-            assert np.any(fused.data == 0) and np.any(fused.data > 0)
-        np.testing.assert_allclose(fused.data, unfused.data, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(state.mean, ref_state.mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(state.var, ref_state.var, rtol=1e-12, atol=0)
-
-        got = backward(sum_all(mul(fused, Tensor(g))))
-        want = backward(sum_all(mul(unfused, Tensor(g))))
-        for t in (x, w, gamma, beta):
-            np.testing.assert_allclose(got[t], want[t], rtol=1e-12, atol=0)
+        got, want, named = self._check_forward(x, w, b, gamma, beta, g, use_relu)
+        for name in ("x", "w", "gamma", "beta"):
+            np.testing.assert_allclose(got[named[name]], want[name], rtol=1e-12, atol=0, err_msg=name)
         if use_bias:
             assert np.array_equal(got[b], np.zeros(5))
-            assert np.max(np.abs(want[b])) < 1e-12  # the reference's is zero up to rounding
+            assert np.max(np.abs(want["b"])) < 1e-12  # the reference's is zero up to rounding
 
     def test_row_aligned_bias_matches_unfused_reference(self):
         # a (rows, d) bias differs between rows, so it is not cancelled
         x, w, _, gamma, beta, g = self._operands(47)
         b = Tensor(RngState(48).generator().uniform(-1, 1, size=(9, 5)), requires_grad=True)
-        state, ref_state = BatchNormState(5), BatchNormState(5)
-        fused = batchnorm(x, gamma, beta, state, "train", w=w, b=b, relu=True)
-        unfused = relu(batchnorm(add(matmul(x, w), b), gamma, beta, ref_state, "train"))
-        assert np.any(fused.data == 0) and np.any(fused.data > 0)
-        np.testing.assert_allclose(fused.data, unfused.data, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(state.mean, ref_state.mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(state.var, ref_state.var, rtol=1e-12, atol=0)
-        got = backward(sum_all(mul(fused, Tensor(g))))
-        want = backward(sum_all(mul(unfused, Tensor(g))))
-        for t in (x, w, b, gamma, beta):
-            np.testing.assert_allclose(got[t], want[t], rtol=1e-12, atol=1e-15)
-        with pytest.raises(ShapeError, match=r"\(8, 5\)"):
-            batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=Tensor(np.ones((8, 5))))
+        got, want, named = self._check_forward(x, w, b, gamma, beta, g, True)
+        for name, t in named.items():
+            np.testing.assert_allclose(got[t], want[name], rtol=1e-12, atol=0, err_msg=name)
 
     def test_bias_moves_only_the_running_mean(self):
         x, w, b, gamma, beta, _ = self._operands(41)
         with_bias, without = BatchNormState(5), BatchNormState(5)
-        a = batchnorm(x, gamma, beta, with_bias, "train", w=w, b=b).data
-        c = batchnorm(x, gamma, beta, without, "train", w=w).data
+        a = batchnorm(x, gamma, beta, with_bias, w=w, b=b).data
+        c = batchnorm(x, gamma, beta, without, w=w).data
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(with_bias.var, without.var)
-        np.testing.assert_allclose(with_bias.mean - without.mean, 0.1 * b.data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(with_bias.mean - without.mean, BN_MOMENTUM * b.data, rtol=1e-12, atol=0)
 
     def test_propagates_nan(self):
         x, w, b, gamma, beta, _ = self._operands(42)
         x.data[0, 0] = np.nan
-        out = batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=b, relu=True)
+        out = batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=b, relu=True)
         assert np.isnan(out.data).all()  # the NaN reaches every row through the batch mean
 
     @pytest.mark.parametrize("use_relu", [True, False])
@@ -332,35 +351,28 @@ class TestBatchnormFused:
         state = BatchNormState(4)
         state.mean, state.var = mean, var
         params = [Tensor(a, requires_grad=True) for a in (x, w, b, gamma, beta)]
-        out = batchnorm(params[0], params[3], params[4], state, "train", w=params[1], b=params[2], relu=use_relu)
+        out = batchnorm(params[0], params[3], params[4], state, w=params[1], b=params[2], relu=use_relu)
         grads = out._backward(g)
         if use_relu:
             out._backward.preactivation()
         assert [t.shape for _, t in grads] == [(6, 3), (3, 4), (4,), (4,), (4,)]
+        assert state.mean is not mean and state.var is not var  # rebound, not updated in place
         for before, after in zip(saved, (x, w, b, gamma, beta, g, mean, var)):
             np.testing.assert_array_equal(before, after)
 
     def test_single_row_rejected(self):
         x, w, b, gamma, beta, _ = self._operands(44)
         with pytest.raises(DegenerateBatchError):
-            batchnorm(Tensor(x.data[:1]), gamma, beta, BatchNormState(5), "train", w=w, b=b, relu=True)
-
-    def test_linear_map_rejected_in_eval_mode(self):
-        x, w, b, gamma, beta, _ = self._operands(45)
-        with pytest.raises(ValueError, match="eval"):
-            batchnorm(x, gamma, beta, BatchNormState(5), "eval", w=w)
-        with pytest.raises(ValueError, match="bias only together with a weight"):
-            batchnorm(affine(x, w, None), gamma, beta, BatchNormState(5), "train", b=b)
-        for mode in ("train", "eval"):
-            with pytest.raises(ValueError, match="relu only together with a weight"):
-                batchnorm(affine(x, w, None), gamma, beta, BatchNormState(5), mode, relu=True)
+            batchnorm(Tensor(x.data[:1]), gamma, beta, BatchNormState(5), w=w, b=b, relu=True)
 
     def test_shape_mismatches_rejected(self):
         x, w, b, gamma, beta, _ = self._operands(46)
         with pytest.raises(ShapeError, match=r"\(9, 4\).*\(5, 5\)"):
-            batchnorm(x, gamma, beta, BatchNormState(5), "train", w=Tensor(np.ones((5, 5))))
+            batchnorm(x, gamma, beta, BatchNormState(5), w=Tensor(np.ones((5, 5))))
         with pytest.raises(ShapeError, match=r"\(4,\)"):
-            batchnorm(x, gamma, beta, BatchNormState(5), "train", w=w, b=Tensor(np.ones(4)))
+            batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=Tensor(np.ones(4)))
+        with pytest.raises(ShapeError, match=r"\(8, 5\)"):
+            batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=Tensor(np.ones((8, 5))))
 
 
 class TestNoGrad:
@@ -563,19 +575,23 @@ class TestFiniteDifference:
         assert np.max(np.abs(fd - analytic)) < 1e-6
 
 
+def _relu(x: np.ndarray) -> Tensor:
+    """The relu fused into ``affine``, applied to ``x`` itself: with the
+    identity as weights every product adds only exact zeros."""
+    return affine(Tensor(x), Tensor(np.eye(x.shape[1])), None, relu=True)
+
+
 def test_relu_permutation_equivariance_exact():
     gen = RngState(15).generator()
     x = gen.uniform(-1, 1, size=(12, 5))
     perm = gen.permutation(12)
-    np.testing.assert_array_equal(
-        relu(Tensor(x[perm])).data, relu(Tensor(x)).data[perm]
-    )
+    np.testing.assert_array_equal(_relu(x[perm]).data, _relu(x).data[perm])
 
 
 def test_relu_backward_masks_non_positive_inputs():
     x = Tensor(_read_only(np.array([[-1.0, 0.0, 2.0]])), requires_grad=True)
-    out = relu(x)
-    ((_, gx),) = out._backward(_read_only(np.array([[5.0, 6.0, 7.0]])))
+    out = affine(x, Tensor(np.eye(3)), None, relu=True)
+    (_, gx), _ = out._backward(_read_only(np.array([[5.0, 6.0, 7.0]])))
     np.testing.assert_array_equal(gx, [[0.0, 0.0, 7.0]])
 
 
@@ -585,7 +601,7 @@ def test_finite_values_preserved_by_public_ops():
     outs = [
         set_softmax(Tensor(x)).data,
         squashing(Tensor(x)).data,
-        relu(Tensor(x)).data,
+        _relu(x).data,
     ]
     for out in outs:
         assert np.all(np.isfinite(out))
