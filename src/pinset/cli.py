@@ -170,6 +170,10 @@ def _model_config_from(cfg: dict) -> ModelConfig:
 
 
 def _load_task_data(cfg: dict, seed: int) -> tuple[SetBatch, SetBatch]:
+    # 0 means every image on pixel-idx; a negative size is an error on both tasks
+    for key in ("data.train_size", "data.test_size"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}", key=key)
     if cfg["task"] == "quadrant":
         spec = SyntheticTaskSpec(
             set_size=cfg["data.set_size"],

@@ -3,15 +3,14 @@
 Grayscale digit images in the IDX binary format become pixel sets (one
 row per pixel: relative x, relative y, gray value); a synthetic
 quadrant-majority generator provides a fast permutation-invariant task
-for property tests and desk-scale training; the usual point-set
-augmentations operate on coordinate channels.
+for property tests and desk-scale training. Both build a whole batch at
+once.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,8 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """File does not start with the expected IDX magic."""
+    """File does not start with the expected IDX magic, or its images are
+    not square with a nonzero side."""
 
 
 class IdxTruncatedError(ValueError):
@@ -96,68 +96,26 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
         f.write(labels.tobytes())
 
 
-@dataclass
-class PixelSet:
-    """One image as an unordered set of (rel-x, rel-y, gray) rows."""
-
-    elements: np.ndarray  # (N, 3)
-    label: int = -1
-
-
-def image_to_pixel_set(img, rng: RngState | None = None, label: int = -1) -> PixelSet:
-    """Convert a square grayscale image to a pixel set.
-
-    Coordinates map linearly with corner pixels at exactly -1 and +1
-    (column index is the first channel, row index the second, top-left at
-    (-1, -1)); gray values are divided by 255. Rows are shuffled when an
-    rng is supplied.
-    """
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square image, got shape {arr.shape}")
-    w = arr.shape[0]
-    coords = (2.0 * np.arange(w) / (w - 1) - 1.0) if w > 1 else np.zeros(1)
-    xs, ys = np.meshgrid(coords, coords, indexing="xy")
-    elements = np.column_stack(
-        [xs.reshape(-1), ys.reshape(-1), arr.reshape(-1) / 255.0]
-    )
-    if rng is not None:
-        order = rng.generator().permutation(elements.shape[0])
-        elements = elements[order]
-    return PixelSet(elements=elements, label=int(label))
-
-
-def pixel_set_to_image(ps: PixelSet) -> np.ndarray:
-    """Invert the pixel-set mapping; exact for byte-valued inputs."""
-    n = ps.elements.shape[0]
+def pixel_set_to_image(elements: np.ndarray) -> np.ndarray:
+    """Invert the pixel-set mapping of one ``(N, 3)`` set; exact for
+    byte-valued inputs."""
+    n = elements.shape[0]
     w = int(round(np.sqrt(n)))
     if w * w != n:
         raise ValueError(f"{n} elements do not form a square image")
     img = np.zeros((w, w))
-    cols = np.rint((ps.elements[:, 0] + 1.0) * (w - 1) / 2.0).astype(int)
-    rows = np.rint((ps.elements[:, 1] + 1.0) * (w - 1) / 2.0).astype(int)
-    img[rows, cols] = np.rint(ps.elements[:, 2] * 255.0)
+    cols = np.rint((elements[:, 0] + 1.0) * (w - 1) / 2.0).astype(int)
+    rows = np.rint((elements[:, 1] + 1.0) * (w - 1) / 2.0).astype(int)
+    img[rows, cols] = np.rint(elements[:, 2] * 255.0)
     return img
-
-
-def downsample_image(img, factor: int) -> np.ndarray:
-    """Mean-pool an image by an integer factor; output stays on the 0..255
-    scale (no longer integral)."""
-    arr = np.asarray(img, dtype=np.float64)
-    h, w = arr.shape
-    if h % factor or w % factor:
-        raise ValueError(f"shape {arr.shape} not divisible by factor {factor}")
-    return arr.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
 @dataclass
 class SetBatch:
-    """A stack of equally-sized sets with labels and provenance."""
+    """A stack of equally-sized sets with their labels."""
 
     sets: np.ndarray  # (B, N, p)
     labels: np.ndarray  # (B,)
-    digest: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.sets = np.asarray(self.sets, dtype=np.float64)
@@ -178,45 +136,44 @@ class SetBatch:
         return self.sets.shape[1]
 
 
-def _digest(*chunks) -> str:
-    h = hashlib.sha256()
-    for c in chunks:
-        h.update(c if isinstance(c, bytes) else str(c).encode())
-    return h.hexdigest()
-
-
 def pixel_set_batch(
     images: np.ndarray,
     labels: np.ndarray,
     rng: RngState | None = None,
     downsample: int = 1,
 ) -> SetBatch:
-    """Convert a stack of images to a batch of pixel sets, each image
-    first mean-pooled by ``downsample``, which must divide its sides."""
-    sides = images.shape[1:]
-    if downsample < 1 or sides[0] % downsample or sides[1] % downsample:
+    """Convert a ``(B, h, w)`` stack of square images to a batch of pixel
+    sets, each image first mean-pooled by ``downsample``, which must divide
+    its sides.
+
+    Coordinates map linearly with corner pixels at exactly -1 and +1
+    (column index is the first channel, row index the second, top-left at
+    (-1, -1)); gray values are divided by 255. With an rng, the rows of set
+    i are permuted by a draw from ``rng.child("shuffle", i)``.
+    """
+    count, h, w = images.shape
+    if h != w or h == 0:
+        raise IdxFormatError(f"pixel sets need square images with a nonzero side, got {h}x{w}")
+    if downsample < 1 or h % downsample:
         raise ConfigError(
-            f"data.downsample must be a positive divisor of the image sides {sides}, got {downsample}",
+            f"data.downsample must be a positive divisor of the image sides {(h, w)}, got {downsample}",
             key="data.downsample",
         )
-    sets = []
-    for i in range(images.shape[0]):
-        img = images[i]
-        if downsample > 1:
-            img = downsample_image(img, downsample)
-        ps = image_to_pixel_set(img, rng.child("shuffle", i) if rng else None)
-        sets.append(ps.elements)
-    digest = _digest(
-        np.ascontiguousarray(images).tobytes(),
-        np.ascontiguousarray(labels).tobytes(),
-        f"downsample={downsample}",
-    )
-    return SetBatch(
-        sets=np.stack(sets),
-        labels=labels,
-        digest=digest,
-        meta={"downsample": downsample, "shuffled": rng is not None},
-    )
+    side = h // downsample
+    gray = images.astype(np.float64)
+    if downsample > 1:
+        gray = gray.reshape(count, side, downsample, side, downsample).mean(axis=(2, 4))
+    coords = (2.0 * np.arange(side) / (side - 1) - 1.0) if side > 1 else np.zeros(1)
+    xs, ys = np.meshgrid(coords, coords, indexing="xy")
+    n = side * side
+    sets = np.empty((count, n, 3))
+    sets[:, :, 0] = xs.reshape(-1)
+    sets[:, :, 1] = ys.reshape(-1)
+    sets[:, :, 2] = gray.reshape(count, n) / 255.0
+    if rng is not None:
+        orders = [rng.child("shuffle", i).generator().permutation(n) for i in range(count)]
+        sets = np.take_along_axis(sets, np.array(orders, dtype=np.intp).reshape(count, n, 1), axis=1)
+    return SetBatch(sets=sets, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +200,18 @@ class SyntheticTaskSpec:
             raise ConfigError(f"data.margin must be in [0, 1], got {self.margin}", key="data.margin")
 
 
-def quadrant_of(point) -> int:
-    """Quadrant index of a 2-D point: 0 (+,+), 1 (-,+), 2 (-,-), 3 (+,-)."""
-    x, y = point[0], point[1]
-    if x >= 0:
-        return 0 if y >= 0 else 3
-    return 1 if y >= 0 else 2
+def quadrant_majority_label(points: np.ndarray) -> np.ndarray:
+    """Majority quadrant of each set of 2-D points, ``(..., N, 2)`` to
+    ``(...)``: 0 (+,+), 1 (-,+), 2 (-,-), 3 (+,-), a zero coordinate
+    (-0.0 too) counting as +; ties go to the lowest quadrant index."""
+    right = points[..., 0] >= 0
+    up = points[..., 1] >= 0
+    quadrants = np.where(right, np.where(up, 0, 3), np.where(up, 1, 2))
+    counts = (quadrants[..., None] == np.arange(4)).sum(axis=-2)
+    return counts.argmax(axis=-1)
 
 
-def quadrant_majority_label(points: np.ndarray) -> int:
-    counts = np.zeros(4, dtype=int)
-    for p in points:
-        counts[quadrant_of(p)] += 1
-    return int(np.argmax(counts))
-
-
-def _quadrant_set(gen: np.random.Generator, n: int, margin: float) -> tuple[np.ndarray, int]:
+def _quadrant_set(gen: np.random.Generator, n: int, margin: float) -> np.ndarray:
     signs = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=np.float64)
     while True:
         target = int(gen.integers(4))
@@ -267,23 +220,20 @@ def _quadrant_set(gen: np.random.Generator, n: int, margin: float) -> tuple[np.n
         quadrants = gen.choice(4, size=n, p=probs)
         counts = np.bincount(quadrants, minlength=4)
         ranked = np.sort(counts)
-        # require a clear winner with margin 2 so coordinate-preserving
-        # augmentations cannot flip the label
+        # require a clear winner, ahead by at least 2, so that no single
+        # point decides the label
         if counts[target] != ranked[-1] or ranked[-1] - ranked[-2] < 2:
             continue
         magnitudes = gen.uniform(margin, 1.0, size=(n, 2))
-        points = magnitudes * signs[quadrants]
-        return points, quadrant_majority_label(points)
+        return magnitudes * signs[quadrants]
 
 
 def _quadrant_batch(rng: RngState, spec: SyntheticTaskSpec, count: int) -> SetBatch:
     gen = rng.generator()
     sets = np.empty((count, spec.set_size, 2))
-    labels = np.empty(count, dtype=np.int64)
     for i in range(count):
-        sets[i], labels[i] = _quadrant_set(gen, spec.set_size, spec.margin)
-    digest = _digest(sets.tobytes(), labels.tobytes())
-    return SetBatch(sets=sets, labels=labels, digest=digest, meta={"generator": "quadrant-majority"})
+        sets[i] = _quadrant_set(gen, spec.set_size, spec.margin)
+    return SetBatch(sets=sets, labels=quadrant_majority_label(sets))
 
 
 def make_synthetic_task(spec: SyntheticTaskSpec) -> tuple[SetBatch, SetBatch]:
@@ -292,82 +242,3 @@ def make_synthetic_task(spec: SyntheticTaskSpec) -> tuple[SetBatch, SetBatch]:
     train = _quadrant_batch(root.child("train"), spec, spec.train_size)
     test = _quadrant_batch(root.child("test"), spec, spec.test_size)
     return train, test
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-AUGMENT_DEFAULTS = {
-    "random_drop": {"q": 0.1},
-    "random_scale": {"low": 0.8, "high": 1.25},
-    "random_shift": {"limit": 0.1},
-    "gaussian_noise": {"sigma": 0.01},
-    "random_rotation": {"angle": None},  # None draws uniformly in [0, 2pi)
-}
-
-
-def _rotation_about_vertical(angle: float) -> np.ndarray:
-    # vertical axis is the second coordinate; (1, 0, 0) at pi/2 -> (0, 0, -1)
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def augment(batch: SetBatch, ops, rng: RngState, coord_dims=None) -> SetBatch:
-    """Apply named augmentations per set; labels pass through unchanged.
-
-    ``ops`` is a list of op names or (name, params) pairs. ``coord_dims``
-    selects which channels count as coordinates (default: all).
-    Dropped elements are replaced by duplicating survivors so the batch
-    keeps a uniform set size; the duplication is recorded in the metadata.
-    """
-    sets = batch.sets.copy()
-    b, n, p = sets.shape
-    coords = list(range(p)) if coord_dims is None else list(coord_dims)
-    gen = rng.generator()
-    duplicated = 0
-
-    for op in ops:
-        name, params = (op, {}) if isinstance(op, str) else op
-        if name not in AUGMENT_DEFAULTS:
-            raise ValueError(f"unknown augmentation {name!r}")
-        cfg = {**AUGMENT_DEFAULTS[name], **params}
-        if name == "random_drop":
-            q = float(cfg["q"])
-            if not 0.0 <= q < 1.0:
-                raise ValueError(f"drop probability must be in [0, 1), got {q}")
-            if q == 0.0:
-                continue
-            for i in range(b):
-                keep = np.nonzero(gen.random(n) >= q)[0]
-                if keep.size == 0:
-                    keep = np.array([int(gen.integers(n))])
-                fill = gen.choice(keep, size=n - keep.size)
-                duplicated += n - keep.size
-                sets[i] = sets[i][np.concatenate([keep, fill])]
-        elif name == "random_scale":
-            low, high = float(cfg["low"]), float(cfg["high"])
-            factors = gen.uniform(low, high, size=b)
-            sets[:, :, coords] *= factors[:, None, None]
-        elif name == "random_shift":
-            limit = float(cfg["limit"])
-            offsets = gen.uniform(-limit, limit, size=(b, len(coords)))
-            sets[:, :, coords] += offsets[:, None, :]
-        elif name == "gaussian_noise":
-            sigma = float(cfg["sigma"])
-            sets[:, :, coords] += gen.normal(0.0, sigma, size=(b, n, len(coords)))
-        elif name == "random_rotation":
-            if len(coords) != 3:
-                raise ValueError(
-                    f"rotation needs 3 coordinate channels, got {len(coords)}"
-                )
-            for i in range(b):
-                angle = cfg["angle"]
-                if angle is None:
-                    angle = gen.uniform(0.0, 2.0 * np.pi)
-                rot = _rotation_about_vertical(float(angle))
-                sets[i][:, coords] = sets[i][:, coords] @ rot.T
-    meta = dict(batch.meta)
-    meta["augmented"] = [op if isinstance(op, str) else op[0] for op in ops]
-    if duplicated:
-        meta["duplicated_elements"] = duplicated
-    return SetBatch(sets=sets, labels=batch.labels.copy(), digest=batch.digest, meta=meta)

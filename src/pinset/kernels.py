@@ -27,7 +27,8 @@ def active_backend() -> str:
 def _khatri_rao(factors, rows: int) -> np.ndarray:
     """Row-wise Khatri-Rao product, ``(rows, prod c_j)`` in row-major order,
     multiplied left to right; no factors give a column of ones. ``decomp``
-    builds its solve coefficients with it too."""
+    builds its solve coefficients with it too, and the ``cp`` verify suite
+    its flattened Vandermonde matrix."""
     # one factor is passed through untouched, so that order 2 is the very
     # product tensor.pair_aggregate computes, bit for bit
     if len(factors) < 2:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import decomp
+from . import decomp, kernels
 from .blocks import (
     ACTIVATION_KINDS,
     AggregationBlock,
@@ -296,10 +296,7 @@ def run_cp(seed: int, max_product: int = 64) -> SuiteResult:
         # matrices force the tighter tolerance beyond 16 columns
         lead = sorted_dims[:-1]
         if lead:
-            vander = decomp.vandermonde_factors(lead, bound)
-            flat = np.ones((bound, 1))
-            for f in vander:
-                flat = (flat[:, :, None] * f[:, None, :]).reshape(bound, -1)
+            flat = kernels._khatri_rao(decomp.vandermonde_factors(lead, bound), bound)
             tol = decomp.RANK_TOL if bound <= 16 else 1e-13
             rank_fail += decomp.numeric_rank(flat, tol) != bound
 

@@ -185,6 +185,8 @@ class TestConfigErrorsAreOneLine:
         ("train.batch_size=0", "train.batch_size must be >= 2, got 0"),
         ("data.train_size=1", "training needs at least 2 sets, data.train_size gives 1"),
         ("data.test_size=0", "data.test_size gives no test sets"),
+        ("data.train_size=-5", "data.train_size must be >= 0, got -5"),
+        ("data.test_size=-1", "data.test_size must be >= 0, got -1"),
         ("train.epochs=-1", "train.epochs must be >= 0, got -1"),
         ("train.checkpoint_every=-1", "train.checkpoint_every must be >= 0, got -1"),
         ("train.warmup_epochs=-2", "train.warmup_epochs must be >= 0, got -2"),
@@ -207,6 +209,36 @@ def test_bad_training_size_is_one_config_error(override, message, quadrant_confi
     assert main(argv) == 1
     assert message in _one_config_error(capsys)
     assert not (tmp_path / "o").exists()
+
+
+def test_negative_size_on_pixel_idx_is_one_config_error(tmp_path, capsys, monkeypatch):
+    config = _pixel_idx_config(tmp_path, "model.preset = pixel-s")
+    argv = ["train", "--config", config, "--out", str(tmp_path / "o"), "--set", "train.epochs=0"]
+    assert main(argv + ["--set", "data.train_size=-3"]) == 1
+    assert "data.train_size must be >= 0, got -3" in _one_config_error(capsys)
+    assert not (tmp_path / "o").exists()
+    # 0 still means every image
+    sizes = []
+    real_train = cli.train
+
+    def counting_train(model, batch, *args, **kwargs):
+        sizes.append(batch.size)
+        return real_train(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", counting_train)
+    assert main(argv + ["--set", "data.train_size=0"]) == 0
+    assert sizes == [6]
+
+
+@pytest.mark.parametrize("shape, sides", [((3, 4, 6), "4x6"), ((3, 0, 0), "0x0")])
+def test_idx_images_not_square_or_empty_exit_2(shape, sides, tmp_path, capsys):
+    config = _pixel_idx_config(tmp_path, "model.preset = pixel-s")
+    # the train split now holds images no pixel set can be made of
+    images = np.zeros(shape, dtype=np.uint8)
+    write_idx(tmp_path / "train-images", tmp_path / "train-labels", images, np.zeros(3, dtype=np.uint8))
+    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and sides in lines[0], lines
 
 
 class TestDamagedCheckpointExits2:

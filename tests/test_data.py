@@ -9,15 +9,11 @@ from pinset.data import (
     IdxTruncatedError,
     SetBatch,
     SyntheticTaskSpec,
-    augment,
-    downsample_image,
-    image_to_pixel_set,
     load_mnist_idx,
     make_synthetic_task,
     pixel_set_batch,
     pixel_set_to_image,
     quadrant_majority_label,
-    quadrant_of,
     write_idx,
 )
 from pinset.rng import RngState
@@ -67,66 +63,141 @@ class TestIdxLoader:
             load_mnist_idx(images_path, short_labels)
 
 
+def _one_set(img, rng=None, downsample=1) -> np.ndarray:
+    """The pixel set of one image, through the batch path."""
+    return pixel_set_batch(np.asarray(img)[None], np.zeros(1), rng, downsample).sets[0]
+
+
+def _reference_pixel_sets(images, rng, downsample) -> np.ndarray:
+    """Image by image: mean pool, a meshgrid of its own, then the image's
+    own shuffle stream."""
+    sets = []
+    for i, img in enumerate(images):
+        arr = np.asarray(img, dtype=np.float64)
+        if downsample > 1:
+            h, w = arr.shape
+            arr = arr.reshape(h // downsample, downsample, w // downsample, downsample).mean(axis=(1, 3))
+        side = arr.shape[0]
+        coords = (2.0 * np.arange(side) / (side - 1) - 1.0) if side > 1 else np.zeros(1)
+        xs, ys = np.meshgrid(coords, coords, indexing="xy")
+        elements = np.column_stack([xs.reshape(-1), ys.reshape(-1), arr.reshape(-1) / 255.0])
+        if rng is not None:
+            elements = elements[rng.child("shuffle", i).generator().permutation(elements.shape[0])]
+        sets.append(elements)
+    return np.stack(sets)
+
+
 class TestPixelSets:
     def test_corner_coordinates(self):
-        img = np.zeros((28, 28), dtype=np.uint8)
-        ps = image_to_pixel_set(img)
+        elements = _one_set(np.zeros((28, 28), dtype=np.uint8))
         # row-major: first row walks columns at y = -1
-        np.testing.assert_allclose(ps.elements[0, :2], [-1.0, -1.0])
-        np.testing.assert_allclose(ps.elements[27, :2], [1.0, -1.0])
-        np.testing.assert_allclose(ps.elements[-1, :2], [1.0, 1.0])
+        np.testing.assert_allclose(elements[0, :2], [-1.0, -1.0])
+        np.testing.assert_allclose(elements[27, :2], [1.0, -1.0])
+        np.testing.assert_allclose(elements[-1, :2], [1.0, 1.0])
 
     def test_all_zero_image(self):
-        ps = image_to_pixel_set(np.zeros((28, 28), dtype=np.uint8))
-        assert ps.elements.shape == (784, 3)
-        np.testing.assert_array_equal(ps.elements[:, 2], 0.0)
-        xs = np.unique(ps.elements[:, 0])
+        elements = _one_set(np.zeros((28, 28), dtype=np.uint8))
+        assert elements.shape == (784, 3)
+        np.testing.assert_array_equal(elements[:, 2], 0.0)
+        xs = np.unique(elements[:, 0])
         assert xs[0] == -1.0 and xs[-1] == 1.0
 
     def test_channel_ranges(self):
         gen = RngState(1).generator()
         img = gen.integers(0, 256, size=(14, 14), dtype=np.uint8)
-        ps = image_to_pixel_set(img, rng=RngState(2))
-        assert np.all(ps.elements[:, :2] >= -1.0) and np.all(ps.elements[:, :2] <= 1.0)
-        assert np.all(ps.elements[:, 2] >= 0.0) and np.all(ps.elements[:, 2] <= 1.0)
+        elements = _one_set(img, rng=RngState(2))
+        assert np.all(elements[:, :2] >= -1.0) and np.all(elements[:, :2] <= 1.0)
+        assert np.all(elements[:, 2] >= 0.0) and np.all(elements[:, 2] <= 1.0)
 
     def test_lossless_up_to_ordering(self):
         gen = RngState(3).generator()
         img = gen.integers(0, 256, size=(28, 28), dtype=np.uint8)
-        ps = image_to_pixel_set(img, rng=RngState(4))  # shuffled
-        np.testing.assert_array_equal(pixel_set_to_image(ps), img)
+        elements = _one_set(img, rng=RngState(4))  # shuffled
+        np.testing.assert_array_equal(pixel_set_to_image(elements), img)
 
     def test_shuffle_is_seeded(self):
         img = RngState(5).generator().integers(0, 256, size=(8, 8), dtype=np.uint8)
-        a = image_to_pixel_set(img, rng=RngState(6)).elements
-        b = image_to_pixel_set(img, rng=RngState(6)).elements
+        a = _one_set(img, rng=RngState(6))
+        b = _one_set(img, rng=RngState(6))
         np.testing.assert_array_equal(a, b)
 
     def test_downsample_mean_pool(self):
-        img = np.arange(16.0).reshape(4, 4)
-        out = downsample_image(img, 2)
-        np.testing.assert_allclose(out, [[2.5, 4.5], [10.5, 12.5]])
+        img = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        elements = _one_set(img, downsample=2)
+        np.testing.assert_array_equal(elements[:, 2], np.array([2.5, 4.5, 10.5, 12.5]) / 255.0)
+        np.testing.assert_array_equal(elements[:, :2], [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 
-    def test_batch_digest_stable(self, tmp_path):
+    def test_batch_stable(self):
         gen = RngState(7).generator()
         images = gen.integers(0, 256, size=(3, 8, 8), dtype=np.uint8)
         labels = np.array([0, 1, 2], dtype=np.uint8)
         a = pixel_set_batch(images, labels, RngState(8))
         b = pixel_set_batch(images.copy(), labels.copy(), RngState(8))
-        assert a.digest == b.digest
         np.testing.assert_array_equal(a.sets, b.sets)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("downsample", [1, 2, 4])
+    def test_batch_matches_per_image_reference(self, downsample, shuffled):
+        gen = RngState(9).generator()
+        images = gen.integers(0, 256, size=(5, 28, 28), dtype=np.uint8)
+        labels = gen.integers(0, 10, size=5).astype(np.uint8)
+        rng = RngState(10).child("pixels") if shuffled else None
+        batch = pixel_set_batch(images, labels, rng, downsample=downsample)
+        expected = _reference_pixel_sets(images, rng, downsample)
+        assert batch.sets.shape == expected.shape and batch.sets.dtype == expected.dtype
+        assert batch.sets.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(batch.labels, labels)
+
+
+def _reference_quadrant_counts(points) -> list[list[int]]:
+    """Point by point, per set of the last two axes: a zero coordinate
+    (-0.0 too) counts as +."""
+    out = []
+    for pts in points.reshape(-1, *points.shape[-2:]):
+        counts = [0, 0, 0, 0]
+        for x, y in pts:
+            if x >= 0:
+                counts[0 if y >= 0 else 3] += 1
+            else:
+                counts[1 if y >= 0 else 2] += 1
+        out.append(counts)
+    return out
+
+
+def _reference_quadrant_labels(points) -> np.ndarray:
+    """Ties go to the first quadrant with the top count."""
+    labels = [c.index(max(c)) for c in _reference_quadrant_counts(points)]
+    return np.array(labels).reshape(points.shape[:-2])
 
 
 class TestSyntheticTask:
     def test_quadrant_of_all_four(self):
-        assert quadrant_of([0.5, 0.5]) == 0
-        assert quadrant_of([-0.5, 0.5]) == 1
-        assert quadrant_of([-0.5, -0.5]) == 2
-        assert quadrant_of([0.5, -0.5]) == 3
+        points = np.array([[[0.5, 0.5]], [[-0.5, 0.5]], [[-0.5, -0.5]], [[0.5, -0.5]]])
+        np.testing.assert_array_equal(quadrant_majority_label(points), [0, 1, 2, 3])
 
     def test_all_points_one_quadrant(self):
         points = np.array([[-0.3, 0.7], [-0.9, 0.1], [-0.5, 0.5]])
         assert quadrant_majority_label(points) == 1
+
+    def test_labels_match_per_point_reference(self):
+        # coordinates from {-1, -0.0, +0.0, 1} and 4 points per set: signed
+        # zeros and tied counts are common
+        gen = RngState(11).generator()
+        points = gen.choice([-1.0, -0.0, 0.0, 1.0], size=(3, 400, 4, 2))
+        assert np.count_nonzero(np.signbit(points) & (points == 0)) > 100
+        tied = sum(sorted(c)[-1] == sorted(c)[-2] for c in _reference_quadrant_counts(points))
+        assert tied > 100
+        labels = quadrant_majority_label(points)
+        assert labels.shape == (3, 400)
+        np.testing.assert_array_equal(labels, _reference_quadrant_labels(points))
+
+    def test_task_labels_match_per_point_reference(self):
+        spec = SyntheticTaskSpec(train_size=2560, test_size=64, seed=12, margin=0.0)
+        train, test = make_synthetic_task(spec)
+        for batch in (train, test):
+            assert batch.labels.dtype == np.int64
+            np.testing.assert_array_equal(batch.labels, _reference_quadrant_labels(batch.sets))
 
     def test_labels_permutation_invariant(self):
         train, _ = make_synthetic_task(SyntheticTaskSpec(train_size=50, test_size=10, seed=1))
@@ -140,65 +211,10 @@ class TestSyntheticTask:
         b_train, b_test = make_synthetic_task(SyntheticTaskSpec(train_size=20, test_size=5, seed=2))
         np.testing.assert_array_equal(a_train.sets, b_train.sets)
         np.testing.assert_array_equal(a_test.labels, b_test.labels)
-        assert a_train.digest == b_train.digest
 
     def test_margin_respected(self):
         train, _ = make_synthetic_task(SyntheticTaskSpec(train_size=30, test_size=5, seed=3))
         assert np.min(np.abs(train.sets)) >= 0.15
-
-
-class TestAugment:
-    def _batch(self, p=2, n=10, b=4, seed=10):
-        gen = RngState(seed).generator()
-        return SetBatch(
-            sets=gen.uniform(-1, 1, size=(b, n, p)),
-            labels=gen.integers(0, 4, size=b),
-        )
-
-    def test_zero_drop_is_identity(self):
-        batch = self._batch()
-        out = augment(batch, [("random_drop", {"q": 0.0})], RngState(11))
-        np.testing.assert_array_equal(out.sets, batch.sets)
-
-    def test_unit_scale_is_identity(self):
-        batch = self._batch()
-        out = augment(batch, [("random_scale", {"low": 1.0, "high": 1.0})], RngState(12))
-        np.testing.assert_allclose(out.sets, batch.sets, rtol=0, atol=1e-15)
-
-    def test_forced_rotation_oracle(self):
-        batch = SetBatch(sets=np.array([[[1.0, 0.0, 0.0]]]), labels=np.array([0]))
-        out = augment(
-            batch, [("random_rotation", {"angle": np.pi / 2})], RngState(13)
-        )
-        np.testing.assert_allclose(out.sets[0, 0], [0.0, 0.0, -1.0], rtol=0, atol=1e-12)
-
-    def test_rotation_needs_three_coords(self):
-        with pytest.raises(ValueError, match="3 coordinate"):
-            augment(self._batch(p=2), ["random_rotation"], RngState(14))
-
-    def test_drop_keeps_set_size_and_notes_duplication(self):
-        batch = self._batch(n=50)
-        out = augment(batch, [("random_drop", {"q": 0.5})], RngState(15))
-        assert out.sets.shape == batch.sets.shape
-        assert out.meta.get("duplicated_elements", 0) > 0
-        # surviving rows all come from the original set
-        for i in range(batch.size):
-            orig = {tuple(r) for r in batch.sets[i]}
-            assert all(tuple(r) in orig for r in out.sets[i])
-
-    def test_label_preserving_ops_on_quadrant_task(self):
-        train, _ = make_synthetic_task(SyntheticTaskSpec(train_size=40, test_size=5, seed=4))
-        out = augment(
-            train,
-            ["random_scale", "random_shift", "gaussian_noise"],
-            RngState(16),
-        )
-        for i in range(out.size):
-            assert quadrant_majority_label(out.sets[i]) == out.labels[i]
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown augmentation"):
-            augment(self._batch(), ["mixup"], RngState(17))
 
 
 class TestSetBatch:
