@@ -208,25 +208,37 @@ class Mlp:
 
 
 @dataclass
-class AggregationBlock:
-    """Two per-element MLPs combined by a dot product over the set axis."""
+class AggregationSpec:
+    """The two per-element MLPs of an aggregation block, which read the
+    same elements, and the dropout ratio on their flattened feature."""
 
-    mlp1: Mlp
-    mlp2: Mlp
+    mlp1: MlpSpec
+    mlp2: MlpSpec
     dropout_ratio: float = 0.1
 
     def __post_init__(self):
-        if self.mlp1.spec.in_width != self.mlp2.spec.in_width:
+        if not 0.0 <= self.dropout_ratio < 1.0:
+            raise ValueError(f"dropout ratio must be in [0, 1), got {self.dropout_ratio}")
+        if self.mlp1.in_width != self.mlp2.in_width:
             raise ValueError("both MLPs must read the same element width")
 
     @property
-    def out_widths(self) -> tuple[int, int]:
-        return self.mlp1.spec.out_width, self.mlp2.spec.out_width
+    def feature_length(self) -> int:
+        return self.mlp1.out_width * self.mlp2.out_width
+
+
+class AggregationBlock:
+    """An AggregationSpec bound to parameters: two per-element MLPs
+    combined by a dot product over the set axis."""
+
+    def __init__(self, spec: AggregationSpec, rng: RngState):
+        self.spec = spec
+        self.mlp1 = Mlp(spec.mlp1, rng.child(0))
+        self.mlp2 = Mlp(spec.mlp2, rng.child(1))
 
     @property
-    def feature_length(self) -> int:
-        s, t = self.out_widths
-        return s * t
+    def out_widths(self) -> tuple[int, int]:
+        return self.spec.mlp1.out_width, self.spec.mlp2.out_width
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.mlp1.parameters(f"{prefix}mlp1.")
@@ -266,7 +278,7 @@ def aggregate(
     h1 = reshape(block.mlp1.forward(flat, mode, set_size=n), (b, n, s))
     h2 = reshape(block.mlp2.forward(flat, mode, set_size=n), (b, n, t))
     feature = reshape(pair_aggregate(h1, h2), (b, s * t))
-    return dropout(feature, block.dropout_ratio, gen, mode)
+    return dropout(feature, block.spec.dropout_ratio, gen, mode)
 
 
 def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
@@ -380,7 +392,7 @@ def broadcast_batched(
 
 
 @no_grad()
-def per_element_contribution(block: AggregationBlock, element) -> np.ndarray:
+def per_element_contribution(block: AggregationBlock, element: np.ndarray) -> np.ndarray:
     """One element's additive share of the aggregated feature matrix.
 
     Valid only when both MLPs act element-wise (no set softmax): then the
@@ -393,9 +405,7 @@ def per_element_contribution(block: AggregationBlock, element) -> np.ndarray:
             "per-element decomposition is invalid with set-softmax activations: "
             "they couple rows across the set"
         )
-    row = element.data if isinstance(element, Tensor) else np.asarray(element, dtype=np.float64)
-    row = row.reshape(1, -1)
-    x = Tensor(row)
+    x = Tensor(np.asarray(element, dtype=np.float64).reshape(1, -1))
     h1 = block.mlp1.forward(x, "eval", set_size=1)
     h2 = block.mlp2.forward(x, "eval", set_size=1)
     return h1.data.T @ h2.data

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,6 +50,7 @@ from .train import (
     CheckpointError,
     DivergenceError,
     TrainConfig,
+    _write_atomic,
     check_sizes,
     evaluate,
     load_checkpoint,
@@ -112,8 +114,13 @@ _TRAIN_KEYS = {
 }
 
 TRAIN_SCHEMA = {**_DATA_KEYS, **_MODEL_KEYS, **_TRAIN_KEYS}
-# eval reuses train config files; the model section is read from the checkpoint
-EVAL_SCHEMA = {**TRAIN_SCHEMA, "eval.checkpoint": Field("str", required=True)}
+# eval reuses train config files; the model comes from the checkpoint, so
+# the model keys are accepted but none is needed
+EVAL_SCHEMA = {
+    **TRAIN_SCHEMA,
+    "model.preset": dataclasses.replace(_MODEL_KEYS["model.preset"], required=False),
+    "eval.checkpoint": Field("str", required=True),
+}
 PARAMS_SCHEMA = {
     "params.preset": Field("str", required=True, choices=tuple(PRESETS) + ("table6",)),
     "params.factorization": Field("str", "sweep"),
@@ -169,44 +176,40 @@ def _model_config_from(cfg: dict) -> ModelConfig:
     return PRESETS[preset]()
 
 
-def _load_task_data(cfg: dict, seed: int) -> tuple[SetBatch, SetBatch]:
+def _load_split(cfg: dict, seed: int, split: str) -> SetBatch:
+    """The ``split`` ("train" or "test") of the configured task. Nothing of
+    the other split is read or drawn; streams are derived by path, so a
+    split is the same whether or not the other one is loaded."""
+    size_key = f"data.{split}_size"
+    size = cfg[size_key]
     # 0 means every image on pixel-idx; a negative size is an error on both tasks
-    for key in ("data.train_size", "data.test_size"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}", key=key)
+    if size < 0:
+        raise ConfigError(f"{size_key} must be >= 0, got {size}", key=size_key)
     if cfg["task"] == "quadrant":
         spec = SyntheticTaskSpec(
             set_size=cfg["data.set_size"],
-            train_size=cfg["data.train_size"],
-            test_size=cfg["data.test_size"],
+            train_size=size if split == "train" else 0,
+            test_size=size if split == "test" else 0,
             seed=seed,
             margin=cfg["data.margin"],
         )
-        return make_synthetic_task(spec)
+        train_batch, test_batch = make_synthetic_task(spec)
+        return train_batch if split == "train" else test_batch
 
-    for key in ("data.train_images", "data.train_labels", "data.test_images", "data.test_labels"):
+    paths = (f"data.{split}_images", f"data.{split}_labels")
+    for key in paths:
         if not cfg[key]:
             raise ConfigError(f"pixel-idx task needs {key!r}", key=key)
         if not os.path.exists(cfg[key]):
             raise FileNotFoundError(f"{key}: no such file {cfg[key]!r}")
-    rng = RngState(seed)
-    images, labels = load_mnist_idx(cfg["data.train_images"], cfg["data.train_labels"])
-    k = min(cfg["data.train_size"], images.shape[0]) if cfg["data.train_size"] else images.shape[0]
-    train_batch = pixel_set_batch(
+    images, labels = load_mnist_idx(*(cfg[key] for key in paths))
+    k = min(size, images.shape[0]) if size else images.shape[0]
+    return pixel_set_batch(
         images[:k],
         labels[:k],
-        rng.child("train-pixels") if cfg["data.shuffle_pixels"] else None,
+        RngState(seed).child(f"{split}-pixels") if cfg["data.shuffle_pixels"] else None,
         downsample=cfg["data.downsample"],
     )
-    images, labels = load_mnist_idx(cfg["data.test_images"], cfg["data.test_labels"])
-    k = min(cfg["data.test_size"], images.shape[0]) if cfg["data.test_size"] else images.shape[0]
-    test_batch = pixel_set_batch(
-        images[:k],
-        labels[:k],
-        rng.child("test-pixels") if cfg["data.shuffle_pixels"] else None,
-        downsample=cfg["data.downsample"],
-    )
-    return train_batch, test_batch
 
 
 def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
@@ -227,7 +230,8 @@ def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args, TRAIN_SCHEMA)
-    train_batch, test_batch = _load_task_data(cfg, args.seed)
+    train_batch = _load_split(cfg, args.seed, "train")
+    test_batch = _load_split(cfg, args.seed, "test")
     model_config = _model_config_from(cfg)
     _check_data_fits(model_config, train_batch, test_batch)
     check_sizes(train_batch, test_batch)
@@ -260,7 +264,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args, EVAL_SCHEMA)
     model, _, epoch, _ = load_checkpoint(cfg["eval.checkpoint"])
-    _, test_batch = _load_task_data(cfg, args.seed)
+    test_batch = _load_split(cfg, args.seed, "test")
     _check_data_fits(model.config, test_batch)
     metrics = evaluate(model, test_batch)
     metrics["epoch"] = epoch
@@ -276,8 +280,7 @@ def cmd_verify(args) -> int:
             print(verify_mod.format_property_line(res.suite, prop))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "verify_report.json")
-    with open(report_path, "w") as f:
-        f.write(verify_mod.report_json(results, args.seed))
+    _write_atomic(report_path, verify_mod.report_json(results, args.seed).encode())
     passed = all(r.passed for r in results)
     print(f"verify: {'all properties passed' if passed else 'FAILURES'}; report: {report_path}")
     return EXIT_OK if passed else EXIT_CONFIG
@@ -324,8 +327,7 @@ def cmd_decompose(args) -> int:
         "conditioning_warning": factors.conditioning_warning,
     }
     report_path = os.path.join(args.out, f"{stem}.decompose.json")
-    with open(report_path, "w") as f:
-        json.dump(report, f, indent=2)
+    _write_atomic(report_path, json.dumps(report, indent=2).encode())
     print(f"wrote {len(paths)} factors; reconstruction relative error {rel:.3e}")
     print(f"report: {report_path}")
     return EXIT_OK

@@ -6,8 +6,7 @@ constructive sum-product decomposition of arbitrary tensors built from
 Vandermonde-structured factors, and rank-stability probes for nearly
 rank-deficient matrices.
 
-All functions accept plain numpy arrays or :class:`~pinset.tensor.Tensor`
-values and operate in float64.
+All functions take numpy arrays and operate in float64.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import kernels
 from .rng import RngState
-from .tensor import Tensor
 
 RANK_TOL = 1e-10
 
@@ -61,11 +59,10 @@ class ConditioningWarning(UserWarning):
     """The decomposition's linear solve is badly conditioned."""
 
 
-def _as_matrix(x, name: str, ndim: int | None = 2) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    arr = np.asarray(arr, dtype=np.float64)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must have {ndim} axes, got shape {arr.shape}")
+def _as_matrix(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must have 2 axes, got shape {arr.shape}")
     return arr
 
 
@@ -246,8 +243,7 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     (and recorded on the result) when the solve's condition number makes
     the reconstruction delicate.
     """
-    t_arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-    t_arr = np.asarray(t_arr, dtype=np.float64)
+    t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim < 1:
         raise ValueError("cp_decompose needs a tensor with at least one axis")
     dims = t_arr.shape

@@ -14,6 +14,7 @@ import numpy as np
 
 from .blocks import (
     AggregationBlock,
+    AggregationSpec,
     BroadcastBlock,
     Mlp,
     MlpSpec,
@@ -23,21 +24,6 @@ from .blocks import (
 )
 from .rng import RngState
 from .tensor import BatchNormState, Tensor, reshape
-
-
-@dataclass
-class AggregationSpec:
-    mlp1: MlpSpec
-    mlp2: MlpSpec
-    dropout_ratio: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.dropout_ratio < 1.0:
-            raise ValueError(f"dropout ratio must be in [0, 1), got {self.dropout_ratio}")
-
-    @property
-    def feature_length(self) -> int:
-        return self.mlp1.out_width * self.mlp2.out_width
 
 
 @dataclass
@@ -56,8 +42,13 @@ class ModelConfig:
                 f"aggregation expects width {self.aggregation.mlp1.in_width}, "
                 f"config declares input width {self.input_width}"
             )
-        if self.broadcasts and self.aggregation2 is None:
-            raise ValueError("broadcast blocks need a second aggregation to feed")
+        if bool(self.broadcasts) != (self.aggregation2 is not None):
+            raise ValueError("broadcast blocks and a second aggregation come only together")
+        if self.aggregation2 is not None and self.aggregation2.mlp1.in_width != self.broadcasts[-1]:
+            raise ValueError(
+                f"second aggregation expects width {self.aggregation2.mlp1.in_width}, "
+                f"broadcast chain emits {self.broadcasts[-1]}"
+            )
         feature = self.feature_length
         if self.head is not None and self.head.in_width != feature:
             raise ValueError(
@@ -79,11 +70,7 @@ class Model:
 
     def __init__(self, config: ModelConfig, rng: RngState):
         self.config = config
-        self.agg1 = AggregationBlock(
-            mlp1=Mlp(config.aggregation.mlp1, rng.child("agg1", 0)),
-            mlp2=Mlp(config.aggregation.mlp2, rng.child("agg1", 1)),
-            dropout_ratio=config.aggregation.dropout_ratio,
-        )
+        self.agg1 = AggregationBlock(config.aggregation, rng.child("agg1"))
         self.broadcast_layers: list[BroadcastBlock] = []
         in_width = config.input_width
         for i, width in enumerate(config.broadcasts):
@@ -93,19 +80,9 @@ class Model:
                 )
             )
             in_width = width
+        self.agg2 = None
         if config.aggregation2 is not None:
-            self.agg2 = AggregationBlock(
-                mlp1=Mlp(config.aggregation2.mlp1, rng.child("agg2", 0)),
-                mlp2=Mlp(config.aggregation2.mlp2, rng.child("agg2", 1)),
-                dropout_ratio=config.aggregation2.dropout_ratio,
-            )
-            if self.agg2.mlp1.spec.in_width != in_width:
-                raise ValueError(
-                    f"second aggregation expects width {self.agg2.mlp1.spec.in_width}, "
-                    f"broadcast chain emits {in_width}"
-                )
-        else:
-            self.agg2 = None
+            self.agg2 = AggregationBlock(config.aggregation2, rng.child("agg2"))
         self.head = Mlp(config.head, rng.child("head")) if config.head is not None else None
 
     def forward(self, sets, mode: str = "eval", gen: np.random.Generator | None = None) -> Tensor:
@@ -129,24 +106,26 @@ class Model:
             return feature
         return self.head.forward(feature, mode)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = self.agg1.parameters("agg1.")
-        for i, block in enumerate(self.broadcast_layers):
-            out.update(block.parameters(f"bc{i}."))
+    def _named_blocks(self) -> list[tuple[str, AggregationBlock | BroadcastBlock | Mlp]]:
+        """Every block with its parameter-name prefix, in forward order."""
+        named = [("agg1.", self.agg1)]
+        named += [(f"bc{i}.", block) for i, block in enumerate(self.broadcast_layers)]
         if self.agg2 is not None:
-            out.update(self.agg2.parameters("agg2."))
+            named.append(("agg2.", self.agg2))
         if self.head is not None:
-            out.update(self.head.parameters("head."))
+            named.append(("head.", self.head))
+        return named
+
+    def parameters(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for prefix, block in self._named_blocks():
+            out.update(block.parameters(prefix))
         return out
 
     def norm_states(self) -> dict[str, BatchNormState]:
-        out = self.agg1.norm_states("agg1.")
-        for i, block in enumerate(self.broadcast_layers):
-            out.update(block.norm_states(f"bc{i}."))
-        if self.agg2 is not None:
-            out.update(self.agg2.norm_states("agg2."))
-        if self.head is not None:
-            out.update(self.head.norm_states("head."))
+        out: dict[str, BatchNormState] = {}
+        for prefix, block in self._named_blocks():
+            out.update(block.norm_states(prefix))
         return out
 
 
@@ -183,23 +162,25 @@ def _mlp_counts(spec: MlpSpec, prefix: str) -> tuple[list[tuple[str, int]], int]
     return rows, extra
 
 
+def _aggregation_counts(spec: AggregationSpec, prefix: str) -> tuple[list[tuple[str, int]], int]:
+    rows1, extra1 = _mlp_counts(spec.mlp1, f"{prefix}mlp1.")
+    rows2, extra2 = _mlp_counts(spec.mlp2, f"{prefix}mlp2.")
+    return rows1 + rows2, extra1 + extra2
+
+
 def param_count(config: ModelConfig) -> ParamReport:
     """Exact trainable-scalar counts per layer, block, and in total."""
     rows: list[tuple[str, int]] = []
     by_block: dict[str, int] = {}
     final_norm_extra = 0
 
-    def add_block(name: str, block_rows: list[tuple[str, int]]):
-        nonlocal rows
+    def add_block(name: str, block_rows: list[tuple[str, int]], extra: int = 0):
+        nonlocal rows, final_norm_extra
         rows += block_rows
         by_block[name] = sum(c for _, c in block_rows)
-
-    agg_rows: list[tuple[str, int]] = []
-    for tag, spec in (("mlp1", config.aggregation.mlp1), ("mlp2", config.aggregation.mlp2)):
-        r, extra = _mlp_counts(spec, f"agg1.{tag}.")
-        agg_rows += r
         final_norm_extra += extra
-    add_block("aggregation", agg_rows)
+
+    add_block("aggregation", *_aggregation_counts(config.aggregation, "agg1."))
 
     in_width = config.input_width
     for i, width in enumerate(config.broadcasts):
@@ -213,15 +194,7 @@ def param_count(config: ModelConfig) -> ParamReport:
         in_width = width
 
     if config.aggregation2 is not None:
-        agg2_rows: list[tuple[str, int]] = []
-        for tag, spec in (
-            ("mlp1", config.aggregation2.mlp1),
-            ("mlp2", config.aggregation2.mlp2),
-        ):
-            r, extra = _mlp_counts(spec, f"agg2.{tag}.")
-            agg2_rows += r
-            final_norm_extra += extra
-        add_block("aggregation2", agg2_rows)
+        add_block("aggregation2", *_aggregation_counts(config.aggregation2, "agg2."))
 
     if config.head is not None:
         head_rows, _ = _mlp_counts(config.head, "head.")
@@ -246,6 +219,11 @@ def _softmax_mlp(dims) -> MlpSpec:
     return MlpSpec(list(dims), hidden_activation="relu", final_activation="softmax_set")
 
 
+def _twin_aggregation(dims, dropout_ratio: float = 0.1) -> AggregationSpec:
+    """Two set-softmax MLPs of the same widths."""
+    return AggregationSpec(_softmax_mlp(dims), _softmax_mlp(dims), dropout_ratio)
+
+
 def point_ablation_config(s: int, t: int) -> ModelConfig:
     """Point-set feature extractor used for the factorization table: two
     MLPs with hidden widths 32 and 128 on 6-channel elements, no head."""
@@ -266,10 +244,7 @@ def pixel_s_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
         task="pixel-classification",
         input_width=input_width,
         class_count=class_count,
-        aggregation=AggregationSpec(
-            mlp1=_softmax_mlp([input_width, 64, 128, 32]),
-            mlp2=_softmax_mlp([input_width, 64, 128, 32]),
-        ),
+        aggregation=_twin_aggregation([input_width, 64, 128, 32]),
         head=MlpSpec([1024, 256, class_count]),
     )
 
@@ -281,15 +256,9 @@ def pixel_l_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
         task="pixel-classification",
         input_width=input_width,
         class_count=class_count,
-        aggregation=AggregationSpec(
-            mlp1=_softmax_mlp([input_width, 64, 128, 32]),
-            mlp2=_softmax_mlp([input_width, 64, 128, 32]),
-        ),
+        aggregation=_twin_aggregation([input_width, 64, 128, 32]),
         broadcasts=[256, 256],
-        aggregation2=AggregationSpec(
-            mlp1=_softmax_mlp([256, 64, 128, 32]),
-            mlp2=_softmax_mlp([256, 64, 128, 32]),
-        ),
+        aggregation2=_twin_aggregation([256, 64, 128, 32]),
         head=MlpSpec([1024, 512, class_count]),
     )
 
@@ -300,10 +269,7 @@ def quadrant_config() -> ModelConfig:
         task="synthetic",
         input_width=2,
         class_count=4,
-        aggregation=AggregationSpec(
-            mlp1=_softmax_mlp([2, 16, 16]),
-            mlp2=_softmax_mlp([2, 16, 16]),
-        ),
+        aggregation=_twin_aggregation([2, 16, 16]),
         head=MlpSpec([256, 64, 4]),
     )
 
@@ -314,10 +280,7 @@ def digits_config(class_count: int = 10) -> ModelConfig:
         task="pixel-classification",
         input_width=3,
         class_count=class_count,
-        aggregation=AggregationSpec(
-            mlp1=_softmax_mlp([3, 32, 64, 16]),
-            mlp2=_softmax_mlp([3, 32, 64, 16]),
-        ),
+        aggregation=_twin_aggregation([3, 32, 64, 16]),
         head=MlpSpec([256, 64, class_count]),
     )
 
@@ -329,11 +292,7 @@ def gradcheck_config() -> ModelConfig:
         task="synthetic",
         input_width=3,
         class_count=4,
-        aggregation=AggregationSpec(
-            mlp1=_softmax_mlp([3, 8, 6]),
-            mlp2=_softmax_mlp([3, 8, 6]),
-            dropout_ratio=0.0,
-        ),
+        aggregation=_twin_aggregation([3, 8, 6], dropout_ratio=0.0),
         head=MlpSpec([36, 12, 4]),
     )
 
@@ -379,22 +338,32 @@ def _mlp_from_flat(prefix: str, d: dict[str, str]) -> MlpSpec:
     )
 
 
+def _aggregation_to_flat(prefix: str, spec: AggregationSpec, out: dict[str, str]) -> None:
+    out[f"{prefix}.dropout"] = repr(spec.dropout_ratio)
+    _mlp_to_flat(f"{prefix}.mlp1", spec.mlp1, out)
+    _mlp_to_flat(f"{prefix}.mlp2", spec.mlp2, out)
+
+
+def _aggregation_from_flat(prefix: str, d: dict[str, str]) -> AggregationSpec:
+    return AggregationSpec(
+        mlp1=_mlp_from_flat(f"{prefix}.mlp1", d),
+        mlp2=_mlp_from_flat(f"{prefix}.mlp2", d),
+        dropout_ratio=float(d[f"{prefix}.dropout"]),
+    )
+
+
 def config_to_flat(cfg: ModelConfig) -> dict[str, str]:
     """Serialize a model config to flat string pairs (exact round trip)."""
     out: dict[str, str] = {
         "model.task": cfg.task,
         "model.input_width": str(cfg.input_width),
         "model.class_count": str(cfg.class_count),
-        "model.agg.dropout": repr(cfg.aggregation.dropout_ratio),
     }
-    _mlp_to_flat("model.agg.mlp1", cfg.aggregation.mlp1, out)
-    _mlp_to_flat("model.agg.mlp2", cfg.aggregation.mlp2, out)
+    _aggregation_to_flat("model.agg", cfg.aggregation, out)
     if cfg.broadcasts:
         out["model.broadcasts.widths"] = ",".join(str(w) for w in cfg.broadcasts)
     if cfg.aggregation2 is not None:
-        out["model.agg2.dropout"] = repr(cfg.aggregation2.dropout_ratio)
-        _mlp_to_flat("model.agg2.mlp1", cfg.aggregation2.mlp1, out)
-        _mlp_to_flat("model.agg2.mlp2", cfg.aggregation2.mlp2, out)
+        _aggregation_to_flat("model.agg2", cfg.aggregation2, out)
     if cfg.head is not None:
         _mlp_to_flat("model.head", cfg.head, out)
     return out
@@ -425,27 +394,18 @@ def config_from_flat(d: dict[str, str]) -> ModelConfig:
     """Inverse of :func:`config_to_flat`; also reads the metadata of
     earlier versions (see :func:`_check_retired`)."""
     _check_retired(d)
-    aggregation = AggregationSpec(
-        mlp1=_mlp_from_flat("model.agg.mlp1", d),
-        mlp2=_mlp_from_flat("model.agg.mlp2", d),
-        dropout_ratio=float(d["model.agg.dropout"]),
-    )
     broadcasts = []
     if "model.broadcasts.widths" in d:
         broadcasts = [int(w) for w in d["model.broadcasts.widths"].split(",")]
     aggregation2 = None
     if "model.agg2.mlp1.dims" in d:
-        aggregation2 = AggregationSpec(
-            mlp1=_mlp_from_flat("model.agg2.mlp1", d),
-            mlp2=_mlp_from_flat("model.agg2.mlp2", d),
-            dropout_ratio=float(d["model.agg2.dropout"]),
-        )
+        aggregation2 = _aggregation_from_flat("model.agg2", d)
     head = _mlp_from_flat("model.head", d) if "model.head.dims" in d else None
     return ModelConfig(
         task=d["model.task"],
         input_width=int(d["model.input_width"]),
         class_count=int(d["model.class_count"]),
-        aggregation=aggregation,
+        aggregation=_aggregation_from_flat("model.agg", d),
         head=head,
         broadcasts=broadcasts,
         aggregation2=aggregation2,

@@ -236,31 +236,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), bwd)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product with a same-shape tensor, a trailing-dim vector
-    (scaling each column) or a python scalar."""
-    if isinstance(b, Tensor):
-        if a.data.shape == b.data.shape:
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with a same-shape tensor or a trailing-dim
+    vector (scaling each column)."""
+    if a.data.shape == b.data.shape:
 
-            def bwd(g):
-                return ((a, g * b.data), (b, g * a.data))
+        def bwd(g):
+            return ((a, g * b.data), (b, g * a.data))
 
-        elif b.data.ndim == 1 and a.data.ndim >= 1 and a.data.shape[-1] == b.data.shape[0]:
+    elif b.data.ndim == 1 and a.data.ndim >= 1 and a.data.shape[-1] == b.data.shape[0]:
 
-            def bwd(g):
-                axes = tuple(range(g.ndim - 1))
-                return ((a, g * b.data), (b, (g * a.data).sum(axis=axes)))
+        def bwd(g):
+            axes = tuple(range(g.ndim - 1))
+            return ((a, g * b.data), (b, (g * a.data).sum(axis=axes)))
 
-        else:
-            raise ShapeError(f"cannot multiply shapes {a.data.shape} * {b.data.shape}")
-        return _result(a.data * b.data, (a, b), bwd)
-
-    c = float(b)
-
-    def bwd_scalar(g):
-        return ((a, g * c),)
-
-    return _result(a.data * c, (a,), bwd_scalar)
+    else:
+        raise ShapeError(f"cannot multiply shapes {a.data.shape} * {b.data.shape}")
+    return _result(a.data * b.data, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

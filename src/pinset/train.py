@@ -274,8 +274,7 @@ def metrics_csv(history: list[dict]) -> str:
 
 
 def write_metrics(path, history: list[dict]) -> None:
-    with open(path, "w") as f:
-        f.write(metrics_csv(history))
+    _write_atomic(path, metrics_csv(history).encode())
 
 
 # ---------------------------------------------------------------------------

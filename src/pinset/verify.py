@@ -23,7 +23,7 @@ from . import decomp, kernels
 from .blocks import (
     ACTIVATION_KINDS,
     AggregationBlock,
-    Mlp,
+    AggregationSpec,
     MlpSpec,
     aggregate,
     per_element_contribution,
@@ -84,6 +84,23 @@ class SuiteResult:
         }
 
 
+def _within_tolerance(name: str, values: list[float], tol: float, detail: str) -> PropertyResult:
+    """A property whose trial fails when its value exceeds ``tol``; the
+    worst trial is the largest value."""
+    return PropertyResult(
+        name=name,
+        trials=len(values),
+        failures=sum(v > tol for v in values),
+        worst=max(values),
+        detail=detail,
+    )
+
+
+def _gap(forward, a: np.ndarray, b: np.ndarray) -> float:
+    """max |forward(a) - forward(b)| for two sets of the same shape."""
+    return float(np.max(np.abs(forward(a[None]).data - forward(b[None]).data)))
+
+
 def relative_error(a, b) -> float:
     """Guarded relative error: |a-b| scaled by max(|a|, |b|, 1)."""
     a = np.asarray(a, dtype=np.float64)
@@ -97,20 +114,22 @@ def relative_error(a, b) -> float:
 
 
 def _invariance_block(act1: str, act2: str, rng: RngState) -> AggregationBlock:
-    return AggregationBlock(
-        mlp1=Mlp(MlpSpec([3, 16, 12], final_activation=act1), rng.child(0)),
-        mlp2=Mlp(MlpSpec([3, 16, 16], final_activation=act2), rng.child(1)),
+    spec = AggregationSpec(
+        MlpSpec([3, 16, 12], final_activation=act1),
+        MlpSpec([3, 16, 16], final_activation=act2),
         dropout_ratio=0.0,
     )
+    return AggregationBlock(spec, rng)
 
 
 @no_grad()
-def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
+def run_invariance(seed: int) -> SuiteResult:
     """aggregate(PX) == aggregate(X) for every activation pair, and for
     full classifier logits, within 1e-12."""
-    result = SuiteResult("invariance", seed)
     root = RngState(seed).child("invariance")
+    pairs_per_config = 100
     n_elements = 40
+    properties = []
 
     for act1, act2 in itertools.product(ACTIVATION_KINDS, repeat=2):
         block = _invariance_block(act1, act2, root.child("params", act1, act2))
@@ -119,18 +138,14 @@ def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
             gen = root.child("pair", _a1, _a2, i).generator()
             x = gen.uniform(-1.0, 1.0, size=(n_elements, 3))
             perm = gen.permutation(n_elements)
-            base = aggregate(_block, Tensor(x[None]), "eval")
-            permuted = aggregate(_block, Tensor(x[perm][None]), "eval")
-            return float(np.max(np.abs(base.data - permuted.data)))
+            return _gap(lambda s: aggregate(_block, Tensor(s), "eval"), x, x[perm])
 
-        diffs = [trial(i) for i in range(pairs_per_config)]
-        result.properties.append(
-            PropertyResult(
-                name=f"aggregate_invariance[{act1},{act2}]",
-                trials=pairs_per_config,
-                failures=sum(d > 1e-12 for d in diffs),
-                worst=max(diffs),
-                detail="max |aggregate(PX) - aggregate(X)|, tolerance 1e-12",
+        properties.append(
+            _within_tolerance(
+                f"aggregate_invariance[{act1},{act2}]",
+                [trial(i) for i in range(pairs_per_config)],
+                1e-12,
+                "max |aggregate(PX) - aggregate(X)|, tolerance 1e-12",
             )
         )
 
@@ -140,35 +155,32 @@ def run_invariance(seed: int, pairs_per_config: int = 100) -> SuiteResult:
         gen = root.child("logits", i).generator()
         x = gen.uniform(-1.0, 1.0, size=(784, 3))
         perm = gen.permutation(784)
-        base = model.forward(x[None], "eval")
-        permuted = model.forward(x[perm][None], "eval")
-        return float(np.max(np.abs(base.data - permuted.data)))
+        return _gap(lambda s: model.forward(s, "eval"), x, x[perm])
 
-    diffs = [logits_trial(i) for i in range(pairs_per_config)]
-    result.properties.append(
-        PropertyResult(
-            name="classifier_logits_invariance",
-            trials=pairs_per_config,
-            failures=sum(d > 1e-12 for d in diffs),
-            worst=max(diffs),
-            detail="end-to-end logits under input permutation, tolerance 1e-12",
+    properties.append(
+        _within_tolerance(
+            "classifier_logits_invariance",
+            [logits_trial(i) for i in range(pairs_per_config)],
+            1e-12,
+            "end-to-end logits under input permutation, tolerance 1e-12",
         )
     )
-    return result
+    return SuiteResult("invariance", seed, properties)
 
 
 # ---------------------------------------------------------------------------
 # linear solution set
 
 
-def run_mdd(seed: int, instances: int = 200, lambdas: int = 10, corrupt=None) -> SuiteResult:
+def run_mdd(seed: int, corrupt=None) -> SuiteResult:
     """Residuals and kernel structure over random full-row-rank systems.
 
     ``corrupt`` is a test hook applied to each solution before checking;
     the suite must then fail, which the negative-control test asserts.
     """
-    result = SuiteResult("mdd", seed)
     root = RngState(seed).child("mdd")
+    instances = 200
+    lambdas = 10
 
     def trial(i):
         gen = root.child(i).generator()
@@ -198,61 +210,46 @@ def run_mdd(seed: int, instances: int = 200, lambdas: int = 10, corrupt=None) ->
         return float(worst_resid), kernel_ok, annihilation, ortho
 
     rows = [trial(i) for i in range(instances)]
-    resids = [r[0] for r in rows]
-    result.properties.append(
-        PropertyResult(
-            name="solution_residual",
-            trials=instances,
-            failures=sum(r > 1e-8 for r in resids),
-            worst=max(resids),
-            detail="||B C - A||_F / (||A||_F + 1) over particular and sampled "
+    properties = [
+        _within_tolerance(
+            "solution_residual",
+            [r[0] for r in rows],
+            1e-8,
+            "||B C - A||_F / (||A||_F + 1) over particular and sampled "
             "solutions, tolerance 1e-8",
-        )
-    )
-    result.properties.append(
+        ),
         PropertyResult(
             name="kernel_dimension",
             trials=instances,
             failures=sum(not r[1] for r in rows),
             detail="kernel basis has exactly l - m columns",
-        )
-    )
-    annihilations = [r[2] for r in rows]
-    result.properties.append(
-        PropertyResult(
-            name="kernel_annihilation",
-            trials=instances,
-            failures=sum(a > 1e-10 for a in annihilations),
-            worst=max(annihilations),
-            detail="max |B X_h|, tolerance 1e-10",
-        )
-    )
-    orthos = [r[3] for r in rows]
-    result.properties.append(
-        PropertyResult(
-            name="kernel_orthonormal",
-            trials=instances,
-            failures=sum(o > 1e-12 for o in orthos),
-            worst=max(orthos),
-            detail="max |X_h^T X_h - I|, tolerance 1e-12",
-        )
-    )
-    return result
+        ),
+        _within_tolerance(
+            "kernel_annihilation", [r[2] for r in rows], 1e-10, "max |B X_h|, tolerance 1e-10"
+        ),
+        _within_tolerance(
+            "kernel_orthonormal", [r[3] for r in rows], 1e-12, "max |X_h^T X_h - I|, tolerance 1e-12"
+        ),
+    ]
+    return SuiteResult("mdd", seed, properties)
 
 
 # ---------------------------------------------------------------------------
 # constructive decomposition
 
 
-def enumerate_dims(max_product: int = 64) -> list[tuple[int, ...]]:
-    """Nondecreasing extent tuples (each >= 2) with product <= max_product."""
+CP_MAX_PRODUCT = 64
+
+
+def enumerate_dims() -> list[tuple[int, ...]]:
+    """Nondecreasing extent tuples (each >= 2) with product <= CP_MAX_PRODUCT."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix, minv, prod):
         if prefix:
             out.append(tuple(prefix))
         v = minv
-        while prod * v <= max_product:
+        while prod * v <= CP_MAX_PRODUCT:
             rec(prefix + [v], v, prod * v)
             v += 1
 
@@ -260,12 +257,11 @@ def enumerate_dims(max_product: int = 64) -> list[tuple[int, ...]]:
     return out
 
 
-def run_cp(seed: int, max_product: int = 64) -> SuiteResult:
+def run_cp(seed: int) -> SuiteResult:
     """Reconstruction at the cardinality bound over every dims tuple with
     product <= 64, rejection one below the bound, and full flattened rank."""
-    result = SuiteResult("cp", seed)
     root = RngState(seed).child("cp")
-    dims_list = enumerate_dims(max_product)
+    dims_list = enumerate_dims()
 
     recon_worst = 0.0
     recon_fail = 0
@@ -279,18 +275,15 @@ def run_cp(seed: int, max_product: int = 64) -> SuiteResult:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", decomp.ConditioningWarning)
             factors = decomp.cp_decompose(t, bound)
+            try:
+                decomp.cp_decompose(t, bound - 1)
+                reject_fail += 1
+            except decomp.CardinalityError:
+                pass
         recon = decomp.reconstruct_cp(factors)
         err = float(np.linalg.norm(recon - t) / np.linalg.norm(t))
         recon_worst = max(recon_worst, err)
         recon_fail += err >= 1e-6
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", decomp.ConditioningWarning)
-                decomp.cp_decompose(t, bound - 1)
-            reject_fail += 1
-        except decomp.CardinalityError:
-            pass
 
         # flattened Vandermonde rank; conditions of real-node Vandermonde
         # matrices force the tighter tolerance beyond 16 columns
@@ -300,7 +293,7 @@ def run_cp(seed: int, max_product: int = 64) -> SuiteResult:
             tol = decomp.RANK_TOL if bound <= 16 else 1e-13
             rank_fail += decomp.numeric_rank(flat, tol) != bound
 
-    result.properties.append(
+    properties = [
         PropertyResult(
             name="reconstruction_at_bound",
             trials=len(dims_list),
@@ -308,34 +301,31 @@ def run_cp(seed: int, max_product: int = 64) -> SuiteResult:
             worst=recon_worst,
             detail="relative Frobenius reconstruction error with N at the "
             "cardinality bound, tolerance 1e-6",
-        )
-    )
-    result.properties.append(
+        ),
         PropertyResult(
             name="below_bound_rejected",
             trials=len(dims_list),
             failures=reject_fail,
             detail="N one below the bound raises the cardinality error",
-        )
-    )
-    result.properties.append(
+        ),
         PropertyResult(
             name="flattened_rank",
             trials=len(dims_list),
             failures=rank_fail,
             detail="flattened factor matrix reaches full column rank",
-        )
-    )
-    return result
+        ),
+    ]
+    return SuiteResult("cp", seed, properties)
 
 
 # ---------------------------------------------------------------------------
 # rank stability
 
 
-def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50) -> SuiteResult:
-    result = SuiteResult("rankstab", seed)
+def run_rankstab(seed: int) -> SuiteResult:
     root = RngState(seed).child("rankstab")
+    deficient_trials = 100
+    stable_trials = 50
 
     def deficient(i):
         gen = root.child("deficient", i).generator()
@@ -349,27 +339,6 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
             return False, np.inf
         return probe.achieved_rank == s, float(np.linalg.norm(probe.delta))
 
-    rows = [deficient(i) for i in range(deficient_trials)]
-    norms = [r[1] for r in rows]
-    result.properties.append(
-        PropertyResult(
-            name="perturb_reaches_full_rank",
-            trials=deficient_trials,
-            failures=sum(not ok for ok, _ in rows),
-            worst=max(norms),
-            detail="identity-block perturbation restores full rank, epsilon 1e-3",
-        )
-    )
-    result.properties.append(
-        PropertyResult(
-            name="perturbation_inside_ball",
-            trials=deficient_trials,
-            failures=sum(nrm >= 1e-3 for nrm in norms),
-            worst=max(norms),
-            detail="||delta||_F stays strictly below epsilon",
-        )
-    )
-
     def stable(i):
         gen = root.child("stable", i).generator()
         s = int(gen.integers(1, 17))
@@ -380,17 +349,33 @@ def run_rankstab(seed: int, deficient_trials: int = 100, stable_trials: int = 50
         frac = decomp.rank_stability_trial(y, eps, 20, root.child("stable-draw", i))
         return frac
 
+    rows = [deficient(i) for i in range(deficient_trials)]
+    norms = [r[1] for r in rows]
     fracs = [stable(i) for i in range(stable_trials)]
-    result.properties.append(
+    properties = [
+        PropertyResult(
+            name="perturb_reaches_full_rank",
+            trials=deficient_trials,
+            failures=sum(not ok for ok, _ in rows),
+            worst=max(norms),
+            detail="identity-block perturbation restores full rank, epsilon 1e-3",
+        ),
+        PropertyResult(
+            name="perturbation_inside_ball",
+            trials=deficient_trials,
+            failures=sum(nrm >= 1e-3 for nrm in norms),
+            worst=max(norms),
+            detail="||delta||_F stays strictly below epsilon",
+        ),
         PropertyResult(
             name="full_rank_survives_small_perturbation",
             trials=stable_trials,
             failures=sum(f != 1.0 for f in fracs),
             worst=min(fracs),
             detail="survival fraction at epsilon < sigma_min/2 must be 1.0",
-        )
-    )
-    return result
+        ),
+    ]
+    return SuiteResult("rankstab", seed, properties)
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +408,12 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
-def run_gradcheck(seed: int, batches: int = 10, step: float = 1e-5) -> SuiteResult:
+def run_gradcheck(seed: int) -> SuiteResult:
     """Analytic gradients of a sub-1k-parameter classifier against central
     finite differences on every trainable parameter."""
-    result = SuiteResult("gradcheck", seed)
     root = RngState(seed).child("gradcheck")
+    batches = 10
+    step = 1e-5
     model = build_model(gradcheck_config(), root.child("model"))
     params = model.parameters()
     n_params = sum(p.data.size for p in params.values())
@@ -459,7 +445,7 @@ def run_gradcheck(seed: int, batches: int = 10, step: float = 1e-5) -> SuiteResu
             err = relative_error(analytic, fd)
             worst = max(worst, err)
             failures += err >= 1e-4
-    result.properties.append(
+    properties = [
         PropertyResult(
             name="parameter_gradients_match_fd",
             trials=batches * len(params),
@@ -467,9 +453,9 @@ def run_gradcheck(seed: int, batches: int = 10, step: float = 1e-5) -> SuiteResu
             worst=worst,
             detail=f"{n_params} scalars, h={step}, guarded relative error "
             "tolerance 1e-4",
-        )
-    )
-    return result
+        ),
+    ]
+    return SuiteResult("gradcheck", seed, properties)
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +463,23 @@ def run_gradcheck(seed: int, batches: int = 10, step: float = 1e-5) -> SuiteResu
 
 
 def _linear_block(rng: RngState, final1: str, final2: str) -> AggregationBlock:
-    spec = dict(hidden_activation="none", use_batchnorm=False, use_bias=False)
-    return AggregationBlock(
-        mlp1=Mlp(MlpSpec([6, 8], final_activation=final1, **spec), rng.child(0)),
-        mlp2=Mlp(MlpSpec([6, 8], final_activation=final2, **spec), rng.child(1)),
+    linear = dict(hidden_activation="none", use_batchnorm=False, use_bias=False)
+    spec = AggregationSpec(
+        MlpSpec([6, 8], final_activation=final1, **linear),
+        MlpSpec([6, 8], final_activation=final2, **linear),
         dropout_ratio=0.0,
     )
+    return AggregationBlock(spec, rng)
 
 
 @no_grad()
-def run_collapse(seed: int, pairs: int = 50, deepsets_sets: int = 100) -> SuiteResult:
+def run_collapse(seed: int) -> SuiteResult:
     """Bias-free linear aggregation sees only X^T X (orthogonal mixes
     agree); one set-softmax breaks that; element-wise blocks decompose
     into rank-<=1 per-element contributions that sum to the aggregate."""
-    result = SuiteResult("collapse", seed)
     root = RngState(seed).child("collapse")
+    pairs = 50
+    deepsets_sets = 100
     n_elements = 32
 
     # same derivation path: identical weights, different activations; one
@@ -507,40 +495,16 @@ def run_collapse(seed: int, pairs: int = 50, deepsets_sets: int = 100) -> SuiteR
         x = gen.uniform(-1.0, 1.0, size=(n_elements, 6))
         q, _ = np.linalg.qr(gen.standard_normal((n_elements, n_elements)))
         mixed = q @ x
-        base = aggregate(linear_block, Tensor(x[None]), "eval")
-        other = aggregate(linear_block, Tensor(mixed[None]), "eval")
-        agree_diffs.append(float(np.max(np.abs(base.data - other.data))))
-        base_s = aggregate(softmax_block, Tensor(x[None]), "eval")
-        other_s = aggregate(softmax_block, Tensor(mixed[None]), "eval")
-        broken_diffs.append(float(np.max(np.abs(base_s.data - other_s.data))))
-
-    result.properties.append(
-        PropertyResult(
-            name="no_activation_collapse",
-            trials=pairs,
-            failures=sum(d > 1e-10 for d in agree_diffs),
-            worst=max(agree_diffs),
-            detail="orthogonal row mixes give identical features without "
-            "activations, tolerance 1e-10",
-        )
-    )
+        agree_diffs.append(_gap(lambda s: aggregate(linear_block, Tensor(s), "eval"), x, mixed))
+        broken_diffs.append(_gap(lambda s: aggregate(softmax_block, Tensor(s), "eval"), x, mixed))
     differing = sum(d > 1e-3 for d in broken_diffs)
-    result.properties.append(
-        PropertyResult(
-            name="set_softmax_breaks_collapse",
-            trials=pairs,
-            failures=int(differing < int(np.ceil(0.9 * pairs))),
-            worst=min(broken_diffs),
-            detail=f"{differing}/{pairs} mixed pairs differ by more than 1e-3 "
-            "(need >= 90%)",
-        )
-    )
 
-    block = AggregationBlock(
-        mlp1=Mlp(MlpSpec([3, 8, 6], final_activation="none"), root.child("elem", 0)),
-        mlp2=Mlp(MlpSpec([3, 8, 5], final_activation="none"), root.child("elem", 1)),
+    spec = AggregationSpec(
+        MlpSpec([3, 8, 6], final_activation="none"),
+        MlpSpec([3, 8, 5], final_activation="none"),
         dropout_ratio=0.0,
     )
+    block = AggregationBlock(spec, root.child("elem"))
 
     sum_diffs = []
     rank_fail = 0
@@ -554,39 +518,49 @@ def run_collapse(seed: int, pairs: int = 50, deepsets_sets: int = 100) -> SuiteR
             rank_fail += decomp.numeric_rank(h) > 1
             contributions += h
         sum_diffs.append(float(np.max(np.abs(contributions - total))))
-    result.properties.append(
-        PropertyResult(
-            name="elementwise_sum_matches_aggregate",
-            trials=deepsets_sets,
-            failures=sum(d > 1e-10 for d in sum_diffs),
-            worst=max(sum_diffs),
-            detail="sum of per-element contributions equals the aggregate, "
-            "tolerance 1e-10",
-        )
-    )
-    result.properties.append(
-        PropertyResult(
-            name="contributions_rank_le_1",
-            trials=deepsets_sets * 16,
-            failures=rank_fail,
-            detail="each per-element contribution has numeric rank <= 1",
-        )
-    )
 
     softmax_rejects = 0
     try:
         per_element_contribution(softmax_block, np.zeros(6))
     except ValueError:
         softmax_rejects = 1
-    result.properties.append(
+    properties = [
+        _within_tolerance(
+            "no_activation_collapse",
+            agree_diffs,
+            1e-10,
+            "orthogonal row mixes give identical features without "
+            "activations, tolerance 1e-10",
+        ),
+        PropertyResult(
+            name="set_softmax_breaks_collapse",
+            trials=pairs,
+            failures=int(differing < int(np.ceil(0.9 * pairs))),
+            worst=min(broken_diffs),
+            detail=f"{differing}/{pairs} mixed pairs differ by more than 1e-3 "
+            "(need >= 90%)",
+        ),
+        _within_tolerance(
+            "elementwise_sum_matches_aggregate",
+            sum_diffs,
+            1e-10,
+            "sum of per-element contributions equals the aggregate, "
+            "tolerance 1e-10",
+        ),
+        PropertyResult(
+            name="contributions_rank_le_1",
+            trials=deepsets_sets * 16,
+            failures=rank_fail,
+            detail="each per-element contribution has numeric rank <= 1",
+        ),
         PropertyResult(
             name="set_softmax_contribution_rejected",
             trials=1,
             failures=1 - softmax_rejects,
             detail="per-element decomposition refuses set-softmax blocks",
-        )
-    )
-    return result
+        ),
+    ]
+    return SuiteResult("collapse", seed, properties)
 
 
 # ---------------------------------------------------------------------------

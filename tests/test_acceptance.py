@@ -22,6 +22,7 @@ from pinset.models import (
     TABLE_FACTORIZATIONS,
     build_model,
     digits_config,
+    gradcheck_config,
     pixel_s_config,
     point_ablation_config,
     quadrant_config,
@@ -49,8 +50,10 @@ def _suite_failures(result):
 
 def test_criterion_1_permutation_invariance():
     t0 = time.perf_counter()
-    result = verify.run_invariance(SEED, pairs_per_config=100)
+    result = verify.run_invariance(SEED)
     elapsed = time.perf_counter() - t0
+    # 100 pairs for each of the 16 activation pairs and for the classifier
+    assert [p.trials for p in result.properties] == [100] * 17
     worst = max(p.worst for p in result.properties)
     _report(
         "1",
@@ -62,8 +65,9 @@ def test_criterion_1_permutation_invariance():
 
 def test_criterion_2_mdd_suite():
     t0 = time.perf_counter()
-    result = verify.run_mdd(SEED, instances=200, lambdas=10)
+    result = verify.run_mdd(SEED)
     elapsed = time.perf_counter() - t0
+    assert [p.trials for p in result.properties] == [200] * 4
     worst = max(p.worst for p in result.properties if p.worst is not None)
     _report(
         "2",
@@ -75,7 +79,7 @@ def test_criterion_2_mdd_suite():
 
 def test_criterion_3_constructive_decomposition():
     t0 = time.perf_counter()
-    result = verify.run_cp(SEED, max_product=64)
+    result = verify.run_cp(SEED)
     elapsed = time.perf_counter() - t0
     recon = next(p for p in result.properties if p.name == "reconstruction_at_bound")
     _report(
@@ -88,8 +92,10 @@ def test_criterion_3_constructive_decomposition():
 
 def test_criterion_4_rank_stability():
     t0 = time.perf_counter()
-    result = verify.run_rankstab(SEED, deficient_trials=100, stable_trials=50)
+    result = verify.run_rankstab(SEED)
     elapsed = time.perf_counter() - t0
+    # 100 rank-deficient trials feed the first two properties, 50 stable ones the third
+    assert [p.trials for p in result.properties] == [100, 100, 50]
     _report(
         "4",
         "rank stability probes (eps=1e-3)",
@@ -100,9 +106,12 @@ def test_criterion_4_rank_stability():
 
 def test_criterion_5_gradient_checks():
     t0 = time.perf_counter()
-    result = verify.run_gradcheck(SEED, batches=10)
+    result = verify.run_gradcheck(SEED)
     elapsed = time.perf_counter() - t0
     prop = result.properties[0]
+    # one trial per parameter tensor in each of 10 batches
+    n_tensors = len(build_model(gradcheck_config(), RngState(SEED)).parameters())
+    assert prop.trials == 10 * n_tensors
     _report(
         "5",
         "finite-difference gradients (1e-4)",
@@ -113,13 +122,14 @@ def test_criterion_5_gradient_checks():
 
 @pytest.fixture(scope="module")
 def collapse_result():
-    return verify.run_collapse(SEED, pairs=50, deepsets_sets=100)
+    return verify.run_collapse(SEED)
 
 
 def test_criterion_6_activation_collapse(collapse_result):
     props = {p.name: p for p in collapse_result.properties}
     agree = props["no_activation_collapse"]
     broken = props["set_softmax_breaks_collapse"]
+    assert agree.trials == broken.trials == 50
     _report(
         "6",
         "activation collapse and its break",
@@ -130,6 +140,9 @@ def test_criterion_6_activation_collapse(collapse_result):
 
 def test_criterion_7_elementwise_decomposition(collapse_result):
     props = {p.name: p for p in collapse_result.properties}
+    # 100 sets of 16 elements
+    assert props["elementwise_sum_matches_aggregate"].trials == 100
+    assert props["contributions_rank_le_1"].trials == 1600
     ok = all(
         props[name].passed
         for name in (

@@ -3,6 +3,7 @@ import pytest
 
 from pinset.blocks import (
     AggregationBlock,
+    AggregationSpec,
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
@@ -20,12 +21,29 @@ from pinset.tensor import BN_EPS, Tensor
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
     dims1 = dims1 or [3, 16, 12]
     dims2 = dims2 or [3, 16, 16]
-    rng = RngState(seed)
-    return AggregationBlock(
-        mlp1=Mlp(MlpSpec(dims1, final_activation=act1, **kw), rng.child(0)),
-        mlp2=Mlp(MlpSpec(dims2, final_activation=act2, **kw), rng.child(1)),
+    spec = AggregationSpec(
+        MlpSpec(dims1, final_activation=act1, **kw),
+        MlpSpec(dims2, final_activation=act2, **kw),
         dropout_ratio=0.0,
     )
+    return AggregationBlock(spec, RngState(seed))
+
+
+class TestAggregationSpec:
+    def test_mlps_read_the_same_width(self):
+        with pytest.raises(ValueError, match="same element width"):
+            AggregationSpec(MlpSpec([3, 4]), MlpSpec([2, 4]))
+
+    def test_block_draws_its_mlps_from_child_streams_0_and_1(self):
+        # the streams checkpoints were written with
+        spec = _block().spec
+        block = AggregationBlock(spec, RngState(9).child("agg1"))
+        for mlp, ref in (
+            (block.mlp1, Mlp(spec.mlp1, RngState(9).child("agg1", 0))),
+            (block.mlp2, Mlp(spec.mlp2, RngState(9).child("agg1", 1))),
+        ):
+            for a, b in zip(mlp.parameters().values(), ref.parameters().values()):
+                np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestMlpSpec:

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from pinset import cli, models, verify
+from pinset.blocks import MlpSpec
 from pinset.cli import main
-from pinset.data import write_idx
+from pinset.data import SyntheticTaskSpec, write_idx
 from pinset.rng import RngState
 from pinset.textio import read_tensor, write_tensor
-from pinset.train import save_checkpoint
+from pinset.train import evaluate, save_checkpoint
 
 QUADRANT_CFG = """
 task = quadrant
@@ -241,6 +242,86 @@ def test_idx_images_not_square_or_empty_exit_2(shape, sides, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("data error: ") and sides in lines[0], lines
 
 
+class TestEvalReadsOnlyWhatItUses:
+    def test_quadrant_eval_draws_no_training_set_and_needs_no_model_keys(self, tmp_path, monkeypatch, capsys):
+        ckpt = tmp_path / "quadrant.dmpp"
+        model = models.build_model(models.quadrant_config(), RngState(0))
+        save_checkpoint(ckpt, model)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"task = quadrant\ndata.test_size = 32\ndata.set_size = 16\neval.checkpoint = {ckpt}\n")
+        drawn = []
+        real_task = cli.make_synthetic_task
+
+        def counting_task(spec):
+            train_batch, test_batch = real_task(spec)
+            drawn.append(train_batch.size)
+            return train_batch, test_batch
+
+        monkeypatch.setattr(cli, "make_synthetic_task", counting_task)
+        assert main(["eval", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert drawn == [0]
+        # the same test split as a run that also draws the training sets
+        _, test_batch = real_task(SyntheticTaskSpec(set_size=16, train_size=2000, test_size=32, seed=4))
+        expected = evaluate(model, test_batch)
+        assert json.loads(capsys.readouterr().out) == {**expected, "epoch": 0}
+
+    def test_pixel_eval_ignores_missing_training_files(self, tmp_path, capsys):
+        ckpt = tmp_path / "digits.dmpp"
+        save_checkpoint(ckpt, models.build_model(models.digits_config(), RngState(0)))
+        cfg = _pixel_idx_config(tmp_path, "model.preset = digits")
+        argv = ["eval", "--config", cfg, "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        assert main(argv) == 0
+        with_train = capsys.readouterr().out
+        missing = ["--set", "data.train_images=/nonexistent/a", "--set", "data.train_labels=/nonexistent/b"]
+        assert main(argv + missing) == 0
+        assert capsys.readouterr().out == with_train
+
+
+def test_second_aggregation_without_broadcasts_exits_2(tmp_path, capsys):
+    # a checkpoint earlier versions loaded; its head reads the unused second aggregation
+    cfg = models.quadrant_config()
+    cfg.aggregation2 = models.AggregationSpec(MlpSpec([2, 3]), MlpSpec([2, 3]))
+    cfg.head = MlpSpec([9, 8, 4])
+    ckpt = tmp_path / "agg2.dmpp"
+    save_checkpoint(ckpt, models.Model(cfg, RngState(0)))
+    config = tmp_path / "eval.cfg"
+    config.write_text("task = quadrant\nmodel.preset = quadrant\ndata.test_size = 8\n")
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+    assert "broadcast blocks and a second aggregation come only together" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["train", "--set", "train.epochs=1"], "metrics.csv"),
+        (["verify", "--suite", "cp"], "verify_report.json"),
+        (["decompose", "--components", "2"], "t.decompose.json"),
+    ],
+)
+def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config, tmp_path, monkeypatch):
+    write_tensor(tmp_path / "t.txt", np.arange(6.0).reshape(2, 3))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("previous\n")
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    common = ["--config", quadrant_config, "--out", str(out)]
+    if argv[0] == "decompose":
+        common = ["--input", str(tmp_path / "t.txt"), "--out", str(out)]
+    with pytest.raises(OSError, match="No space left"):
+        main(argv + common)
+    assert (out / name).read_text() == "previous\n"
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+
+
 class TestDamagedCheckpointExits2:
     @pytest.fixture
     def eval_damaged(self, quadrant_config, tmp_path, monkeypatch, capsys):
@@ -293,7 +374,7 @@ class TestVerifyCommand:
             if sol.kernel_basis.size:
                 sol.kernel_basis[0, :] += 0.5
 
-        result = verify.run_mdd(0, instances=20, corrupt=corrupt)
+        result = verify.run_mdd(0, corrupt=corrupt)
         assert not result.passed
 
 

@@ -187,6 +187,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="model.broadcasts.activation"):
             config_from_flat(flat)
 
+    def test_second_aggregation_comes_only_with_broadcasts(self):
+        cfg = pixel_l_config()
+        for changes in ({"broadcasts": []}, {"aggregation2": None}):
+            with pytest.raises(ValueError, match="come only together"):
+                dataclasses.replace(cfg, **changes)
+        flat = config_to_flat(cfg)
+        del flat["model.broadcasts.widths"]
+        with pytest.raises(ValueError, match="come only together"):
+            config_from_flat(flat)
+
+    def test_second_aggregation_reads_the_last_broadcast_width(self):
+        with pytest.raises(ValueError, match="expects width 256, broadcast chain emits 128"):
+            dataclasses.replace(pixel_l_config(), broadcasts=[256, 128])
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -489,7 +489,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(mul(w, 2.0))
+            backward(mul(w, w))
 
     def test_matmul_square_loss_matches_fd(self):
         gen = RngState(10).generator()
