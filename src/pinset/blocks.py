@@ -9,6 +9,7 @@ back into every element.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,18 @@ class MlpSpec:
     def out_width(self) -> int:
         return self.layer_dims[-1]
 
-
-def _init_linear(gen: np.random.Generator, d_in: int, d_out: int, use_bias: bool):
-    # fan-in uniform, recorded in checkpoints as the init scheme
-    bound = 1.0 / np.sqrt(d_in)
-    w = Tensor(gen.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True)
-    b = Tensor(gen.uniform(-bound, bound, size=d_out), requires_grad=True) if use_bias else None
-    return w, b
+    def layers(self) -> list[tuple[int, int, bool, str]]:
+        """One ``(in width, out width, batchnorm, activation)`` per layer."""
+        dims, last = self.layer_dims, len(self.layer_dims) - 2
+        return [
+            (
+                dims[i],
+                dims[i + 1],
+                self.use_batchnorm and i < last,
+                self.final_activation if i == last else self.hidden_activation,
+            )
+            for i in range(last + 1)
+        ]
 
 
 def _apply_activation(h: Tensor, kind: str, set_size: int | None) -> Tensor:
@@ -99,55 +105,74 @@ def _apply_activation(h: Tensor, kind: str, set_size: int | None) -> Tensor:
     return reshape(set_softmax(grouped), (rows, width))
 
 
-def _fold_batchnorm(w: Tensor, b: Tensor | None, gamma: Tensor, beta: Tensor, state: BatchNormState):
-    """Eval-mode batchnorm folded into the linear map before it:
-    ``W' = W diag(s)`` and ``b' = (b - mean) s + beta`` with
-    ``s = gamma / sqrt(var + BN_EPS)`` (Jacob et al., CVPR 2018). Only the
-    small parameter tensors are touched, and gradients reach all four."""
-    scale = mul(gamma, Tensor(1.0 / np.sqrt(state.var + BN_EPS)))
-    centre = Tensor(-state.mean)
-    if b is not None:
-        centre = add(b, centre)
-    return mul(w, scale), add(mul(centre, scale), beta)
+Named = Iterator[tuple[str, Tensor | BatchNormState]]
 
 
-class Mlp:
+class Block:
+    """A block that lists its tensors and running statistics once, in its
+    ``named(prefix)`` walk; the order of that walk is the checkpoint
+    order. Parameters and statistics are filters over it."""
+
+    def named(self, prefix: str = "") -> Named:
+        raise NotImplementedError
+
+    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        return {name: v for name, v in self.named(prefix) if isinstance(v, Tensor)}
+
+    def norm_states(self, prefix: str = "") -> dict[str, BatchNormState]:
+        return {name: v for name, v in self.named(prefix) if isinstance(v, BatchNormState)}
+
+
+class BatchNorm:
+    """Batch normalization of ``width`` features: scale ``gamma``, shift
+    ``beta`` and the running statistics ``state``."""
+
+    def __init__(self, width: int):
+        self.gamma = Tensor(np.ones(width), requires_grad=True)
+        self.beta = Tensor(np.zeros(width), requires_grad=True)
+        self.state = BatchNormState(width)
+
+    def named(self, prefix: str = "") -> Named:
+        yield f"{prefix}bn_gamma", self.gamma
+        yield f"{prefix}bn_beta", self.beta
+        yield f"{prefix}bn", self.state
+
+    def fold(self, w: Tensor, b: Tensor | None) -> tuple[Tensor, Tensor]:
+        """Eval mode folded into the linear map before it:
+        ``W' = W diag(s)`` and ``b' = (b - mean) s + beta`` with
+        ``s = gamma / sqrt(var + BN_EPS)`` (Jacob et al., CVPR 2018). Only
+        the small parameter tensors are touched, and gradients reach all
+        four."""
+        scale = mul(self.gamma, Tensor(1.0 / np.sqrt(self.state.var + BN_EPS)))
+        centre = Tensor(-self.state.mean)
+        if b is not None:
+            centre = add(b, centre)
+        return mul(w, scale), add(mul(centre, scale), self.beta)
+
+
+@dataclass
+class Layer:
+    """One MLP layer's tensors: ``h @ weight + bias``, normalized by
+    ``bn`` when the spec asks for it."""
+
+    weight: Tensor  # (d_in, d_out)
+    bias: Tensor | None
+    bn: BatchNorm | None
+
+
+class Mlp(Block):
     """An MlpSpec bound to parameters, applied row-wise to stacked sets."""
 
     def __init__(self, spec: MlpSpec, rng: RngState):
         self.spec = spec
         gen = rng.generator()
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor | None] = []
-        self.bn_gamma: list[Tensor | None] = []
-        self.bn_beta: list[Tensor | None] = []
-        self.bn_states: list[BatchNormState | None] = []
-        dims = spec.layer_dims
-        for i in range(len(dims) - 1):
-            w, b = _init_linear(gen, dims[i], dims[i + 1], spec.use_bias)
-            self.weights.append(w)
-            self.biases.append(b)
-            if self._layer_has_bn(i):
-                self.bn_gamma.append(Tensor(np.ones(dims[i + 1]), requires_grad=True))
-                self.bn_beta.append(Tensor(np.zeros(dims[i + 1]), requires_grad=True))
-                self.bn_states.append(BatchNormState(dims[i + 1]))
-            else:
-                self.bn_gamma.append(None)
-                self.bn_beta.append(None)
-                self.bn_states.append(None)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.spec.layer_dims) - 1
-
-    def _is_final(self, i: int) -> bool:
-        return i == self.n_layers - 1
-
-    def _layer_has_bn(self, i: int) -> bool:
-        return self.spec.use_batchnorm and not self._is_final(i)
-
-    def _layer_activation(self, i: int) -> str:
-        return self.spec.final_activation if self._is_final(i) else self.spec.hidden_activation
+        self.layers: list[Layer] = []
+        for d_in, d_out, has_bn, _ in spec.layers():
+            # fan-in uniform, recorded in checkpoints as the init scheme
+            bound = 1.0 / np.sqrt(d_in)
+            w = Tensor(gen.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True)
+            b = Tensor(gen.uniform(-bound, bound, size=d_out), requires_grad=True) if spec.use_bias else None
+            self.layers.append(Layer(w, b, BatchNorm(d_out) if has_bn else None))
 
     def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
         """Apply every layer to the rows of ``x``.
@@ -169,42 +194,30 @@ class Mlp:
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
             )
         h = x
-        for i in range(self.n_layers):
-            kind = self._layer_activation(i)
+        for layer, (*_, kind) in zip(self.layers, self.spec.layers()):
             fuse_relu = kind == "relu"
-            w, b, gamma = self.weights[i], self.biases[i], self.bn_gamma[i]
-            if gamma is None:
+            w, b, bn = layer.weight, layer.bias, layer.bn
+            if bn is None:
                 h = affine(h, w, b, relu=fuse_relu)
             elif mode == "train":
-                h = batchnorm(h, gamma, self.bn_beta[i], self.bn_states[i], w=w, b=b, relu=fuse_relu)
+                h = batchnorm(h, bn.gamma, bn.beta, bn.state, w=w, b=b, relu=fuse_relu)
             else:
-                w, b = _fold_batchnorm(w, b, gamma, self.bn_beta[i], self.bn_states[i])
-                h = affine(h, w, b, relu=fuse_relu)
+                h = affine(h, *bn.fold(w, b), relu=fuse_relu)
             if not fuse_relu:
                 h = _apply_activation(h, kind, set_size)
         return h
 
     def uses_softmax_set(self) -> bool:
-        kinds = [self._layer_activation(i) for i in range(self.n_layers)]
-        return "softmax_set" in kinds
+        return any(kind == "softmax_set" for *_, kind in self.spec.layers())
 
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i in range(self.n_layers):
-            out[f"{prefix}layer{i}.weight"] = self.weights[i]
-            if self.biases[i] is not None:
-                out[f"{prefix}layer{i}.bias"] = self.biases[i]
-            if self.bn_gamma[i] is not None:
-                out[f"{prefix}layer{i}.bn_gamma"] = self.bn_gamma[i]
-                out[f"{prefix}layer{i}.bn_beta"] = self.bn_beta[i]
-        return out
-
-    def norm_states(self, prefix: str = "") -> dict[str, BatchNormState]:
-        return {
-            f"{prefix}layer{i}.bn": st
-            for i, st in enumerate(self.bn_states)
-            if st is not None
-        }
+    def named(self, prefix: str = "") -> Named:
+        for i, layer in enumerate(self.layers):
+            at = f"{prefix}layer{i}."
+            yield f"{at}weight", layer.weight
+            if layer.bias is not None:
+                yield f"{at}bias", layer.bias
+            if layer.bn is not None:
+                yield from layer.bn.named(at)
 
 
 @dataclass
@@ -227,7 +240,7 @@ class AggregationSpec:
         return self.mlp1.out_width * self.mlp2.out_width
 
 
-class AggregationBlock:
+class AggregationBlock(Block):
     """An AggregationSpec bound to parameters: two per-element MLPs
     combined by a dot product over the set axis."""
 
@@ -240,15 +253,9 @@ class AggregationBlock:
     def out_widths(self) -> tuple[int, int]:
         return self.spec.mlp1.out_width, self.spec.mlp2.out_width
 
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.mlp1.parameters(f"{prefix}mlp1.")
-        out.update(self.mlp2.parameters(f"{prefix}mlp2."))
-        return out
-
-    def norm_states(self, prefix: str = "") -> dict[str, BatchNormState]:
-        out = self.mlp1.norm_states(f"{prefix}mlp1.")
-        out.update(self.mlp2.norm_states(f"{prefix}mlp2."))
-        return out
+    def named(self, prefix: str = "") -> Named:
+        yield from self.mlp1.named(f"{prefix}mlp1.")
+        yield from self.mlp2.named(f"{prefix}mlp2.")
 
 
 def aggregate(
@@ -306,8 +313,7 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
     return sum_product(outs)
 
 
-@dataclass
-class BroadcastBlock:
+class BroadcastBlock(Block):
     """Mixes a set feature into each element: z_i = Wx x_i + Wy y + b,
     followed by batch normalization and a relu.
 
@@ -316,50 +322,24 @@ class BroadcastBlock:
     only, so the block is equivariant by construction.
     """
 
-    w_x: Tensor  # (d_z, d_x)
-    w_y: Tensor  # (d_z, d_y)
-    bias: Tensor  # (d_z,)
-    gamma: Tensor  # (d_z,)
-    beta: Tensor  # (d_z,)
-    state: BatchNormState
-
-    def __post_init__(self):
-        dz = self.w_x.data.shape[0]
-        if self.w_y.data.shape[0] != dz or self.bias.data.shape != (dz,):
-            raise ValueError(
-                f"inconsistent widths: w_x {self.w_x.data.shape}, "
-                f"w_y {self.w_y.data.shape}, bias {self.bias.data.shape}"
-            )
+    def __init__(self, d_x: int, d_y: int, d_z: int, rng: RngState):
+        gen = rng.generator()
+        bx = 1.0 / np.sqrt(d_x)
+        by = 1.0 / np.sqrt(d_y)
+        self.w_x = Tensor(gen.uniform(-bx, bx, size=(d_z, d_x)), requires_grad=True)
+        self.w_y = Tensor(gen.uniform(-by, by, size=(d_z, d_y)), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_z), requires_grad=True)
+        self.bn = BatchNorm(d_z)
 
     @property
     def widths(self) -> tuple[int, int, int]:
         return self.w_x.data.shape[1], self.w_y.data.shape[1], self.w_x.data.shape[0]
 
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w_x": self.w_x,
-            f"{prefix}w_y": self.w_y,
-            f"{prefix}bias": self.bias,
-            f"{prefix}bn_gamma": self.gamma,
-            f"{prefix}bn_beta": self.beta,
-        }
-
-    def norm_states(self, prefix: str = "") -> dict[str, BatchNormState]:
-        return {f"{prefix}bn": self.state}
-
-
-def make_broadcast_block(d_x: int, d_y: int, d_z: int, rng: RngState) -> BroadcastBlock:
-    gen = rng.generator()
-    bx = 1.0 / np.sqrt(d_x)
-    by = 1.0 / np.sqrt(d_y)
-    return BroadcastBlock(
-        w_x=Tensor(gen.uniform(-bx, bx, size=(d_z, d_x)), requires_grad=True),
-        w_y=Tensor(gen.uniform(-by, by, size=(d_z, d_y)), requires_grad=True),
-        bias=Tensor(np.zeros(d_z), requires_grad=True),
-        gamma=Tensor(np.ones(d_z), requires_grad=True),
-        beta=Tensor(np.zeros(d_z), requires_grad=True),
-        state=BatchNormState(d_z),
-    )
+    def named(self, prefix: str = "") -> Named:
+        yield f"{prefix}w_x", self.w_x
+        yield f"{prefix}w_y", self.w_y
+        yield f"{prefix}bias", self.bias
+        yield from self.bn.named(prefix)
 
 
 def broadcast_batched(
@@ -384,10 +364,11 @@ def broadcast_batched(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     w = transpose(block.w_x)
     row = add(matmul(y, transpose(block.w_y)), block.bias)
+    bn = block.bn
     if mode == "train":
         b = tile_rows(row, set_size)
-        return batchnorm(x_flat, block.gamma, block.beta, block.state, w=w, b=b, relu=True)
-    w, row = _fold_batchnorm(w, row, block.gamma, block.beta, block.state)
+        return batchnorm(x_flat, bn.gamma, bn.beta, bn.state, w=w, b=b, relu=True)
+    w, row = bn.fold(w, row)
     return affine(x_flat, w, tile_rows(row, set_size), relu=True)
 
 

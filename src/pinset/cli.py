@@ -273,6 +273,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the suites take no config key; this rejects unreadable files and typos
+    _load_config(args, {})
     names = list(verify_mod.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names, args.seed)
     for res in results:
@@ -419,25 +421,32 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not 0 <= args.seed < 2**64:
         print("error: --seed must fit in u64", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CardinalityError, RankDeficiencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    with warnings.catch_warnings():
+        # one line per warning; the filters, once per location by default, stay
+        warnings.showwarning = _print_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (CardinalityError, RankDeficiencyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except _DATA_ERRORS as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except DivergenceError as exc:
+            print(f"divergence: {exc}", file=sys.stderr)
+            return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

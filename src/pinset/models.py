@@ -15,15 +15,16 @@ import numpy as np
 from .blocks import (
     AggregationBlock,
     AggregationSpec,
+    Block,
     BroadcastBlock,
     Mlp,
     MlpSpec,
+    Named,
     aggregate,
     broadcast_batched,
-    make_broadcast_block,
 )
 from .rng import RngState
-from .tensor import BatchNormState, Tensor, reshape
+from .tensor import Tensor, reshape
 
 
 @dataclass
@@ -64,22 +65,24 @@ class ModelConfig:
         last = self.aggregation2 if self.aggregation2 is not None else self.aggregation
         return last.feature_length
 
+    def broadcast_widths(self) -> list[tuple[int, int, int]]:
+        """``(d_x, d_y, d_z)`` of each broadcast block: each reads the
+        previous block's rows and the first aggregation's feature."""
+        d_x = [self.input_width] + self.broadcasts[:-1]
+        d_y = self.aggregation.feature_length
+        return [(a, d_y, d_z) for a, d_z in zip(d_x, self.broadcasts)]
 
-class Model:
+
+class Model(Block):
     """Config bound to parameters; forward maps (B, N, p) sets to logits."""
 
     def __init__(self, config: ModelConfig, rng: RngState):
         self.config = config
         self.agg1 = AggregationBlock(config.aggregation, rng.child("agg1"))
-        self.broadcast_layers: list[BroadcastBlock] = []
-        in_width = config.input_width
-        for i, width in enumerate(config.broadcasts):
-            self.broadcast_layers.append(
-                make_broadcast_block(
-                    in_width, config.aggregation.feature_length, width, rng.child("bc", i)
-                )
-            )
-            in_width = width
+        self.broadcast_layers = [
+            BroadcastBlock(*widths, rng.child("bc", i))
+            for i, widths in enumerate(config.broadcast_widths())
+        ]
         self.agg2 = None
         if config.aggregation2 is not None:
             self.agg2 = AggregationBlock(config.aggregation2, rng.child("agg2"))
@@ -106,27 +109,15 @@ class Model:
             return feature
         return self.head.forward(feature, mode)
 
-    def _named_blocks(self) -> list[tuple[str, AggregationBlock | BroadcastBlock | Mlp]]:
-        """Every block with its parameter-name prefix, in forward order."""
-        named = [("agg1.", self.agg1)]
-        named += [(f"bc{i}.", block) for i, block in enumerate(self.broadcast_layers)]
+    def named(self, prefix: str = "") -> Named:
+        """Every block's tensors, in forward order."""
+        yield from self.agg1.named(f"{prefix}agg1.")
+        for i, block in enumerate(self.broadcast_layers):
+            yield from block.named(f"{prefix}bc{i}.")
         if self.agg2 is not None:
-            named.append(("agg2.", self.agg2))
+            yield from self.agg2.named(f"{prefix}agg2.")
         if self.head is not None:
-            named.append(("head.", self.head))
-        return named
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, block in self._named_blocks():
-            out.update(block.parameters(prefix))
-        return out
-
-    def norm_states(self) -> dict[str, BatchNormState]:
-        out: dict[str, BatchNormState] = {}
-        for prefix, block in self._named_blocks():
-            out.update(block.norm_states(prefix))
-        return out
+            yield from self.head.named(f"{prefix}head.")
 
 
 def build_model(config: ModelConfig, rng: RngState) -> Model:
@@ -151,14 +142,11 @@ class ParamReport:
 
 def _mlp_counts(spec: MlpSpec, prefix: str) -> tuple[list[tuple[str, int]], int]:
     rows = []
-    dims = spec.layer_dims
-    n_layers = len(dims) - 1
-    for i in range(n_layers):
-        linear = dims[i] * dims[i + 1] + (dims[i + 1] if spec.use_bias else 0)
-        rows.append((f"{prefix}layer{i}.linear", linear))
-        if spec.use_batchnorm and i < n_layers - 1:
-            rows.append((f"{prefix}layer{i}.batchnorm", 2 * dims[i + 1]))
-    extra = 2 * dims[-1] if spec.use_batchnorm else 0
+    for i, (d_in, d_out, has_bn, _) in enumerate(spec.layers()):
+        rows.append((f"{prefix}layer{i}.linear", d_in * d_out + (d_out if spec.use_bias else 0)))
+        if has_bn:
+            rows.append((f"{prefix}layer{i}.batchnorm", 2 * d_out))
+    extra = 2 * spec.out_width if spec.use_batchnorm else 0
     return rows, extra
 
 
@@ -182,16 +170,14 @@ def param_count(config: ModelConfig) -> ParamReport:
 
     add_block("aggregation", *_aggregation_counts(config.aggregation, "agg1."))
 
-    in_width = config.input_width
-    for i, width in enumerate(config.broadcasts):
+    for i, (d_x, d_y, d_z) in enumerate(config.broadcast_widths()):
         bc_rows = [
-            (f"bc{i}.w_x", width * in_width),
-            (f"bc{i}.w_y", width * config.aggregation.feature_length),
-            (f"bc{i}.bias", width),
-            (f"bc{i}.batchnorm", 2 * width),
+            (f"bc{i}.w_x", d_z * d_x),
+            (f"bc{i}.w_y", d_z * d_y),
+            (f"bc{i}.bias", d_z),
+            (f"bc{i}.batchnorm", 2 * d_z),
         ]
         add_block(f"broadcast{i}", bc_rows)
-        in_width = width
 
     if config.aggregation2 is not None:
         add_block("aggregation2", *_aggregation_counts(config.aggregation2, "agg2."))

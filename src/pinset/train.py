@@ -52,23 +52,6 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class LrSchedule:
-    """Constant rate with a single drop by :data:`LR_DROP_FACTOR` at
-    ``drop_epoch``, plus an optional linear warmup (off by default)."""
-
-    initial: float
-    drop_epoch: int
-    warmup_epochs: int = 0
-
-    def rate(self, epoch: int) -> float:
-        if self.warmup_epochs > 0 and epoch < self.warmup_epochs:
-            return self.initial * (epoch + 1) / self.warmup_epochs
-        if epoch < self.drop_epoch:
-            return self.initial
-        return self.initial / LR_DROP_FACTOR
-
-
-@dataclass
 class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 1e-4
@@ -123,6 +106,15 @@ class TrainConfig:
             value = getattr(self, key)
             if value < 0:
                 raise ConfigError(f"train.{key} must be >= 0, got {value}", key=f"train.{key}")
+
+    def lr_at(self, epoch: int) -> float:
+        """``lr``, dropped once by :data:`LR_DROP_FACTOR` at
+        ``lr_drop_epoch``, after an optional linear warmup (off by default)."""
+        if epoch < self.warmup_epochs:
+            return self.lr * (epoch + 1) / self.warmup_epochs
+        if epoch < self.lr_drop_epoch:
+            return self.lr
+        return self.lr / LR_DROP_FACTOR
 
 
 def check_sizes(train_batch: SetBatch, test_batch: SetBatch) -> None:
@@ -194,11 +186,10 @@ def train(
     params = model.parameters()
     param_list = list(params.values())
     state = OptimizerState(momentum=cfg.momentum, weight_decay=cfg.weight_decay, lr=cfg.lr)
-    schedule = LrSchedule(cfg.lr, cfg.lr_drop_epoch, warmup_epochs=cfg.warmup_epochs)
     history: list[dict] = []
 
     for epoch in range(cfg.epochs):
-        state.lr = schedule.rate(epoch)
+        state.lr = cfg.lr_at(epoch)
         t0 = time.perf_counter()
         order = rng.child("shuffle", epoch).generator().permutation(train_batch.size)
         dropout_gen = rng.child("dropout", epoch).generator()
@@ -414,6 +405,8 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         key, sep, value = line.partition(" = ")
         if not sep:
             raise CheckpointError(f"{path}: malformed metadata line {line!r}")
+        if key in meta:
+            raise CheckpointError(f"{path}: metadata key {key} appears twice")
         meta[key] = value
     count = r.u64("tensor count")
     if count > r.left() // 16:  # a tensor takes at least its name length and rank
@@ -430,11 +423,10 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
     try:
         config = models_mod.config_from_flat(meta)
         model = build_model(config, RngState(int(meta.get("train.seed", "0"))))
-        optimizer = OptimizerState(
-            momentum=float(meta.get("optimizer.momentum", "0.9")),
-            weight_decay=float(meta.get("optimizer.weight_decay", "0.0001")),
-            lr=float(meta.get("optimizer.lr", "0.01")),
-        )
+        optimizer = OptimizerState()
+        for key in ("momentum", "weight_decay", "lr"):
+            if f"optimizer.{key}" in meta:
+                setattr(optimizer, key, float(meta[f"optimizer.{key}"]))
         epoch = int(meta.get("train.epoch", "0"))
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None

@@ -4,13 +4,13 @@ import pytest
 from pinset.blocks import (
     AggregationBlock,
     AggregationSpec,
+    BroadcastBlock,
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
     aggregate,
     aggregate_order_n,
     broadcast_batched,
-    make_broadcast_block,
     per_element_contribution,
 )
 from pinset.decomp import numeric_rank
@@ -62,8 +62,8 @@ class TestMlpForward:
             MlpSpec([3, 3], final_activation="none", use_batchnorm=False),
             RngState(0),
         )
-        mlp.weights[0].data = np.eye(3)
-        mlp.biases[0].data = np.zeros(3)
+        mlp.layers[0].weight.data = np.eye(3)
+        mlp.layers[0].bias.data = np.zeros(3)
         x = RngState(1).generator().uniform(-1, 1, size=(5, 3))
         np.testing.assert_array_equal(mlp.forward(Tensor(x), "eval").data, x)
 
@@ -90,13 +90,14 @@ class TestMlpForward:
 
 def _with_running_stats(mlp: Mlp, seed: int) -> Mlp:
     gen = RngState(seed).generator()
-    for state, gamma, beta in zip(mlp.bn_states, mlp.bn_gamma, mlp.bn_beta):
-        if state is not None:
-            width = state.mean.shape[0]
-            state.mean = gen.uniform(-0.5, 0.5, size=width)
-            state.var = gen.uniform(0.2, 2.0, size=width)
-            gamma.data = gen.uniform(0.5, 1.5, size=width)
-            beta.data = gen.uniform(-0.5, 0.5, size=width)
+    for layer in mlp.layers:
+        bn = layer.bn
+        if bn is not None:
+            width = bn.state.mean.shape[0]
+            bn.state.mean = gen.uniform(-0.5, 0.5, size=width)
+            bn.state.var = gen.uniform(0.2, 2.0, size=width)
+            bn.gamma.data = gen.uniform(0.5, 1.5, size=width)
+            bn.beta.data = gen.uniform(-0.5, 0.5, size=width)
     return mlp
 
 
@@ -104,14 +105,13 @@ def _unfused_eval(mlp: Mlp, x: np.ndarray, set_size: int) -> np.ndarray:
     """Eval-mode forward in plain numpy, one step at a time per layer:
     linear map, batchnorm by the stored statistics, activation."""
     h = x
-    for i in range(mlp.n_layers):
-        h = h @ mlp.weights[i].data
-        if mlp.biases[i] is not None:
-            h = h + mlp.biases[i].data
-        state = mlp.bn_states[i]
-        if state is not None:
-            h = (h - state.mean) / np.sqrt(state.var + BN_EPS) * mlp.bn_gamma[i].data + mlp.bn_beta[i].data
-        kind = mlp._layer_activation(i)
+    for layer, (*_, kind) in zip(mlp.layers, mlp.spec.layers()):
+        h = h @ layer.weight.data
+        if layer.bias is not None:
+            h = h + layer.bias.data
+        bn = layer.bn
+        if bn is not None:
+            h = (h - bn.state.mean) / np.sqrt(bn.state.var + BN_EPS) * bn.gamma.data + bn.beta.data
         if kind == "relu":
             h = np.maximum(h, 0.0)
         elif kind == "softmax_set":
@@ -134,9 +134,9 @@ class TestMlpEvalFold:
 
     def test_eval_does_not_touch_running_stats(self):
         mlp = _with_running_stats(Mlp(MlpSpec([3, 8, 5]), RngState(33)), 34)
-        before = [(s.mean.copy(), s.var.copy()) for s in mlp.bn_states if s is not None]
+        before = [(s.mean.copy(), s.var.copy()) for s in mlp.norm_states().values()]
         mlp.forward(Tensor(np.ones((4, 3))), "eval")
-        after = [(s.mean, s.var) for s in mlp.bn_states if s is not None]
+        after = [(s.mean, s.var) for s in mlp.norm_states().values()]
         for (m0, v0), (m1, v1) in zip(before, after):
             np.testing.assert_array_equal(m0, m1)
             np.testing.assert_array_equal(v0, v1)
@@ -206,8 +206,8 @@ class TestAggregate:
 class TestAggregateOrderN:
     def test_order_one_identity_mlp_sums_columns(self):
         mlp = Mlp(MlpSpec([3, 3], final_activation="none", use_batchnorm=False), RngState(10))
-        mlp.weights[0].data = np.eye(3)
-        mlp.biases[0].data = np.zeros(3)
+        mlp.layers[0].weight.data = np.eye(3)
+        mlp.layers[0].bias.data = np.zeros(3)
         x = RngState(11).generator().uniform(-1, 1, size=(9, 3))
         out = aggregate_order_n([mlp], Tensor(x), "eval")
         np.testing.assert_allclose(out.data, x.sum(axis=0), rtol=0, atol=1e-14)
@@ -264,18 +264,19 @@ class TestAggregateOrderN:
 
 
 def _broadcast_block(d_x, d_y, d_z, seed):
-    return make_broadcast_block(d_x, d_y, d_z, RngState(seed))
+    return BroadcastBlock(d_x, d_y, d_z, RngState(seed))
 
 
 def _randomize_normalization(block, seed):
     """Random running statistics, gamma and beta, so eval mode is no
     near-identity."""
     gen = RngState(seed).generator()
-    d_z = block.gamma.data.shape[0]
-    block.state.mean = gen.uniform(-0.5, 0.5, size=d_z)
-    block.state.var = gen.uniform(0.5, 2.0, size=d_z)
-    block.gamma.data = gen.uniform(0.5, 1.5, size=d_z)
-    block.beta.data = gen.uniform(-0.5, 0.5, size=d_z)
+    bn = block.bn
+    d_z = bn.gamma.data.shape[0]
+    bn.state.mean = gen.uniform(-0.5, 0.5, size=d_z)
+    bn.state.var = gen.uniform(0.5, 2.0, size=d_z)
+    bn.gamma.data = gen.uniform(0.5, 1.5, size=d_z)
+    bn.beta.data = gen.uniform(-0.5, 0.5, size=d_z)
 
 
 def _broadcast_preactivation(block, sets, feats):
@@ -293,8 +294,8 @@ def _broadcast_reference(block, sets, feats, mode):
     if mode == "train":
         mean, var = z.mean(axis=0), z.var(axis=0)
     else:
-        mean, var = block.state.mean, block.state.var
-    return np.maximum((z - mean) / np.sqrt(var + BN_EPS) * block.gamma.data + block.beta.data, 0.0)
+        mean, var = block.bn.state.mean, block.bn.state.var
+    return np.maximum((z - mean) / np.sqrt(var + BN_EPS) * block.bn.gamma.data + block.bn.beta.data, 0.0)
 
 
 def _broadcast(block, sets, feats, mode):
@@ -372,12 +373,12 @@ class TestBroadcast:
             _assert_close(flat[6 * i : 6 * (i + 1)], expected)
         # train mode normalizes over the whole batch and moves the running
         # statistics by the batch's mean (bias included) and variance
-        mean, var = block.state.mean.copy(), block.state.var.copy()
+        mean, var = block.bn.state.mean.copy(), block.bn.state.var.copy()
         flat = _broadcast(block, sets, feats, "train")
         _assert_close(flat, _broadcast_reference(block, sets, feats, "train"))
         z = _broadcast_preactivation(block, sets, feats)
-        np.testing.assert_allclose(block.state.mean, 0.9 * mean + 0.1 * z.mean(axis=0), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(block.state.var, 0.9 * var + 0.1 * z.var(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(block.bn.state.mean, 0.9 * mean + 0.1 * z.mean(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(block.bn.state.var, 0.9 * var + 0.1 * z.var(axis=0), rtol=0, atol=1e-15)
 
     def test_width_mismatch(self):
         block = _broadcast_block(3, 2, 4, 23)
@@ -394,8 +395,8 @@ class TestBroadcast:
         assert list(block.parameters("bc0.")) == [
             "bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"
         ]
-        np.testing.assert_array_equal(block.gamma.data, np.ones(4))
-        np.testing.assert_array_equal(block.beta.data, np.zeros(4))
+        np.testing.assert_array_equal(block.bn.gamma.data, np.ones(4))
+        np.testing.assert_array_equal(block.bn.beta.data, np.zeros(4))
         assert list(block.norm_states("bc0.")) == ["bc0.bn"]
 
 

@@ -128,6 +128,25 @@ class TestTrainCommand:
         assert metrics["error_rate"] == 1.0 - metrics["accuracy"]
 
 
+SMALL_SET_WARNING = "warning: set size 4 is below min(s, t) = 8; features of rank above 4 are unreachable"
+
+
+class TestWarningsAreOneLine:
+    # the custom model's MLPs emit 8 columns each; sets of 4 elements warn
+    # once per call site, as one line without a file name or source line
+    def test_train(self, quadrant_config, tmp_path, capsys):
+        argv = ["train", "--config", quadrant_config, "--out", str(tmp_path), "--set", "data.set_size=4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [SMALL_SET_WARNING]
+
+    def test_eval(self, quadrant_config, tmp_path, capsys):
+        assert main(["train", "--config", quadrant_config, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        argv = ["eval", "--config", quadrant_config, "--out", str(tmp_path), "--set", "data.set_size=4"]
+        assert main(argv + ["--set", f"eval.checkpoint={tmp_path / 'checkpoint.dmpp'}"]) == 0
+        assert capsys.readouterr().err.splitlines() == [SMALL_SET_WARNING]
+
+
 def _pixel_idx_config(tmp_path, model_lines: str) -> str:
     # six 4x4 images (16-pixel sets of width 3) labelled 0..5 per split
     images = np.arange(6 * 16, dtype=np.uint8).reshape(6, 4, 4)
@@ -313,11 +332,10 @@ def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    common = ["--config", quadrant_config, "--out", str(out)]
-    if argv[0] == "decompose":
-        common = ["--input", str(tmp_path / "t.txt"), "--out", str(out)]
+    # verify reads no config key, so it is given no config file
+    inputs = {"train": ["--config", quadrant_config], "verify": [], "decompose": ["--input", str(tmp_path / "t.txt")]}
     with pytest.raises(OSError, match="No space left"):
-        main(argv + common)
+        main(argv + inputs[argv[0]] + ["--out", str(out)])
     assert (out / name).read_text() == "previous\n"
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
@@ -367,6 +385,17 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])
+
+    def test_unreadable_config_is_one_config_error(self, tmp_path, capsys):
+        argv = ["verify", "--suite", "mdd", "--out", str(tmp_path), "--config", str(tmp_path / "none.cfg")]
+        assert main(argv) == 1
+        assert "cannot read config" in _one_config_error(capsys)
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_unknown_key_is_one_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "mdd", "--out", str(tmp_path), "--set", "bogus=1"]) == 1
+        assert "unknown config key 'bogus'" in _one_config_error(capsys)
+        assert not (tmp_path / "verify_report.json").exists()
 
     def test_corrupted_kernel_negative_control(self):
         # sabotage hook: a wrong kernel basis must make the suite fail

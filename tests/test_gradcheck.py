@@ -431,10 +431,10 @@ def test_relu_walk_rebuilds_fused_preactivations():
 
     # the same layers unfused in plain numpy: linear map, batchnorm, relu
     want, h = {}, x.data
-    for i in range(mlp.n_layers):
-        h = h @ mlp.weights[i].data + mlp.biases[i].data
-        if mlp.bn_gamma[i] is not None:
-            h = bn(h, mlp.bn_gamma[i].data, mlp.bn_beta[i].data)
+    for layer in mlp.layers:
+        h = h @ layer.weight.data + layer.bias.data
+        if layer.bn is not None:
+            h = bn(h, layer.bn.gamma.data, layer.bn.beta.data)
             want[h.shape] = h
             h = np.maximum(h, 0.0)
     h = bn(h @ w_x.data + tiled.data, gamma.data, beta.data)

@@ -56,6 +56,41 @@ class TestBuildModel:
         logits = model.forward(x, "eval")
         assert logits.data.shape == (2, 10)
 
+    def test_walk_order_is_pinned(self):
+        # checkpoints store tensors in this order, so a reordered walk
+        # changes their bytes; pixel-l has every block kind
+        def mlp(prefix, bn_layers, layers):
+            names = []
+            for i in range(layers):
+                names += [f"{prefix}layer{i}.weight", f"{prefix}layer{i}.bias"]
+                if i < bn_layers:
+                    names += [f"{prefix}layer{i}.bn_gamma", f"{prefix}layer{i}.bn_beta"]
+            return names
+
+        model = build_model(pixel_l_config(), RngState(0))
+        assert list(model.parameters()) == [
+            *mlp("agg1.mlp1.", 2, 3),
+            *mlp("agg1.mlp2.", 2, 3),
+            "bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta",
+            "bc1.w_x", "bc1.w_y", "bc1.bias", "bc1.bn_gamma", "bc1.bn_beta",
+            *mlp("agg2.mlp1.", 2, 3),
+            *mlp("agg2.mlp2.", 2, 3),
+            *mlp("head.", 1, 2),
+        ]
+        assert len(model.parameters()) == 56
+        assert mlp("head.", 1, 2) == [
+            "head.layer0.weight", "head.layer0.bias", "head.layer0.bn_gamma", "head.layer0.bn_beta",
+            "head.layer1.weight", "head.layer1.bias",
+        ]
+        assert list(model.norm_states()) == [
+            "agg1.mlp1.layer0.bn", "agg1.mlp1.layer1.bn",
+            "agg1.mlp2.layer0.bn", "agg1.mlp2.layer1.bn",
+            "bc0.bn", "bc1.bn",
+            "agg2.mlp1.layer0.bn", "agg2.mlp1.layer1.bn",
+            "agg2.mlp2.layer0.bn", "agg2.mlp2.layer1.bn",
+            "head.layer0.bn",
+        ]
+
     def test_same_seed_bitwise_identical(self):
         a = build_model(pixel_s_config(), RngState(42))
         b = build_model(pixel_s_config(), RngState(42))

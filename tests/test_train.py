@@ -18,7 +18,6 @@ from pinset.tensor import Tensor, backward, softmax_cross_entropy
 from pinset.train import (
     CheckpointError,
     DivergenceError,
-    LrSchedule,
     OptimizerState,
     TrainConfig,
     evaluate,
@@ -83,17 +82,17 @@ class TestSgdStep:
 
 class TestLrSchedule:
     def test_single_drop(self):
-        sched = LrSchedule(0.01, drop_epoch=200)
-        assert sched.rate(0) == 0.01
-        assert sched.rate(199) == 0.01
-        assert sched.rate(200) == pytest.approx(0.001)
-        assert sched.rate(500) == pytest.approx(0.001)
+        cfg = TrainConfig(lr=0.01, lr_drop_epoch=200)
+        assert cfg.lr_at(0) == 0.01
+        assert cfg.lr_at(199) == 0.01
+        assert cfg.lr_at(200) == pytest.approx(0.001)
+        assert cfg.lr_at(500) == pytest.approx(0.001)
 
     def test_optional_warmup(self):
-        sched = LrSchedule(0.01, drop_epoch=220, warmup_epochs=20)
-        assert sched.rate(0) == pytest.approx(0.0005)
-        assert sched.rate(19) == pytest.approx(0.01)
-        assert sched.rate(21) == pytest.approx(0.01)
+        cfg = TrainConfig(lr=0.01, lr_drop_epoch=220, warmup_epochs=20)
+        assert cfg.lr_at(0) == pytest.approx(0.0005)
+        assert cfg.lr_at(19) == pytest.approx(0.01)
+        assert cfg.lr_at(21) == pytest.approx(0.01)
 
 
 def _tiny_task(train_size=64, test_size=32, seed=5):
@@ -474,6 +473,13 @@ class TestCheckpointErrors:
         model, optimizer, epoch, _ = load_checkpoint(path)
         assert epoch == 2 and len(optimizer.buffers) == len(model.parameters())
 
+    def test_missing_optimizer_values_take_the_defaults(self, tmp_path):
+        path = tmp_path / "no-optimizer.dmpp"
+        save_checkpoint(path, build_model(gradcheck_config(), RngState(20)))
+        _, optimizer, _, meta = load_checkpoint(path)
+        assert not any(key.startswith("optimizer.") for key in meta)
+        assert optimizer == OptimizerState()
+
     def test_text_file_and_wrong_version(self, tmp_path):
         meta, tensors, _ = _checkpoint_parts(tmp_path)
         self._load(tmp_path, b"hello, world\n", r"not a checkpoint \(magic b'hell'\)")
@@ -502,6 +508,7 @@ class TestCheckpointErrors:
         bad_dims = meta.replace(b"model.agg.mlp1.dims = 3,", b"model.agg.mlp1.dims = x,")
         assert bad_dims != meta
         self._load(tmp_path, _container(bad_dims, tensors), "metadata does not describe a model")
+        self._load(tmp_path, _container(meta + b"train.epoch = 7\n", tensors), "metadata key train.epoch appears twice")
 
     def test_missing_extra_duplicate_and_trailing(self, tmp_path):
         meta, tensors, _ = _checkpoint_parts(tmp_path)
