@@ -32,6 +32,7 @@ from .decomp import (
     CardinalityError,
     ConditioningWarning,
     RankDeficiencyError,
+    TensorInputError,
     cp_decompose,
 )
 from .models import (
@@ -47,6 +48,7 @@ from .models import (
 from .rng import RngState
 from .textio import TextTensorError, read_tensor, write_tensor
 from .train import (
+    CONFIG_KEYS as TRAIN_CONFIG_KEYS,
     CheckpointError,
     DivergenceError,
     TrainConfig,
@@ -71,8 +73,16 @@ _DATA_ERRORS = (
     IdxTruncatedError,
     IdxCountMismatchError,
     TextTensorError,
+    TensorInputError,
     CheckpointError,
 )
+
+
+def _record_fields(record, keys: dict[str, str]) -> dict[str, Field]:
+    """Schema entries for config keys that set fields of a dataclass
+    ``record`` (key -> field name): kind and default come from the field."""
+    fields = {f.name: f for f in dataclasses.fields(record)}
+    return {key: Field(fields[name].type, fields[name].default) for key, name in keys.items()}
 
 
 _MODEL_KEYS = {
@@ -83,17 +93,16 @@ _MODEL_KEYS = {
     "model.agg.mlp2": Field("intlist"),
     "model.agg.act1": Field("str", "softmax_set", choices=ACTIVATION_KINDS),
     "model.agg.act2": Field("str", "softmax_set", choices=ACTIVATION_KINDS),
-    "model.agg.batchnorm": Field("bool", True),
-    "model.agg.dropout": Field("float", 0.1),
+    **_record_fields(MlpSpec, {"model.agg.batchnorm": "use_batchnorm"}),
+    **_record_fields(AggregationSpec, {"model.agg.dropout": "dropout_ratio"}),
     "model.head": Field("intlist"),
 }
 
 _DATA_KEYS = {
     "task": Field("str", required=True, choices=("quadrant", "pixel-idx")),
-    "data.train_size": Field("int", 2000),
-    "data.test_size": Field("int", 500),
-    "data.set_size": Field("int", 32),
-    "data.margin": Field("float", 0.15),
+    **_record_fields(
+        SyntheticTaskSpec, {f"data.{name}": name for name in ("train_size", "test_size", "set_size", "margin")}
+    ),
     "data.train_images": Field("str", ""),
     "data.train_labels": Field("str", ""),
     "data.test_images": Field("str", ""),
@@ -102,18 +111,7 @@ _DATA_KEYS = {
     "data.shuffle_pixels": Field("bool", True),
 }
 
-_TRAIN_KEYS = {
-    "optimizer.lr": Field("float", 0.01),
-    "optimizer.momentum": Field("float", 0.9),
-    "optimizer.weight_decay": Field("float", 1e-4),
-    "train.epochs": Field("int", 20),
-    "train.batch_size": Field("int", 32),
-    "train.lr_drop_epoch": Field("int", 200),
-    "train.warmup_epochs": Field("int", 0),
-    "train.checkpoint_every": Field("int", 0),
-}
-
-TRAIN_SCHEMA = {**_DATA_KEYS, **_MODEL_KEYS, **_TRAIN_KEYS}
+TRAIN_SCHEMA = {**_DATA_KEYS, **_MODEL_KEYS, **_record_fields(TrainConfig, TRAIN_CONFIG_KEYS)}
 # eval reuses train config files; the model comes from the checkpoint, so
 # the model keys are accepted but none is needed
 EVAL_SCHEMA = {
@@ -125,18 +123,20 @@ PARAMS_SCHEMA = {
     "params.preset": Field("str", required=True, choices=tuple(PRESETS) + ("table6",)),
     "params.factorization": Field("str", "sweep"),
 }
-DECOMPOSE_SCHEMA = {
-    "decompose.input": Field("str", ""),
-    "decompose.components": Field("int", 0),
-}
+# --input and --components are flags
+DECOMPOSE_SCHEMA: dict[str, Field] = {}
 
 
-def _load_config(args, schema) -> dict:
+def _raw_config(args) -> dict[str, str]:
     raw = read_config(args.config) if args.config else {}
     for item in args.set or []:
         key, value = parse_override(item)
         raw[key] = value
-    return validate(raw, schema)
+    return raw
+
+
+def _load_config(args, schema) -> dict:
+    return validate(_raw_config(args), schema)
 
 
 def _build_custom_model_config(cfg: dict) -> ModelConfig:
@@ -229,22 +229,19 @@ def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args, TRAIN_SCHEMA)
+    raw = _raw_config(args)
+    cfg = validate(raw, TRAIN_SCHEMA)
+    if cfg["model.preset"] != "custom":
+        # only a custom model reads them; a preset would silently drop them
+        for key in raw:
+            if key.startswith("model.") and key != "model.preset":
+                raise ConfigError(f"{key} applies only to model.preset = custom", key=key)
     train_batch = _load_split(cfg, args.seed, "train")
     test_batch = _load_split(cfg, args.seed, "test")
     model_config = _model_config_from(cfg)
     _check_data_fits(model_config, train_batch, test_batch)
     check_sizes(train_batch, test_batch)
-    train_cfg = TrainConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        lr=cfg["optimizer.lr"],
-        momentum=cfg["optimizer.momentum"],
-        weight_decay=cfg["optimizer.weight_decay"],
-        lr_drop_epoch=cfg["train.lr_drop_epoch"],
-        warmup_epochs=cfg["train.warmup_epochs"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-    )
+    train_cfg = TrainConfig(**{name: cfg[key] for key, name in TRAIN_CONFIG_KEYS.items()})
     rng = RngState(args.seed)
     model = build_model(model_config, rng.child("model"))
     os.makedirs(args.out, exist_ok=True)
@@ -289,13 +286,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    cfg = _load_config(args, DECOMPOSE_SCHEMA)
-    input_path = args.input or cfg["decompose.input"]
-    components = args.components or cfg["decompose.components"]
+    # the command reads no config key; this rejects unreadable files and typos
+    _load_config(args, DECOMPOSE_SCHEMA)
+    input_path, components = args.input, args.components
     if not input_path:
-        raise ConfigError("decompose needs an input tensor (--input or decompose.input)")
+        raise ConfigError("decompose needs an input tensor (--input)")
     if not components:
-        raise ConfigError("decompose needs a component count (--components or decompose.components)")
+        raise ConfigError("decompose needs a component count (--components)")
     tensor = read_tensor(input_path)
     try:
         # the text comes back on the result; it is printed once on success
@@ -322,7 +319,7 @@ def cmd_decompose(args) -> int:
     report = {
         "input": str(input_path),
         "components": components,
-        "dims": list(factors.dims),
+        "dims": list(tensor.shape),
         "factors": paths,
         "reconstruction_relative_error": rel,
         "condition": factors.condition,

@@ -47,6 +47,11 @@ class CardinalityError(ValueError):
     """Too few set elements for the requested decomposition."""
 
 
+class TensorInputError(ValueError):
+    """A tensor the decomposition cannot take: no axis, an empty axis, or
+    a non-finite entry."""
+
+
 class NodeError(ValueError):
     """Invalid Vandermonde node set."""
 
@@ -70,29 +75,19 @@ def _as_matrix(x, name: str) -> np.ndarray:
 class MddSolution:
     """Every solution of ``B C = A``: ``particular + kernel_basis @ lam``."""
 
-    particular: np.ndarray
-    kernel_basis: np.ndarray
-    source_shapes: tuple[int, int, int]  # (m, n, l)
+    particular: np.ndarray  # (l, n)
+    kernel_basis: np.ndarray  # (l, l - m)
 
 
 @dataclass
 class CpFactors:
-    """Rank-``components`` sum-product factorization of a dense tensor."""
+    """Sum-product factorization of a dense tensor: factor j has one row
+    per component and one column per index of axis j."""
 
     factors: list[np.ndarray]
-    dims: tuple[int, ...]
-    components: int
     condition: float = float("nan")
     conditioning_warning: str | None = None
     rel_residual: float = float("nan")
-
-
-@dataclass
-class PerturbationProbe:
-    target: np.ndarray
-    epsilon: float
-    delta: np.ndarray
-    achieved_rank: int
 
 
 def _rank(s: np.ndarray, tol: float, need_rows_of: tuple[int, int] | None = None) -> int:
@@ -163,12 +158,11 @@ def mdd_solve(b, a, rank_tol: float = RANK_TOL) -> MddSolution:
     """
     b_arr = _as_matrix(b, "b")
     a_arr = _as_matrix(a, "a")
-    m, l = b_arr.shape
+    m = b_arr.shape[0]
     if a_arr.shape[0] != m:
         raise ValueError(
             f"row mismatch: b has shape {b_arr.shape}, a has shape {a_arr.shape}"
         )
-    n = a_arr.shape[1]
 
     u, s, vt = np.linalg.svd(b_arr, full_matrices=True)
     _rank(s, rank_tol, b_arr.shape)
@@ -177,15 +171,13 @@ def mdd_solve(b, a, rank_tol: float = RANK_TOL) -> MddSolution:
         return vt[:m].T @ ((u.T @ rhs) / s[:, None])
 
     particular = _refine_solution(b_arr, a_arr, apply_pinv(a_arr), apply_pinv)
-    basis = vt[m:].T.copy()
-    return MddSolution(particular=particular, kernel_basis=basis, source_shapes=(m, n, l))
+    return MddSolution(particular=particular, kernel_basis=vt[m:].T.copy())
 
 
 def sample_solution(sol: MddSolution, lam) -> np.ndarray:
     """Materialize ``particular + kernel_basis @ lam``."""
     lam_arr = _as_matrix(lam, "lam")
-    m, n, l = sol.source_shapes
-    want = (l - m, n)
+    want = (sol.kernel_basis.shape[1], sol.particular.shape[1])
     if lam_arr.shape != want:
         raise ValueError(f"lam must have shape {want}, got {lam_arr.shape}")
     return sol.particular + sol.kernel_basis @ lam_arr
@@ -239,28 +231,25 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     With the tensor's axes sorted ascending, the leading n-1 factors come
     from :func:`vandermonde_factors`; the last factor solves the induced
     linear system through :func:`mdd_solve`. Requires
-    ``count >= prod(sorted_dims[:-1])``. A conditioning warning is issued
+    ``count >= prod(sorted_dims[:-1])``, and raises
+    :class:`TensorInputError` for a tensor with no axis, an empty axis or
+    a non-finite entry. A conditioning warning is issued
     (and recorded on the result) when the solve's condition number makes
     the reconstruction delicate.
     """
     t_arr = np.asarray(t, dtype=np.float64)
-    if t_arr.ndim < 1:
-        raise ValueError("cp_decompose needs a tensor with at least one axis")
+    if t_arr.ndim < 1 or 0 in t_arr.shape:
+        raise TensorInputError(f"cp_decompose needs at least one axis and no empty axis, got shape {t_arr.shape}")
+    if not np.isfinite(t_arr).all():
+        raise TensorInputError("cp_decompose needs finite entries; the tensor holds nan or inf")
     dims = t_arr.shape
     order = sorted(range(len(dims)), key=lambda j: dims[j])
     sorted_dims = [dims[j] for j in order]
-    lead_dims = sorted_dims[:-1]
-    bound = int(np.prod(lead_dims)) if lead_dims else 1
-    if count < bound:
-        raise CardinalityError(
-            f"decomposition requires N >= {bound} set elements, got {count}"
-        )
 
-    lead_factors = vandermonde_factors(lead_dims, count, nodes)
+    lead_factors = vandermonde_factors(sorted_dims[:-1], count, nodes)
     # the Khatri-Rao product of the sum-product kernel, multiplied left to right
-    flat = kernels._khatri_rao(lead_factors, count)  # (count, bound)
-    b = flat.T.copy()
-    a = np.ascontiguousarray(np.transpose(t_arr, order).reshape(bound, sorted_dims[-1]))
+    b = kernels._khatri_rao(lead_factors, count).T.copy()  # (prod(lead dims), count)
+    a = np.ascontiguousarray(np.transpose(t_arr, order).reshape(b.shape[0], sorted_dims[-1]))
 
     s = np.linalg.svd(b, compute_uv=False)
     condition = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
@@ -279,13 +268,7 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     for pos, axis in enumerate(order):
         factors[axis] = sorted_factors[pos]
 
-    result = CpFactors(
-        factors=factors,
-        dims=tuple(int(d) for d in dims),
-        components=int(count),
-        condition=condition,
-        conditioning_warning=warning,
-    )
+    result = CpFactors(factors=factors, condition=condition, conditioning_warning=warning)
     recon = reconstruct_cp(result)
     denom = float(np.linalg.norm(t_arr))
     err = float(np.linalg.norm(recon - t_arr))
@@ -296,25 +279,18 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
 def reconstruct_cp(f: CpFactors) -> np.ndarray:
     """Evaluate the sum-product form: entry (a_1..a_n) is the sum over
     components of the product of factor entries."""
-    if len(f.factors) != len(f.dims):
-        raise ValueError(
-            f"{len(f.factors)} factors for {len(f.dims)} axes"
-        )
-    for j, (fac, c) in enumerate(zip(f.factors, f.dims)):
-        if fac.shape != (f.components, c):
-            raise ValueError(
-                f"factor {j} has shape {fac.shape}, expected {(f.components, c)}"
-            )
-    return kernels.sum_product_forward(f.factors).reshape(f.dims)
+    return kernels.sum_product_forward(f.factors).reshape([fac.shape[1] for fac in f.factors])
 
 
-def perturb_to_full_rank(y, epsilon: float, tol: float = RANK_TOL) -> PerturbationProbe:
-    """Find a tiny identity-block perturbation restoring full column rank.
+def perturb_to_full_rank(y, epsilon: float, tol: float = RANK_TOL) -> np.ndarray:
+    """Find a tiny identity-block perturbation ``delta`` such that
+    ``y + delta`` has full column rank s, and return it.
 
     Scans scales ``epsilon / (2 sqrt(s) 2^k)`` for k = 0..40, adding the
     scale times an identity block on the first s rows, until the numeric
     rank reaches s. Already-full-rank inputs get a zero perturbation; an
-    exhausted scan raises rather than returning a partial result.
+    exhausted scan raises :class:`ProbeFailureError` rather than returning
+    a partial result.
     """
     y_arr = _as_matrix(y, "y")
     n_rows, s = y_arr.shape
@@ -324,20 +300,15 @@ def perturb_to_full_rank(y, epsilon: float, tol: float = RANK_TOL) -> Perturbati
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
     if numeric_rank(y_arr, tol) == s:
-        return PerturbationProbe(
-            target=y_arr, epsilon=float(epsilon), delta=np.zeros_like(y_arr), achieved_rank=s
-        )
+        return np.zeros_like(y_arr)
 
     base = epsilon / (2.0 * np.sqrt(s))
     for k in range(41):
         x0 = base / (2.0**k)
         delta = np.zeros_like(y_arr)
         delta[:s, :] = x0 * np.eye(s)
-        achieved = numeric_rank(y_arr + delta, tol)
-        if achieved == s:
-            return PerturbationProbe(
-                target=y_arr, epsilon=float(epsilon), delta=delta, achieved_rank=achieved
-            )
+        if numeric_rank(y_arr + delta, tol) == s:
+            return delta
     raise ProbeFailureError(
         f"no scale in [{base / 2.0**40:.3e}, {base:.3e}] restored rank {s} "
         f"for a {y_arr.shape} matrix (rank tolerance {tol:.1e})"

@@ -36,12 +36,12 @@ METRIC_FIELDS = ("epoch", "split", "loss", "accuracy", "error_rate", "lr", "wall
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss: in train step ``batch`` of an
+    epoch, or (``batch`` None) in the evaluation that ends the epoch."""
 
-    def __init__(self, epoch: int, batch: int, value: float):
-        super().__init__(
-            f"non-finite loss {value!r} at epoch {epoch}, batch {batch}"
-        )
+    def __init__(self, epoch: int, batch: int | None, value: float):
+        where = "evaluation" if batch is None else f"batch {batch}"
+        super().__init__(f"non-finite loss {value!r} at epoch {epoch}, {where}")
         self.epoch = epoch
         self.batch = batch
 
@@ -49,14 +49,6 @@ class DivergenceError(RuntimeError):
 class CheckpointError(ValueError):
     """Checkpoint file that is truncated or malformed, or whose tensors
     disagree with the model its own metadata describes."""
-
-
-@dataclass
-class OptimizerState:
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lr: float = 0.01
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState) -> None:
@@ -80,6 +72,20 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Opt
         p.data = p.data - state.lr * buf
 
 
+# the run-config key of each TrainConfig field
+CONFIG_KEYS = {
+    "optimizer.lr": "lr",
+    "optimizer.momentum": "momentum",
+    "optimizer.weight_decay": "weight_decay",
+    "train.epochs": "epochs",
+    "train.batch_size": "batch_size",
+    "train.lr_drop_epoch": "lr_drop_epoch",
+    "train.warmup_epochs": "warmup_epochs",
+    "train.checkpoint_every": "checkpoint_every",
+}
+_KEY_OF = {name: key for key, name in CONFIG_KEYS.items()}
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 20
@@ -92,20 +98,24 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
     def __post_init__(self):
-        # ConfigError is a ValueError that names the run-config key at fault
-        if self.epochs < 0:
-            raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}", key="train.epochs")
-        if self.batch_size < 2:
-            raise ConfigError(
-                f"train.batch_size must be >= 2, got {self.batch_size}: batch normalization "
-                "needs two sets per batch",
-                key="train.batch_size",
-            )
-        # a negative value would silently act as 0
-        for key in ("lr_drop_epoch", "warmup_epochs", "checkpoint_every"):
-            value = getattr(self, key)
-            if value < 0:
-                raise ConfigError(f"train.{key} must be >= 0, got {value}", key=f"train.{key}")
+        # a negative count would silently act as 0, batch normalization
+        # needs two sets per batch, a negative rate ascends the loss, and
+        # momentum >= 1 lets the buffer grow without bound
+        finite = math.isfinite
+        for name, ok, rule in (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 2, ">= 2"),
+            ("lr_drop_epoch", self.lr_drop_epoch >= 0, ">= 0"),
+            ("warmup_epochs", self.warmup_epochs >= 0, ">= 0"),
+            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            ("lr", finite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("weight_decay", finite(self.weight_decay) and self.weight_decay >= 0, "finite and >= 0"),
+        ):
+            if not ok:
+                # ConfigError is a ValueError that names the run-config key at fault
+                key = _KEY_OF[name]
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, name)}", key=key)
 
     def lr_at(self, epoch: int) -> float:
         """``lr``, dropped once by :data:`LR_DROP_FACTOR` at
@@ -115,6 +125,17 @@ class TrainConfig:
         if epoch < self.lr_drop_epoch:
             return self.lr
         return self.lr / LR_DROP_FACTOR
+
+
+@dataclass
+class OptimizerState:
+    """The SGD hyperparameters a run trains with, defaults from
+    :class:`TrainConfig`, and the per-parameter momentum buffers."""
+
+    momentum: float = TrainConfig.momentum
+    weight_decay: float = TrainConfig.weight_decay
+    lr: float = TrainConfig.lr
+    buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def check_sizes(train_batch: SetBatch, test_batch: SetBatch) -> None:
@@ -227,6 +248,9 @@ def train(
         )
         t1 = time.perf_counter()
         metrics = evaluate(model, test_batch)
+        # an update in the epoch's last step is first seen here
+        if not np.isfinite(metrics["loss"]):
+            raise DivergenceError(epoch, None, metrics["loss"])
         history.append(
             {
                 "epoch": epoch,

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -29,6 +30,15 @@ model.agg.mlp2 = 8,8
 model.head = 16
 train.epochs = 2
 train.batch_size = 16
+"""
+
+
+QUADRANT_PRESET_CFG = """
+task = quadrant
+data.train_size = 32
+data.test_size = 8
+model.preset = quadrant
+train.epochs = 1
 """
 
 
@@ -131,6 +141,29 @@ class TestTrainCommand:
 SMALL_SET_WARNING = "warning: set size 4 is below min(s, t) = 8; features of rank above 4 are unreachable"
 
 
+def test_divergence_in_the_last_step_exits_3_before_any_checkpoint(tmp_path, capsys):
+    # one step per epoch: the step's loss is finite, its update is not
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(QUADRANT_PRESET_CFG)
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", str(cfg), "--out", str(out), "--set", "optimizer.lr=1e300"])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "divergence: non-finite loss nan at epoch 0, evaluation"
+    assert os.listdir(out) == []
+
+
+def test_readme_key_table_names_every_schema_key():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme[readme.index("| group | keys |") :].split("\n\n")[0]
+    named = set()
+    for row in table.splitlines()[2:]:
+        named |= {tok for tok in re.findall(r"`([^`]+)`", row.split("|")[2]) if tok == "task" or "." in tok}
+    schemas = (cli.TRAIN_SCHEMA, cli.EVAL_SCHEMA, cli.PARAMS_SCHEMA, cli.DECOMPOSE_SCHEMA)
+    assert named == set().union(*schemas)
+
+
 class TestWarningsAreOneLine:
     # the custom model's MLPs emit 8 columns each; sets of 4 elements warn
     # once per call site, as one line without a file name or source line
@@ -187,6 +220,24 @@ class TestConfigErrorsAreOneLine:
         assert main(argv) == 1
         assert "element width 2, data has width 3" in _one_config_error(capsys)
 
+    @pytest.mark.parametrize("override", ["model.agg.mlp1=5,5", "model.agg.dropout=0.1", "model.input_width=2"])
+    def test_custom_model_key_under_a_preset(self, override, tmp_path, capsys):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(QUADRANT_PRESET_CFG)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--set", override]) == 1
+        key = override.split("=")[0]
+        assert f"{key} applies only to model.preset = custom" in _one_config_error(capsys)
+        assert not out.exists()
+
+    def test_eval_ignores_custom_model_keys_under_a_preset(self, tmp_path, capsys):
+        ckpt = tmp_path / "quadrant.dmpp"
+        save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(QUADRANT_PRESET_CFG + "model.agg.mlp1 = 5,5\n")
+        argv = ["eval", "--config", str(cfg), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        assert main(argv) == 0
+
     def test_labels_beyond_class_count(self, tmp_path, capsys):
         cfg = _pixel_idx_config(
             tmp_path,
@@ -218,6 +269,14 @@ class TestConfigErrorsAreOneLine:
         ("data.downsample=0", "data.downsample must be a positive divisor of the image sides (4, 4), got 0"),
         ("data.downsample=-2", "data.downsample must be a positive divisor of the image sides (4, 4), got -2"),
         ("data.downsample=3", "data.downsample must be a positive divisor of the image sides (4, 4), got 3"),
+        ("optimizer.lr=-1", "optimizer.lr must be finite and > 0, got -1.0"),
+        ("optimizer.lr=0", "optimizer.lr must be finite and > 0, got 0.0"),
+        ("optimizer.lr=inf", "optimizer.lr must be finite and > 0, got inf"),
+        ("optimizer.momentum=inf", "optimizer.momentum must be in [0, 1), got inf"),
+        ("optimizer.momentum=1", "optimizer.momentum must be in [0, 1), got 1.0"),
+        ("optimizer.momentum=-0.5", "optimizer.momentum must be in [0, 1), got -0.5"),
+        ("optimizer.weight_decay=-1e-4", "optimizer.weight_decay must be finite and >= 0, got -0.0001"),
+        ("optimizer.weight_decay=nan", "optimizer.weight_decay must be finite and >= 0, got nan"),
     ],
 )
 def test_bad_training_size_is_one_config_error(override, message, quadrant_config, tmp_path, capsys):
@@ -397,14 +456,17 @@ class TestVerifyCommand:
         assert "unknown config key 'bogus'" in _one_config_error(capsys)
         assert not (tmp_path / "verify_report.json").exists()
 
-    def test_corrupted_kernel_negative_control(self):
-        # sabotage hook: a wrong kernel basis must make the suite fail
-        def corrupt(sol):
-            if sol.kernel_basis.size:
-                sol.kernel_basis[0, :] += 0.5
+    def test_corrupted_kernel_negative_control(self, monkeypatch):
+        # a solver that returns a wrong kernel basis must make the suite fail
+        solve = verify.decomp.mdd_solve
 
-        result = verify.run_mdd(0, corrupt=corrupt)
-        assert not result.passed
+        def corrupted(b, a):
+            sol = solve(b, a)
+            sol.kernel_basis[:1] += 0.5
+            return sol
+
+        monkeypatch.setattr(verify.decomp, "mdd_solve", corrupted)
+        assert not verify.run_mdd(0).passed
 
 
 class TestDecomposeCommand:
@@ -466,6 +528,27 @@ class TestDecomposeCommand:
     def test_missing_input_exits_2(self, tmp_path):
         code = main(["decompose", "--input", str(tmp_path / "none.txt"), "--components", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["tensor v1 0\n1.5\n", "tensor v1 2 0 3\n", "tensor v1 2 2 2\n1 nan 2 3\n", "tensor v1 2 2 2\n1 2 -inf 3\n"],
+        ids=["rank-0", "zero-extent", "nan", "inf"],
+    )
+    def test_tensor_it_cannot_decompose_is_one_data_error(self, text, tmp_path, capsys):
+        src = tmp_path / "t.txt"
+        src.write_text(text)
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(src), "--components", "4", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: cp_decompose needs "), lines
+        assert not out.exists()
+
+    def test_config_keys_are_refused(self, tmp_path, capsys):
+        # the input and the component count are given only as flags
+        write_tensor(tmp_path / "t.txt", np.ones((2, 2)))
+        argv = ["decompose", "--components", "2", "--out", str(tmp_path), "--set", f"decompose.input={tmp_path / 't.txt'}"]
+        assert main(argv) == 1
+        assert "unknown config key 'decompose.input'" in _one_config_error(capsys)
 
 
 class TestParamsCommand:

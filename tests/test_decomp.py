@@ -224,23 +224,24 @@ class TestReconstructCp:
     def test_single_component_outer_product(self):
         u = np.array([[1.0, 2.0]])
         v = np.array([[3.0, 4.0, 5.0]])
-        out = reconstruct_cp(CpFactors(factors=[u, v], dims=(2, 3), components=1))
+        out = reconstruct_cp(CpFactors(factors=[u, v]))
         np.testing.assert_array_equal(out, np.outer(u[0], v[0]))
 
     def test_all_ones_factors_give_constant(self):
         n = 7
         factors = [np.ones((n, 2)), np.ones((n, 3)), np.ones((n, 2))]
-        out = reconstruct_cp(CpFactors(factors=factors, dims=(2, 3, 2), components=n))
+        out = reconstruct_cp(CpFactors(factors=factors))
         np.testing.assert_array_equal(out, np.full((2, 3, 2), float(n)))
 
     def test_inconsistent_shapes_rejected(self):
-        with pytest.raises(ValueError, match="factor"):
-            reconstruct_cp(CpFactors(factors=[np.ones((3, 2))], dims=(4,), components=3))
+        # every factor needs one row per component
+        with pytest.raises(ValueError, match="factor 1 has 4 rows, expected 3"):
+            reconstruct_cp(CpFactors(factors=[np.ones((3, 2)), np.ones((4, 2))]))
 
     def test_round_trip_matches_sum_product_oracle(self):
         gen = RngState(9).generator()
         factors = [gen.uniform(-1, 1, size=(4, c)) for c in (2, 3, 2)]
-        out = reconstruct_cp(CpFactors(factors=factors, dims=(2, 3, 2), components=4))
+        out = reconstruct_cp(CpFactors(factors=factors))
         brute = np.zeros((2, 3, 2))
         for a in range(2):
             for b in range(3):
@@ -254,24 +255,23 @@ class TestReconstructCp:
 
 class TestPerturbToFullRank:
     def test_zero_matrix(self):
-        probe = perturb_to_full_rank(np.zeros((3, 2)), 0.1)
-        assert probe.achieved_rank == 2
-        assert np.linalg.norm(probe.delta) < 0.1
+        delta = perturb_to_full_rank(np.zeros((3, 2)), 0.1)
+        assert numeric_rank(delta) == 2
+        assert np.linalg.norm(delta) < 0.1
 
     def test_rank_one_duplicated_column(self):
         gen = RngState(10).generator()
         u = gen.uniform(0.5, 1.0, size=4)
         y = np.column_stack([u, 2 * u])
-        probe = perturb_to_full_rank(y, 1e-3)
-        assert probe.achieved_rank == 2
-        assert numeric_rank(y + probe.delta) == 2
+        delta = perturb_to_full_rank(y, 1e-3)
+        assert numeric_rank(y + delta) == 2
 
     def test_full_rank_input_gets_zero_delta(self):
         gen = RngState(11).generator()
         y = gen.standard_normal((5, 3))
-        probe = perturb_to_full_rank(y, 1e-3)
-        np.testing.assert_array_equal(probe.delta, 0.0)
-        assert probe.achieved_rank == 3
+        delta = perturb_to_full_rank(y, 1e-3)
+        np.testing.assert_array_equal(delta, 0.0)
+        assert delta.shape == y.shape
 
     def test_seeded_sweep_always_succeeds(self):
         root = RngState(12)
@@ -281,9 +281,9 @@ class TestPerturbToFullRank:
             n = int(gen.integers(s, 17))
             r = int(gen.integers(0, s))
             y = gen.standard_normal((n, r)) @ gen.standard_normal((r, s)) if r else np.zeros((n, s))
-            probe = perturb_to_full_rank(y, 1e-3)
-            assert probe.achieved_rank == s
-            assert np.linalg.norm(probe.delta) < 1e-3
+            delta = perturb_to_full_rank(y, 1e-3)
+            assert numeric_rank(y + delta) == s
+            assert np.linalg.norm(delta) < 1e-3
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -320,8 +320,7 @@ def test_probe_failure_is_loud():
     # deficient first rows are still repaired by the identity block
     y = np.zeros((3, 2))
     y[2, 0] = 1.0
-    probe = perturb_to_full_rank(y, 1e-3)
-    assert probe.achieved_rank == 2
+    assert numeric_rank(y + perturb_to_full_rank(y, 1e-3)) == 2
 
     # with a coarse tolerance the scanned scales can never lift the tiny
     # singular value past tol * sigma_max, so the scan must fail loudly

@@ -8,14 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+from pinset import cli
 from pinset import models as models_mod
 from pinset import tensor as tensor_mod
 from pinset import train as train_mod
+from pinset.config import ConfigError, validate
 from pinset.data import SetBatch, SyntheticTaskSpec, make_synthetic_task
 from pinset.models import build_model, gradcheck_config, quadrant_config
 from pinset.rng import RngState
 from pinset.tensor import Tensor, backward, softmax_cross_entropy
 from pinset.train import (
+    CONFIG_KEYS,
     CheckpointError,
     DivergenceError,
     OptimizerState,
@@ -115,6 +118,37 @@ class TestTrainLoop:
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=rf"^train\.{field} must be >= (2|0), got {value}"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("optimizer.lr", -1.0),
+            ("optimizer.lr", 0.0),
+            ("optimizer.lr", float("nan")),
+            ("optimizer.momentum", 1.0),
+            ("optimizer.momentum", float("inf")),
+            ("optimizer.weight_decay", -1e-4),
+            ("optimizer.weight_decay", float("inf")),
+        ],
+    )
+    def test_bad_optimizer_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {value}$") as info:
+            TrainConfig(**{CONFIG_KEYS[key]: value})
+        assert info.value.key == key
+
+    def test_schema_defaults_are_the_record_defaults(self):
+        cfg = validate({"task": "quadrant", "model.preset": "quadrant"}, cli.TRAIN_SCHEMA)
+        assert TrainConfig(**{name: cfg[key] for key, name in CONFIG_KEYS.items()}) == TrainConfig()
+        optimizer = {key: cfg[f"optimizer.{key}"] for key in ("lr", "momentum", "weight_decay")}
+        assert OptimizerState() == OptimizerState(**optimizer)
+
+    def test_divergence_in_the_last_step_is_caught_by_the_evaluation(self, tmp_path):
+        # one step per epoch: its loss is finite, its update is not
+        train_b, test_b = _tiny_task(train_size=32)
+        model = build_model(quadrant_config(), RngState(6))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0, evaluation"):
+            train(model, train_b, test_b, TrainConfig(epochs=1, lr=1e300), RngState(7), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("train_size, test_size", [(1, 32), (0, 32), (64, 0)])
     def test_too_few_sets_rejected_before_training(self, train_size, test_size):
