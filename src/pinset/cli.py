@@ -111,6 +111,20 @@ _DATA_KEYS = {
     "data.shuffle_pixels": Field("bool", True),
 }
 
+# the data keys that only one task reads; task, data.train_size and
+# data.test_size are read by both
+_TASK_ONLY_KEYS = {
+    "quadrant": ("data.set_size", "data.margin"),
+    "pixel-idx": (
+        "data.train_images",
+        "data.train_labels",
+        "data.test_images",
+        "data.test_labels",
+        "data.downsample",
+        "data.shuffle_pixels",
+    ),
+}
+
 TRAIN_SCHEMA = {**_DATA_KEYS, **_MODEL_KEYS, **_record_fields(TrainConfig, TRAIN_CONFIG_KEYS)}
 # eval reuses train config files; the model comes from the checkpoint, so
 # the model keys are accepted but none is needed
@@ -133,6 +147,14 @@ def _raw_config(args) -> dict[str, str]:
         key, value = parse_override(item)
         raw[key] = value
     return raw
+
+
+def _refuse_other_task_keys(raw: dict[str, str], task: str) -> None:
+    """A data key that only the other task reads would be silently dropped."""
+    for other, keys in _TASK_ONLY_KEYS.items():
+        for key in keys:
+            if other != task and key in raw:
+                raise ConfigError(f"{key} applies only to task = {other}", key=key)
 
 
 def _load_config(args, schema) -> dict:
@@ -231,6 +253,7 @@ def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
 def cmd_train(args) -> int:
     raw = _raw_config(args)
     cfg = validate(raw, TRAIN_SCHEMA)
+    _refuse_other_task_keys(raw, cfg["task"])
     if cfg["model.preset"] != "custom":
         # only a custom model reads them; a preset would silently drop them
         for key in raw:
@@ -259,7 +282,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args, EVAL_SCHEMA)
+    raw = _raw_config(args)
+    cfg = validate(raw, EVAL_SCHEMA)
+    _refuse_other_task_keys(raw, cfg["task"])
     model, _, epoch, _ = load_checkpoint(cfg["eval.checkpoint"])
     test_batch = _load_split(cfg, args.seed, "test")
     _check_data_fits(model.config, test_batch)

@@ -89,8 +89,27 @@ class Model(Block):
         self.head = Mlp(config.head, rng.child("head")) if config.head is not None else None
 
     def forward(self, sets, mode: str = "eval", gen: np.random.Generator | None = None) -> Tensor:
-        """Logits (B, classes) of a batch of sets (B, N, p), or the (B, s*t)
-        set features when the config has no head. Pass one set as (1, N, p).
+        """Logits (B, classes) of a batch of sets (B, N, p): the head on
+        :meth:`features`, or the features themselves when the config has
+        no head. Pass one set as (1, N, p).
+        """
+        feature = self.features(sets, mode, gen)
+        if self.head is None:
+            return feature
+        return self.head.forward(feature, mode)
+
+    def features(self, sets, mode: str = "eval", gen: np.random.Generator | None = None) -> Tensor:
+        """The (B, s*t) set features of a batch of sets (B, N, p):
+        everything before the head.
+
+        These are the per-element stages: ``agg1``, then the broadcast
+        blocks, then ``agg2``. In eval mode every batchnorm is folded into
+        its layer, so each set's feature depends only on that set's rows.
+        ``train.evaluate`` therefore runs this method on blocks of whole
+        sets of about ``train.EVAL_BLOCK_ROWS`` rows, which keep each
+        layer's activations in cache, and the head once on the joined
+        features of a chunk, because the head's GEMMs would give other
+        last bits on a split of their rows.
         """
         x = sets if isinstance(sets, Tensor) else Tensor(np.asarray(sets, dtype=np.float64))
         if x.data.ndim != 3 or x.data.shape[2] != self.config.input_width:
@@ -105,9 +124,7 @@ class Model(Block):
                 z = broadcast_batched(block, z, feature, n, mode)
             width = z.data.shape[1]
             feature = aggregate(self.agg2, reshape(z, (b, n, width)), mode, gen)
-        if self.head is None:
-            return feature
-        return self.head.forward(feature, mode)
+        return feature
 
     def named(self, prefix: str = "") -> Named:
         """Every block's tensors, in forward order."""

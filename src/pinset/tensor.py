@@ -179,7 +179,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot multiply shapes {a.data.shape} x {b.data.shape}")
 
     def bwd(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
+        # the input gradient only where it is wanted: raw data needs none
+        grads = [(a, g @ b.data.T)] if a.requires_grad else []
+        grads.append((b, a.data.T @ g))
+        return grads
 
     return _result(a.data @ b.data, (a, b), bwd)
 
@@ -208,7 +211,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     def bwd(g):
         if relu:
             g = g * (y > 0)  # y > 0 exactly where the pre-activation was
-        grads = [(x, g @ w.data.T), (w, x.data.T @ g)]
+        grads = [(x, g @ w.data.T)] if x.requires_grad else []
+        grads.append((w, x.data.T @ g))
         if b is not None:
             grads.append((b, g if row_aligned else g.sum(axis=0)))
         return grads
@@ -400,7 +404,8 @@ def batchnorm(
         gz *= scale
         gz -= scale * sum_g / m
         gz -= xhat * (scale * sum_gx / m)
-        grads = [(x, gz @ w.data.T), (w, x.data.T @ gz), (gamma, sum_gx), (beta, sum_g)]
+        grads = [(x, gz @ w.data.T)] if x.requires_grad else []
+        grads += [(w, x.data.T @ gz), (gamma, sum_gx), (beta, sum_g)]
         if b is not None:
             grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
         return grads
@@ -518,17 +523,25 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function, per
     coordinate. Kept deliberately independent of the graph machinery so it
-    can serve as the oracle for :func:`backward`."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    can serve as the oracle for :func:`backward`.
+
+    Perturbs each entry of ``x`` in place, so ``f`` sees the change also
+    through any tensor that shares the array, and restores it exactly.
+    ``x`` must therefore be a writeable float64 ndarray; any layout,
+    views included, is fine.
+    """
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64 or not x.flags.writeable:
+        got = type(x).__name__
+        if isinstance(x, np.ndarray):
+            got = f"{x.dtype} array, writeable={x.flags.writeable}"
+        raise TypeError(f"x is perturbed in place, so it must be a writeable float64 ndarray, got {got}")
+    grad = np.zeros(x.shape)
+    for idx in np.ndindex(x.shape):
+        orig = x[idx]
+        x[idx] = orig + h
         f_plus = float(f(x))
-        flat[i] = orig - h
+        x[idx] = orig - h
         f_minus = float(f(x))
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
+        x[idx] = orig
+        grad[idx] = (f_plus - f_minus) / (2.0 * h)
     return grad

@@ -154,10 +154,45 @@ def check_sizes(train_batch: SetBatch, test_batch: SetBatch) -> None:
         )
 
 
+# Rows of one block of whole sets in evaluate's per-element stage. The
+# widest element layer (128 columns) then makes 8 MB per block, against
+# 51 MB for a whole 256-set pixel-s chunk of 50,176 rows; the bias, relu
+# and softmax passes after each GEMM stay in cache. 8192 is also exactly a
+# 256-set quadrant chunk of 32-point sets, which stays one block: its
+# arrays already fit in cache, and 4096-row blocks made it slower.
+EVAL_BLOCK_ROWS = 8192
+
+
+def _chunk_logits(model: Model, sets: np.ndarray) -> Tensor:
+    """Eval-mode logits of one chunk of sets (B, N, p). A chunk of more
+    than :data:`EVAL_BLOCK_ROWS` rows runs ``Model.features`` on near-equal
+    blocks of whole sets and the head once on the joined features."""
+    n_blocks = -(-sets.shape[0] * sets.shape[1] // EVAL_BLOCK_ROWS)
+    if n_blocks <= 1:
+        return model.forward(sets, "eval")
+    parts = [model.features(part, "eval").data for part in np.array_split(sets, n_blocks)]
+    return model.head.forward(Tensor(np.concatenate(parts)), "eval")
+
+
 @no_grad()
 def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     """Accuracy, error rate, mean loss, and exact per-class counts.
-    Runs under ``no_grad``: nothing differentiates these forwards."""
+    Runs under ``no_grad``: nothing differentiates these forwards.
+
+    Each chunk of ``chunk`` sets runs its per-element stage (``agg1``,
+    the broadcast blocks, ``agg2``) in blocks of whole sets of about
+    :data:`EVAL_BLOCK_ROWS` rows, so the layers' activations stay in
+    cache. Eval mode folds every batchnorm into its layer, so a set's
+    feature depends only on its own rows, and the presets' element GEMMs
+    give the same bits for any split of their rows. The head runs once on
+    the whole chunk: its GEMMs (1024->256, 512->10, 64->4) are not
+    row-partition invariant in OpenBLAS, so blocking them would change
+    the logits. Nor are GEMMs of at most four output columns (128->2,
+    128->4 and 64->4 measured): a custom model with such an element width
+    may evaluate to other last bits than one forward of the whole chunk,
+    still deterministically. No preset has one. The loss is taken once
+    per chunk.
+    """
     if batch.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     classes = model.config.class_count
@@ -167,7 +202,7 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     for start in range(0, batch.size, chunk):
         sets = batch.sets[start : start + chunk]
         labels = batch.labels[start : start + chunk]
-        logits = model.forward(sets, "eval")
+        logits = _chunk_logits(model, sets)
         loss = softmax_cross_entropy(logits, labels)
         loss_sum += float(loss.data) * sets.shape[0]
         pred = logits.data.argmax(axis=1)

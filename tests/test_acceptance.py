@@ -9,11 +9,14 @@ bundled real-digit stand-in exercises the identical pipeline).
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import pinset
 from pinset import verify
 from pinset.cli import main
 from pinset.data import load_mnist_idx, make_synthetic_task, pixel_set_batch, write_idx
@@ -314,4 +317,31 @@ def test_criterion_10_determinism(tmp_path):
         same_metrics and bitwise,
         f"metrics identical (minus wall-clock)={same_metrics}, "
         f"checkpoint bitwise={bitwise}",
+    )
+
+
+def test_criterion_10_determinism_across_blas_threads(tmp_path):
+    """The same checkpoint bytes and metrics under 1 and 2 BLAS threads.
+    With 64-point sets each 256-set eval chunk is 16,384 rows, so
+    evaluation runs in blocks of whole sets."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pinset.__file__)))
+    config = os.path.join(root, "configs", "quadrant.cfg")
+    argv = [sys.executable, "-m", "pinset.cli", "train", "--config", config]
+    argv += ["--set", "train.epochs=2", "--set", "data.set_size=64"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(argv + ["--out", str(out)], env=env, check=True, capture_output=True)
+        metrics = (out / "metrics.csv").read_text().strip().split("\n")
+        assert metrics[0].endswith(",wall_seconds")
+        runs.append(((out / "checkpoint.dmpp").read_bytes(), [row.rsplit(",", 1)[0] for row in metrics]))
+    same_checkpoint = runs[0][0] == runs[1][0]
+    same_metrics = runs[0][1] == runs[1][1] and len(runs[0][1]) == 5
+    _report(
+        "10",
+        "determinism across 1 and 2 BLAS threads",
+        same_checkpoint and same_metrics,
+        f"checkpoint bytes identical={same_checkpoint}, metrics identical (minus wall-clock)={same_metrics}",
     )

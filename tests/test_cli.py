@@ -238,6 +238,51 @@ class TestConfigErrorsAreOneLine:
         argv = ["eval", "--config", str(cfg), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "task, override, other",
+        [
+            ("quadrant", "data.downsample=7", "pixel-idx"),
+            ("quadrant", "data.train_images=/nonexistent", "pixel-idx"),
+            ("quadrant", "data.shuffle_pixels=false", "pixel-idx"),
+            ("pixel-idx", "data.set_size=8", "quadrant"),
+            ("pixel-idx", "data.margin=0.2", "quadrant"),
+        ],
+    )
+    def test_data_key_of_the_other_task(self, command, task, override, other, tmp_path, capsys):
+        if task == "quadrant":
+            cfg = tmp_path / "preset.cfg"
+            cfg.write_text(QUADRANT_PRESET_CFG)
+            cfg, model = str(cfg), models.quadrant_config()
+        else:
+            cfg, model = _pixel_idx_config(tmp_path, "model.preset = digits"), models.digits_config()
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out), "--set", override]
+        if command == "eval":
+            ckpt = tmp_path / "model.dmpp"
+            save_checkpoint(ckpt, models.build_model(model, RngState(0)))
+            argv += ["--set", f"eval.checkpoint={ckpt}"]
+        assert main(argv) == 1
+        key = override.split("=")[0]
+        assert _one_config_error(capsys) == f"config error: {key} applies only to task = {other}"
+        assert not out.exists()
+
+    def test_shipped_configs_pass_the_task_key_check(self, tmp_path, capsys, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        ckpt = tmp_path / "model.dmpp"
+        save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
+        quadrant = os.path.join(root, "configs", "quadrant.cfg")
+        small = ["--set", "data.train_size=32", "--set", "data.test_size=8", "--set", "train.epochs=0"]
+        assert main(["train", "--config", quadrant, "--out", str(tmp_path / "q")] + small) == 0
+        assert main(["eval", "--config", quadrant, "--set", f"eval.checkpoint={ckpt}"] + small) == 0
+        # the IDX files are not here: loading gets as far as the data
+        mnist = os.path.join(root, "configs", "mnist.cfg")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", mnist, "--out", str(tmp_path / "m")]) == 2
+        assert main(["eval", "--config", mnist, "--set", f"eval.checkpoint={ckpt}"]) == 2
+        assert capsys.readouterr().err.count("data error: data.") == 2
+
     def test_labels_beyond_class_count(self, tmp_path, capsys):
         cfg = _pixel_idx_config(
             tmp_path,

@@ -574,6 +574,57 @@ class TestFiniteDifference:
         fd = finite_difference_gradient(loss_np, x.copy())
         assert np.max(np.abs(fd - analytic)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda: np.arange(6.0).reshape(2, 3).T,
+            lambda: np.arange(12.0).reshape(3, 4)[::2, 1::2],
+        ],
+        ids=["transposed", "strided"],
+    )
+    def test_views_are_perturbed_in_place(self, view):
+        x = view()
+        assert not x.flags.c_contiguous
+        before = x.copy()
+        fd = finite_difference_gradient(lambda a: float((a**2).sum()), x)
+        np.testing.assert_allclose(fd, 2.0 * before, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.0, 2.0], np.arange(3), np.ones(2, dtype=np.float32), _read_only(np.ones(2))],
+        ids=["list", "int64", "float32", "read-only"],
+    )
+    def test_refuses_what_it_cannot_perturb_in_place(self, bad):
+        with pytest.raises(TypeError, match="writeable float64 ndarray"):
+            finite_difference_gradient(lambda a: 0.0, bad)
+
+
+def _layer(name: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    if name == "matmul":
+        return matmul(x, w)
+    if name == "affine":
+        return affine(x, w, b, relu=True)
+    gamma, beta = (Tensor(np.full(4, v), requires_grad=True) for v in (1.5, 0.2))
+    return batchnorm(x, gamma, beta, BatchNormState(4), w=w, b=b, relu=True)
+
+
+@pytest.mark.parametrize("name", ["matmul", "affine", "batchnorm"])
+def test_input_gradient_only_for_an_input_that_requires_grad(name):
+    """The backward leaves out the input gradient ``g @ w.T`` when the
+    input needs none; every other gradient is the same either way."""
+    gen = RngState(60).generator()
+    x, w, b, g = (gen.uniform(-1, 1, size=s) for s in ((6, 3), (3, 4), (4,), (6, 4)))
+    others = {}
+    for wanted in (True, False):
+        xt = Tensor(x, requires_grad=wanted)
+        pairs = _layer(name, xt, Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))._backward(g)
+        assert any(t is xt for t, _ in pairs) == wanted
+        others[wanted] = [grad for t, grad in pairs if t is not xt]
+    assert len(others[True]) == len(others[False]) >= 1
+    for with_x, without_x in zip(others[True], others[False]):
+        np.testing.assert_array_equal(with_x, without_x)
+
 
 def _relu(x: np.ndarray) -> Tensor:
     """The relu fused into ``affine``, applied to ``x`` itself: with the

@@ -358,6 +358,61 @@ class TestEvaluate:
         assert a["correct"] == b["correct"]
 
 
+def _random_statistics(model, gen) -> None:
+    """Running statistics far from the initial (0, 1), so the eval-mode
+    fold changes every element layer."""
+    for st in model.norm_states().values():
+        st.mean = gen.normal(0.0, 0.3, st.mean.shape)
+        st.var = gen.uniform(0.5, 2.0, st.var.shape)
+
+
+class TestBlockedEvaluate:
+    @pytest.mark.parametrize(
+        "make_config, size, chunk",
+        [
+            # chunks of 256 sets (7 blocks of 36-37) and 44 (2 blocks of 22)
+            (models_mod.pixel_s_config, 300, 256),
+            # chunks of 64 sets (2 blocks of 32) and 43 (2 blocks of 22 and 21)
+            (models_mod.pixel_l_config, 107, 64),
+        ],
+    )
+    def test_same_bits_as_one_forward_per_chunk(self, make_config, size, chunk, monkeypatch):
+        model = build_model(make_config(), RngState(50))
+        gen = RngState(51).generator()
+        _random_statistics(model, gen)
+        batch = SetBatch(sets=gen.uniform(-1, 1, size=(size, 196, 3)), labels=gen.integers(0, 10, size=size))
+        for start in range(0, size, chunk):
+            sets = batch.sets[start : start + chunk]
+            assert sets.shape[0] * 196 > train_mod.EVAL_BLOCK_ROWS
+            with tensor_mod.no_grad():
+                blocked = train_mod._chunk_logits(model, sets).data
+                whole = model.forward(sets, "eval").data
+            np.testing.assert_array_equal(blocked, whole)
+        taped = _count_tape_nodes(monkeypatch)
+        metrics = evaluate(model, batch, chunk=chunk)
+        assert taped == []
+        # the same function with every chunk one forward and one loss
+        monkeypatch.setattr(train_mod, "EVAL_BLOCK_ROWS", size * 196)
+        assert metrics == evaluate(model, batch, chunk=chunk)
+
+    @pytest.mark.parametrize("size, calls", [(256, 1), (257, 2)])
+    def test_a_chunk_of_block_rows_is_one_features_call(self, size, calls, monkeypatch):
+        # quadrant sets of 32 points: 256 sets are exactly EVAL_BLOCK_ROWS rows
+        model = build_model(quadrant_config(), RngState(52))
+        gen = RngState(53).generator()
+        batch = SetBatch(sets=gen.uniform(-1, 1, size=(size, 32, 2)), labels=gen.integers(0, 4, size=size))
+        seen = []
+        features = models_mod.Model.features
+
+        def counting_features(self, sets, mode="eval", gen=None):
+            seen.append(len(sets))
+            return features(self, sets, mode, gen)
+
+        monkeypatch.setattr(models_mod.Model, "features", counting_features)
+        evaluate(model, batch, chunk=size)
+        assert 256 * 32 == train_mod.EVAL_BLOCK_ROWS and len(seen) == calls and sum(seen) == size
+
+
 def _glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))
