@@ -44,15 +44,14 @@ class ExpressivenessWarning(UserWarning):
 
 @dataclass
 class MlpSpec:
-    """Layer widths plus the per-layer template: linear, then batch
-    normalization on every layer but the last when enabled, then
-    ``hidden_activation`` (``final_activation`` on the last layer).
+    """Layer widths plus the per-layer template. Every hidden layer is
+    linear, then batch normalization when enabled, then a relu; the last
+    layer is linear, then ``final_activation``.
 
     With the defaults the last layer is a plain linear map, as a
     classifier head needs."""
 
     layer_dims: list[int]
-    hidden_activation: str = "relu"
     final_activation: str = "none"
     use_batchnorm: bool = True
     use_bias: bool = True
@@ -63,9 +62,8 @@ class MlpSpec:
         if any(int(d) < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be positive, got {self.layer_dims}")
         self.layer_dims = [int(d) for d in self.layer_dims]
-        for kind in (self.hidden_activation, self.final_activation):
-            if kind not in ACTIVATION_KINDS:
-                raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
+        if self.final_activation not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown activation {self.final_activation!r}, expected one of {ACTIVATION_KINDS}")
 
     @property
     def in_width(self) -> int:
@@ -83,16 +81,16 @@ class MlpSpec:
                 dims[i],
                 dims[i + 1],
                 self.use_batchnorm and i < last,
-                self.final_activation if i == last else self.hidden_activation,
+                self.final_activation if i == last else "relu",
             )
             for i in range(last + 1)
         ]
 
 
 def _apply_activation(h: Tensor, kind: str, set_size: int | None) -> Tensor:
-    """An activation other than relu, after a layer's op. ``Mlp.forward``
-    fuses every relu into the ``affine`` or ``batchnorm`` op itself."""
-    if kind == "none":
+    """A last layer's activation after its op; a relu is fused into the
+    op itself."""
+    if kind in ("relu", "none"):
         return h
     if kind == "squashing":
         return squashing(h)
@@ -160,6 +158,32 @@ class Layer:
     bn: BatchNorm | None
 
 
+def _dense(
+    h: Tensor,
+    w: Tensor,
+    b: Tensor | None,
+    bn: BatchNorm | None,
+    mode: str,
+    relu: bool,
+    set_size: int | None = None,
+) -> Tensor:
+    """One dense layer ``h @ w + b`` as one tape op. With ``bn`` (a hidden
+    layer, so a relu), train mode runs the fused ``batchnorm`` and eval
+    mode folds the stored statistics into ``w`` and ``b``, through tape
+    ops, and runs ``affine``. Without ``bn``, ``affine`` in both modes, the
+    relu fused when ``relu`` is set. With ``set_size``, ``b`` holds one
+    row per set, tiled over that set's rows after any fold."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if bn is not None and mode == "eval":
+        w, b = bn.fold(w, b)
+    if set_size is not None:
+        b = tile_rows(b, set_size)
+    if bn is not None and mode == "train":
+        return batchnorm(h, bn.gamma, bn.beta, bn.state, w=w, b=b)
+    return affine(h, w, b, relu=relu)
+
+
 class Mlp(Block):
     """An MlpSpec bound to parameters, applied row-wise to stacked sets."""
 
@@ -175,40 +199,20 @@ class Mlp(Block):
             self.layers.append(Layer(w, b, BatchNorm(d_out) if has_bn else None))
 
     def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
-        """Apply every layer to the rows of ``x``.
-
-        Each layer is one tape op with the relu fused in; other
-        activations follow it. Train mode runs a batchnorm layer as one
-        ``batchnorm(h, ..., w=w, b=b)``: it normalizes ``h @ w`` by batch
-        statistics, where the bias cancels, so ``b`` only shifts the
-        running mean. Eval mode folds each batchnorm's stored statistics
-        into its layer's weights and bias and runs one ``affine``. A layer
-        without batchnorm is one ``affine`` in both modes. The fold is
-        built from tape ops, so gradients still reach every parameter in
-        both modes.
-        """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        """Apply every layer to the rows of ``x``: each is one
+        :func:`_dense` op, and the last layer's activation, unless it is a
+        relu, follows it. ``set_size`` groups the rows for a set softmax."""
         if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
             )
         h = x
         for layer, (*_, kind) in zip(self.layers, self.spec.layers()):
-            fuse_relu = kind == "relu"
-            w, b, bn = layer.weight, layer.bias, layer.bn
-            if bn is None:
-                h = affine(h, w, b, relu=fuse_relu)
-            elif mode == "train":
-                h = batchnorm(h, bn.gamma, bn.beta, bn.state, w=w, b=b, relu=fuse_relu)
-            else:
-                h = affine(h, *bn.fold(w, b), relu=fuse_relu)
-            if not fuse_relu:
-                h = _apply_activation(h, kind, set_size)
-        return h
+            h = _dense(h, layer.weight, layer.bias, layer.bn, mode, relu=kind == "relu")
+        return _apply_activation(h, self.spec.final_activation, set_size)
 
     def uses_softmax_set(self) -> bool:
-        return any(kind == "softmax_set" for *_, kind in self.spec.layers())
+        return self.spec.final_activation == "softmax_set"
 
     def named(self, prefix: str = "") -> Named:
         for i, layer in enumerate(self.layers):
@@ -349,27 +353,18 @@ def broadcast_batched(
     (B, d_y): ``relu(BN(x W_x^T + y W_y^T + b))``, each set's feature row
     tiled over its ``set_size`` rows.
 
-    The small per-set row ``y W_y^T + b`` (B, d_z) is formed first and
-    tiled; the rest is one fused op per mode. Train mode passes the tiled
-    rows to ``batchnorm`` as a row-aligned bias of the GEMM it normalizes.
-    Eval mode folds the stored statistics into ``W_x^T`` and the per-set
-    row, then runs one ``affine``.
+    The small per-set row ``y W_y^T + b`` (B, d_z) is formed first; the
+    rest is one :func:`_dense` op, which passes the tiled rows as a
+    row-aligned bias.
     """
     d_x, d_y, _ = block.widths
     if x_flat.data.ndim != 2 or x_flat.data.shape[1] != d_x:
         raise ValueError(f"expected stacked rows of width {d_x}, got shape {x_flat.data.shape}")
     if y.data.ndim != 2 or y.data.shape[1] != d_y:
         raise ValueError(f"expected batch features of width {d_y}, got shape {y.data.shape}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     w = transpose(block.w_x)
     row = add(matmul(y, transpose(block.w_y)), block.bias)
-    bn = block.bn
-    if mode == "train":
-        b = tile_rows(row, set_size)
-        return batchnorm(x_flat, bn.gamma, bn.beta, bn.state, w=w, b=b, relu=True)
-    w, row = bn.fold(w, row)
-    return affine(x_flat, w, tile_rows(row, set_size), relu=True)
+    return _dense(x_flat, w, row, block.bn, mode, relu=True, set_size=set_size)
 
 
 @no_grad()

@@ -46,7 +46,7 @@ from .models import (
     point_ablation_config,
 )
 from .rng import RngState
-from .textio import TextTensorError, read_tensor, write_tensor
+from .textio import TextTensorError, format_tensor, read_tensor
 from .train import (
     CONFIG_KEYS as TRAIN_CONFIG_KEYS,
     CheckpointError,
@@ -339,7 +339,7 @@ def cmd_decompose(args) -> int:
     paths = []
     for j, factor in enumerate(factors.factors):
         path = os.path.join(args.out, f"{stem}.factor{j}.txt")
-        write_tensor(path, factor)
+        _write_atomic(path, format_tensor(factor).encode())
         paths.append(path)
     report = {
         "input": str(input_path),

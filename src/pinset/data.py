@@ -9,6 +9,7 @@ once.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -35,6 +36,11 @@ class IdxCountMismatchError(ValueError):
 
 
 def _read_exact(f, n: int, what: str, path) -> bytes:
+    # a declared size is checked against the file before it is read: a
+    # header can declare more than any read or allocation can take
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise IdxTruncatedError(f"{path}: expected {n} more bytes for {what}, got {left}")
     data = f.read(n)
     if len(data) != n:
         raise IdxTruncatedError(

@@ -111,7 +111,7 @@ def numeric_rank(m, tol: float = RANK_TOL) -> int:
     return _rank(np.linalg.svd(_as_matrix(m, "m"), compute_uv=False), tol)
 
 
-def kernel_basis(b, tol: float = RANK_TOL) -> np.ndarray:
+def kernel_basis(b) -> np.ndarray:
     """Orthonormal basis of the null space of a full-row-rank matrix.
 
     Returns an (l, l-m) matrix; raises if the detected rank falls short
@@ -119,7 +119,7 @@ def kernel_basis(b, tol: float = RANK_TOL) -> np.ndarray:
     """
     arr = _as_matrix(b, "b")
     _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    _rank(s, tol, arr.shape)
+    _rank(s, RANK_TOL, arr.shape)
     return vt[arr.shape[0]:].T.copy()
 
 
@@ -282,7 +282,7 @@ def reconstruct_cp(f: CpFactors) -> np.ndarray:
     return kernels.sum_product_forward(f.factors).reshape([fac.shape[1] for fac in f.factors])
 
 
-def perturb_to_full_rank(y, epsilon: float, tol: float = RANK_TOL) -> np.ndarray:
+def perturb_to_full_rank(y, epsilon: float) -> np.ndarray:
     """Find a tiny identity-block perturbation ``delta`` such that
     ``y + delta`` has full column rank s, and return it.
 
@@ -299,7 +299,7 @@ def perturb_to_full_rank(y, epsilon: float, tol: float = RANK_TOL) -> np.ndarray
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-    if numeric_rank(y_arr, tol) == s:
+    if numeric_rank(y_arr) == s:
         return np.zeros_like(y_arr)
 
     base = epsilon / (2.0 * np.sqrt(s))
@@ -307,22 +307,20 @@ def perturb_to_full_rank(y, epsilon: float, tol: float = RANK_TOL) -> np.ndarray
         x0 = base / (2.0**k)
         delta = np.zeros_like(y_arr)
         delta[:s, :] = x0 * np.eye(s)
-        if numeric_rank(y_arr + delta, tol) == s:
+        if numeric_rank(y_arr + delta) == s:
             return delta
     raise ProbeFailureError(
         f"no scale in [{base / 2.0**40:.3e}, {base:.3e}] restored rank {s} "
-        f"for a {y_arr.shape} matrix (rank tolerance {tol:.1e})"
+        f"for a {y_arr.shape} matrix (rank tolerance {RANK_TOL:.1e})"
     )
 
 
-def rank_stability_trial(
-    y_full, epsilon: float, trials: int, rng: RngState, tol: float = RANK_TOL
-) -> float:
+def rank_stability_trial(y_full, epsilon: float, trials: int, rng: RngState) -> float:
     """Fraction of random perturbations with ``||delta||_F < epsilon`` that
     leave a full-column-rank matrix at full rank."""
     y_arr = _as_matrix(y_full, "y_full")
     n_rows, s = y_arr.shape
-    rank = numeric_rank(y_arr, tol)
+    rank = numeric_rank(y_arr)
     if rank < s:
         raise RankDeficiencyError(
             f"rank_stability_trial needs a full-rank input, detected rank {rank} < {s}",
@@ -342,6 +340,6 @@ def rank_stability_trial(
             direction = gen.standard_normal(y_arr.shape)
             norm = np.linalg.norm(direction)
             delta = direction * (epsilon * gen.random() / norm) if norm > 0 else direction
-        if numeric_rank(y_arr + delta, tol) == s:
+        if numeric_rank(y_arr + delta) == s:
             survived += 1
     return survived / trials

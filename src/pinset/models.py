@@ -219,7 +219,7 @@ TABLE_FACTORIZATIONS = [(1, 1024), (2, 512), (4, 256), (8, 128), (16, 64), (32, 
 
 
 def _softmax_mlp(dims) -> MlpSpec:
-    return MlpSpec(list(dims), hidden_activation="relu", final_activation="softmax_set")
+    return MlpSpec(list(dims), final_activation="softmax_set")
 
 
 def _twin_aggregation(dims, dropout_ratio: float = 0.1) -> AggregationSpec:
@@ -325,7 +325,7 @@ def _parse_bool(s: str) -> bool:
 
 def _mlp_to_flat(prefix: str, spec: MlpSpec, out: dict[str, str]) -> None:
     out[f"{prefix}.dims"] = ",".join(str(d) for d in spec.layer_dims)
-    out[f"{prefix}.hidden_act"] = spec.hidden_activation
+    out[f"{prefix}.hidden_act"] = "relu"  # retired; written so checkpoint bytes stay the same
     out[f"{prefix}.final_act"] = spec.final_activation
     out[f"{prefix}.batchnorm"] = _bool_str(spec.use_batchnorm)
     out[f"{prefix}.bias"] = _bool_str(spec.use_bias)
@@ -334,7 +334,6 @@ def _mlp_to_flat(prefix: str, spec: MlpSpec, out: dict[str, str]) -> None:
 def _mlp_from_flat(prefix: str, d: dict[str, str]) -> MlpSpec:
     return MlpSpec(
         layer_dims=[int(x) for x in d[f"{prefix}.dims"].split(",")],
-        hidden_activation=d[f"{prefix}.hidden_act"],
         final_activation=d[f"{prefix}.final_act"],
         use_batchnorm=_parse_bool(d[f"{prefix}.batchnorm"]),
         use_bias=_parse_bool(d[f"{prefix}.bias"]),
@@ -373,9 +372,11 @@ def config_to_flat(cfg: ModelConfig) -> dict[str, str]:
 
 
 def _check_retired(d: dict[str, str]) -> None:
-    """Earlier versions wrote four more keys. At the values every model
-    had they are ignored; any other value described a model this code
-    cannot build, so it is refused rather than loaded as a different one."""
+    """Keys that no longer set anything: ``*.hidden_act``, still written
+    as ``relu``, and four that earlier versions also wrote. At the values
+    every model had they are ignored; any other value described a model
+    this code cannot build, so it is refused rather than loaded as a
+    different one."""
     for key, value in d.items():
         stem, _, name = key.rpartition(".")
         if name == "classifier_tail":
@@ -383,6 +384,8 @@ def _check_retired(d: dict[str, str]) -> None:
             ok = value == "false" or d.get(f"{stem}.final_act") == "none"
         elif name == "batchnorm_final":
             ok = value == "false"
+        elif name == "hidden_act":
+            ok = value == "relu"
         elif key == "model.broadcasts.batchnorm":
             ok = value == "true"
         elif key == "model.broadcasts.activation":

@@ -173,18 +173,31 @@ def backward(loss: Tensor, params=()) -> dict:
 # primitives
 
 
+def _check_gemm(x: Tensor, w: Tensor, b: Tensor | None = None) -> bool:
+    """The shapes of a dense op ``x @ w + b``: rank-2 ``x`` and ``w`` that
+    multiply, and a bias row ``(d,)``, a row-aligned ``(rows, d)`` bias or
+    none. Returns whether the bias is row-aligned."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
+    out_shape = (x.data.shape[0], w.data.shape[1])
+    if b is not None and b.data.shape not in (out_shape[1:], out_shape):
+        raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
+    return b is not None and b.data.ndim == 2
+
+
+def _gemm_grads(x: Tensor, w: Tensor, g: np.ndarray) -> list:
+    """The gradients of ``x @ w`` given ``g``, the gradient of the product:
+    ``g @ w.T`` only when ``x`` requires grad (raw data needs none), then
+    ``x.T @ g``."""
+    grads = [(x, g @ w.data.T)] if x.requires_grad else []
+    grads.append((w, x.data.T @ g))
+    return grads
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.data.shape} x {b.data.shape}")
-
-    def bwd(g):
-        # the input gradient only where it is wanted: raw data needs none
-        grads = [(a, g @ b.data.T)] if a.requires_grad else []
-        grads.append((b, a.data.T @ g))
-        return grads
-
-    return _result(a.data @ b.data, (a, b), bwd)
+    _check_gemm(a, b)
+    return _result(a.data @ b.data, (a, b), lambda g: _gemm_grads(a, b, g))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor:
@@ -195,12 +208,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     ``(rows, d)`` array with one bias per row, or None. Without relu this
     equals ``add(matmul(x, w), b)`` bit for bit, gradients included.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-    out_shape = (x.data.shape[0], w.data.shape[1])
-    if b is not None and b.data.shape not in (out_shape[1:], out_shape):
-        raise ShapeError(f"cannot add shapes {out_shape} + {b.data.shape}")
-    row_aligned = b is not None and b.data.ndim == 2
+    row_aligned = _check_gemm(x, w, b)
     y = x.data @ w.data
     if b is not None:
         y += b.data
@@ -211,8 +219,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     def bwd(g):
         if relu:
             g = g * (y > 0)  # y > 0 exactly where the pre-activation was
-        grads = [(x, g @ w.data.T)] if x.requires_grad else []
-        grads.append((w, x.data.T @ g))
+        grads = _gemm_grads(x, w, g)
         if b is not None:
             grads.append((b, g if row_aligned else g.sum(axis=0)))
         return grads
@@ -285,16 +292,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a,), bwd)
 
 
-def _relu_in_place(y: np.ndarray) -> np.ndarray:
-    """Relu of an array the calling op allocated, in place. Returns the
-    1-byte mask of positive entries for the backward: taken here, while
-    ``y`` is hot in cache, it costs one byte per element to keep, where
-    rebuilding it in the backward would reread eight."""
-    mask = y > 0
-    np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
-    return mask
-
-
 def set_softmax(a: Tensor) -> Tensor:
     """Softmax over the set axis (second-to-last), per feature column.
 
@@ -350,13 +347,12 @@ def batchnorm(
     *,
     w: Tensor,
     b: Tensor | None = None,
-    relu: bool = False,
 ) -> Tensor:
-    """One train-mode layer: ``x @ w + b``, normalized per feature over
-    the rows by batch statistics (biased variance plus ``BN_EPS``), then
-    ``gamma * xhat + beta`` and, when ``relu`` is set, a relu. Needs at
-    least two rows. The batch statistics are folded into the running
-    statistics with weight ``BN_MOMENTUM``.
+    """One train-mode hidden layer: ``x @ w + b``, normalized per feature
+    over the rows by batch statistics (biased variance plus ``BN_EPS``),
+    then ``gamma * xhat + beta`` and a relu. Needs at least two rows. The
+    batch statistics are folded into the running statistics with weight
+    ``BN_MOMENTUM``.
 
     A ``(d,)`` bias row is cancelled by subtracting the batch mean, so
     ``BN(x @ w + b) == BN(x @ w)``; it only shifts the batch mean that goes
@@ -364,18 +360,10 @@ def batchnorm(
     ``(rows, d)`` bias differs from row to row, so it is added, and its
     gradient is the masked, normalized ``g`` that the GEMM gradients read.
 
-    There is no eval mode: ``Mlp.forward`` and ``broadcast_batched`` fold
-    the stored statistics into the layer's weights and bias and run
-    ``affine`` instead.
+    There is no eval mode: ``blocks`` folds the stored statistics into
+    the layer's weights and bias and runs ``affine`` instead.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"batchnorm expects 2-D input, got shape {x.data.shape}")
-    if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-    out_shape = (x.data.shape[0], w.data.shape[1])
-    if b is not None and b.data.shape not in (out_shape[1:], out_shape):
-        raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
-    row_aligned = b is not None and b.data.ndim == 2
+    row_aligned = _check_gemm(x, w, b)
     m = x.data.shape[0]
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
@@ -392,27 +380,28 @@ def batchnorm(
     xhat *= inv_std
     y = xhat * gamma.data
     y += beta.data
-    mask = _relu_in_place(y) if relu else None
+    # the 1-byte mask, taken while y is hot in cache, is cheaper to keep
+    # than rereading eight bytes per element in the backward
+    mask = y > 0
+    np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
 
     def bwd(g):
-        # Ioffe & Szegedy (2015), in the one array the masking (or copy) makes:
+        # Ioffe & Szegedy (2015), in the one array the masking makes:
         # gz = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat))
-        gz = g * mask if relu else g.copy()
+        gz = g * mask
         sum_g = gz.sum(axis=0)
         sum_gx = np.einsum("ij,ij->j", gz, xhat)
         scale = gamma.data * inv_std
         gz *= scale
         gz -= scale * sum_g / m
         gz -= xhat * (scale * sum_gx / m)
-        grads = [(x, gz @ w.data.T)] if x.requires_grad else []
-        grads += [(w, x.data.T @ gz), (gamma, sum_gx), (beta, sum_g)]
+        grads = _gemm_grads(x, w, gz) + [(gamma, sum_gx), (beta, sum_g)]
         if b is not None:
             grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
         return grads
 
-    if relu:
-        # rebuilt on request, so no full-size pre-activation stays alive
-        bwd.preactivation = lambda: xhat * gamma.data + beta.data
+    # rebuilt on request, so no full-size pre-activation stays alive
+    bwd.preactivation = lambda: xhat * gamma.data + beta.data
     parents = (x, w, gamma, beta)
     return _result(y, parents if b is None else parents + (b,), bwd)
 

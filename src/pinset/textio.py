@@ -7,6 +7,8 @@ shortest round-trip precision so write -> read preserves values exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -37,8 +39,10 @@ def parse_tensor(text: str) -> np.ndarray:
         raise TextTensorError(
             f"header declares rank {rank} but lists {len(extents)} extents"
         )
+    if any(e < 0 for e in extents):
+        raise TextTensorError(f"negative extent in header {lines[0]!r}")
     tokens = " ".join(lines[1:]).split()
-    expected = int(np.prod(extents)) if extents else 1
+    expected = math.prod(extents)
     if len(tokens) != expected:
         raise TextTensorError(
             f"expected {expected} values for extents {extents}, got {len(tokens)}"

@@ -67,9 +67,14 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Opt
         if state.weight_decay != 0.0:
             g = g + state.weight_decay * p.data
         buf = state.buffers.get(name)
-        buf = g if buf is None else state.momentum * buf + g
-        state.buffers[name] = buf
-        p.data = p.data - state.lr * buf
+        if buf is None:
+            state.buffers[name] = buf = g.copy()
+        else:
+            buf *= state.momentum
+            buf += g
+        # in place, so that parameters and buffers keep their memory: new
+        # arrays each step would be scattered between the step's temporaries
+        p.data -= state.lr * buf
 
 
 # the run-config key of each TrainConfig field
@@ -164,14 +169,14 @@ EVAL_BLOCK_ROWS = 8192
 
 
 def _chunk_logits(model: Model, sets: np.ndarray) -> Tensor:
-    """Eval-mode logits of one chunk of sets (B, N, p). A chunk of more
-    than :data:`EVAL_BLOCK_ROWS` rows runs ``Model.features`` on near-equal
-    blocks of whole sets and the head once on the joined features."""
-    n_blocks = -(-sets.shape[0] * sets.shape[1] // EVAL_BLOCK_ROWS)
-    if n_blocks <= 1:
-        return model.forward(sets, "eval")
-    parts = [model.features(part, "eval").data for part in np.array_split(sets, n_blocks)]
-    return model.head.forward(Tensor(np.concatenate(parts)), "eval")
+    """Eval-mode logits of one chunk of sets (B, N, p): ``Model.features``
+    on near-equal blocks of whole sets of about :data:`EVAL_BLOCK_ROWS`
+    rows, then the head once on the joined features."""
+    b = sets.shape[0]
+    n = -(-b * sets.shape[1] // EVAL_BLOCK_ROWS)
+    parts = [model.features(sets[i * b // n : (i + 1) * b // n], "eval").data for i in range(n)]
+    feature = Tensor(np.concatenate(parts))
+    return feature if model.head is None else model.head.forward(feature, "eval")
 
 
 @no_grad()

@@ -378,8 +378,9 @@ def run_rankstab(seed: int) -> SuiteResult:
 
 def _relu_inputs(out: Tensor) -> list[np.ndarray]:
     """Pre-activations of every relu in the graph behind ``out``: each op
-    that fuses a relu (``affine`` or ``batchnorm`` with ``relu=True``)
-    gives its backward a ``preactivation()`` that rebuilds them."""
+    that fuses a relu (every ``batchnorm``, and ``affine`` with
+    ``relu=True``) gives its backward a ``preactivation()`` that rebuilds
+    them."""
     return [
         node._backward.preactivation()
         for node in _reachable(out)
@@ -450,7 +451,7 @@ def run_gradcheck(seed: int) -> SuiteResult:
 
 
 def _linear_block(rng: RngState, final1: str, final2: str) -> AggregationBlock:
-    linear = dict(hidden_activation="none", use_batchnorm=False, use_bias=False)
+    linear = dict(use_batchnorm=False, use_bias=False)
     spec = AggregationSpec(
         MlpSpec([6, 8], final_activation=final1, **linear),
         MlpSpec([6, 8], final_activation=final2, **linear),

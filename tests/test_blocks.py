@@ -125,7 +125,7 @@ class TestMlpEvalFold:
     @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("kind", ["relu", "softmax_set", "none"])
     def test_matches_unfused_reference(self, kind, use_bias):
-        spec = MlpSpec([3, 8, 6, 5], hidden_activation=kind, final_activation=kind, use_bias=use_bias)
+        spec = MlpSpec([3, 8, 6, 5], final_activation=kind, use_bias=use_bias)
         mlp = _with_running_stats(Mlp(spec, RngState(30)), 31)
         x = Tensor(RngState(32).generator().uniform(-1, 1, size=(4 * 9, 3)))
         got = mlp.forward(x, "eval", set_size=9).data

@@ -365,6 +365,15 @@ def test_idx_images_not_square_or_empty_exit_2(shape, sides, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("data error: ") and sides in lines[0], lines
 
 
+def test_idx_header_larger_than_the_file_exits_2(tmp_path, capsys):
+    config = _pixel_idx_config(tmp_path, "model.preset = pixel-s")
+    # about 2**96 declared pixels: more than any read or allocation can take
+    (tmp_path / "train-images").write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF))
+    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and "pixel data, got 0" in lines[0], lines
+
+
 class TestEvalReadsOnlyWhatItUses:
     def test_quadrant_eval_draws_no_training_set_and_needs_no_model_keys(self, tmp_path, monkeypatch, capsys):
         ckpt = tmp_path / "quadrant.dmpp"
@@ -421,6 +430,7 @@ def test_second_aggregation_without_broadcasts_exits_2(tmp_path, capsys):
         (["train", "--set", "train.epochs=1"], "metrics.csv"),
         (["verify", "--suite", "cp"], "verify_report.json"),
         (["decompose", "--components", "2"], "t.decompose.json"),
+        (["decompose", "--components", "2"], "t.factor0.txt"),
     ],
 )
 def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config, tmp_path, monkeypatch):
@@ -473,6 +483,16 @@ class TestDamagedCheckpointExits2:
         (meta_len,) = struct.unpack("<Q", raw[8:16])
         for i in range(16 + meta_len + 8):
             eval_damaged(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :])
+
+    def test_retired_hidden_activation(self, eval_damaged, tmp_path):
+        # squashing hidden layers: a model earlier versions built and loaded
+        save_checkpoint(tmp_path / "q.dmpp", models.build_model(models.quadrant_config(), RngState(0)))
+        raw = (tmp_path / "q.dmpp").read_bytes()
+        (meta_len,) = struct.unpack("<Q", raw[8:16])
+        key = b"model.agg.mlp1.hidden_act = "
+        meta = raw[16 : 16 + meta_len].replace(key + b"relu", key + b"squashing")
+        line = eval_damaged(raw[:8] + struct.pack("<Q", len(meta)) + meta + raw[16 + meta_len :])
+        assert "model.agg.mlp1.hidden_act = squashing: a retired option" in line
 
     def test_text_file(self, eval_damaged):
         assert "not a checkpoint (magic b'hell')" in eval_damaged(b"hello, world\n")
@@ -586,6 +606,20 @@ class TestDecomposeCommand:
         assert main(["decompose", "--input", str(src), "--components", "4", "--out", str(out)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error: cp_decompose needs "), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["tensor v1 2 -1 -2\n1 2\n", "tensor v1 2 4294967296 4294967296\n"],
+        ids=["negative", "product-overflows-int64"],
+    )
+    def test_extents_that_cannot_be_reshaped_are_one_data_error(self, text, tmp_path, capsys):
+        src = tmp_path / "t.txt"
+        src.write_text(text)
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
         assert not out.exists()
 
     def test_config_keys_are_refused(self, tmp_path, capsys):

@@ -53,6 +53,14 @@ class TestIdxLoader:
         with pytest.raises(IdxTruncatedError):
             load_mnist_idx(cut, labels_path)
 
+    def test_declared_size_beyond_the_file(self, idx_fixture, tmp_path):
+        # about 2**96 declared pixels: more than any read or allocation can take
+        _, labels_path, *_ = idx_fixture
+        huge = tmp_path / "huge.idx"
+        huge.write_bytes(struct.pack(">IIII", 0x00000803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(IdxTruncatedError, match="pixel data, got 0"):
+            load_mnist_idx(huge, labels_path)
+
     def test_count_mismatch(self, idx_fixture, tmp_path):
         images_path, _, _, labels = idx_fixture
         short_labels = tmp_path / "short.idx"

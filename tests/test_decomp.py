@@ -322,7 +322,7 @@ def test_probe_failure_is_loud():
     y[2, 0] = 1.0
     assert numeric_rank(y + perturb_to_full_rank(y, 1e-3)) == 2
 
-    # with a coarse tolerance the scanned scales can never lift the tiny
-    # singular value past tol * sigma_max, so the scan must fail loudly
-    with pytest.raises(ProbeFailureError):
-        perturb_to_full_rank(np.array([[1.0, 0.0], [0.0, 0.0]]), 1e-3, tol=0.5)
+    # against a huge sigma_max the scanned scales can never lift the zero
+    # singular value past RANK_TOL * sigma_max, so the scan must fail loudly
+    with pytest.raises(ProbeFailureError, match="rank tolerance 1.0e-10"):
+        perturb_to_full_rank(np.array([[1e20, 0.0], [0.0, 0.0]]), 1e-3)

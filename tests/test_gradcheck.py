@@ -159,26 +159,24 @@ def test_primitive_gradients(trial):
     # the fused train-mode layer w -> batchnorm -> relu, on a stream of its own
     gb = RngState(3000 + trial).generator()
     worst = max(worst, _check(sum_all, gb.uniform(-1, 1, size=(3, 4))))
-    for use_relu in (False, True):
-        for use_bias in (False, True):
-            # redraw until every pre-activation is clear of the relu kink
-            while True:
-                xb, wb = gb.uniform(-1, 1, size=(6, 3)), gb.uniform(-1, 1, size=(3, 4))
-                gam, bet, bb = gb.uniform(0.5, 1.5, size=4), gb.uniform(-0.5, 0.5, size=4), gb.uniform(-1, 1, size=4)
-                z = xb @ wb
-                z = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS)
-                if not use_relu or np.min(np.abs(gam * z + bet)) > 1e-3:
-                    break
-            wbn = _weighted(gb, (6, 4))
-            operands = [xb, wb, gam, bet] + ([bb] if use_bias else [])
+    for use_bias in (False, True):
+        # redraw until every pre-activation is clear of the relu kink
+        while True:
+            xb, wb = gb.uniform(-1, 1, size=(6, 3)), gb.uniform(-1, 1, size=(3, 4))
+            gam, bet, bb = gb.uniform(0.5, 1.5, size=4), gb.uniform(-0.5, 0.5, size=4), gb.uniform(-1, 1, size=4)
+            z = xb @ wb
+            z = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS)
+            if np.min(np.abs(gam * z + bet)) > 1e-3:
+                break
+        wbn = _weighted(gb, (6, 4))
+        operands = [xb, wb, gam, bet] + ([bb] if use_bias else [])
 
-            def fused_loss(t, k, _relu=use_relu, _operands=operands):
-                x_, w_, g_, be_, *b_ = [t if j == k else Tensor(a) for j, a in enumerate(_operands)]
-                state = BatchNormState(4)
-                return wbn(batchnorm(x_, g_, be_, state, w=w_, b=b_[0] if b_ else None, relu=_relu))
+        def fused_loss(t, k, _operands=operands):
+            x_, w_, g_, be_, *b_ = [t if j == k else Tensor(a) for j, a in enumerate(_operands)]
+            return wbn(batchnorm(x_, g_, be_, BatchNormState(4), w=w_, b=b_[0] if b_ else None))
 
-            for k, operand in enumerate(operands):
-                worst = max(worst, _check(lambda t, _k=k: fused_loss(t, _k), operand))
+        for k, operand in enumerate(operands):
+            worst = max(worst, _check(lambda t, _k=k: fused_loss(t, _k), operand))
 
     # a row-aligned (rows, d) bias, as the broadcast blocks pass it, on a
     # stream of its own
@@ -209,7 +207,7 @@ def test_primitive_gradients(trial):
 
     def row_bn_loss(t, k):
         x_, w_, g_, be_, b_ = [t if j == k else Tensor(a) for j, a in enumerate(operands)]
-        return wrb(batchnorm(x_, g_, be_, BatchNormState(4), w=w_, b=b_, relu=True))
+        return wrb(batchnorm(x_, g_, be_, BatchNormState(4), w=w_, b=b_))
 
     for k, operand in enumerate(operands):
         worst = max(worst, _check(lambda t, _k=k: row_bn_loss(t, _k), operand))
@@ -268,8 +266,7 @@ def test_every_taped_primitive_is_gradchecked(monkeypatch):
     assert {"batchnorm", "affine", "matmul", "sum_product"} <= primitives
 
 
-@pytest.mark.parametrize("use_relu", [False, True])
-def test_batchnorm_gradients_with_near_constant_column(use_relu):
+def test_batchnorm_gradients_with_near_constant_column():
     # a column of x @ w with std 1e-3 makes inv_std ~1000 and the
     # normalization nearly singular, where cancellation in the gradient
     # shows first
@@ -285,7 +282,7 @@ def test_batchnorm_gradients_with_near_constant_column(use_relu):
     assert np.min(np.abs(preact)) > 1e-3  # this draw is clear of the relu kink
 
     def bn_loss(x, g, b):
-        return weights(batchnorm(x, g, b, BatchNormState(5), w=Tensor(w0), relu=use_relu))
+        return weights(batchnorm(x, g, b, BatchNormState(5), w=Tensor(w0)))
 
     # no check for w: a step of H along its scaled column moves that
     # column's std by about 1 %, so finite differences are off there; its
@@ -417,7 +414,7 @@ def test_relu_walk_rebuilds_fused_preactivations():
     w_x, per_set = Tensor(gen.uniform(-1, 1, size=(5, 7))), Tensor(gen.uniform(-1, 1, size=(4, 7)))
     gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=7)), Tensor(gen.uniform(-0.5, 0.5, size=7))
     tiled = tile_rows(per_set, 3)
-    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), w=w_x, b=tiled, relu=True)
+    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), w=w_x, b=tiled)
     got = {a.shape: a for a in _relu_inputs(out)}
 
     def bn(z, g, b):

@@ -184,25 +184,25 @@ class TestConfigRoundTrip:
     def test_every_field_survives_round_trip(self):
         # each spec differs from the others, so a value written once for
         # several blocks shows up as a difference
-        def mlp(dims, hidden, final, batchnorm=True, bias=True):
-            return MlpSpec(dims, hidden, final, use_batchnorm=batchnorm, use_bias=bias)
+        def mlp(dims, final, batchnorm=True, bias=True):
+            return MlpSpec(dims, final, use_batchnorm=batchnorm, use_bias=bias)
 
         cfg = ModelConfig(
             task="point-classification",
             input_width=3,
             class_count=4,
             aggregation=AggregationSpec(
-                mlp([3, 5, 2], "squashing", "softmax_set", batchnorm=False),
-                mlp([3, 6, 3], "none", "relu", bias=False),
+                mlp([3, 5, 2], "softmax_set", batchnorm=False),
+                mlp([3, 6, 3], "relu", bias=False),
                 dropout_ratio=0.25,
             ),
             broadcasts=[5, 7],
             aggregation2=AggregationSpec(
-                mlp([7, 4, 2], "softmax_set", "squashing"),
-                mlp([7, 3, 3], "relu", "none", batchnorm=False, bias=False),
+                mlp([7, 4, 2], "squashing"),
+                mlp([7, 3, 3], "none", batchnorm=False, bias=False),
                 dropout_ratio=0.5,
             ),
-            head=mlp([6, 8, 4], "squashing", "none", bias=False),
+            head=mlp([6, 8, 4], "none", bias=False),
         )
         aggs = [cfg.aggregation, cfg.aggregation2]
         specs = [cfg, cfg.head, *aggs] + [m for a in aggs for m in (a.mlp1, a.mlp2)]
@@ -241,6 +241,7 @@ class TestConfigRoundTrip:
         [
             ("model.agg.mlp1.batchnorm_final", "true"),
             ("model.agg.mlp1.classifier_tail", "true"),  # final_act is softmax_set
+            ("model.agg.mlp1.hidden_act", "squashing"),
             ("model.broadcasts.batchnorm", "false"),
             ("model.broadcasts.activation", "none"),
         ],

@@ -197,28 +197,6 @@ class TestSetSoftmax:
         np.testing.assert_allclose(out[1], single, rtol=0, atol=1e-15)
 
 
-def _bn_layer_reference(x, w, b, gamma, beta, relu, g):
-    """relu(BN(x @ w + b)) in plain numpy, by batch statistics: the output,
-    the batch mean and biased variance, and the gradients of
-    ``sum(out * g)``, each column's through its explicit Jacobian
-    ``gamma * inv_std * (I - 1/m - xhat xhat^T / m)``."""
-    z = x @ w + (0.0 if b is None else b)
-    m = z.shape[0]
-    mean, var = z.mean(axis=0), z.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (z - mean) * inv_std
-    pre = xhat * gamma + beta
-    gp = g * (pre > 0) if relu else g
-    gz = np.empty_like(z)
-    for j in range(z.shape[1]):
-        jac = np.eye(m) - 1.0 / m - np.outer(xhat[:, j], xhat[:, j]) / m
-        gz[:, j] = gamma[j] * inv_std[j] * (jac @ gp[:, j])
-    grads = {"x": gz @ w.T, "w": x.T @ gz, "gamma": (gp * xhat).sum(axis=0), "beta": gp.sum(axis=0)}
-    if b is not None:
-        grads["b"] = gz if b.ndim == 2 else gz.sum(axis=0)
-    return np.maximum(pre, 0.0) if relu else pre, mean, var, grads
-
-
 class TestBatchnorm:
     """Hand-computed cases of the fused layer with ``w`` the identity."""
 
@@ -230,7 +208,7 @@ class TestBatchnorm:
     def test_train_two_point_column(self):
         gamma, beta, state, w = self._layer(1)
         out = batchnorm(Tensor([[1.0], [3.0]]), gamma, beta, state, w=w).data
-        expected = (np.array([[1.0], [3.0]]) - 2.0) / np.sqrt(1.0 + BN_EPS)
+        expected = [[0.0], [1.0 / np.sqrt(1.0 + BN_EPS)]]  # the relu zeroes the row below the mean
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_train_updates_running_stats(self):
@@ -249,12 +227,12 @@ class TestBatchnorm:
         gen = RngState(7).generator()
         x = gen.uniform(-1, 1, size=(9, 4))
         perm = gen.permutation(9)
-        a = batchnorm(Tensor(x[perm]), gamma, beta, BatchNormState(4), w=w, relu=True).data
-        b = batchnorm(Tensor(x), gamma, beta, BatchNormState(4), w=w, relu=True).data[perm]
+        a = batchnorm(Tensor(x[perm]), gamma, beta, BatchNormState(4), w=w).data
+        b = batchnorm(Tensor(x), gamma, beta, BatchNormState(4), w=w).data[perm]
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
-def _bn_layer_reference(x, w, b, gamma, beta, relu, g):
+def _bn_layer_reference(x, w, b, gamma, beta, g):
     """relu(BN(x @ w + b)) in plain numpy, by batch statistics: the output,
     the batch mean and biased variance, and the gradients of
     ``sum(out * g)``, each column's through its explicit Jacobian
@@ -265,7 +243,7 @@ def _bn_layer_reference(x, w, b, gamma, beta, relu, g):
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (z - mean) * inv_std
     pre = xhat * gamma + beta
-    gp = g * (pre > 0) if relu else g
+    gp = g * (pre > 0)
     gz = np.empty_like(z)
     for j in range(z.shape[1]):
         jac = np.eye(m) - 1.0 / m - np.outer(xhat[:, j], xhat[:, j]) / m
@@ -273,11 +251,11 @@ def _bn_layer_reference(x, w, b, gamma, beta, relu, g):
     grads = {"x": gz @ w.T, "w": x.T @ gz, "gamma": (gp * xhat).sum(axis=0), "beta": gp.sum(axis=0)}
     if b is not None:
         grads["b"] = gz if b.ndim == 2 else gz.sum(axis=0)
-    return np.maximum(pre, 0.0) if relu else pre, mean, var, grads
+    return np.maximum(pre, 0.0), mean, var, grads
 
 
 class TestBatchnormFused:
-    """``batchnorm(x, ..., w=w, b=b, relu=...)`` against the unfused
+    """``batchnorm(x, ..., w=w, b=b)`` against the unfused
     linear -> batchnorm -> relu chain in plain numpy."""
 
     def _operands(self, seed, use_bias=True):
@@ -289,16 +267,15 @@ class TestBatchnormFused:
         beta = Tensor(gen.uniform(-0.5, 0.5, size=5), requires_grad=True)
         return x, w, b, gamma, beta, gen.uniform(-1, 1, size=(9, 5))
 
-    def _check_forward(self, x, w, b, gamma, beta, g, use_relu):
+    def _check_forward(self, x, w, b, gamma, beta, g):
         """Assert the output and running statistics match the reference;
         return the op's gradients, the reference's and their tensors."""
         state = BatchNormState(5)
-        fused = batchnorm(x, gamma, beta, state, w=w, b=b, relu=use_relu)
+        fused = batchnorm(x, gamma, beta, state, w=w, b=b)
         want, mean, var, want_grads = _bn_layer_reference(
-            x.data, w.data, None if b is None else b.data, gamma.data, beta.data, use_relu, g
+            x.data, w.data, None if b is None else b.data, gamma.data, beta.data, g
         )
-        if use_relu:
-            assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        assert np.any(fused.data == 0) and np.any(fused.data > 0)
         np.testing.assert_allclose(fused.data, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(state.mean, BN_MOMENTUM * mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(state.var, (1.0 - BN_MOMENTUM) + BN_MOMENTUM * var, rtol=1e-12, atol=0)
@@ -309,10 +286,9 @@ class TestBatchnormFused:
         return got, want_grads, named
 
     @pytest.mark.parametrize("use_bias", [True, False])
-    @pytest.mark.parametrize("use_relu", [True, False])
-    def test_matches_unfused_reference(self, use_relu, use_bias):
+    def test_matches_unfused_reference(self, use_bias):
         x, w, b, gamma, beta, g = self._operands(40, use_bias)
-        got, want, named = self._check_forward(x, w, b, gamma, beta, g, use_relu)
+        got, want, named = self._check_forward(x, w, b, gamma, beta, g)
         for name in ("x", "w", "gamma", "beta"):
             np.testing.assert_allclose(got[named[name]], want[name], rtol=1e-12, atol=0, err_msg=name)
         if use_bias:
@@ -323,7 +299,7 @@ class TestBatchnormFused:
         # a (rows, d) bias differs between rows, so it is not cancelled
         x, w, _, gamma, beta, g = self._operands(47)
         b = Tensor(RngState(48).generator().uniform(-1, 1, size=(9, 5)), requires_grad=True)
-        got, want, named = self._check_forward(x, w, b, gamma, beta, g, True)
+        got, want, named = self._check_forward(x, w, b, gamma, beta, g)
         for name, t in named.items():
             np.testing.assert_allclose(got[t], want[name], rtol=1e-12, atol=0, err_msg=name)
 
@@ -339,11 +315,10 @@ class TestBatchnormFused:
     def test_propagates_nan(self):
         x, w, b, gamma, beta, _ = self._operands(42)
         x.data[0, 0] = np.nan
-        out = batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=b, relu=True)
+        out = batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=b)
         assert np.isnan(out.data).all()  # the NaN reaches every row through the batch mean
 
-    @pytest.mark.parametrize("use_relu", [True, False])
-    def test_never_writes_inputs_gradient_or_running_state(self, use_relu):
+    def test_never_writes_inputs_gradient_or_running_state(self):
         gen = RngState(43).generator()
         shapes = ((6, 3), (3, 4), (4,), (4,), (4,), (6, 4), (4,), (4,))
         x, w, b, gamma, beta, g, mean, var = (_read_only(gen.uniform(0.5, 1.5, size=s)) for s in shapes)
@@ -351,10 +326,9 @@ class TestBatchnormFused:
         state = BatchNormState(4)
         state.mean, state.var = mean, var
         params = [Tensor(a, requires_grad=True) for a in (x, w, b, gamma, beta)]
-        out = batchnorm(params[0], params[3], params[4], state, w=params[1], b=params[2], relu=use_relu)
+        out = batchnorm(params[0], params[3], params[4], state, w=params[1], b=params[2])
         grads = out._backward(g)
-        if use_relu:
-            out._backward.preactivation()
+        out._backward.preactivation()
         assert [t.shape for _, t in grads] == [(6, 3), (3, 4), (4,), (4,), (4,)]
         assert state.mean is not mean and state.var is not var  # rebound, not updated in place
         for before, after in zip(saved, (x, w, b, gamma, beta, g, mean, var)):
@@ -363,7 +337,7 @@ class TestBatchnormFused:
     def test_single_row_rejected(self):
         x, w, b, gamma, beta, _ = self._operands(44)
         with pytest.raises(DegenerateBatchError):
-            batchnorm(Tensor(x.data[:1]), gamma, beta, BatchNormState(5), w=w, b=b, relu=True)
+            batchnorm(Tensor(x.data[:1]), gamma, beta, BatchNormState(5), w=w, b=b)
 
     def test_shape_mismatches_rejected(self):
         x, w, b, gamma, beta, _ = self._operands(46)
@@ -606,7 +580,7 @@ def _layer(name: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if name == "affine":
         return affine(x, w, b, relu=True)
     gamma, beta = (Tensor(np.full(4, v), requires_grad=True) for v in (1.5, 0.2))
-    return batchnorm(x, gamma, beta, BatchNormState(4), w=w, b=b, relu=True)
+    return batchnorm(x, gamma, beta, BatchNormState(4), w=w, b=b)
 
 
 @pytest.mark.parametrize("name", ["matmul", "affine", "batchnorm"])

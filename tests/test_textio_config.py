@@ -33,6 +33,18 @@ class TestTextTensor:
         with pytest.raises(TextTensorError, match="expected 4 values"):
             parse_tensor("tensor v1 2 2 2\n1 2 3")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tensor v1 2 -1 -2\n1 2", "negative extent"),
+            ("tensor v1 2 4294967296 4294967296\n", "expected 18446744073709551616 values"),
+        ],
+        ids=["negative", "product-overflows-int64"],
+    )
+    def test_extents_that_cannot_be_reshaped(self, text, message):
+        with pytest.raises(TextTensorError, match=message):
+            parse_tensor(text)
+
     def test_non_numeric_value(self):
         with pytest.raises(TextTensorError, match="non-numeric"):
             parse_tensor("tensor v1 1 2\n1 banana")

@@ -60,6 +60,18 @@ class TestSgdStep:
         assert second > first  # buffer: 1.0 then 1.9
         np.testing.assert_allclose(second, 0.19)
 
+    def test_updates_in_place_and_leaves_gradients_alone(self):
+        params = _scalar_param(1.0)
+        weights = params["w"].data
+        state = OptimizerState(weight_decay=0.0, lr=0.1, momentum=0.9)
+        grad = np.array([[1.0]])
+        sgd_step(params, {"w": grad}, state)
+        buffer = state.buffers["w"]
+        sgd_step(params, {"w": grad}, state)
+        assert params["w"].data is weights and state.buffers["w"] is buffer
+        np.testing.assert_array_equal(grad, [[1.0]])
+        np.testing.assert_allclose(buffer, [[1.9]])
+
     def test_weight_decay_enters_gradient(self):
         params = _scalar_param(2.0)
         state = OptimizerState(weight_decay=0.5, lr=0.1)
@@ -313,10 +325,13 @@ class TestEvaluate:
 
     def test_perfect_oracle_stub(self):
         class Oracle:
+            # evaluate reads the features of each block, and the head on them
+            head = None
+
             class config:
                 class_count = 4
 
-            def forward(self, sets, mode, gen=None):
+            def features(self, sets, mode, gen=None):
                 data = sets.data if isinstance(sets, Tensor) else sets
                 logits = np.zeros((data.shape[0], 4))
                 labels = data[:, 0, 0].astype(int)
