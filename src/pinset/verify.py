@@ -403,9 +403,34 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
+def _probe_losses(model, sets, labels):
+    """The two scalar losses that finite differences probe on one gradcheck
+    batch, both train mode under ``no_grad``; each takes (and ignores)
+    the perturbed array. ``full`` runs the whole forward. ``head`` runs
+    only the head, on the set features computed once here: no ``head.*``
+    parameter reaches them, so for those parameters it gives the same
+    bits as ``full``, as ``Model.forward`` runs the same ops after
+    ``features``. Unlike ``full``, it leaves ``agg1``'s batchnorm running
+    statistics where they are; no train-mode forward reads them."""
+    with no_grad():
+        feature = model.features(sets, "train")
+
+    def full(_) -> float:
+        with no_grad():
+            return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
+
+    def head(_) -> float:
+        with no_grad():
+            return float(softmax_cross_entropy(model.head.forward(feature, "train"), labels).data)
+
+    return full, head
+
+
 def run_gradcheck(seed: int) -> SuiteResult:
     """Analytic gradients of a sub-1k-parameter classifier against central
-    finite differences on every trainable parameter."""
+    finite differences on every trainable parameter. Probes of a head
+    parameter rerun only the head, on set features computed once per
+    batch (see :func:`_probe_losses`)."""
     root = RngState(seed).child("gradcheck")
     batches = 10
     step = 1e-5
@@ -417,19 +442,16 @@ def run_gradcheck(seed: int) -> SuiteResult:
     failures = 0
     for bi in range(batches):
         sets, labels = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
-
-        def loss_value() -> float:
-            with no_grad():
-                logits = model.forward(sets, "train")
-                return float(softmax_cross_entropy(logits, labels).data)
+        full_loss, head_loss = _probe_losses(model, sets, labels)
 
         logits = model.forward(Tensor(sets), "train")
         loss = softmax_cross_entropy(logits, labels)
         grad_map = backward(loss, list(params.values()))
 
-        for p in params.values():
+        for name, p in params.items():
+            loss_value = head_loss if name.startswith("head.") else full_loss
             # perturbs p.data in place and restores each entry exactly
-            fd = finite_difference_gradient(lambda _: loss_value(), p.data, h=step)
+            fd = finite_difference_gradient(loss_value, p.data, h=step)
             err = relative_error(grad_map[p], fd)
             worst = max(worst, err)
             failures += err >= 1e-4

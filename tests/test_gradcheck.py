@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from pinset import tensor as tensor_mod
+from pinset import verify
 from pinset.blocks import Mlp, MlpSpec, aggregate_order_n
 from pinset.models import (
     AggregationSpec,
@@ -458,3 +459,42 @@ def test_broadcast_model_gradients(index):
     assert {"bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"} <= set(params)
     sets, labels = _draw_gradcheck_batch(model, RngState(91), index, margin=10 * H)
     _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "train"), labels))
+
+
+def test_head_probes_equal_full_forward_probes():
+    # gradcheck's head probes rerun only the head on cached set features;
+    # no head parameter reaches those, so finite differences through them
+    # must give the same bits as through the whole forward
+    root = RngState(0).child("gradcheck")
+    model = build_model(gradcheck_config(), root.child("model"))
+    sets, labels = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
+    _, head_loss = verify._probe_losses(model, sets, labels)
+
+    def full_loss(_):
+        return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
+
+    head = {name: p for name, p in model.parameters().items() if name.startswith("head.")}
+    assert len(head) == 6
+    for name, p in head.items():
+        via_head = finite_difference_gradient(head_loss, p.data, h=H)
+        assert np.array_equal(via_head, finite_difference_gradient(full_loss, p.data, h=H)), name
+
+
+@pytest.mark.parametrize("target", ["head.layer0.weight", "agg1.mlp1.layer0.weight"])
+def test_gradcheck_suite_catches_one_wrong_gradient(monkeypatch, target):
+    # negative control for both kinds of probe: one tensor's analytic
+    # gradient 1 % off must fail in every batch. The guarded error of a
+    # (1 + eps) scale is eps * max|g| when max|g| < 1; these gradients
+    # reach 0.04-0.37, so eps = 1e-3 would slip under 1e-4 in some batches
+    index = list(build_model(gradcheck_config(), RngState(0)).parameters()).index(target)
+    exact = verify.backward
+
+    def corrupted(loss, params):
+        grads = exact(loss, params)
+        grads[params[index]] = grads[params[index]] * (1 + 1e-2)
+        return grads
+
+    monkeypatch.setattr(verify, "backward", corrupted)
+    prop = verify.run_gradcheck(0).properties[0]
+    assert prop.name == "parameter_gradients_match_fd"
+    assert prop.trials == 180 and prop.failures == 10

@@ -299,6 +299,18 @@ class TestEvaluate:
         assert evaluate(model, test_b, chunk=16) == recording
         assert len(taped) == 0, f"evaluate recorded {len(taped)} tape nodes"
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected_before_any_forward(self, monkeypatch, chunk):
+        # chunk=-1 used to skip every chunk and report accuracy 0 over the
+        # whole batch; chunk=0 ended in range()'s own error
+        model = build_model(quadrant_config(), RngState(36))
+        sets = RngState(37).generator().uniform(-1, 1, size=(8, 16, 2))
+        calls = []
+        monkeypatch.setattr(model, "features", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            evaluate(model, SetBatch(sets=sets, labels=np.zeros(8, dtype=int)), chunk=chunk)
+        assert calls == []
+
     def test_recording_resumes_after_a_rejected_label(self):
         model = build_model(quadrant_config(), RngState(34))
         sets = RngState(35).generator().uniform(-1, 1, size=(3, 16, 2))
