@@ -368,20 +368,22 @@ def broadcast_batched(
 
 
 @no_grad()
-def per_element_contribution(block: AggregationBlock, element: np.ndarray) -> np.ndarray:
-    """One element's additive share of the aggregated feature matrix.
+def per_element_contribution(block: AggregationBlock, elements: np.ndarray) -> np.ndarray:
+    """Each element's additive share of the aggregated feature matrix:
+    (n, s, t) for (n, p) elements.
 
     Valid only when both MLPs act element-wise (no set softmax): then the
     aggregation is the sum over elements of these rank-<=1 outer products.
     Evaluated in eval mode, where each batchnorm is folded into its
-    layer's weights and bias, so every layer is a fixed affine map.
+    layer's weights and bias, so every layer is a fixed affine map and one
+    forward of all the rows gives each row's own output.
     """
     if block.mlp1.uses_softmax_set() or block.mlp2.uses_softmax_set():
         raise ValueError(
             "per-element decomposition is invalid with set-softmax activations: "
             "they couple rows across the set"
         )
-    x = Tensor(np.asarray(element, dtype=np.float64).reshape(1, -1))
-    h1 = block.mlp1.forward(x, "eval", set_size=1)
-    h2 = block.mlp2.forward(x, "eval", set_size=1)
-    return h1.data.T @ h2.data
+    x = Tensor(np.asarray(elements, dtype=np.float64))
+    h1 = block.mlp1.forward(x, "eval").data
+    h2 = block.mlp2.forward(x, "eval").data
+    return h1[:, :, None] * h2[:, None, :]

@@ -443,6 +443,16 @@ _COMMANDS = {
 }
 
 
+def _check_out_dir(path: str) -> None:
+    """``--out`` must name a directory or a path that can become one:
+    refused before any work, not after it in ``os.makedirs``."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -456,6 +466,7 @@ def main(argv=None) -> int:
         # one line per warning; the filters, once per location by default, stay
         warnings.showwarning = _print_warning
         try:
+            _check_out_dir(args.out)
             return _COMMANDS[args.command](args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -46,10 +46,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def read_config(path) -> dict[str, str]:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return parse_config_text(f.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
 
 
 def parse_override(arg: str) -> tuple[str, str]:

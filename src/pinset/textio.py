@@ -60,5 +60,9 @@ def write_tensor(path, arr) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path) as f:
-        return parse_tensor(f.read())
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise TextTensorError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_tensor(text)

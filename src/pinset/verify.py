@@ -24,6 +24,7 @@ from .blocks import (
     ACTIVATION_KINDS,
     AggregationBlock,
     AggregationSpec,
+    Mlp,
     MlpSpec,
     aggregate,
     per_element_contribution,
@@ -34,8 +35,11 @@ from .tensor import (
     Tensor,
     _reachable,
     backward,
+    dropout,
     finite_difference_gradient,
     no_grad,
+    pair_aggregate,
+    reshape,
     softmax_cross_entropy,
 )
 
@@ -133,17 +137,19 @@ def run_invariance(seed: int) -> SuiteResult:
 
     for act1, act2 in itertools.product(ACTIVATION_KINDS, repeat=2):
         block = _invariance_block(act1, act2, root.child("params", act1, act2))
-
-        def trial(i, _block=block, _a1=act1, _a2=act2):
-            gen = root.child("pair", _a1, _a2, i).generator()
-            x = gen.uniform(-1.0, 1.0, size=(n_elements, 3))
-            perm = gen.permutation(n_elements)
-            return _gap(lambda s: aggregate(_block, Tensor(s), "eval"), x, x[perm])
-
+        # every X, then every PX: one eval forward of all 200 sets, as
+        # each set's feature depends only on its own rows
+        sets = np.empty((2, pairs_per_config, n_elements, 3))
+        for i in range(pairs_per_config):
+            gen = root.child("pair", act1, act2, i).generator()
+            sets[0, i] = gen.uniform(-1.0, 1.0, size=(n_elements, 3))
+            sets[1, i] = sets[0, i][gen.permutation(n_elements)]
+        stacked = Tensor(sets.reshape(2 * pairs_per_config, n_elements, 3))
+        out = aggregate(block, stacked, "eval").data.reshape(2, pairs_per_config, -1)
         properties.append(
             _within_tolerance(
                 f"aggregate_invariance[{act1},{act2}]",
-                [trial(i) for i in range(pairs_per_config)],
+                np.max(np.abs(out[0] - out[1]), axis=1).tolist(),
                 1e-12,
                 "max |aggregate(PX) - aggregate(X)|, tolerance 1e-12",
             )
@@ -403,34 +409,67 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
-def _probe_losses(model, sets, labels):
-    """The two scalar losses that finite differences probe on one gradcheck
-    batch, both train mode under ``no_grad``; each takes (and ignores)
-    the perturbed array. ``full`` runs the whole forward. ``head`` runs
-    only the head, on the set features computed once here: no ``head.*``
-    parameter reaches them, so for those parameters it gives the same
-    bits as ``full``, as ``Model.forward`` runs the same ops after
-    ``features``. Unlike ``full``, it leaves ``agg1``'s batchnorm running
-    statistics where they are; no train-mode forward reads them."""
+def _probe_losses(model, sets, labels) -> dict:
+    """The scalar loss that finite differences probe for each parameter
+    of the gradcheck model (one aggregation and a head) on one batch, in
+    train mode under ``no_grad``; each takes (and ignores) the perturbed
+    array.
+
+    A probe reruns only the MLP that the parameter feeds. A ``head.*``
+    probe runs the head on the set features computed once here. An
+    ``agg1.mlp1.*`` or ``agg1.mlp2.*`` probe reruns that MLP, joins it
+    with the other MLP's output computed once here, and runs the ops that
+    follow both MLPs in :func:`aggregate`, then the head. These are the
+    ops ``Model.forward`` runs, on the same operands, so every probe gives
+    the bits of a full forward. Unlike a full forward, a probe leaves the
+    batchnorm running statistics of the MLPs it does not rerun where they
+    are; no train-mode forward reads them."""
+    agg = model.agg1
+    b, n, p = sets.shape
+    s, t = agg.out_widths
+    flat = Tensor(np.asarray(sets, dtype=np.float64).reshape(b * n, p))
+
+    def rows(mlp: Mlp) -> Tensor:
+        return reshape(mlp.forward(flat, "train", set_size=n), (b, n, mlp.spec.out_width))
+
+    def features(h1: Tensor, h2: Tensor) -> Tensor:
+        feature = reshape(pair_aggregate(h1, h2), (b, s * t))
+        return dropout(feature, agg.spec.dropout_ratio, None, "train")
+
+    def loss(feature: Tensor) -> float:
+        return float(softmax_cross_entropy(model.head.forward(feature, "train"), labels).data)
+
     with no_grad():
-        feature = model.features(sets, "train")
+        h1, h2 = rows(agg.mlp1), rows(agg.mlp2)
+        feature = features(h1, h2)
 
-    def full(_) -> float:
-        with no_grad():
-            return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
+    @no_grad()
+    def head_loss(_) -> float:
+        return loss(feature)
 
-    def head(_) -> float:
-        with no_grad():
-            return float(softmax_cross_entropy(model.head.forward(feature, "train"), labels).data)
+    @no_grad()
+    def mlp1_loss(_) -> float:
+        return loss(features(rows(agg.mlp1), h2))
 
-    return full, head
+    @no_grad()
+    def mlp2_loss(_) -> float:
+        return loss(features(h1, rows(agg.mlp2)))
+
+    losses = {}
+    for prefix, block, probe in (
+        ("agg1.mlp1.", agg.mlp1, mlp1_loss),
+        ("agg1.mlp2.", agg.mlp2, mlp2_loss),
+        ("head.", model.head, head_loss),
+    ):
+        losses.update(dict.fromkeys(block.parameters(prefix), probe))
+    return losses
 
 
 def run_gradcheck(seed: int) -> SuiteResult:
     """Analytic gradients of a sub-1k-parameter classifier against central
-    finite differences on every trainable parameter. Probes of a head
-    parameter rerun only the head, on set features computed once per
-    batch (see :func:`_probe_losses`)."""
+    finite differences on every trainable parameter. Each probe reruns
+    only the MLP that the parameter feeds, on outputs of the others
+    computed once per batch (see :func:`_probe_losses`)."""
     root = RngState(seed).child("gradcheck")
     batches = 10
     step = 1e-5
@@ -440,21 +479,25 @@ def run_gradcheck(seed: int) -> SuiteResult:
 
     worst = 0.0
     failures = 0
+    scaled = []
     for bi in range(batches):
         sets, labels = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
-        full_loss, head_loss = _probe_losses(model, sets, labels)
+        losses = _probe_losses(model, sets, labels)
 
         logits = model.forward(Tensor(sets), "train")
         loss = softmax_cross_entropy(logits, labels)
         grad_map = backward(loss, list(params.values()))
 
         for name, p in params.items():
-            loss_value = head_loss if name.startswith("head.") else full_loss
             # perturbs p.data in place and restores each entry exactly
-            fd = finite_difference_gradient(loss_value, p.data, h=step)
+            fd = finite_difference_gradient(losses[name], p.data, h=step)
             err = relative_error(grad_map[p], fd)
             worst = max(worst, err)
             failures += err >= 1e-4
+            # a floor far above the FD error (about 2e-10), and a slope that
+            # a 1e-3 scale error of any tensor with a real gradient exceeds
+            bound = 1e-8 + 1e-6 * float(np.max(np.abs(fd)))
+            scaled.append(float(np.max(np.abs(grad_map[p] - fd))) / bound)
     properties = [
         PropertyResult(
             name="parameter_gradients_match_fd",
@@ -463,6 +506,14 @@ def run_gradcheck(seed: int) -> SuiteResult:
             worst=worst,
             detail=f"{n_params} scalars, h={step}, guarded relative error "
             "tolerance 1e-4",
+        ),
+        _within_tolerance(
+            "parameter_gradients_match_fd_scaled",
+            scaled,
+            1.0,
+            "per tensor and batch, max|a - fd| <= 1e-8 + 1e-6 * max|fd| "
+            "(absolute floor 1e-8, relative slope 1e-6); worst is the "
+            "largest ratio of the two sides",
         ),
     ]
     return SuiteResult("gradcheck", seed, properties)
@@ -522,16 +573,13 @@ def run_collapse(seed: int) -> SuiteResult:
         gen = root.child("deepsets", i).generator()
         x = gen.uniform(-1.0, 1.0, size=(16, 3))
         total = aggregate(block, Tensor(x[None]), "eval").data.reshape(6, 5)
-        contributions = np.zeros((6, 5))
-        for row in x:
-            h = per_element_contribution(block, row)
-            rank_fail += decomp.numeric_rank(h) > 1
-            contributions += h
-        sum_diffs.append(float(np.max(np.abs(contributions - total))))
+        contributions = per_element_contribution(block, x)
+        rank_fail += sum(decomp.numeric_rank(h) > 1 for h in contributions)
+        sum_diffs.append(float(np.max(np.abs(contributions.sum(axis=0) - total))))
 
     softmax_rejects = 0
     try:
-        per_element_contribution(softmax_block, np.zeros(6))
+        per_element_contribution(softmax_block, np.zeros((1, 6)))
     except ValueError:
         softmax_rejects = 1
     properties = [

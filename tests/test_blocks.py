@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from pinset import verify
 from pinset.blocks import (
+    ACTIVATION_KINDS,
     AggregationBlock,
     AggregationSpec,
     BroadcastBlock,
@@ -407,8 +411,9 @@ class TestPerElementContribution:
     def test_rank_at_most_one(self):
         block = self._element_block()
         gen = RngState(25).generator()
-        for _ in range(20):
-            h = per_element_contribution(block, gen.uniform(-1, 1, size=3))
+        contributions = per_element_contribution(block, gen.uniform(-1, 1, size=(20, 3)))
+        assert contributions.shape == (20, 6, 5)
+        for h in contributions:
             assert numeric_rank(h) <= 1
 
     def test_contributions_sum_to_aggregate(self):
@@ -416,12 +421,48 @@ class TestPerElementContribution:
         gen = RngState(26).generator()
         x = gen.uniform(-1, 1, size=(16, 3))
         total = aggregate(block, Tensor(x[None]), "eval").data.reshape(6, 5)
-        acc = np.zeros((6, 5))
-        for row in x:
-            acc += per_element_contribution(block, row)
+        acc = per_element_contribution(block, x).sum(axis=0)
         assert np.max(np.abs(acc - total)) < 1e-10
+
+    def test_rows_match_one_row_calls(self):
+        # one eval forward of n rows gives each row its own contribution
+        block = self._element_block()
+        x = RngState(28).generator().uniform(-1, 1, size=(16, 3))
+        one_by_one = np.stack([per_element_contribution(block, row[None])[0] for row in x])
+        np.testing.assert_allclose(per_element_contribution(block, x), one_by_one, rtol=1e-13, atol=0)
 
     def test_set_softmax_rejected(self):
         block = _block(act1="softmax_set", act2="none", seed=27)
         with pytest.raises(ValueError, match="softmax"):
-            per_element_contribution(block, np.zeros(3))
+            per_element_contribution(block, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("act1, act2", list(itertools.product(ACTIVATION_KINDS, repeat=2)))
+def test_stacked_sets_match_one_set_forwards(act1, act2):
+    # the invariance suite runs each activation pair's 200 sets as one
+    # eval forward; each set's feature must agree with its own forward
+    root = RngState(0).child("invariance")
+    block = verify._invariance_block(act1, act2, root.child("params", act1, act2))
+    sets = RngState(29).generator().uniform(-1, 1, size=(200, 40, 3))
+    stacked = aggregate(block, Tensor(sets), "eval").data
+    one_by_one = np.concatenate([aggregate(block, Tensor(x[None]), "eval").data for x in sets])
+    # relative to each set's largest feature: single entries are sums of
+    # products of both signs and may cancel to near zero
+    gap = np.max(np.abs(stacked - one_by_one), axis=1)
+    assert np.all(gap <= 1e-13 * np.max(np.abs(one_by_one), axis=1))
+
+
+def test_invariance_suite_catches_an_order_dependent_aggregate(monkeypatch):
+    # negative control for the stacked trials: a feature that depends on
+    # the order of a set's rows must fail every trial of every pair
+    exact = verify.aggregate
+
+    def order_dependent(block, x, mode="eval", gen=None):
+        position = np.arange(x.data.shape[1])[:, None]
+        leak = 1e-6 * (x.data[:, :, :1] * position).sum(axis=1)
+        return Tensor(exact(block, x, mode, gen).data + leak)
+
+    monkeypatch.setattr(verify, "aggregate", order_dependent)
+    props = verify.run_invariance(0).properties
+    assert [(p.trials, p.failures) for p in props[:16]] == [(100, 100)] * 16
+    assert props[16].name == "classifier_logits_invariance" and props[16].passed

@@ -454,6 +454,38 @@ def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_config_file_that_is_not_utf8_is_one_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"task = quadrant\n\xff\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "is not UTF-8 text" in _one_config_error(capsys)
+
+
+def test_tensor_file_that_is_not_utf8_is_one_data_error(tmp_path, capsys):
+    src = tmp_path / "t.txt"
+    src.write_bytes(b"tensor v1 1 2\n1 \xff\n")
+    out = tmp_path / "out"
+    assert main(["decompose", "--input", str(src), "--components", "1", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and "is not UTF-8 text" in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["the-file", "below-the-file"])
+@pytest.mark.parametrize("command", ["train", "eval", "verify", "decompose", "params"])
+def test_out_on_an_existing_file_is_refused_before_any_work(command, under, tmp_path, monkeypatch, capsys):
+    # every command takes --out as an output directory; the check comes
+    # before the command runs, so the command itself must not be reached
+    target = tmp_path / "taken"
+    target.write_text("kept\n")
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: pytest.fail("the command ran"))
+    out = target / "sub" if under else target
+    assert main([command, "--out", str(out)]) == 1
+    assert "is not a directory" in _one_config_error(capsys)
+    assert target.read_text() == "kept\n"
+
+
 class TestDamagedCheckpointExits2:
     @pytest.fixture
     def eval_damaged(self, quadrant_config, tmp_path, monkeypatch, capsys):

@@ -461,40 +461,79 @@ def test_broadcast_model_gradients(index):
     _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "train"), labels))
 
 
-def test_head_probes_equal_full_forward_probes():
-    # gradcheck's head probes rerun only the head on cached set features;
-    # no head parameter reaches those, so finite differences through them
-    # must give the same bits as through the whole forward
+def _probes_against_full_forward(prefix: str, count: int) -> None:
+    """On gradcheck batch 0 of seed 0, finite differences through the
+    probe of each parameter under ``prefix`` must give the same bits as
+    through the whole forward."""
     root = RngState(0).child("gradcheck")
     model = build_model(gradcheck_config(), root.child("model"))
     sets, labels = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
-    _, head_loss = verify._probe_losses(model, sets, labels)
+    losses = verify._probe_losses(model, sets, labels)
 
     def full_loss(_):
         return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
 
-    head = {name: p for name, p in model.parameters().items() if name.startswith("head.")}
-    assert len(head) == 6
-    for name, p in head.items():
-        via_head = finite_difference_gradient(head_loss, p.data, h=H)
-        assert np.array_equal(via_head, finite_difference_gradient(full_loss, p.data, h=H)), name
+    probed = {name: p for name, p in model.parameters().items() if name.startswith(prefix)}
+    assert len(probed) == count
+    for name, p in probed.items():
+        via_probe = finite_difference_gradient(losses[name], p.data, h=H)
+        assert np.array_equal(via_probe, finite_difference_gradient(full_loss, p.data, h=H)), name
 
 
-@pytest.mark.parametrize("target", ["head.layer0.weight", "agg1.mlp1.layer0.weight"])
-def test_gradcheck_suite_catches_one_wrong_gradient(monkeypatch, target):
-    # negative control for both kinds of probe: one tensor's analytic
-    # gradient 1 % off must fail in every batch. The guarded error of a
-    # (1 + eps) scale is eps * max|g| when max|g| < 1; these gradients
-    # reach 0.04-0.37, so eps = 1e-3 would slip under 1e-4 in some batches
+def test_head_probes_equal_full_forward_probes():
+    # gradcheck's head probes rerun only the head on cached set features;
+    # no head parameter reaches those
+    _probes_against_full_forward("head.", 6)
+
+
+def test_mlp_probes_equal_full_forward_probes():
+    # a probe of an aggregation parameter reruns only its MLP and joins
+    # it with the other MLP's cached output
+    _probes_against_full_forward("agg1.", 12)
+
+
+def _corrupt_gradient(monkeypatch, target, corrupt) -> None:
+    """Make ``verify.backward`` pass the gradient of ``target`` through
+    ``corrupt``."""
     index = list(build_model(gradcheck_config(), RngState(0)).parameters()).index(target)
     exact = verify.backward
 
     def corrupted(loss, params):
         grads = exact(loss, params)
-        grads[params[index]] = grads[params[index]] * (1 + 1e-2)
+        grads[params[index]] = corrupt(grads[params[index]])
         return grads
 
     monkeypatch.setattr(verify, "backward", corrupted)
+
+
+@pytest.mark.parametrize(
+    "target", ["head.layer0.weight", "agg1.mlp1.layer0.weight", "agg1.mlp2.layer0.weight"]
+)
+def test_gradcheck_suite_catches_one_wrong_gradient(monkeypatch, target):
+    # negative control for each kind of probe: one tensor's analytic
+    # gradient 1 % off must fail in every batch. The guarded error of a
+    # (1 + eps) scale is eps * max|g| when max|g| < 1; these gradients
+    # reach 0.04-0.37, so eps = 1e-3 would slip under 1e-4 in some batches
+    _corrupt_gradient(monkeypatch, target, lambda g: g * (1 + 1e-2))
     prop = verify.run_gradcheck(0).properties[0]
     assert prop.name == "parameter_gradients_match_fd"
+    assert prop.trials == 180 and prop.failures == 10
+
+
+@pytest.mark.parametrize(
+    "target, corrupt",
+    [
+        ("head.layer0.weight", lambda g: g * (1 + 1e-3)),
+        ("agg1.mlp1.layer0.weight", lambda g: g * (1 + 1e-3)),
+        # a zero gradient (a bias in front of train-mode batchnorm) leaking
+        ("agg1.mlp1.layer0.bias", lambda g: g + 1e-6),
+    ],
+    ids=["head-scale", "agg-scale", "zero-bias-leak"],
+)
+def test_scaled_gradient_rule_catches_small_errors(monkeypatch, target, corrupt):
+    # errors below the guarded 1e-4 rule's reach must fail the scaled rule
+    # in every batch
+    _corrupt_gradient(monkeypatch, target, corrupt)
+    prop = verify.run_gradcheck(0).properties[1]
+    assert prop.name == "parameter_gradients_match_fd_scaled"
     assert prop.trials == 180 and prop.failures == 10
