@@ -32,7 +32,6 @@ from .tensor import (
     squashing,
     sum_product,
     tile_rows,
-    transpose,
 )
 
 ACTIVATION_KINDS = ("relu", "softmax_set", "squashing", "none")
@@ -330,14 +329,15 @@ class BroadcastBlock(Block):
         gen = rng.generator()
         bx = 1.0 / np.sqrt(d_x)
         by = 1.0 / np.sqrt(d_y)
-        self.w_x = Tensor(gen.uniform(-bx, bx, size=(d_z, d_x)), requires_grad=True)
-        self.w_y = Tensor(gen.uniform(-by, by, size=(d_z, d_y)), requires_grad=True)
+        # held (in, out) like every dense layer, drawn (out, in) as always
+        self.w_x = Tensor(gen.uniform(-bx, bx, size=(d_z, d_x)).T.copy(), requires_grad=True)
+        self.w_y = Tensor(gen.uniform(-by, by, size=(d_z, d_y)).T.copy(), requires_grad=True)
         self.bias = Tensor(np.zeros(d_z), requires_grad=True)
         self.bn = BatchNorm(d_z)
 
     @property
     def widths(self) -> tuple[int, int, int]:
-        return self.w_x.data.shape[1], self.w_y.data.shape[1], self.w_x.data.shape[0]
+        return self.w_x.data.shape[0], self.w_y.data.shape[0], self.w_x.data.shape[1]
 
     def named(self, prefix: str = "") -> Named:
         yield f"{prefix}w_x", self.w_x
@@ -350,10 +350,10 @@ def broadcast_batched(
     block: BroadcastBlock, x_flat: Tensor, y: Tensor, set_size: int, mode: str
 ) -> Tensor:
     """The whole block on stacked rows (B*N, d_x) with set features
-    (B, d_y): ``relu(BN(x W_x^T + y W_y^T + b))``, each set's feature row
+    (B, d_y): ``relu(BN(x W_x + y W_y + b))``, each set's feature row
     tiled over its ``set_size`` rows.
 
-    The small per-set row ``y W_y^T + b`` (B, d_z) is formed first; the
+    The small per-set row ``y W_y + b`` (B, d_z) is formed first; the
     rest is one :func:`_dense` op, which passes the tiled rows as a
     row-aligned bias.
     """
@@ -362,9 +362,8 @@ def broadcast_batched(
         raise ValueError(f"expected stacked rows of width {d_x}, got shape {x_flat.data.shape}")
     if y.data.ndim != 2 or y.data.shape[1] != d_y:
         raise ValueError(f"expected batch features of width {d_y}, got shape {y.data.shape}")
-    w = transpose(block.w_x)
-    row = add(matmul(y, transpose(block.w_y)), block.bias)
-    return _dense(x_flat, w, row, block.bn, mode, relu=True, set_size=set_size)
+    row = add(matmul(y, block.w_y), block.bias)
+    return _dense(x_flat, block.w_x, row, block.bn, mode, relu=True, set_size=set_size)
 
 
 @no_grad()

@@ -266,16 +266,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data * b.data, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a rank-2 tensor, got {a.data.shape}")
-
-    def bwd(g):
-        return ((a, g.T),)
-
-    return _result(a.data.T.copy(), (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
 

@@ -214,10 +214,9 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
         loss = softmax_cross_entropy(logits, labels)
         loss_sum += float(loss.data) * sets.shape[0]
         pred = logits.data.argmax(axis=1)
-        for cls in range(classes):
-            mask = labels == cls
-            totals[cls] += int(mask.sum())
-            correct[cls] += int((pred[mask] == cls).sum())
+        # softmax_cross_entropy has range-checked the labels
+        totals += np.bincount(labels, minlength=classes)
+        correct += np.bincount(labels[pred == labels], minlength=classes)
     accuracy = float(correct.sum()) / batch.size
     per_class = [
         float(correct[c]) / totals[c] if totals[c] else float("nan") for c in range(classes)
@@ -391,6 +390,13 @@ def _read_tensor(r: _Reader) -> tuple[str, tuple[int, ...], memoryview]:
     return name, shape, r.take(8 * math.prod(shape), f"data of {name}")
 
 
+def _stored(name: str, arr: np.ndarray) -> np.ndarray:
+    """Parameter or momentum ``name`` as its record holds it, and back:
+    broadcast weights are held (in, out) but stored (out, in), as they
+    always were. A view; writing or copying it makes it C-contiguous."""
+    return arr.T if name.startswith("bc") and name.endswith((".w_x", ".w_y")) else arr
+
+
 def save_checkpoint(
     path,
     model: Model,
@@ -419,13 +425,13 @@ def save_checkpoint(
 
     tensors: list[tuple[str, np.ndarray]] = []
     for name, p in model.parameters().items():
-        tensors.append((f"param.{name}", p.data))
+        tensors.append((f"param.{name}", _stored(name, p.data)))
     for name, st in model.norm_states().items():
         tensors.append((f"norm.{name}.mean", st.mean))
         tensors.append((f"norm.{name}.var", st.var))
     if optimizer is not None:
         for name, arr in optimizer.buffers.items():
-            tensors.append((f"momentum.{name}", arr))
+            tensors.append((f"momentum.{name}", _stored(name, arr)))
 
     buf.write(struct.pack("<Q", len(tensors)))
     for name, arr in tensors:
@@ -501,10 +507,11 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         raise CheckpointError(f"{path}: metadata does not describe a model: {exc}") from None
 
     params = model.parameters()
-    required = {f"param.{name}": p.data.shape for name, p in params.items()}
+    shapes = {name: _stored(name, p.data).shape for name, p in params.items()}
+    required = {f"param.{name}": shape for name, shape in shapes.items()}
     for name, st in model.norm_states().items():
         required[f"norm.{name}.mean"] = required[f"norm.{name}.var"] = st.mean.shape
-    allowed = {**required, **{f"momentum.{name}": p.data.shape for name, p in params.items()}}
+    allowed = {**required, **{f"momentum.{name}": shape for name, shape in shapes.items()}}
     missing = sorted(required.keys() - records.keys())
     if missing:
         raise CheckpointError(f"{path}: {len(missing)} tensors missing, first {missing[0]}")
@@ -516,7 +523,7 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
                 f"{path}: tensor {name} has shape {shape}, the stored config gives {allowed[name]}"
             )
     tensors = {
-        name: np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        name: _stored(name.partition(".")[2], np.frombuffer(payload, dtype="<f8").reshape(shape)).copy()
         for name, (shape, payload) in records.items()
     }
 

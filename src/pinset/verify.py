@@ -397,15 +397,16 @@ def _relu_inputs(out: Tensor) -> list[np.ndarray]:
 def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     """Seeded batch whose loss is differentiable with margin: every relu
     pre-activation stays at least ``margin`` from the kink (finite
-    differences are meaningless astride it). Deterministic rejection."""
+    differences are meaningless astride it). Deterministic rejection.
+    Returns the sets, labels and train-mode logits of the accepted batch."""
     for attempt in range(64):
         gen = root.child("batch", index, attempt).generator()
         sets = gen.uniform(-1.0, 1.0, size=(4, 12, model.config.input_width))
         labels = gen.integers(0, model.config.class_count, size=4)
-        preacts = _relu_inputs(model.forward(sets, "train"))
-        smallest = min((float(np.min(np.abs(a))) for a in preacts), default=np.inf)
+        logits = model.forward(sets, "train")
+        smallest = min((float(np.min(np.abs(a))) for a in _relu_inputs(logits)), default=np.inf)
         if smallest > margin:
-            return sets, labels
+            return sets, labels, logits
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
@@ -481,12 +482,9 @@ def run_gradcheck(seed: int) -> SuiteResult:
     failures = 0
     scaled = []
     for bi in range(batches):
-        sets, labels = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
+        sets, labels, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
         losses = _probe_losses(model, sets, labels)
-
-        logits = model.forward(Tensor(sets), "train")
-        loss = softmax_cross_entropy(logits, labels)
-        grad_map = backward(loss, list(params.values()))
+        grad_map = backward(softmax_cross_entropy(logits, labels), list(params.values()))
 
         for name, p in params.items():
             # perturbs p.data in place and restores each entry exactly

@@ -284,14 +284,14 @@ def _randomize_normalization(block, seed):
 
 
 def _broadcast_preactivation(block, sets, feats):
-    """x W_x^T + y W_y^T + b in plain numpy for sets (B, N, d_x) and
+    """x W_x + y W_y + b in plain numpy for sets (B, N, d_x) and
     features (B, d_y), stacked to (B*N, d_z)."""
     w_x, w_y, bias = block.w_x.data, block.w_y.data, block.bias.data
-    return np.concatenate([s @ w_x.T + f @ w_y.T + bias for s, f in zip(sets, feats)])
+    return np.concatenate([s @ w_x + f @ w_y + bias for s, f in zip(sets, feats)])
 
 
 def _broadcast_reference(block, sets, feats, mode):
-    """relu(BN(x W_x^T + y W_y^T + b)) in plain numpy. Train mode
+    """relu(BN(x W_x + y W_y + b)) in plain numpy. Train mode
     normalizes by the batch's biased statistics, eval mode by the stored
     ones."""
     z = _broadcast_preactivation(block, sets, feats)
@@ -319,7 +319,7 @@ class TestBroadcast:
     def test_identity_on_elements(self):
         block = _broadcast_block(3, 2, 3, 16)
         block.w_x.data = np.eye(3)
-        block.w_y.data = np.zeros((3, 2))
+        block.w_y.data = np.zeros((2, 3))
         block.bias.data = np.zeros(3)
         sets = RngState(17).generator().uniform(-1, 1, size=(2, 5, 3))
         feats = np.ones((2, 2))
@@ -333,7 +333,7 @@ class TestBroadcast:
 
     def test_pure_set_feature(self):
         block = _broadcast_block(3, 2, 2, 18)
-        block.w_x.data = np.zeros((2, 3))
+        block.w_x.data = np.zeros((3, 2))
         block.w_y.data = np.eye(2)
         block.bias.data = np.zeros(2)
         _randomize_normalization(block, 19)

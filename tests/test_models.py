@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import struct
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pinset.blocks import MlpSpec
+from pinset.data import pixel_set_batch
 from pinset.models import (
     PRESETS,
     TABLE_FACTORIZATIONS,
@@ -23,8 +25,8 @@ from pinset.models import (
     quadrant_config,
 )
 from pinset.rng import RngState
-from pinset.tensor import Tensor
-from pinset.train import OptimizerState, load_checkpoint, save_checkpoint
+from pinset.tensor import Tensor, _reachable
+from pinset.train import OptimizerState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 # published totals (in thousands) for the factorization sweep
 TABLE_TOTALS_K = {
@@ -320,3 +322,67 @@ class TestCheckpointRebuild:
         np.testing.assert_array_equal(
             model.forward(probe, "eval").data, restored.forward(probe, "eval").data
         )
+
+
+def _records(raw: bytes) -> dict:
+    """Every tensor record of a checkpoint, by name, read by the
+    documented layout."""
+    (meta_len,) = struct.unpack_from("<Q", raw, 8)
+    pos = 16 + meta_len
+    (count,) = struct.unpack_from("<Q", raw, pos)
+    pos += 8
+    out = {}
+    for _ in range(count):
+        (length,) = struct.unpack_from("<Q", raw, pos)
+        name = raw[pos + 8 : pos + 8 + length].decode()
+        pos += 8 + length
+        (rank,) = struct.unpack_from("<Q", raw, pos)
+        shape = struct.unpack_from(f"<{rank}Q", raw, pos + 8)
+        pos += 8 + 8 * rank
+        out[name] = np.frombuffer(raw, dtype="<f8", count=math.prod(shape), offset=pos).reshape(shape)
+        pos += 8 * math.prod(shape)
+    return out
+
+
+def _op(node: Tensor) -> str:
+    """The tape op that made ``node``: its backward's enclosing function."""
+    return node._backward.__qualname__.split(".")[0]
+
+
+class TestBroadcastWeights:
+    """Broadcast weights are held (in, out), like every dense layer, and
+    their checkpoint records stay (out, in)."""
+
+    def test_checkpoint_records_stay_out_in(self, tmp_path):
+        images = RngState(1).generator().integers(0, 256, size=(4, 28, 28)).astype(np.uint8)
+        batch = pixel_set_batch(images, np.array([0, 1, 2, 3]), None, downsample=4)
+        model = build_model(pixel_l_config(), RngState(0).child("model"))
+        train(model, batch, batch, TrainConfig(epochs=1, batch_size=4), RngState(2), out_dir=tmp_path)
+        raw = (tmp_path / "checkpoint.dmpp").read_bytes()
+        records = _records(raw)
+
+        assert records["param.bc0.w_x"].shape == records["momentum.bc0.w_x"].shape == (256, 3)
+        restored, optimizer, epoch, _ = load_checkpoint(tmp_path / "checkpoint.dmpp")
+        trained, params = model.parameters(), restored.parameters()
+        for name, shape in (("bc0.w_x", (3, 256)), ("bc0.w_y", (1024, 256))):
+            for held in (params[name].data, optimizer.buffers[name]):
+                assert held.shape == shape and held.flags.c_contiguous, name
+            np.testing.assert_array_equal(params[name].data, trained[name].data)
+            np.testing.assert_array_equal(records[f"param.{name}"], trained[name].data.T)
+            np.testing.assert_array_equal(records[f"momentum.{name}"], optimizer.buffers[name].T)
+
+        again = tmp_path / "again.dmpp"
+        save_checkpoint(again, restored, optimizer, epoch, RngState(2))
+        assert again.read_bytes() == raw
+
+    def test_weights_reach_their_gemm_without_a_copy(self):
+        model = build_model(pixel_l_config(), RngState(3))
+        gen = RngState(4).generator()
+        logits = model.forward(gen.uniform(-1, 1, size=(4, 49, 3)), "train", gen)
+        nodes = [n for n in _reachable(logits) if n._backward is not None]
+        assert len(model.broadcast_layers) == 2
+        for block in model.broadcast_layers:
+            (bn_node,) = [n for n in nodes if any(p is block.bn.gamma for p in n._parents)]
+            assert _op(bn_node) == "batchnorm"
+            assert any(p is block.w_x for p in bn_node._parents)
+            assert any(_op(n) == "matmul" and any(p is block.w_y for p in n._parents) for n in nodes)
