@@ -86,22 +86,6 @@ class MlpSpec:
         ]
 
 
-def _apply_activation(h: Tensor, kind: str, set_size: int | None) -> Tensor:
-    """A last layer's activation after its op; a relu is fused into the
-    op itself."""
-    if kind in ("relu", "none"):
-        return h
-    if kind == "squashing":
-        return squashing(h)
-    # softmax over the set axis: fold the stacked rows back into sets
-    rows, width = h.data.shape
-    n = rows if set_size is None else int(set_size)
-    if rows % n != 0:
-        raise ValueError(f"{rows} rows do not divide into sets of {n}")
-    grouped = reshape(h, (rows // n, n, width))
-    return reshape(set_softmax(grouped), (rows, width))
-
-
 Named = Iterator[tuple[str, Tensor | BatchNormState]]
 
 
@@ -200,7 +184,9 @@ class Mlp(Block):
     def forward(self, x: Tensor, mode: str, set_size: int | None = None) -> Tensor:
         """Apply every layer to the rows of ``x``: each is one
         :func:`_dense` op, and the last layer's activation, unless it is a
-        relu, follows it. ``set_size`` groups the rows for a set softmax."""
+        relu (fused into the op) or none, follows it. A set softmax reads
+        each block of ``set_size`` rows as one set; without ``set_size``,
+        all the rows are one set."""
         if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
@@ -208,10 +194,12 @@ class Mlp(Block):
         h = x
         for layer, (*_, kind) in zip(self.layers, self.spec.layers()):
             h = _dense(h, layer.weight, layer.bias, layer.bn, mode, relu=kind == "relu")
-        return _apply_activation(h, self.spec.final_activation, set_size)
-
-    def uses_softmax_set(self) -> bool:
-        return self.spec.final_activation == "softmax_set"
+        kind = self.spec.final_activation
+        if kind == "squashing":
+            return squashing(h)
+        if kind == "softmax_set":
+            return set_softmax(h, h.data.shape[0] if set_size is None else set_size)
+        return h
 
     def named(self, prefix: str = "") -> Named:
         for i, layer in enumerate(self.layers):
@@ -252,10 +240,6 @@ class AggregationBlock(Block):
         self.mlp1 = Mlp(spec.mlp1, rng.child(0))
         self.mlp2 = Mlp(spec.mlp2, rng.child(1))
 
-    @property
-    def out_widths(self) -> tuple[int, int]:
-        return self.spec.mlp1.out_width, self.spec.mlp2.out_width
-
     def named(self, prefix: str = "") -> Named:
         yield from self.mlp1.named(f"{prefix}mlp1.")
         yield from self.mlp2.named(f"{prefix}mlp2.")
@@ -276,7 +260,7 @@ def aggregate(
     if x.data.ndim != 3:
         raise ValueError(f"expected a batch of sets (B, N, p), got shape {x.data.shape}")
     b, n, p = x.data.shape
-    s, t = block.out_widths
+    s, t = block.spec.mlp1.out_width, block.spec.mlp2.out_width
     if n < min(s, t):
         warnings.warn(
             f"set size {n} is below min(s, t) = {min(s, t)}; features of rank "
@@ -287,8 +271,18 @@ def aggregate(
     flat = reshape(x, (b * n, p))
     h1 = reshape(block.mlp1.forward(flat, mode, set_size=n), (b, n, s))
     h2 = reshape(block.mlp2.forward(flat, mode, set_size=n), (b, n, t))
-    feature = reshape(pair_aggregate(h1, h2), (b, s * t))
-    return dropout(feature, block.spec.dropout_ratio, gen, mode)
+    return _join(block, h1, h2, mode, gen)
+
+
+def _join(
+    block: AggregationBlock, h1: Tensor, h2: Tensor, mode: str, gen: np.random.Generator | None
+) -> Tensor:
+    """The ops of :func:`aggregate` after both MLPs: each set's
+    ``h1^T h2`` from the (B, N, s) and (B, N, t) outputs, flattened to
+    (B, s*t), then dropout in train mode."""
+    feature = pair_aggregate(h1, h2)
+    b, s, t = feature.data.shape
+    return dropout(reshape(feature, (b, s * t)), block.spec.dropout_ratio, gen, mode)
 
 
 def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
@@ -311,8 +305,7 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
             raise ValueError(
                 f"{softmax_count} set-softmax outputs at order {n_order}; at most one is usable"
             )
-    n, _ = x.data.shape
-    outs = [m.forward(x, mode, set_size=n) for m in mlps]
+    outs = [m.forward(x, mode) for m in mlps]
     return sum_product(outs)
 
 
@@ -377,7 +370,7 @@ def per_element_contribution(block: AggregationBlock, elements: np.ndarray) -> n
     layer's weights and bias, so every layer is a fixed affine map and one
     forward of all the rows gives each row's own output.
     """
-    if block.mlp1.uses_softmax_set() or block.mlp2.uses_softmax_set():
+    if "softmax_set" in (block.spec.mlp1.final_activation, block.spec.mlp2.final_activation):
         raise ValueError(
             "per-element decomposition is invalid with set-softmax activations: "
             "they couple rows across the set"

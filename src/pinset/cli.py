@@ -169,15 +169,9 @@ def _build_custom_model_config(cfg: dict) -> ModelConfig:
     p = cfg["model.input_width"]
     classes = cfg["model.classes"]
     try:
-        mlp1 = MlpSpec(
-            [p] + cfg["model.agg.mlp1"],
-            final_activation=cfg["model.agg.act1"],
-            use_batchnorm=cfg["model.agg.batchnorm"],
-        )
-        mlp2 = MlpSpec(
-            [p] + cfg["model.agg.mlp2"],
-            final_activation=cfg["model.agg.act2"],
-            use_batchnorm=cfg["model.agg.batchnorm"],
+        mlp1, mlp2 = (
+            MlpSpec([p] + cfg[f"model.agg.mlp{i}"], cfg[f"model.agg.act{i}"], cfg["model.agg.batchnorm"])
+            for i in (1, 2)
         )
         feature = mlp1.out_width * mlp2.out_width
         return ModelConfig(
@@ -304,7 +298,7 @@ def cmd_verify(args) -> int:
             print(verify_mod.format_property_line(res.suite, prop))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "verify_report.json")
-    _write_atomic(report_path, verify_mod.report_json(results, args.seed).encode())
+    _write_atomic({report_path: verify_mod.report_json(results, args.seed).encode()})
     passed = all(r.passed for r in results)
     print(f"verify: {'all properties passed' if passed else 'FAILURES'}; report: {report_path}")
     return EXIT_OK if passed else EXIT_CONFIG
@@ -336,23 +330,24 @@ def cmd_decompose(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(input_path))[0]
-    paths = []
-    for j, factor in enumerate(factors.factors):
-        path = os.path.join(args.out, f"{stem}.factor{j}.txt")
-        _write_atomic(path, format_tensor(factor).encode())
-        paths.append(path)
+    payloads = {
+        os.path.join(args.out, f"{stem}.factor{j}.txt"): format_tensor(factor).encode()
+        for j, factor in enumerate(factors.factors)
+    }
     report = {
         "input": str(input_path),
         "components": components,
         "dims": list(tensor.shape),
-        "factors": paths,
+        "factors": list(payloads),
         "reconstruction_relative_error": rel,
         "condition": factors.condition,
         "conditioning_warning": factors.conditioning_warning,
     }
     report_path = os.path.join(args.out, f"{stem}.decompose.json")
-    _write_atomic(report_path, json.dumps(report, indent=2).encode())
-    print(f"wrote {len(paths)} factors; reconstruction relative error {rel:.3e}")
+    # the factors and the report are one set: a failed write keeps the old one
+    payloads[report_path] = json.dumps(report, indent=2).encode()
+    _write_atomic(payloads)
+    print(f"wrote {len(factors.factors)} factors; reconstruction relative error {rel:.3e}")
     print(f"report: {report_path}")
     return EXIT_OK
 

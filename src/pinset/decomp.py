@@ -44,7 +44,8 @@ class RankDeficiencyError(ValueError):
 
 
 class CardinalityError(ValueError):
-    """Too few set elements for the requested decomposition."""
+    """A component count the decomposition cannot take: too few set
+    elements, or more than the tensor has entries."""
 
 
 class TensorInputError(ValueError):
@@ -231,7 +232,8 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     With the tensor's axes sorted ascending, the leading n-1 factors come
     from :func:`vandermonde_factors`; the last factor solves the induced
     linear system through :func:`mdd_solve`. Requires
-    ``count >= prod(sorted_dims[:-1])``, and raises
+    ``prod(sorted_dims[:-1]) <= count <= t.size`` (the cap comes before
+    anything is allocated), and raises
     :class:`TensorInputError` for a tensor with no axis, an empty axis or
     a non-finite entry. A conditioning warning is issued
     (and recorded on the result) when the solve's condition number makes
@@ -242,6 +244,9 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
         raise TensorInputError(f"cp_decompose needs at least one axis and no empty axis, got shape {t_arr.shape}")
     if not np.isfinite(t_arr).all():
         raise TensorInputError("cp_decompose needs finite entries; the tensor holds nan or inf")
+    if count > t_arr.size:
+        # the construction never needs more than prod(sorted_dims[:-1])
+        raise CardinalityError(f"at most {t_arr.size} components (the tensor's entry count) are allowed, got {count}")
     dims = t_arr.shape
     order = sorted(range(len(dims)), key=lambda j: dims[j])
     sorted_dims = [dims[j] for j in order]

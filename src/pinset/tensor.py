@@ -282,24 +282,30 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a,), bwd)
 
 
-def set_softmax(a: Tensor) -> Tensor:
-    """Softmax over the set axis (second-to-last), per feature column.
+def set_softmax(a: Tensor, set_size: int) -> Tensor:
+    """Softmax over the set axis, per feature column, of stacked rows
+    (rows, width): each block of ``set_size`` consecutive rows is one set.
 
     Each column of each set sums to one, so the values act as weights over
-    set elements. Equivariant under permutations of the set axis.
+    set elements. Equivariant under permutations within a set.
     """
-    if a.data.ndim < 2:
-        raise ShapeError(f"set_softmax needs at least 2 axes, got {a.data.shape}")
-    axis = a.data.ndim - 2
-    y = a.data - a.data.max(axis=axis, keepdims=True)
+    if a.data.ndim != 2:
+        raise ShapeError(f"set_softmax needs stacked rows (rows, width), got {a.data.shape}")
+    rows, width = a.data.shape
+    if set_size < 1 or rows % set_size != 0:
+        raise ShapeError(f"{rows} rows do not divide into sets of {set_size}")
+    sets = (rows // set_size, set_size, width)
+    x = a.data.reshape(sets)
+    y = x - x.max(axis=1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=1, keepdims=True)
 
     def bwd(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return ((a, y * (g - inner)),)
+        g = g.reshape(sets)
+        inner = (g * y).sum(axis=1, keepdims=True)
+        return ((a, (y * (g - inner)).reshape(rows, width)),)
 
-    return _result(y, (a,), bwd)
+    return _result(y.reshape(rows, width), (a,), bwd)
 
 
 def squashing(a: Tensor) -> Tensor:

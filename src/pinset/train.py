@@ -331,7 +331,7 @@ def metrics_csv(history: list[dict]) -> str:
 
 
 def write_metrics(path, history: list[dict]) -> None:
-    _write_atomic(path, metrics_csv(history).encode())
+    _write_atomic({path: metrics_csv(history).encode()})
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +436,49 @@ def save_checkpoint(
     buf.write(struct.pack("<Q", len(tensors)))
     for name, arr in tensors:
         _write_tensor(buf, name, arr)
-    _write_atomic(path, buf.getvalue())
+    _write_atomic({path: buf.getvalue()})
 
 
-def _write_atomic(path, payload: bytes) -> None:
-    """Write through a temp file in the target's directory, then rename it
-    over the target: readers see the old file or the new one, never part
-    of one. The temp file is removed when anything fails."""
-    directory, base = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{base}.{secrets.token_hex(6)}.tmp")
+def _write_atomic(files: dict) -> None:
+    """Write each ``path: payload`` of ``files`` through a temp file in the
+    target's directory, then rename it over the target: readers see the
+    old file or the new one, never part of one. The files are one set:
+    every payload is written before the first rename, and when a rename
+    fails, each target already renamed over gets its old file back (held
+    meanwhile as a hard link) or is removed if it had none. Temp files are
+    removed either way."""
+    def temp(path):
+        directory, base = os.path.split(os.fspath(path))
+        return os.path.join(directory, f".{base}.{secrets.token_hex(6)}.tmp")
+
+    tmps = {path: temp(path) for path in files}
+    olds, done = {}, []
     try:
-        with open(tmp, "xb") as f:
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        for path, payload in files.items():
+            with open(tmps[path], "xb") as f:
+                f.write(payload)
+                f.flush()
+                os.fsync(f.fileno())
+        last = next(reversed(files))
+        for path in files:
+            # the last rename needs no old copy: nothing after it can fail
+            if path != last and os.path.exists(path):
+                olds[path] = temp(path)
+                os.link(path, olds[path])
+            os.replace(tmps[path], path)
+            done.append(path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        for path in reversed(done):
+            with contextlib.suppress(OSError):
+                if path in olds:
+                    os.replace(olds[path], path)
+                else:
+                    os.remove(path)
         raise
+    finally:
+        for name in [*tmps.values(), *olds.values()]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
 
 
 def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .blocks import (
     AggregationSpec,
     Mlp,
     MlpSpec,
+    _join,
     aggregate,
     per_element_contribution,
 )
@@ -35,10 +36,8 @@ from .tensor import (
     Tensor,
     _reachable,
     backward,
-    dropout,
     finite_difference_gradient,
     no_grad,
-    pair_aggregate,
     reshape,
     softmax_cross_entropy,
 )
@@ -59,14 +58,7 @@ class PropertyResult:
         return self.failures == 0
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst": self.worst,
-            "detail": self.detail,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -80,12 +72,8 @@ class SuiteResult:
         return all(p.passed for p in self.properties)
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "passed": self.passed,
-            "properties": [p.as_dict() for p in self.properties],
-        }
+        properties = [p.as_dict() for p in self.properties]
+        return {"suite": self.suite, "seed": self.seed, "passed": self.passed, "properties": properties}
 
 
 def _within_tolerance(name: str, values: list[float], tol: float, detail: str) -> PropertyResult:
@@ -419,30 +407,25 @@ def _probe_losses(model, sets, labels) -> dict:
     A probe reruns only the MLP that the parameter feeds. A ``head.*``
     probe runs the head on the set features computed once here. An
     ``agg1.mlp1.*`` or ``agg1.mlp2.*`` probe reruns that MLP, joins it
-    with the other MLP's output computed once here, and runs the ops that
-    follow both MLPs in :func:`aggregate`, then the head. These are the
-    ops ``Model.forward`` runs, on the same operands, so every probe gives
-    the bits of a full forward. Unlike a full forward, a probe leaves the
-    batchnorm running statistics of the MLPs it does not rerun where they
-    are; no train-mode forward reads them."""
+    with the other MLP's output computed once here through the
+    ``blocks._join`` that :func:`aggregate` ends with, and runs the head.
+    These are the ops ``Model.forward`` runs, on the same operands, so
+    every probe gives the bits of a full forward. Unlike a full forward,
+    a probe leaves the batchnorm running statistics of the MLPs it does
+    not rerun where they are; no train-mode forward reads them."""
     agg = model.agg1
     b, n, p = sets.shape
-    s, t = agg.out_widths
     flat = Tensor(np.asarray(sets, dtype=np.float64).reshape(b * n, p))
 
     def rows(mlp: Mlp) -> Tensor:
         return reshape(mlp.forward(flat, "train", set_size=n), (b, n, mlp.spec.out_width))
-
-    def features(h1: Tensor, h2: Tensor) -> Tensor:
-        feature = reshape(pair_aggregate(h1, h2), (b, s * t))
-        return dropout(feature, agg.spec.dropout_ratio, None, "train")
 
     def loss(feature: Tensor) -> float:
         return float(softmax_cross_entropy(model.head.forward(feature, "train"), labels).data)
 
     with no_grad():
         h1, h2 = rows(agg.mlp1), rows(agg.mlp2)
-        feature = features(h1, h2)
+        feature = _join(agg, h1, h2, "train", None)
 
     @no_grad()
     def head_loss(_) -> float:
@@ -450,11 +433,11 @@ def _probe_losses(model, sets, labels) -> dict:
 
     @no_grad()
     def mlp1_loss(_) -> float:
-        return loss(features(rows(agg.mlp1), h2))
+        return loss(_join(agg, rows(agg.mlp1), h2, "train", None))
 
     @no_grad()
     def mlp2_loss(_) -> float:
-        return loss(features(h1, rows(agg.mlp2)))
+        return loss(_join(agg, h1, rows(agg.mlp2), "train", None))
 
     losses = {}
     for prefix, block, probe in (
@@ -638,14 +621,8 @@ def run_suites(names, seed: int) -> list[SuiteResult]:
 
 
 def report_json(results: list[SuiteResult], seed: int) -> str:
-    return json.dumps(
-        {
-            "seed": seed,
-            "passed": all(r.passed for r in results),
-            "suites": [r.as_dict() for r in results],
-        },
-        indent=2,
-    )
+    report = {"seed": seed, "passed": all(r.passed for r in results), "suites": [r.as_dict() for r in results]}
+    return json.dumps(report, indent=2)
 
 
 def format_property_line(suite: str, prop: PropertyResult) -> str:

@@ -654,6 +654,52 @@ class TestDecomposeCommand:
         assert len(lines) == 1 and lines[0].startswith("data error: "), lines
         assert not out.exists()
 
+    def test_failed_write_keeps_the_whole_old_set(self, tmp_path, capsys, monkeypatch):
+        # an older complete set under the same stem, from another tensor; with
+        # axis 0 the longer, factor0 is the solved factor and differs from it
+        (tmp_path / "old").mkdir()
+        write_tensor(tmp_path / "old" / "t.txt", np.arange(6.0).reshape(3, 2))
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(tmp_path / "old" / "t.txt"), "--components", "2", "--out", str(out)]) == 0
+        old = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert sorted(old) == ["t.decompose.json", "t.factor0.txt", "t.factor1.txt"]
+        capsys.readouterr()
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == "t.factor1.txt":
+                raise PermissionError(13, "Permission denied", dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        write_tensor(tmp_path / "t.txt", np.arange(6.0).reshape(3, 2) ** 2)
+        assert main(["decompose", "--input", str(tmp_path / "t.txt"), "--components", "2", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == old
+
+    def test_component_count_above_the_entry_count_is_refused_before_allocating(self, tmp_path):
+        # a billion components would ask for a 7.45 GiB array; the child runs
+        # under a 1 GiB address-space cap, so the test never allocates it
+        import resource
+
+        write_tensor(tmp_path / "t.txt", np.arange(9.0).reshape(3, 3))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        argv = ["decompose", "--input", str(tmp_path / "t.txt"), "--components", "1000000000"]
+        result = subprocess.run(
+            [sys.executable, "-m", "pinset.cli", *argv, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, preexec_fn=cap,
+        )
+        lines = result.stderr.strip().splitlines()
+        assert result.returncode == 1, result.stderr
+        assert lines == ["error: at most 9 components (the tensor's entry count) are allowed, got 1000000000"]
+        assert "Traceback" not in result.stderr
+
     def test_config_keys_are_refused(self, tmp_path, capsys):
         # the input and the component count are given only as flags
         write_tensor(tmp_path / "t.txt", np.ones((2, 2)))

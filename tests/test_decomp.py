@@ -215,9 +215,12 @@ class TestCpDecompose:
         assert factors.rel_residual < 1e-6
 
     def test_vector_decomposition(self):
+        # the bound is 1 component; the entry count, 3, is the most allowed
         t = np.array([1.0, -2.0, 3.0])
-        factors = cp_decompose(t, 5)
+        factors = cp_decompose(t, 3)
         np.testing.assert_allclose(reconstruct_cp(factors), t, rtol=0, atol=1e-10)
+        with pytest.raises(CardinalityError, match="^at most 3 components"):
+            cp_decompose(t, 5)
 
 
 class TestReconstructCp:

@@ -35,7 +35,6 @@ from pinset.tensor import (
     BN_EPS,
     BatchNormState,
     Tensor,
-    _reachable,
     add,
     affine,
     backward,
@@ -99,7 +98,8 @@ def test_primitive_gradients(trial):
     worst = max(worst, _check(lambda t: wa(add(Tensor(base), t)), b))
 
     ws = _weighted(gen, (6, 3))
-    worst = max(worst, _check(lambda t: ws(set_softmax(t)), gen.uniform(-1, 1, size=(6, 3))))
+    # two sets of 3 rows: the grouped backward is checked across a set boundary
+    worst = max(worst, _check(lambda t: ws(set_softmax(t, 3)), gen.uniform(-1, 1, size=(6, 3))))
     worst = max(worst, _check(lambda t: ws(squashing(t)), gen.uniform(-1, 1, size=(6, 3))))
 
     a3 = gen.uniform(-1, 1, size=(2, 5, 3))
@@ -311,23 +311,14 @@ def _randomize_for_eval(model, gen, also=()) -> dict:
     return params
 
 
-def _affine_preacts(out: Tensor) -> list[np.ndarray]:
-    """Pre-activations of every ``affine`` node behind ``out``, rebuilt
-    from its operands: eval mode fuses the relu into the op."""
-    preacts = []
-    for node in _reachable(out):
-        if node._backward is not None and node._backward.__qualname__ == "affine.<locals>.bwd":
-            x, w, *b = (p.data for p in node._parents)
-            preacts.append(x @ w + (b[0] if b else 0.0))
-    return preacts
-
-
 def _draw_clear_of_kinks(forward, draw, gen):
-    """Redraw inputs until every eval-mode pre-activation is at least
-    10*H from the relu kink, where finite differences are meaningless."""
+    """Redraw inputs until every relu pre-activation of the eval-mode
+    forward is at least 10*H from the kink, where finite differences are
+    meaningless."""
     for _ in range(64):
         inputs = draw(gen)
-        if min(float(np.min(np.abs(a))) for a in _affine_preacts(forward(inputs))) > 10 * H:
+        preacts = _relu_inputs(forward(inputs))
+        if min((float(np.min(np.abs(a))) for a in preacts), default=np.inf) > 10 * H:
             return inputs
     raise RuntimeError("could not draw inputs clear of activation kinks")
 

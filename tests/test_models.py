@@ -25,7 +25,7 @@ from pinset.models import (
     quadrant_config,
 )
 from pinset.rng import RngState
-from pinset.tensor import Tensor, _reachable
+from pinset.tensor import Tensor, _reachable, softmax_cross_entropy
 from pinset.train import OptimizerState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 # published totals (in thousands) for the factorization sweep
@@ -386,3 +386,21 @@ class TestBroadcastWeights:
             assert _op(bn_node) == "batchnorm"
             assert any(p is block.w_x for p in bn_node._parents)
             assert any(_op(n) == "matmul" and any(p is block.w_y for p in n._parents) for n in nodes)
+
+
+@pytest.mark.parametrize(
+    "config, total, reshapes",
+    [(quadrant_config, 14, 3), (pixel_s_config, 16, 3), (pixel_l_config, 39, 8), (gradcheck_config, 13, 3)],
+    ids=["quadrant", "pixel-s", "pixel-l", "gradcheck"],
+)
+def test_train_step_tape_nodes_by_op(config, total, reshapes):
+    # each aggregation reshapes its two MLP outputs into sets and flattens
+    # the joined feature; on pixel-l, agg2 also gets the broadcast rows
+    # folded into sets and stacks them again
+    cfg = config()
+    model = build_model(cfg, RngState(5))
+    gen = RngState(6).generator()
+    sets = gen.uniform(-1, 1, size=(2, 32, cfg.input_width))
+    loss = softmax_cross_entropy(model.forward(sets, "train", gen), gen.integers(0, cfg.class_count, size=2))
+    ops = [_op(n) for n in _reachable(loss) if n._backward is not None]
+    assert (len(ops), ops.count("reshape")) == (total, reshapes), sorted(ops)

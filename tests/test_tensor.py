@@ -156,44 +156,60 @@ class TestMulBroadcast:
 
 
 class TestSetSoftmax:
+    """``set_softmax`` on stacked rows: each block of ``set_size``
+    consecutive rows is one set."""
+
     def test_uniform_on_zeros(self):
-        out = set_softmax(Tensor(np.zeros((4, 2))))
+        out = set_softmax(Tensor(np.zeros((8, 2))), 4)
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_closed_form_column(self):
-        x = np.array([[np.log(1.0)], [np.log(3.0)]])
-        out = set_softmax(Tensor(x))
-        np.testing.assert_allclose(out.data, [[0.25], [0.75]], rtol=0, atol=1e-15)
+        x = np.log([[1.0], [3.0], [2.0], [2.0]])
+        out = set_softmax(Tensor(x), 2)
+        np.testing.assert_allclose(out.data, [[0.25], [0.75], [0.5], [0.5]], rtol=0, atol=1e-15)
 
     def test_columns_sum_to_one_entries_in_open_interval(self):
         gen = RngState(3).generator()
-        x = gen.uniform(-5, 5, size=(13, 7))
-        out = set_softmax(Tensor(x)).data
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        x = gen.uniform(-5, 5, size=(3 * 13, 7))
+        out = set_softmax(Tensor(x), 13).data
+        np.testing.assert_allclose(out.reshape(3, 13, 7).sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(out > 0) and np.all(out < 1)
 
     def test_permutation_equivariance(self):
         gen = RngState(4).generator()
         for _ in range(20):
-            x = gen.uniform(-2, 2, size=(10, 5))
-            perm = gen.permutation(10)
-            direct = set_softmax(Tensor(x[perm])).data
-            permuted = set_softmax(Tensor(x)).data[perm]
+            x = gen.uniform(-2, 2, size=(2 * 10, 5))
+            # a permutation within each of the two sets of 10 rows
+            perm = np.concatenate([gen.permutation(10), 10 + gen.permutation(10)])
+            direct = set_softmax(Tensor(x[perm]), 10).data
+            permuted = set_softmax(Tensor(x), 10).data[perm]
             assert np.max(np.abs(direct - permuted)) < 1e-12
 
     def test_matches_two_step_formula_bitwise(self):
         gen = RngState(24).generator()
         x = gen.uniform(-5, 5, size=(2, 9, 4))
         e = np.exp(x - x.max(axis=1, keepdims=True))
-        np.testing.assert_array_equal(set_softmax(Tensor(x)).data, e / e.sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal(
+            set_softmax(Tensor(x.reshape(18, 4)), 9).data, (e / e.sum(axis=1, keepdims=True)).reshape(18, 4)
+        )
 
     def test_batched_normalizes_within_each_set(self):
         gen = RngState(5).generator()
-        x = gen.uniform(-1, 1, size=(3, 6, 2))
-        out = set_softmax(Tensor(x)).data
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        single = set_softmax(Tensor(x[1])).data
-        np.testing.assert_allclose(out[1], single, rtol=0, atol=1e-15)
+        x = gen.uniform(-1, 1, size=(3 * 6, 2))
+        out = set_softmax(Tensor(x), 6).data
+        np.testing.assert_allclose(out.reshape(3, 6, 2).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        single = set_softmax(Tensor(x[6:12]), 6).data
+        np.testing.assert_allclose(out[6:12], single, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows, set_size", [(7, 3), (6, 4), (6, 0)])
+    def test_rows_that_do_not_divide_into_sets_rejected(self, rows, set_size):
+        with pytest.raises(ShapeError, match=f"^{rows} rows do not divide into sets of {set_size}$"):
+            set_softmax(Tensor(np.zeros((rows, 2))), set_size)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 2)])
+    def test_rank_other_than_two_rejected(self, shape):
+        with pytest.raises(ShapeError, match="stacked rows"):
+            set_softmax(Tensor(np.zeros(shape)), 3)
 
 
 class TestBatchnorm:
@@ -623,7 +639,7 @@ def test_finite_values_preserved_by_public_ops():
     gen = RngState(14).generator()
     x = gen.uniform(-50.0, 50.0, size=(8, 4))
     outs = [
-        set_softmax(Tensor(x)).data,
+        set_softmax(Tensor(x), 4).data,
         squashing(Tensor(x)).data,
         _relu(x).data,
     ]
