@@ -186,8 +186,10 @@ class Mlp(Block):
         :func:`_dense` op, and the last layer's activation, unless it is a
         relu (fused into the op) or none, follows it. A set softmax reads
         each block of ``set_size`` rows as one set; without ``set_size``,
-        all the rows are one set."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
+        all the rows are one set. Only the trailing (rows, width) axes are
+        read, so a leading stack axis of the input or of the parameters
+        (see :func:`pinset.tensor._check_stack`) passes through."""
+        if x.data.ndim < 2 or x.data.shape[-1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
             )
@@ -198,7 +200,7 @@ class Mlp(Block):
         if kind == "squashing":
             return squashing(h)
         if kind == "softmax_set":
-            return set_softmax(h, h.data.shape[0] if set_size is None else set_size)
+            return set_softmax(h, h.data.shape[-2] if set_size is None else set_size)
         return h
 
     def named(self, prefix: str = "") -> Named:
@@ -260,29 +262,41 @@ def aggregate(
     if x.data.ndim != 3:
         raise ValueError(f"expected a batch of sets (B, N, p), got shape {x.data.shape}")
     b, n, p = x.data.shape
+    return _aggregate_rows(block, reshape(x, (b * n, p)), n, mode, gen)
+
+
+def _aggregate_rows(
+    block: AggregationBlock, rows: Tensor, n: int, mode: str, gen: np.random.Generator | None
+) -> Tensor:
+    """:func:`aggregate` of stacked rows (B*N, p), each block of ``n``
+    consecutive rows one set, as the broadcast blocks emit them."""
     s, t = block.spec.mlp1.out_width, block.spec.mlp2.out_width
     if n < min(s, t):
         warnings.warn(
             f"set size {n} is below min(s, t) = {min(s, t)}; features of rank "
             f"above {n} are unreachable",
             ExpressivenessWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    flat = reshape(x, (b * n, p))
-    h1 = reshape(block.mlp1.forward(flat, mode, set_size=n), (b, n, s))
-    h2 = reshape(block.mlp2.forward(flat, mode, set_size=n), (b, n, t))
-    return _join(block, h1, h2, mode, gen)
+    h1 = block.mlp1.forward(rows, mode, set_size=n)
+    h2 = block.mlp2.forward(rows, mode, set_size=n)
+    return _join(block, h1, h2, n, mode, gen)
 
 
 def _join(
-    block: AggregationBlock, h1: Tensor, h2: Tensor, mode: str, gen: np.random.Generator | None
+    block: AggregationBlock, h1: Tensor, h2: Tensor, n: int, mode: str, gen: np.random.Generator | None
 ) -> Tensor:
     """The ops of :func:`aggregate` after both MLPs: each set's
-    ``h1^T h2`` from the (B, N, s) and (B, N, t) outputs, flattened to
-    (B, s*t), then dropout in train mode."""
-    feature = pair_aggregate(h1, h2)
-    b, s, t = feature.data.shape
-    return dropout(reshape(feature, (b, s * t)), block.spec.dropout_ratio, gen, mode)
+    ``h1^T h2`` from the (B*N, s) and (B*N, t) outputs, whose blocks of
+    ``n`` rows are the sets, flattened to (B, s*t), then dropout in train
+    mode. Only the trailing axes are read: outputs (K, B*N, s) and
+    (K, B*N, t) with a leading stack axis give (K, B, s*t), through one
+    (K*B, N, .) ``pair_aggregate``."""
+    *stack, rows, s = h1.data.shape
+    t = h2.data.shape[-1]
+    feature = pair_aggregate(reshape(h1, (-1, n, s)), reshape(h2, (-1, n, t)))
+    flat = reshape(feature, (*stack, rows // n, s * t))
+    return dropout(flat, block.spec.dropout_ratio, gen, mode)
 
 
 def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:

@@ -20,6 +20,7 @@ from .blocks import (
     Mlp,
     MlpSpec,
     Named,
+    _aggregate_rows,
     aggregate,
     broadcast_batched,
 )
@@ -122,8 +123,7 @@ class Model(Block):
             z = reshape(x, (b * n, p))
             for block in self.broadcast_layers:
                 z = broadcast_batched(block, z, feature, n, mode)
-            width = z.data.shape[1]
-            feature = aggregate(self.agg2, reshape(z, (b, n, width)), mode, gen)
+            feature = _aggregate_rows(self.agg2, z, n, mode, gen)
         return feature
 
     def named(self, prefix: str = "") -> Named:

@@ -173,16 +173,59 @@ def backward(loss: Tensor, params=()) -> dict:
 # primitives
 
 
-def _check_gemm(x: Tensor, w: Tensor, b: Tensor | None = None) -> bool:
-    """The shapes of a dense op ``x @ w + b``: rank-2 ``x`` and ``w`` that
-    multiply, and a bias row ``(d,)``, a row-aligned ``(rows, d)`` bias or
-    none. Returns whether the bias is row-aligned."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+def _check_gemm(
+    x: Tensor, w: Tensor, b: Tensor | None = None, gamma: Tensor | None = None, beta: Tensor | None = None
+) -> tuple[bool, int]:
+    """The shapes of a dense op ``x @ w + b``, and of batchnorm's ``gamma``
+    and ``beta`` when given. Returns whether the bias is row-aligned, and
+    the stack size.
+
+    A plain call has rank-2 ``x`` and ``w`` that multiply, a bias row
+    ``(d,)``, a row-aligned ``(rows, d)`` bias or none, and rank-1
+    ``gamma`` and ``beta``; its stack size is 0. Any other ranks go to
+    :func:`_check_stack`."""
+    if (
+        x.data.ndim != 2
+        or w.data.ndim != 2
+        or (b is not None and b.data.ndim > 2)
+        or (gamma is not None and (gamma.data.ndim != 1 or beta.data.ndim != 1))
+    ):
+        return False, _check_stack(x, w, (b, gamma, beta))
+    if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
     out_shape = (x.data.shape[0], w.data.shape[1])
     if b is not None and b.data.shape not in (out_shape[1:], out_shape):
         raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
-    return b is not None and b.data.ndim == 2
+    return b is not None and b.data.ndim == 2, 0
+
+
+def _check_stack(x: Tensor, w: Tensor, vectors) -> int:
+    """The shapes of a stacked dense op, which runs K copies of the op in
+    one forward: ``x`` as ``(rows, d_in)`` or ``(K, rows, d_in)``, ``w`` as
+    ``(d_in, d)`` or ``(K, d_in, d)``, and each of the per-feature
+    ``vectors`` (the bias row, gamma and beta; None for a missing one) as
+    ``(d,)`` or ``(K, 1, d)``, so that numpy broadcasting pairs copy k of
+    each operand. At least one operand carries the stack axis, and all
+    that do agree on K, which is returned. A stacked op takes no
+    row-aligned bias. It has no backward, so it must run under
+    :func:`no_grad`; these copies serve finite-difference probes."""
+    if not 2 <= x.data.ndim <= 3 or not 2 <= w.data.ndim <= 3 or x.data.shape[-1] != w.data.shape[-2]:
+        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
+    stacks = {t.data.shape[0] for t in (x, w) if t.data.ndim == 3}
+    d = w.data.shape[-1]
+    for v in vectors:
+        if v is None or v.data.shape == (d,):
+            continue
+        if v.data.ndim != 3 or v.data.shape[1:] != (1, d):
+            raise ShapeError(
+                f"a stacked op takes per-feature operands (d,) or (K, 1, d) with d={d}, got {v.data.shape}"
+            )
+        stacks.add(v.data.shape[0])
+    if len(stacks) != 1:
+        raise ShapeError(f"stacked operands disagree on the stack size: {sorted(stacks)}")
+    if _recording:
+        raise ShapeError("a dense op with a leading stack axis is forward-only; run it under no_grad()")
+    return stacks.pop()
 
 
 def _gemm_grads(x: Tensor, w: Tensor, g: np.ndarray) -> list:
@@ -195,7 +238,8 @@ def _gemm_grads(x: Tensor, w: Tensor, g: np.ndarray) -> list:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product of two rank-2 tensors, or stacked (see
+    :func:`_check_stack`)."""
     _check_gemm(a, b)
     return _result(a.data @ b.data, (a, b), lambda g: _gemm_grads(a, b, g))
 
@@ -207,14 +251,22 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     allocates. ``b`` is a bias row of shape ``(d,)``, a row-aligned
     ``(rows, d)`` array with one bias per row, or None. Without relu this
     equals ``add(matmul(x, w), b)`` bit for bit, gradients included.
+
+    Stacked operands (see :func:`_check_stack`) give K outputs
+    ``(K, rows, d)``, each equal to its own plain call.
     """
-    row_aligned = _check_gemm(x, w, b)
+    row_aligned, stack = _check_gemm(x, w, b)
     y = x.data @ w.data
     if b is not None:
-        y += b.data
+        if stack:
+            y = y + b.data  # a stacked bias row widens y to the stack
+        else:
+            y += b.data
     if relu:
         # np.maximum (unlike where) propagates NaN, keeping divergence visible
         np.maximum(y, 0.0, out=y)
+    if stack:
+        return Tensor(y)
 
     def bwd(g):
         if relu:
@@ -288,24 +340,30 @@ def set_softmax(a: Tensor, set_size: int) -> Tensor:
 
     Each column of each set sums to one, so the values act as weights over
     set elements. Equivariant under permutations within a set.
+
+    Under :func:`no_grad`, (K, rows, width) rows with a leading stack axis
+    give K results, each equal to its own (rows, width) call.
     """
-    if a.data.ndim != 2:
-        raise ShapeError(f"set_softmax needs stacked rows (rows, width), got {a.data.shape}")
-    rows, width = a.data.shape
+    if a.data.ndim != 2 and (a.data.ndim != 3 or _recording):
+        raise ShapeError(
+            f"set_softmax needs stacked rows (rows, width), or (K, rows, width) "
+            f"under no_grad(), got {a.data.shape}"
+        )
+    *stack, rows, width = a.data.shape
     if set_size < 1 or rows % set_size != 0:
         raise ShapeError(f"{rows} rows do not divide into sets of {set_size}")
-    sets = (rows // set_size, set_size, width)
+    sets = (*stack, rows // set_size, set_size, width)
     x = a.data.reshape(sets)
-    y = x - x.max(axis=1, keepdims=True)
+    y = x - x.max(axis=-2, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
+    y /= y.sum(axis=-2, keepdims=True)
 
     def bwd(g):
         g = g.reshape(sets)
         inner = (g * y).sum(axis=1, keepdims=True)
         return ((a, (y * (g - inner)).reshape(rows, width)),)
 
-    return _result(y.reshape(rows, width), (a,), bwd)
+    return _result(y.reshape(a.data.shape), (a,), bwd)
 
 
 def squashing(a: Tensor) -> Tensor:
@@ -358,23 +416,35 @@ def batchnorm(
 
     There is no eval mode: ``blocks`` folds the stored statistics into
     the layer's weights and bias and runs ``affine`` instead.
+
+    Stacked operands (see :func:`_check_stack`) give K outputs
+    ``(K, rows, d)``, each normalized over its own rows and equal to its
+    own plain call. They leave the running statistics as they are: K
+    copies have no one batch mean. A stacked bias row is cancelled like
+    any bias row, so a call in which only the bias is stacked gives one
+    plain ``(rows, d)`` output.
     """
-    row_aligned = _check_gemm(x, w, b)
-    m = x.data.shape[0]
+    row_aligned, stack = _check_gemm(x, w, b, gamma, beta)
+    m = x.data.shape[-2]
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
     xhat = x.data @ w.data
     if row_aligned:
         xhat += b.data
-    mean = xhat.mean(axis=0)
+    mean = xhat.mean(axis=-2, keepdims=True)
     xhat -= mean
-    var = np.einsum("ij,ij->j", xhat, xhat) / m
-    batch_mean = mean if b is None or row_aligned else mean + b.data
-    state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
-    state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+    var = np.einsum("...ij,...ij->...j", xhat, xhat) / m
+    if stack:
+        var = var[..., None, :]
+    else:
+        batch_mean = mean[0] if b is None or row_aligned else mean[0] + b.data
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     y = xhat * gamma.data
+    if stack:
+        return Tensor(np.maximum(y + beta.data, 0.0))
     y += beta.data
     # the 1-byte mask, taken while y is hot in cache, is cheaper to keep
     # than rereading eight bytes per element in the backward
@@ -473,14 +543,18 @@ def dropout(x: Tensor, ratio: float, gen: np.random.Generator | None, mode: str)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of integer labels against row logits."""
+    """Mean cross-entropy of integer labels against row logits.
+
+    Under :func:`no_grad`, (K, batch, classes) logits with a leading stack
+    axis give K losses, each equal to its own (batch, classes) call."""
     labels = np.asarray(labels)
-    if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
+    ndim = logits.data.ndim
+    if ndim != 2 and (ndim != 3 or _recording) or labels.shape != logits.data.shape[-2:-1]:
         raise ShapeError(
-            f"expected (batch, classes) logits with (batch,) labels, got "
-            f"{logits.data.shape} and {labels.shape}"
+            f"expected (batch, classes) logits, or (K, batch, classes) under "
+            f"no_grad(), with (batch,) labels, got {logits.data.shape} and {labels.shape}"
         )
-    classes = logits.data.shape[1]
+    classes = logits.data.shape[-1]
     if labels.dtype.kind not in "iu":
         raise ValueError(
             f"labels must be integer class indices for {classes} classes, got dtype {labels.dtype}"
@@ -488,10 +562,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     bad = (labels < 0) | (labels >= classes)
     if bad.any():
         raise ValueError(f"label {labels[bad][0]} is out of range for {classes} classes")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    n = logits.data.shape[0]
-    loss = -log_probs[np.arange(n), labels].mean()
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    n = logits.data.shape[-2]
+    loss = -log_probs[..., np.arange(n), labels].mean(axis=-1)
+    if ndim == 3:
+        return Tensor(loss)
 
     def bwd(g):
         grad = np.exp(log_probs)
@@ -530,3 +606,25 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         x[idx] = orig
         grad[idx] = (f_plus - f_minus) / (2.0 * h)
     return grad
+
+
+def stacked_finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
+    """The central differences of :func:`finite_difference_gradient`, all
+    probed in one call: ``f`` gets the ``(2 * x.size, *x.shape)`` stack of
+    copies of ``x``, copy ``i`` with entry ``i`` (in C order) raised by
+    ``h`` and copy ``x.size + i`` with it lowered by ``h``, and returns
+    the ``2 * x.size`` losses. Each entry is formed with the same
+    expression, so a ``f`` whose losses equal the per-entry calls gives
+    the same bits. A loss that does not depend on ``x`` may come back as
+    one value, which stands for every copy. ``x`` is only read.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    size = x.size
+    stack = np.empty((2, size, size))
+    stack[:] = x.reshape(-1)
+    entry = np.arange(size)
+    stack[0, entry, entry] += h
+    stack[1, entry, entry] -= h
+    losses = np.asarray(f(stack.reshape(2 * size, *x.shape)), dtype=np.float64)
+    losses = np.broadcast_to(losses, (2 * size,))
+    return ((losses[:size] - losses[size:]) / (2.0 * h)).reshape(x.shape)

@@ -36,10 +36,9 @@ from .tensor import (
     Tensor,
     _reachable,
     backward,
-    finite_difference_gradient,
     no_grad,
-    reshape,
     softmax_cross_entropy,
+    stacked_finite_difference_gradient,
 )
 
 SUITE_NAMES = ("invariance", "mdd", "cp", "rankstab", "gradcheck", "collapse")
@@ -399,61 +398,80 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
 
 
 def _probe_losses(model, sets, labels) -> dict:
-    """The scalar loss that finite differences probe for each parameter
-    of the gradcheck model (one aggregation and a head) on one batch, in
-    train mode under ``no_grad``; each takes (and ignores) the perturbed
-    array.
+    """The losses that finite differences probe for each parameter of the
+    gradcheck model (one aggregation and a head) on one batch, in train
+    mode under ``no_grad``. Each maps a stack of values of its parameter,
+    as :func:`stacked_finite_difference_gradient` builds it, to the K
+    losses of one stacked forward: the stack is bound to the parameter's
+    ``.data`` for that call (a vector as (K, 1, d), so it broadcasts over
+    the rows), and the parameter's own array is put back afterwards.
 
     A probe reruns only the MLP that the parameter feeds. A ``head.*``
     probe runs the head on the set features computed once here. An
     ``agg1.mlp1.*`` or ``agg1.mlp2.*`` probe reruns that MLP, joins it
-    with the other MLP's output computed once here through the
-    ``blocks._join`` that :func:`aggregate` ends with, and runs the head.
-    These are the ops ``Model.forward`` runs, on the same operands, so
-    every probe gives the bits of a full forward. Unlike a full forward,
-    a probe leaves the batchnorm running statistics of the MLPs it does
-    not rerun where they are; no train-mode forward reads them."""
+    with the other MLP's output computed once here (repeated along the
+    stack) through the ``blocks._join`` that :func:`aggregate` ends with,
+    and runs the head. These are the ops ``Model.forward`` runs, on the
+    same operands, so every loss has the bits of a full forward. Unlike a
+    full forward, a probe moves no running statistics of a batchnorm that
+    it does not rerun or that it runs stacked; no train-mode forward
+    reads them."""
     agg = model.agg1
     b, n, p = sets.shape
     flat = Tensor(np.asarray(sets, dtype=np.float64).reshape(b * n, p))
 
-    def rows(mlp: Mlp) -> Tensor:
-        return reshape(mlp.forward(flat, "train", set_size=n), (b, n, mlp.spec.out_width))
+    def run(mlp: Mlp) -> Tensor:
+        return mlp.forward(flat, "train", set_size=n)
 
-    def loss(feature: Tensor) -> float:
-        return float(softmax_cross_entropy(model.head.forward(feature, "train"), labels).data)
+    def loss(feature: Tensor) -> np.ndarray:
+        return softmax_cross_entropy(model.head.forward(feature, "train"), labels).data
+
+    def along(stacked: Tensor, cached: Tensor) -> Tensor:
+        # the cached output, repeated along the stack axis, if any
+        return Tensor(np.broadcast_to(cached.data, stacked.data.shape[:-2] + cached.data.shape))
 
     with no_grad():
-        h1, h2 = rows(agg.mlp1), rows(agg.mlp2)
-        feature = _join(agg, h1, h2, "train", None)
+        h1, h2 = run(agg.mlp1), run(agg.mlp2)
+        feature = _join(agg, h1, h2, n, "train", None)
 
-    @no_grad()
-    def head_loss(_) -> float:
+    def head_loss() -> np.ndarray:
         return loss(feature)
 
-    @no_grad()
-    def mlp1_loss(_) -> float:
-        return loss(_join(agg, rows(agg.mlp1), h2, "train", None))
+    def mlp1_loss() -> np.ndarray:
+        h = run(agg.mlp1)
+        return loss(_join(agg, h, along(h, h2), n, "train", None))
 
-    @no_grad()
-    def mlp2_loss(_) -> float:
-        return loss(_join(agg, h1, rows(agg.mlp2), "train", None))
+    def mlp2_loss() -> np.ndarray:
+        h = run(agg.mlp2)
+        return loss(_join(agg, along(h, h1), h, n, "train", None))
+
+    def probe(param: Tensor, forward):
+        @no_grad()
+        def losses(stack: np.ndarray) -> np.ndarray:
+            own = param.data
+            param.data = stack if stack.ndim == 3 else stack[:, None]
+            try:
+                return forward()
+            finally:
+                param.data = own
+
+        return losses
 
     losses = {}
-    for prefix, block, probe in (
+    for prefix, block, forward in (
         ("agg1.mlp1.", agg.mlp1, mlp1_loss),
         ("agg1.mlp2.", agg.mlp2, mlp2_loss),
         ("head.", model.head, head_loss),
     ):
-        losses.update(dict.fromkeys(block.parameters(prefix), probe))
+        losses.update({name: probe(p, forward) for name, p in block.parameters(prefix).items()})
     return losses
 
 
 def run_gradcheck(seed: int) -> SuiteResult:
     """Analytic gradients of a sub-1k-parameter classifier against central
-    finite differences on every trainable parameter. Each probe reruns
-    only the MLP that the parameter feeds, on outputs of the others
-    computed once per batch (see :func:`_probe_losses`)."""
+    finite differences on every trainable parameter. Each tensor is probed
+    in one stacked forward that reruns only the MLP it feeds, on outputs
+    of the others computed once per batch (see :func:`_probe_losses`)."""
     root = RngState(seed).child("gradcheck")
     batches = 10
     step = 1e-5
@@ -470,8 +488,7 @@ def run_gradcheck(seed: int) -> SuiteResult:
         grad_map = backward(softmax_cross_entropy(logits, labels), list(params.values()))
 
         for name, p in params.items():
-            # perturbs p.data in place and restores each entry exactly
-            fd = finite_difference_gradient(losses[name], p.data, h=step)
+            fd = stacked_finite_difference_gradient(losses[name], p.data, h=step)
             err = relative_error(grad_map[p], fd)
             worst = max(worst, err)
             failures += err >= 1e-4

@@ -12,6 +12,8 @@ from pinset.blocks import (
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
+    _aggregate_rows,
+    _join,
     aggregate,
     aggregate_order_n,
     broadcast_batched,
@@ -19,7 +21,7 @@ from pinset.blocks import (
 )
 from pinset.decomp import numeric_rank
 from pinset.rng import RngState
-from pinset.tensor import BN_EPS, Tensor
+from pinset.tensor import BN_EPS, Tensor, no_grad
 
 
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
@@ -90,6 +92,25 @@ class TestMlpForward:
         mlp = Mlp(MlpSpec([3, 4]), RngState(5))
         with pytest.raises(ValueError, match="width"):
             mlp.forward(Tensor(np.ones((2, 5))), "eval")
+
+    @pytest.mark.parametrize("param", ["weight", "bn_gamma"])
+    def test_stacked_parameter_gives_one_output_per_copy(self, param):
+        # K copies of one parameter, bound to its .data, run as one
+        # train-mode forward; each output equals a plain forward
+        mlp = Mlp(MlpSpec([3, 8, 5], final_activation="softmax_set"), RngState(5))
+        p = mlp.parameters()[f"layer0.{param}"]
+        gen = RngState(6).generator()
+        copies = p.data + gen.uniform(-0.1, 0.1, size=(3,) + p.data.shape)
+        x = Tensor(gen.uniform(-1, 1, size=(12, 3)))
+        own = p.data
+        p.data = copies if copies.ndim == 3 else copies[:, None]
+        with no_grad():
+            out = mlp.forward(x, "train", set_size=4).data
+        assert out.shape == (3, 12, 5)
+        for k in range(3):
+            p.data = copies[k]
+            assert np.array_equal(out[k], mlp.forward(x, "train", set_size=4).data), k
+        p.data = own
 
 
 def _with_running_stats(mlp: Mlp, seed: int) -> Mlp:
@@ -201,6 +222,26 @@ class TestAggregate:
         with pytest.warns(ExpressivenessWarning):
             out = aggregate(block, Tensor(x), "eval")
         assert out.data.shape == (2, 12 * 16)
+
+    def test_stacked_rows_give_the_bits_of_sets(self):
+        # the entry agg2 of a broadcast model takes: rows as they are stacked
+        block = _block()
+        sets = RngState(10).generator().uniform(-1, 1, size=(3, 20, 3))
+        rows = Tensor(sets.reshape(60, 3))
+        whole = aggregate(block, Tensor(sets), "eval").data
+        assert np.array_equal(_aggregate_rows(block, rows, 20, "eval", None).data, whole)
+
+    def test_join_passes_a_leading_stack_axis_through(self):
+        # (K, B*N, s) and (K, B*N, t) outputs join to (K, B, s*t), each copy
+        # as its own join
+        block = _block()
+        gen = RngState(11).generator()
+        h1, h2 = gen.uniform(0, 1, size=(4, 15, 12)), gen.uniform(0, 1, size=(4, 15, 16))
+        with no_grad():
+            out = _join(block, Tensor(h1), Tensor(h2), 5, "eval", None).data
+        assert out.shape == (4, 3, 12 * 16)
+        for k in range(4):
+            assert np.array_equal(out[k], _join(block, Tensor(h1[k]), Tensor(h2[k]), 5, "eval", None).data), k
 
     def test_single_set_needs_batch_axis(self):
         with pytest.raises(ValueError, match=r"\(B, N, p\)"):

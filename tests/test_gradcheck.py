@@ -47,6 +47,7 @@ from pinset.tensor import (
     set_softmax,
     softmax_cross_entropy,
     squashing,
+    stacked_finite_difference_gradient,
     sum_all,
     sum_product,
     tile_rows,
@@ -450,9 +451,9 @@ def test_broadcast_model_gradients(index):
 
 
 def _probes_against_full_forward(prefix: str, count: int) -> None:
-    """On gradcheck batch 0 of seed 0, finite differences through the
-    probe of each parameter under ``prefix`` must give the same bits as
-    through the whole forward."""
+    """On gradcheck batch 0 of seed 0, the stacked finite differences
+    through the probe of each parameter under ``prefix`` must give the
+    same bits as the per-entry finite differences of the whole forward."""
     root = RngState(0).child("gradcheck")
     model = build_model(gradcheck_config(), root.child("model"))
     sets, labels, _ = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
@@ -464,7 +465,7 @@ def _probes_against_full_forward(prefix: str, count: int) -> None:
     probed = {name: p for name, p in model.parameters().items() if name.startswith(prefix)}
     assert len(probed) == count
     for name, p in probed.items():
-        via_probe = finite_difference_gradient(losses[name], p.data, h=H)
+        via_probe = stacked_finite_difference_gradient(losses[name], p.data, h=H)
         assert np.array_equal(via_probe, finite_difference_gradient(full_loss, p.data, h=H)), name
 
 
@@ -478,6 +479,50 @@ def test_mlp_probes_equal_full_forward_probes():
     # a probe of an aggregation parameter reruns only its MLP and joins
     # it with the other MLP's cached output
     _probes_against_full_forward("agg1.", 12)
+
+
+def test_gradcheck_puts_every_parameter_array_back(monkeypatch):
+    # each stacked probe binds its parameter's .data to the stack for one
+    # call; afterwards the parameter holds its own array, bytes unchanged
+    recorded = {}
+    build = verify.build_model
+
+    def recording(config, rng):
+        model = build(config, rng)
+        recorded.update({name: (p, p.data, p.data.copy()) for name, p in model.parameters().items()})
+        return model
+
+    monkeypatch.setattr(verify, "build_model", recording)
+    verify.run_gradcheck(0)
+    assert len(recorded) == 18
+    for name, (p, own, before) in recorded.items():
+        assert p.data is own, name
+        assert own.tobytes() == before.tobytes(), name
+
+
+def test_gradcheck_worst_values_at_seed_0():
+    # the values of the per-entry probes that the stacked probes replaced
+    fd, scaled = verify.run_gradcheck(0).properties
+    assert (fd.trials, fd.failures, scaled.trials, scaled.failures) == (180, 0, 180, 0)
+    assert fd.worst == 2.081630146033575e-10
+    assert scaled.worst == 0.00444088566030227
+
+
+def test_a_probe_puts_the_array_back_when_the_forward_raises(monkeypatch):
+    root = RngState(0).child("gradcheck")
+    model = build_model(gradcheck_config(), root.child("model"))
+    sets, labels, _ = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
+    losses = verify._probe_losses(model, sets, labels)
+    p = model.head.layers[1].weight
+    own = p.data
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("forward failed")
+
+    monkeypatch.setattr(verify, "softmax_cross_entropy", failing)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        losses["head.layer1.weight"](np.zeros((2,) + own.shape))
+    assert p.data is own
 
 
 def _corrupt_gradient(monkeypatch, target, corrupt) -> None:

@@ -390,13 +390,13 @@ class TestBroadcastWeights:
 
 @pytest.mark.parametrize(
     "config, total, reshapes",
-    [(quadrant_config, 14, 3), (pixel_s_config, 16, 3), (pixel_l_config, 39, 8), (gradcheck_config, 13, 3)],
+    [(quadrant_config, 14, 3), (pixel_s_config, 16, 3), (pixel_l_config, 37, 6), (gradcheck_config, 13, 3)],
     ids=["quadrant", "pixel-s", "pixel-l", "gradcheck"],
 )
 def test_train_step_tape_nodes_by_op(config, total, reshapes):
     # each aggregation reshapes its two MLP outputs into sets and flattens
-    # the joined feature; on pixel-l, agg2 also gets the broadcast rows
-    # folded into sets and stacks them again
+    # the joined feature; on pixel-l, agg2 reads the broadcast rows as
+    # they are stacked
     cfg = config()
     model = build_model(cfg, RngState(5))
     gen = RngState(6).generator()
