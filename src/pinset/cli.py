@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -283,8 +284,10 @@ def cmd_eval(args) -> int:
     test_batch = _load_split(cfg, args.seed, "test")
     _check_data_fits(model.config, test_batch)
     metrics = evaluate(model, test_batch)
+    if not math.isfinite(metrics["loss"]):
+        raise CheckpointError(f"{cfg['eval.checkpoint']}: its model gives a non-finite loss {metrics['loss']}")
     metrics["epoch"] = epoch
-    print(json.dumps(metrics, indent=2))
+    print(json.dumps(metrics, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -314,9 +317,12 @@ def cmd_decompose(args) -> int:
         raise ConfigError("decompose needs a component count (--components)")
     tensor = read_tensor(input_path)
     try:
-        # the text comes back on the result; it is printed once on success
+        # the text comes back on the result; it is printed once on success.
+        # numpy's overflow warnings are dropped: an overflow ends in a
+        # non-finite result, which cp_decompose refuses as one data error
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
+            warnings.simplefilter("ignore", RuntimeWarning)
             factors = cp_decompose(tensor, components)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
@@ -345,7 +351,7 @@ def cmd_decompose(args) -> int:
     }
     report_path = os.path.join(args.out, f"{stem}.decompose.json")
     # the factors and the report are one set: a failed write keeps the old one
-    payloads[report_path] = json.dumps(report, indent=2).encode()
+    payloads[report_path] = json.dumps(report, indent=2, allow_nan=False).encode()
     _write_atomic(payloads)
     print(f"wrote {len(factors.factors)} factors; reconstruction relative error {rel:.3e}")
     print(f"report: {report_path}")
@@ -392,7 +398,7 @@ def cmd_params(args) -> int:
     else:
         report = param_count(PRESETS[preset]())
         entries.append(_print_report(preset, report))
-    print(json.dumps({"reports": entries}, indent=2))
+    print(json.dumps({"reports": entries}, indent=2, allow_nan=False))
     return EXIT_OK
 
 

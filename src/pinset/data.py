@@ -102,20 +102,6 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
         f.write(labels.tobytes())
 
 
-def pixel_set_to_image(elements: np.ndarray) -> np.ndarray:
-    """Invert the pixel-set mapping of one ``(N, 3)`` set; exact for
-    byte-valued inputs."""
-    n = elements.shape[0]
-    w = int(round(np.sqrt(n)))
-    if w * w != n:
-        raise ValueError(f"{n} elements do not form a square image")
-    img = np.zeros((w, w))
-    cols = np.rint((elements[:, 0] + 1.0) * (w - 1) / 2.0).astype(int)
-    rows = np.rint((elements[:, 1] + 1.0) * (w - 1) / 2.0).astype(int)
-    img[rows, cols] = np.rint(elements[:, 2] * 255.0)
-    return img
-
-
 @dataclass
 class SetBatch:
     """A stack of equally-sized sets with their labels."""

@@ -11,6 +11,7 @@ All functions take numpy arrays and operate in float64.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -235,7 +236,8 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     ``prod(sorted_dims[:-1]) <= count <= t.size`` (the cap comes before
     anything is allocated), and raises
     :class:`TensorInputError` for a tensor with no axis, an empty axis or
-    a non-finite entry. A conditioning warning is issued
+    a non-finite entry, and for one whose factors or reconstruction error
+    overflow float64. A conditioning warning is issued
     (and recorded on the result) when the solve's condition number makes
     the reconstruction delicate.
     """
@@ -275,9 +277,19 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
 
     result = CpFactors(factors=factors, condition=condition, conditioning_warning=warning)
     recon = reconstruct_cp(result)
-    denom = float(np.linalg.norm(t_arr))
-    err = float(np.linalg.norm(recon - t_arr))
-    result.rel_residual = err / denom if denom > 0 else err
+    # both norms scaled by a power of two, which is exact, that brings the
+    # largest entry into [1, 2), so that their squares cannot overflow
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(t_arr))))[1] - 1)
+    denom = float(np.linalg.norm(t_arr / scale))
+    err = float(np.linalg.norm(recon / scale - t_arr / scale))
+    result.rel_residual = err / denom if denom > 0 else err * scale
+    # a non-finite factor entry makes its reconstructed entries, and so the
+    # error, non-finite too
+    if not math.isfinite(result.rel_residual):
+        raise TensorInputError(
+            "cp_decompose needs a tensor whose factors and reconstruction error are finite in "
+            f"float64; with entries up to {np.max(np.abs(t_arr)):.3e} they overflow"
+        )
     return result
 
 

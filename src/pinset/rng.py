@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ALGORITHM = "pcg64"
-
 
 def _tag_to_int(tag) -> int:
     if isinstance(tag, (int, np.integer)):
@@ -37,10 +35,6 @@ class RngState:
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in u64, got {self.seed}")
-
-    @property
-    def algorithm(self) -> str:
-        return ALGORITHM
 
     def child(self, *tags) -> "RngState":
         """Derive an independent stream; tags may be ints or strings."""

@@ -29,6 +29,10 @@ _recording = True  # cleared inside no_grad()
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # weight of each batch in the running statistics
+# the largest rounding-error bound, as a share of var + BN_EPS, that a
+# widening batchnorm accepts for its variances from the input covariance
+BN_COV_RTOL = 1e-9
+_EPS_MACH = float(np.finfo(np.float64).eps)
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -414,6 +418,13 @@ def batchnorm(
     ``(rows, d)`` bias differs from row to row, so it is added, and its
     gradient is the masked, normalized ``g`` that the GEMM gradients read.
 
+    A layer that widens (``w`` has fewer rows than columns) and has no
+    row-aligned bias is computed from the narrow input's mean and
+    covariance (see :func:`_input_statistics`), unless the guard there
+    finds the variances too inexact; every other call normalizes the
+    ``(rows, d)`` product directly. Both give the same values up to
+    rounding.
+
     There is no eval mode: ``blocks`` folds the stored statistics into
     the layer's weights and bias and runs ``affine`` instead.
 
@@ -428,6 +439,34 @@ def batchnorm(
     m = x.data.shape[-2]
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
+    d_in, d = w.data.shape[-2:]
+    exact = False
+    if not row_aligned and d_in < d:
+        stats = _input_statistics(x.data, w.data)
+        exact = stats[-1]
+    if np.all(exact):
+        y, grads = _batchnorm_from_covariance(x, gamma, beta, state, w, b, stack, stats)
+    else:
+        y, grads = _batchnorm_direct(x, gamma, beta, state, w, b, row_aligned, stack)
+        if stack and np.any(exact):
+            # chosen per copy, so that each copy keeps the bits of its plain call
+            widened, _ = _batchnorm_from_covariance(x, gamma, beta, state, w, b, stack, stats)
+            y = np.where(exact[:, None, None], widened, y)
+    if stack:
+        return Tensor(y)
+
+    def bwd(g):  # batchnorm's own closure, so the node names its op
+        return grads(g)
+
+    bwd.preactivation = grads.preactivation
+    parents = (x, w, gamma, beta)
+    return _result(y, parents if b is None else parents + (b,), bwd)
+
+
+def _batchnorm_direct(x, gamma, beta, state, w, b, row_aligned, stack) -> tuple:
+    """:func:`batchnorm`'s output and backward, by normalizing the product
+    ``x @ w (+ b)``; a stacked call has no backward."""
+    m = x.data.shape[-2]
     xhat = x.data @ w.data
     if row_aligned:
         xhat += b.data
@@ -444,7 +483,7 @@ def batchnorm(
     xhat *= inv_std
     y = xhat * gamma.data
     if stack:
-        return Tensor(np.maximum(y + beta.data, 0.0))
+        return np.maximum(y + beta.data, 0.0), None
     y += beta.data
     # the 1-byte mask, taken while y is hot in cache, is cheaper to keep
     # than rereading eight bytes per element in the backward
@@ -468,8 +507,93 @@ def batchnorm(
 
     # rebuilt on request, so no full-size pre-activation stays alive
     bwd.preactivation = lambda: xhat * gamma.data + beta.data
-    parents = (x, w, gamma, beta)
-    return _result(y, parents if b is None else parents + (b,), bwd)
+    return y, bwd
+
+
+def _input_statistics(x: np.ndarray, w: np.ndarray) -> tuple:
+    """The batch statistics of ``x @ w`` from those of the narrow input
+    ``x``: with ``xc = x - mean_x`` and ``cov = xc^T xc / m``, the product
+    has mean ``mean_x @ w`` and variances ``diag(w^T cov w)``.
+
+    Returns ``mean_x``, ``xc``, ``cov @ w``, the variances and whether they
+    are exact enough: per copy of a stacked call, else one flag. The
+    rounding error of each variance is bounded by ``eps * (d_in + 2) *
+    diag(|w|^T |cov| |w|)``. Where inputs are nearly collinear under large
+    weights, ``w^T cov w`` cancels, and the bound grows against the
+    variance. The variances are exact enough when they are finite and
+    every bound is at most ``BN_COV_RTOL * (var + BN_EPS)``, so that it
+    moves each ``1 / sqrt(var + BN_EPS)`` by a relative
+    ``BN_COV_RTOL / 2`` at most."""
+    m, d_in = x.shape[-2:]
+    # column sums as one GEMV each, far faster than sum(axis=-2) over a
+    # few columns; a second pass over the centred input takes out the
+    # rounding error of the first mean, which every row of xc @ w would
+    # carry (the corrected two-pass algorithm; Chan, Golub & LeVeque,
+    # Am. Stat. 1983)
+    ones = np.ones((1, m))
+    mean_x = ones @ x / m
+    xc = x - mean_x
+    shift = ones @ xc / m
+    xc -= shift
+    mean_x += shift
+    cov = np.swapaxes(xc, -1, -2) @ xc
+    cov /= m
+    cov_w = cov @ w
+    var = np.einsum("...ij,...ij->...j", cov_w, w)
+    abs_w = np.abs(w)
+    bound = np.einsum("...ij,...ij->...j", np.abs(cov) @ abs_w, abs_w) * (_EPS_MACH * (d_in + 2))
+    exact = (np.isfinite(var) & (bound <= BN_COV_RTOL * (var + BN_EPS))).all(axis=-1)
+    return mean_x, xc, cov_w, var, exact
+
+
+def _batchnorm_from_covariance(x, gamma, beta, state, w, b, stack, stats) -> tuple:
+    """:func:`batchnorm`'s output and backward for a widening layer, from
+    the statistics of its input (see :func:`_input_statistics`):
+    ``y = relu(xc @ (w * a) + beta)`` with ``a = gamma * inv_std``, one
+    GEMM and three passes over the wide output. The backward keeps ``xc``
+    (rows, d_in) and the relu mask, no (rows, d) floats beyond ``y``."""
+    mean_x, xc, cov_w, var, _ = stats
+    m = x.data.shape[-2]
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    if stack:
+        inv_std = inv_std[..., None, :]
+    else:
+        batch_mean = (mean_x @ w.data)[0]
+        if b is not None:
+            batch_mean = batch_mean + b.data
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+    scale = gamma.data * inv_std
+    w_scaled = w.data * scale
+    y = xc @ w_scaled
+    if stack:
+        return np.maximum(y + beta.data, 0.0), None
+    y += beta.data
+    mask = y > 0
+    np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
+
+    def bwd(g):
+        # the backward of Ioffe & Szegedy (2015) with xhat = xc @ w * inv_std
+        # never formed: its (rows, d) sums come from the GEMM xc^T gz
+        gz = g * mask
+        sum_g = gz.sum(axis=0)
+        gw = xc.T @ gz
+        sum_gx = inv_std * np.einsum("ij,ij->j", w.data, gw)
+        gw -= cov_w * (inv_std * sum_gx)
+        gw *= scale
+        grads = [(w, gw), (gamma, sum_gx), (beta, sum_g)]
+        if x.requires_grad:
+            proj = (w.data * (scale * inv_std * sum_gx / m)) @ w.data.T
+            gx = gz @ w_scaled.T
+            gx -= xc @ proj
+            gx -= w.data @ (scale * sum_g / m)
+            grads.insert(0, (x, gx))
+        if b is not None:
+            grads.append((b, np.zeros(b.data.shape)))
+        return grads
+
+    bwd.preactivation = lambda: xc @ w_scaled + beta.data
+    return y, bwd
 
 
 def pair_aggregate(a: Tensor, b: Tensor) -> Tensor:

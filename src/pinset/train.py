@@ -218,9 +218,8 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
         totals += np.bincount(labels, minlength=classes)
         correct += np.bincount(labels[pred == labels], minlength=classes)
     accuracy = float(correct.sum()) / batch.size
-    per_class = [
-        float(correct[c]) / totals[c] if totals[c] else float("nan") for c in range(classes)
-    ]
+    # None for a class without test sets: strict JSON has no NaN
+    per_class = [float(correct[c]) / totals[c] if totals[c] else None for c in range(classes)]
     return {
         "accuracy": accuracy,
         "error_rate": 1.0 - accuracy,

@@ -57,7 +57,9 @@ class PropertyResult:
         return self.failures == 0
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        # strict JSON has no NaN or infinity: such a worst is written as text
+        finite = self.worst is None or np.isfinite(self.worst)
+        return {**asdict(self), "worst": self.worst if finite else str(self.worst), "passed": self.passed}
 
 
 @dataclass
@@ -639,7 +641,7 @@ def run_suites(names, seed: int) -> list[SuiteResult]:
 
 def report_json(results: list[SuiteResult], seed: int) -> str:
     report = {"seed": seed, "passed": all(r.passed for r in results), "suites": [r.as_dict() for r in results]}
-    return json.dumps(report, indent=2)
+    return json.dumps(report, indent=2, allow_nan=False)
 
 
 def format_property_line(suite: str, prop: PropertyResult) -> str:

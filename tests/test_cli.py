@@ -530,6 +530,19 @@ class TestDamagedCheckpointExits2:
         assert "not a checkpoint (magic b'hell')" in eval_damaged(b"hello, world\n")
 
 
+def test_checkpoint_whose_model_gives_a_non_finite_loss_exits_2(quadrant_config, tmp_path, capsys):
+    model = models.build_model(models.quadrant_config(), RngState(0))
+    model.parameters()["agg1.mlp1.layer0.weight"].data[0, 0] = np.nan
+    path = tmp_path / "nan.dmpp"
+    save_checkpoint(path, model)
+    argv = ["eval", "--config", quadrant_config, "--out", str(tmp_path), "--set", f"eval.checkpoint={path}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and "non-finite loss nan" in lines[0], lines
+    assert captured.out == ""
+
+
 class TestVerifyCommand:
     def test_mdd_suite_passes(self, tmp_path, capsys):
         code = main(["verify", "--suite", "mdd", "--seed", "0", "--out", str(tmp_path)])
@@ -564,6 +577,17 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify.decomp, "mdd_solve", corrupted)
         assert not verify.run_mdd(0).passed
+
+    def test_a_non_finite_worst_is_written_as_text(self, monkeypatch, tmp_path, capsys):
+        # strict JSON has no NaN: the report stays readable by any parser
+        def run_mdd(seed):
+            nan = verify.PropertyResult("nan_worst", trials=1, failures=1, worst=float("nan"))
+            return verify.SuiteResult("mdd", seed, [nan])
+
+        monkeypatch.setitem(verify._RUNNERS, "mdd", run_mdd)
+        assert main(["verify", "--suite", "mdd", "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text(), parse_constant=float)
+        assert report["suites"][0]["properties"][0]["worst"] == "nan"
 
 
 class TestDecomposeCommand:
@@ -639,6 +663,29 @@ class TestDecomposeCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error: cp_decompose needs "), lines
         assert not out.exists()
+
+    def test_decomposition_that_overflows_is_one_data_error(self, tmp_path, capsys):
+        # finite entries whose factors overflow float64: no NaN reaches a report
+        src = tmp_path / "t.txt"
+        src.write_text("tensor v1 2 2 2\n1.7e308 -1.7e308 -1.7e308 1.7e308\n")
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: cp_decompose needs "), lines
+        assert "overflow" in lines[0]
+        assert not out.exists()
+
+    def test_entries_near_the_float64_limit_give_a_finite_error(self, tmp_path, capsys):
+        # the squares in the error's norms would overflow unscaled
+        src = tmp_path / "t.txt"
+        src.write_text("tensor v1 2 2 2\n1e308 -1e308 -1e308 1e308\n")
+        assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(tmp_path)]) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in a strict JSON report")
+
+        report = json.loads((tmp_path / "t.decompose.json").read_text(), parse_constant=refuse)
+        assert report["reconstruction_relative_error"] < 1e-12
 
     @pytest.mark.parametrize(
         "text",

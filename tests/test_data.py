@@ -12,11 +12,22 @@ from pinset.data import (
     load_mnist_idx,
     make_synthetic_task,
     pixel_set_batch,
-    pixel_set_to_image,
     quadrant_majority_label,
     write_idx,
 )
 from pinset.rng import RngState
+
+
+def _pixel_set_to_image(elements: np.ndarray) -> np.ndarray:
+    """Invert the pixel-set mapping of one square ``(N, 3)`` set; exact for
+    byte-valued inputs."""
+    w = int(round(np.sqrt(elements.shape[0])))
+    assert w * w == elements.shape[0]
+    img = np.zeros((w, w))
+    cols = np.rint((elements[:, 0] + 1.0) * (w - 1) / 2.0).astype(int)
+    rows = np.rint((elements[:, 1] + 1.0) * (w - 1) / 2.0).astype(int)
+    img[rows, cols] = np.rint(elements[:, 2] * 255.0)
+    return img
 
 
 @pytest.fixture
@@ -121,7 +132,7 @@ class TestPixelSets:
         gen = RngState(3).generator()
         img = gen.integers(0, 256, size=(28, 28), dtype=np.uint8)
         elements = _one_set(img, rng=RngState(4))  # shuffled
-        np.testing.assert_array_equal(pixel_set_to_image(elements), img)
+        np.testing.assert_array_equal(_pixel_set_to_image(elements), img)
 
     def test_shuffle_is_seeded(self):
         img = RngState(5).generator().integers(0, 256, size=(8, 8), dtype=np.uint8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinset.rng import ALGORITHM, RngState
+from pinset.rng import RngState
 
 
 def test_identical_seed_identical_stream():
@@ -34,7 +34,6 @@ def test_string_and_int_tags_are_stable():
 def test_known_stream_values_pinned():
     # guards against silent algorithm changes; the stream identity is part
     # of the reproducibility contract
-    assert ALGORITHM == "pcg64"
     got = RngState(0).generator().random(3)
     expected = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=0, spawn_key=()))

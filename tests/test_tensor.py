@@ -365,6 +365,139 @@ class TestBatchnormFused:
             batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=Tensor(np.ones((8, 5))))
 
 
+def _near_constant_column_draw():
+    """The draw of ``test_batchnorm_gradients_with_near_constant_column``:
+    a column of ``x @ w`` with std 1e-3."""
+    gen = RngState(77).generator()
+    x = gen.uniform(-1, 1, size=(64, 4))
+    w = gen.uniform(-1, 1, size=(4, 5))
+    w[:, 2] *= 1e-3 / (x @ w[:, 2]).std()
+    return x, w, gen
+
+
+def _collinear_draw():
+    """Nearly collinear inputs under a large weight column: x1 = x0 +
+    1e-6 noise and a column 1000 (e0 - e1), whose w^T cov w cancels."""
+    gen = RngState(88).generator()
+    x = gen.uniform(-1, 1, size=(64, 3))
+    x[:, 1] = x[:, 0] + 1e-6 * gen.uniform(-1, 1, size=64)
+    w = gen.uniform(-1, 1, size=(3, 6))
+    w[:, 0] = [1000.0, -1000.0, 0.0]
+    return x, w, gen
+
+
+class TestBatchnormWidening:
+    """A layer that widens (d_in < d) is computed from the input's mean
+    and covariance; against the unfused reference it gives the same
+    values, and its guard runs the direct formula where ``w^T cov w``
+    cancels."""
+
+    @staticmethod
+    def _widening(seed, rows, d_in, d, offset):
+        # relu'd, offset inputs as a hidden layer sees them, or raw ones
+        gen = RngState(seed).generator()
+        x = gen.uniform(-1, 1, size=(rows, d_in))
+        if offset:
+            x = np.maximum(x, 0.0) + offset
+        return x, gen.uniform(-1, 1, size=(d_in, d)) / np.sqrt(d_in), gen
+
+    def _operands(self, case):
+        if case == "near-constant":
+            return _near_constant_column_draw()
+        if case == "collinear":
+            return _collinear_draw()
+        rows, d_in, d, offset = case
+        return self._widening(sum(case[:3]), rows, d_in, d, offset)
+
+    @staticmethod
+    def _assert_close(got, want, name=""):
+        # relative to the array's largest entry: outputs near the relu kink
+        # and gradients near zero are differences of larger terms
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"{name}: relative error {err:.2e}"
+
+    def _check(self, case, use_bias, monkeypatch, path):
+        """Output, gradients and running statistics against the reference,
+        with the path the op must take asserted."""
+        x0, w0, gen = self._operands(case)
+        rows, d = x0.shape[0], w0.shape[1]
+        gamma0, beta0 = gen.uniform(0.5, 1.5, size=d), gen.uniform(-0.5, 0.5, size=d)
+        b0 = gen.uniform(-1, 1, size=d) if use_bias else None
+        g = gen.uniform(-1, 1, size=(rows, d))
+        assert bool(tensor_mod._input_statistics(x0, w0)[-1]) == (path == "covariance")
+        taken = []
+        direct = tensor_mod._batchnorm_direct
+        monkeypatch.setattr(tensor_mod, "_batchnorm_direct", lambda *a: taken.append(1) or direct(*a))
+
+        x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, gamma0, beta0))
+        b = None if b0 is None else Tensor(b0, requires_grad=True)
+        state = BatchNormState(d)
+        out = batchnorm(x, gamma, beta, state, w=w, b=b)
+        assert bool(taken) == (path == "direct")
+        want, mean, var, want_grads = _bn_layer_reference(x0, w0, None, gamma0, beta0, g)
+        assert np.any(out.data == 0) and np.any(out.data > 0)
+        self._assert_close(out.data, want, "y")
+        batch_mean = mean if b0 is None else mean + b0
+        self._assert_close(state.mean, BN_MOMENTUM * batch_mean, "running mean")
+        self._assert_close(state.var, (1.0 - BN_MOMENTUM) + BN_MOMENTUM * var, "running var")
+        got = backward(sum_all(mul(out, Tensor(g))))
+        for name, t in {"x": x, "w": w, "gamma": gamma, "beta": beta}.items():
+            self._assert_close(got[t], want_grads[name], name)
+        if use_bias:
+            assert np.array_equal(got[b], np.zeros(d))
+
+    @pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias-row"])
+    @pytest.mark.parametrize(
+        "case",
+        ["near-constant", (96, 3, 16, 0.0), (128, 8, 24, 0.3), (160, 2, 16, 5.0)],
+        ids=["near-constant-column", "raw-3-16", "hidden-8-24", "offset-2-16"],
+    )
+    def test_matches_unfused_reference(self, case, use_bias, monkeypatch):
+        self._check(case, use_bias, monkeypatch, "covariance")
+
+    def test_collinear_inputs_under_large_weights_take_the_direct_formula(self, monkeypatch):
+        # from the covariance, this column's variance is off by about
+        # 3.5e-6 relative; the guard's bound sees the cancellation
+        self._check("collinear", False, monkeypatch, "direct")
+
+    def test_preactivation_is_positive_exactly_where_the_output_is(self):
+        x, w, gen = self._widening(90, 96, 8, 24, 0.3)
+        gamma, beta = gen.uniform(0.5, 1.5, size=24), gen.uniform(-0.5, 0.5, size=24)
+        params = [Tensor(a, requires_grad=True) for a in (x, w, gamma, beta)]
+        out = batchnorm(params[0], params[2], params[3], BatchNormState(24), w=params[1])
+        pre = out._backward.preactivation()
+        assert np.array_equal(pre > 0, out.data > 0)
+        assert np.array_equal(np.maximum(pre, 0.0), out.data)
+
+    def test_backward_leaves_its_operands_and_gradient_byte_identical(self):
+        x, w, gen = self._widening(91, 96, 8, 24, 0.3)
+        gamma, beta, b = (gen.uniform(-1, 1, size=24) for _ in range(3))
+        g = gen.uniform(-1, 1, size=(96, 24))
+        arrays = (x, w, gamma, beta, b, g)
+        before = [a.tobytes() for a in arrays]
+        params = [Tensor(a, requires_grad=True) for a in (x, w, gamma, beta, b)]
+        out = batchnorm(params[0], params[2], params[3], BatchNormState(24), w=params[1], b=params[4])
+        grads = out._backward(g)
+        out._backward.preactivation()
+        assert [t.shape for _, t in grads] == [(96, 8), (8, 24), (24,), (24,), (24,)]
+        assert all(p.data is a for p, a in zip(params, arrays))
+        assert [a.tobytes() for a in arrays] == before
+
+    def test_a_stacked_call_chooses_the_formula_per_copy(self):
+        # copy 0 is collinear, so the guard sends it to the direct formula;
+        # copy 1 is not; each copy keeps the bits of its plain call
+        x0, w, gen = _collinear_draw()
+        x1 = gen.uniform(-1, 1, size=x0.shape)
+        exact = tensor_mod._input_statistics(np.stack([x0, x1]), w)[-1]
+        assert exact.tolist() == [False, True]
+        gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=6)), Tensor(gen.uniform(-0.5, 0.5, size=6))
+        with no_grad():
+            out = batchnorm(Tensor(np.stack([x0, x1])), gamma, beta, BatchNormState(6), w=Tensor(w)).data
+        for k, xk in enumerate((x0, x1)):
+            plain = batchnorm(Tensor(xk), gamma, beta, BatchNormState(6), w=Tensor(w))
+            assert np.array_equal(out[k], plain.data), k
+
+
 class TestNoGrad:
     def _operands(self):
         gen = RngState(50).generator()

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import os
 import struct
 import subprocess
@@ -334,6 +335,17 @@ class TestEvaluate:
         assert metrics["error_rate"] == 0.9
         assert metrics["per_class_accuracy"][0] == 1.0
         assert metrics["per_class_accuracy"][1] == 0.0
+
+    def test_class_without_test_sets_has_no_accuracy(self):
+        # None, not NaN, so that `pinset eval` prints strict JSON
+        from pinset.models import digits_config
+
+        gen = RngState(12).generator()
+        batch = SetBatch(sets=gen.uniform(-1, 1, size=(4, 32, 3)), labels=np.array([0, 1, 1, 3]))
+        metrics = evaluate(build_model(digits_config(), RngState(11)), batch)
+        per_class = metrics["per_class_accuracy"]
+        assert [c for c, v in enumerate(per_class) if v is None] == [2, 4, 5, 6, 7, 8, 9]
+        json.dumps(metrics, allow_nan=False)
 
     def test_perfect_oracle_stub(self):
         class Oracle:
