@@ -22,6 +22,7 @@ from .tensor import (
     add,
     affine,
     batchnorm,
+    column_major,
     dropout,
     matmul,
     mul,
@@ -167,6 +168,17 @@ def _dense(
     return affine(h, w, b, relu=relu)
 
 
+def _column_rows(x: Tensor) -> Tensor:
+    """Rows that are raw data (no gradient, so not on the tape) made
+    column-major, as every activation is held (see :mod:`pinset.tensor`),
+    once where they enter the model; a tensor that needs a gradient or
+    is column-major already is ``x``."""
+    if x.requires_grad:
+        return x
+    data = column_major(x.data)
+    return x if data is x.data else Tensor(data)
+
+
 class Mlp(Block):
     """An MlpSpec bound to parameters, applied row-wise to stacked sets."""
 
@@ -188,7 +200,9 @@ class Mlp(Block):
         each block of ``set_size`` rows as one set; without ``set_size``,
         all the rows are one set. Only the trailing (rows, width) axes are
         read, so a leading stack axis of the input or of the parameters
-        (see :func:`pinset.tensor._check_stack`) passes through."""
+        (see :func:`pinset.tensor._check_stack`) passes through. Rows
+        read fastest column-major; the callers that hold raw rows convert
+        them once (see :func:`_column_rows`)."""
         if x.data.ndim < 2 or x.data.shape[-1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
@@ -262,7 +276,7 @@ def aggregate(
     if x.data.ndim != 3:
         raise ValueError(f"expected a batch of sets (B, N, p), got shape {x.data.shape}")
     b, n, p = x.data.shape
-    return _aggregate_rows(block, reshape(x, (b * n, p)), n, mode, gen)
+    return _aggregate_rows(block, _column_rows(reshape(x, (b * n, p))), n, mode, gen)
 
 
 def _aggregate_rows(
@@ -319,6 +333,7 @@ def aggregate_order_n(mlps: list[Mlp], x: Tensor, mode: str = "eval") -> Tensor:
             raise ValueError(
                 f"{softmax_count} set-softmax outputs at order {n_order}; at most one is usable"
             )
+    x = _column_rows(x)
     outs = [m.forward(x, mode) for m in mlps]
     return sum_product(outs)
 
@@ -389,7 +404,7 @@ def per_element_contribution(block: AggregationBlock, elements: np.ndarray) -> n
             "per-element decomposition is invalid with set-softmax activations: "
             "they couple rows across the set"
         )
-    x = Tensor(np.asarray(elements, dtype=np.float64))
+    x = _column_rows(Tensor(np.asarray(elements, dtype=np.float64)))
     h1 = block.mlp1.forward(x, "eval").data
     h2 = block.mlp2.forward(x, "eval").data
     return h1[:, :, None] * h2[:, None, :]

@@ -210,7 +210,14 @@ def _load_split(cfg: dict, seed: int, split: str) -> SetBatch:
             seed=seed,
             margin=cfg["data.margin"],
         )
-        train_batch, test_batch = make_synthetic_task(spec)
+        try:
+            train_batch, test_batch = make_synthetic_task(spec)
+        except MemoryError as exc:
+            raise ConfigError(
+                f"{size_key} = {size} sets of data.set_size = {spec.set_size} points "
+                f"cannot be allocated: {exc}",
+                key="data.set_size",
+            ) from exc
         return train_batch if split == "train" else test_batch
 
     paths = (f"data.{split}_images", f"data.{split}_labels")
@@ -402,8 +409,17 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a rejected command line is one config error
+    (exit 1) instead of usage lines and exit 2, which here means a data
+    error. Subparsers are made of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {' '.join(message.split())}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pinset", description=__doc__)
+    parser = _Parser(prog="pinset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -459,14 +475,14 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if not 0 <= args.seed < 2**64:
-        print("error: --seed must fit in u64", file=sys.stderr)
-        return EXIT_CONFIG
     with warnings.catch_warnings():
         # one line per warning; the filters, once per location by default, stay
         warnings.showwarning = _print_warning
         try:
+            args = _build_parser().parse_args(argv)
+            if not 0 <= args.seed < 2**64:
+                print("error: --seed must fit in u64", file=sys.stderr)
+                return EXIT_CONFIG
             _check_out_dir(args.out)
             return _COMMANDS[args.command](args)
         except ConfigError as exc:

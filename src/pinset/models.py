@@ -21,6 +21,7 @@ from .blocks import (
     MlpSpec,
     Named,
     _aggregate_rows,
+    _column_rows,
     aggregate,
     broadcast_batched,
 )
@@ -120,7 +121,7 @@ class Model(Block):
         b, n, p = x.data.shape
         feature = aggregate(self.agg1, x, mode, gen)
         if self.broadcast_layers:
-            z = reshape(x, (b * n, p))
+            z = _column_rows(reshape(x, (b * n, p)))
             for block in self.broadcast_layers:
                 z = broadcast_batched(block, z, feature, n, mode)
             feature = _aggregate_rows(self.agg2, z, n, mode, gen)

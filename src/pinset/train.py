@@ -189,13 +189,16 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     the broadcast blocks, ``agg2``) in blocks of whole sets of about
     :data:`EVAL_BLOCK_ROWS` rows, so the layers' activations stay in
     cache. Eval mode folds every batchnorm into its layer, so a set's
-    feature depends only on its own rows, and the presets' element GEMMs
-    give the same bits for any split of their rows. The head runs once on
-    the whole chunk: its GEMMs (1024->256, 512->10, 64->4) are not
-    row-partition invariant in OpenBLAS, so blocking them would change
-    the logits. Nor are GEMMs of at most four output columns (128->2,
-    128->4 and 64->4 measured): a custom model with such an element width
-    may evaluate to other last bits than one forward of the whole chunk,
+    feature depends only on its own rows, and by the tail rule of
+    ``tensor._product`` each row of an element product has the same bits
+    for any split of the rows. The head runs once on the whole chunk: its
+    logit layers (512->10, 256->10, 64->4) have narrow outputs, which at
+    a chunk's few rows are not row-partition invariant in OpenBLAS, so
+    blocking them would change the logits. Nor is an element layer with
+    one output column, which runs on GEMV (measured for 2 to 256 inputs
+    and 1 to 16 or 32 outputs, on blocks of 84 rows or more: only one
+    column differs): a custom model with such an element width may
+    evaluate to other last bits than one forward of the whole chunk,
     still deterministically. No preset has one. The loss is taken once
     per chunk.
     """

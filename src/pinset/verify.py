@@ -12,6 +12,7 @@ Suites are deterministic given the master seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import warnings
@@ -26,6 +27,7 @@ from .blocks import (
     AggregationSpec,
     Mlp,
     MlpSpec,
+    _column_rows,
     _join,
     aggregate,
     per_element_contribution,
@@ -77,14 +79,19 @@ class SuiteResult:
         return {"suite": self.suite, "seed": self.seed, "passed": self.passed, "properties": properties}
 
 
+def _worse(worst: float, value: float) -> float:
+    """The larger of two values, NaN once either is NaN."""
+    return value if np.isnan(value) or value > worst else worst
+
+
 def _within_tolerance(name: str, values: list[float], tol: float, detail: str) -> PropertyResult:
-    """A property whose trial fails when its value exceeds ``tol``; the
-    worst trial is the largest value."""
+    """A property whose trial fails unless its value is at most ``tol``;
+    the worst trial is the largest value, or NaN if any is NaN."""
     return PropertyResult(
         name=name,
         trials=len(values),
-        failures=sum(v > tol for v in values),
-        worst=max(values),
+        failures=sum(not v <= tol for v in values),  # NaN fails
+        worst=functools.reduce(_worse, values),
         detail=detail,
     )
 
@@ -189,7 +196,7 @@ def run_mdd(seed: int) -> SuiteResult:
         for _ in range(lambdas):
             lam = gen.standard_normal((l - m, n))
             c = decomp.sample_solution(sol, lam)
-            worst_resid = max(worst_resid, np.linalg.norm(b @ c - a) / denom)
+            worst_resid = _worse(worst_resid, np.linalg.norm(b @ c - a) / denom)
         kernel_ok = sol.kernel_basis.shape == (l, l - m)
         annihilation = float(
             np.max(np.abs(b @ sol.kernel_basis)) if l > m else 0.0
@@ -271,8 +278,8 @@ def run_cp(seed: int) -> SuiteResult:
                 pass
         recon = decomp.reconstruct_cp(factors)
         err = float(np.linalg.norm(recon - t) / np.linalg.norm(t))
-        recon_worst = max(recon_worst, err)
-        recon_fail += err >= 1e-6
+        recon_worst = _worse(recon_worst, err)
+        recon_fail += not err < 1e-6
 
         # flattened Vandermonde rank; conditions of real-node Vandermonde
         # matrices force the tighter tolerance beyond 16 columns
@@ -346,14 +353,14 @@ def run_rankstab(seed: int) -> SuiteResult:
             name="perturb_reaches_full_rank",
             trials=deficient_trials,
             failures=sum(not ok for ok, _ in rows),
-            worst=max(norms),
+            worst=functools.reduce(_worse, norms),
             detail="identity-block perturbation restores full rank, epsilon 1e-3",
         ),
         PropertyResult(
             name="perturbation_inside_ball",
             trials=deficient_trials,
-            failures=sum(nrm >= 1e-3 for nrm in norms),
-            worst=max(norms),
+            failures=sum(not nrm < 1e-3 for nrm in norms),
+            worst=functools.reduce(_worse, norms),
             detail="||delta||_F stays strictly below epsilon",
         ),
         PropertyResult(
@@ -420,7 +427,7 @@ def _probe_losses(model, sets, labels) -> dict:
     reads them."""
     agg = model.agg1
     b, n, p = sets.shape
-    flat = Tensor(np.asarray(sets, dtype=np.float64).reshape(b * n, p))
+    flat = _column_rows(Tensor(np.asarray(sets, dtype=np.float64).reshape(b * n, p)))
 
     def run(mlp: Mlp) -> Tensor:
         return mlp.forward(flat, "train", set_size=n)
@@ -492,8 +499,8 @@ def run_gradcheck(seed: int) -> SuiteResult:
         for name, p in params.items():
             fd = stacked_finite_difference_gradient(losses[name], p.data, h=step)
             err = relative_error(grad_map[p], fd)
-            worst = max(worst, err)
-            failures += err >= 1e-4
+            worst = _worse(worst, err)
+            failures += not err < 1e-4
             # a floor far above the FD error (about 2e-10), and a slope that
             # a 1e-3 scale error of any tensor with a real gradient exceeds
             bound = 1e-8 + 1e-6 * float(np.max(np.abs(fd)))

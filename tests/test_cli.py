@@ -201,6 +201,49 @@ def _one_config_error(capsys) -> str:
     return lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--seed", "abc"], "pinset train: argument --seed: invalid int value: 'abc'"),
+        (["decompose", "--components", "two"], "pinset decompose: argument --components: invalid int value"),
+        (["params", "--bogus"], "pinset: unrecognized arguments: --bogus"),
+        (["nope"], "pinset: argument command: invalid choice: 'nope'"),
+        ([], "pinset: the following arguments are required: command"),
+    ],
+    ids=["seed", "components", "unknown-flag", "command", "no-command"],
+)
+def test_a_rejected_command_line_is_one_config_error(argv, message, capsys):
+    # argparse would print usage lines and exit 2, which means a data error;
+    # TestVerifyCommand checks an unknown --suite
+    assert main(argv) == 1
+    assert _one_config_error(capsys).startswith(f"config error: {message}")
+
+
+def test_unallocatable_set_size_is_one_config_error(tmp_path):
+    # 2000 sets of 1e11 points would be 2.84 PiB; the child runs under a
+    # 1 GiB address-space cap, so the test never allocates much
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    config = tmp_path / "run.cfg"
+    config.write_text(QUADRANT_PRESET_CFG.replace("data.train_size = 32", "data.train_size = 2000"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = ["train", "--config", str(config), "--set", "data.set_size=100000000000"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pinset.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, preexec_fn=cap,
+    )
+    lines = result.stderr.strip().splitlines()
+    assert result.returncode == 1, result.stderr
+    assert len(lines) == 1 and lines[0].startswith(
+        "config error: data.train_size = 2000 sets of data.set_size = 100000000000 points cannot be allocated"
+    ), lines
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigErrorsAreOneLine:
     def test_unknown_aggregation_activation(self, quadrant_config, tmp_path, capsys):
         argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "o")]
@@ -551,9 +594,10 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert all(p["trials"] >= 200 for s in report["suites"] for p in s["properties"][:1])
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "--suite", "nonsense"])
+    def test_unknown_suite_rejected(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path)]) == 1
+        assert "argument --suite: invalid choice: 'nonsense'" in _one_config_error(capsys)
+        assert not (tmp_path / "verify_report.json").exists()
 
     def test_unreadable_config_is_one_config_error(self, tmp_path, capsys):
         argv = ["verify", "--suite", "mdd", "--out", str(tmp_path), "--config", str(tmp_path / "none.cfg")]

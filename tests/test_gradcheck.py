@@ -504,8 +504,8 @@ def test_gradcheck_worst_values_at_seed_0():
     # the exact values at seed 0: a change in any op's last bits moves them
     fd, scaled = verify.run_gradcheck(0).properties
     assert (fd.trials, fd.failures, scaled.trials, scaled.failures) == (180, 0, 180, 0)
-    assert fd.worst == 1.8194886743094774e-10
-    assert scaled.worst == 0.007771567096774878
+    assert fd.worst == 1.9672475020521274e-10
+    assert scaled.worst == 0.005551119255647222
 
 
 def test_a_probe_puts_the_array_back_when_the_forward_raises(monkeypatch):
@@ -570,3 +570,26 @@ def test_scaled_gradient_rule_catches_small_errors(monkeypatch, target, corrupt)
     prop = verify.run_gradcheck(0).properties[1]
     assert prop.name == "parameter_gradients_match_fd_scaled"
     assert prop.trials == 180 and prop.failures == 10
+
+
+def test_a_nan_gradient_fails_the_gradient_check(monkeypatch):
+    # negative control: one NaN entry in one tensor's analytic gradient
+    # fails every batch, and the worst value reports it
+    def with_nan(g):
+        g = g.copy()
+        g.flat[0] = np.nan
+        return g
+
+    _corrupt_gradient(monkeypatch, "head.layer0.weight", with_nan)
+    for prop in verify.run_gradcheck(0).properties:
+        assert prop.trials == 180 and prop.failures == 10, prop.name
+        assert np.isnan(prop.worst), prop.name
+        assert not prop.passed
+
+
+@pytest.mark.parametrize("values", [[0.1, np.nan], [np.nan, 0.1], [np.nan]])
+def test_a_nan_trial_fails_a_tolerance(values):
+    prop = verify._within_tolerance("x", values, 1.0, "")
+    assert prop.failures == 1 and not prop.passed
+    assert np.isnan(prop.worst)
+    assert prop.as_dict()["worst"] == "nan"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import struct
@@ -24,8 +25,10 @@ from pinset.models import (
     point_ablation_config,
     quadrant_config,
 )
+from pinset import tensor as tensor_mod
+from pinset import train as train_mod
 from pinset.rng import RngState
-from pinset.tensor import Tensor, _reachable, softmax_cross_entropy
+from pinset.tensor import Tensor, _reachable, backward, no_grad, softmax_cross_entropy
 from pinset.train import OptimizerState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 # published totals (in thousands) for the factorization sweep
@@ -404,3 +407,44 @@ def test_train_step_tape_nodes_by_op(config, total, reshapes):
     loss = softmax_cross_entropy(model.forward(sets, "train", gen), gen.integers(0, cfg.class_count, size=2))
     ops = [_op(n) for n in _reachable(loss) if n._backward is not None]
     assert (len(ops), ops.count("reshape")) == (total, reshapes), sorted(ops)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_element_array_is_column_major(preset, monkeypatch):
+    # one train step and one blocked eval chunk: every (rows, width) array
+    # an op makes from the elements, and every gradient the train step's
+    # backward hands on for one, keeps the rows of each column contiguous.
+    # The raw sets' flattening is a reshape, a view that the model copies
+    # column-major once, so reshape outputs are left out
+    b, n = 3, 33
+    made = []
+    result = tensor_mod._result
+
+    def recording(data, parents, backward_fn):
+        if "reshape" not in backward_fn.__qualname__:
+            made.append(data)
+        return result(data, parents, backward_fn)
+
+    monkeypatch.setattr(tensor_mod, "_result", recording)
+    monkeypatch.setattr(train_mod, "EVAL_BLOCK_ROWS", 2 * n)  # two blocks of whole sets
+    cfg = PRESETS[preset]()
+    model = build_model(cfg, RngState(7))
+    gen = RngState(8).generator()
+    sets = gen.uniform(-1, 1, size=(b, n, cfg.input_width))
+    loss = softmax_cross_entropy(model.forward(sets, "train", gen), gen.integers(0, cfg.class_count, size=b))
+    handed_on = []
+
+    def keeping(g, own):
+        contributions = list(own(g))
+        handed_on.extend(grad for _, grad in contributions)
+        return contributions
+
+    for node in _reachable(loss):
+        if node._backward is not None:
+            node._backward = functools.partial(keeping, own=node._backward)
+    backward(loss, list(model.parameters().values()))
+    with no_grad():
+        train_mod._chunk_logits(model, sets)
+    element = [a for a in made + handed_on if a.ndim == 2 and a.shape[0] % n == 0]
+    assert len(element) > 10
+    assert all(a.mT.flags.c_contiguous for a in element), [(a.shape, a.strides) for a in element]

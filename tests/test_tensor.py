@@ -59,6 +59,60 @@ class TestMatmul:
             assert np.max(np.abs(left - right)) < 1e-10
 
 
+def _is_column_major(a: np.ndarray) -> bool:
+    # the rows of each (rows, width) matrix in the trailing axes contiguous
+    return a.mT.flags.c_contiguous
+
+
+def _preset_element_shapes() -> list[tuple[int, int]]:
+    """(d_in, d) of every per-element product in the presets with at least
+    16 output columns: each element layer's forward and its input
+    gradient's."""
+    from pinset.models import PRESETS, build_model
+
+    shapes = set()
+    for make in PRESETS.values():
+        model = build_model(make(), RngState(0))
+        aggregations = [b for b in (model.agg1, model.agg2) if b is not None]
+        for mlp in [m for b in aggregations for m in (b.mlp1, b.mlp2)]:
+            shapes |= {layer.weight.data.shape for layer in mlp.layers}
+        shapes |= {block.w_x.data.shape for block in model.broadcast_layers}
+    return sorted({s for a, b in shapes for s in ((a, b), (b, a)) if s[1] >= 16})
+
+
+class TestProduct:
+    ROWS = [*range(1, 41), *(196 * k for k in (1, 2, 3, 4, 5, 7, 8, 16, 21, 22)), 6272]
+
+    @pytest.mark.parametrize("shape", _preset_element_shapes(), ids=str)
+    def test_same_bits_as_numpy_and_column_major(self, shape):
+        d_in, d = shape
+        gen = RngState(100).child(*shape).generator()
+        w = gen.uniform(-1, 1, size=shape)
+        x = gen.uniform(-1, 1, size=(max(self.ROWS), d_in))
+        for m in self.ROWS:
+            want = x[:m] @ w
+            for rows in (x[:m], np.asfortranarray(x[:m])):
+                got = tensor_mod._product(rows, w)
+                assert _is_column_major(got), (m, rows.flags.f_contiguous)
+                assert np.array_equal(got, want), (m, rows.flags.f_contiguous)
+
+    def test_the_presets_have_wide_element_shapes(self):
+        # every preset's element widths reach the bit-for-bit rule above
+        assert {(3, 64), (64, 128), (128, 32), (3, 256), (256, 256), (256, 64), (2, 16)} <= set(
+            _preset_element_shapes()
+        )
+
+    def test_a_stack_lays_out_each_copy_as_its_plain_call(self):
+        gen = RngState(101).generator()
+        x = tensor_mod.column_major(gen.uniform(-1, 1, size=(3, 203, 64)))
+        w = gen.uniform(-1, 1, size=(3, 64, 128))
+        got = tensor_mod._product(x, w)
+        for k in range(3):
+            plain = tensor_mod._product(x[k], w[k])
+            assert _is_column_major(got[k]) and got[k].strides == plain.strides
+            assert np.array_equal(got[k], plain)
+
+
 class TestAffine:
     def _operands(self, seed):
         gen = RngState(seed).generator()
