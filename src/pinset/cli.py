@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -252,6 +253,18 @@ def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
             )
 
 
+@contextlib.contextmanager
+def _activations_fit(cfg: dict, *keys: str):
+    """Makes a MemoryError in the body one config error that names the
+    keys that size the activations: the task's set-size key and ``keys``."""
+    set_key = "data.set_size" if cfg["task"] == "quadrant" else "data.downsample"
+    try:
+        yield
+    except MemoryError as exc:
+        sizes = ", ".join(f"{key} = {cfg[key]}" for key in (set_key, *keys))
+        raise ConfigError(f"the activations for {sizes} cannot be allocated: {exc}", key=set_key) from exc
+
+
 def cmd_train(args) -> int:
     raw = _raw_config(args)
     cfg = validate(raw, TRAIN_SCHEMA)
@@ -270,7 +283,8 @@ def cmd_train(args) -> int:
     rng = RngState(args.seed)
     model = build_model(model_config, rng.child("model"))
     os.makedirs(args.out, exist_ok=True)
-    history = train(model, train_batch, test_batch, train_cfg, rng.child("train"), out_dir=args.out)
+    with _activations_fit(cfg, "train.batch_size"):
+        history = train(model, train_batch, test_batch, train_cfg, rng.child("train"), out_dir=args.out)
     write_metrics(os.path.join(args.out, "metrics.csv"), history)
     final = [row for row in history if row["split"] == "eval"]
     if final:
@@ -289,8 +303,11 @@ def cmd_eval(args) -> int:
     _refuse_other_task_keys(raw, cfg["task"])
     model, _, epoch, _ = load_checkpoint(cfg["eval.checkpoint"])
     test_batch = _load_split(cfg, args.seed, "test")
+    if not test_batch.size:
+        raise ConfigError("data.test_size gives no test sets to evaluate", key="data.test_size")
     _check_data_fits(model.config, test_batch)
-    metrics = evaluate(model, test_batch)
+    with _activations_fit(cfg):
+        metrics = evaluate(model, test_batch)
     if not math.isfinite(metrics["loss"]):
         raise CheckpointError(f"{cfg['eval.checkpoint']}: its model gives a non-finite loss {metrics['loss']}")
     metrics["epoch"] = epoch

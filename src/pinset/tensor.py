@@ -313,8 +313,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     if relu:
         # np.maximum (unlike where) propagates NaN, keeping divergence visible
         np.maximum(y, 0.0, out=y)
-    if stack:
-        return Tensor(y)
 
     def bwd(g):
         if relu:
@@ -467,7 +465,8 @@ def batchnorm(
     covariance (see :func:`_input_statistics`), unless the guard there
     finds the variances too inexact; every other call normalizes the
     ``(rows, d)`` product directly. Both give the same values up to
-    rounding.
+    rounding. The formulas share all but the batch statistics, ``gamma *
+    xhat`` and the gradients of ``x`` and ``w``.
 
     There is no eval mode: ``blocks`` folds the stored statistics into
     the layer's weights and bias and runs ``affine`` instead.
@@ -489,45 +488,20 @@ def batchnorm(
         stats = _input_statistics(x.data, w.data)
         exact = stats[-1]
     if np.all(exact):
-        y, grads = _batchnorm_from_covariance(x, gamma, beta, state, w, b, stack, stats)
+        mean, var, scaled, step = _normalize_from_covariance(x, gamma, w, stats)
+        y = scaled()
     else:
-        y, grads = _batchnorm_direct(x, gamma, beta, state, w, b, row_aligned, stack)
+        mean, var, scaled, step = _normalize_product(x, gamma, w, b if row_aligned else None)
+        y = scaled()
         if stack and np.any(exact):
             # chosen per copy, so that each copy keeps the bits of its plain call
-            widened, _ = _batchnorm_from_covariance(x, gamma, beta, state, w, b, stack, stats)
-            np.copyto(y, widened, where=exact[:, None, None])
+            widened = _normalize_from_covariance(x, gamma, w, stats)[2]
+            np.copyto(y, widened(), where=exact[:, None, None])
     if stack:
-        return Tensor(y)
-
-    def bwd(g):  # batchnorm's own closure, so the node names its op
-        return grads(g)
-
-    bwd.preactivation = grads.preactivation
-    parents = (x, w, gamma, beta)
-    return _result(y, parents if b is None else parents + (b,), bwd)
-
-
-def _batchnorm_direct(x, gamma, beta, state, w, b, row_aligned, stack) -> tuple:
-    """:func:`batchnorm`'s output and backward, by normalizing the product
-    ``x @ w (+ b)``; a stacked call has no backward."""
-    m = x.data.shape[-2]
-    xhat = _product(x.data, w.data)
-    if row_aligned:
-        xhat += b.data
-    mean = xhat.mean(axis=-2, keepdims=True)
-    xhat -= mean
-    var = np.einsum("...ij,...ij->...j", xhat, xhat) / m
-    if stack:
-        var = var[..., None, :]
-    else:
-        batch_mean = mean[0] if b is None or row_aligned else mean[0] + b.data
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std
-    y = xhat * gamma.data
-    if stack:
-        return np.maximum(y + beta.data, 0.0), None
+        return Tensor(np.maximum(y + beta.data, 0.0))
+    batch_mean = mean[0] if b is None or row_aligned else mean[0] + b.data
+    state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
+    state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     y += beta.data
     # the 1-byte mask, taken while y is hot in cache, is cheaper to keep
     # than rereading eight bytes per element in the backward
@@ -535,23 +509,48 @@ def _batchnorm_direct(x, gamma, beta, state, w, b, row_aligned, stack) -> tuple:
     np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
 
     def bwd(g):
-        # Ioffe & Szegedy (2015), in the one array the masking makes:
-        # gz = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat))
         gz = g * mask
         sum_g = gz.sum(axis=0)
+        grads, sum_gx = step(gz, sum_g)
+        grads += [(gamma, sum_gx), (beta, sum_g)]
+        if b is not None:
+            # step left the normalized gradient of the product in gz
+            grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
+        return grads
+
+    # rebuilt on request, so no full-size pre-activation stays alive
+    bwd.preactivation = lambda: scaled() + beta.data
+    parents = (x, w, gamma, beta)
+    return _result(y, parents if b is None else parents + (b,), bwd)
+
+
+def _normalize_product(x, gamma, w, b) -> tuple:
+    """:func:`batchnorm`'s formula that normalizes the product ``x @ w``,
+    plus the row-aligned bias ``b`` when given. Returns the product's batch
+    mean and variances, a function that forms ``gamma * xhat``, and the
+    backward step ``(gz, sum_g) -> (gradients of x and w, sum(gz * xhat))``,
+    which normalizes ``gz`` in place."""
+    m = x.data.shape[-2]
+    xhat = _product(x.data, w.data)
+    if b is not None:
+        xhat += b.data
+    mean = xhat.mean(axis=-2, keepdims=True)
+    xhat -= mean
+    var = np.einsum("...ij,...ij->...j", xhat, xhat) / m
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std[..., None, :]
+
+    def step(gz, sum_g):
+        # Ioffe & Szegedy (2015), in the one array the masking makes:
+        # gz = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat))
         sum_gx = np.einsum("ij,ij->j", gz, xhat)
         scale = gamma.data * inv_std
         gz *= scale
         gz -= scale * sum_g / m
         gz -= xhat * (scale * sum_gx / m)
-        grads = _gemm_grads(x, w, gz) + [(gamma, sum_gx), (beta, sum_g)]
-        if b is not None:
-            grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
-        return grads
+        return _gemm_grads(x, w, gz), sum_gx
 
-    # rebuilt on request, so no full-size pre-activation stays alive
-    bwd.preactivation = lambda: xhat * gamma.data + beta.data
-    return y, bwd
+    return mean, var, lambda: xhat * gamma.data, step
 
 
 def _input_statistics(x: np.ndarray, w: np.ndarray) -> tuple:
@@ -590,54 +589,35 @@ def _input_statistics(x: np.ndarray, w: np.ndarray) -> tuple:
     return mean_x, xc, cov_w, var, exact
 
 
-def _batchnorm_from_covariance(x, gamma, beta, state, w, b, stack, stats) -> tuple:
-    """:func:`batchnorm`'s output and backward for a widening layer, from
-    the statistics of its input (see :func:`_input_statistics`):
-    ``y = relu(xc @ (w * a) + beta)`` with ``a = gamma * inv_std``, one
-    GEMM and three passes over the wide output. The backward keeps ``xc``
-    (rows, d_in) and the relu mask, no (rows, d) floats beyond ``y``."""
+def _normalize_from_covariance(x, gamma, w, stats) -> tuple:
+    """:func:`batchnorm`'s formula for a widening layer, from the
+    statistics of its input (see :func:`_input_statistics`): ``gamma *
+    xhat = xc @ (w * a)`` with ``a = gamma * inv_std``, one GEMM. Returns
+    what :func:`_normalize_product` returns; the backward keeps ``xc``
+    (rows, d_in), no (rows, d) floats."""
     mean_x, xc, cov_w, var, _ = stats
     m = x.data.shape[-2]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    if stack:
-        inv_std = inv_std[..., None, :]
-    else:
-        batch_mean = (mean_x @ w.data)[0]
-        if b is not None:
-            batch_mean = batch_mean + b.data
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
-    scale = gamma.data * inv_std
+    scale = gamma.data * inv_std[..., None, :]  # one row per copy, one for a plain call
     w_scaled = w.data * scale
-    y = _product(xc, w_scaled)
-    if stack:
-        return np.maximum(y + beta.data, 0.0), None
-    y += beta.data
-    mask = y > 0
-    np.maximum(y, 0.0, out=y)  # propagates NaN, unlike where
 
-    def bwd(g):
+    def step(gz, sum_g):
         # the backward of Ioffe & Szegedy (2015) with xhat = xc @ w * inv_std
         # never formed: its (rows, d) sums come from the GEMM xc^T gz
-        gz = g * mask
-        sum_g = gz.sum(axis=0)
         gw = xc.T @ gz
         sum_gx = inv_std * np.einsum("ij,ij->j", w.data, gw)
         gw -= cov_w * (inv_std * sum_gx)
         gw *= scale
-        grads = [(w, gw), (gamma, sum_gx), (beta, sum_g)]
+        grads = [(w, gw)]
         if x.requires_grad:
             proj = (w.data * (scale * inv_std * sum_gx / m)) @ w.data.T
             gx = _product(gz, w_scaled.T)
             gx -= _product(xc, proj)
-            gx -= w.data @ (scale * sum_g / m)
+            gx -= w.data @ (scale[0] * sum_g / m)
             grads.insert(0, (x, gx))
-        if b is not None:
-            grads.append((b, np.zeros(b.data.shape)))
-        return grads
+        return grads, sum_gx
 
-    bwd.preactivation = lambda: _product(xc, w_scaled) + beta.data
-    return y, bwd
+    return mean_x @ w.data, var, lambda: _product(xc, w_scaled), step
 
 
 def pair_aggregate(a: Tensor, b: Tensor) -> Tensor:
@@ -747,8 +727,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     n = logits.data.shape[-2]
     loss = -log_probs[..., np.arange(n), labels].mean(axis=-1)
-    if ndim == 3:
-        return Tensor(loss)
 
     def bwd(g):
         grad = np.exp(log_probs)

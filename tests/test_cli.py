@@ -219,29 +219,73 @@ def test_a_rejected_command_line_is_one_config_error(argv, message, capsys):
     assert _one_config_error(capsys).startswith(f"config error: {message}")
 
 
-def test_unallocatable_set_size_is_one_config_error(tmp_path):
-    # 2000 sets of 1e11 points would be 2.84 PiB; the child runs under a
-    # 1 GiB address-space cap, so the test never allocates much
+def _child_env() -> dict:
+    """The environment of a ``python -m pinset.cli`` child process: it
+    imports this checkout's package and runs OpenBLAS on one thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+
+def _run_capped(argv: list) -> subprocess.CompletedProcess:
+    """``pinset *argv`` in a child process under a 1 GiB address-space
+    cap, so that a size that cannot be allocated never allocates much."""
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    return subprocess.run(
+        [sys.executable, "-m", "pinset.cli", *argv],
+        env=_child_env(), capture_output=True, text=True, preexec_fn=cap,
+    )
+
+
+def test_unallocatable_set_size_is_one_config_error(tmp_path):
+    # 2000 sets of 1e11 points would be 2.84 PiB
     config = tmp_path / "run.cfg"
     config.write_text(QUADRANT_PRESET_CFG.replace("data.train_size = 32", "data.train_size = 2000"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     argv = ["train", "--config", str(config), "--set", "data.set_size=100000000000"]
-    result = subprocess.run(
-        [sys.executable, "-m", "pinset.cli", *argv, "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, preexec_fn=cap,
-    )
+    result = _run_capped(argv + ["--out", str(tmp_path / "out")])
     lines = result.stderr.strip().splitlines()
     assert result.returncode == 1, result.stderr
     assert len(lines) == 1 and lines[0].startswith(
         "config error: data.train_size = 2000 sets of data.set_size = 100000000000 points cannot be allocated"
     ), lines
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, task, keys",
+    [
+        # the data fit; a first layer's (16, 2e6 or 8e6 points) activations
+        # do not, nor a pixel-s layer's (64, 1500 * 1500 pixels)
+        ("train", "quadrant", "data.set_size = 2000000, train.batch_size = 32"),
+        ("eval", "quadrant", "data.set_size = 8000000"),
+        ("eval", "pixel-idx", "data.downsample = 1"),
+    ],
+    ids=["train", "eval", "eval-pixel-idx"],
+)
+def test_unallocatable_activations_are_one_config_error(command, task, keys, tmp_path):
+    config = tmp_path / "run.cfg"
+    ckpt = tmp_path / "model.dmpp"
+    if task == "quadrant":
+        config.write_text(QUADRANT_PRESET_CFG)
+        size = 2_000_000 if command == "train" else 8_000_000
+        overrides = [f"data.set_size={size}", "data.train_size=2", "data.test_size=1"]
+        model = models.quadrant_config()
+    else:
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        write_idx(images, labels, np.zeros((1, 1500, 1500), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        config.write_text(f"task = pixel-idx\ndata.test_images = {images}\ndata.test_labels = {labels}\n")
+        overrides, model = [], models.pixel_s_config()
+    if command == "eval":
+        save_checkpoint(ckpt, models.build_model(model, RngState(0)))
+        overrides.append(f"eval.checkpoint={ckpt}")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    result = _run_capped(argv + [arg for item in overrides for arg in ("--set", item)])
+    lines = result.stderr.strip().splitlines()
+    assert result.returncode == 1, result.stderr
+    assert len(lines) == 1 and lines[0].startswith(f"config error: the activations for {keys} cannot be allocated"), lines
 
 
 class TestConfigErrorsAreOneLine:
@@ -272,6 +316,15 @@ class TestConfigErrorsAreOneLine:
         key = override.split("=")[0]
         assert f"{key} applies only to model.preset = custom" in _one_config_error(capsys)
         assert not out.exists()
+
+    def test_eval_on_an_empty_test_split(self, tmp_path, capsys):
+        ckpt = tmp_path / "quadrant.dmpp"
+        save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(QUADRANT_PRESET_CFG)
+        argv = ["eval", "--config", str(cfg), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        assert main(argv + ["--set", "data.test_size=0"]) == 1
+        assert "data.test_size" in _one_config_error(capsys)
 
     def test_eval_ignores_custom_model_keys_under_a_preset(self, tmp_path, capsys):
         ckpt = tmp_path / "quadrant.dmpp"
@@ -772,20 +825,9 @@ class TestDecomposeCommand:
     def test_component_count_above_the_entry_count_is_refused_before_allocating(self, tmp_path):
         # a billion components would ask for a 7.45 GiB array; the child runs
         # under a 1 GiB address-space cap, so the test never allocates it
-        import resource
-
         write_tensor(tmp_path / "t.txt", np.arange(9.0).reshape(3, 3))
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         argv = ["decompose", "--input", str(tmp_path / "t.txt"), "--components", "1000000000"]
-        result = subprocess.run(
-            [sys.executable, "-m", "pinset.cli", *argv, "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, preexec_fn=cap,
-        )
+        result = _run_capped(argv + ["--out", str(tmp_path / "out")])
         lines = result.stderr.strip().splitlines()
         assert result.returncode == 1, result.stderr
         assert lines == ["error: at most 9 components (the tensor's entry count) are allowed, got 1000000000"]
@@ -845,6 +887,7 @@ def _extract_json(capsys):
 def test_console_script_help():
     result = subprocess.run(
         [sys.executable, "-m", "pinset.cli", "--help"],
+        env=_child_env(),
         capture_output=True,
         text=True,
     )

@@ -480,8 +480,8 @@ class TestBatchnormWidening:
         g = gen.uniform(-1, 1, size=(rows, d))
         assert bool(tensor_mod._input_statistics(x0, w0)[-1]) == (path == "covariance")
         taken = []
-        direct = tensor_mod._batchnorm_direct
-        monkeypatch.setattr(tensor_mod, "_batchnorm_direct", lambda *a: taken.append(1) or direct(*a))
+        direct = tensor_mod._normalize_product
+        monkeypatch.setattr(tensor_mod, "_normalize_product", lambda *a: taken.append(1) or direct(*a))
 
         x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, gamma0, beta0))
         b = None if b0 is None else Tensor(b0, requires_grad=True)
@@ -989,12 +989,22 @@ def _layer(name: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return batchnorm(x, gamma, beta, BatchNormState(4), w=w, b=b)
 
 
-@pytest.mark.parametrize("name", ["matmul", "affine", "batchnorm"])
-def test_input_gradient_only_for_an_input_that_requires_grad(name):
+@pytest.mark.parametrize(
+    "name, d_in, bias_shape",
+    [
+        ("matmul", 3, (4,)),
+        ("affine", 3, (4,)),
+        ("batchnorm", 3, (4,)),  # widening: the covariance formula
+        ("batchnorm", 5, (4,)),  # narrowing: the direct formula
+        ("batchnorm", 3, (6, 4)),  # row-aligned bias: the direct formula
+    ],
+    ids=["matmul", "affine", "batchnorm", "batchnorm-narrowing", "batchnorm-row-aligned-bias"],
+)
+def test_input_gradient_only_for_an_input_that_requires_grad(name, d_in, bias_shape):
     """The backward leaves out the input gradient ``g @ w.T`` when the
     input needs none; every other gradient is the same either way."""
     gen = RngState(60).generator()
-    x, w, b, g = (gen.uniform(-1, 1, size=s) for s in ((6, 3), (3, 4), (4,), (6, 4)))
+    x, w, b, g = (gen.uniform(-1, 1, size=s) for s in ((6, d_in), (d_in, 4), bias_shape, (6, 4)))
     others = {}
     for wanted in (True, False):
         xt = Tensor(x, requires_grad=wanted)
