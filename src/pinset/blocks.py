@@ -305,7 +305,12 @@ def _join(
     ``n`` rows are the sets, flattened to (B, s*t), then dropout in train
     mode. Only the trailing axes are read: outputs (K, B*N, s) and
     (K, B*N, t) with a leading stack axis give (K, B, s*t), through one
-    (K*B, N, .) ``pair_aggregate``."""
+    (K*B, N, .) ``pair_aggregate``. When only one output is stacked, the
+    other is repeated along the stack (forward-only, as every stacked op
+    is; see :func:`pinset.tensor._check_stack`)."""
+    if h1.data.ndim != h2.data.ndim:
+        stack = max(h1.data.shape[:-2], h2.data.shape[:-2], key=len)
+        h1, h2 = (Tensor(np.broadcast_to(h.data, stack + h.data.shape[-2:])) for h in (h1, h2))
     *stack, rows, s = h1.data.shape
     t = h2.data.shape[-1]
     feature = pair_aggregate(reshape(h1, (-1, n, s)), reshape(h2, (-1, n, t)))

@@ -282,7 +282,6 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(**{name: cfg[key] for key, name in TRAIN_CONFIG_KEYS.items()})
     rng = RngState(args.seed)
     model = build_model(model_config, rng.child("model"))
-    os.makedirs(args.out, exist_ok=True)
     with _activations_fit(cfg, "train.batch_size"):
         history = train(model, train_batch, test_batch, train_cfg, rng.child("train"), out_dir=args.out)
     write_metrics(os.path.join(args.out, "metrics.csv"), history)
@@ -323,7 +322,6 @@ def cmd_verify(args) -> int:
     for res in results:
         for prop in res.properties:
             print(verify_mod.format_property_line(res.suite, prop))
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "verify_report.json")
     _write_atomic({report_path: verify_mod.report_json(results, args.seed).encode()})
     passed = all(r.passed for r in results)
@@ -358,7 +356,6 @@ def cmd_decompose(args) -> int:
         print(f"warning: {factors.conditioning_warning}", file=sys.stderr)
     rel = factors.rel_residual
 
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(input_path))[0]
     payloads = {
         os.path.join(args.out, f"{stem}.factor{j}.txt"): format_tensor(factor).encode()
@@ -479,7 +476,7 @@ _COMMANDS = {
 
 def _check_out_dir(path: str) -> None:
     """``--out`` must name a directory or a path that can become one:
-    refused before any work, not after it in ``os.makedirs``."""
+    refused before any work, not when the first file is written."""
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)

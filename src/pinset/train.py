@@ -448,11 +448,14 @@ def _write_atomic(files: dict) -> None:
     every payload is written before the first rename, and when a rename
     fails, each target already renamed over gets its old file back (held
     meanwhile as a hard link) or is removed if it had none. Temp files are
-    removed either way."""
+    removed either way. A missing target directory is made first, so a
+    run that fails before it writes leaves no directory behind."""
     def temp(path):
         directory, base = os.path.split(os.fspath(path))
         return os.path.join(directory, f".{base}.{secrets.token_hex(6)}.tmp")
 
+    for path in files:
+        os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmps = {path: temp(path) for path in files}
     olds, done = {}, []
     try:

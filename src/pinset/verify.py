@@ -25,10 +25,7 @@ from .blocks import (
     ACTIVATION_KINDS,
     AggregationBlock,
     AggregationSpec,
-    Mlp,
     MlpSpec,
-    _column_rows,
-    _join,
     aggregate,
     per_element_contribution,
 )
@@ -406,98 +403,67 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
-def _probe_losses(model, sets, labels) -> dict:
-    """The losses that finite differences probe for each parameter of the
-    gradcheck model (one aggregation and a head) on one batch, in train
-    mode under ``no_grad``. Each maps a stack of values of its parameter,
-    as :func:`stacked_finite_difference_gradient` builds it, to the K
-    losses of one stacked forward: the stack is bound to the parameter's
-    ``.data`` for that call (a vector as (K, 1, d), so it broadcasts over
-    the rows), and the parameter's own array is put back afterwards.
+# the prefixes of the gradcheck model's parameters, one per block: each
+# block's tensors are probed in one stacked forward. A forward per tensor
+# is slower, and one forward of all of them runs every block on all the
+# copies
+GRADCHECK_GROUPS = ("agg1.mlp1.", "agg1.mlp2.", "head.")
 
-    A probe reruns only the MLP that the parameter feeds. A ``head.*``
-    probe runs the head on the set features computed once here. An
-    ``agg1.mlp1.*`` or ``agg1.mlp2.*`` probe reruns that MLP, joins it
-    with the other MLP's output computed once here (repeated along the
-    stack) through the ``blocks._join`` that :func:`aggregate` ends with,
-    and runs the head. These are the ops ``Model.forward`` runs, on the
-    same operands, so every loss has the bits of a full forward. Unlike a
-    full forward, a probe moves no running statistics of a batchnorm that
-    it does not rerun or that it runs stacked; no train-mode forward
-    reads them."""
-    agg = model.agg1
-    b, n, p = sets.shape
-    flat = _column_rows(Tensor(np.asarray(sets, dtype=np.float64).reshape(b * n, p)))
 
-    def run(mlp: Mlp) -> Tensor:
-        return mlp.forward(flat, "train", set_size=n)
+def _probe_group(model, group: list[Tensor], sets, labels, h: float) -> list[np.ndarray]:
+    """Central finite differences of the train-mode loss on one batch for
+    each tensor of ``group``, all in one
+    :func:`stacked_finite_difference_gradient` call on the group's
+    flattened vector. That call runs one ``Model.forward`` under
+    ``no_grad`` with each tensor's ``.data`` bound to its slice of the
+    stack, a matrix as (K, d_in, d) and a vector as (K, 1, d) so that it
+    broadcasts over the rows; every tensor gets its own array back
+    afterwards. The stacked ops give each copy the bits of its own plain
+    forward. The blocks outside the group run plain and move their running
+    statistics, which no train-mode forward reads."""
+    ends = np.cumsum([p.data.size for p in group])[:-1]
 
-    def loss(feature: Tensor) -> np.ndarray:
-        return softmax_cross_entropy(model.head.forward(feature, "train"), labels).data
+    @no_grad()
+    def losses(stack: np.ndarray) -> np.ndarray:
+        own = [p.data for p in group]
+        try:
+            for p, part in zip(group, np.split(stack, ends, axis=1)):
+                p.data = part.reshape(len(stack), -1, p.data.shape[-1])
+            return softmax_cross_entropy(model.forward(sets, "train"), labels).data
+        finally:
+            for p, data in zip(group, own):
+                p.data = data
 
-    def along(stacked: Tensor, cached: Tensor) -> Tensor:
-        # the cached output, repeated along the stack axis, if any
-        return Tensor(np.broadcast_to(cached.data, stacked.data.shape[:-2] + cached.data.shape))
-
-    with no_grad():
-        h1, h2 = run(agg.mlp1), run(agg.mlp2)
-        feature = _join(agg, h1, h2, n, "train", None)
-
-    def head_loss() -> np.ndarray:
-        return loss(feature)
-
-    def mlp1_loss() -> np.ndarray:
-        h = run(agg.mlp1)
-        return loss(_join(agg, h, along(h, h2), n, "train", None))
-
-    def mlp2_loss() -> np.ndarray:
-        h = run(agg.mlp2)
-        return loss(_join(agg, along(h, h1), h, n, "train", None))
-
-    def probe(param: Tensor, forward):
-        @no_grad()
-        def losses(stack: np.ndarray) -> np.ndarray:
-            own = param.data
-            param.data = stack if stack.ndim == 3 else stack[:, None]
-            try:
-                return forward()
-            finally:
-                param.data = own
-
-        return losses
-
-    losses = {}
-    for prefix, block, forward in (
-        ("agg1.mlp1.", agg.mlp1, mlp1_loss),
-        ("agg1.mlp2.", agg.mlp2, mlp2_loss),
-        ("head.", model.head, head_loss),
-    ):
-        losses.update({name: probe(p, forward) for name, p in block.parameters(prefix).items()})
-    return losses
+    theta = np.concatenate([p.data.ravel() for p in group])
+    fd = stacked_finite_difference_gradient(losses, theta, h=h)
+    return [part.reshape(p.data.shape) for p, part in zip(group, np.split(fd, ends))]
 
 
 def run_gradcheck(seed: int) -> SuiteResult:
     """Analytic gradients of a sub-1k-parameter classifier against central
-    finite differences on every trainable parameter. Each tensor is probed
-    in one stacked forward that reruns only the MLP it feeds, on outputs
-    of the others computed once per batch (see :func:`_probe_losses`)."""
+    finite differences on every trainable parameter. Per batch, the
+    tensors of each block in :data:`GRADCHECK_GROUPS` are probed together,
+    in one stacked forward of the whole model (see :func:`_probe_group`)."""
     root = RngState(seed).child("gradcheck")
     batches = 10
     step = 1e-5
     model = build_model(gradcheck_config(), root.child("model"))
     params = model.parameters()
     n_params = sum(p.data.size for p in params.values())
+    groups = [[p for n, p in params.items() if n.startswith(prefix)] for prefix in GRADCHECK_GROUPS]
 
     worst = 0.0
     failures = 0
     scaled = []
     for bi in range(batches):
         sets, labels, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
-        losses = _probe_losses(model, sets, labels)
         grad_map = backward(softmax_cross_entropy(logits, labels), list(params.values()))
+        fd_map = {}
+        for group in groups:
+            fd_map.update(zip(group, _probe_group(model, group, sets, labels, step)))
 
-        for name, p in params.items():
-            fd = stacked_finite_difference_gradient(losses[name], p.data, h=step)
+        for p in params.values():
+            fd = fd_map[p]
             err = relative_error(grad_map[p], fd)
             worst = _worse(worst, err)
             failures += not err < 1e-4

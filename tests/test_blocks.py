@@ -233,15 +233,19 @@ class TestAggregate:
 
     def test_join_passes_a_leading_stack_axis_through(self):
         # (K, B*N, s) and (K, B*N, t) outputs join to (K, B, s*t), each copy
-        # as its own join
+        # as its own join; so do one stacked and one plain output, as a
+        # probe of one MLP's parameters gives them, the plain one joining
+        # every copy
         block = _block()
         gen = RngState(11).generator()
         h1, h2 = gen.uniform(0, 1, size=(4, 15, 12)), gen.uniform(0, 1, size=(4, 15, 16))
-        with no_grad():
-            out = _join(block, Tensor(h1), Tensor(h2), 5, "eval", None).data
-        assert out.shape == (4, 3, 12 * 16)
-        for k in range(4):
-            assert np.array_equal(out[k], _join(block, Tensor(h1[k]), Tensor(h2[k]), 5, "eval", None).data), k
+        for pair in ((h1, h2), (h1, h2[0]), (h1[0], h2)):
+            with no_grad():
+                out = _join(block, *map(Tensor, pair), 5, "eval", None).data
+            assert out.shape == (4, 3, 12 * 16)
+            for k in range(4):
+                copy = [Tensor(h[k] if h.ndim == 3 else h) for h in pair]
+                assert np.array_equal(out[k], _join(block, *copy, 5, "eval", None).data), k
 
     def test_single_set_needs_batch_axis(self):
         with pytest.raises(ValueError, match=r"\(B, N, p\)"):

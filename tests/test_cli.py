@@ -151,7 +151,8 @@ def test_divergence_in_the_last_step_exits_3_before_any_checkpoint(tmp_path, cap
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == "divergence: non-finite loss nan at epoch 0, evaluation"
-    assert os.listdir(out) == []
+    # nothing is written, so not even the --out directory is made
+    assert not out.exists()
 
 
 def test_readme_key_table_names_every_schema_key():
@@ -286,6 +287,7 @@ def test_unallocatable_activations_are_one_config_error(command, task, keys, tmp
     lines = result.stderr.strip().splitlines()
     assert result.returncode == 1, result.stderr
     assert len(lines) == 1 and lines[0].startswith(f"config error: the activations for {keys} cannot be allocated"), lines
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrorsAreOneLine:

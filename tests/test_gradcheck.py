@@ -47,7 +47,6 @@ from pinset.tensor import (
     set_softmax,
     softmax_cross_entropy,
     squashing,
-    stacked_finite_difference_gradient,
     sum_all,
     sum_product,
     tile_rows,
@@ -450,35 +449,47 @@ def test_broadcast_model_gradients(index):
     _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "train"), labels))
 
 
-def _probes_against_full_forward(prefix: str, count: int) -> None:
-    """On gradcheck batch 0 of seed 0, the stacked finite differences
-    through the probe of each parameter under ``prefix`` must give the
-    same bits as the per-entry finite differences of the whole forward."""
+def _group(model, prefix: str) -> dict:
+    return {name: p for name, p in model.parameters().items() if name.startswith(prefix)}
+
+
+def _batch_0():
     root = RngState(0).child("gradcheck")
     model = build_model(gradcheck_config(), root.child("model"))
     sets, labels, _ = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
-    losses = verify._probe_losses(model, sets, labels)
+    return model, sets, labels
+
+
+@pytest.mark.parametrize("prefix", verify.GRADCHECK_GROUPS)
+def test_group_probes_equal_full_forward_probes(prefix):
+    # on gradcheck batch 0 of seed 0, one stacked forward of a group must
+    # give each of its 6 tensors the bits of the per-entry finite
+    # differences of the whole forward
+    model, sets, labels = _batch_0()
+    group = _group(model, prefix)
+    assert len(group) == 6
 
     def full_loss(_):
         return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
 
-    probed = {name: p for name, p in model.parameters().items() if name.startswith(prefix)}
-    assert len(probed) == count
-    for name, p in probed.items():
-        via_probe = stacked_finite_difference_gradient(losses[name], p.data, h=H)
+    probed = verify._probe_group(model, list(group.values()), sets, labels, H)
+    for (name, p), via_probe in zip(group.items(), probed):
         assert np.array_equal(via_probe, finite_difference_gradient(full_loss, p.data, h=H)), name
 
 
-def test_head_probes_equal_full_forward_probes():
-    # gradcheck's head probes rerun only the head on cached set features;
-    # no head parameter reaches those
-    _probes_against_full_forward("head.", 6)
+def test_gradcheck_runs_one_stacked_probe_per_group_and_batch(monkeypatch):
+    # 3 groups x 10 batches, which together probe all 724 scalars per batch
+    sizes = []
+    stacked = verify.stacked_finite_difference_gradient
 
+    def counting(f, x, h):
+        sizes.append(x.size)
+        return stacked(f, x, h=h)
 
-def test_mlp_probes_equal_full_forward_probes():
-    # a probe of an aggregation parameter reruns only its MLP and joins
-    # it with the other MLP's cached output
-    _probes_against_full_forward("agg1.", 12)
+    monkeypatch.setattr(verify, "stacked_finite_difference_gradient", counting)
+    verify.run_gradcheck(0)
+    assert len(sizes) == 30
+    assert sum(sizes) == 10 * 724
 
 
 def test_gradcheck_puts_every_parameter_array_back(monkeypatch):
@@ -509,20 +520,18 @@ def test_gradcheck_worst_values_at_seed_0():
 
 
 def test_a_probe_puts_the_array_back_when_the_forward_raises(monkeypatch):
-    root = RngState(0).child("gradcheck")
-    model = build_model(gradcheck_config(), root.child("model"))
-    sets, labels, _ = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
-    losses = verify._probe_losses(model, sets, labels)
-    p = model.head.layers[1].weight
-    own = p.data
+    model, sets, labels = _batch_0()
+    group = list(_group(model, "head.").values())
+    own = [p.data for p in group]
 
     def failing(*args, **kwargs):
         raise RuntimeError("forward failed")
 
     monkeypatch.setattr(verify, "softmax_cross_entropy", failing)
     with pytest.raises(RuntimeError, match="forward failed"):
-        losses["head.layer1.weight"](np.zeros((2,) + own.shape))
-    assert p.data is own
+        verify._probe_group(model, group, sets, labels, H)
+    for p, data in zip(group, own):
+        assert p.data is data
 
 
 def _corrupt_gradient(monkeypatch, target, corrupt) -> None:
