@@ -283,7 +283,15 @@ def _aggregate_rows(
     block: AggregationBlock, rows: Tensor, n: int, mode: str, gen: np.random.Generator | None
 ) -> Tensor:
     """:func:`aggregate` of stacked rows (B*N, p), each block of ``n``
-    consecutive rows one set, as the broadcast blocks emit them."""
+    consecutive rows one set, as the broadcast blocks emit them: both
+    MLPs, each set's ``h1^T h2`` from their (B*N, s) and (B*N, t) outputs,
+    flattened to (B, s*t), then dropout in train mode.
+
+    Only the trailing axes are read: stacked rows (K, B*N, p), or an MLP
+    with stacked parameters, give (K, B, s*t) through one (K*B, N, .)
+    ``pair_aggregate``. When only one MLP's output is stacked, the other
+    is repeated along the stack (forward-only, as every stacked op is;
+    see :func:`pinset.tensor._check_stack`)."""
     s, t = block.spec.mlp1.out_width, block.spec.mlp2.out_width
     if n < min(s, t):
         warnings.warn(
@@ -294,27 +302,12 @@ def _aggregate_rows(
         )
     h1 = block.mlp1.forward(rows, mode, set_size=n)
     h2 = block.mlp2.forward(rows, mode, set_size=n)
-    return _join(block, h1, h2, n, mode, gen)
-
-
-def _join(
-    block: AggregationBlock, h1: Tensor, h2: Tensor, n: int, mode: str, gen: np.random.Generator | None
-) -> Tensor:
-    """The ops of :func:`aggregate` after both MLPs: each set's
-    ``h1^T h2`` from the (B*N, s) and (B*N, t) outputs, whose blocks of
-    ``n`` rows are the sets, flattened to (B, s*t), then dropout in train
-    mode. Only the trailing axes are read: outputs (K, B*N, s) and
-    (K, B*N, t) with a leading stack axis give (K, B, s*t), through one
-    (K*B, N, .) ``pair_aggregate``. When only one output is stacked, the
-    other is repeated along the stack (forward-only, as every stacked op
-    is; see :func:`pinset.tensor._check_stack`)."""
     if h1.data.ndim != h2.data.ndim:
         stack = max(h1.data.shape[:-2], h2.data.shape[:-2], key=len)
         h1, h2 = (Tensor(np.broadcast_to(h.data, stack + h.data.shape[-2:])) for h in (h1, h2))
-    *stack, rows, s = h1.data.shape
-    t = h2.data.shape[-1]
+    *stack, total, _ = h1.data.shape
     feature = pair_aggregate(reshape(h1, (-1, n, s)), reshape(h2, (-1, n, t)))
-    flat = reshape(feature, (*stack, rows // n, s * t))
+    flat = reshape(feature, (*stack, total // n, s * t))
     return dropout(flat, block.spec.dropout_ratio, gen, mode)
 
 

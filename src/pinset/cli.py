@@ -55,7 +55,6 @@ from .train import (
     DivergenceError,
     TrainConfig,
     _write_atomic,
-    check_sizes,
     evaluate,
     load_checkpoint,
     train,
@@ -100,31 +99,24 @@ _MODEL_KEYS = {
     "model.head": Field("intlist"),
 }
 
-_DATA_KEYS = {
-    "task": Field("str", required=True, choices=("quadrant", "pixel-idx")),
-    **_record_fields(
-        SyntheticTaskSpec, {f"data.{name}": name for name in ("train_size", "test_size", "set_size", "margin")}
-    ),
-    "data.train_images": Field("str", ""),
-    "data.train_labels": Field("str", ""),
-    "data.test_images": Field("str", ""),
-    "data.test_labels": Field("str", ""),
-    "data.downsample": Field("int", 1),
-    "data.shuffle_pixels": Field("bool", True),
+# the data keys that each task reads besides task, data.train_size and
+# data.test_size, which both read
+_TASK_KEYS = {
+    "quadrant": _record_fields(SyntheticTaskSpec, {f"data.{name}": name for name in ("set_size", "margin")}),
+    "pixel-idx": {
+        "data.train_images": Field("str", ""),
+        "data.train_labels": Field("str", ""),
+        "data.test_images": Field("str", ""),
+        "data.test_labels": Field("str", ""),
+        "data.downsample": Field("int", 1),
+        "data.shuffle_pixels": Field("bool", True),
+    },
 }
 
-# the data keys that only one task reads; task, data.train_size and
-# data.test_size are read by both
-_TASK_ONLY_KEYS = {
-    "quadrant": ("data.set_size", "data.margin"),
-    "pixel-idx": (
-        "data.train_images",
-        "data.train_labels",
-        "data.test_images",
-        "data.test_labels",
-        "data.downsample",
-        "data.shuffle_pixels",
-    ),
+_DATA_KEYS = {
+    "task": Field("str", required=True, choices=tuple(_TASK_KEYS)),
+    **_record_fields(SyntheticTaskSpec, {f"data.{name}": name for name in ("train_size", "test_size")}),
+    **{key: field for keys in _TASK_KEYS.values() for key, field in keys.items()},
 }
 
 TRAIN_SCHEMA = {**_DATA_KEYS, **_MODEL_KEYS, **_record_fields(TrainConfig, TRAIN_CONFIG_KEYS)}
@@ -153,7 +145,7 @@ def _raw_config(args) -> dict[str, str]:
 
 def _refuse_other_task_keys(raw: dict[str, str], task: str) -> None:
     """A data key that only the other task reads would be silently dropped."""
-    for other, keys in _TASK_ONLY_KEYS.items():
+    for other, keys in _TASK_KEYS.items():
         for key in keys:
             if other != task and key in raw:
                 raise ConfigError(f"{key} applies only to task = {other}", key=key)
@@ -175,13 +167,13 @@ def _build_custom_model_config(cfg: dict) -> ModelConfig:
             MlpSpec([p] + cfg[f"model.agg.mlp{i}"], cfg[f"model.agg.act{i}"], cfg["model.agg.batchnorm"])
             for i in (1, 2)
         )
-        feature = mlp1.out_width * mlp2.out_width
+        aggregation = AggregationSpec(mlp1, mlp2, cfg["model.agg.dropout"])
         return ModelConfig(
             task="synthetic",
             input_width=p,
             class_count=classes,
-            aggregation=AggregationSpec(mlp1, mlp2, cfg["model.agg.dropout"]),
-            head=MlpSpec([feature] + cfg["model.head"] + [classes]),
+            aggregation=aggregation,
+            head=MlpSpec([aggregation.feature_length] + cfg["model.head"] + [classes]),
         )
     except ValueError as exc:
         raise ConfigError(f"custom model: {exc}") from exc
@@ -278,7 +270,6 @@ def cmd_train(args) -> int:
     test_batch = _load_split(cfg, args.seed, "test")
     model_config = _model_config_from(cfg)
     _check_data_fits(model_config, train_batch, test_batch)
-    check_sizes(train_batch, test_batch)
     train_cfg = TrainConfig(**{name: cfg[key] for key, name in TRAIN_CONFIG_KEYS.items()})
     rng = RngState(args.seed)
     model = build_model(model_config, rng.child("model"))

@@ -772,10 +772,12 @@ def stacked_finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
     probed in one call: ``f`` gets the ``(2 * x.size, *x.shape)`` stack of
     copies of ``x``, copy ``i`` with entry ``i`` (in C order) raised by
     ``h`` and copy ``x.size + i`` with it lowered by ``h``, and returns
-    the ``2 * x.size`` losses. Each entry is formed with the same
-    expression, so a ``f`` whose losses equal the per-entry calls gives
-    the same bits. A loss that does not depend on ``x`` may come back as
-    one value, which stands for every copy. ``x`` is only read.
+    one loss per copy; any other count raises :class:`ShapeError`. Each
+    entry is formed with the same expression, so a ``f`` whose losses
+    equal the per-entry calls gives the same bits. ``x`` is only read.
+
+    The stack is dense: ``2 * x.size**2`` floats, 4.3 MB for 520 scalars,
+    before whatever ``f`` allocates for its copies.
     """
     x = np.asarray(x, dtype=np.float64)
     size = x.size
@@ -785,5 +787,6 @@ def stacked_finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
     stack[0, entry, entry] += h
     stack[1, entry, entry] -= h
     losses = np.asarray(f(stack.reshape(2 * size, *x.shape)), dtype=np.float64)
-    losses = np.broadcast_to(losses, (2 * size,))
+    if losses.shape != (2 * size,):
+        raise ShapeError(f"expected one loss per copy, shape {(2 * size,)}, got {losses.shape}")
     return ((losses[:size] - losses[size:]) / (2.0 * h)).reshape(x.shape)

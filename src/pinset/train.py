@@ -171,10 +171,10 @@ EVAL_BLOCK_ROWS = 8192
 def _chunk_logits(model: Model, sets: np.ndarray) -> Tensor:
     """Eval-mode logits of one chunk of sets (B, N, p): ``Model.features``
     on near-equal blocks of whole sets of about :data:`EVAL_BLOCK_ROWS`
-    rows, then the head once on the joined features (a one-block chunk's
-    features go to the head as they are)."""
+    rows, at least one set each, then the head once on the joined features
+    (a one-block chunk's features go to the head as they are)."""
     b = sets.shape[0]
-    n = -(-b * sets.shape[1] // EVAL_BLOCK_ROWS)
+    n = min(b, -(-b * sets.shape[1] // EVAL_BLOCK_ROWS))
     parts = [model.features(sets[i * b // n : (i + 1) * b // n], "eval") for i in range(n)]
     feature = parts[0] if n == 1 else Tensor(np.concatenate([part.data for part in parts]))
     return feature if model.head is None else model.head.forward(feature, "eval")

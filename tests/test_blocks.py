@@ -13,7 +13,6 @@ from pinset.blocks import (
     Mlp,
     MlpSpec,
     _aggregate_rows,
-    _join,
     aggregate,
     aggregate_order_n,
     broadcast_batched,
@@ -231,21 +230,33 @@ class TestAggregate:
         whole = aggregate(block, Tensor(sets), "eval").data
         assert np.array_equal(_aggregate_rows(block, rows, 20, "eval", None).data, whole)
 
-    def test_join_passes_a_leading_stack_axis_through(self):
-        # (K, B*N, s) and (K, B*N, t) outputs join to (K, B, s*t), each copy
-        # as its own join; so do one stacked and one plain output, as a
-        # probe of one MLP's parameters gives them, the plain one joining
-        # every copy
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("stacked", ["rows", "mlp1", "mlp2"])
+    def test_aggregate_rows_passes_a_leading_stack_axis_through(self, stacked, mode):
+        # stacked rows (K, B*N, p) give (K, B, s*t), each copy as its own
+        # plain call; so does one MLP's last weight stacked, as a probe of
+        # that MLP gives it, the other MLP's output repeated along the stack
         block = _block()
         gen = RngState(11).generator()
-        h1, h2 = gen.uniform(0, 1, size=(4, 15, 12)), gen.uniform(0, 1, size=(4, 15, 16))
-        for pair in ((h1, h2), (h1, h2[0]), (h1[0], h2)):
-            with no_grad():
-                out = _join(block, *map(Tensor, pair), 5, "eval", None).data
-            assert out.shape == (4, 3, 12 * 16)
-            for k in range(4):
-                copy = [Tensor(h[k] if h.ndim == 3 else h) for h in pair]
-                assert np.array_equal(out[k], _join(block, *copy, 5, "eval", None).data), k
+        rows = gen.uniform(-1, 1, size=(4, 32, 3))
+        weight = None if stacked == "rows" else getattr(block, stacked).layers[-1].weight
+        if weight is None:
+            copies = rows
+        else:
+            copies = weight.data + gen.uniform(-0.1, 0.1, size=(4, *weight.data.shape))
+            rows = rows[0]
+
+        def aggregate_copy(copy):
+            if weight is None:
+                return _aggregate_rows(block, Tensor(copy), 16, mode, None).data
+            weight.data = copy
+            return _aggregate_rows(block, Tensor(rows), 16, mode, None).data
+
+        with no_grad():
+            out = aggregate_copy(copies)
+        assert out.shape == (4, 2, 12 * 16)
+        for k in range(4):
+            assert np.array_equal(out[k], aggregate_copy(copies[k])), k
 
     def test_single_set_needs_batch_axis(self):
         with pytest.raises(ValueError, match=r"\(B, N, p\)"):

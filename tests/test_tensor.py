@@ -815,9 +815,11 @@ class TestStackedFiniteDifference:
                 moved.flat[i] += sign * 0.5
                 np.testing.assert_array_equal(copy, moved)
 
-    def test_one_value_stands_for_every_copy(self):
-        fd = stacked_finite_difference_gradient(lambda stack: 3.5, np.ones((2, 2)))
-        np.testing.assert_array_equal(fd, np.zeros((2, 2)))
+    @pytest.mark.parametrize("shape", [(), (4,), (9,), (8, 1)], ids=str)
+    def test_a_loss_count_other_than_one_per_copy_is_refused(self, shape):
+        # 2 * 4 copies of a (2, 2) input need exactly 8 losses
+        with pytest.raises(ShapeError, match="one loss per copy"):
+            stacked_finite_difference_gradient(lambda stack: np.zeros(shape), np.ones((2, 2)))
 
     def test_reads_views_and_read_only_arrays_without_writing(self):
         x = _read_only(np.arange(12.0).reshape(3, 4)[::2, 1::2])

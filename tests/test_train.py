@@ -405,6 +405,20 @@ def _random_statistics(model, gen) -> None:
         st.var = gen.uniform(0.5, 2.0, st.var.shape)
 
 
+def _count_features_calls(monkeypatch) -> list:
+    """Wrap ``Model.features``; the returned list collects the set count
+    of every call."""
+    seen = []
+    features = models_mod.Model.features
+
+    def counting_features(self, sets, mode="eval", gen=None):
+        seen.append(len(sets))
+        return features(self, sets, mode, gen)
+
+    monkeypatch.setattr(models_mod.Model, "features", counting_features)
+    return seen
+
+
 class TestBlockedEvaluate:
     @pytest.mark.parametrize(
         "make_config, size, chunk",
@@ -440,16 +454,19 @@ class TestBlockedEvaluate:
         model = build_model(quadrant_config(), RngState(52))
         gen = RngState(53).generator()
         batch = SetBatch(sets=gen.uniform(-1, 1, size=(size, 32, 2)), labels=gen.integers(0, 4, size=size))
-        seen = []
-        features = models_mod.Model.features
-
-        def counting_features(self, sets, mode="eval", gen=None):
-            seen.append(len(sets))
-            return features(self, sets, mode, gen)
-
-        monkeypatch.setattr(models_mod.Model, "features", counting_features)
+        seen = _count_features_calls(monkeypatch)
         evaluate(model, batch, chunk=size)
         assert 256 * 32 == train_mod.EVAL_BLOCK_ROWS and len(seen) == calls and sum(seen) == size
+
+    def test_sets_longer_than_a_block_are_one_features_call_each(self, monkeypatch):
+        # 2 sets of 10,000 points are 20,000 rows, about 3 blocks' worth,
+        # but blocks are whole sets: 2 calls of one set, none empty
+        model = build_model(quadrant_config(), RngState(54))
+        gen = RngState(55).generator()
+        batch = SetBatch(sets=gen.uniform(-1, 1, size=(2, 10_000, 2)), labels=gen.integers(0, 4, size=2))
+        seen = _count_features_calls(monkeypatch)
+        evaluate(model, batch)
+        assert seen == [1, 1]
 
 
 def _glibc() -> bool:
