@@ -155,13 +155,20 @@ def _dense(
     layer, so a relu), train mode runs the fused ``batchnorm`` and eval
     mode folds the stored statistics into ``w`` and ``b``, through tape
     ops, and runs ``affine``. Without ``bn``, ``affine`` in both modes, the
-    relu fused when ``relu`` is set. With ``set_size``, ``b`` holds one
-    row per set, tiled over that set's rows after any fold."""
+    relu fused when ``relu`` is set.
+
+    With ``set_size``, ``b`` holds one row per set of ``set_size`` rows.
+    Train mode hands it on as a per-set bias (see
+    :func:`pinset.tensor.batchnorm`). Eval mode still tiles the folded row
+    over the set's rows with ``tile_rows`` and passes the copy as a bias
+    with one row per row; the benchmark's tracer self-test
+    (``perfbench/tests/test_tracer.py``) expects ``pixel-l`` to call
+    ``tile_rows``, so that switch waits for the benchmark's refresh."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if bn is not None and mode == "eval":
         w, b = bn.fold(w, b)
-    if set_size is not None:
+    if set_size is not None and mode == "eval":
         b = tile_rows(b, set_size)
     if bn is not None and mode == "train":
         return batchnorm(h, bn.gamma, bn.beta, bn.state, w=w, b=b)
@@ -371,11 +378,15 @@ def broadcast_batched(
 ) -> Tensor:
     """The whole block on stacked rows (B*N, d_x) with set features
     (B, d_y): ``relu(BN(x W_x + y W_y + b))``, each set's feature row
-    tiled over its ``set_size`` rows.
+    added to its ``set_size`` rows.
 
     The small per-set row ``y W_y + b`` (B, d_z) is formed first; the
-    rest is one :func:`_dense` op, which passes the tiled rows as a
-    row-aligned bias.
+    rest is one :func:`_dense` op. In train mode ``batchnorm`` takes the
+    row as a per-set bias, so no (B*N, d_z) copy of it is made: with B
+    sets, a block that widens past ``d_x + B`` (``bc0`` of ``pixel-l``)
+    runs the covariance formula, the others (``bc1``) the direct one.
+    Eval mode folds the statistics into the row and tiles it (see
+    :func:`_dense`).
     """
     d_x, d_y, _ = block.widths
     if x_flat.data.ndim != 2 or x_flat.data.shape[1] != d_x:

@@ -185,28 +185,34 @@ def backward(loss: Tensor, params=()) -> dict:
 
 def _check_gemm(
     x: Tensor, w: Tensor, b: Tensor | None = None, gamma: Tensor | None = None, beta: Tensor | None = None
-) -> tuple[bool, int]:
+) -> tuple[int, int]:
     """The shapes of a dense op ``x @ w + b``, and of batchnorm's ``gamma``
-    and ``beta`` when given. Returns whether the bias is row-aligned, and
-    the stack size.
+    and ``beta`` when given. Returns the number of sets of a per-set bias
+    (0 for a bias row or none), and the stack size.
 
-    A plain call has rank-2 ``x`` and ``w`` that multiply, a bias row
-    ``(d,)``, a row-aligned ``(rows, d)`` bias or none, and rank-1
-    ``gamma`` and ``beta``; its stack size is 0. Any other ranks go to
-    :func:`_check_stack`."""
+    A plain call has rank-2 ``x`` and ``w`` that multiply, rank-1
+    ``gamma`` and ``beta``, and a bias row ``(d,)``, a per-set ``(S, d)``
+    bias or none; its stack size is 0. A per-set bias needs S to divide
+    the row count: each block of ``rows / S`` consecutive rows, one set,
+    shares one bias row, and S = rows gives each row its own. Any other
+    ranks go to :func:`_check_stack`."""
     if (
         x.data.ndim != 2
         or w.data.ndim != 2
         or (b is not None and b.data.ndim > 2)
         or (gamma is not None and (gamma.data.ndim != 1 or beta.data.ndim != 1))
     ):
-        return False, _check_stack(x, w, (b, gamma, beta))
+        return 0, _check_stack(x, w, (b, gamma, beta))
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-    out_shape = (x.data.shape[0], w.data.shape[1])
-    if b is not None and b.data.shape not in (out_shape[1:], out_shape):
-        raise ShapeError(f"bias of shape {b.data.shape} fits neither {out_shape[1:]} nor {out_shape}")
-    return b is not None and b.data.ndim == 2, 0
+    rows, d = x.data.shape[0], w.data.shape[1]
+    if b is None or b.data.shape == (d,):
+        return 0, 0
+    if b.data.ndim != 2 or b.data.shape[1] != d or b.data.shape[0] == 0 or rows % b.data.shape[0]:
+        raise ShapeError(
+            f"bias of shape {b.data.shape} is neither a row ({d},) nor (S, {d}) with S dividing {rows} rows"
+        )
+    return b.data.shape[0], 0
 
 
 def _check_stack(x: Tensor, w: Tensor, vectors) -> int:
@@ -217,7 +223,7 @@ def _check_stack(x: Tensor, w: Tensor, vectors) -> int:
     ``(d,)`` or ``(K, 1, d)``, so that numpy broadcasting pairs copy k of
     each operand. At least one operand carries the stack axis, and all
     that do agree on K, which is returned. A stacked op takes no
-    row-aligned bias. It has no backward, so it must run under
+    per-set bias. It has no backward, so it must run under
     :func:`no_grad`; these copies serve finite-difference probes."""
     if not 2 <= x.data.ndim <= 3 or not 2 <= w.data.ndim <= 3 or x.data.shape[-1] != w.data.shape[-2]:
         raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
@@ -285,6 +291,30 @@ def _gemm_grads(x: Tensor, w: Tensor, g: np.ndarray) -> list:
     return grads
 
 
+def _sets(a: np.ndarray, sets: int) -> np.ndarray:
+    """The ``(sets, rows / sets, d)`` view of rows ``a``, one block of
+    consecutive rows per set. Splitting the row axis never copies."""
+    return np.reshape(a, (sets, -1, a.shape[-1]), copy=False)
+
+
+def _add_bias(y: np.ndarray, b: np.ndarray, sets: int) -> np.ndarray:
+    """``y`` with the bias ``b`` added in place: a row ``(d,)`` to every
+    row or, with ``sets``, row s of ``(sets, d)`` to the rows of set s
+    (see :func:`_check_gemm`). Per element it is one add either way."""
+    if sets:
+        per_set = _sets(y, sets)
+        per_set += b[:, None, :]
+    else:
+        y += b
+    return y
+
+
+def _set_sums(g: np.ndarray, sets: int) -> np.ndarray:
+    """Each set's column sums of rows ``g``, ``(sets, d)``: the gradient of
+    a per-set bias. With one row per set that is ``g`` itself."""
+    return g if sets == g.shape[-2] else _sets(g, sets).sum(axis=1)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors, or stacked (see
     :func:`_check_stack`)."""
@@ -296,20 +326,21 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     """One dense layer ``x @ w + b``, optionally followed by a relu.
 
     The product, the bias and the relu share the one array this op
-    allocates. ``b`` is a bias row of shape ``(d,)``, a row-aligned
-    ``(rows, d)`` array with one bias per row, or None. Without relu this
-    equals ``add(matmul(x, w), b)`` bit for bit, gradients included.
+    allocates. ``b`` is a bias row of shape ``(d,)``, a per-set ``(S,
+    d)`` array with one bias row per block of ``rows / S`` rows (see
+    :func:`_check_gemm`), or None. Without relu and with a bias row or
+    none, this equals ``add(matmul(x, w), b)`` bit for bit, gradients
+    included.
 
     Stacked operands (see :func:`_check_stack`) give K outputs
     ``(K, rows, d)``, each equal to its own plain call.
     """
-    row_aligned, stack = _check_gemm(x, w, b)
+    sets, stack = _check_gemm(x, w, b)
     y = _product(x.data, w.data)
-    if b is not None:
-        if stack:
-            y = y + b.data  # a stacked bias row widens y to the stack
-        else:
-            y += b.data
+    if stack and b is not None:
+        y = y + b.data  # a stacked bias row widens y to the stack
+    elif b is not None:
+        _add_bias(y, b.data, sets)
     if relu:
         # np.maximum (unlike where) propagates NaN, keeping divergence visible
         np.maximum(y, 0.0, out=y)
@@ -319,11 +350,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
             g = g * (y > 0)  # y > 0 exactly where the pre-activation was
         grads = _gemm_grads(x, w, g)
         if b is not None:
-            grads.append((b, g if row_aligned else g.sum(axis=0)))
+            grads.append((b, _set_sums(g, sets) if sets else g.sum(axis=0)))
         return grads
 
     if relu:
-        bwd.preactivation = lambda: _product(x.data, w.data) + (0.0 if b is None else b.data)
+
+        def preactivation():
+            pre = _product(x.data, w.data)
+            return pre if b is None else _add_bias(pre, b.data, sets)
+
+        bwd.preactivation = preactivation
     return _result(y, (x, w) if b is None else (x, w, b), bwd)
 
 
@@ -456,17 +492,23 @@ def batchnorm(
 
     A ``(d,)`` bias row is cancelled by subtracting the batch mean, so
     ``BN(x @ w + b) == BN(x @ w)``; it only shifts the batch mean that goes
-    into the running mean, and its gradient is exactly zero. A row-aligned
-    ``(rows, d)`` bias differs from row to row, so it is added, and its
-    gradient is the masked, normalized ``g`` that the GEMM gradients read.
+    into the running mean, and its gradient is exactly zero. A per-set
+    ``(S, d)`` bias (see :func:`_check_gemm`), such as a broadcast block's
+    ``y W_y + b`` with one row per set, differs from set to set, so it is
+    added, and its gradient is each set's sum of the masked, normalized
+    ``g`` that the GEMM gradients read.
 
-    A layer that widens (``w`` has fewer rows than columns) and has no
-    row-aligned bias is computed from the narrow input's mean and
+    A layer that widens is computed from the narrow input's mean and
     covariance (see :func:`_input_statistics`), unless the guard there
     finds the variances too inexact; every other call normalizes the
-    ``(rows, d)`` product directly. Both give the same values up to
-    rounding. The formulas share all but the batch statistics, ``gamma *
-    xhat`` and the gradients of ``x`` and ``w``.
+    ``(rows, d)`` product directly, adding a per-set bias through a
+    ``(S, rows / S, d)`` view of it. A per-set bias counts as S more
+    input columns, the indicators of the sets, so the layer widens when
+    ``d_in + S < d``. On ``pixel-l`` at B sets per batch, the broadcast
+    block ``bc0`` (3 + B -> 256) takes the covariance formula and ``bc1``
+    (256 + B -> 256) the direct one. Both formulas give the same values up
+    to rounding. They share all but the batch statistics, ``gamma *
+    xhat`` and the gradients of ``x``, ``w`` and a per-set bias.
 
     There is no eval mode: ``blocks`` folds the stored statistics into
     the layer's weights and bias and runs ``affine`` instead.
@@ -478,28 +520,29 @@ def batchnorm(
     any bias row, so a call in which only the bias is stacked gives one
     plain ``(rows, d)`` output.
     """
-    row_aligned, stack = _check_gemm(x, w, b, gamma, beta)
+    sets, stack = _check_gemm(x, w, b, gamma, beta)
     m = x.data.shape[-2]
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
     d_in, d = w.data.shape[-2:]
+    per_set = b if sets else None
     exact = False
-    if not row_aligned and d_in < d:
-        stats = _input_statistics(x.data, w.data)
+    if d_in + sets < d:
+        stats = _input_statistics(x.data, w.data, b.data if sets else None)
         exact = stats[-1]
     if np.all(exact):
-        mean, var, scaled, step = _normalize_from_covariance(x, gamma, w, stats)
+        mean, var, scaled, step = _normalize_from_covariance(x, gamma, w, per_set, stats)
         y = scaled()
     else:
-        mean, var, scaled, step = _normalize_product(x, gamma, w, b if row_aligned else None)
+        mean, var, scaled, step = _normalize_product(x, gamma, w, per_set)
         y = scaled()
         if stack and np.any(exact):
             # chosen per copy, so that each copy keeps the bits of its plain call
-            widened = _normalize_from_covariance(x, gamma, w, stats)[2]
+            widened = _normalize_from_covariance(x, gamma, w, None, stats)[2]
             np.copyto(y, widened(), where=exact[:, None, None])
     if stack:
         return Tensor(np.maximum(y + beta.data, 0.0))
-    batch_mean = mean[0] if b is None or row_aligned else mean[0] + b.data
+    batch_mean = mean[0] if b is None or sets else mean[0] + b.data
     state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
     state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     y += beta.data
@@ -513,9 +556,8 @@ def batchnorm(
         sum_g = gz.sum(axis=0)
         grads, sum_gx = step(gz, sum_g)
         grads += [(gamma, sum_gx), (beta, sum_g)]
-        if b is not None:
-            # step left the normalized gradient of the product in gz
-            grads.append((b, gz if row_aligned else np.zeros(b.data.shape)))
+        if b is not None and not sets:
+            grads.append((b, np.zeros(b.data.shape)))
         return grads
 
     # rebuilt on request, so no full-size pre-activation stays alive
@@ -526,14 +568,14 @@ def batchnorm(
 
 def _normalize_product(x, gamma, w, b) -> tuple:
     """:func:`batchnorm`'s formula that normalizes the product ``x @ w``,
-    plus the row-aligned bias ``b`` when given. Returns the product's batch
+    plus the per-set bias ``b`` when given. Returns the product's batch
     mean and variances, a function that forms ``gamma * xhat``, and the
-    backward step ``(gz, sum_g) -> (gradients of x and w, sum(gz * xhat))``,
-    which normalizes ``gz`` in place."""
+    backward step ``(gz, sum_g) -> (gradients of x, w and b, sum(gz *
+    xhat))``, which normalizes ``gz`` in place."""
     m = x.data.shape[-2]
     xhat = _product(x.data, w.data)
     if b is not None:
-        xhat += b.data
+        _add_bias(xhat, b.data, b.data.shape[0])
     mean = xhat.mean(axis=-2, keepdims=True)
     xhat -= mean
     var = np.einsum("...ij,...ij->...j", xhat, xhat) / m
@@ -548,26 +590,38 @@ def _normalize_product(x, gamma, w, b) -> tuple:
         gz *= scale
         gz -= scale * sum_g / m
         gz -= xhat * (scale * sum_gx / m)
-        return _gemm_grads(x, w, gz), sum_gx
+        grads = _gemm_grads(x, w, gz)
+        if b is not None:
+            grads.append((b, _set_sums(gz, b.data.shape[0])))
+        return grads, sum_gx
 
     return mean, var, lambda: xhat * gamma.data, step
 
 
-def _input_statistics(x: np.ndarray, w: np.ndarray) -> tuple:
+def _input_statistics(x: np.ndarray, w: np.ndarray, c: np.ndarray | None = None) -> tuple:
     """The batch statistics of ``x @ w`` from those of the narrow input
     ``x``: with ``xc = x - mean_x`` and ``cov = xc^T xc / m``, the product
     has mean ``mean_x @ w`` and variances ``diag(w^T cov w)``.
 
+    With a per-set bias ``c`` ``(S, d)``, the layer ``x @ w + E c``, where
+    E is the ``(rows, S)`` indicator of the sets, is the product of the
+    input ``[x | E]`` and the weight ``[w; c]``, and these are its
+    statistics. E's columns have mean 1/S. The extended covariance has
+    the blocks ``cov``, ``xc^T (E - 1/S) / m``, which is each set's sum of
+    ``xc`` centred over the sets, and ``(I - 1/S) / S``: it is ``(d_in +
+    S)^2`` and built without a ``(rows, S)`` array.
+
     Returns ``mean_x``, ``xc``, ``cov @ w``, the variances and whether they
-    are exact enough: per copy of a stacked call, else one flag. The
-    rounding error of each variance is bounded by ``eps * (d_in + 2) *
-    diag(|w|^T |cov| |w|)``. Where inputs are nearly collinear under large
-    weights, ``w^T cov w`` cancels, and the bound grows against the
-    variance. The variances are exact enough when they are finite and
-    every bound is at most ``BN_COV_RTOL * (var + BN_EPS)``, so that it
-    moves each ``1 / sqrt(var + BN_EPS)`` by a relative
-    ``BN_COV_RTOL / 2`` at most."""
-    m, d_in = x.shape[-2:]
+    are exact enough: per copy of a stacked call, else one flag. With
+    ``c``, ``mean_x`` and ``cov @ w`` are those of the extended input and
+    weight. The rounding error of each variance is bounded by ``eps * (d_in + 2) *
+    diag(|w|^T |cov| |w|)``, ``d_in`` counting the input's columns.
+    Where inputs are nearly collinear under large weights, ``w^T cov w``
+    cancels, and the bound grows against the variance. The variances are
+    exact enough when they are finite and every bound is at most
+    ``BN_COV_RTOL * (var + BN_EPS)``, so that it moves each ``1 /
+    sqrt(var + BN_EPS)`` by a relative ``BN_COV_RTOL / 2`` at most."""
+    m = x.shape[-2]
     # column sums as one GEMV each, far faster than sum(axis=-2) over a
     # few columns; a second pass over the centred input takes out the
     # rounding error of the first mean, which every row of xc @ w would
@@ -581,6 +635,14 @@ def _input_statistics(x: np.ndarray, w: np.ndarray) -> tuple:
     mean_x += shift
     cov = np.swapaxes(xc, -1, -2) @ xc
     cov /= m
+    if c is not None:
+        sets = c.shape[0]
+        cross = _set_sums(xc, sets)
+        cross = (cross - cross.mean(axis=0)) / m
+        cov = np.block([[cov, cross.T], [cross, (np.eye(sets) - 1.0 / sets) / sets]])
+        mean_x = np.hstack([mean_x, np.full((1, sets), 1.0 / sets)])
+        w = np.vstack([w, c])
+    d_in = w.shape[-2]
     cov_w = cov @ w
     var = np.einsum("...ij,...ij->...j", cov_w, w)
     abs_w = np.abs(w)
@@ -589,35 +651,54 @@ def _input_statistics(x: np.ndarray, w: np.ndarray) -> tuple:
     return mean_x, xc, cov_w, var, exact
 
 
-def _normalize_from_covariance(x, gamma, w, stats) -> tuple:
+def _normalize_from_covariance(x, gamma, w, b, stats) -> tuple:
     """:func:`batchnorm`'s formula for a widening layer, from the
     statistics of its input (see :func:`_input_statistics`): ``gamma *
     xhat = xc @ (w * a)`` with ``a = gamma * inv_std``, one GEMM. Returns
     what :func:`_normalize_product` returns; the backward keeps ``xc``
-    (rows, d_in), no (rows, d) floats."""
+    (rows, d_in), no (rows, d) floats.
+
+    With a per-set bias ``b``, the same formula runs on the extended
+    input and weight: ``xc`` stands for ``[xc | E - 1/S]`` and ``w`` for
+    ``[w; b]``. A product by the centred indicators adds each set's row,
+    centred over the sets, and a product by their transpose takes each
+    set's sums, centred the same way; the bias's gradient is the ``b``
+    rows of the extended weight's gradient."""
     mean_x, xc, cov_w, var, _ = stats
-    m = x.data.shape[-2]
+    m, d_in = xc.shape[-2:]
+    sets = 0 if b is None else b.data.shape[0]
+    w_all = np.vstack([w.data, b.data]) if sets else w.data
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std[..., None, :]  # one row per copy, one for a plain call
-    w_scaled = w.data * scale
+    w_scaled = w_all * scale
+
+    def input_times(p):
+        # the extended input [xc | E - 1/S] times p
+        if not sets:
+            return _product(xc, p)
+        per_set = p[d_in:]
+        return _add_bias(_product(xc, p[:d_in]), per_set - per_set.mean(axis=0), sets)
 
     def step(gz, sum_g):
         # the backward of Ioffe & Szegedy (2015) with xhat = xc @ w * inv_std
         # never formed: its (rows, d) sums come from the GEMM xc^T gz
         gw = xc.T @ gz
-        sum_gx = inv_std * np.einsum("ij,ij->j", w.data, gw)
+        if sets:
+            per_set = _set_sums(gz, sets)
+            gw = np.vstack([gw, per_set - per_set.mean(axis=0)])
+        sum_gx = inv_std * np.einsum("ij,ij->j", w_all, gw)
         gw -= cov_w * (inv_std * sum_gx)
         gw *= scale
-        grads = [(w, gw)]
+        grads = [(w, gw[:d_in]), (b, gw[d_in:])] if sets else [(w, gw)]
         if x.requires_grad:
-            proj = (w.data * (scale * inv_std * sum_gx / m)) @ w.data.T
-            gx = _product(gz, w_scaled.T)
-            gx -= _product(xc, proj)
+            proj = (w_all * (scale * inv_std * sum_gx / m)) @ w.data.T
+            gx = _product(gz, w_scaled[:d_in].T)
+            gx -= input_times(proj)
             gx -= w.data @ (scale[0] * sum_g / m)
             grads.insert(0, (x, gx))
         return grads, sum_gx
 
-    return mean_x @ w.data, var, lambda: _product(xc, w_scaled), step
+    return mean_x @ w_all, var, lambda: input_times(w_scaled), step
 
 
 def pair_aggregate(a: Tensor, b: Tensor) -> Tensor:

@@ -896,3 +896,15 @@ def test_console_script_help():
     assert result.returncode == 0
     for sub in ("train", "eval", "verify", "decompose", "params"):
         assert sub in result.stdout
+
+
+def test_python_m_pinset_runs_the_cli(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "pinset", "verify", "--suite", "invariance", "--seed", "0", "--out", str(tmp_path)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "all properties passed" in result.stdout
+    assert json.loads((tmp_path / "verify_report.json").read_text())["passed"] is True

@@ -176,8 +176,8 @@ def test_primitive_gradients(trial):
         for k, operand in enumerate(operands):
             worst = max(worst, _check(lambda t, _k=k: fused_loss(t, _k), operand))
 
-    # a row-aligned (rows, d) bias, as the broadcast blocks pass it, on a
-    # stream of its own
+    # a (rows, d) bias, one row per row, as the broadcast blocks pass their
+    # tiled row in eval mode, on a stream of its own
     gr = RngState(4000 + trial).generator()
     for use_relu in (False, True):
         while True:
@@ -209,6 +209,35 @@ def test_primitive_gradients(trial):
 
     for k, operand in enumerate(operands):
         worst = max(worst, _check(lambda t, _k=k: row_bn_loss(t, _k), operand))
+
+    # a per-set (S, d) bias, one row per set of 2 rows, on a stream of its
+    # own: batchnorm takes the covariance formula at 2 -> 8 (2 + 3 sets <
+    # 8) and the direct one at 4 -> 4
+    gs = RngState(5000 + trial).generator()
+    for d_in, d in ((2, 8), (4, 4)):
+        while True:
+            xs, w_s, cs = (gs.uniform(-1, 1, size=s) for s in ((6, d_in), (d_in, d), (3, d)))
+            gam, bet = gs.uniform(0.5, 1.5, size=d), gs.uniform(-0.5, 0.5, size=d)
+            z = xs @ w_s + np.repeat(cs, 2, axis=0)
+            zn = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS)
+            if np.min(np.abs(z)) > 1e-3 and np.min(np.abs(gam * zn + bet)) > 1e-3:
+                break
+        # the covariance formula's guard passes: no fallback to the direct one
+        assert d_in + 3 >= d or tensor_mod._input_statistics(xs, w_s, cs)[-1]
+        wps = _weighted(gs, (6, d))
+        operands = [xs, w_s, gam, bet, cs]
+
+        def per_set_loss(t, k, fused, _operands=operands):
+            x_, w_, g_, be_, b_ = [t if j == k else Tensor(a) for j, a in enumerate(_operands)]
+            if fused == "affine":
+                return wps(affine(x_, w_, b_, relu=True))
+            return wps(batchnorm(x_, g_, be_, BatchNormState(d), w=w_, b=b_))
+
+        for k, operand in enumerate(operands):
+            for fused in ("affine", "batchnorm"):
+                if fused == "affine" and k in (2, 3):
+                    continue  # affine takes no gamma or beta
+                worst = max(worst, _check(lambda t, _k=k, _f=fused: per_set_loss(t, _k, _f), operand))
 
     assert worst < TOL, f"worst primitive gradient error {worst:.3e}"
 
@@ -396,14 +425,13 @@ def test_relu_walk_finds_every_relu_input():
 
 def test_relu_walk_rebuilds_fused_preactivations():
     # fused w -> batchnorm -> relu MLP layers, then a broadcast block's
-    # batchnorm with a row-aligned bias: 4 sets of 3 rows, one tiled row each
+    # batchnorm with a per-set bias: 4 sets of 3 rows, one bias row each
     mlp = Mlp(MlpSpec([3, 8, 6, 5]), RngState(96))
     gen = RngState(97).generator()
     x = Tensor(gen.uniform(-1, 1, size=(12, 3)))
     w_x, per_set = Tensor(gen.uniform(-1, 1, size=(5, 7))), Tensor(gen.uniform(-1, 1, size=(4, 7)))
     gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=7)), Tensor(gen.uniform(-0.5, 0.5, size=7))
-    tiled = tile_rows(per_set, 3)
-    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), w=w_x, b=tiled)
+    out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), w=w_x, b=per_set)
     got = {a.shape: a for a in _relu_inputs(out)}
 
     def bn(z, g, b):
@@ -417,7 +445,7 @@ def test_relu_walk_rebuilds_fused_preactivations():
             h = bn(h, layer.bn.gamma.data, layer.bn.beta.data)
             want[h.shape] = h
             h = np.maximum(h, 0.0)
-    h = bn(h @ w_x.data + tiled.data, gamma.data, beta.data)
+    h = bn(h @ w_x.data + np.repeat(per_set.data, 3, axis=0), gamma.data, beta.data)
     want[h.shape] = h
     np.testing.assert_allclose(out.data, np.maximum(h, 0.0), rtol=1e-12, atol=0)
     assert sorted(got) == sorted(want) == [(12, 6), (12, 7), (12, 8)]

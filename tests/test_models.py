@@ -393,7 +393,7 @@ class TestBroadcastWeights:
 
 @pytest.mark.parametrize(
     "config, total, reshapes",
-    [(quadrant_config, 14, 3), (pixel_s_config, 16, 3), (pixel_l_config, 37, 6), (gradcheck_config, 13, 3)],
+    [(quadrant_config, 14, 3), (pixel_s_config, 16, 3), (pixel_l_config, 35, 6), (gradcheck_config, 13, 3)],
     ids=["quadrant", "pixel-s", "pixel-l", "gradcheck"],
 )
 def test_train_step_tape_nodes_by_op(config, total, reshapes):

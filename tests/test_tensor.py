@@ -16,6 +16,7 @@ from pinset.tensor import (
     affine,
     backward,
     batchnorm,
+    column_major,
     dropout,
     finite_difference_gradient,
     matmul,
@@ -28,6 +29,7 @@ from pinset.tensor import (
     squashing,
     stacked_finite_difference_gradient,
     sum_all,
+    tile_rows,
 )
 
 
@@ -552,6 +554,191 @@ class TestBatchnormWidening:
             assert np.array_equal(out[k], plain.data), k
 
 
+def _per_set_reference(x, w, c, gamma, beta, g):
+    """relu(BN(x @ w + E c)) in long double, E the indicator of the
+    ``len(c)`` sets of consecutive rows: the output, the batch mean and
+    biased variance, and the gradients of ``sum(out * g)`` by the closed
+    form of Ioffe & Szegedy (2015)."""
+    x, w, c, gamma, beta, g = (np.asarray(a, dtype=np.longdouble) for a in (x, w, c, gamma, beta, g))
+    (m, d), sets = g.shape, c.shape[0]
+    z = x @ w + np.repeat(c, m // sets, axis=0)
+    mean = z.mean(axis=0)
+    var = ((z - mean) ** 2).mean(axis=0)
+    inv_std = 1.0 / np.sqrt(var + np.longdouble(BN_EPS))
+    xhat = (z - mean) * inv_std
+    pre = gamma * xhat + beta
+    gp = g * (pre > 0)
+    gz = gamma * inv_std / m * (m * gp - gp.sum(axis=0) - xhat * (gp * xhat).sum(axis=0))
+    grads = {
+        "x": gz @ w.T,
+        "w": x.T @ gz,
+        "b": gz.reshape(sets, -1, d).sum(axis=1),
+        "gamma": (gp * xhat).sum(axis=0),
+        "beta": gp.sum(axis=0),
+    }
+    return np.maximum(pre, 0.0), mean, var, grads
+
+
+class TestPerSetBias:
+    """An ``(S, d)`` bias shared by each block of ``rows / S`` consecutive
+    rows, as a broadcast block's per-set row ``y W_y + b`` arrives."""
+
+    @staticmethod
+    def _operands(seed, sets, n, d_in, d):
+        # column-major rows, as the model holds them
+        gen = RngState(seed).generator()
+        x = column_major(gen.uniform(-1, 1, size=(sets * n, d_in)))
+        w = gen.uniform(-1, 1, size=(d_in, d)) / np.sqrt(d_in)
+        c = gen.uniform(-1, 1, size=(sets, d))
+        gamma, beta = gen.uniform(0.5, 1.5, size=d), gen.uniform(-0.5, 0.5, size=d)
+        return x, w, c, gamma, beta, gen.uniform(-1, 1, size=(sets * n, d))
+
+    @staticmethod
+    def _run(x0, w0, c0, gamma0, beta0, g, tile=None):
+        """The layer's output, running statistics and gradients, by name;
+        with ``tile``, the bias goes in as ``tile_rows(c, tile)``."""
+        x, w, c, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, c0, gamma0, beta0))
+        state = BatchNormState(w0.shape[1])
+        out = batchnorm(x, gamma, beta, state, w=w, b=c if tile is None else tile_rows(c, tile))
+        got = backward(sum_all(mul(out, Tensor(g))))
+        grads = {name: got[t] for name, t in {"x": x, "w": w, "b": c, "gamma": gamma, "beta": beta}.items()}
+        return out.data, state, grads
+
+    @staticmethod
+    def _error(got, want):
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+    @staticmethod
+    def _count_direct(monkeypatch) -> list:
+        taken = []
+        direct = tensor_mod._normalize_product
+        monkeypatch.setattr(tensor_mod, "_normalize_product", lambda *a: taken.append(1) or direct(*a))
+        return taken
+
+    @pytest.mark.parametrize("shape", [(4, 6, 5, 5), (3, 8, 6, 4)], ids=["square", "narrowing"])
+    def test_direct_formula_equals_the_tiled_bias(self, shape):
+        # d_in + S >= d: the direct formula adds the per-set row through a
+        # (S, N, d) view, the same add per element as the tiled copy, and
+        # sums the gradient per set as tile_rows' backward does
+        sets, n, d_in, d = shape
+        operands = self._operands(100 + d_in, sets, n, d_in, d)
+        y, state, grads = self._run(*operands)
+        y_tiled, state_tiled, grads_tiled = self._run(*operands, tile=n)
+        assert np.any(y == 0) and np.any(y > 0)
+        assert np.array_equal(y, y_tiled)
+        assert np.array_equal(state.mean, state_tiled.mean) and np.array_equal(state.var, state_tiled.var)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, grads_tiled[name]), name
+
+    def test_affine_equals_the_tiled_bias(self):
+        x, w, c, *_, g = self._operands(104, 3, 5, 4, 6)
+        outs = []
+        for tile in (None, 5):
+            xt, wt, ct = (Tensor(a, requires_grad=True) for a in (x, w, c))
+            out = affine(xt, wt, ct if tile is None else tile_rows(ct, tile), relu=True)
+            got = backward(sum_all(mul(out, Tensor(g))))
+            outs.append([out.data] + [got[t] for t in (xt, wt, ct)])
+        for name, a, b in zip(("y", "x", "w", "b"), *outs):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize(
+        "shape", [(8, 98, 3, 64), (32, 196, 3, 256), (16, 49, 8, 128)], ids=["3-64", "bc0", "8-128"]
+    )
+    def test_covariance_formula_is_as_accurate_as_the_direct_one(self, shape, monkeypatch):
+        # against long double, as the covariance formula without a bias was
+        # measured: its worst error over the output and the gradients is no
+        # larger than the direct formula's, and no single error is more than
+        # twice the direct formula's (the two round differently)
+        sets, n, d_in, d = shape
+        operands = self._operands(110 + d, sets, n, d_in, d)
+        want, mean, var, want_grads = _per_set_reference(*operands)
+        errors = {}
+        for formula in ("covariance", "direct"):
+            if formula == "direct":
+                monkeypatch.setattr(tensor_mod, "BN_COV_RTOL", -1.0)  # the guard refuses every call
+            taken = self._count_direct(monkeypatch)
+            y, state, grads = self._run(*operands)
+            assert bool(taken) == (formula == "direct")
+            errors[formula] = {
+                "y": self._error(y, want),
+                "mean": self._error(state.mean / BN_MOMENTUM, mean),
+                "var": self._error((state.var - (1.0 - BN_MOMENTUM)) / BN_MOMENTUM, var),
+                **{name: self._error(grad, want_grads[name]) for name, grad in grads.items()},
+            }
+        cov, direct = errors["covariance"], errors["direct"]
+        assert max(cov.values()) <= max(direct.values()) <= 1e-14, errors
+        assert all(cov[k] <= 2.0 * direct[k] for k in cov), errors
+
+    def test_covariance_formula_matches_the_explicit_indicator_oracle(self, monkeypatch):
+        # the layer x @ w + E c is the bias-free layer [x | E] @ [w; c],
+        # which the covariance formula takes as a plain widening layer
+        sets, n = 5, 12
+        x0, w0, c0, gamma0, beta0, g = self._operands(120, sets, n, 3, 24)
+        taken = self._count_direct(monkeypatch)
+        y, state, grads = self._run(x0, w0, c0, gamma0, beta0, g)
+        indicator = np.repeat(np.eye(sets), n, axis=0)
+        xe, we, gamma, beta = (
+            Tensor(a, requires_grad=True)
+            for a in (np.hstack([x0, indicator]), np.vstack([w0, c0]), gamma0, beta0)
+        )
+        oracle_state = BatchNormState(24)
+        out = batchnorm(xe, gamma, beta, oracle_state, w=we)
+        got = backward(sum_all(mul(out, Tensor(g))))
+        assert not taken
+        want = {"x": got[xe][:, :3], "w": got[we][:3], "b": got[we][3:], "gamma": got[gamma], "beta": got[beta]}
+        TestBatchnormWidening._assert_close(y, out.data, "y")
+        TestBatchnormWidening._assert_close(state.mean, oracle_state.mean, "running mean")
+        TestBatchnormWidening._assert_close(state.var, oracle_state.var, "running var")
+        for name, grad in grads.items():
+            TestBatchnormWidening._assert_close(grad, want[name], name)
+
+    @pytest.mark.parametrize(
+        "case", [(96, 3, 16, 0.0), (128, 8, 24, 0.3), (160, 2, 16, 5.0)], ids=["raw-3-16", "hidden-8-24", "offset-2-16"]
+    )
+    def test_widening_layers_match_the_unfused_reference(self, case, monkeypatch):
+        rows, d_in, d, offset = case
+        x0, w0, gen = TestBatchnormWidening._widening(sum(case[:3]), rows, d_in, d, offset)
+        c0 = gen.uniform(-1, 1, size=(4, d))
+        gamma0, beta0 = gen.uniform(0.5, 1.5, size=d), gen.uniform(-0.5, 0.5, size=d)
+        g = gen.uniform(-1, 1, size=(rows, d))
+        taken = self._count_direct(monkeypatch)
+        y, state, grads = self._run(x0, w0, c0, gamma0, beta0, g)
+        assert not taken
+        want, mean, var, want_grads = _bn_layer_reference(
+            x0, w0, np.repeat(c0, rows // 4, axis=0), gamma0, beta0, g
+        )
+        want_grads["b"] = want_grads["b"].reshape(4, -1, d).sum(axis=1)
+        TestBatchnormWidening._assert_close(y, want, "y")
+        TestBatchnormWidening._assert_close(state.mean, BN_MOMENTUM * mean, "running mean")
+        TestBatchnormWidening._assert_close(state.var, (1.0 - BN_MOMENTUM) + BN_MOMENTUM * var, "running var")
+        for name, grad in grads.items():
+            TestBatchnormWidening._assert_close(grad, want_grads[name], name)
+
+    def test_collinear_inputs_under_large_weights_take_the_direct_formula(self, monkeypatch):
+        x0, w0, gen = _collinear_draw()  # 64 rows, 3 -> 6
+        c0 = gen.uniform(-1, 1, size=(2, 6))  # 3 + 2 < 6: a widening layer
+        gamma0, beta0 = gen.uniform(0.5, 1.5, size=6), gen.uniform(-0.5, 0.5, size=6)
+        g = gen.uniform(-1, 1, size=(64, 6))
+        assert not tensor_mod._input_statistics(x0, w0, c0)[-1]
+        taken = self._count_direct(monkeypatch)
+        y, _, grads = self._run(x0, w0, c0, gamma0, beta0, g)
+        assert taken
+        want, _, _, want_grads = _bn_layer_reference(x0, w0, np.repeat(c0, 32, axis=0), gamma0, beta0, g)
+        want_grads["b"] = want_grads["b"].reshape(2, -1, 6).sum(axis=1)
+        TestBatchnormWidening._assert_close(y, want, "y")
+        for name, grad in grads.items():
+            TestBatchnormWidening._assert_close(grad, want_grads[name], name)
+
+    @pytest.mark.parametrize("sets", [0, 5, 24], ids=["none", "five", "more-than-rows"])
+    def test_sets_that_do_not_divide_the_rows_are_refused(self, sets):
+        x, w, *_ = self._operands(130, 3, 4, 3, 8)  # 12 rows
+        gamma, beta, bias = Tensor(np.ones(8)), Tensor(np.zeros(8)), Tensor(np.zeros((sets, 8)))
+        with pytest.raises(ShapeError, match=rf"\({sets}, 8\).*12 rows"):
+            affine(Tensor(x), Tensor(w), bias)
+        with pytest.raises(ShapeError, match=rf"\({sets}, 8\).*12 rows"):
+            batchnorm(Tensor(x), gamma, beta, BatchNormState(8), w=Tensor(w), b=bias)
+
+
 class TestNoGrad:
     def _operands(self):
         gen = RngState(50).generator()
@@ -962,15 +1149,16 @@ class TestStackAxis:
 
     @pytest.mark.parametrize("shape", [(K, 4), (K, 6, 4)], ids=["rank-2", "row-aligned"])
     def test_a_stacked_bias_is_a_row(self, shape):
-        # a rank-2 bias stays row-aligned, so (K, d) with K != rows does
-        # not fit; a stacked call takes no row-aligned bias
+        # a rank-2 bias is per-set, so (K, d) with K not dividing the rows
+        # does not fit; a stacked call takes no per-set bias
         ops = _stack_operands(68)
         x = Tensor(ops["x"] if len(shape) == 3 else ops["x"][0])
         with no_grad(), pytest.raises(ShapeError, match="bias|per-feature"):
             affine(x, Tensor(ops["w"][0]), Tensor(np.zeros(shape)))
 
     def test_plain_calls_with_a_row_aligned_bias_are_unchanged(self):
-        # (rows, d) biases are added row by row and move the running mean
+        # (rows, d) biases, one set per row, are added row by row and move
+        # the running mean
         ops = _stack_operands(69)
         x, w, gamma, beta = (_operand(ops, n, (), 0) for n in ("x", "w", "gamma", "beta"))
         rows = RngState(70).generator().uniform(-1, 1, size=(6, 4))
@@ -998,9 +1186,10 @@ def _layer(name: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         ("affine", 3, (4,)),
         ("batchnorm", 3, (4,)),  # widening: the covariance formula
         ("batchnorm", 5, (4,)),  # narrowing: the direct formula
-        ("batchnorm", 3, (6, 4)),  # row-aligned bias: the direct formula
+        ("batchnorm", 3, (6, 4)),  # one bias row per row, 3 + 6 >= 4: the direct formula
+        ("batchnorm", 1, (2, 4)),  # per-set bias, 1 + 2 < 4: the covariance formula
     ],
-    ids=["matmul", "affine", "batchnorm", "batchnorm-narrowing", "batchnorm-row-aligned-bias"],
+    ids=["matmul", "affine", "batchnorm", "batchnorm-narrowing", "batchnorm-row-aligned-bias", "batchnorm-per-set-bias"],
 )
 def test_input_gradient_only_for_an_input_that_requires_grad(name, d_in, bias_shape):
     """The backward leaves out the input gradient ``g @ w.T`` when the
