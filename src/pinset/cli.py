@@ -326,7 +326,7 @@ def cmd_decompose(args) -> int:
     input_path, components = args.input, args.components
     if not input_path:
         raise ConfigError("decompose needs an input tensor (--input)")
-    if not components:
+    if components is None:
         raise ConfigError("decompose needs a component count (--components)")
     tensor = read_tensor(input_path)
     try:

@@ -334,7 +334,11 @@ def perturb_to_full_rank(y, epsilon: float) -> np.ndarray:
 
 def rank_stability_trial(y_full, epsilon: float, trials: int, rng: RngState) -> float:
     """Fraction of random perturbations with ``||delta||_F < epsilon`` that
-    leave a full-column-rank matrix at full rank."""
+    leave a full-column-rank matrix at full rank.
+
+    The perturbations are drawn one after another, then every perturbed
+    matrix's rank comes from one stacked SVD, judged as
+    :func:`numeric_rank` judges it."""
     y_arr = _as_matrix(y_full, "y_full")
     n_rows, s = y_arr.shape
     rank = numeric_rank(y_arr)
@@ -349,14 +353,11 @@ def rank_stability_trial(y_full, epsilon: float, trials: int, rng: RngState) -> 
         raise ValueError(f"trials must be positive, got {trials}")
 
     gen = rng.generator()
-    survived = 0
-    for _ in range(trials):
-        if epsilon == 0.0:
-            delta = np.zeros_like(y_arr)
-        else:
+    deltas = np.zeros((trials, n_rows, s))
+    if epsilon > 0.0:
+        for delta in deltas:
             direction = gen.standard_normal(y_arr.shape)
             norm = np.linalg.norm(direction)
-            delta = direction * (epsilon * gen.random() / norm) if norm > 0 else direction
-        if numeric_rank(y_arr + delta) == s:
-            survived += 1
-    return survived / trials
+            delta[...] = direction * (epsilon * gen.random() / norm) if norm > 0 else direction
+    singular = np.linalg.svd(y_arr + deltas, compute_uv=False)
+    return sum(_rank(sv, RANK_TOL) == s for sv in singular) / trials

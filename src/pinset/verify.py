@@ -91,11 +91,6 @@ def _within_tolerance(name: str, values: list[float], tol: float, detail: str) -
     )
 
 
-def _gap(forward, a: np.ndarray, b: np.ndarray) -> float:
-    """max |forward(a) - forward(b)| for two sets of the same shape."""
-    return float(np.max(np.abs(forward(a[None]).data - forward(b[None]).data)))
-
-
 def relative_error(a, b) -> float:
     """Guarded relative error: |a-b| scaled by max(|a|, |b|, 1)."""
     a = np.asarray(a, dtype=np.float64)
@@ -117,10 +112,45 @@ def _invariance_block(act1: str, act2: str, rng: RngState) -> AggregationBlock:
     return AggregationBlock(spec, rng)
 
 
+def _pair_gaps(block: AggregationBlock, sets: np.ndarray) -> list[float]:
+    """max |aggregate(a) - aggregate(b)| for each pair of (2, pairs, N, p)
+    sets, every a then every b, from one eval forward of all of them: eval
+    mode gives each set's feature from its own rows alone."""
+    _, pairs, n, p = sets.shape
+    out = aggregate(block, Tensor(sets.reshape(2 * pairs, n, p)), "eval").data.reshape(2, pairs, -1)
+    return np.max(np.abs(out[0] - out[1]), axis=1).tolist()
+
+
+# classifier logits trials per head forward, on their joined features.
+# Memory, not speed, sets it: the group's features are held while each set
+# runs, and at 10 or 25 trials (160 or 400 KB held) the benchmark's peak
+# RSS rose by about 0.15 MB; at 4 it did not, and most of the gain remains
+LOGITS_GROUP = 4
+
+
+def _logits_group(model, root: RngState, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """The eval features and logits of ``trials``' sets, each trial's X
+    then its PX, one row each. Every set gets its own ``Model.features``
+    call; the head runs once on the joined features."""
+    features = np.empty((2 * len(trials), model.config.feature_length))
+    for j, i in enumerate(trials):
+        gen = root.child("logits", i).generator()
+        x = gen.uniform(-1.0, 1.0, size=(784, 3))
+        perm = gen.permutation(784)
+        features[2 * j] = model.features(x[None], "eval").data
+        features[2 * j + 1] = model.features(x[perm][None], "eval").data
+    return features, model.head.forward(Tensor(features), "eval").data
+
+
 @no_grad()
 def run_invariance(seed: int) -> SuiteResult:
     """aggregate(PX) == aggregate(X) for every activation pair, and for
-    full classifier logits, within 1e-12."""
+    full classifier logits, within 1e-12.
+
+    Each activation pair's 100 trials run as one eval forward of their 200
+    sets (:func:`_pair_gaps`). The classifier's trials run the ``pixel-s``
+    model's features set by set and its head once per
+    :data:`LOGITS_GROUP` trials (:func:`_logits_group`)."""
     root = RngState(seed).child("invariance")
     pairs_per_config = 100
     n_elements = 40
@@ -128,36 +158,29 @@ def run_invariance(seed: int) -> SuiteResult:
 
     for act1, act2 in itertools.product(ACTIVATION_KINDS, repeat=2):
         block = _invariance_block(act1, act2, root.child("params", act1, act2))
-        # every X, then every PX: one eval forward of all 200 sets, as
-        # each set's feature depends only on its own rows
         sets = np.empty((2, pairs_per_config, n_elements, 3))
         for i in range(pairs_per_config):
             gen = root.child("pair", act1, act2, i).generator()
             sets[0, i] = gen.uniform(-1.0, 1.0, size=(n_elements, 3))
             sets[1, i] = sets[0, i][gen.permutation(n_elements)]
-        stacked = Tensor(sets.reshape(2 * pairs_per_config, n_elements, 3))
-        out = aggregate(block, stacked, "eval").data.reshape(2, pairs_per_config, -1)
         properties.append(
             _within_tolerance(
                 f"aggregate_invariance[{act1},{act2}]",
-                np.max(np.abs(out[0] - out[1]), axis=1).tolist(),
+                _pair_gaps(block, sets),
                 1e-12,
                 "max |aggregate(PX) - aggregate(X)|, tolerance 1e-12",
             )
         )
 
     model = build_model(pixel_s_config(), root.child("model"))
-
-    def logits_trial(i):
-        gen = root.child("logits", i).generator()
-        x = gen.uniform(-1.0, 1.0, size=(784, 3))
-        perm = gen.permutation(784)
-        return _gap(lambda s: model.forward(s, "eval"), x, x[perm])
-
+    gaps = []
+    for start in range(0, pairs_per_config, LOGITS_GROUP):
+        _, logits = _logits_group(model, root, range(start, min(start + LOGITS_GROUP, pairs_per_config)))
+        gaps += np.max(np.abs(logits[0::2] - logits[1::2]), axis=1).tolist()
     properties.append(
         _within_tolerance(
             "classifier_logits_invariance",
-            [logits_trial(i) for i in range(pairs_per_config)],
+            gaps,
             1e-12,
             "end-to-end logits under input permutation, tolerance 1e-12",
         )
@@ -503,11 +526,39 @@ def _linear_block(rng: RngState, final1: str, final2: str) -> AggregationBlock:
     return AggregationBlock(spec, rng)
 
 
+def _elementwise_block(rng: RngState) -> AggregationBlock:
+    spec = AggregationSpec(
+        MlpSpec([3, 8, 6], final_activation="none"),
+        MlpSpec([3, 8, 5], final_activation="none"),
+        dropout_ratio=0.0,
+    )
+    return AggregationBlock(spec, rng)
+
+
+def _elementwise_trials(block: AggregationBlock, sets: np.ndarray) -> tuple[list[float], list[int]]:
+    """For (B, N, p) sets: each set's max |sum of its per-element
+    contributions - aggregate|, and each contribution's numeric rank. One
+    eval aggregate of all the sets, one :func:`per_element_contribution`
+    of all their rows and one stacked SVD of the contributions, each
+    matrix's rank judged as :func:`decomp.numeric_rank` judges it."""
+    b, n, p = sets.shape
+    totals = aggregate(block, Tensor(sets), "eval").data
+    contributions = per_element_contribution(block, sets.reshape(b * n, p))
+    sums = contributions.reshape(b, n, -1).sum(axis=1)
+    diffs = np.max(np.abs(sums - totals), axis=1).tolist()
+    ranks = [decomp._rank(s, decomp.RANK_TOL) for s in np.linalg.svd(contributions, compute_uv=False)]
+    return diffs, ranks
+
+
 @no_grad()
 def run_collapse(seed: int) -> SuiteResult:
     """Bias-free linear aggregation sees only X^T X (orthogonal mixes
     agree); one set-softmax breaks that; element-wise blocks decompose
-    into rank-<=1 per-element contributions that sum to the aggregate."""
+    into rank-<=1 per-element contributions that sum to the aggregate.
+
+    Each block runs its 50 X and 50 QX sets as one eval forward
+    (:func:`_pair_gaps`), and the element-wise trials run all 100 of
+    their sets at once (:func:`_elementwise_trials`)."""
     root = RngState(seed).child("collapse")
     pairs = 50
     deepsets_sets = 100
@@ -519,33 +570,20 @@ def run_collapse(seed: int) -> SuiteResult:
     linear_block = _linear_block(root.child("linear"), "none", "none")
     softmax_block = _linear_block(root.child("linear"), "softmax_set", "none")
 
-    agree_diffs = []
-    broken_diffs = []
+    mixes = np.empty((2, pairs, n_elements, 6))
     for i in range(pairs):
         gen = root.child("pair", i).generator()
         x = gen.uniform(-1.0, 1.0, size=(n_elements, 6))
         q, _ = np.linalg.qr(gen.standard_normal((n_elements, n_elements)))
-        mixed = q @ x
-        agree_diffs.append(_gap(lambda s: aggregate(linear_block, Tensor(s), "eval"), x, mixed))
-        broken_diffs.append(_gap(lambda s: aggregate(softmax_block, Tensor(s), "eval"), x, mixed))
+        mixes[0, i], mixes[1, i] = x, q @ x
+    agree_diffs = _pair_gaps(linear_block, mixes)
+    broken_diffs = _pair_gaps(softmax_block, mixes)
     differing = sum(d > 1e-3 for d in broken_diffs)
 
-    spec = AggregationSpec(
-        MlpSpec([3, 8, 6], final_activation="none"),
-        MlpSpec([3, 8, 5], final_activation="none"),
-        dropout_ratio=0.0,
+    sets = np.stack(
+        [root.child("deepsets", i).generator().uniform(-1.0, 1.0, size=(16, 3)) for i in range(deepsets_sets)]
     )
-    block = AggregationBlock(spec, root.child("elem"))
-
-    sum_diffs = []
-    rank_fail = 0
-    for i in range(deepsets_sets):
-        gen = root.child("deepsets", i).generator()
-        x = gen.uniform(-1.0, 1.0, size=(16, 3))
-        total = aggregate(block, Tensor(x[None]), "eval").data.reshape(6, 5)
-        contributions = per_element_contribution(block, x)
-        rank_fail += sum(decomp.numeric_rank(h) > 1 for h in contributions)
-        sum_diffs.append(float(np.max(np.abs(contributions.sum(axis=0) - total))))
+    sum_diffs, ranks = _elementwise_trials(_elementwise_block(root.child("elem")), sets)
 
     softmax_rejects = 0
     try:
@@ -577,8 +615,8 @@ def run_collapse(seed: int) -> SuiteResult:
         ),
         PropertyResult(
             name="contributions_rank_le_1",
-            trials=deepsets_sets * 16,
-            failures=rank_fail,
+            trials=len(ranks),
+            failures=sum(r > 1 for r in ranks),
             detail="each per-element contribution has numeric rank <= 1",
         ),
         PropertyResult(

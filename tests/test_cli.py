@@ -713,6 +713,16 @@ class TestDecomposeCommand:
         assert code == 1
         assert "N >= 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("components", ["0", "-1"])
+    def test_count_below_one_is_one_cardinality_error(self, components, tmp_path, capsys):
+        # 0 is a count, not a missing one: it gets the error that -1 gets
+        src = tmp_path / "t.txt"
+        write_tensor(src, np.ones((2, 3)))
+        code = main(["decompose", "--input", str(src), "--components", components, "--out", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"error: decomposition requires N >= 2 set elements, got {components}"]
+
     def test_rank_deficient_system_exits_1_with_rank(self, tmp_path, capsys):
         src = tmp_path / "t.txt"
         write_tensor(src, np.random.default_rng(0).uniform(-1, 1, size=(6, 6, 6)))

@@ -12,7 +12,12 @@ change that means to move some of these bits rewrites the file with
 
     PYTHONPATH=src python tests/test_outputs.py
 
-and says which digests moved, and why.
+which prints each digest that moved (name, old -> new) and how many did
+not; the change then says which digests moved, and why.
+
+The same module checks that larger train steps, eval chunks and the
+verify report are byte-identical under 1 and 2 OpenBLAS threads, each
+thread count in its own child process.
 """
 
 import contextlib
@@ -101,7 +106,7 @@ def train_step_arrays(preset: str, batch: int = BATCH, set_size: int = SET_SIZE)
 
 
 @no_grad()
-def eval_chunk_logits(preset: str) -> np.ndarray:
+def eval_chunk_logits(preset: str, batch: int = BATCH, set_size: int = SET_SIZE) -> np.ndarray:
     """The eval logits of one chunk of seeded sets, its elements run in
     two blocks, by a fresh ``preset`` model with seeded running statistics
     (so that every batchnorm fold moves its layer)."""
@@ -111,8 +116,8 @@ def eval_chunk_logits(preset: str) -> np.ndarray:
     for state in model.norm_states().values():
         state.mean = gen.uniform(-0.5, 0.5, size=state.mean.shape)
         state.var = gen.uniform(0.5, 2.0, size=state.var.shape)
-    sets = gen.uniform(-1, 1, size=(BATCH, SET_SIZE, cfg.input_width))
-    block_rows, train_mod.EVAL_BLOCK_ROWS = train_mod.EVAL_BLOCK_ROWS, BATCH // 2 * SET_SIZE
+    sets = gen.uniform(-1, 1, size=(batch, set_size, cfg.input_width))
+    block_rows, train_mod.EVAL_BLOCK_ROWS = train_mod.EVAL_BLOCK_ROWS, batch // 2 * set_size
     try:
         return train_mod._chunk_logits(model, sets).data
     finally:
@@ -194,31 +199,79 @@ def test_eval_chunk(pinned, preset):
     _check(pinned, f"eval_chunk.{preset}", _joined_digest({"logits": eval_chunk_logits(preset)}))
 
 
-def test_pixel_l_train_step_is_identical_across_blas_threads():
-    """One ``pixel-l`` train step at B=32, N=196, in a child process per
-    thread count, gives byte-identical gradients and running statistics
-    under 1 and 2 OpenBLAS threads. Its element GEMMs are (6272, 256) and
-    larger, large enough for OpenBLAS to split them between threads."""
+# the outputs checked across OpenBLAS thread counts, each as the digests
+# of its arrays. At B=32, N=196 the element GEMMs are (6272, 64) and
+# larger, large enough for OpenBLAS to split them between threads
+THREAD_CASES = {
+    "train_step.pixel-l": lambda: array_digests(train_step_arrays("pixel-l", 32, 196)),
+    "train_step.pixel-s": lambda: array_digests(train_step_arrays("pixel-s", 32, 196)),
+    "eval_chunk.pixel-l": lambda: array_digests({"logits": eval_chunk_logits("pixel-l", 32, 196)}),
+    "eval_chunk.pixel-s": lambda: array_digests({"logits": eval_chunk_logits("pixel-s", 32, 196)}),
+    "verify_report.seed0": lambda: {"report": verify_report_digest(0)},
+}
+
+
+@pytest.fixture(scope="module")
+def thread_runs() -> dict:
+    """Every case's digests by thread count, "1" and "2": one child
+    process per thread count runs them all."""
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import test_outputs as t; "
-        "print(json.dumps(t.array_digests(t.train_step_arrays('pixel-l', 32, 196))))"
+        "print(json.dumps({name: case() for name, case in t.THREAD_CASES.items()}))"
     )
-    src = str(ROOT / "src")
     runs = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run(
             [sys.executable, "-c", code, str(TESTS)], env=env, check=True, capture_output=True, text=True
         )
         runs[threads] = json.loads(done.stdout)
-    assert runs["1"].keys() == runs["2"].keys()
-    assert [name for name, digest in runs["1"].items() if runs["2"][name] != digest] == []
+    return runs
 
 
-if __name__ == "__main__":
+def _differing_across_threads(runs: dict, case: str) -> list[str]:
+    one, two = runs["1"][case], runs["2"][case]
+    assert one.keys() == two.keys()
+    return [name for name, digest in one.items() if two[name] != digest]
+
+
+def test_pixel_l_train_step_is_identical_across_blas_threads(thread_runs):
+    """One ``pixel-l`` train step at B=32, N=196 gives byte-identical
+    gradients and running statistics under 1 and 2 OpenBLAS threads."""
+    assert _differing_across_threads(thread_runs, "train_step.pixel-l") == []
+
+
+@pytest.mark.parametrize("case", [c for c in THREAD_CASES if c != "train_step.pixel-l"])
+def test_identical_across_blas_threads(thread_runs, case):
+    """A ``pixel-s`` train step and each large preset's two-block eval
+    chunk at B=32, N=196, and the seed-0 verify report, are byte-identical
+    under 1 and 2 OpenBLAS threads."""
+    assert _differing_across_threads(thread_runs, case) == []
+
+
+def repin() -> None:
+    """Rewrite ``tests/outputs.json`` from this tree and print each digest
+    that moved, and how many did not."""
+    try:
+        with open(OUTPUTS) as f:
+            before = json.load(f)
+    except FileNotFoundError:
+        before = {"environment": {}, "sha256": {}}
     with tempfile.TemporaryDirectory() as tmp:
         record = {"environment": environment(), "sha256": compute_all(tmp)}
     with open(OUTPUTS, "w") as f:
         json.dump(record, f, indent=2)
         f.write("\n")
-    print(f"wrote {OUTPUTS}")
+    if before["environment"] != record["environment"]:
+        print(f"environment: {before['environment']} -> {record['environment']}")
+    old = before["sha256"]
+    moved = [name for name, digest in record["sha256"].items() if old.get(name) != digest]
+    for name in moved:
+        print(f"moved {name}: {old.get(name)} -> {record['sha256'][name]}")
+    for name in sorted(old.keys() - record["sha256"].keys()):
+        print(f"dropped {name}: {old[name]}")
+    print(f"{len(record['sha256']) - len(moved)} unchanged; wrote {OUTPUTS}")
+
+
+if __name__ == "__main__":
+    repin()
