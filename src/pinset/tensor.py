@@ -2,7 +2,10 @@
 
 Every operation records its inputs on the output node, so each forward
 pass builds a fresh acyclic graph; :func:`backward` replays it once in
-reverse creation order. Values are treated as immutable once created.
+reverse creation order. A graph is differentiated once: as the walk
+passes a node, it drops the node's parents and its backward function,
+and with them the arrays the op saved for it, so the tape shrinks while
+backward runs. Values are treated as immutable once created.
 
 An op writes in place only into arrays it allocated itself. It never
 writes into its inputs' data, parameters, batchnorm running statistics
@@ -141,38 +144,50 @@ def _reachable(root: Tensor) -> list[Tensor]:
     return list(seen.values())
 
 
+def _differentiated(*_):
+    """The backward function of a node that :func:`backward` has passed."""
+    raise RuntimeError("this graph was already differentiated; run the forward again")
+
+
 def backward(loss: Tensor, params=()) -> dict:
     """Gradients of a scalar loss for every requires-grad leaf.
 
     Returns a map from tensor to gradient array. Tensors passed in
     ``params`` that the loss never touched get zero gradients.
+
+    The graph is differentiated once. Right after a node's backward
+    function has run, the node drops its parents and that function, and
+    with it the arrays the op saved (batchnorm's normalized input, relu
+    masks, softmax outputs), so they are freed during the walk instead of
+    when it returns; the node's ``data`` stays. Differentiating through a
+    passed node again raises ``RuntimeError``.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
 
-    # creation order is a topological order
     nodes = _reachable(loss)
+    leaves = [node for node in nodes if node.requires_grad and node._backward is None]
+    # creation order is a topological order; popped from the end, newest first
+    tape = sorted((node for node in nodes if node._backward is not None), key=lambda t: t._id)
+    del nodes  # from here only the tape and the leaves keep nodes alive
+    # keyed by id, only of nodes still alive: a pending one on the tape or a leaf
     grads = {id(loss): np.ones(())}
-    tensors = sorted(nodes, key=lambda t: t._id, reverse=True)
-    for node in tensors:
+    while tape:
+        node = tape.pop()
         g = grads.pop(id(node), None)
-        if g is None or node._backward is None:
-            if node._backward is None and g is not None:
-                grads[id(node)] = g  # keep leaf gradients
-            continue
-        for parent, contrib in node._backward(g):
-            if not parent.requires_grad:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
-            else:
-                grads[key] = contrib
+        if g is not None:
+            for parent, contrib in node._backward(g):
+                if not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + contrib
+                else:
+                    grads[key] = contrib
+        node._parents = ()
+        node._backward = _differentiated
 
-    out = {}
-    for node in nodes:
-        if node.requires_grad and node._backward is None:
-            out[node] = grads.get(id(node), np.zeros(node.data.shape))
+    out = {leaf: grads.get(id(leaf), np.zeros(leaf.data.shape)) for leaf in leaves}
     for p in params:
         if p not in out:
             out[p] = np.zeros(p.data.shape)

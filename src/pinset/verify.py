@@ -33,6 +33,7 @@ from .models import build_model, gradcheck_config, pixel_s_config
 from .rng import RngState
 from .tensor import (
     Tensor,
+    _differentiated,
     _reachable,
     backward,
     no_grad,
@@ -399,12 +400,12 @@ def _relu_inputs(out: Tensor) -> list[np.ndarray]:
     """Pre-activations of every relu in the graph behind ``out``: each op
     that fuses a relu (every ``batchnorm``, and ``affine`` with
     ``relu=True``) gives its backward a ``preactivation()`` that rebuilds
-    them."""
-    return [
-        node._backward.preactivation()
-        for node in _reachable(out)
-        if hasattr(node._backward, "preactivation")
-    ]
+    them. Raises ``RuntimeError`` on a graph that :func:`backward` has
+    passed, which keeps neither its ops nor their saved arrays."""
+    nodes = _reachable(out)
+    if any(node._backward is _differentiated for node in nodes):
+        _differentiated()
+    return [node._backward.preactivation() for node in nodes if hasattr(node._backward, "preactivation")]
 
 
 def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):

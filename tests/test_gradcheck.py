@@ -423,6 +423,18 @@ def test_relu_walk_finds_every_relu_input():
     assert sum(a.shape == (64, 256) for a in preacts) == 2
 
 
+def test_relu_walk_refuses_a_differentiated_graph():
+    # backward drops every node's saved arrays, so the walk would find no
+    # relu and accept any batch
+    model = build_model(gradcheck_config(), RngState(3))
+    gen = RngState(4).generator()
+    logits = model.forward(gen.uniform(-1, 1, size=(2, 32, 3)), "train", gen)
+    assert len(_relu_inputs(logits)) == 3
+    backward(softmax_cross_entropy(logits, np.array([0, 1])))
+    with pytest.raises(RuntimeError, match="^this graph was already differentiated"):
+        _relu_inputs(logits)
+
+
 def test_relu_walk_rebuilds_fused_preactivations():
     # fused w -> batchnorm -> relu MLP layers, then a broadcast block's
     # batchnorm with a per-set bias: 4 sets of 3 rows, one bias row each

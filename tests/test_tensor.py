@@ -911,6 +911,17 @@ class TestBackward:
         grads = backward(sum_all(out))
         np.testing.assert_array_equal(grads[t], np.ones((3, 5)))
 
+    def test_second_backward_through_a_differentiated_graph_raises(self):
+        w = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
+        y = mul(w, w)
+        loss = sum_all(y)
+        np.testing.assert_array_equal(backward(loss)[w], [[4.0, -2.0]])
+        # freed nodes would otherwise read as leaves, and w would get zeros
+        with pytest.raises(RuntimeError, match="^this graph was already differentiated"):
+            backward(loss)
+        with pytest.raises(RuntimeError, match="^this graph was already differentiated"):
+            backward(sum_all(y), params=[w])
+
 
 class TestFiniteDifference:
     def test_sum_of_squares(self):
