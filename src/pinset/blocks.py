@@ -194,7 +194,7 @@ class Mlp(Block):
         gen = rng.generator()
         self.layers: list[Layer] = []
         for d_in, d_out, has_bn, _ in spec.layers():
-            # fan-in uniform, recorded in checkpoints as the init scheme
+            # fan-in uniform
             bound = 1.0 / np.sqrt(d_in)
             w = Tensor(gen.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True)
             b = Tensor(gen.uniform(-bound, bound, size=d_out), requires_grad=True) if spec.use_bias else None

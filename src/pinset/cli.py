@@ -169,7 +169,6 @@ def _build_custom_model_config(cfg: dict) -> ModelConfig:
         )
         aggregation = AggregationSpec(mlp1, mlp2, cfg["model.agg.dropout"])
         return ModelConfig(
-            task="synthetic",
             input_width=p,
             class_count=classes,
             aggregation=aggregation,

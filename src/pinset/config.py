@@ -72,7 +72,7 @@ def _parse_value(key: str, value: str, field: Field):
                 raise ValueError("expected true or false")
             return value == "true"
         if field.kind == "intlist":
-            return [int(v) for v in value.split(",") if v.strip()]
+            return [int(v) for v in value.split(",")] if value else []
         return value
     except ValueError as exc:
         raise ConfigError(

@@ -31,7 +31,6 @@ from .tensor import Tensor, reshape
 
 @dataclass
 class ModelConfig:
-    task: str  # pixel-classification | point-classification | synthetic
     input_width: int
     class_count: int
     aggregation: AggregationSpec
@@ -232,7 +231,6 @@ def point_ablation_config(s: int, t: int) -> ModelConfig:
     """Point-set feature extractor used for the factorization table: two
     MLPs with hidden widths 32 and 128 on 6-channel elements, no head."""
     return ModelConfig(
-        task="point-classification",
         input_width=6,
         class_count=0,
         aggregation=AggregationSpec(
@@ -245,7 +243,6 @@ def point_ablation_config(s: int, t: int) -> ModelConfig:
 def pixel_s_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
     """Small pixel-set classifier: one aggregation block and a head."""
     return ModelConfig(
-        task="pixel-classification",
         input_width=input_width,
         class_count=class_count,
         aggregation=_twin_aggregation([input_width, 64, 128, 32]),
@@ -257,7 +254,6 @@ def pixel_l_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
     """Large pixel-set classifier: aggregation, two broadcast blocks, a
     second aggregation, and a wider head. No parameters are shared."""
     return ModelConfig(
-        task="pixel-classification",
         input_width=input_width,
         class_count=class_count,
         aggregation=_twin_aggregation([input_width, 64, 128, 32]),
@@ -270,7 +266,6 @@ def pixel_l_config(input_width: int = 3, class_count: int = 10) -> ModelConfig:
 def quadrant_config() -> ModelConfig:
     """Classifier for the synthetic quadrant-majority task."""
     return ModelConfig(
-        task="synthetic",
         input_width=2,
         class_count=4,
         aggregation=_twin_aggregation([2, 16, 16]),
@@ -281,7 +276,6 @@ def quadrant_config() -> ModelConfig:
 def digits_config(class_count: int = 10) -> ModelConfig:
     """Classifier sized for small grayscale digit images as pixel sets."""
     return ModelConfig(
-        task="pixel-classification",
         input_width=3,
         class_count=class_count,
         aggregation=_twin_aggregation([3, 32, 64, 16]),
@@ -293,7 +287,6 @@ def gradcheck_config() -> ModelConfig:
     """Sub-1k-parameter variant of the small pixel classifier, small
     enough for exhaustive finite-difference verification."""
     return ModelConfig(
-        task="synthetic",
         input_width=3,
         class_count=4,
         aggregation=_twin_aggregation([3, 8, 6], dropout_ratio=0.0),
@@ -326,7 +319,6 @@ def _parse_bool(s: str) -> bool:
 
 def _mlp_to_flat(prefix: str, spec: MlpSpec, out: dict[str, str]) -> None:
     out[f"{prefix}.dims"] = ",".join(str(d) for d in spec.layer_dims)
-    out[f"{prefix}.hidden_act"] = "relu"  # retired; written so checkpoint bytes stay the same
     out[f"{prefix}.final_act"] = spec.final_activation
     out[f"{prefix}.batchnorm"] = _bool_str(spec.use_batchnorm)
     out[f"{prefix}.bias"] = _bool_str(spec.use_bias)
@@ -358,7 +350,6 @@ def _aggregation_from_flat(prefix: str, d: dict[str, str]) -> AggregationSpec:
 def config_to_flat(cfg: ModelConfig) -> dict[str, str]:
     """Serialize a model config to flat string pairs (exact round trip)."""
     out: dict[str, str] = {
-        "model.task": cfg.task,
         "model.input_width": str(cfg.input_width),
         "model.class_count": str(cfg.class_count),
     }
@@ -372,35 +363,9 @@ def config_to_flat(cfg: ModelConfig) -> dict[str, str]:
     return out
 
 
-def _check_retired(d: dict[str, str]) -> None:
-    """Keys that no longer set anything: ``*.hidden_act``, still written
-    as ``relu``, and four that earlier versions also wrote. At the values
-    every model had they are ignored; any other value described a model
-    this code cannot build, so it is refused rather than loaded as a
-    different one."""
-    for key, value in d.items():
-        stem, _, name = key.rpartition(".")
-        if name == "classifier_tail":
-            # the last layer was plain linear, as it is now when final_act is none
-            ok = value == "false" or d.get(f"{stem}.final_act") == "none"
-        elif name == "batchnorm_final":
-            ok = value == "false"
-        elif name == "hidden_act":
-            ok = value == "relu"
-        elif key == "model.broadcasts.batchnorm":
-            ok = value == "true"
-        elif key == "model.broadcasts.activation":
-            ok = value == "relu"
-        else:
-            continue
-        if not ok:
-            raise ValueError(f"{key} = {value}: a retired option this version cannot build")
-
-
 def config_from_flat(d: dict[str, str]) -> ModelConfig:
-    """Inverse of :func:`config_to_flat`; also reads the metadata of
-    earlier versions (see :func:`_check_retired`)."""
-    _check_retired(d)
+    """Inverse of :func:`config_to_flat`. Every ``model.*`` key of ``d``
+    must be one it reads: a key it would ignore is refused."""
     broadcasts = []
     if "model.broadcasts.widths" in d:
         broadcasts = [int(w) for w in d["model.broadcasts.widths"].split(",")]
@@ -408,8 +373,7 @@ def config_from_flat(d: dict[str, str]) -> ModelConfig:
     if "model.agg2.mlp1.dims" in d:
         aggregation2 = _aggregation_from_flat("model.agg2", d)
     head = _mlp_from_flat("model.head", d) if "model.head.dims" in d else None
-    return ModelConfig(
-        task=d["model.task"],
+    cfg = ModelConfig(
         input_width=int(d["model.input_width"]),
         class_count=int(d["model.class_count"]),
         aggregation=_aggregation_from_flat("model.agg", d),
@@ -417,3 +381,7 @@ def config_from_flat(d: dict[str, str]) -> ModelConfig:
         broadcasts=broadcasts,
         aggregation2=aggregation2,
     )
+    unread = sorted(key for key in d.keys() - config_to_flat(cfg).keys() if key.startswith("model."))
+    if unread:
+        raise ValueError(f"unknown key {unread[0]}")
+    return cfg

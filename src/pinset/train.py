@@ -30,7 +30,7 @@ from .tensor import Tensor, backward, no_grad, softmax_cross_entropy
 LR_DROP_FACTOR = 10.0
 
 CHECKPOINT_MAGIC = b"DMPP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 METRIC_FIELDS = ("epoch", "split", "loss", "accuracy", "error_rate", "lr", "wall_seconds")
 
@@ -340,9 +340,10 @@ def write_metrics(path, history: list[dict]) -> None:
 # checkpoints
 #
 # layout: magic "DMPP" | version u32 LE | metadata length u64 LE |
-# metadata utf-8 key=value lines | tensor count u64 LE | per tensor:
-# name length u64 LE, name bytes, rank u64 LE, extents u64 LE each,
-# payload raw little-endian f64.
+# metadata utf-8 "key = value" lines: the model config (config_to_flat),
+# train.epoch, train.seed and optimizer.* | tensor count u64 LE | per
+# tensor: name length u64 LE, name bytes, rank u64 LE, extents u64 LE
+# each, payload raw little-endian f64 in the shape the model holds it.
 
 
 def _write_tensor(f, name: str, arr: np.ndarray) -> None:
@@ -392,13 +393,6 @@ def _read_tensor(r: _Reader) -> tuple[str, tuple[int, ...], memoryview]:
     return name, shape, r.take(8 * math.prod(shape), f"data of {name}")
 
 
-def _stored(name: str, arr: np.ndarray) -> np.ndarray:
-    """Parameter or momentum ``name`` as its record holds it, and back:
-    broadcast weights are held (in, out) but stored (out, in), as they
-    always were. A view; writing or copying it makes it C-contiguous."""
-    return arr.T if name.startswith("bc") and name.endswith((".w_x", ".w_y")) else arr
-
-
 def save_checkpoint(
     path,
     model: Model,
@@ -407,8 +401,6 @@ def save_checkpoint(
     rng: RngState | None = None,
 ) -> None:
     meta = models_mod.config_to_flat(model.config)
-    meta["format.flatten_order"] = "row_major"
-    meta["format.init"] = "fanin_uniform"
     meta["train.epoch"] = str(epoch)
     if rng is not None:
         meta["train.seed"] = str(rng.seed)
@@ -427,13 +419,13 @@ def save_checkpoint(
 
     tensors: list[tuple[str, np.ndarray]] = []
     for name, p in model.parameters().items():
-        tensors.append((f"param.{name}", _stored(name, p.data)))
+        tensors.append((f"param.{name}", p.data))
     for name, st in model.norm_states().items():
         tensors.append((f"norm.{name}.mean", st.mean))
         tensors.append((f"norm.{name}.var", st.var))
     if optimizer is not None:
         for name, arr in optimizer.buffers.items():
-            tensors.append((f"momentum.{name}", _stored(name, arr)))
+            tensors.append((f"momentum.{name}", arr))
 
     buf.write(struct.pack("<Q", len(tensors)))
     for name, arr in tensors:
@@ -490,9 +482,10 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
     """Rebuild the model (bit-exact parameters), optimizer state, and
     epoch counter from a checkpoint file.
 
-    Raises :class:`CheckpointError` for a truncated or malformed file and
-    for tensors that are missing, unexpected or of the wrong shape for
-    the model the metadata describes.
+    Raises :class:`CheckpointError` for another version, a truncated or
+    malformed file, a metadata key this version does not read, and for
+    tensors that are missing, unexpected or of the wrong shape for the
+    model the metadata describes.
     """
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
@@ -501,7 +494,7 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
     (version,) = struct.unpack("<I", r.take(4, "version"))
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: checkpoint version {version}, this pinset reads version {CHECKPOINT_VERSION}")
     meta: dict[str, str] = {}
     for line in r.text(r.u64("metadata length"), "metadata").splitlines():
         key, sep, value = line.partition(" = ")
@@ -510,6 +503,11 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         if key in meta:
             raise CheckpointError(f"{path}: metadata key {key} appears twice")
         meta[key] = value
+    # the model.* keys are checked by config_from_flat
+    run_keys = {"train.epoch", "train.seed", "optimizer.momentum", "optimizer.weight_decay", "optimizer.lr"}
+    unread = sorted(key for key in meta.keys() - run_keys if not key.startswith("model."))
+    if unread:
+        raise CheckpointError(f"{path}: unknown metadata key {unread[0]}")
     count = r.u64("tensor count")
     if count > r.left() // 16:  # a tensor takes at least its name length and rank
         raise CheckpointError(f"{path}: truncated: {count} tensors cannot fit in {r.left()} bytes")
@@ -536,7 +534,7 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         raise CheckpointError(f"{path}: metadata does not describe a model: {exc}") from None
 
     params = model.parameters()
-    shapes = {name: _stored(name, p.data).shape for name, p in params.items()}
+    shapes = {name: p.data.shape for name, p in params.items()}
     required = {f"param.{name}": shape for name, shape in shapes.items()}
     for name, st in model.norm_states().items():
         required[f"norm.{name}.mean"] = required[f"norm.{name}.var"] = st.mean.shape
@@ -552,7 +550,7 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
                 f"{path}: tensor {name} has shape {shape}, the stored config gives {allowed[name]}"
             )
     tensors = {
-        name: _stored(name.partition(".")[2], np.frombuffer(payload, dtype="<f8").reshape(shape)).copy()
+        name: np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         for name, (shape, payload) in records.items()
     }
 

@@ -614,15 +614,26 @@ class TestDamagedCheckpointExits2:
         for i in range(16 + meta_len + 8):
             eval_damaged(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :])
 
-    def test_retired_hidden_activation(self, eval_damaged, tmp_path):
-        # squashing hidden layers: a model earlier versions built and loaded
-        save_checkpoint(tmp_path / "q.dmpp", models.build_model(models.quadrant_config(), RngState(0)))
-        raw = (tmp_path / "q.dmpp").read_bytes()
-        (meta_len,) = struct.unpack("<Q", raw[8:16])
-        key = b"model.agg.mlp1.hidden_act = "
-        meta = raw[16 : 16 + meta_len].replace(key + b"relu", key + b"squashing")
-        line = eval_damaged(raw[:8] + struct.pack("<Q", len(meta)) + meta + raw[16 + meta_len :])
-        assert "model.agg.mlp1.hidden_act = squashing: a retired option" in line
+    def test_version_1_file(self, eval_damaged):
+        # the layout version 1 wrote: broadcast weights stored (out, in),
+        # the hidden_act, format.* and model.task keys that set nothing
+        model = models.build_model(models.pixel_l_config(input_width=2, class_count=4), RngState(0))
+        meta = models.config_to_flat(model.config)
+        for key in [k for k in meta if k.endswith(".dims")]:
+            meta[key.replace(".dims", ".hidden_act")] = "relu"
+        meta |= {"model.task": "synthetic", "format.flatten_order": "row_major", "format.init": "fanin_uniform"}
+        tensors = [
+            (f"param.{name}", p.data.T if name.startswith("bc") and name.endswith(("w_x", "w_y")) else p.data)
+            for name, p in model.parameters().items()
+        ]
+        for name, st in model.norm_states().items():
+            tensors += [(f"norm.{name}.mean", st.mean), (f"norm.{name}.var", st.var)]
+        text = "".join(f"{k} = {v}\n" for k, v in sorted(meta.items())).encode()
+        raw = b"DMPP" + struct.pack("<IQ", 1, len(text)) + text + struct.pack("<Q", len(tensors))
+        for name, arr in tensors:
+            raw += struct.pack("<Q", len(name)) + name.encode() + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape)
+            raw += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        assert "checkpoint version 1, this pinset reads version 2" in eval_damaged(raw)
 
     def test_text_file(self, eval_damaged):
         assert "not a checkpoint (magic b'hell')" in eval_damaged(b"hello, world\n")

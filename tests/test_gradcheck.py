@@ -402,7 +402,6 @@ def _broadcast_config() -> ModelConfig:
         return MlpSpec([width, 5, 3], final_activation="softmax_set")
 
     return ModelConfig(
-        task="synthetic",
         input_width=3,
         class_count=3,
         aggregation=AggregationSpec(mlp(3), mlp(3), dropout_ratio=0.0),

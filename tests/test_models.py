@@ -119,7 +119,6 @@ class TestParamCount:
         from pinset.models import AggregationSpec, ModelConfig
 
         cfg = ModelConfig(
-            task="synthetic",
             input_width=3,
             class_count=0,
             aggregation=AggregationSpec(
@@ -193,7 +192,6 @@ class TestConfigRoundTrip:
             return MlpSpec(dims, final, use_batchnorm=batchnorm, use_bias=bias)
 
         cfg = ModelConfig(
-            task="point-classification",
             input_width=3,
             class_count=4,
             aggregation=AggregationSpec(
@@ -241,22 +239,6 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="expects width 256, broadcast chain emits 128"):
             dataclasses.replace(pixel_l_config(), broadcasts=[256, 128])
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("model.agg.mlp1.batchnorm_final", "true"),
-            ("model.agg.mlp1.classifier_tail", "true"),  # final_act is softmax_set
-            ("model.agg.mlp1.hidden_act", "squashing"),
-            ("model.broadcasts.batchnorm", "false"),
-            ("model.broadcasts.activation", "none"),
-        ],
-    )
-    def test_retired_option_values_refused(self, key, value):
-        flat = config_to_flat(pixel_l_config())
-        flat[key] = value
-        with pytest.raises(ValueError, match="retired option"):
-            config_from_flat(flat)
-
 
 class TestCheckpointRebuild:
     def test_forward_outputs_bitwise_identical(self, tmp_path):
@@ -278,53 +260,6 @@ class TestCheckpointRebuild:
         np.testing.assert_array_equal(a, b)
         for name, buf in state.buffers.items():
             np.testing.assert_array_equal(opt.buffers[name], buf)
-
-    def test_retired_metadata_keys_load_bit_identical(self, tmp_path):
-        def mlp(width):
-            return MlpSpec([width, 5, 3], final_activation="softmax_set")
-
-        cfg = ModelConfig(
-            task="synthetic",
-            input_width=3,
-            class_count=3,
-            aggregation=AggregationSpec(mlp(3), mlp(3)),
-            broadcasts=[4],
-            aggregation2=AggregationSpec(mlp(4), mlp(4)),
-            head=MlpSpec([9, 6, 3]),
-        )
-        model = build_model(cfg, RngState(12))
-        x = RngState(13).generator().uniform(-1, 1, size=(4, 20, 3))
-        model.forward(x, "train", RngState(14).generator())
-        path = os.path.join(tmp_path, "model.dmpp")
-        save_checkpoint(path, model, epoch=1, rng=RngState(12))
-
-        # the keys earlier versions also wrote, at the values they held
-        retired = {"model.broadcasts.batchnorm": "true", "model.broadcasts.activation": "relu"}
-        for prefix in ("model.agg.mlp1", "model.agg.mlp2", "model.agg2.mlp1", "model.agg2.mlp2"):
-            retired[f"{prefix}.batchnorm_final"] = "false"
-            retired[f"{prefix}.classifier_tail"] = "false"
-        retired["model.head.batchnorm_final"] = "false"
-        retired["model.head.classifier_tail"] = "true"
-        raw = open(path, "rb").read()
-        (meta_len,) = struct.unpack("<Q", raw[8:16])
-        meta = dict(line.split(" = ", 1) for line in raw[16 : 16 + meta_len].decode().splitlines())
-        text = "".join(f"{k} = {v}\n" for k, v in sorted({**meta, **retired}.items())).encode()
-        old_path = os.path.join(tmp_path, "old.dmpp")
-        with open(old_path, "wb") as f:
-            f.write(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + meta_len :])
-
-        restored, _, _, old_meta = load_checkpoint(old_path)
-        assert retired.items() <= old_meta.items()
-        assert restored.config == cfg
-        for (name, p), q in zip(model.parameters().items(), restored.parameters().values()):
-            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
-        for st, st2 in zip(model.norm_states().values(), restored.norm_states().values()):
-            np.testing.assert_array_equal(st.mean, st2.mean)
-            np.testing.assert_array_equal(st.var, st2.var)
-        probe = RngState(15).generator().uniform(-1, 1, size=(3, 20, 3))
-        np.testing.assert_array_equal(
-            model.forward(probe, "eval").data, restored.forward(probe, "eval").data
-        )
 
 
 def _records(raw: bytes) -> dict:
@@ -354,25 +289,25 @@ def _op(node: Tensor) -> str:
 
 class TestBroadcastWeights:
     """Broadcast weights are held (in, out), like every dense layer, and
-    their checkpoint records stay (out, in)."""
+    their checkpoint records hold them as the model does."""
 
-    def test_checkpoint_records_stay_out_in(self, tmp_path):
+    def test_checkpoint_records_are_stored_as_held(self, tmp_path):
         images = RngState(1).generator().integers(0, 256, size=(4, 28, 28)).astype(np.uint8)
         batch = pixel_set_batch(images, np.array([0, 1, 2, 3]), None, downsample=4)
         model = build_model(pixel_l_config(), RngState(0).child("model"))
         train(model, batch, batch, TrainConfig(epochs=1, batch_size=4), RngState(2), out_dir=tmp_path)
         raw = (tmp_path / "checkpoint.dmpp").read_bytes()
         records = _records(raw)
-
-        assert records["param.bc0.w_x"].shape == records["momentum.bc0.w_x"].shape == (256, 3)
         restored, optimizer, epoch, _ = load_checkpoint(tmp_path / "checkpoint.dmpp")
+
         trained, params = model.parameters(), restored.parameters()
-        for name, shape in (("bc0.w_x", (3, 256)), ("bc0.w_y", (1024, 256))):
-            for held in (params[name].data, optimizer.buffers[name]):
-                assert held.shape == shape and held.flags.c_contiguous, name
-            np.testing.assert_array_equal(params[name].data, trained[name].data)
-            np.testing.assert_array_equal(records[f"param.{name}"], trained[name].data.T)
-            np.testing.assert_array_equal(records[f"momentum.{name}"], optimizer.buffers[name].T)
+        for name, shape in (("bc0.w_x", (3, 256)), ("bc0.w_y", (1024, 256)), ("bc1.w_x", (256, 256))):
+            held = trained[name].data
+            assert held.shape == shape and held.flags.c_contiguous, name
+            assert records[f"param.{name}"].tobytes() == held.tobytes(), name
+            assert records[f"momentum.{name}"].tobytes() == optimizer.buffers[name].tobytes(), name
+            assert records[f"momentum.{name}"].shape == records[f"param.{name}"].shape == shape, name
+            np.testing.assert_array_equal(params[name].data, held)
 
         again = tmp_path / "again.dmpp"
         save_checkpoint(again, restored, optimizer, epoch, RngState(2))

@@ -623,7 +623,7 @@ def _checkpoint_parts(tmp_path, momentum=True):
     return raw[16 : 16 + meta_len], tensors, raw
 
 
-def _container(meta: bytes, tensors, version=1) -> bytes:
+def _container(meta: bytes, tensors, version=train_mod.CHECKPOINT_VERSION) -> bytes:
     """A checkpoint file in the documented layout, built independently of
     save_checkpoint."""
     buf = io.BytesIO()
@@ -687,7 +687,9 @@ class TestCheckpointErrors:
     def test_text_file_and_wrong_version(self, tmp_path):
         meta, tensors, _ = _checkpoint_parts(tmp_path)
         self._load(tmp_path, b"hello, world\n", r"not a checkpoint \(magic b'hell'\)")
-        self._load(tmp_path, _container(meta, tensors, version=2), "unsupported checkpoint version 2")
+        for version in (1, 3):
+            match = f"checkpoint version {version}, this pinset reads version 2"
+            self._load(tmp_path, _container(meta, tensors, version=version), match)
 
     def test_length_fields_beyond_the_file(self, tmp_path):
         meta, tensors, _ = _checkpoint_parts(tmp_path)
@@ -707,12 +709,19 @@ class TestCheckpointErrors:
         self._load(tmp_path, _container(b"\xff" + meta, tensors), "metadata is not utf-8")
         self._load(tmp_path, _container(meta + b"no separator\n", tensors), "malformed metadata line 'no separator'")
         lines = meta.decode().splitlines(keepends=True)
-        no_task = "".join(line for line in lines if not line.startswith("model.task "))
-        self._load(tmp_path, _container(no_task.encode(), tensors), "metadata lacks key 'model.task'")
+        no_width = "".join(line for line in lines if not line.startswith("model.input_width "))
+        self._load(tmp_path, _container(no_width.encode(), tensors), "metadata lacks key 'model.input_width'")
         bad_dims = meta.replace(b"model.agg.mlp1.dims = 3,", b"model.agg.mlp1.dims = x,")
         assert bad_dims != meta
         self._load(tmp_path, _container(bad_dims, tensors), "metadata does not describe a model")
         self._load(tmp_path, _container(meta + b"train.epoch = 7\n", tensors), "metadata key train.epoch appears twice")
+
+    @pytest.mark.parametrize("line", ["model.broadcasts.activation = relu", "format.init = fanin_uniform"])
+    def test_unread_metadata_key(self, tmp_path, line):
+        # model.* keys are refused by config_from_flat, the rest by the reader
+        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        key = line.partition(" = ")[0]
+        self._load(tmp_path, _container(meta + f"{line}\n".encode(), tensors), f"unknown (metadata )?key {key}$")
 
     def test_missing_extra_duplicate_and_trailing(self, tmp_path):
         meta, tensors, _ = _checkpoint_parts(tmp_path)
