@@ -205,12 +205,10 @@ class Mlp(Block):
         :func:`_dense` op, and the last layer's activation, unless it is a
         relu (fused into the op) or none, follows it. A set softmax reads
         each block of ``set_size`` rows as one set; without ``set_size``,
-        all the rows are one set. Only the trailing (rows, width) axes are
-        read, so a leading stack axis of the input or of the parameters
-        (see :func:`pinset.tensor._check_stack`) passes through. Rows
-        read fastest column-major; the callers that hold raw rows convert
-        them once (see :func:`_column_rows`)."""
-        if x.data.ndim < 2 or x.data.shape[-1] != self.spec.in_width:
+        all the rows are one set. Rows read fastest column-major; the
+        callers that hold raw rows convert them once (see
+        :func:`_column_rows`)."""
+        if x.data.ndim != 2 or x.data.shape[1] != self.spec.in_width:
             raise ValueError(
                 f"expected input of width {self.spec.in_width}, got shape {x.data.shape}"
             )
@@ -221,7 +219,7 @@ class Mlp(Block):
         if kind == "squashing":
             return squashing(h)
         if kind == "softmax_set":
-            return set_softmax(h, h.data.shape[-2] if set_size is None else set_size)
+            return set_softmax(h, h.data.shape[0] if set_size is None else set_size)
         return h
 
     def named(self, prefix: str = "") -> Named:
@@ -292,13 +290,7 @@ def _aggregate_rows(
     """:func:`aggregate` of stacked rows (B*N, p), each block of ``n``
     consecutive rows one set, as the broadcast blocks emit them: both
     MLPs, each set's ``h1^T h2`` from their (B*N, s) and (B*N, t) outputs,
-    flattened to (B, s*t), then dropout in train mode.
-
-    Only the trailing axes are read: stacked rows (K, B*N, p), or an MLP
-    with stacked parameters, give (K, B, s*t) through one (K*B, N, .)
-    ``pair_aggregate``. When only one MLP's output is stacked, the other
-    is repeated along the stack (forward-only, as every stacked op is;
-    see :func:`pinset.tensor._check_stack`)."""
+    flattened to (B, s*t), then dropout in train mode."""
     s, t = block.spec.mlp1.out_width, block.spec.mlp2.out_width
     if n < min(s, t):
         warnings.warn(
@@ -309,12 +301,8 @@ def _aggregate_rows(
         )
     h1 = block.mlp1.forward(rows, mode, set_size=n)
     h2 = block.mlp2.forward(rows, mode, set_size=n)
-    if h1.data.ndim != h2.data.ndim:
-        stack = max(h1.data.shape[:-2], h2.data.shape[:-2], key=len)
-        h1, h2 = (Tensor(np.broadcast_to(h.data, stack + h.data.shape[-2:])) for h in (h1, h2))
-    *stack, total, _ = h1.data.shape
     feature = pair_aggregate(reshape(h1, (-1, n, s)), reshape(h2, (-1, n, t)))
-    flat = reshape(feature, (*stack, total // n, s * t))
+    flat = reshape(feature, (-1, s * t))
     return dropout(flat, block.spec.dropout_ratio, gen, mode)
 
 

@@ -18,8 +18,7 @@ parents, so nothing keeps the arrays an op saved for its backward.
 Activations of shape ``(rows, width)`` are held column-major: the rows of
 each column are contiguous. Every dense product goes through
 :func:`_product`, which returns ``x @ w`` in that layout, and the per-row
-ops keep the layout of their operands; with a leading stack axis each
-copy is laid out the same way (see :func:`column_major`).
+ops keep the layout of their operands (see :func:`column_major`).
 """
 
 from __future__ import annotations
@@ -200,69 +199,35 @@ def backward(loss: Tensor, params=()) -> dict:
 
 def _check_gemm(
     x: Tensor, w: Tensor, b: Tensor | None = None, gamma: Tensor | None = None, beta: Tensor | None = None
-) -> tuple[int, int]:
+) -> int:
     """The shapes of a dense op ``x @ w + b``, and of batchnorm's ``gamma``
-    and ``beta`` when given. Returns the number of sets of a per-set bias
-    (0 for a bias row or none), and the stack size.
+    and ``beta`` when given. Returns the number of sets of a per-set bias,
+    0 for a bias row or none.
 
-    A plain call has rank-2 ``x`` and ``w`` that multiply, rank-1
-    ``gamma`` and ``beta``, and a bias row ``(d,)``, a per-set ``(S, d)``
-    bias or none; its stack size is 0. A per-set bias needs S to divide
-    the row count: each block of ``rows / S`` consecutive rows, one set,
-    shares one bias row, and S = rows gives each row its own. Any other
-    ranks go to :func:`_check_stack`."""
-    if (
-        x.data.ndim != 2
-        or w.data.ndim != 2
-        or (b is not None and b.data.ndim > 2)
-        or (gamma is not None and (gamma.data.ndim != 1 or beta.data.ndim != 1))
-    ):
-        return 0, _check_stack(x, w, (b, gamma, beta))
-    if x.data.shape[1] != w.data.shape[0]:
+    ``x`` and ``w`` are rank-2 and multiply, ``gamma`` and ``beta`` are
+    ``(d,)``, and ``b`` is a bias row ``(d,)``, a per-set ``(S, d)`` bias
+    or None. A per-set bias needs S to divide the row count: each block of
+    ``rows / S`` consecutive rows, one set, shares one bias row, and S =
+    rows gives each row its own."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
     rows, d = x.data.shape[0], w.data.shape[1]
+    for v in (gamma, beta):
+        if v is not None and v.data.shape != (d,):
+            raise ShapeError(f"gamma and beta must have shape ({d},), got {v.data.shape}")
     if b is None or b.data.shape == (d,):
-        return 0, 0
+        return 0
     if b.data.ndim != 2 or b.data.shape[1] != d or b.data.shape[0] == 0 or rows % b.data.shape[0]:
         raise ShapeError(
             f"bias of shape {b.data.shape} is neither a row ({d},) nor (S, {d}) with S dividing {rows} rows"
         )
-    return b.data.shape[0], 0
-
-
-def _check_stack(x: Tensor, w: Tensor, vectors) -> int:
-    """The shapes of a stacked dense op, which runs K copies of the op in
-    one forward: ``x`` as ``(rows, d_in)`` or ``(K, rows, d_in)``, ``w`` as
-    ``(d_in, d)`` or ``(K, d_in, d)``, and each of the per-feature
-    ``vectors`` (the bias row, gamma and beta; None for a missing one) as
-    ``(d,)`` or ``(K, 1, d)``, so that numpy broadcasting pairs copy k of
-    each operand. At least one operand carries the stack axis, and all
-    that do agree on K, which is returned. A stacked op takes no
-    per-set bias. It has no backward, so it must run under
-    :func:`no_grad`; these copies serve finite-difference probes."""
-    if not 2 <= x.data.ndim <= 3 or not 2 <= w.data.ndim <= 3 or x.data.shape[-1] != w.data.shape[-2]:
-        raise ShapeError(f"cannot multiply shapes {x.data.shape} x {w.data.shape}")
-    stacks = {t.data.shape[0] for t in (x, w) if t.data.ndim == 3}
-    d = w.data.shape[-1]
-    for v in vectors:
-        if v is None or v.data.shape == (d,):
-            continue
-        if v.data.ndim != 3 or v.data.shape[1:] != (1, d):
-            raise ShapeError(
-                f"a stacked op takes per-feature operands (d,) or (K, 1, d) with d={d}, got {v.data.shape}"
-            )
-        stacks.add(v.data.shape[0])
-    if len(stacks) != 1:
-        raise ShapeError(f"stacked operands disagree on the stack size: {sorted(stacks)}")
-    if _recording:
-        raise ShapeError("a dense op with a leading stack axis is forward-only; run it under no_grad()")
-    return stacks.pop()
+    return b.data.shape[0]
 
 
 def column_major(a: np.ndarray) -> np.ndarray:
-    """``a`` with the rows of each ``(rows, width)`` matrix in its trailing
-    axes contiguous: ``a`` itself when it is laid out so, else a copy."""
-    return a if a.mT.flags.c_contiguous else np.ascontiguousarray(a.mT).mT
+    """``(rows, width)`` ``a`` with the rows of each column contiguous:
+    ``a`` itself when it is laid out so, else a copy."""
+    return a if a.T.flags.c_contiguous else np.ascontiguousarray(a.T).T
 
 
 # a product's last rows, in blocks of this many, that run as numpy's x @ w
@@ -270,8 +235,8 @@ _TAIL_ROWS = 8
 
 
 def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for ``x`` of shape ``(..., rows, d_in)`` and ``w`` of
-    shape ``(..., d_in, d)``, held column-major (see :func:`column_major`).
+    """``x @ w`` for ``x`` of shape ``(rows, d_in)`` and ``w`` of shape
+    ``(d_in, d)``, held column-major (see :func:`column_major`).
 
     It runs as ``(w^T x^T)^T``, the orientation in which OpenBLAS packs a
     tall product's long panel best (Goto & van de Geijn, ACM TOMS 2008):
@@ -287,13 +252,13 @@ def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     bits: OpenBLAS runs them on small-matrix kernels whose rounding
     follows the operands' layout.
     """
-    rows = x.shape[-2]
+    rows = x.shape[0]
     tail = rows % _TAIL_ROWS and rows % _TAIL_ROWS + _TAIL_ROWS
     if tail >= rows:
         return column_major(x @ w)
-    y = (w.mT @ x.mT).mT
+    y = (w.T @ x.T).T
     if tail:
-        y[..., -tail:, :] = x[..., -tail:, :] @ w
+        y[-tail:] = x[-tail:] @ w
     return y
 
 
@@ -327,12 +292,11 @@ def _add_bias(y: np.ndarray, b: np.ndarray, sets: int) -> np.ndarray:
 def _set_sums(g: np.ndarray, sets: int) -> np.ndarray:
     """Each set's column sums of rows ``g``, ``(sets, d)``: the gradient of
     a per-set bias. With one row per set that is ``g`` itself."""
-    return g if sets == g.shape[-2] else _sets(g, sets).sum(axis=1)
+    return g if sets == g.shape[0] else _sets(g, sets).sum(axis=1)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, or stacked (see
-    :func:`_check_stack`)."""
+    """Matrix product of two rank-2 tensors."""
     _check_gemm(a, b)
     return _result(_product(a.data, b.data), (a, b), lambda g: _gemm_grads(a, b, g))
 
@@ -346,15 +310,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None, relu: bool = False) -> Tensor
     :func:`_check_gemm`), or None. Without relu and with a bias row or
     none, this equals ``add(matmul(x, w), b)`` bit for bit, gradients
     included.
-
-    Stacked operands (see :func:`_check_stack`) give K outputs
-    ``(K, rows, d)``, each equal to its own plain call.
     """
-    sets, stack = _check_gemm(x, w, b)
+    sets = _check_gemm(x, w, b)
     y = _product(x.data, w.data)
-    if stack and b is not None:
-        y = y + b.data  # a stacked bias row widens y to the stack
-    elif b is not None:
+    if b is not None:
         _add_bias(y, b.data, sets)
     if relu:
         # np.maximum (unlike where) propagates NaN, keeping divergence visible
@@ -432,28 +391,22 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def set_softmax(a: Tensor, set_size: int) -> Tensor:
-    """Softmax over the set axis, per feature column, of stacked rows
-    (rows, width): each block of ``set_size`` consecutive rows is one set.
+    """Softmax over the set axis, per feature column, of rows (rows,
+    width): each block of ``set_size`` consecutive rows is one set.
 
     Each column of each set sums to one, so the values act as weights over
     set elements. Equivariant under permutations within a set.
-
-    Under :func:`no_grad`, (K, rows, width) rows with a leading stack axis
-    give K results, each equal to its own (rows, width) call.
     """
-    if a.data.ndim != 2 and (a.data.ndim != 3 or _recording):
-        raise ShapeError(
-            f"set_softmax needs stacked rows (rows, width), or (K, rows, width) "
-            f"under no_grad(), got {a.data.shape}"
-        )
-    *stack, rows, width = a.data.shape
+    if a.data.ndim != 2:
+        raise ShapeError(f"set_softmax needs rank-2 rows (rows, width), got {a.data.shape}")
+    rows, width = a.data.shape
     if set_size < 1 or rows % set_size != 0:
         raise ShapeError(f"{rows} rows do not divide into sets of {set_size}")
-    sets = (*stack, rows // set_size, set_size, width)
+    sets = (rows // set_size, set_size, width)
     x = a.data.reshape(sets)
-    y = x - x.max(axis=-2, keepdims=True)
+    y = x - x.max(axis=1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-2, keepdims=True)
+    y /= y.sum(axis=1, keepdims=True)
 
     def bwd(g):
         g = g.reshape(sets)
@@ -527,36 +480,19 @@ def batchnorm(
 
     There is no eval mode: ``blocks`` folds the stored statistics into
     the layer's weights and bias and runs ``affine`` instead.
-
-    Stacked operands (see :func:`_check_stack`) give K outputs
-    ``(K, rows, d)``, each normalized over its own rows and equal to its
-    own plain call. They leave the running statistics as they are: K
-    copies have no one batch mean. A stacked bias row is cancelled like
-    any bias row, so a call in which only the bias is stacked gives one
-    plain ``(rows, d)`` output.
     """
-    sets, stack = _check_gemm(x, w, b, gamma, beta)
-    m = x.data.shape[-2]
+    sets = _check_gemm(x, w, b, gamma, beta)
+    m = x.data.shape[0]
     if m < 2:
         raise DegenerateBatchError(f"train-mode batchnorm needs >= 2 rows, got {m}")
-    d_in, d = w.data.shape[-2:]
+    d_in, d = w.data.shape
     per_set = b if sets else None
-    exact = False
-    if d_in + sets < d:
-        stats = _input_statistics(x.data, w.data, b.data if sets else None)
-        exact = stats[-1]
-    if np.all(exact):
+    stats = _input_statistics(x.data, w.data, b.data if sets else None) if d_in + sets < d else None
+    if stats is not None and stats[-1]:
         mean, var, scaled, step = _normalize_from_covariance(x, gamma, w, per_set, stats)
-        y = scaled()
     else:
         mean, var, scaled, step = _normalize_product(x, gamma, w, per_set)
-        y = scaled()
-        if stack and np.any(exact):
-            # chosen per copy, so that each copy keeps the bits of its plain call
-            widened = _normalize_from_covariance(x, gamma, w, None, stats)[2]
-            np.copyto(y, widened(), where=exact[:, None, None])
-    if stack:
-        return Tensor(np.maximum(y + beta.data, 0.0))
+    y = scaled()
     batch_mean = mean[0] if b is None or sets else mean[0] + b.data
     state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * batch_mean
     state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
@@ -587,15 +523,15 @@ def _normalize_product(x, gamma, w, b) -> tuple:
     mean and variances, a function that forms ``gamma * xhat``, and the
     backward step ``(gz, sum_g) -> (gradients of x, w and b, sum(gz *
     xhat))``, which normalizes ``gz`` in place."""
-    m = x.data.shape[-2]
+    m = x.data.shape[0]
     xhat = _product(x.data, w.data)
     if b is not None:
         _add_bias(xhat, b.data, b.data.shape[0])
-    mean = xhat.mean(axis=-2, keepdims=True)
+    mean = xhat.mean(axis=0, keepdims=True)
     xhat -= mean
-    var = np.einsum("...ij,...ij->...j", xhat, xhat) / m
+    var = np.einsum("ij,ij->j", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std[..., None, :]
+    xhat *= inv_std
 
     def step(gz, sum_g):
         # Ioffe & Szegedy (2015), in the one array the masking makes:
@@ -627,17 +563,17 @@ def _input_statistics(x: np.ndarray, w: np.ndarray, c: np.ndarray | None = None)
     S)^2`` and built without a ``(rows, S)`` array.
 
     Returns ``mean_x``, ``xc``, ``cov @ w``, the variances and whether they
-    are exact enough: per copy of a stacked call, else one flag. With
-    ``c``, ``mean_x`` and ``cov @ w`` are those of the extended input and
-    weight. The rounding error of each variance is bounded by ``eps * (d_in + 2) *
-    diag(|w|^T |cov| |w|)``, ``d_in`` counting the input's columns.
+    are exact enough. With ``c``, ``mean_x`` and ``cov @ w`` are those of
+    the extended input and weight. The rounding error of each variance is
+    bounded by ``eps * (d_in + 2) * diag(|w|^T |cov| |w|)``, ``d_in``
+    counting the input's columns.
     Where inputs are nearly collinear under large weights, ``w^T cov w``
     cancels, and the bound grows against the variance. The variances are
     exact enough when they are finite and every bound is at most
     ``BN_COV_RTOL * (var + BN_EPS)``, so that it moves each ``1 /
     sqrt(var + BN_EPS)`` by a relative ``BN_COV_RTOL / 2`` at most."""
-    m = x.shape[-2]
-    # column sums as one GEMV each, far faster than sum(axis=-2) over a
+    m = x.shape[0]
+    # column sums as one GEMV each, far faster than sum(axis=0) over a
     # few columns; a second pass over the centred input takes out the
     # rounding error of the first mean, which every row of xc @ w would
     # carry (the corrected two-pass algorithm; Chan, Golub & LeVeque,
@@ -648,7 +584,7 @@ def _input_statistics(x: np.ndarray, w: np.ndarray, c: np.ndarray | None = None)
     shift = ones @ xc / m
     xc -= shift
     mean_x += shift
-    cov = np.swapaxes(xc, -1, -2) @ xc
+    cov = xc.T @ xc
     cov /= m
     if c is not None:
         sets = c.shape[0]
@@ -657,12 +593,12 @@ def _input_statistics(x: np.ndarray, w: np.ndarray, c: np.ndarray | None = None)
         cov = np.block([[cov, cross.T], [cross, (np.eye(sets) - 1.0 / sets) / sets]])
         mean_x = np.hstack([mean_x, np.full((1, sets), 1.0 / sets)])
         w = np.vstack([w, c])
-    d_in = w.shape[-2]
+    d_in = w.shape[0]
     cov_w = cov @ w
-    var = np.einsum("...ij,...ij->...j", cov_w, w)
+    var = np.einsum("ij,ij->j", cov_w, w)
     abs_w = np.abs(w)
-    bound = np.einsum("...ij,...ij->...j", np.abs(cov) @ abs_w, abs_w) * (_EPS_MACH * (d_in + 2))
-    exact = (np.isfinite(var) & (bound <= BN_COV_RTOL * (var + BN_EPS))).all(axis=-1)
+    bound = np.einsum("ij,ij->j", np.abs(cov) @ abs_w, abs_w) * (_EPS_MACH * (d_in + 2))
+    exact = bool((np.isfinite(var) & (bound <= BN_COV_RTOL * (var + BN_EPS))).all())
     return mean_x, xc, cov_w, var, exact
 
 
@@ -680,11 +616,11 @@ def _normalize_from_covariance(x, gamma, w, b, stats) -> tuple:
     set's sums, centred the same way; the bias's gradient is the ``b``
     rows of the extended weight's gradient."""
     mean_x, xc, cov_w, var, _ = stats
-    m, d_in = xc.shape[-2:]
+    m, d_in = xc.shape
     sets = 0 if b is None else b.data.shape[0]
     w_all = np.vstack([w.data, b.data]) if sets else w.data
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    scale = gamma.data * inv_std[..., None, :]  # one row per copy, one for a plain call
+    scale = gamma.data * inv_std
     w_scaled = w_all * scale
 
     def input_times(p):
@@ -709,7 +645,7 @@ def _normalize_from_covariance(x, gamma, w, b, stats) -> tuple:
             proj = (w_all * (scale * inv_std * sum_gx / m)) @ w.data.T
             gx = _product(gz, w_scaled[:d_in].T)
             gx -= input_times(proj)
-            gx -= w.data @ (scale[0] * sum_g / m)
+            gx -= w.data @ (scale * sum_g / m)
             grads.insert(0, (x, gx))
         return grads, sum_gx
 
@@ -800,16 +736,12 @@ def dropout(x: Tensor, ratio: float, gen: np.random.Generator | None, mode: str)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of integer labels against row logits.
-
-    Under :func:`no_grad`, (K, batch, classes) logits with a leading stack
-    axis give K losses, each equal to its own (batch, classes) call."""
+    """Mean cross-entropy of integer labels against row logits."""
     labels = np.asarray(labels)
-    ndim = logits.data.ndim
-    if ndim != 2 and (ndim != 3 or _recording) or labels.shape != logits.data.shape[-2:-1]:
+    if logits.data.ndim != 2 or labels.shape != logits.data.shape[:1]:
         raise ShapeError(
-            f"expected (batch, classes) logits, or (K, batch, classes) under "
-            f"no_grad(), with (batch,) labels, got {logits.data.shape} and {labels.shape}"
+            f"expected (batch, classes) logits with (batch,) labels, "
+            f"got {logits.data.shape} and {labels.shape}"
         )
     classes = logits.data.shape[-1]
     if labels.dtype.kind not in "iu":
@@ -821,8 +753,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValueError(f"label {labels[bad][0]} is out of range for {classes} classes")
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    n = logits.data.shape[-2]
-    loss = -log_probs[..., np.arange(n), labels].mean(axis=-1)
+    n = logits.data.shape[0]
+    loss = -log_probs[np.arange(n), labels].mean()
 
     def bwd(g):
         grad = np.exp(log_probs)
@@ -861,28 +793,3 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         x[idx] = orig
         grad[idx] = (f_plus - f_minus) / (2.0 * h)
     return grad
-
-
-def stacked_finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
-    """The central differences of :func:`finite_difference_gradient`, all
-    probed in one call: ``f`` gets the ``(2 * x.size, *x.shape)`` stack of
-    copies of ``x``, copy ``i`` with entry ``i`` (in C order) raised by
-    ``h`` and copy ``x.size + i`` with it lowered by ``h``, and returns
-    one loss per copy; any other count raises :class:`ShapeError`. Each
-    entry is formed with the same expression, so a ``f`` whose losses
-    equal the per-entry calls gives the same bits. ``x`` is only read.
-
-    The stack is dense: ``2 * x.size**2`` floats, 4.3 MB for 520 scalars,
-    before whatever ``f`` allocates for its copies.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    size = x.size
-    stack = np.empty((2, size, size))
-    stack[:] = x.reshape(-1)
-    entry = np.arange(size)
-    stack[0, entry, entry] += h
-    stack[1, entry, entry] -= h
-    losses = np.asarray(f(stack.reshape(2 * size, *x.shape)), dtype=np.float64)
-    if losses.shape != (2 * size,):
-        raise ShapeError(f"expected one loss per copy, shape {(2 * size,)}, got {losses.shape}")
-    return ((losses[:size] - losses[size:]) / (2.0 * h)).reshape(x.shape)

@@ -4,8 +4,9 @@ Each suite turns one family of structural claims into seeded numerical
 trials: permutation invariance of the aggregation and of full classifiers,
 correctness of the linear solution set, the constructive sum-product
 decomposition at its cardinality bound, rank stability under small
-perturbations, finite-difference gradient agreement, and the
-no-activation collapse with its element-wise decomposition.
+perturbations, gradient agreement with finite differences along random
+directions, and the no-activation collapse with its element-wise
+decomposition.
 
 Suites are deterministic given the master seed.
 """
@@ -36,9 +37,9 @@ from .tensor import (
     _differentiated,
     _reachable,
     backward,
+    finite_difference_gradient,
     no_grad,
     softmax_cross_entropy,
-    stacked_finite_difference_gradient,
 )
 
 
@@ -424,90 +425,82 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
-# the prefixes of the gradcheck model's parameters, one per block: each
-# block's tensors are probed in one stacked forward. A forward per tensor
-# is slower, and one forward of all of them runs every block on all the
-# copies
-GRADCHECK_GROUPS = ("agg1.mlp1.", "agg1.mlp2.", "head.")
+def _directional_probe(
+    model, sets, labels, gradients: dict, state: RngState, h: float
+) -> list[tuple[float, float]]:
+    """Each parameter's analytic gradient ``g`` along a seeded Gaussian
+    direction ``v``, against the central difference ``D_v`` of the
+    train-mode loss of one batch along ``v``; the parameters in
+    ``model.parameters()`` order, ``v`` drawn from ``state.child(name)``.
 
+    ``D_v`` is :func:`finite_difference_gradient` of a one-element ``t``:
+    each loss runs one ``Model.forward`` under ``no_grad`` with the
+    tensor's ``.data`` bound to ``own + t[0] * v``, and the tensor gets its
+    own array back afterwards. The forwards move the running statistics,
+    which no train-mode forward reads.
 
-def _probe_group(model, group: list[Tensor], sets, labels, h: float) -> list[np.ndarray]:
-    """Central finite differences of the train-mode loss on one batch for
-    each tensor of ``group``, all in one
-    :func:`stacked_finite_difference_gradient` call on the group's
-    flattened vector. That call runs one ``Model.forward`` under
-    ``no_grad`` with each tensor's ``.data`` bound to its slice of the
-    stack, a matrix as (K, d_in, d) and a vector as (K, 1, d) so that it
-    broadcasts over the rows; every tensor gets its own array back
-    afterwards. The stacked ops give each copy the bits of its own plain
-    forward. The blocks outside the group run plain and move their running
-    statistics, which no train-mode forward reads."""
-    ends = np.cumsum([p.data.size for p in group])[:-1]
+    Returns, per tensor, the guarded relative error of ``<g, v>`` against
+    ``D_v``, and ``|<g, v> - D_v|`` as a ratio of the bound ``1e-8 *
+    sqrt(|v|) + 1e-6 * sum|g_i v_i|``: a floor far above the difference's
+    own error, and a slope that a 1e-3 scale error of a tensor with a real
+    gradient exceeds unless ``<g, v>`` cancels."""
 
-    @no_grad()
-    def losses(stack: np.ndarray) -> np.ndarray:
-        own = [p.data for p in group]
-        try:
-            for p, part in zip(group, np.split(stack, ends, axis=1)):
-                p.data = part.reshape(len(stack), -1, p.data.shape[-1])
-            return softmax_cross_entropy(model.forward(sets, "train"), labels).data
-        finally:
-            for p, data in zip(group, own):
-                p.data = data
+    def loss_along(p: Tensor, v: np.ndarray):
+        own = p.data
 
-    theta = np.concatenate([p.data.ravel() for p in group])
-    fd = stacked_finite_difference_gradient(losses, theta, h=h)
-    return [part.reshape(p.data.shape) for p, part in zip(group, np.split(fd, ends))]
+        @no_grad()
+        def loss(t: np.ndarray) -> float:
+            try:
+                p.data = own + t[0] * v
+                return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
+            finally:
+                p.data = own
+
+        return loss
+
+    rows = []
+    for name, p in model.parameters().items():
+        v = state.child(name).generator().standard_normal(p.data.shape)
+        fd = finite_difference_gradient(loss_along(p, v), np.zeros(1), h=h)[0]
+        gv = gradients[p] * v
+        along = float(gv.sum())
+        bound = 1e-8 * np.sqrt(v.size) + 1e-6 * float(np.abs(gv).sum())
+        rows.append((relative_error(along, fd), float(abs(along - fd) / bound)))
+    return rows
 
 
 def run_gradcheck(seed: int) -> SuiteResult:
     """Analytic gradients of a sub-1k-parameter classifier against central
-    finite differences on every trainable parameter. Per batch, the
-    tensors of each block in :data:`GRADCHECK_GROUPS` are probed together,
-    in one stacked forward of the whole model (see :func:`_probe_group`)."""
+    finite differences along one seeded random direction per parameter
+    tensor and batch (see :func:`_directional_probe`)."""
     root = RngState(seed).child("gradcheck")
     batches = 10
     step = 1e-5
     model = build_model(gradcheck_config(), root.child("model"))
     params = model.parameters()
     n_params = sum(p.data.size for p in params.values())
-    groups = [[p for n, p in params.items() if n.startswith(prefix)] for prefix in GRADCHECK_GROUPS]
 
-    worst = 0.0
-    failures = 0
-    scaled = []
+    rows = []
     for bi in range(batches):
         sets, labels, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
         grad_map = backward(softmax_cross_entropy(logits, labels), list(params.values()))
-        fd_map = {}
-        for group in groups:
-            fd_map.update(zip(group, _probe_group(model, group, sets, labels, step)))
-
-        for p in params.values():
-            fd = fd_map[p]
-            err = relative_error(grad_map[p], fd)
-            worst = _worse(worst, err)
-            failures += not err < 1e-4
-            # a floor far above the FD error (about 2e-10), and a slope that
-            # a 1e-3 scale error of any tensor with a real gradient exceeds
-            bound = 1e-8 + 1e-6 * float(np.max(np.abs(fd)))
-            scaled.append(float(np.max(np.abs(grad_map[p] - fd))) / bound)
+        rows += _directional_probe(model, sets, labels, grad_map, root.child("direction", bi), step)
     properties = [
-        PropertyResult(
-            name="parameter_gradients_match_fd",
-            trials=batches * len(params),
-            failures=failures,
-            worst=worst,
-            detail=f"{n_params} scalars, h={step}, guarded relative error "
-            "tolerance 1e-4",
+        _within_tolerance(
+            "parameter_gradients_match_fd",
+            [err for err, _ in rows],
+            1e-4,
+            f"{n_params} scalars in {len(params)} tensors, one Gaussian direction v "
+            f"per tensor and batch, h={step}, guarded relative error of <g, v> "
+            "against the central difference along v, tolerance 1e-4",
         ),
         _within_tolerance(
             "parameter_gradients_match_fd_scaled",
-            scaled,
+            [ratio for _, ratio in rows],
             1.0,
-            "per tensor and batch, max|a - fd| <= 1e-8 + 1e-6 * max|fd| "
-            "(absolute floor 1e-8, relative slope 1e-6); worst is the "
-            "largest ratio of the two sides",
+            "per tensor and batch, |<g, v> - D_v| <= 1e-8 * sqrt(|v|) + "
+            "1e-6 * sum|g_i v_i| (absolute floor 1e-8, relative slope 1e-6); "
+            "worst is the largest ratio of the two sides",
         ),
     ]
     return SuiteResult("gradcheck", seed, properties)

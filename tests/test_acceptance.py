@@ -216,10 +216,10 @@ def test_criterion_9b_mnist_subset_learning():
     paths = _mnist_paths()
     if paths is None:
         pytest.skip(
-            "MNIST IDX files not found (this sandbox has no dataset network "
-            "access); set PINSET_MNIST_DIR to a directory holding the four "
-            "standard IDX files to run this criterion. The stand-in below "
-            "exercises the identical pipeline on bundled real digit images."
+            "MNIST IDX files not found; set PINSET_MNIST_DIR to a directory "
+            "holding the four standard IDX files to run this criterion. The "
+            "stand-in below runs the identical pipeline on the digit images "
+            "bundled with scikit-learn, and skips too when sklearn is absent."
         )
     t0 = time.perf_counter()
     images, labels = load_mnist_idx(paths[0], paths[1])

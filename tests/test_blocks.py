@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from pinset.blocks import (
 )
 from pinset.decomp import numeric_rank
 from pinset.rng import RngState
-from pinset.tensor import BN_EPS, Tensor, no_grad
+from pinset.tensor import BN_EPS, Tensor
 
 
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
@@ -92,24 +93,11 @@ class TestMlpForward:
         with pytest.raises(ValueError, match="width"):
             mlp.forward(Tensor(np.ones((2, 5))), "eval")
 
-    @pytest.mark.parametrize("param", ["weight", "bn_gamma"])
-    def test_stacked_parameter_gives_one_output_per_copy(self, param):
-        # K copies of one parameter, bound to its .data, run as one
-        # train-mode forward; each output equals a plain forward
-        mlp = Mlp(MlpSpec([3, 8, 5], final_activation="softmax_set"), RngState(5))
-        p = mlp.parameters()[f"layer0.{param}"]
-        gen = RngState(6).generator()
-        copies = p.data + gen.uniform(-0.1, 0.1, size=(3,) + p.data.shape)
-        x = Tensor(gen.uniform(-1, 1, size=(12, 3)))
-        own = p.data
-        p.data = copies if copies.ndim == 3 else copies[:, None]
-        with no_grad():
-            out = mlp.forward(x, "train", set_size=4).data
-        assert out.shape == (3, 12, 5)
-        for k in range(3):
-            p.data = copies[k]
-            assert np.array_equal(out[k], mlp.forward(x, "train", set_size=4).data), k
-        p.data = own
+    @pytest.mark.parametrize("shape", [(3,), (2, 4, 3)], ids=["rank-1", "rank-3"])
+    def test_rows_must_be_rank_2(self, shape):
+        mlp = Mlp(MlpSpec([3, 4]), RngState(5))
+        with pytest.raises(ValueError, match=re.escape(f"expected input of width 3, got shape {shape}")):
+            mlp.forward(Tensor(np.ones(shape)), "eval")
 
 
 def _with_running_stats(mlp: Mlp, seed: int) -> Mlp:
@@ -229,34 +217,6 @@ class TestAggregate:
         rows = Tensor(sets.reshape(60, 3))
         whole = aggregate(block, Tensor(sets), "eval").data
         assert np.array_equal(_aggregate_rows(block, rows, 20, "eval", None).data, whole)
-
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize("stacked", ["rows", "mlp1", "mlp2"])
-    def test_aggregate_rows_passes_a_leading_stack_axis_through(self, stacked, mode):
-        # stacked rows (K, B*N, p) give (K, B, s*t), each copy as its own
-        # plain call; so does one MLP's last weight stacked, as a probe of
-        # that MLP gives it, the other MLP's output repeated along the stack
-        block = _block()
-        gen = RngState(11).generator()
-        rows = gen.uniform(-1, 1, size=(4, 32, 3))
-        weight = None if stacked == "rows" else getattr(block, stacked).layers[-1].weight
-        if weight is None:
-            copies = rows
-        else:
-            copies = weight.data + gen.uniform(-0.1, 0.1, size=(4, *weight.data.shape))
-            rows = rows[0]
-
-        def aggregate_copy(copy):
-            if weight is None:
-                return _aggregate_rows(block, Tensor(copy), 16, mode, None).data
-            weight.data = copy
-            return _aggregate_rows(block, Tensor(rows), 16, mode, None).data
-
-        with no_grad():
-            out = aggregate_copy(copies)
-        assert out.shape == (4, 2, 12 * 16)
-        for k in range(4):
-            assert np.array_equal(out[k], aggregate_copy(copies[k])), k
 
     def test_single_set_needs_batch_axis(self):
         with pytest.raises(ValueError, match=r"\(B, N, p\)"):

@@ -27,7 +27,6 @@ from pinset.tensor import (
     set_softmax,
     softmax_cross_entropy,
     squashing,
-    stacked_finite_difference_gradient,
     sum_all,
     tile_rows,
 )
@@ -103,16 +102,6 @@ class TestProduct:
         assert {(3, 64), (64, 128), (128, 32), (3, 256), (256, 256), (256, 64), (2, 16)} <= set(
             _preset_element_shapes()
         )
-
-    def test_a_stack_lays_out_each_copy_as_its_plain_call(self):
-        gen = RngState(101).generator()
-        x = tensor_mod.column_major(gen.uniform(-1, 1, size=(3, 203, 64)))
-        w = gen.uniform(-1, 1, size=(3, 64, 128))
-        got = tensor_mod._product(x, w)
-        for k in range(3):
-            plain = tensor_mod._product(x[k], w[k])
-            assert _is_column_major(got[k]) and got[k].strides == plain.strides
-            assert np.array_equal(got[k], plain)
 
 
 class TestAffine:
@@ -265,7 +254,7 @@ class TestSetSoftmax:
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 2)])
     def test_rank_other_than_two_rejected(self, shape):
-        with pytest.raises(ShapeError, match="stacked rows"):
+        with pytest.raises(ShapeError, match="needs rank-2 rows"):
             set_softmax(Tensor(np.zeros(shape)), 3)
 
 
@@ -419,6 +408,12 @@ class TestBatchnormFused:
             batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=Tensor(np.ones(4)))
         with pytest.raises(ShapeError, match=r"\(8, 5\)"):
             batchnorm(x, gamma, beta, BatchNormState(5), w=w, b=Tensor(np.ones((8, 5))))
+        with pytest.raises(ShapeError, match=r"gamma and beta must have shape \(5,\), got \(4,\)"):
+            batchnorm(x, Tensor(np.ones(4)), beta, BatchNormState(5), w=w)
+        with pytest.raises(ShapeError, match=r"gamma and beta must have shape \(5,\), got \(1, 5\)"):
+            batchnorm(x, gamma, Tensor(np.ones((1, 5))), BatchNormState(5), w=w)
+        with pytest.raises(ShapeError, match=r"cannot multiply shapes \(1, 9, 4\)"):
+            batchnorm(Tensor(x.data[None]), gamma, beta, BatchNormState(5), w=w)
 
 
 def _near_constant_column_draw():
@@ -538,21 +533,6 @@ class TestBatchnormWidening:
         assert [t.shape for _, t in grads] == [(96, 8), (8, 24), (24,), (24,), (24,)]
         assert all(p.data is a for p, a in zip(params, arrays))
         assert [a.tobytes() for a in arrays] == before
-
-    def test_a_stacked_call_chooses_the_formula_per_copy(self):
-        # copy 0 is collinear, so the guard sends it to the direct formula;
-        # copy 1 is not; each copy keeps the bits of its plain call
-        x0, w, gen = _collinear_draw()
-        x1 = gen.uniform(-1, 1, size=x0.shape)
-        exact = tensor_mod._input_statistics(np.stack([x0, x1]), w)[-1]
-        assert exact.tolist() == [False, True]
-        gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=6)), Tensor(gen.uniform(-0.5, 0.5, size=6))
-        with no_grad():
-            out = batchnorm(Tensor(np.stack([x0, x1])), gamma, beta, BatchNormState(6), w=Tensor(w)).data
-        for k, xk in enumerate((x0, x1)):
-            plain = batchnorm(Tensor(xk), gamma, beta, BatchNormState(6), w=Tensor(w))
-            assert np.array_equal(out[k], plain.data), k
-
 
 def _per_set_reference(x, w, c, gamma, beta, g):
     """relu(BN(x @ w + E c)) in long double, E the indicator of the
@@ -892,6 +872,11 @@ class TestBackward:
         with pytest.raises(ValueError, match=r"^labels must be integer class indices for 4 classes, got dtype float64$"):
             softmax_cross_entropy(Tensor(np.zeros((2, 4))), np.array([0.0, 1.5]))
 
+    @pytest.mark.parametrize("logits, labels", [((3, 2, 4), (2,)), ((2, 4), (3,))], ids=["rank-3", "labels"])
+    def test_cross_entropy_rejects_other_shapes(self, logits, labels):
+        with pytest.raises(ShapeError, match=r"^expected \(batch, classes\) logits with \(batch,\) labels"):
+            softmax_cross_entropy(Tensor(np.zeros(logits)), np.zeros(labels, dtype=int))
+
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4)), requires_grad=True)
         loss = softmax_cross_entropy(logits, np.array([1, 3]))
@@ -976,209 +961,35 @@ class TestFiniteDifference:
 
 
 
-class TestStackedFiniteDifference:
-    def _softmax_loss(self, arr):
-        z = arr - arr.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        return -logp[..., np.arange(arr.shape[-2]), [0, 2, 1, 1, 0]].mean(axis=-1)
-
-    @pytest.mark.parametrize("shape", [(5, 3), (7,)], ids=["matrix", "vector"])
-    def test_same_bits_as_the_per_entry_oracle(self, shape):
-        gen = RngState(18).generator()
-        x = gen.uniform(-1, 1, size=shape)
-        weights = gen.uniform(-1, 1, size=(5, 3))
-
-        def loss(arr):
-            if arr.ndim == len(shape):
-                return float(self._softmax_loss(arr if len(shape) == 2 else weights * arr[:3]))
-            return np.array([loss(a) for a in arr])
-
-        stacked = stacked_finite_difference_gradient(loss, x, h=1e-5)
-        assert np.array_equal(stacked, finite_difference_gradient(loss, x.copy(), h=1e-5))
-
-    def test_copy_i_moves_entry_i(self):
-        x = np.arange(6.0).reshape(2, 3)
-        seen = []
-
-        def loss(stack):
-            seen.append(stack.copy())
-            return np.zeros(len(stack))
-
-        stacked_finite_difference_gradient(loss, x, h=0.5)
-        (stack,) = seen
-        assert stack.shape == (12, 2, 3)
-        for i in range(6):
-            for sign, copy in ((1.0, stack[i]), (-1.0, stack[6 + i])):
-                moved = x.copy()
-                moved.flat[i] += sign * 0.5
-                np.testing.assert_array_equal(copy, moved)
-
-    @pytest.mark.parametrize("shape", [(), (4,), (9,), (8, 1)], ids=str)
-    def test_a_loss_count_other_than_one_per_copy_is_refused(self, shape):
-        # 2 * 4 copies of a (2, 2) input need exactly 8 losses
-        with pytest.raises(ShapeError, match="one loss per copy"):
-            stacked_finite_difference_gradient(lambda stack: np.zeros(shape), np.ones((2, 2)))
-
-    def test_reads_views_and_read_only_arrays_without_writing(self):
-        x = _read_only(np.arange(12.0).reshape(3, 4)[::2, 1::2])
-        before = x.copy()
-        fd = stacked_finite_difference_gradient(lambda stack: (stack**2).sum(axis=(1, 2)), x)
-        np.testing.assert_allclose(fd, 2.0 * before, rtol=0, atol=1e-8)
-        np.testing.assert_array_equal(x, before)
+def test_plain_calls_with_a_row_aligned_bias_are_unchanged():
+    # (rows, d) biases, one set per row, are added row by row and move
+    # the running mean
+    gen = RngState(69).generator()
+    x, w = Tensor(gen.uniform(-1, 1, size=(6, 3))), Tensor(gen.uniform(-1, 1, size=(3, 4)))
+    gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=4)), Tensor(gen.uniform(-0.5, 0.5, size=4))
+    rows = RngState(70).generator().uniform(-1, 1, size=(6, 4))
+    out = affine(x, w, Tensor(rows))
+    np.testing.assert_array_equal(out.data, x.data @ w.data + rows)
+    state = BatchNormState(4)
+    batchnorm(x, gamma, beta, state, w=w, b=Tensor(rows))
+    z = x.data @ w.data + rows
+    np.testing.assert_allclose(state.mean, BN_MOMENTUM * z.mean(axis=0), rtol=1e-15, atol=0)
 
 
-K = 4  # the stack size of the stacked-op checks
-_VECTORS = ("b", "gamma", "beta")
+@pytest.mark.parametrize("shape", [(4, 4), (1, 6, 4), (6, 5)], ids=["sets-not-dividing", "rank-3", "width"])
+def test_a_bias_is_a_row_or_one_row_per_set(shape):
+    gen = RngState(68).generator()
+    x, w = Tensor(gen.uniform(-1, 1, size=(6, 3))), Tensor(gen.uniform(-1, 1, size=(3, 4)))
+    with pytest.raises(ShapeError, match=r"is neither a row \(4,\) nor \(S, 4\) with S dividing 6 rows"):
+        affine(x, w, Tensor(np.zeros(shape)))
 
 
-def _stack_operands(seed: int) -> dict:
-    """K copies of every dense-op operand, vectors as (K, 1, d)."""
-    gen = RngState(seed).generator()
-    return {
-        "x": gen.uniform(-1, 1, size=(K, 6, 3)),
-        "w": gen.uniform(-1, 1, size=(K, 3, 4)),
-        "b": gen.uniform(-1, 1, size=(K, 1, 4)),
-        "gamma": gen.uniform(0.5, 1.5, size=(K, 1, 4)),
-        "beta": gen.uniform(-0.5, 0.5, size=(K, 1, 4)),
-    }
-
-
-def _operand(ops: dict, name: str, stacked, k) -> Tensor:
-    """The whole stack of a stacked operand when ``k`` is None; otherwise,
-    and for every operand not in ``stacked`` (copy 0), copy ``k`` in its
-    plain shape."""
-    arr = ops[name]
-    if name in stacked and k is None:
-        return Tensor(arr)
-    copy = arr[k if name in stacked else 0]
-    return Tensor(copy[0] if name in _VECTORS else copy)
-
-
-class TestStackAxis:
-    """A leading stack axis K runs K copies of an op in one forward under
-    no_grad; each copy equals its own plain call bit for bit."""
-
-    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
-    @pytest.mark.parametrize("stacked", [("x",), ("w",), ("b",), ("x", "w", "b")], ids="+".join)
-    def test_affine_copies_equal_plain_calls(self, stacked, relu):
-        ops = _stack_operands(60)
-
-        def call(k):
-            return affine(*(_operand(ops, n, stacked, k) for n in ("x", "w", "b")), relu=relu)
-
-        with no_grad():
-            out = call(None).data
-        assert out.shape == (K, 6, 4)
-        for k in range(K):
-            assert np.array_equal(out[k], call(k).data), k
-
-    @pytest.mark.parametrize(
-        "stacked", [("x",), ("w",), ("gamma",), ("beta",), ("x", "w", "gamma", "beta")], ids="+".join
-    )
-    def test_batchnorm_copies_equal_plain_calls(self, stacked):
-        ops = _stack_operands(61)
-
-        def call(k, state):
-            x, w, gamma, beta = (_operand(ops, n, stacked, k) for n in ("x", "w", "gamma", "beta"))
-            return batchnorm(x, gamma, beta, state, w=w, b=_operand(ops, "b", (), 0))
-
-        with no_grad():
-            out = call(None, BatchNormState(4)).data
-        assert out.shape == (K, 6, 4)
-        for k in range(K):
-            assert np.array_equal(out[k], call(k, BatchNormState(4)).data), k
-
-    def test_batchnorm_cancels_a_stacked_bias_row(self):
-        # the bias row is cancelled by the batch mean, so a call in which
-        # only the bias is stacked gives the one plain output
-        ops = _stack_operands(62)
-        operands = [_operand(ops, n, (), 0) for n in ("x", "gamma", "beta", "w")]
-        x, gamma, beta, w = operands
-        with no_grad():
-            out = batchnorm(x, gamma, beta, BatchNormState(4), w=w, b=Tensor(ops["b"]))
-        assert out.data.shape == (6, 4)
-        for k in range(K):
-            plain = batchnorm(x, gamma, beta, BatchNormState(4), w=w, b=Tensor(ops["b"][k, 0]))
-            assert np.array_equal(out.data, plain.data), k
-
-    @pytest.mark.parametrize("stacked", [("x",), ("b",)], ids="+".join)
-    def test_stacked_batchnorm_leaves_the_running_statistics(self, stacked):
-        ops = _stack_operands(63)
-        state = BatchNormState(4)
-        state.mean, state.var = np.full(4, 0.25), np.full(4, 2.0)
-        mean, var = state.mean, state.var
-        x, w, b = (_operand(ops, n, stacked, None) for n in ("x", "w", "b"))
-        gamma, beta = (_operand(ops, n, (), 0) for n in ("gamma", "beta"))
-        with no_grad():
-            batchnorm(x, gamma, beta, state, w=w, b=b)
-        assert state.mean is mean and state.var is var
-        np.testing.assert_array_equal(mean, np.full(4, 0.25))
-        np.testing.assert_array_equal(var, np.full(4, 2.0))
-
-    def test_set_softmax_copies_equal_plain_calls(self):
-        a = RngState(64).generator().uniform(-1, 1, size=(K, 12, 5))
-        with no_grad():
-            out = set_softmax(Tensor(a), 3).data
-        assert out.shape == a.shape
-        for k in range(K):
-            assert np.array_equal(out[k], set_softmax(Tensor(a[k]), 3).data), k
-
-    def test_softmax_cross_entropy_gives_one_loss_per_copy(self):
-        gen = RngState(65).generator()
-        logits, labels = gen.uniform(-1, 1, size=(K, 5, 4)), gen.integers(0, 4, size=5)
-        with no_grad():
-            losses = softmax_cross_entropy(Tensor(logits), labels).data
-        assert losses.shape == (K,)
-        for k in range(K):
-            assert losses[k] == softmax_cross_entropy(Tensor(logits[k]), labels).data, k
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda ops: matmul(Tensor(ops["x"]), Tensor(ops["w"][0])),
-            lambda ops: affine(Tensor(ops["x"][0]), Tensor(ops["w"]), None),
-            lambda ops: batchnorm(
-                Tensor(ops["x"][0]), Tensor(ops["gamma"]), Tensor(ops["beta"][0, 0]), BatchNormState(4),
-                w=Tensor(ops["w"][0]),
-            ),
-            lambda ops: set_softmax(Tensor(ops["x"]), 3),
-            lambda ops: softmax_cross_entropy(Tensor(ops["x"]), [0, 1, 2, 0, 1, 2]),
-        ],
-        ids=["matmul", "affine", "batchnorm", "set_softmax", "softmax_cross_entropy"],
-    )
-    def test_recording_a_stacked_op_is_refused(self, op):
-        ops = _stack_operands(66)
-        with no_grad():
-            op(ops)
-        with pytest.raises(ShapeError, match="no_grad"):
-            op(ops)
-
-    def test_stack_sizes_must_agree(self):
-        ops = _stack_operands(67)
-        with no_grad(), pytest.raises(ShapeError, match=r"disagree on the stack size: \[3, 4\]"):
-            affine(Tensor(ops["x"][:3]), Tensor(ops["w"]), None)
-
-    @pytest.mark.parametrize("shape", [(K, 4), (K, 6, 4)], ids=["rank-2", "row-aligned"])
-    def test_a_stacked_bias_is_a_row(self, shape):
-        # a rank-2 bias is per-set, so (K, d) with K not dividing the rows
-        # does not fit; a stacked call takes no per-set bias
-        ops = _stack_operands(68)
-        x = Tensor(ops["x"] if len(shape) == 3 else ops["x"][0])
-        with no_grad(), pytest.raises(ShapeError, match="bias|per-feature"):
-            affine(x, Tensor(ops["w"][0]), Tensor(np.zeros(shape)))
-
-    def test_plain_calls_with_a_row_aligned_bias_are_unchanged(self):
-        # (rows, d) biases, one set per row, are added row by row and move
-        # the running mean
-        ops = _stack_operands(69)
-        x, w, gamma, beta = (_operand(ops, n, (), 0) for n in ("x", "w", "gamma", "beta"))
-        rows = RngState(70).generator().uniform(-1, 1, size=(6, 4))
-        out = affine(x, w, Tensor(rows))
-        np.testing.assert_array_equal(out.data, x.data @ w.data + rows)
-        state = BatchNormState(4)
-        batchnorm(x, gamma, beta, state, w=w, b=Tensor(rows))
-        z = x.data @ w.data + rows
-        np.testing.assert_allclose(state.mean, BN_MOMENTUM * z.mean(axis=0), rtol=1e-15, atol=0)
+@pytest.mark.parametrize("op", [matmul, affine], ids=["matmul", "affine"])
+@pytest.mark.parametrize("x_shape, w_shape", [((2, 6, 3), (3, 4)), ((6, 3), (2, 3, 4))], ids=["x", "w"])
+def test_dense_ops_take_rank_2_operands(op, x_shape, w_shape):
+    args = (Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
+    with pytest.raises(ShapeError, match="cannot multiply shapes"):
+        op(*args) if op is matmul else op(*args, None)
 
 
 def _layer(name: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
