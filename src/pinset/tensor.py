@@ -240,16 +240,19 @@ def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     It runs as ``(w^T x^T)^T``, the orientation in which OpenBLAS packs a
     tall product's long panel best (Goto & van de Geijn, ACM TOMS 2008):
-    on OpenBLAS 0.3.31's Haswell kernels, 15-45 % faster than ``x @ w`` at
-    the presets' element shapes. That form rounds like ``x @ w`` except in
-    the last ``rows mod 8`` rows, so those rows and the 8 before them are
-    recomputed as ``x @ w``, and a product of no more rows than that runs
-    as ``x @ w`` alone; the 8 extra rows keep a one-row remainder off
-    GEMV, which rounds differently again. So at output widths of 16 and
-    more every row has the bits of ``x @ w``, and a row's bits do not
-    depend on how the rows are split into calls. Narrower
-    outputs (a head's logits) may differ from ``x @ w`` in their last
-    bits: OpenBLAS runs them on small-matrix kernels whose rounding
+    15-45 % faster than ``x @ w`` at the presets' element shapes, measured
+    on numpy's bundled OpenBLAS 0.3.31 running its SkylakeX kernels on an
+    AVX-512 Xeon (the core ``scipy_openblas_get_corename64_()`` returns;
+    ``numpy.show_config()`` names Haswell, the build's configured target,
+    not the core a DYNAMIC_ARCH build picks at run time). That form rounds
+    like ``x @ w`` except in the last ``rows mod 8`` rows, so those rows
+    and the 8 before them are recomputed as ``x @ w``, and a product of no
+    more rows than that runs as ``x @ w`` alone; the 8 extra rows keep a
+    one-row remainder off GEMV, which rounds differently again. So at
+    output widths of 16 and more every row has the bits of ``x @ w``, and
+    a row's bits do not depend on how the rows are split into calls.
+    Narrower outputs (a head's logits) may differ from ``x @ w`` in their
+    last bits: OpenBLAS runs them on small-matrix kernels whose rounding
     follows the operands' layout.
     """
     rows = x.shape[0]
@@ -390,6 +393,47 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a,), bwd)
 
 
+# set_softmax halves sets of at most this many rows (see _halved_set_maxima)
+# when they hold at least this many (set, column) pairs, in blocks of at most
+# _HALVED_BLOCK pairs, which keep a block's rows in cache
+_HALVED_SET_SIZE = 40
+_HALVED_MIN_COLUMNS = 256
+_HALVED_BLOCK = 4096
+
+
+def _halved_set_maxima(a: np.ndarray, set_size: int) -> np.ndarray:
+    """Each set's column maxima of column-major rows ``a`` (rows, width),
+    ``(sets, 1, width)``, as ``a`` reshaped to sets would give them.
+
+    numpy's ``max`` over the set axis runs one inner loop of ``set_size``
+    elements per (set, column) pair, which costs about 75 ns a pair at 32
+    rows. Here ``a`` is viewed without a copy as ``(set_size,
+    width * sets)``, one row per set position, and its halves are folded
+    together with ``np.maximum`` into C-ordered buffers until one row is
+    left (on an odd level the spare row is folded into row 0), so each
+    call runs over whole rows of pairs. A maximum is exact in any order,
+    so the result has the bits of ``max``, NaN and signed zeros aside:
+    NaN propagates either way, and a zero maximum's sign is lost in the
+    ``exp`` that follows it.
+    """
+    rows, width = a.shape
+    positions = a.T.reshape(-1, set_size).T
+    maxima = np.empty(positions.shape[1])
+    folded = np.empty((set_size // 2, min(maxima.size, _HALVED_BLOCK)))
+    for start in range(0, maxima.size, _HALVED_BLOCK):
+        block = positions[:, start : start + _HALVED_BLOCK]
+        n = set_size
+        while n > 1:
+            half = n // 2
+            out = folded[:half, : block.shape[1]]
+            np.maximum(block[:half], block[half : 2 * half], out=out)
+            if n % 2:
+                np.maximum(out[0], block[2 * half], out=out[0])
+            block, n = out, half
+        maxima[start : start + _HALVED_BLOCK] = block[0]
+    return maxima.reshape(width, rows // set_size).T[:, None, :]
+
+
 def set_softmax(a: Tensor, set_size: int) -> Tensor:
     """Softmax over the set axis, per feature column, of rows (rows,
     width): each block of ``set_size`` consecutive rows is one set.
@@ -404,7 +448,11 @@ def set_softmax(a: Tensor, set_size: int) -> Tensor:
         raise ShapeError(f"{rows} rows do not divide into sets of {set_size}")
     sets = (rows // set_size, set_size, width)
     x = a.data.reshape(sets)
-    y = x - x.max(axis=1, keepdims=True)
+    short = set_size <= _HALVED_SET_SIZE and sets[0] * width >= _HALVED_MIN_COLUMNS
+    if short and a.data.T.flags.c_contiguous:
+        y = x - _halved_set_maxima(a.data, set_size)
+    else:
+        y = x - x.max(axis=1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=1, keepdims=True)
 

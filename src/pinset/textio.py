@@ -19,7 +19,7 @@ class TextTensorError(ValueError):
 def format_tensor(arr) -> str:
     arr = np.asarray(arr, dtype=np.float64)
     header = f"tensor v1 {arr.ndim} " + " ".join(str(e) for e in arr.shape)
-    values = " ".join(repr(float(v)) for v in arr.reshape(-1))
+    values = " ".join(map(repr, arr.reshape(-1).tolist()))
     return header.strip() + "\n" + values + "\n"
 
 

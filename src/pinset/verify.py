@@ -434,10 +434,13 @@ def _directional_probe(
     ``model.parameters()`` order, ``v`` drawn from ``state.child(name)``.
 
     ``D_v`` is :func:`finite_difference_gradient` of a one-element ``t``:
-    each loss runs one ``Model.forward`` under ``no_grad`` with the
-    tensor's ``.data`` bound to ``own + t[0] * v``, and the tensor gets its
-    own array back afterwards. The forwards move the running statistics,
-    which no train-mode forward reads.
+    each loss runs under ``no_grad`` with the tensor's ``.data`` bound to
+    ``own + t[0] * v``, and the tensor gets its own array back afterwards.
+    For a ``head.*`` tensor the loss runs only the head, on the batch's
+    train-mode features computed once per call: those are the ops
+    ``Model.forward`` runs after ``Model.features``, which do not read the
+    head. Every other loss runs one whole ``Model.forward``. The forwards
+    move the running statistics, which no train-mode forward reads.
 
     Returns, per tensor, the guarded relative error of ``<g, v>`` against
     ``D_v``, and ``|<g, v> - D_v|`` as a ratio of the bound ``1e-8 *
@@ -445,14 +448,19 @@ def _directional_probe(
     own error, and a slope that a 1e-3 scale error of a tensor with a real
     gradient exceeds unless ``<g, v>`` cancels."""
 
-    def loss_along(p: Tensor, v: np.ndarray):
+    if model.head is not None:
+        with no_grad():
+            feature = model.features(sets, "train")
+
+    def loss_along(p: Tensor, v: np.ndarray, head_only: bool):
         own = p.data
 
         @no_grad()
         def loss(t: np.ndarray) -> float:
             try:
                 p.data = own + t[0] * v
-                return float(softmax_cross_entropy(model.forward(sets, "train"), labels).data)
+                logits = model.head.forward(feature, "train") if head_only else model.forward(sets, "train")
+                return float(softmax_cross_entropy(logits, labels).data)
             finally:
                 p.data = own
 
@@ -461,7 +469,7 @@ def _directional_probe(
     rows = []
     for name, p in model.parameters().items():
         v = state.child(name).generator().standard_normal(p.data.shape)
-        fd = finite_difference_gradient(loss_along(p, v), np.zeros(1), h=h)[0]
+        fd = finite_difference_gradient(loss_along(p, v, name.startswith("head.")), np.zeros(1), h=h)[0]
         gv = gradients[p] * v
         along = float(gv.sum())
         bound = 1e-8 * np.sqrt(v.size) + 1e-6 * float(np.abs(gv).sum())

@@ -45,6 +45,7 @@ from pinset.tensor import (
     finite_difference_gradient,
     matmul,
     mul,
+    no_grad,
     pair_aggregate,
     reshape,
     set_softmax,
@@ -64,14 +65,14 @@ TOL = 1e-6
 def _check(build_loss, x0: np.ndarray) -> float:
     """Max guarded relative error between analytic and FD gradients of the
     scalar loss built from a single input tensor."""
-    t = Tensor(x0.copy(), requires_grad=True)
+    t = Tensor(x0.copy(order="K"), requires_grad=True)
     grads = backward(build_loss(t))
     analytic = grads[t]
 
     def f(arr):
         return float(build_loss(Tensor(arr)).data)
 
-    fd = finite_difference_gradient(f, x0.copy(), h=H)
+    fd = finite_difference_gradient(f, x0.copy(order="K"), h=H)
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1.0)
     return float(np.max(np.abs(fd - analytic) / denom))
 
@@ -241,6 +242,15 @@ def test_primitive_gradients(trial):
                 if fused == "affine" and k in (2, 3):
                     continue  # affine takes no gamma or beta
                 worst = max(worst, _check(lambda t, _k=k, _f=fused: per_set_loss(t, _k, _f), operand))
+
+    # 16 column-major sets of 3 rows, 16 wide, on a stream of their own:
+    # enough (set, column) pairs that set_softmax halves the sets for
+    # their maxima, with an odd level at 3 rows
+    gm = RngState(6000 + trial).generator()
+    assert 16 * 16 >= tensor_mod._HALVED_MIN_COLUMNS
+    wsm = _weighted(gm, (48, 16))
+    xm = np.asfortranarray(gm.uniform(-1, 1, size=(48, 16)))
+    worst = max(worst, _check(lambda t: wsm(set_softmax(t, 3)), xm))
 
     assert worst < TOL, f"worst primitive gradient error {worst:.3e}"
 
@@ -562,6 +572,40 @@ def test_a_probe_puts_the_array_back_when_the_forward_raises(monkeypatch):
         verify._directional_probe(model, sets, labels, grads, RngState(0), H)
     for p, data in zip(params, own):
         assert p.data is data
+
+
+def test_head_probe_losses_equal_full_forward_losses(monkeypatch):
+    # a head tensor's probe runs only the head on the batch's features;
+    # along its direction each loss has the bits of a whole forward's
+    model, sets, labels = _batch_0()
+    params = model.parameters()
+    grads = backward(softmax_cross_entropy(model.forward(sets, "train"), labels), list(params.values()))
+    state = RngState(7)
+    steps = (-1e-3, -H, 0.0, 0.25)
+    losses = []
+
+    def recording(f, x, h):
+        losses.append([f(np.array([t])) for t in steps])
+        return np.zeros(1)
+
+    monkeypatch.setattr(verify, "finite_difference_gradient", recording)
+    verify._directional_probe(model, sets, labels, grads, state, H)
+    head = [name for name in params if name.startswith("head.")]
+    assert len(head) == 6 and len(losses) == len(params)
+    for name, probed in zip(params, losses):
+        if name not in head:
+            continue
+        p, own = params[name], params[name].data
+        v = state.child(name).generator().standard_normal(own.shape)
+        full = []
+        try:
+            for t in steps:
+                p.data = own + t * v
+                with no_grad():
+                    full.append(float(softmax_cross_entropy(model.forward(sets, "train"), labels).data))
+        finally:
+            p.data = own
+        assert probed == full, name
 
 
 def _narrow_pixel_l_config() -> ModelConfig:

@@ -247,6 +247,56 @@ class TestSetSoftmax:
         single = set_softmax(Tensor(x[6:12]), 6).data
         np.testing.assert_allclose(out[6:12], single, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("width", [1, 6, 16, 32])
+    @pytest.mark.parametrize("set_size", [1, 2, 3, 7, 31, 32, 33, 40, 41, 49, 196])
+    def test_matches_one_pass_formula_bitwise_around_the_halving_rule(self, set_size, width, order):
+        # set counts with sets * width just below and at the floor of the
+        # halved maxima, and past one block of them; NaN, +-inf and -0.0
+        # entries, a set column of signed zeros and one of -inf alone
+        gen = RngState(set_size * 100 + width).generator()
+        floor, block = tensor_mod._HALVED_MIN_COLUMNS, tensor_mod._HALVED_BLOCK
+        for sets in sorted({max(1, (floor - 1) // width), -(-floor // width), block // width + 3}):
+            x = gen.uniform(-30, 30, size=(sets, set_size, width))
+            for value in (np.nan, np.inf, -np.inf, -0.0):
+                x[gen.integers(sets), gen.integers(set_size), gen.integers(width)] = value
+            x[-1, :, 0] = np.where(gen.random(set_size) < 0.5, -0.0, 0.0)
+            x[0, :, -1] = -np.inf
+            rows = x.reshape(sets * set_size, width)
+            rows = np.asfortranarray(rows) if order == "F" else np.ascontiguousarray(rows)
+            with np.errstate(invalid="ignore"):
+                got = set_softmax(Tensor(rows), set_size).data
+                x = rows.reshape(sets, set_size, width)
+                e = np.exp(x - x.max(axis=1, keepdims=True))
+                want = (e / e.sum(axis=1, keepdims=True)).reshape(rows.shape)
+            assert np.array_equal(got, want, equal_nan=True), sets
+
+    @pytest.mark.parametrize(
+        "set_size, sets, width, order, halved",
+        [
+            (32, 16, 16, "F", True),  # sets * width at the floor
+            (40, 200, 16, "F", True),
+            (2, 128, 2, "F", True),
+            (32, 15, 17, "F", False),  # 255 pairs, below the floor
+            (41, 200, 16, "F", False),  # longer sets
+            (32, 16, 16, "C", False),  # row-major rows
+        ],
+    )
+    def test_halves_only_short_column_major_sets_with_enough_pairs(
+        self, monkeypatch, set_size, sets, width, order, halved
+    ):
+        calls = []
+        halve = tensor_mod._halved_set_maxima
+
+        def recording(a, n):
+            calls.append(a.shape)
+            return halve(a, n)
+
+        monkeypatch.setattr(tensor_mod, "_halved_set_maxima", recording)
+        rows = np.zeros((sets * set_size, width), order=order)
+        set_softmax(Tensor(rows), set_size)
+        assert calls == ([rows.shape] if halved else [])
+
     @pytest.mark.parametrize("rows, set_size", [(7, 3), (6, 4), (6, 0)])
     def test_rows_that_do_not_divide_into_sets_rejected(self, rows, set_size):
         with pytest.raises(ShapeError, match=f"^{rows} rows do not divide into sets of {set_size}$"):

@@ -16,6 +16,20 @@ class TestTextTensor:
         write_tensor(path, arr)
         np.testing.assert_array_equal(read_tensor(path), arr)
 
+    def test_special_values_text_and_round_trip(self):
+        # signed zeros, NaN, infinities, subnormals, the largest float and
+        # exponent forms, each as Python's shortest repr
+        arr = np.array(
+            [[0.0, -0.0, np.nan, np.inf, -np.inf], [5e-324, -2.5e-310, 1e16, 1e-5, np.finfo(np.float64).max]]
+        )
+        text = format_tensor(arr)
+        assert text == (
+            "tensor v1 2 2 5\n0.0 -0.0 nan inf -inf 5e-324 -2.5e-310 1e+16 1e-05 1.7976931348623157e+308\n"
+        )
+        back = parse_tensor(text)
+        assert back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()
+
     def test_header_format(self):
         text = format_tensor(np.zeros((2, 3)))
         assert text.splitlines()[0] == "tensor v1 2 2 3"
