@@ -19,6 +19,7 @@ from .tensor import (
     BN_EPS,
     Tensor,
     BatchNormState,
+    _check_gemm,
     add,
     affine,
     batchnorm,
@@ -142,34 +143,27 @@ class Layer:
     bn: BatchNorm | None
 
 
-def _dense(
-    h: Tensor,
-    w: Tensor,
-    b: Tensor | None,
-    bn: BatchNorm | None,
-    mode: str,
-    relu: bool,
-    set_size: int | None = None,
-) -> Tensor:
+def _dense(h: Tensor, w: Tensor, b: Tensor | None, bn: BatchNorm | None, mode: str, relu: bool) -> Tensor:
     """One dense layer ``h @ w + b`` as one tape op. With ``bn`` (a hidden
     layer, so a relu), train mode runs the fused ``batchnorm`` and eval
     mode folds the stored statistics into ``w`` and ``b``, through tape
     ops, and runs ``affine``. Without ``bn``, ``affine`` in both modes, the
     relu fused when ``relu`` is set.
 
-    With ``set_size``, ``b`` holds one row per set of ``set_size`` rows.
-    Train mode hands it on as a per-set bias (see
-    :func:`pinset.tensor.batchnorm`). Eval mode still tiles the folded row
-    over the set's rows with ``tile_rows`` and passes the copy as a bias
-    with one row per row; the benchmark's tracer self-test
+    A 2-D ``b`` is a per-set bias, one row per set of consecutive rows,
+    and the set count is its row count (see
+    :func:`pinset.tensor._check_gemm`). Train mode hands it on as such
+    (see :func:`pinset.tensor.batchnorm`). Eval mode still tiles the
+    folded rows over each set's rows with ``tile_rows`` and passes the
+    copy as a bias with one row per row; the benchmark's tracer self-test
     (``perfbench/tests/test_tracer.py``) expects ``pixel-l`` to call
     ``tile_rows``, so that switch waits for the benchmark's refresh."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if bn is not None and mode == "eval":
         w, b = bn.fold(w, b)
-    if set_size is not None and mode == "eval":
-        b = tile_rows(b, set_size)
+    if mode == "eval" and (sets := _check_gemm(h, w, b)):
+        b = tile_rows(b, h.data.shape[0] // sets)
     if bn is not None and mode == "train":
         return batchnorm(h, bn.gamma, bn.beta, bn.state, w=w, b=b)
     return affine(h, w, b, relu=relu)
@@ -361,12 +355,11 @@ class BroadcastBlock(Block):
         yield from self.bn.named(prefix)
 
 
-def broadcast_batched(
-    block: BroadcastBlock, x_flat: Tensor, y: Tensor, set_size: int, mode: str
-) -> Tensor:
+def broadcast_batched(block: BroadcastBlock, x_flat: Tensor, y: Tensor, mode: str) -> Tensor:
     """The whole block on stacked rows (B*N, d_x) with set features
     (B, d_y): ``relu(BN(x W_x + y W_y + b))``, each set's feature row
-    added to its ``set_size`` rows.
+    added to its N rows. The B rows of ``y`` give the set count, so
+    stacked rows that are no multiple of B raise ``ShapeError``.
 
     The small per-set row ``y W_y + b`` (B, d_z) is formed first; the
     rest is one :func:`_dense` op. In train mode ``batchnorm`` takes the
@@ -382,7 +375,7 @@ def broadcast_batched(
     if y.data.ndim != 2 or y.data.shape[1] != d_y:
         raise ValueError(f"expected batch features of width {d_y}, got shape {y.data.shape}")
     row = add(matmul(y, block.w_y), block.bias)
-    return _dense(x_flat, block.w_x, row, block.bn, mode, relu=True, set_size=set_size)
+    return _dense(x_flat, block.w_x, row, block.bn, mode, relu=True)
 
 
 @no_grad()

@@ -329,12 +329,9 @@ def cmd_decompose(args) -> int:
         raise ConfigError("decompose needs a component count (--components)")
     tensor = read_tensor(input_path)
     try:
-        # the text comes back on the result; it is printed once on success.
-        # numpy's overflow warnings are dropped: an overflow ends in a
-        # non-finite result, which cp_decompose refuses as one data error
+        # the text comes back on the result; it is printed once on success
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
-            warnings.simplefilter("ignore", RuntimeWarning)
             factors = cp_decompose(tensor, components)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
@@ -482,6 +479,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         # one line per warning; the filters, once per location by default, stay
         warnings.showwarning = _print_warning
+        # numpy's overflow and invalid-value warnings are dropped: the
+        # non-finite values they warn of end the run in its own error line
+        warnings.simplefilter("ignore", RuntimeWarning)
         try:
             args = _build_parser().parse_args(argv)
             if not 0 <= args.seed < 2**64:

@@ -79,6 +79,7 @@ class MddSolution:
 
     particular: np.ndarray  # (l, n)
     kernel_basis: np.ndarray  # (l, l - m)
+    singular_values: np.ndarray  # (m,) B's, descending
 
 
 @dataclass
@@ -92,18 +93,9 @@ class CpFactors:
     rel_residual: float = float("nan")
 
 
-def _rank(s: np.ndarray, tol: float, need_rows_of: tuple[int, int] | None = None) -> int:
-    """Count singular values ``s`` (descending) above ``tol`` times the
-    largest. With ``need_rows_of``, the shape of the matrix they came
-    from, raise unless that rank is its full row count."""
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.count_nonzero(s > tol * s[0]))
-    if need_rows_of is not None and rank < need_rows_of[0]:
-        raise RankDeficiencyError(
-            f"matrix of shape {need_rows_of} has numeric rank {rank}, "
-            f"need full row rank {need_rows_of[0]}",
-            detected_rank=rank,
-        )
-    return rank
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Count singular values ``s`` (descending) above ``tol`` times the largest."""
+    return 0 if (s.size == 0 or s[0] == 0.0) else int(np.count_nonzero(s > tol * s[0]))
 
 
 def numeric_rank(m, tol: float = RANK_TOL) -> int:
@@ -113,16 +105,28 @@ def numeric_rank(m, tol: float = RANK_TOL) -> int:
     return _rank(np.linalg.svd(_as_matrix(m, "m"), compute_uv=False), tol)
 
 
+def _full_row_rank_svd(b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD ``B = u diag(s) v_rows`` of an (m, l) matrix and an
+    orthonormal (l, l-m) basis of its null space; raises unless B's
+    numeric rank at ``tol`` is its full row count m."""
+    m = b.shape[0]
+    u, s, vt = np.linalg.svd(b, full_matrices=True)
+    rank = _rank(s, tol)
+    if rank < m:
+        raise RankDeficiencyError(
+            f"matrix of shape {b.shape} has numeric rank {rank}, need full row rank {m}",
+            detected_rank=rank,
+        )
+    return u, s, vt[:m], vt[m:].T.copy()
+
+
 def kernel_basis(b) -> np.ndarray:
     """Orthonormal basis of the null space of a full-row-rank matrix.
 
     Returns an (l, l-m) matrix; raises if the detected rank falls short
     of the row count.
     """
-    arr = _as_matrix(b, "b")
-    _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    _rank(s, RANK_TOL, arr.shape)
-    return vt[arr.shape[0]:].T.copy()
+    return _full_row_rank_svd(_as_matrix(b, "b"), RANK_TOL)[3]
 
 
 def _refine_solution(b: np.ndarray, a: np.ndarray, c: np.ndarray, apply_pinv) -> np.ndarray:
@@ -153,27 +157,25 @@ def mdd_solve(b, a, rank_tol: float = RANK_TOL) -> MddSolution:
     of shape (m, n), for any n.
 
     Returns the minimum-Frobenius-norm particular solution together with
-    an orthonormal kernel basis; every solution is
-    ``particular + kernel_basis @ lam`` for a free (l-m, n) matrix.
+    an orthonormal kernel basis and B's singular values; every solution
+    is ``particular + kernel_basis @ lam`` for a free (l-m, n) matrix.
     Raises :class:`RankDeficiencyError` when ``B``'s numeric rank at
     ``rank_tol`` falls short of m.
     """
     b_arr = _as_matrix(b, "b")
     a_arr = _as_matrix(a, "a")
-    m = b_arr.shape[0]
-    if a_arr.shape[0] != m:
+    if a_arr.shape[0] != b_arr.shape[0]:
         raise ValueError(
             f"row mismatch: b has shape {b_arr.shape}, a has shape {a_arr.shape}"
         )
 
-    u, s, vt = np.linalg.svd(b_arr, full_matrices=True)
-    _rank(s, rank_tol, b_arr.shape)
+    u, s, v_rows, kernel = _full_row_rank_svd(b_arr, rank_tol)
 
     def apply_pinv(rhs):
-        return vt[:m].T @ ((u.T @ rhs) / s[:, None])
+        return v_rows.T @ ((u.T @ rhs) / s[:, None])
 
     particular = _refine_solution(b_arr, a_arr, apply_pinv(a_arr), apply_pinv)
-    return MddSolution(particular=particular, kernel_basis=vt[m:].T.copy())
+    return MddSolution(particular=particular, kernel_basis=kernel, singular_values=s)
 
 
 def sample_solution(sol: MddSolution, lam) -> np.ndarray:
@@ -258,8 +260,10 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
     b = kernels._khatri_rao(lead_factors, count).T.copy()  # (prod(lead dims), count)
     a = np.ascontiguousarray(np.transpose(t_arr, order).reshape(b.shape[0], sorted_dims[-1]))
 
-    s = np.linalg.svd(b, compute_uv=False)
-    condition = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+    sol = mdd_solve(b, a, rank_tol=_CONSTRUCTED_RANK_TOL)
+    sorted_factors = lead_factors + [sol.particular]
+    # full row rank leaves the smallest singular value positive
+    condition = float(sol.singular_values[0] / sol.singular_values[-1])
     warning = None
     if condition > _CONDITION_WARN_THRESHOLD:
         warning = (
@@ -267,9 +271,6 @@ def cp_decompose(t, count: int, nodes=None) -> CpFactors:
             f"is limited to roughly {condition * np.finfo(np.float64).eps:.1e}"
         )
         warnings.warn(warning, ConditioningWarning, stacklevel=2)
-
-    sol = mdd_solve(b, a, rank_tol=_CONSTRUCTED_RANK_TOL)
-    sorted_factors = lead_factors + [sol.particular]
 
     factors: list[np.ndarray] = [None] * len(dims)  # type: ignore[list-item]
     for pos, axis in enumerate(order):
@@ -336,28 +337,30 @@ def rank_stability_trial(y_full, epsilon: float, trials: int, rng: RngState) -> 
     """Fraction of random perturbations with ``||delta||_F < epsilon`` that
     leave a full-column-rank matrix at full rank.
 
-    The perturbations are drawn one after another, then every perturbed
-    matrix's rank comes from one stacked SVD, judged as
+    The perturbations are drawn one after another, then the input's and
+    every perturbed matrix's rank come from one stacked SVD, judged as
     :func:`numeric_rank` judges it."""
     y_arr = _as_matrix(y_full, "y_full")
     n_rows, s = y_arr.shape
-    rank = numeric_rank(y_arr)
-    if rank < s:
-        raise RankDeficiencyError(
-            f"rank_stability_trial needs a full-rank input, detected rank {rank} < {s}",
-            detected_rank=rank,
-        )
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
 
     gen = rng.generator()
-    deltas = np.zeros((trials, n_rows, s))
+    stack = np.zeros((trials + 1, n_rows, s))  # the input, then the perturbed matrices
     if epsilon > 0.0:
-        for delta in deltas:
+        for delta in stack[1:]:
             direction = gen.standard_normal(y_arr.shape)
             norm = np.linalg.norm(direction)
             delta[...] = direction * (epsilon * gen.random() / norm) if norm > 0 else direction
-    singular = np.linalg.svd(y_arr + deltas, compute_uv=False)
-    return sum(_rank(sv, RANK_TOL) == s for sv in singular) / trials
+    stack[1:] += y_arr
+    stack[0] = y_arr
+    singular = np.linalg.svd(stack, compute_uv=False)
+    rank = _rank(singular[0], RANK_TOL)
+    if rank < s:
+        raise RankDeficiencyError(
+            f"rank_stability_trial needs a full-rank input, detected rank {rank} < {s}",
+            detected_rank=rank,
+        )
+    return sum(_rank(sv, RANK_TOL) == s for sv in singular[1:]) / trials

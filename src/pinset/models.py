@@ -122,7 +122,7 @@ class Model(Block):
         if self.broadcast_layers:
             z = _column_rows(reshape(x, (b * n, p)))
             for block in self.broadcast_layers:
-                z = broadcast_batched(block, z, feature, n, mode)
+                z = broadcast_batched(block, z, feature, mode)
             feature = _aggregate_rows(self.agg2, z, n, mode, gen)
         return feature
 

@@ -21,7 +21,7 @@ from pinset.blocks import (
 )
 from pinset.decomp import numeric_rank
 from pinset.rng import RngState
-from pinset.tensor import BN_EPS, Tensor
+from pinset.tensor import BN_EPS, ShapeError, Tensor
 
 
 def _block(act1="softmax_set", act2="softmax_set", dims1=None, dims2=None, seed=0, **kw):
@@ -321,7 +321,7 @@ def _broadcast_reference(block, sets, feats, mode):
 def _broadcast(block, sets, feats, mode):
     """broadcast_batched on sets (B, N, d_x) with their features (B, d_y)."""
     b, n, d_x = sets.shape
-    return broadcast_batched(block, Tensor(sets.reshape(b * n, d_x)), Tensor(feats), n, mode).data
+    return broadcast_batched(block, Tensor(sets.reshape(b * n, d_x)), Tensor(feats), mode).data
 
 
 MODES = ("eval", "train")
@@ -404,11 +404,19 @@ class TestBroadcast:
         block = _broadcast_block(3, 2, 4, 23)
         for mode in MODES:
             with pytest.raises(ValueError, match="width"):
-                broadcast_batched(block, Tensor(np.ones((5, 7))), Tensor(np.ones((1, 2))), 5, mode)
+                broadcast_batched(block, Tensor(np.ones((5, 7))), Tensor(np.ones((1, 2))), mode)
             with pytest.raises(ValueError, match="width"):
-                broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 3))), 5, mode)
+                broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 3))), mode)
         with pytest.raises(ValueError, match="mode"):
-            broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 2))), 5, "test")
+            broadcast_batched(block, Tensor(np.ones((5, 3))), Tensor(np.ones((1, 2))), "test")
+
+    @pytest.mark.parametrize("rows, sets", [(7, 2), (5, 3), (1, 2), (4, 0)])
+    def test_rows_no_multiple_of_the_set_count(self, rows, sets):
+        # the set count is the feature rows' count, read by both modes
+        block = _broadcast_block(3, 2, 4, 24)
+        for mode in MODES:
+            with pytest.raises(ShapeError, match=rf"^bias of shape \({sets}, 4\) is neither"):
+                broadcast_batched(block, Tensor(np.ones((rows, 3))), Tensor(np.ones((sets, 2))), mode)
 
     def test_block_owns_normalization(self):
         block = _broadcast_block(3, 2, 4, 25)

@@ -155,6 +155,19 @@ def test_divergence_in_the_last_step_exits_3_before_any_checkpoint(tmp_path, cap
     assert not out.exists()
 
 
+def test_diverging_run_prints_one_line(tmp_path):
+    # the overflowing update would print numpy's floating-point warnings;
+    # a child process, so that no test harness filters them
+    argv = ["train", "--config", os.path.join(os.path.dirname(__file__), "..", "configs", "quadrant.cfg")]
+    argv += ["--set", "train.epochs=1", "--set", "optimizer.lr=1e308", "--out", str(tmp_path)]
+    argv += ["--set", "data.train_size=8", "--set", "data.test_size=2"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pinset.cli", *argv], env=_child_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == ["divergence: non-finite loss nan at epoch 0, evaluation"]
+
+
 def test_readme_key_table_names_every_schema_key():
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
     table = readme[readme.index("| group | keys |") :].split("\n\n")[0]

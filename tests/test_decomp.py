@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from pinset import decomp
+from pinset import decomp, kernels
 from pinset.decomp import (
     CardinalityError,
     ConditioningWarning,
@@ -21,6 +23,14 @@ from pinset.decomp import (
     vandermonde_factors,
 )
 from pinset.rng import RngState
+
+
+def _count_svd_calls(monkeypatch) -> list:
+    """Record the shape of each ``np.linalg.svd`` operand from now on."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw))
+    return calls
 
 
 class TestNumericRank:
@@ -65,6 +75,15 @@ class TestKernelBasis:
         with pytest.raises(RankDeficiencyError) as info:
             kernel_basis(b)
         assert info.value.detected_rank == 1
+        assert str(info.value) == "matrix of shape (2, 2) has numeric rank 1, need full row rank 2"
+
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 1), (3, 3), (2, 7), (5, 9)])
+    def test_equals_the_trailing_right_singular_vectors_bitwise(self, shape):
+        b = RngState(shape[0] * 10 + shape[1]).generator().standard_normal(shape)
+        vt = np.linalg.svd(b, full_matrices=True)[2]
+        basis = kernel_basis(b)
+        assert basis.tobytes() == vt[shape[0]:].T.copy().tobytes()
+        assert basis.shape == (shape[1], shape[1] - shape[0]) and basis.flags.c_contiguous
 
 
 class TestMddSolve:
@@ -205,6 +224,19 @@ class TestCpDecompose:
         with pytest.raises(CardinalityError, match="N >= 4"):
             cp_decompose(np.ones((4, 4)), 3)
 
+    @pytest.mark.parametrize("shape, count", [((2, 3), 2), ((3, 4, 5), 12), ((2,) * 6, 32)])
+    def test_factors_the_system_once(self, monkeypatch, shape, count):
+        # the condition number comes from the solve's own SVD of B
+        calls = _count_svd_calls(monkeypatch)
+        t = RngState(9).generator().uniform(-1, 1, size=shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            factors = cp_decompose(t, count)
+        b = kernels._khatri_rao(vandermonde_factors(sorted(shape)[:-1], count), count).T
+        assert calls == [b.shape]
+        s = np.linalg.svd(b, full_matrices=True)[1]
+        assert factors.condition == s[0] / s[-1]
+
     def test_conditioning_warning_attached(self):
         gen = RngState(8).generator()
         t = gen.uniform(-1, 1, size=(2, 2, 2, 2, 2, 2))
@@ -315,8 +347,55 @@ class TestRankStabilityTrial:
             assert frac == 1.0
 
     def test_rank_deficient_input_rejected(self):
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match="detected rank 0 < 2$") as info:
             rank_stability_trial(np.zeros((3, 2)), 1e-3, 5, RngState(16))
+        assert info.value.detected_rank == 0
+        y = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
+        y[0, 0] += 1e-12  # below the rank tolerance
+        with pytest.raises(RankDeficiencyError) as info:
+            rank_stability_trial(y, 0.0, 5, RngState(16))
+        assert info.value.detected_rank == 1
+
+    @pytest.mark.parametrize("epsilon, trials, message", [(-1e-3, 5, "epsilon"), (1e-3, 0, "trials")])
+    def test_bad_arguments_rejected_before_the_rank_check(self, epsilon, trials, message):
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            rank_stability_trial(np.zeros((3, 2)), epsilon, trials, RngState(17))
+
+    @staticmethod
+    def _two_svd_fraction(y, epsilon, trials, rng):
+        """The fraction as computed with the input's rank from its own
+        SVD and the perturbed matrices' ranks from a second one."""
+        assert numeric_rank(y) == y.shape[1]
+        gen = rng.generator()
+        deltas = np.zeros((trials,) + y.shape)
+        if epsilon > 0.0:
+            for delta in deltas:
+                direction = gen.standard_normal(y.shape)
+                norm = np.linalg.norm(direction)
+                delta[...] = direction * (epsilon * gen.random() / norm) if norm > 0 else direction
+        singular = np.linalg.svd(y + deltas, compute_uv=False)
+        return sum(decomp._rank(sv, decomp.RANK_TOL) == y.shape[1] for sv in singular) / trials
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4242])
+    def test_equals_the_two_svd_fraction(self, seed):
+        # sigma_min just above the rank tolerance: the perturbations drop
+        # the rank of some draws, not all
+        gen = RngState(seed).generator()
+        u = np.linalg.qr(gen.standard_normal((6, 3)))[0]
+        v = np.linalg.qr(gen.standard_normal((3, 3)))[0]
+        y = u @ np.diag([1.0, 0.5, 1.2e-10]) @ v.T
+        fractions = []
+        for i, epsilon in enumerate((0.0, 5e-11, 1e-10, 2e-10, 1e-9)):
+            want = self._two_svd_fraction(y, epsilon, 40, RngState(seed).child(i))
+            got = rank_stability_trial(y, epsilon, 40, RngState(seed).child(i))
+            assert got == want
+            fractions.append(got)
+        assert fractions[0] == 1.0 and min(fractions) < 1.0
+
+    def test_one_svd_per_trial(self, monkeypatch):
+        calls = _count_svd_calls(monkeypatch)
+        rank_stability_trial(np.vstack([np.eye(2), np.zeros((2, 2))]), 1e-3, 7, RngState(18))
+        assert calls == [(8, 4, 2)]
 
 
 def test_probe_failure_is_loud():

@@ -4,7 +4,9 @@
 - the 2-epoch ``configs/quadrant.cfg`` seed-0 checkpoint, and its metrics
   CSV without the wall-clock column;
 - for every preset, one train step's gradients and batchnorm running
-  statistics, and one eval chunk's logits computed in two blocks.
+  statistics, and one eval chunk's logits computed in two blocks;
+- ``pinset decompose``'s factor files, and its report without the path
+  fields, for a well-conditioned and an ill-conditioned seeded tensor.
 
 The digests hold for the numpy, BLAS and CPU that the file records as its
 ``environment``; anywhere else the tests skip and name what differs. A
@@ -40,12 +42,17 @@ from pinset.cli import main
 from pinset.models import PRESETS, build_model
 from pinset.rng import RngState
 from pinset.tensor import backward, no_grad, softmax_cross_entropy
+from pinset.textio import write_tensor
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 OUTPUTS = TESTS / "outputs.json"
 VERIFY_SEEDS = (0, 4242)
 BATCH, SET_SIZE = 4, 49  # the pinned train step and eval chunk
+# the pinned decompositions: (name, shape, components). The (2,)*6 tensor
+# at 32 components solves a square 32-column Vandermonde system, whose
+# condition (~3e11) puts a conditioning warning in the report
+DECOMPOSE_CASES = (("well", (3, 4, 5), 12), ("ill", (2,) * 6, 32))
 
 
 def environment() -> dict:
@@ -144,9 +151,30 @@ def quadrant_digests(out_dir) -> dict:
     }
 
 
+def decompose_digests(out_dir) -> dict:
+    """For each of :data:`DECOMPOSE_CASES`, a seeded uniform tensor run
+    through ``pinset decompose``: the digest of its factor files, and of
+    its report without the ``input`` and ``factors`` paths."""
+    out = Path(out_dir)
+    digests = {}
+    for name, shape, components in DECOMPOSE_CASES:
+        src = out / f"{name}.txt"
+        write_tensor(src, RngState(3).child(name).generator().uniform(-1, 1, size=shape))
+        argv = ["decompose", "--input", str(src), "--components", str(components), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        report = json.loads((out / f"{name}.decompose.json").read_text())
+        del report["input"]
+        factors = "".join(f"{_sha256(Path(p).read_bytes())}\n" for p in report.pop("factors"))
+        digests[f"decompose.{name}.factors"] = _sha256(factors.encode())
+        digests[f"decompose.{name}.report"] = _sha256(json.dumps(report, sort_keys=True).encode())
+    return digests
+
+
 def compute_all(out_dir) -> dict:
     digests = {f"verify_report.seed{seed}": verify_report_digest(seed) for seed in VERIFY_SEEDS}
     digests.update(quadrant_digests(out_dir))
+    digests.update(decompose_digests(out_dir))
     for preset in sorted(PRESETS):
         digests[f"train_step.{preset}"] = _joined_digest(train_step_arrays(preset))
         digests[f"eval_chunk.{preset}"] = _joined_digest({"logits": eval_chunk_logits(preset)})
@@ -176,6 +204,7 @@ def test_every_output_is_pinned(pinned):
     names = {f"verify_report.seed{seed}" for seed in VERIFY_SEEDS}
     names |= {"quadrant_cfg.checkpoint", "quadrant_cfg.metrics_csv"}
     names |= {f"{kind}.{preset}" for kind in ("train_step", "eval_chunk") for preset in PRESETS}
+    names |= {f"decompose.{case[0]}.{part}" for case in DECOMPOSE_CASES for part in ("factors", "report")}
     assert set(pinned) == names
 
 
@@ -186,6 +215,11 @@ def test_verify_report(pinned, seed):
 
 def test_quadrant_checkpoint_and_metrics(pinned, tmp_path):
     for name, digest in quadrant_digests(tmp_path).items():
+        _check(pinned, name, digest)
+
+
+def test_decompose(pinned, tmp_path):
+    for name, digest in decompose_digests(tmp_path).items():
         _check(pinned, name, digest)
 
 
