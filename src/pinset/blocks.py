@@ -262,40 +262,32 @@ class AggregationBlock(Block):
 
 def aggregate(
     block: AggregationBlock,
-    x: Tensor,
+    rows: Tensor,
+    set_size: int,
     mode: str = "eval",
     gen: np.random.Generator | None = None,
 ) -> Tensor:
-    """Permutation-invariant set feature: flatten(mlp1(X)^T mlp2(X)).
-
-    Maps a batch of sets (B, N, p) to its (B, s*t) flattened features; a
-    single set goes in as (1, N, p). Dropout is applied to the flattened
-    output in train mode.
-    """
-    if x.data.ndim != 3:
-        raise ValueError(f"expected a batch of sets (B, N, p), got shape {x.data.shape}")
-    b, n, p = x.data.shape
-    return _aggregate_rows(block, _column_rows(reshape(x, (b * n, p))), n, mode, gen)
-
-
-def _aggregate_rows(
-    block: AggregationBlock, rows: Tensor, n: int, mode: str, gen: np.random.Generator | None
-) -> Tensor:
-    """:func:`aggregate` of stacked rows (B*N, p), each block of ``n``
-    consecutive rows one set, as the broadcast blocks emit them: both
-    MLPs, each set's ``h1^T h2`` from their (B*N, s) and (B*N, t) outputs,
-    flattened to (B, s*t), then dropout in train mode."""
+    """Permutation-invariant set features flatten(mlp1(X)^T mlp2(X)) of
+    stacked rows (B*N, p), each block of ``set_size`` consecutive rows one
+    set, as (B, s*t); one set goes in as its (N, p) rows. Raw rows are
+    made column-major here (see :func:`_column_rows`). Dropout is applied
+    to the flattened output in train mode."""
+    if rows.data.ndim != 2:
+        raise ValueError(f"expected stacked rows (B*N, p), got shape {rows.data.shape}")
+    if set_size < 1 or rows.data.shape[0] % set_size:
+        raise ValueError(f"{rows.data.shape[0]} rows are no whole number of sets of {set_size}")
     s, t = block.spec.mlp1.out_width, block.spec.mlp2.out_width
-    if n < min(s, t):
+    if set_size < min(s, t):
         warnings.warn(
-            f"set size {n} is below min(s, t) = {min(s, t)}; features of rank "
-            f"above {n} are unreachable",
+            f"set size {set_size} is below min(s, t) = {min(s, t)}; features of rank "
+            f"above {set_size} are unreachable",
             ExpressivenessWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    h1 = block.mlp1.forward(rows, mode, set_size=n)
-    h2 = block.mlp2.forward(rows, mode, set_size=n)
-    feature = pair_aggregate(reshape(h1, (-1, n, s)), reshape(h2, (-1, n, t)))
+    rows = _column_rows(rows)
+    h1 = block.mlp1.forward(rows, mode, set_size=set_size)
+    h2 = block.mlp2.forward(rows, mode, set_size=set_size)
+    feature = pair_aggregate(reshape(h1, (-1, set_size, s)), reshape(h2, (-1, set_size, t)))
     flat = reshape(feature, (-1, s * t))
     return dropout(flat, block.spec.dropout_ratio, gen, mode)
 

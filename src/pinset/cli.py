@@ -67,9 +67,7 @@ EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 
 _DATA_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
+    OSError,
     IdxFormatError,
     IdxTruncatedError,
     IdxCountMismatchError,
@@ -151,13 +149,12 @@ def _refuse_other_task_keys(raw: dict[str, str], task: str) -> None:
                 raise ConfigError(f"{key} applies only to task = {other}", key=key)
 
 
-def _load_config(args, schema) -> dict:
-    return validate(_raw_config(args), schema)
+# the keys that set a custom model's widths, each required
+_CUSTOM_KEYS = ("model.input_width", "model.classes", "model.agg.mlp1", "model.agg.mlp2", "model.head")
 
 
 def _build_custom_model_config(cfg: dict) -> ModelConfig:
-    required = ("model.input_width", "model.classes", "model.agg.mlp1", "model.agg.mlp2", "model.head")
-    for key in required:
+    for key in _CUSTOM_KEYS:
         if not cfg.get(key):
             raise ConfigError(f"custom model needs {key!r}", key=key)
     p = cfg["model.input_width"]
@@ -178,13 +175,6 @@ def _build_custom_model_config(cfg: dict) -> ModelConfig:
         raise ConfigError(f"custom model: {exc}") from exc
 
 
-def _model_config_from(cfg: dict) -> ModelConfig:
-    preset = cfg["model.preset"]
-    if preset == "custom":
-        return _build_custom_model_config(cfg)
-    return PRESETS[preset]()
-
-
 def _load_split(cfg: dict, seed: int, split: str) -> SetBatch:
     """The ``split`` ("train" or "test") of the configured task. Nothing of
     the other split is read or drawn; streams are derived by path, so a
@@ -202,14 +192,8 @@ def _load_split(cfg: dict, seed: int, split: str) -> SetBatch:
             seed=seed,
             margin=cfg["data.margin"],
         )
-        try:
+        with _allocatable(f"{size_key} = {size} sets of data.set_size = {spec.set_size} points", "data.set_size"):
             train_batch, test_batch = make_synthetic_task(spec)
-        except MemoryError as exc:
-            raise ConfigError(
-                f"{size_key} = {size} sets of data.set_size = {spec.set_size} points "
-                f"cannot be allocated: {exc}",
-                key="data.set_size",
-            ) from exc
         return train_batch if split == "train" else test_batch
 
     paths = (f"data.{split}_images", f"data.{split}_labels")
@@ -245,15 +229,23 @@ def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
 
 
 @contextlib.contextmanager
-def _activations_fit(cfg: dict, *keys: str):
-    """Makes a MemoryError in the body one config error that names the
-    keys that size the activations: the task's set-size key and ``keys``."""
-    set_key = "data.set_size" if cfg["task"] == "quadrant" else "data.downsample"
+def _allocatable(what: str, key: str, errors=(MemoryError, ValueError)):
+    """Makes a failed allocation in the body one config error that names
+    ``what`` and ``key``: numpy raises MemoryError when memory runs short
+    and ValueError for a size no array can have (``errors`` leaves that
+    out for a body that raises ValueError for other causes too)."""
     try:
         yield
-    except MemoryError as exc:
-        sizes = ", ".join(f"{key} = {cfg[key]}" for key in (set_key, *keys))
-        raise ConfigError(f"the activations for {sizes} cannot be allocated: {exc}", key=set_key) from exc
+    except errors as exc:
+        raise ConfigError(f"{what} cannot be allocated: {exc}", key=key) from exc
+
+
+def _activations_fit(cfg: dict, *keys: str):
+    """:func:`_allocatable` for a body that runs the model, naming the keys
+    that size the activations: the task's set-size key and ``keys``."""
+    set_key = "data.set_size" if cfg["task"] == "quadrant" else "data.downsample"
+    sizes = ", ".join(f"{key} = {cfg[key]}" for key in (set_key, *keys))
+    return _allocatable(f"the activations for {sizes}", set_key, MemoryError)
 
 
 def cmd_train(args) -> int:
@@ -267,11 +259,18 @@ def cmd_train(args) -> int:
                 raise ConfigError(f"{key} applies only to model.preset = custom", key=key)
     train_batch = _load_split(cfg, args.seed, "train")
     test_batch = _load_split(cfg, args.seed, "test")
-    model_config = _model_config_from(cfg)
+    if cfg["model.preset"] == "custom":
+        model_config = _build_custom_model_config(cfg)
+        # named if the model cannot be allocated: the width key of its widest layer
+        model_key = max(_CUSTOM_KEYS, key=lambda k: max(cfg[k]) if isinstance(cfg[k], list) else cfg[k])
+    else:
+        model_config, model_key = PRESETS[cfg["model.preset"]](), "model.preset"
     _check_data_fits(model_config, train_batch, test_batch)
     train_cfg = TrainConfig(**{name: cfg[key] for key, name in TRAIN_CONFIG_KEYS.items()})
     rng = RngState(args.seed)
-    model = build_model(model_config, rng.child("model"))
+    size = param_count(model_config).total
+    with _allocatable(f"{model_key} = {raw[model_key]}: the model's {size:,} parameters", model_key):
+        model = build_model(model_config, rng.child("model"))
     with _activations_fit(cfg, "train.batch_size"):
         history = train(model, train_batch, test_batch, train_cfg, rng.child("train"), out_dir=args.out)
     write_metrics(os.path.join(args.out, "metrics.csv"), history)
@@ -306,7 +305,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     # the suites take no config key; this rejects unreadable files and typos
-    _load_config(args, {})
+    validate(_raw_config(args), {})
     names = list(verify_mod.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names, args.seed)
     for res in results:
@@ -321,7 +320,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     # the command reads no config key; this rejects unreadable files and typos
-    _load_config(args, DECOMPOSE_SCHEMA)
+    validate(_raw_config(args), DECOMPOSE_SCHEMA)
     input_path, components = args.input, args.components
     if not input_path:
         raise ConfigError("decompose needs an input tensor (--input)")
@@ -381,7 +380,7 @@ def _print_report(name: str, report) -> dict:
 
 
 def cmd_params(args) -> int:
-    cfg = _load_config(args, PARAMS_SCHEMA)
+    cfg = validate(_raw_config(args), PARAMS_SCHEMA)
     preset = cfg["params.preset"]
     entries = []
     if preset == "table6":
@@ -462,13 +461,18 @@ _COMMANDS = {
 
 
 def _check_out_dir(path: str) -> None:
-    """``--out`` must name a directory or a path that can become one:
+    """``--out`` must name a directory or a path that can become one, each
+    name that it adds no longer than the directory it goes into allows:
     refused before any work, not when the first file is written."""
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
+    name_max = os.pathconf(existing, "PC_NAME_MAX")
+    for name in os.path.relpath(os.path.abspath(path), existing).split(os.sep):
+        if 0 < name_max < len(os.fsencode(name)):
+            raise ConfigError(f"--out: a name of {len(os.fsencode(name))} bytes in {existing} exceeds {name_max}")
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:

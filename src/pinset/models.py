@@ -20,7 +20,6 @@ from .blocks import (
     Mlp,
     MlpSpec,
     Named,
-    _aggregate_rows,
     _column_rows,
     aggregate,
     broadcast_batched,
@@ -110,7 +109,8 @@ class Model(Block):
         sets of about ``train.EVAL_BLOCK_ROWS`` rows, which keep each
         layer's activations in cache, and the head once on the joined
         features of a chunk, because the head's GEMMs would give other
-        last bits on a split of their rows.
+        last bits on a split of their rows. The sets become column-major
+        rows (B*N, p) once, which ``agg1`` and the broadcast chain read.
         """
         x = sets if isinstance(sets, Tensor) else Tensor(np.asarray(sets, dtype=np.float64))
         if x.data.ndim != 3 or x.data.shape[2] != self.config.input_width:
@@ -118,12 +118,12 @@ class Model(Block):
                 f"expected sets of width {self.config.input_width}, got shape {x.data.shape}"
             )
         b, n, p = x.data.shape
-        feature = aggregate(self.agg1, x, mode, gen)
+        z = _column_rows(reshape(x, (b * n, p)))
+        feature = aggregate(self.agg1, z, n, mode, gen)
         if self.broadcast_layers:
-            z = _column_rows(reshape(x, (b * n, p)))
             for block in self.broadcast_layers:
                 z = broadcast_batched(block, z, feature, mode)
-            feature = _aggregate_rows(self.agg2, z, n, mode, gen)
+            feature = aggregate(self.agg2, z, n, mode, gen)
         return feature
 
     def named(self, prefix: str = "") -> Named:

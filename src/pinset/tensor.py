@@ -193,6 +193,18 @@ def backward(loss: Tensor, params=()) -> dict:
     return out
 
 
+def relu_inputs(out: Tensor) -> list[np.ndarray]:
+    """Pre-activations of every relu in the graph behind ``out``: each op
+    that fuses a relu (every :func:`batchnorm`, and :func:`affine` with
+    ``relu=True``) gives its backward a ``preactivation()`` that rebuilds
+    them. Raises ``RuntimeError`` on a graph that :func:`backward` has
+    passed, which keeps neither its ops nor their saved arrays."""
+    nodes = _reachable(out)
+    if any(node._backward is _differentiated for node in nodes):
+        _differentiated()
+    return [node._backward.preactivation() for node in nodes if hasattr(node._backward, "preactivation")]
+
+
 # ---------------------------------------------------------------------------
 # primitives
 

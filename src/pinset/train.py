@@ -483,9 +483,10 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
     epoch counter from a checkpoint file.
 
     Raises :class:`CheckpointError` for another version, a truncated or
-    malformed file, a metadata key this version does not read, and for
-    tensors that are missing, unexpected or of the wrong shape for the
-    model the metadata describes.
+    malformed file, a metadata key this version does not read, a model
+    with more parameters than the file holds values (before the model is
+    built), and for tensors that are missing, unexpected or of the wrong
+    shape for the model the metadata describes.
     """
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
@@ -522,7 +523,7 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
 
     try:
         config = models_mod.config_from_flat(meta)
-        model = build_model(config, RngState(int(meta.get("train.seed", "0"))))
+        rng = RngState(int(meta.get("train.seed", "0")))
         optimizer = OptimizerState()
         for key in ("momentum", "weight_decay", "lr"):
             if f"optimizer.{key}" in meta:
@@ -532,7 +533,12 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: metadata does not describe a model: {exc}") from None
+    # checked before the model is allocated, which a forged width could not be
+    size = models_mod.param_count(config).total
+    if size > sum(math.prod(shape) for shape, _ in records.values()):
+        raise CheckpointError(f"{path}: the stored config gives {size:,} parameters, more than the file holds")
 
+    model = build_model(config, rng)
     params = model.parameters()
     shapes = {name: p.data.shape for name, p in params.items()}
     required = {f"param.{name}": shape for name, shape in shapes.items()}

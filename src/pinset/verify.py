@@ -34,11 +34,10 @@ from .models import build_model, gradcheck_config, pixel_s_config
 from .rng import RngState
 from .tensor import (
     Tensor,
-    _differentiated,
-    _reachable,
     backward,
     finite_difference_gradient,
     no_grad,
+    relu_inputs,
     softmax_cross_entropy,
 )
 
@@ -81,16 +80,16 @@ def _worse(worst: float, value: float) -> float:
     return value if np.isnan(value) or value > worst else worst
 
 
+def _holds(name: str, oks: list, detail: str, worst: float | None = None) -> PropertyResult:
+    """A property with one trial per entry of ``oks``, which fails unless
+    its entry is true; ``worst`` is reported as given."""
+    return PropertyResult(name, len(oks), sum(not ok for ok in oks), worst, detail)
+
+
 def _within_tolerance(name: str, values: list[float], tol: float, detail: str) -> PropertyResult:
     """A property whose trial fails unless its value is at most ``tol``;
     the worst trial is the largest value, or NaN if any is NaN."""
-    return PropertyResult(
-        name=name,
-        trials=len(values),
-        failures=sum(not v <= tol for v in values),  # NaN fails
-        worst=functools.reduce(_worse, values),
-        detail=detail,
-    )
+    return _holds(name, [v <= tol for v in values], detail, functools.reduce(_worse, values))  # NaN fails
 
 
 def relative_error(a, b) -> float:
@@ -116,10 +115,10 @@ def _invariance_block(act1: str, act2: str, rng: RngState) -> AggregationBlock:
 
 def _pair_gaps(block: AggregationBlock, sets: np.ndarray) -> list[float]:
     """max |aggregate(a) - aggregate(b)| for each pair of (2, pairs, N, p)
-    sets, every a then every b, from one eval forward of all of them: eval
-    mode gives each set's feature from its own rows alone."""
+    sets, every a then every b, from one eval forward of all their rows:
+    eval mode gives each set's feature from its own rows alone."""
     _, pairs, n, p = sets.shape
-    out = aggregate(block, Tensor(sets.reshape(2 * pairs, n, p)), "eval").data.reshape(2, pairs, -1)
+    out = aggregate(block, Tensor(sets.reshape(-1, p)), n, "eval").data.reshape(2, pairs, -1)
     return np.max(np.abs(out[0] - out[1]), axis=1).tolist()
 
 
@@ -218,9 +217,7 @@ def run_mdd(seed: int) -> SuiteResult:
             c = decomp.sample_solution(sol, lam)
             worst_resid = _worse(worst_resid, np.linalg.norm(b @ c - a) / denom)
         kernel_ok = sol.kernel_basis.shape == (l, l - m)
-        annihilation = float(
-            np.max(np.abs(b @ sol.kernel_basis)) if l > m else 0.0
-        )
+        annihilation = float(np.max(np.abs(b @ sol.kernel_basis))) if l > m else 0.0
         gram = sol.kernel_basis.T @ sol.kernel_basis
         ortho = float(np.max(np.abs(gram - np.eye(l - m)))) if l > m else 0.0
         return float(worst_resid), kernel_ok, annihilation, ortho
@@ -234,12 +231,7 @@ def run_mdd(seed: int) -> SuiteResult:
             "||B C - A||_F / (||A||_F + 1) over particular and sampled "
             "solutions, tolerance 1e-8",
         ),
-        PropertyResult(
-            name="kernel_dimension",
-            trials=instances,
-            failures=sum(not r[1] for r in rows),
-            detail="kernel basis has exactly l - m columns",
-        ),
+        _holds("kernel_dimension", [r[1] for r in rows], "kernel basis has exactly l - m columns"),
         _within_tolerance(
             "kernel_annihilation", [r[2] for r in rows], 1e-10, "max |B X_h|, tolerance 1e-10"
         ),
@@ -279,56 +271,36 @@ def run_cp(seed: int) -> SuiteResult:
     root = RngState(seed).child("cp")
     dims_list = enumerate_dims()
 
-    recon_worst = 0.0
-    recon_fail = 0
-    reject_fail = 0
-    rank_fail = 0
+    errors, rejected, full_rank = [], [], []
     for dims in dims_list:
-        sorted_dims = sorted(dims)
-        bound = int(np.prod(sorted_dims[:-1])) if len(sorted_dims) > 1 else 1
+        lead = sorted(dims)[:-1]
+        bound = int(np.prod(lead))
         gen = root.child("tensor", *dims).generator()
         t = gen.uniform(-1.0, 1.0, size=dims)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", decomp.ConditioningWarning)
-            factors = decomp.cp_decompose(t, bound)
+            errors.append(decomp.cp_decompose(t, bound).rel_residual)
             try:
                 decomp.cp_decompose(t, bound - 1)
-                reject_fail += 1
+                rejected.append(False)
             except decomp.CardinalityError:
-                pass
-        err = factors.rel_residual
-        recon_worst = _worse(recon_worst, err)
-        recon_fail += not err < 1e-6
+                rejected.append(True)
 
-        # flattened Vandermonde rank; conditions of real-node Vandermonde
-        # matrices force the tighter tolerance beyond 16 columns
-        lead = sorted_dims[:-1]
-        if lead:
-            flat = kernels._khatri_rao(decomp.vandermonde_factors(lead, bound), bound)
-            tol = decomp.RANK_TOL if bound <= 16 else 1e-13
-            rank_fail += decomp.numeric_rank(flat, tol) != bound
+        # flattened Vandermonde rank (a one-axis tensor's is a column of
+        # ones); conditions of real-node Vandermonde matrices force the
+        # tighter tolerance beyond 16 columns
+        flat = kernels._khatri_rao(decomp.vandermonde_factors(lead, bound), bound)
+        full_rank.append(decomp.numeric_rank(flat, decomp.RANK_TOL if bound <= 16 else 1e-13) == bound)
 
     properties = [
-        PropertyResult(
-            name="reconstruction_at_bound",
-            trials=len(dims_list),
-            failures=recon_fail,
-            worst=recon_worst,
-            detail="relative Frobenius reconstruction error with N at the "
-            "cardinality bound, tolerance 1e-6",
+        _holds(
+            "reconstruction_at_bound",
+            [err < 1e-6 for err in errors],
+            "relative Frobenius reconstruction error with N at the cardinality bound, tolerance 1e-6",
+            functools.reduce(_worse, errors),
         ),
-        PropertyResult(
-            name="below_bound_rejected",
-            trials=len(dims_list),
-            failures=reject_fail,
-            detail="N one below the bound raises the cardinality error",
-        ),
-        PropertyResult(
-            name="flattened_rank",
-            trials=len(dims_list),
-            failures=rank_fail,
-            detail="flattened factor matrix reaches full column rank",
-        ),
+        _holds("below_bound_rejected", rejected, "N one below the bound raises the cardinality error"),
+        _holds("flattened_rank", full_rank, "flattened factor matrix reaches full column rank"),
     ]
     return SuiteResult("cp", seed, properties)
 
@@ -359,35 +331,28 @@ def run_rankstab(seed: int) -> SuiteResult:
         s = int(gen.integers(1, 17))
         n = int(gen.integers(s, 17))
         y = gen.standard_normal((n, s))
-        sigma_min = np.linalg.svd(y, compute_uv=False)[-1]
-        eps = 0.49 * sigma_min
-        frac = decomp.rank_stability_trial(y, eps, 20, root.child("stable-draw", i))
-        return frac
+        eps = 0.49 * np.linalg.svd(y, compute_uv=False)[-1]  # below sigma_min / 2
+        return decomp.rank_stability_trial(y, eps, 20, root.child("stable-draw", i))
 
     rows = [deficient(i) for i in range(deficient_trials)]
     norms = [r[1] for r in rows]
     fracs = [stable(i) for i in range(stable_trials)]
+    largest = functools.reduce(_worse, norms)
     properties = [
-        PropertyResult(
-            name="perturb_reaches_full_rank",
-            trials=deficient_trials,
-            failures=sum(not ok for ok, _ in rows),
-            worst=functools.reduce(_worse, norms),
-            detail="identity-block perturbation restores full rank, epsilon 1e-3",
+        _holds(
+            "perturb_reaches_full_rank",
+            [ok for ok, _ in rows],
+            "identity-block perturbation restores full rank, epsilon 1e-3",
+            largest,
         ),
-        PropertyResult(
-            name="perturbation_inside_ball",
-            trials=deficient_trials,
-            failures=sum(not nrm < 1e-3 for nrm in norms),
-            worst=functools.reduce(_worse, norms),
-            detail="||delta||_F stays strictly below epsilon",
+        _holds(
+            "perturbation_inside_ball", [d < 1e-3 for d in norms], "||delta||_F stays strictly below epsilon", largest
         ),
-        PropertyResult(
-            name="full_rank_survives_small_perturbation",
-            trials=stable_trials,
-            failures=sum(f != 1.0 for f in fracs),
-            worst=min(fracs),
-            detail="survival fraction at epsilon < sigma_min/2 must be 1.0",
+        _holds(
+            "full_rank_survives_small_perturbation",
+            [f == 1.0 for f in fracs],
+            "survival fraction at epsilon < sigma_min/2 must be 1.0",
+            min(fracs),
         ),
     ]
     return SuiteResult("rankstab", seed, properties)
@@ -395,18 +360,6 @@ def run_rankstab(seed: int) -> SuiteResult:
 
 # ---------------------------------------------------------------------------
 # gradient checks
-
-
-def _relu_inputs(out: Tensor) -> list[np.ndarray]:
-    """Pre-activations of every relu in the graph behind ``out``: each op
-    that fuses a relu (every ``batchnorm``, and ``affine`` with
-    ``relu=True``) gives its backward a ``preactivation()`` that rebuilds
-    them. Raises ``RuntimeError`` on a graph that :func:`backward` has
-    passed, which keeps neither its ops nor their saved arrays."""
-    nodes = _reachable(out)
-    if any(node._backward is _differentiated for node in nodes):
-        _differentiated()
-    return [node._backward.preactivation() for node in nodes if hasattr(node._backward, "preactivation")]
 
 
 def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
@@ -419,7 +372,7 @@ def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
         sets = gen.uniform(-1.0, 1.0, size=(4, 12, model.config.input_width))
         labels = gen.integers(0, model.config.class_count, size=4)
         logits = model.forward(sets, "train")
-        smallest = min((float(np.min(np.abs(a))) for a in _relu_inputs(logits)), default=np.inf)
+        smallest = min((float(np.min(np.abs(a))) for a in relu_inputs(logits)), default=np.inf)
         if smallest > margin:
             return sets, labels, logits
     raise RuntimeError("could not draw a batch clear of activation kinks")
@@ -544,8 +497,9 @@ def _elementwise_trials(block: AggregationBlock, sets: np.ndarray) -> tuple[list
     of all their rows and one stacked SVD of the contributions, each
     matrix's rank judged as :func:`decomp.numeric_rank` judges it."""
     b, n, p = sets.shape
-    totals = aggregate(block, Tensor(sets), "eval").data
-    contributions = per_element_contribution(block, sets.reshape(b * n, p))
+    rows = sets.reshape(b * n, p)
+    totals = aggregate(block, Tensor(rows), n, "eval").data
+    contributions = per_element_contribution(block, rows)
     sums = contributions.reshape(b, n, -1).sum(axis=1)
     diffs = np.max(np.abs(sums - totals), axis=1).tolist()
     ranks = [decomp._rank(s, decomp.RANK_TOL) for s in np.linalg.svd(contributions, compute_uv=False)]
@@ -587,11 +541,11 @@ def run_collapse(seed: int) -> SuiteResult:
     )
     sum_diffs, ranks = _elementwise_trials(_elementwise_block(root.child("elem")), sets)
 
-    softmax_rejects = 0
     try:
         per_element_contribution(softmax_block, np.zeros((1, 6)))
+        softmax_rejected = False
     except ValueError:
-        softmax_rejects = 1
+        softmax_rejected = True
     properties = [
         _within_tolerance(
             "no_activation_collapse",
@@ -615,17 +569,13 @@ def run_collapse(seed: int) -> SuiteResult:
             "sum of per-element contributions equals the aggregate, "
             "tolerance 1e-10",
         ),
-        PropertyResult(
-            name="contributions_rank_le_1",
-            trials=len(ranks),
-            failures=sum(r > 1 for r in ranks),
-            detail="each per-element contribution has numeric rank <= 1",
+        _holds(
+            "contributions_rank_le_1", [r <= 1 for r in ranks], "each per-element contribution has numeric rank <= 1"
         ),
-        PropertyResult(
-            name="set_softmax_contribution_rejected",
-            trials=1,
-            failures=1 - softmax_rejects,
-            detail="per-element decomposition refuses set-softmax blocks",
+        _holds(
+            "set_softmax_contribution_rejected",
+            [softmax_rejected],
+            "per-element decomposition refuses set-softmax blocks",
         ),
     ]
     return SuiteResult("collapse", seed, properties)

@@ -1,9 +1,12 @@
+import inspect
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from pinset import models as models_mod
 from pinset import verify
 from pinset.blocks import (
     ACTIVATION_KINDS,
@@ -13,13 +16,13 @@ from pinset.blocks import (
     ExpressivenessWarning,
     Mlp,
     MlpSpec,
-    _aggregate_rows,
     aggregate,
     aggregate_order_n,
     broadcast_batched,
     per_element_contribution,
 )
 from pinset.decomp import numeric_rank
+from pinset.models import ModelConfig, _twin_aggregation, build_model
 from pinset.rng import RngState
 from pinset.tensor import BN_EPS, ShapeError, Tensor
 
@@ -165,7 +168,7 @@ class TestAggregate:
         block = _block(act1="none", act2="none", use_batchnorm=False)
         x = RngState(6).generator().uniform(-1, 1, size=(1, 3))
         with pytest.warns(ExpressivenessWarning):
-            out = aggregate(block, Tensor(x[None]), "eval")
+            out = aggregate(block, Tensor(x), 1, "eval")
         h1 = block.mlp1.forward(Tensor(x), "eval").data
         h2 = block.mlp2.forward(Tensor(x), "eval").data
         np.testing.assert_allclose(out.data.reshape(12, 16), h1.T @ h2, rtol=0, atol=1e-12)
@@ -177,8 +180,8 @@ class TestAggregate:
         for _ in range(100):
             x = gen.uniform(-1, 1, size=(64, 3))
             perm = gen.permutation(64)
-            a = aggregate(block, Tensor(x[None]), "eval").data
-            b = aggregate(block, Tensor(x[perm][None]), "eval").data
+            a = aggregate(block, Tensor(x), 64, "eval").data
+            b = aggregate(block, Tensor(x[perm]), 64, "eval").data
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_orthogonal_mixing_collapse_without_activations(self):
@@ -190,37 +193,71 @@ class TestAggregate:
         for _ in range(20):
             x = gen.uniform(-1, 1, size=(16, 3))
             q, _ = np.linalg.qr(gen.standard_normal((16, 16)))
-            a = aggregate(block, Tensor(x[None]), "eval").data
-            b = aggregate(block, Tensor((q @ x)[None]), "eval").data
+            a = aggregate(block, Tensor(x), 16, "eval").data
+            b = aggregate(block, Tensor(q @ x), 16, "eval").data
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_batched_matches_per_set(self):
         block = _block()
         gen = RngState(9).generator()
         sets = gen.uniform(-1, 1, size=(4, 20, 3))
-        batch_out = aggregate(block, Tensor(sets), "eval").data
+        batch_out = aggregate(block, Tensor(sets.reshape(80, 3)), 20, "eval").data
         for i in range(4):
-            alone = aggregate(block, Tensor(sets[i : i + 1]), "eval").data
+            alone = aggregate(block, Tensor(sets[i]), 20, "eval").data
             np.testing.assert_allclose(batch_out[i : i + 1], alone, rtol=0, atol=1e-13)
 
     def test_small_set_warns_not_rejects(self):
         block = _block()
         x = np.ones((2, 4, 3))  # min(s, t) = 12 > 4
         with pytest.warns(ExpressivenessWarning):
-            out = aggregate(block, Tensor(x), "eval")
+            out = aggregate(block, Tensor(x.reshape(8, 3)), 4, "eval")
         assert out.data.shape == (2, 12 * 16)
 
-    def test_stacked_rows_give_the_bits_of_sets(self):
-        # the entry agg2 of a broadcast model takes: rows as they are stacked
+    def test_column_major_rows_give_the_bits_of_row_major_rows(self):
+        # agg1 reads rows made column-major by Model.features, agg2 the
+        # broadcast chain's, verify row-major ones
         block = _block()
-        sets = RngState(10).generator().uniform(-1, 1, size=(3, 20, 3))
-        rows = Tensor(sets.reshape(60, 3))
-        whole = aggregate(block, Tensor(sets), "eval").data
-        assert np.array_equal(_aggregate_rows(block, rows, 20, "eval", None).data, whole)
+        rows = RngState(10).generator().uniform(-1, 1, size=(60, 3))
+        whole = aggregate(block, Tensor(rows), 20, "eval").data
+        assert np.array_equal(aggregate(block, Tensor(np.asfortranarray(rows)), 20, "eval").data, whole)
 
-    def test_single_set_needs_batch_axis(self):
-        with pytest.raises(ValueError, match=r"\(B, N, p\)"):
-            aggregate(_block(), Tensor(np.ones((20, 3))), "eval")
+    @pytest.mark.parametrize(
+        "shape, set_size, match",
+        [
+            ((2, 10, 3), 10, r"stacked rows \(B\*N, p\)"),
+            ((20, 3), 3, "20 rows are no whole number of sets of 3"),
+            ((20, 3), 0, "20 rows are no whole number of sets of 0"),
+            ((20, 3), -4, "20 rows are no whole number of sets of -4"),
+        ],
+    )
+    def test_malformed_rows_raise_one_value_error(self, shape, set_size, match):
+        with pytest.raises(ValueError, match=match):
+            aggregate(_block(), Tensor(np.ones(shape)), set_size, "eval")
+
+    def test_small_set_warning_points_at_each_aggregation_call(self):
+        block = _block()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            aggregate(block, Tensor(np.ones((8, 3))), 4, "eval")
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [(ExpressivenessWarning, __file__, line)]
+
+        # a broadcast model aggregates twice in Model.features: one place each
+        config = ModelConfig(
+            input_width=3,
+            class_count=2,
+            aggregation=_twin_aggregation([3, 8, 6]),
+            broadcasts=[8],
+            aggregation2=_twin_aggregation([8, 8, 6]),
+            head=MlpSpec([36, 4, 2]),
+        )
+        model = build_model(config, RngState(11))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model.forward(np.ones((2, 4, 3)), "eval")
+        places = [(w.category, w.filename) for w in caught]
+        assert places == [(ExpressivenessWarning, models_mod.__file__)] * 2
+        assert len({w.lineno for w in caught}) == 2
 
 
 class TestAggregateOrderN:
@@ -235,7 +272,7 @@ class TestAggregateOrderN:
     def test_order_two_matches_aggregate_exactly(self):
         block = _block()
         x = RngState(12).generator().uniform(-1, 1, size=(30, 3))
-        via_block = aggregate(block, Tensor(x[None]), "eval").data.reshape(12, 16)
+        via_block = aggregate(block, Tensor(x), 30, "eval").data.reshape(12, 16)
         via_order = aggregate_order_n([block.mlp1, block.mlp2], Tensor(x), "eval").data
         np.testing.assert_array_equal(via_block, via_order)
 
@@ -444,7 +481,7 @@ class TestPerElementContribution:
         block = self._element_block()
         gen = RngState(26).generator()
         x = gen.uniform(-1, 1, size=(16, 3))
-        total = aggregate(block, Tensor(x[None]), "eval").data.reshape(6, 5)
+        total = aggregate(block, Tensor(x), 16, "eval").data.reshape(6, 5)
         acc = per_element_contribution(block, x).sum(axis=0)
         assert np.max(np.abs(acc - total)) < 1e-10
 
@@ -468,8 +505,8 @@ def test_stacked_sets_match_one_set_forwards(act1, act2):
     root = RngState(0).child("invariance")
     block = verify._invariance_block(act1, act2, root.child("params", act1, act2))
     sets = RngState(29).generator().uniform(-1, 1, size=(200, 40, 3))
-    stacked = aggregate(block, Tensor(sets), "eval").data
-    one_by_one = np.concatenate([aggregate(block, Tensor(x[None]), "eval").data for x in sets])
+    stacked = aggregate(block, Tensor(sets.reshape(-1, 3)), 40, "eval").data
+    one_by_one = np.concatenate([aggregate(block, Tensor(x), 40, "eval").data for x in sets])
     # relative to each set's largest feature: single entries are sums of
     # products of both signs and may cancel to near zero
     gap = np.max(np.abs(stacked - one_by_one), axis=1)
@@ -481,10 +518,11 @@ def test_invariance_suite_catches_an_order_dependent_aggregate(monkeypatch):
     # the order of a set's rows must fail every trial of every pair
     exact = verify.aggregate
 
-    def order_dependent(block, x, mode="eval", gen=None):
-        position = np.arange(x.data.shape[1])[:, None]
-        leak = 1e-6 * (x.data[:, :, :1] * position).sum(axis=1)
-        return Tensor(exact(block, x, mode, gen).data + leak)
+    def order_dependent(block, rows, set_size, mode="eval", gen=None):
+        sets = rows.data.reshape(-1, set_size, rows.data.shape[1])
+        position = np.arange(set_size)[:, None]
+        leak = 1e-6 * (sets[:, :, :1] * position).sum(axis=1)
+        return Tensor(exact(block, rows, set_size, mode, gen).data + leak)
 
     monkeypatch.setattr(verify, "aggregate", order_dependent)
     props = verify.run_invariance(0).properties

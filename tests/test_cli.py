@@ -303,6 +303,76 @@ def test_unallocatable_activations_are_one_config_error(command, task, keys, tmp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["data.train_size", "data.test_size", "data.set_size"])
+def test_size_no_array_can_have_is_one_config_error(key, tmp_path):
+    # numpy refuses an extent of 1e20 with ValueError, not MemoryError
+    config = tmp_path / "run.cfg"
+    config.write_text(QUADRANT_PRESET_CFG)
+    argv = ["train", "--config", str(config), "--out", str(tmp_path / "out"), "--set", f"{key}={10**20}"]
+    result = _run_capped(argv)
+    lines = result.stderr.strip().splitlines()
+    assert result.returncode == 1, result.stderr
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and f"{key} = {10**20}" in lines[0], lines
+    assert "cannot be allocated" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", [99_999_999_999, 10**20], ids=["memory", "extent"])
+def test_unallocatable_model_width_is_one_config_error(width, quadrant_config, tmp_path):
+    # the first layer's (2, width) weights: 1.6 TB, or an extent numpy refuses
+    argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "out"), "--set", f"model.agg.mlp1={width}"]
+    result = _run_capped(argv)
+    lines = result.stderr.strip().splitlines()
+    assert result.returncode == 1, result.stderr
+    assert len(lines) == 1 and lines[0].startswith(f"config error: model.agg.mlp1 = {width}: the model's "), lines
+    assert "parameters cannot be allocated" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_of_an_unallocatable_model_exits_2(tmp_path):
+    # metadata whose widths the file's tensors cannot hold is refused
+    # before the 1.6 TB model is built
+    ckpt = tmp_path / "model.dmpp"
+    save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
+    raw = ckpt.read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    meta = raw[16 : 16 + length].replace(b"model.agg.mlp1.dims = 2,16,16", b"model.agg.mlp1.dims = 2,99999999999,16")
+    assert len(meta) > length
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(meta)) + meta + raw[16 + length :])
+    config = tmp_path / "run.cfg"
+    config.write_text(QUADRANT_PRESET_CFG)
+    result = _run_capped(["eval", "--config", str(config), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"])
+    lines = result.stderr.strip().splitlines()
+    assert result.returncode == 2, result.stderr
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {ckpt}: the stored config gives "), lines
+    assert lines[0].endswith("parameters, more than the file holds")
+
+
+class TestOverlongFileName:
+    """A name longer than the file system allows is one error line."""
+
+    NAME = "n" * 300
+
+    def test_out_is_refused_before_any_work(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "collapse", "--out", str(tmp_path / self.NAME / "run")]) == 1
+        assert re.fullmatch(r"config error: --out: a name of 300 bytes in \S+ exceeds \d+", _one_config_error(capsys))
+        assert capsys.readouterr().out == ""
+
+    def test_decompose_input_exits_2(self, tmp_path, capsys):
+        argv = ["decompose", "--input", str(tmp_path / self.NAME), "--components", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: [Errno 36] File name too long"), lines
+
+    def test_eval_checkpoint_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(QUADRANT_PRESET_CFG)
+        argv = ["eval", "--config", str(config), "--out", str(tmp_path), "--set", f"eval.checkpoint={tmp_path / self.NAME}"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: [Errno 36] File name too long"), lines
+
+
 class TestConfigErrorsAreOneLine:
     def test_unknown_aggregation_activation(self, quadrant_config, tmp_path, capsys):
         argv = ["train", "--config", quadrant_config, "--out", str(tmp_path / "o")]
@@ -544,7 +614,7 @@ def test_second_aggregation_without_broadcasts_exits_2(tmp_path, capsys):
         (["decompose", "--components", "2"], "t.factor0.txt"),
     ],
 )
-def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config, tmp_path, monkeypatch):
+def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config, tmp_path, monkeypatch, capsys):
     write_tensor(tmp_path / "t.txt", np.arange(6.0).reshape(2, 3))
     out = tmp_path / "out"
     out.mkdir()
@@ -559,8 +629,9 @@ def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config
     monkeypatch.setattr(os, "replace", failing_replace)
     # verify reads no config key, so it is given no config file
     inputs = {"train": ["--config", quadrant_config], "verify": [], "decompose": ["--input", str(tmp_path / "t.txt")]}
-    with pytest.raises(OSError, match="No space left"):
-        main(argv + inputs[argv[0]] + ["--out", str(out)])
+    assert main(argv + inputs[argv[0]] + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0] == "data error: [Errno 28] No space left on device", lines
     assert (out / name).read_text() == "previous\n"
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 

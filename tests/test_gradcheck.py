@@ -47,6 +47,7 @@ from pinset.tensor import (
     mul,
     no_grad,
     pair_aggregate,
+    relu_inputs,
     reshape,
     set_softmax,
     softmax_cross_entropy,
@@ -55,7 +56,7 @@ from pinset.tensor import (
     sum_product,
     tile_rows,
 )
-from pinset.verify import _draw_gradcheck_batch, _relu_inputs, relative_error
+from pinset.verify import _draw_gradcheck_batch, relative_error
 
 TRIALS = 100
 H = 1e-5
@@ -359,7 +360,7 @@ def _draw_clear_of_kinks(forward, draw, gen):
     meaningless."""
     for _ in range(64):
         inputs = draw(gen)
-        preacts = _relu_inputs(forward(inputs))
+        preacts = relu_inputs(forward(inputs))
         if min((float(np.min(np.abs(a))) for a in preacts), default=np.inf) > 10 * H:
             return inputs
     raise RuntimeError("could not draw inputs clear of activation kinks")
@@ -429,7 +430,7 @@ def test_relu_walk_finds_every_relu_input():
         model = build_model(cfg, RngState(3))
         gen = RngState(4).generator()
         sets = gen.uniform(-1, 1, size=(2, 32, cfg.input_width))
-        preacts = _relu_inputs(model.forward(sets, "train", gen))
+        preacts = relu_inputs(model.forward(sets, "train", gen))
         assert len(preacts) == count
     # only the two broadcast blocks emit 256-wide rows in pixel-l
     assert sum(a.shape == (64, 256) for a in preacts) == 2
@@ -441,10 +442,10 @@ def test_relu_walk_refuses_a_differentiated_graph():
     model = build_model(gradcheck_config(), RngState(3))
     gen = RngState(4).generator()
     logits = model.forward(gen.uniform(-1, 1, size=(2, 32, 3)), "train", gen)
-    assert len(_relu_inputs(logits)) == 3
+    assert len(relu_inputs(logits)) == 3
     backward(softmax_cross_entropy(logits, np.array([0, 1])))
     with pytest.raises(RuntimeError, match="^this graph was already differentiated"):
-        _relu_inputs(logits)
+        relu_inputs(logits)
 
 
 def test_relu_walk_rebuilds_fused_preactivations():
@@ -456,7 +457,7 @@ def test_relu_walk_rebuilds_fused_preactivations():
     w_x, per_set = Tensor(gen.uniform(-1, 1, size=(5, 7))), Tensor(gen.uniform(-1, 1, size=(4, 7)))
     gamma, beta = Tensor(gen.uniform(0.5, 1.5, size=7)), Tensor(gen.uniform(-0.5, 0.5, size=7))
     out = batchnorm(mlp.forward(x, "train"), gamma, beta, BatchNormState(7), w=w_x, b=per_set)
-    got = {a.shape: a for a in _relu_inputs(out)}
+    got = {a.shape: a for a in relu_inputs(out)}
 
     def bn(z, g, b):
         return (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + BN_EPS) * g + b

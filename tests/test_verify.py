@@ -56,7 +56,7 @@ def _one_set_collapse_trials(seed: int) -> dict:
     softmax = verify._linear_block(root.child("linear"), "softmax_set", "none")
 
     def gap(block, a, b):
-        return float(np.max(np.abs(aggregate(block, Tensor(a[None])).data - aggregate(block, Tensor(b[None])).data)))
+        return float(np.max(np.abs(aggregate(block, Tensor(a), len(a)).data - aggregate(block, Tensor(b), len(b)).data)))
 
     out = {"agree": [], "broken": [], "sums": [], "ranks": [], "mixes": [], "sets": []}
     for i in range(50):
@@ -69,7 +69,7 @@ def _one_set_collapse_trials(seed: int) -> dict:
     block = verify._elementwise_block(root.child("elem"))
     for i in range(100):
         x = root.child("deepsets", i).generator().uniform(-1.0, 1.0, size=(16, 3))
-        total = aggregate(block, Tensor(x[None])).data.reshape(6, 5)
+        total = aggregate(block, Tensor(x), 16).data.reshape(6, 5)
         contributions = per_element_contribution(block, x)
         out["sums"].append(float(np.max(np.abs(contributions.sum(axis=0) - total))))
         out["ranks"] += [decomp.numeric_rank(h) for h in contributions]
@@ -150,3 +150,153 @@ def test_stacked_svd_equals_one_matrix_svds():
     for stack in stacks:
         singular = np.linalg.svd(stack, compute_uv=False)
         assert np.array_equal(singular, np.stack([np.linalg.svd(m, compute_uv=False) for m in stack]))
+
+
+def _square_systems_get_a_kernel_column(monkeypatch):
+    solve = decomp.mdd_solve
+
+    def solve_wrong(b, a):
+        sol = solve(b, a)
+        if b.shape[0] == b.shape[1]:
+            sol.kernel_basis = np.zeros((b.shape[1], 1))
+        return sol
+
+    monkeypatch.setattr(decomp, "mdd_solve", solve_wrong)
+    monkeypatch.setattr(decomp, "sample_solution", lambda sol, lam: sol.particular)
+
+
+def _odd_systems_solve_to_nan(monkeypatch):
+    solve = decomp.mdd_solve
+
+    def solve_nan(b, a):
+        sol = solve(b, a)
+        if b.shape[0] % 2:
+            sol.particular = np.full_like(sol.particular, np.nan)
+        return sol
+
+    monkeypatch.setattr(decomp, "mdd_solve", solve_nan)
+
+
+def _matrices_and_cubes_reconstruct_badly(monkeypatch):
+    decompose = decomp.cp_decompose
+
+    def decompose_badly(t, count, nodes=None):
+        factors = decompose(t, count, nodes)
+        factors.rel_residual = {2: np.nan, 3: 2e-6}.get(t.ndim, factors.rel_residual)
+        return factors
+
+    monkeypatch.setattr(decomp, "cp_decompose", decompose_badly)
+
+
+def _matrices_accept_one_below_the_bound(monkeypatch):
+    decompose = decomp.cp_decompose
+
+    def decompose_below(t, count, nodes=None):
+        try:
+            return decompose(t, count, nodes)
+        except decomp.CardinalityError:
+            if t.ndim != 2:
+                raise
+            return decompose(t, count + 1, nodes)
+
+    monkeypatch.setattr(decomp, "cp_decompose", decompose_below)
+
+
+def _even_flattenings_lose_a_rank(monkeypatch):
+    rank = decomp.numeric_rank
+    monkeypatch.setattr(decomp, "numeric_rank", lambda m, tol=decomp.RANK_TOL: rank(m, tol) - (m.shape[0] % 2 == 0))
+
+
+def _perturbations_overshoot_or_give_up(monkeypatch):
+    perturb = decomp.perturb_to_full_rank
+
+    def perturb_far(y, epsilon):
+        if y.shape[1] % 3 == 0:
+            raise decomp.ProbeFailureError("forced")
+        delta = perturb(y, epsilon)
+        return delta * (2 * epsilon / np.linalg.norm(delta))
+
+    monkeypatch.setattr(decomp, "perturb_to_full_rank", perturb_far)
+
+
+def _four_column_matrices_lose_a_quarter(monkeypatch):
+    trial = decomp.rank_stability_trial
+    monkeypatch.setattr(
+        decomp,
+        "rank_stability_trial",
+        lambda y, eps, trials, rng: trial(y, eps, trials, rng) - 0.25 * (y.shape[1] == 4),
+    )
+
+
+def _every_seventh_contribution_gains_a_rank(monkeypatch):
+    contribute = verify.per_element_contribution
+
+    def contribute_rank_two(block, elements):
+        out = contribute(block, elements)
+        out[::7] += 1e-3 * np.eye(*out.shape[1:])
+        return out
+
+    monkeypatch.setattr(verify, "per_element_contribution", contribute_rank_two)
+
+
+def _set_softmax_contributions_accepted(monkeypatch):
+    contribute = verify.per_element_contribution
+
+    def contribute_anyway(block, elements):
+        try:
+            return contribute(block, elements)
+        except ValueError:
+            return np.zeros((len(elements), 8, 8))
+
+    monkeypatch.setattr(verify, "per_element_contribution", contribute_anyway)
+
+
+# (force the failure, suite, {property: (trials, failures, worst)}); the
+# figures are those of the suites before they shared one pass rule
+FORCED_FAILURES = {
+    "kernel_dimension": (
+        _square_systems_get_a_kernel_column, "mdd", {"kernel_dimension": (200, 44, None)}
+    ),
+    "solution_residual": (_odd_systems_solve_to_nan, "mdd", {"solution_residual": (200, 94, "nan")}),
+    "reconstruction_at_bound": (
+        _matrices_and_cubes_reconstruct_badly, "cp", {"reconstruction_at_bound": (197, 118, "nan")}
+    ),
+    "below_bound_rejected": (
+        _matrices_accept_one_below_the_bound, "cp", {"below_bound_rejected": (197, 80, None)}
+    ),
+    "flattened_rank": (_even_flattenings_lose_a_rank, "cp", {"flattened_rank": (197, 99, None)}),
+    "perturbation": (
+        _perturbations_overshoot_or_give_up,
+        "rankstab",
+        {"perturb_reaches_full_rank": (100, 26, "inf"), "perturbation_inside_ball": (100, 100, "inf")},
+    ),
+    "full_rank_survives": (
+        _four_column_matrices_lose_a_quarter,
+        "rankstab",
+        {"full_rank_survives_small_perturbation": (50, 4, 0.75)},
+    ),
+    "contributions_rank_le_1": (
+        _every_seventh_contribution_gains_a_rank,
+        "collapse",
+        {
+            "elementwise_sum_matches_aggregate": (100, 100, 0.0030000000000002247),
+            "contributions_rank_le_1": (1600, 229, None),
+        },
+    ),
+    "set_softmax_contribution_rejected": (
+        _set_softmax_contributions_accepted, "collapse", {"set_softmax_contribution_rejected": (1, 1, None)}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FORCED_FAILURES))
+def test_forced_failures_are_counted_as_before(case, monkeypatch):
+    # negative controls: the report digests cover only runs in which every
+    # property passes, so each pass rule is also run on failing trials
+    force, suite, expected = FORCED_FAILURES[case]
+    force(monkeypatch)
+    got = {
+        p.name: tuple(p.as_dict()[k] for k in ("trials", "failures", "worst"))
+        for p in verify.run_suites([suite], 0)[0].properties
+    }
+    assert {k: v for k, v in got.items() if v[1]} == expected
