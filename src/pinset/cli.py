@@ -1,9 +1,13 @@
 """Command-line entry point.
 
-    pinset <train|eval|verify|decompose|params> --config <path> --seed <u64>
-           --out <dir> [--set key=value ...]
+    pinset train     --config <path> [--set key=value ...] --seed <u64> --out <dir>
+    pinset eval      --config <path> [--set key=value ...] --seed <u64>
+    pinset verify    --suite <name> --seed <u64> --out <dir>
+    pinset decompose --input <path> --components <count> --out <dir>
+    pinset params    --config <path> [--set key=value ...]
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 divergence.
+Each command takes only the flags it reads. Exit codes: 0 success,
+1 configuration error, 2 data error, 3 divergence.
 """
 
 from __future__ import annotations
@@ -129,13 +133,11 @@ PARAMS_SCHEMA = {
     "params.preset": Field("str", required=True, choices=tuple(PRESETS) + ("table6",)),
     "params.factorization": Field("str", "sweep"),
 }
-# --input and --components are flags
-DECOMPOSE_SCHEMA: dict[str, Field] = {}
 
 
 def _raw_config(args) -> dict[str, str]:
     raw = read_config(args.config) if args.config else {}
-    for item in args.set or []:
+    for item in args.set:
         key, value = parse_override(item)
         raw[key] = value
     return raw
@@ -304,8 +306,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the suites take no config key; this rejects unreadable files and typos
-    validate(_raw_config(args), {})
     names = list(verify_mod.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names, args.seed)
     for res in results:
@@ -319,22 +319,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    # the command reads no config key; this rejects unreadable files and typos
-    validate(_raw_config(args), DECOMPOSE_SCHEMA)
-    input_path, components = args.input, args.components
-    if not input_path:
-        raise ConfigError("decompose needs an input tensor (--input)")
-    if components is None:
-        raise ConfigError("decompose needs a component count (--components)")
-    tensor = read_tensor(input_path)
+    tensor = read_tensor(args.input)
     try:
         # the text comes back on the result; it is printed once on success
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
-            factors = cp_decompose(tensor, components)
+            factors = cp_decompose(tensor, args.components)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
-            f"{components} components requested, but the linear system is "
+            f"{args.components} components requested, but the linear system is "
             f"rank-deficient: {exc}",
             detected_rank=exc.detected_rank,
         ) from exc
@@ -342,14 +335,14 @@ def cmd_decompose(args) -> int:
         print(f"warning: {factors.conditioning_warning}", file=sys.stderr)
     rel = factors.rel_residual
 
-    stem = os.path.splitext(os.path.basename(input_path))[0]
+    stem = os.path.splitext(os.path.basename(args.input))[0]
     payloads = {
         os.path.join(args.out, f"{stem}.factor{j}.txt"): format_tensor(factor).encode()
         for j, factor in enumerate(factors.factors)
     }
     report = {
-        "input": str(input_path),
-        "components": components,
+        "input": str(args.input),
+        "components": args.components,
         "dims": list(tensor.shape),
         "factors": list(payloads),
         "reconstruction_relative_error": rel,
@@ -418,46 +411,38 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {' '.join(message.split())}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pinset", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
-
-    common(sub.add_parser("train", help="train a model"))
-    common(sub.add_parser("eval", help="evaluate a checkpoint"))
-    p_verify = sub.add_parser("verify", help="run property suites")
-    common(p_verify)
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=("all",) + verify_mod.SUITE_NAMES,
-        help="which suite to run",
-    )
-    p_dec = sub.add_parser("decompose", help="sum-product decomposition of a text tensor")
-    common(p_dec)
-    p_dec.add_argument("--input", default=None, help="input TextTensor path")
-    p_dec.add_argument("--components", type=int, default=None, help="component count N")
-    common(sub.add_parser("params", help="parameter-count report"))
-    return parser
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "verify": cmd_verify,
-    "decompose": cmd_decompose,
-    "params": cmd_params,
+# every flag's settings, declared once; each command takes those it reads
+_FLAGS = {
+    "--config": dict(help="flat key = value config file"),
+    "--set": dict(action="append", default=[], metavar="KEY=VALUE", help="override a config key (repeatable)"),
+    "--seed": dict(type=int, default=0, help="master seed (u64)"),
+    "--out": dict(default=".", help="output directory"),
+    "--suite": dict(default="all", choices=("all",) + verify_mod.SUITE_NAMES, help="which suite to run"),
+    "--input": dict(required=True, help="input TextTensor path"),
+    "--components": dict(type=int, required=True, help="component count N"),
 }
+
+
+# each command once: its handler, its help and the flags it reads; it
+# reads config keys when it takes --config and --set
+_COMMANDS = {
+    "train": (cmd_train, "train a model", ("--config", "--set", "--seed", "--out")),
+    "eval": (cmd_eval, "evaluate a checkpoint", ("--config", "--set", "--seed")),
+    "verify": (cmd_verify, "run property suites", ("--suite", "--seed", "--out")),
+    "decompose": (cmd_decompose, "sum-product decomposition of a text tensor", ("--input", "--components", "--out")),
+    "params": (cmd_params, "parameter-count report", ("--config", "--set")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="pinset", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def _check_out_dir(path: str) -> None:
@@ -488,11 +473,11 @@ def main(argv=None) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             args = _build_parser().parse_args(argv)
-            if not 0 <= args.seed < 2**64:
-                print("error: --seed must fit in u64", file=sys.stderr)
-                return EXIT_CONFIG
-            _check_out_dir(args.out)
-            return _COMMANDS[args.command](args)
+            if "seed" in args and not 0 <= args.seed < 2**64:
+                raise ConfigError(f"--seed must fit in u64, got {args.seed}")
+            if "out" in args:
+                _check_out_dir(args.out)
+            return args.run(args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

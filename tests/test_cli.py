@@ -126,8 +126,6 @@ class TestTrainCommand:
                 quadrant_config,
                 "--seed",
                 "3",
-                "--out",
-                str(out),
                 "--set",
                 f"eval.checkpoint={out / 'checkpoint.dmpp'}",
             ]
@@ -174,7 +172,7 @@ def test_readme_key_table_names_every_schema_key():
     named = set()
     for row in table.splitlines()[2:]:
         named |= {tok for tok in re.findall(r"`([^`]+)`", row.split("|")[2]) if tok == "task" or "." in tok}
-    schemas = (cli.TRAIN_SCHEMA, cli.EVAL_SCHEMA, cli.PARAMS_SCHEMA, cli.DECOMPOSE_SCHEMA)
+    schemas = (cli.TRAIN_SCHEMA, cli.EVAL_SCHEMA, cli.PARAMS_SCHEMA)
     assert named == set().union(*schemas)
 
 
@@ -189,7 +187,7 @@ class TestWarningsAreOneLine:
     def test_eval(self, quadrant_config, tmp_path, capsys):
         assert main(["train", "--config", quadrant_config, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
-        argv = ["eval", "--config", quadrant_config, "--out", str(tmp_path), "--set", "data.set_size=4"]
+        argv = ["eval", "--config", quadrant_config, "--set", "data.set_size=4"]
         assert main(argv + ["--set", f"eval.checkpoint={tmp_path / 'checkpoint.dmpp'}"]) == 0
         assert capsys.readouterr().err.splitlines() == [SMALL_SET_WARNING]
 
@@ -208,11 +206,19 @@ def _pixel_idx_config(tmp_path, model_lines: str) -> str:
     return str(path)
 
 
-def _one_config_error(capsys) -> str:
+def _one_error_line(capsys, prefix: str) -> str:
     err = capsys.readouterr().err
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
     return lines[0]
+
+
+def _one_config_error(capsys) -> str:
+    return _one_error_line(capsys, "config error: ")
+
+
+# a decompose command line that argparse accepts up to the flag under test
+DECOMPOSE = ["decompose", "--input", "t.txt", "--components", "2"]
 
 
 @pytest.mark.parametrize(
@@ -220,17 +226,42 @@ def _one_config_error(capsys) -> str:
     [
         (["train", "--seed", "abc"], "pinset train: argument --seed: invalid int value: 'abc'"),
         (["decompose", "--components", "two"], "pinset decompose: argument --components: invalid int value"),
+        (["decompose", "--components", "2"], "pinset decompose: the following arguments are required: --input"),
+        (["decompose", "--input", "t.txt"], "pinset decompose: the following arguments are required: --components"),
         (["params", "--bogus"], "pinset: unrecognized arguments: --bogus"),
         (["nope"], "pinset: argument command: invalid choice: 'nope'"),
         ([], "pinset: the following arguments are required: command"),
+        # each command takes only the flags it reads
+        (["eval", "--out", "o"], "pinset: unrecognized arguments: --out o"),
+        (["params", "--seed", "3"], "pinset: unrecognized arguments: --seed 3"),
+        (["params", "--out", "o"], "pinset: unrecognized arguments: --out o"),
+        (["verify", "--config", "run.cfg"], "pinset: unrecognized arguments: --config run.cfg"),
+        (["verify", "--set", "bogus=1"], "pinset: unrecognized arguments: --set bogus=1"),
+        (DECOMPOSE + ["--seed", "7"], "pinset: unrecognized arguments: --seed 7"),
+        (DECOMPOSE + ["--config", "run.cfg"], "pinset: unrecognized arguments: --config run.cfg"),
+        (DECOMPOSE + ["--set", "decompose.input=x"], "pinset: unrecognized arguments: --set decompose.input=x"),
+        # a seed is a u64
+        *(
+            ([command, "--seed", str(seed)], f"--seed must fit in u64, got {seed}")
+            for command in ("train", "eval", "verify")
+            for seed in (-1, 2**64)
+        ),
     ],
-    ids=["seed", "components", "unknown-flag", "command", "no-command"],
+    ids=[
+        "seed", "components", "no-input", "no-components", "unknown-flag", "command", "no-command",
+        "eval-out", "params-seed", "params-out", "verify-config", "verify-set",
+        "decompose-seed", "decompose-config", "decompose-set",
+        *(f"{command}-seed-{name}" for command in ("train", "eval", "verify") for name in ("negative", "above-u64")),
+    ],
 )
-def test_a_rejected_command_line_is_one_config_error(argv, message, capsys):
+def test_a_rejected_command_line_is_one_config_error(argv, message, tmp_path, monkeypatch, capsys):
     # argparse would print usage lines and exit 2, which means a data error;
     # TestVerifyCommand checks an unknown --suite
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert _one_config_error(capsys).startswith(f"config error: {message}")
+    # refused before any work: nothing is written to the default --out
+    assert os.listdir(tmp_path) == []
 
 
 def _child_env() -> dict:
@@ -295,7 +326,7 @@ def test_unallocatable_activations_are_one_config_error(command, task, keys, tmp
     if command == "eval":
         save_checkpoint(ckpt, models.build_model(model, RngState(0)))
         overrides.append(f"eval.checkpoint={ckpt}")
-    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(config)] + (["--out", str(tmp_path / "out")] if command == "train" else [])
     result = _run_capped(argv + [arg for item in overrides for arg in ("--set", item)])
     lines = result.stderr.strip().splitlines()
     assert result.returncode == 1, result.stderr
@@ -341,7 +372,7 @@ def test_checkpoint_of_an_unallocatable_model_exits_2(tmp_path):
     ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(meta)) + meta + raw[16 + length :])
     config = tmp_path / "run.cfg"
     config.write_text(QUADRANT_PRESET_CFG)
-    result = _run_capped(["eval", "--config", str(config), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"])
+    result = _run_capped(["eval", "--config", str(config), "--set", f"eval.checkpoint={ckpt}"])
     lines = result.stderr.strip().splitlines()
     assert result.returncode == 2, result.stderr
     assert len(lines) == 1 and lines[0].startswith(f"data error: {ckpt}: the stored config gives "), lines
@@ -367,7 +398,7 @@ class TestOverlongFileName:
     def test_eval_checkpoint_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(QUADRANT_PRESET_CFG)
-        argv = ["eval", "--config", str(config), "--out", str(tmp_path), "--set", f"eval.checkpoint={tmp_path / self.NAME}"]
+        argv = ["eval", "--config", str(config), "--set", f"eval.checkpoint={tmp_path / self.NAME}"]
         assert main(argv) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error: [Errno 36] File name too long"), lines
@@ -388,7 +419,7 @@ class TestConfigErrorsAreOneLine:
         ckpt = tmp_path / "quadrant.dmpp"
         save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
         cfg = _pixel_idx_config(tmp_path, "model.preset = quadrant")
-        argv = ["eval", "--config", cfg, "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        argv = ["eval", "--config", cfg, "--set", f"eval.checkpoint={ckpt}"]
         assert main(argv) == 1
         assert "element width 2, data has width 3" in _one_config_error(capsys)
 
@@ -407,7 +438,7 @@ class TestConfigErrorsAreOneLine:
         save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
         cfg = tmp_path / "preset.cfg"
         cfg.write_text(QUADRANT_PRESET_CFG)
-        argv = ["eval", "--config", str(cfg), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        argv = ["eval", "--config", str(cfg), "--set", f"eval.checkpoint={ckpt}"]
         assert main(argv + ["--set", "data.test_size=0"]) == 1
         assert "data.test_size" in _one_config_error(capsys)
 
@@ -416,7 +447,7 @@ class TestConfigErrorsAreOneLine:
         save_checkpoint(ckpt, models.build_model(models.quadrant_config(), RngState(0)))
         cfg = tmp_path / "preset.cfg"
         cfg.write_text(QUADRANT_PRESET_CFG + "model.agg.mlp1 = 5,5\n")
-        argv = ["eval", "--config", str(cfg), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        argv = ["eval", "--config", str(cfg), "--set", f"eval.checkpoint={ckpt}"]
         assert main(argv) == 0
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -438,8 +469,10 @@ class TestConfigErrorsAreOneLine:
         else:
             cfg, model = _pixel_idx_config(tmp_path, "model.preset = digits"), models.digits_config()
         out = tmp_path / "o"
-        argv = [command, "--config", cfg, "--out", str(out), "--set", override]
-        if command == "eval":
+        argv = [command, "--config", cfg, "--set", override]
+        if command == "train":
+            argv += ["--out", str(out)]
+        else:
             ckpt = tmp_path / "model.dmpp"
             save_checkpoint(ckpt, models.build_model(model, RngState(0)))
             argv += ["--set", f"eval.checkpoint={ckpt}"]
@@ -535,24 +568,134 @@ def test_negative_size_on_pixel_idx_is_one_config_error(tmp_path, capsys, monkey
     assert sizes == [6]
 
 
-@pytest.mark.parametrize("shape, sides", [((3, 4, 6), "4x6"), ((3, 0, 0), "0x0")])
-def test_idx_images_not_square_or_empty_exit_2(shape, sides, tmp_path, capsys):
-    config = _pixel_idx_config(tmp_path, "model.preset = pixel-s")
-    # the train split now holds images no pixel set can be made of
-    images = np.zeros(shape, dtype=np.uint8)
-    write_idx(tmp_path / "train-images", tmp_path / "train-labels", images, np.zeros(3, dtype=np.uint8))
-    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error: ") and sides in lines[0], lines
+# One table per input channel, run through main: every malformed input is
+# exit 1 or 2 with exactly one stderr line and no file written.
 
 
-def test_idx_header_larger_than_the_file_exits_2(tmp_path, capsys):
-    config = _pixel_idx_config(tmp_path, "model.preset = pixel-s")
-    # about 2**96 declared pixels: more than any read or allocation can take
-    (tmp_path / "train-images").write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF))
-    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error: ") and "pixel data, got 0" in lines[0], lines
+def _idx(*words: int, body: int = 0) -> bytes:
+    """An IDX file: big-endian u32 header words, then ``body`` zero bytes."""
+    return struct.pack(f">{len(words)}I", *words) + bytes(body)
+
+
+@pytest.mark.parametrize(
+    "command, payload, pattern",
+    [
+        # the file as a whole, read the same way by every command that takes one
+        *(
+            pytest.param(command, payload, pattern, id=f"{command}-{name}")
+            for name, payload, pattern in [
+                ("no-file", None, r"cannot read config \S+run\.cfg: \[Errno 2\]"),
+                ("not-utf8", b"task = quadrant\n\xff\n", r"is not UTF-8 text"),
+                ("byte-order-mark", b"\xef\xbb\xbftask = quadrant\n", r"unknown config key '\\ufefftask'$"),
+                ("no-equals", b"task quadrant\n", r"line 1: expected 'key = value', got 'task quadrant'$"),
+                ("empty-key", b" = quadrant\n", r"line 1: empty key in ' = quadrant'$"),
+                ("duplicate-key", b"task = quadrant\ntask = quadrant\n", r"line 2: duplicate key 'task'$"),
+            ]
+            for command in ("train", "eval", "params")
+        ),
+        # values, against the train schema
+        pytest.param("train", b"", r"missing required config key 'task'$", id="train-empty"),
+        pytest.param(
+            "train", b"task = circle\n", r"task must be one of \('quadrant', 'pixel-idx'\), got 'circle'$", id="train-choice"
+        ),
+        pytest.param(
+            "train",
+            b"task = quadrant\nmodel.preset = custom\nmodel.agg.batchnorm = maybe\n",
+            r"bad value for model.agg.batchnorm: 'maybe' \(expected true or false\)$",
+            id="train-bool",
+        ),
+        pytest.param(
+            "train",
+            b"task = quadrant\nmodel.preset = quadrant\ndata.train_size = ten\n",
+            r"bad value for data.train_size: 'ten'",
+            id="train-int",
+        ),
+        pytest.param(
+            "train",
+            b"task = quadrant\nmodel.preset = custom\nmodel.head = 4,x\n",
+            r"bad value for model.head: '4,x'",
+            id="train-intlist",
+        ),
+    ],
+)
+def test_config_file_fault_is_one_config_error(command, payload, pattern, tmp_path, capsys):
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    if payload is not None:
+        config.write_bytes(payload)
+    argv = [command, "--config", str(config)] + (["--out", str(out)] if command == "train" else [])
+    assert main(argv) == 1
+    assert re.search(pattern, _one_config_error(capsys))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, pattern",
+    [
+        (None, r"^data error: \[Errno 2\] No such file or directory"),
+        (b"", r"empty tensor file$"),
+        (b" \n\n", r"empty tensor file$"),
+        (b"tensor\n", r"bad header 'tensor'$"),
+        (b"tensor v2 1 2\n1 2\n", r"bad header 'tensor v2 1 2'$"),
+        (b"tensor v1 x 2\n1 2\n", r"bad header 'tensor v1 x 2'$"),
+        (b"tensor v1 2 a b\n", r"bad header 'tensor v1 2 a b'$"),
+        (b"tensor v1 2 3\n1 2 3\n", r"header declares rank 2 but lists 1 extents$"),
+        (b"tensor v1 2 -1 -2\n1 2\n", r"negative extent"),
+        (b"tensor v1 2 4294967296 4294967296\n", r"expected 18446744073709551616 values"),
+        (b"tensor v1 2 2 2\n1 2 3\n", r"expected 4 values for extents \[2, 2\], got 3$"),
+        (b"tensor v1 1 2\n1 x\n", r"non-numeric value in tensor body"),
+        (b"tensor v1 1 2\n1 \xff\n", r"is not UTF-8 text"),
+        (b"tensor v1 0\n1.5\n", r"^data error: cp_decompose needs "),
+        (b"tensor v1 2 0 3\n", r"^data error: cp_decompose needs "),
+        (b"tensor v1 2 2 2\n1 nan 2 3\n", r"^data error: cp_decompose needs "),
+        (b"tensor v1 2 2 2\n1 2 -inf 3\n", r"^data error: cp_decompose needs "),
+        # finite entries whose factors overflow float64: no NaN reaches a report
+        (b"tensor v1 2 2 2\n1.7e308 -1.7e308 -1.7e308 1.7e308\n", r"^data error: cp_decompose needs .*overflow"),
+    ],
+    ids=[
+        "no-file", "empty", "blank", "short-header", "bad-version", "non-integer-rank", "non-integer-extent",
+        "rank-mismatch", "negative", "product-overflows-int64", "too-few-values", "non-numeric", "not-utf8",
+        "rank-0", "zero-extent", "nan", "inf", "overflow",
+    ],
+)
+def test_text_tensor_fault_is_one_data_error(payload, pattern, tmp_path, capsys):
+    src, out = tmp_path / "t.txt", tmp_path / "out"
+    if payload is not None:
+        src.write_bytes(payload)
+    assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(out)]) == 2
+    assert re.search(pattern, _one_error_line(capsys, "data error: "))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "images, labels, pattern",
+    [
+        (b"", None, r"train-images: expected 4 more bytes for image magic, got 0$"),
+        (None, b"", r"train-labels: expected 4 more bytes for label magic, got 0$"),
+        (_idx(0x801, 6, 4, 4, body=96), None, r"train-images: magic 0x00000801, expected 0x00000803$"),
+        (None, _idx(0x803, 6, body=6), r"train-labels: magic 0x00000803, expected 0x00000801$"),
+        (_idx(0x803, 6), None, r"expected 4 more bytes for row count, got 0$"),
+        (_idx(0x803, 6, 4, 4, body=95), None, r"expected 96 more bytes for pixel data, got 95$"),
+        (None, _idx(0x801, 6, body=5), r"expected 6 more bytes for label data, got 5$"),
+        (None, _idx(0x801, 5, body=5), r"6 images in \S+ but 5 labels in "),
+        # about 2**96 declared pixels: more than any read or allocation can take
+        (_idx(0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), None, r"pixel data, got 0$"),
+        # images no pixel set can be made of
+        (_idx(0x803, 3, 4, 6, body=72), _idx(0x801, 3, body=3), r"4x6"),
+        (_idx(0x803, 3, 0, 0), _idx(0x801, 3, body=3), r"0x0"),
+    ],
+    ids=[
+        "empty-images", "empty-labels", "image-magic", "label-magic", "short-header", "short-pixels",
+        "short-labels", "count-mismatch", "header-larger-than-file", "not-square", "zero-side",
+    ],
+)
+def test_idx_fault_is_one_data_error(images, labels, pattern, tmp_path, capsys):
+    config, out = _pixel_idx_config(tmp_path, "model.preset = pixel-s"), tmp_path / "out"
+    for name, payload in (("train-images", images), ("train-labels", labels)):
+        if payload is not None:
+            (tmp_path / name).write_bytes(payload)
+    assert main(["train", "--config", config, "--out", str(out)]) == 2
+    assert re.search(pattern, _one_error_line(capsys, "data error: "))
+    assert not out.exists()
 
 
 class TestEvalReadsOnlyWhatItUses:
@@ -571,7 +714,7 @@ class TestEvalReadsOnlyWhatItUses:
             return train_batch, test_batch
 
         monkeypatch.setattr(cli, "make_synthetic_task", counting_task)
-        assert main(["eval", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert main(["eval", "--config", str(cfg), "--seed", "4"]) == 0
         assert drawn == [0]
         # the same test split as a run that also draws the training sets
         _, test_batch = real_task(SyntheticTaskSpec(set_size=16, train_size=2000, test_size=32, seed=4))
@@ -582,7 +725,7 @@ class TestEvalReadsOnlyWhatItUses:
         ckpt = tmp_path / "digits.dmpp"
         save_checkpoint(ckpt, models.build_model(models.digits_config(), RngState(0)))
         cfg = _pixel_idx_config(tmp_path, "model.preset = digits")
-        argv = ["eval", "--config", cfg, "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]
+        argv = ["eval", "--config", cfg, "--set", f"eval.checkpoint={ckpt}"]
         assert main(argv) == 0
         with_train = capsys.readouterr().out
         missing = ["--set", "data.train_images=/nonexistent/a", "--set", "data.train_labels=/nonexistent/b"]
@@ -599,7 +742,7 @@ def test_second_aggregation_without_broadcasts_exits_2(tmp_path, capsys):
     save_checkpoint(ckpt, models.Model(cfg, RngState(0)))
     config = tmp_path / "eval.cfg"
     config.write_text("task = quadrant\nmodel.preset = quadrant\ndata.test_size = 8\n")
-    assert main(["eval", "--config", str(config), "--out", str(tmp_path), "--set", f"eval.checkpoint={ckpt}"]) == 2
+    assert main(["eval", "--config", str(config), "--set", f"eval.checkpoint={ckpt}"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: "), lines
     assert "broadcast blocks and a second aggregation come only together" in lines[0]
@@ -636,34 +779,18 @@ def test_failed_output_write_keeps_the_previous_file(argv, name, quadrant_config
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("command", ["train", "verify"])
-def test_config_file_that_is_not_utf8_is_one_config_error(command, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes(b"task = quadrant\n\xff\n")
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "is not UTF-8 text" in _one_config_error(capsys)
-
-
-def test_tensor_file_that_is_not_utf8_is_one_data_error(tmp_path, capsys):
-    src = tmp_path / "t.txt"
-    src.write_bytes(b"tensor v1 1 2\n1 \xff\n")
-    out = tmp_path / "out"
-    assert main(["decompose", "--input", str(src), "--components", "1", "--out", str(out)]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error: ") and "is not UTF-8 text" in lines[0], lines
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("under", [False, True], ids=["the-file", "below-the-file"])
-@pytest.mark.parametrize("command", ["train", "eval", "verify", "decompose", "params"])
+@pytest.mark.parametrize("command", ["train", "verify", "decompose"])
 def test_out_on_an_existing_file_is_refused_before_any_work(command, under, tmp_path, monkeypatch, capsys):
-    # every command takes --out as an output directory; the check comes
-    # before the command runs, so the command itself must not be reached
+    # the commands that write take --out as an output directory; the check
+    # comes before the command runs, so the command itself must not be reached
     target = tmp_path / "taken"
     target.write_text("kept\n")
-    monkeypatch.setitem(cli._COMMANDS, command, lambda args: pytest.fail("the command ran"))
+    _, text, flags = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (lambda args: pytest.fail("the command ran"), text, flags))
     out = target / "sub" if under else target
-    assert main([command, "--out", str(out)]) == 1
+    argv = DECOMPOSE if command == "decompose" else [command]
+    assert main(argv + ["--out", str(out)]) == 1
     assert "is not a directory" in _one_config_error(capsys)
     assert target.read_text() == "kept\n"
 
@@ -674,7 +801,7 @@ class TestDamagedCheckpointExits2:
         # one parser for the thousands of runs below; main still maps every error
         monkeypatch.setattr(cli, "_build_parser", functools.lru_cache(cli._build_parser))
         path = tmp_path / "damaged.dmpp"
-        argv = ["eval", "--config", quadrant_config, "--out", str(tmp_path), "--set", f"eval.checkpoint={path}"]
+        argv = ["eval", "--config", quadrant_config, "--set", f"eval.checkpoint={path}"]
 
         def run(payload: bytes) -> str:
             path.write_bytes(payload)
@@ -728,7 +855,7 @@ def test_checkpoint_whose_model_gives_a_non_finite_loss_exits_2(quadrant_config,
     model.parameters()["agg1.mlp1.layer0.weight"].data[0, 0] = np.nan
     path = tmp_path / "nan.dmpp"
     save_checkpoint(path, model)
-    argv = ["eval", "--config", quadrant_config, "--out", str(tmp_path), "--set", f"eval.checkpoint={path}"]
+    argv = ["eval", "--config", quadrant_config, "--set", f"eval.checkpoint={path}"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
@@ -747,17 +874,6 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path)]) == 1
         assert "argument --suite: invalid choice: 'nonsense'" in _one_config_error(capsys)
-        assert not (tmp_path / "verify_report.json").exists()
-
-    def test_unreadable_config_is_one_config_error(self, tmp_path, capsys):
-        argv = ["verify", "--suite", "mdd", "--out", str(tmp_path), "--config", str(tmp_path / "none.cfg")]
-        assert main(argv) == 1
-        assert "cannot read config" in _one_config_error(capsys)
-        assert not (tmp_path / "verify_report.json").exists()
-
-    def test_unknown_key_is_one_config_error(self, tmp_path, capsys):
-        assert main(["verify", "--suite", "mdd", "--out", str(tmp_path), "--set", "bogus=1"]) == 1
-        assert "unknown config key 'bogus'" in _one_config_error(capsys)
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_corrupted_kernel_negative_control(self, monkeypatch):
@@ -850,35 +966,6 @@ class TestDecomposeCommand:
         report = json.loads((tmp_path / "z.decompose.json").read_text())
         assert report["reconstruction_relative_error"] < 1e-12
 
-    def test_missing_input_exits_2(self, tmp_path):
-        code = main(["decompose", "--input", str(tmp_path / "none.txt"), "--components", "2"])
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "text",
-        ["tensor v1 0\n1.5\n", "tensor v1 2 0 3\n", "tensor v1 2 2 2\n1 nan 2 3\n", "tensor v1 2 2 2\n1 2 -inf 3\n"],
-        ids=["rank-0", "zero-extent", "nan", "inf"],
-    )
-    def test_tensor_it_cannot_decompose_is_one_data_error(self, text, tmp_path, capsys):
-        src = tmp_path / "t.txt"
-        src.write_text(text)
-        out = tmp_path / "out"
-        assert main(["decompose", "--input", str(src), "--components", "4", "--out", str(out)]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("data error: cp_decompose needs "), lines
-        assert not out.exists()
-
-    def test_decomposition_that_overflows_is_one_data_error(self, tmp_path, capsys):
-        # finite entries whose factors overflow float64: no NaN reaches a report
-        src = tmp_path / "t.txt"
-        src.write_text("tensor v1 2 2 2\n1.7e308 -1.7e308 -1.7e308 1.7e308\n")
-        out = tmp_path / "out"
-        assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(out)]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("data error: cp_decompose needs "), lines
-        assert "overflow" in lines[0]
-        assert not out.exists()
-
     def test_entries_near_the_float64_limit_give_a_finite_error(self, tmp_path, capsys):
         # the squares in the error's norms would overflow unscaled
         src = tmp_path / "t.txt"
@@ -890,20 +977,6 @@ class TestDecomposeCommand:
 
         report = json.loads((tmp_path / "t.decompose.json").read_text(), parse_constant=refuse)
         assert report["reconstruction_relative_error"] < 1e-12
-
-    @pytest.mark.parametrize(
-        "text",
-        ["tensor v1 2 -1 -2\n1 2\n", "tensor v1 2 4294967296 4294967296\n"],
-        ids=["negative", "product-overflows-int64"],
-    )
-    def test_extents_that_cannot_be_reshaped_are_one_data_error(self, text, tmp_path, capsys):
-        src = tmp_path / "t.txt"
-        src.write_text(text)
-        out = tmp_path / "out"
-        assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(out)]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
-        assert not out.exists()
 
     def test_failed_write_keeps_the_whole_old_set(self, tmp_path, capsys, monkeypatch):
         # an older complete set under the same stem, from another tensor; with
@@ -940,21 +1013,12 @@ class TestDecomposeCommand:
         assert lines == ["error: at most 9 components (the tensor's entry count) are allowed, got 1000000000"]
         assert "Traceback" not in result.stderr
 
-    def test_config_keys_are_refused(self, tmp_path, capsys):
-        # the input and the component count are given only as flags
-        write_tensor(tmp_path / "t.txt", np.ones((2, 2)))
-        argv = ["decompose", "--components", "2", "--out", str(tmp_path), "--set", f"decompose.input={tmp_path / 't.txt'}"]
-        assert main(argv) == 1
-        assert "unknown config key 'decompose.input'" in _one_config_error(capsys)
-
 
 class TestParamsCommand:
     def test_square_factorization_total_printed(self, tmp_path, capsys):
         code = main(
             [
                 "params",
-                "--out",
-                str(tmp_path),
                 "--set",
                 "params.preset=table6",
                 "--set",
@@ -966,7 +1030,7 @@ class TestParamsCommand:
         assert "17,792" in out
 
     def test_sweep_strictly_decreasing(self, tmp_path, capsys):
-        code = main(["params", "--out", str(tmp_path), "--set", "params.preset=table6"])
+        code = main(["params", "--set", "params.preset=table6"])
         assert code == 0
         payload = _extract_json(capsys)
         totals = [entry["total"] for entry in payload["reports"]]
@@ -980,9 +1044,24 @@ class TestParamsCommand:
 
     @pytest.mark.parametrize("factorization", ["0x4", "-2x4", "4x0"])
     def test_non_positive_factorization_is_one_config_error(self, factorization, tmp_path, capsys):
-        argv = ["params", "--out", str(tmp_path), "--set", "params.preset=table6"]
+        argv = ["params", "--set", "params.preset=table6"]
         assert main(argv + ["--set", f"params.factorization={factorization}"]) == 1
         assert "params.factorization" in _one_config_error(capsys)
+
+    @pytest.mark.parametrize("factorization", ["abc", "2x"])
+    def test_malformed_factorization_is_one_config_error(self, factorization, capsys):
+        argv = ["params", "--set", "params.preset=table6", "--set", f"params.factorization={factorization}"]
+        assert main(argv) == 1
+        assert _one_config_error(capsys) == f"config error: bad value for params.factorization: {factorization!r}"
+
+    def test_model_preset_totals_are_its_parameter_count(self, capsys):
+        report = models.param_count(models.pixel_s_config())
+        assert main(["params", "--set", "params.preset=pixel-s"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("pixel-s:\n")
+        assert f"  {'total':32s} {report.total:>10,d}\n" in out
+        (entry,) = json.loads(out[out.index('{\n  "reports"') :])["reports"]
+        assert (entry["name"], entry["total"]) == ("pixel-s", report.total)
 
 
 def _extract_json(capsys):

@@ -175,6 +175,33 @@ class TestTrainLoop:
         for name, p in model.parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
 
+    def test_a_last_batch_of_one_set_is_skipped(self, monkeypatch):
+        # 5 sets in batches of 2: the last batch holds one set, which the
+        # head's normalization cannot take, so the epoch steps on 4 sets
+        train_b, test_b = _tiny_task(train_size=5)
+        model = build_model(quadrant_config(), RngState(1))
+        steps, losses = [], []
+        real_step, real_loss = train_mod.sgd_step, train_mod.softmax_cross_entropy
+
+        def counting_step(*args):
+            steps.append(len(losses))
+            real_step(*args)
+
+        def recording_loss(logits, labels):
+            loss = real_loss(logits, labels)
+            losses.append((float(loss.data), labels.size))
+            return loss
+
+        monkeypatch.setattr(train_mod, "sgd_step", counting_step)
+        monkeypatch.setattr(train_mod, "softmax_cross_entropy", recording_loss)
+        history = train(model, train_b, test_b, TrainConfig(epochs=1, batch_size=2), RngState(2))
+        # each step follows its own loss; the evaluation's loss comes after both
+        assert steps == [1, 2]
+        (row,) = [row for row in history if row["split"] == "train"]
+        assert [size for _, size in losses[:2]] == [2, 2]
+        assert row["loss"] == pytest.approx((losses[0][0] + losses[1][0]) / 2, rel=1e-12)
+        assert (row["accuracy"] * 4).is_integer()
+
     def test_same_seed_bitwise_identical_history(self):
         train_b, test_b = _tiny_task()
         histories = []
