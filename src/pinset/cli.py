@@ -308,11 +308,11 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     names = list(verify_mod.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names, args.seed)
+    report_path = os.path.join(args.out, "verify_report.json")
+    _write_atomic({report_path: verify_mod.report_json(results, args.seed).encode()})
     for res in results:
         for prop in res.properties:
             print(verify_mod.format_property_line(res.suite, prop))
-    report_path = os.path.join(args.out, "verify_report.json")
-    _write_atomic({report_path: verify_mod.report_json(results, args.seed).encode()})
     passed = all(r.passed for r in results)
     print(f"verify: {'all properties passed' if passed else 'FAILURES'}; report: {report_path}")
     return EXIT_OK if passed else EXIT_CONFIG
@@ -465,6 +465,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
+    code = EXIT_OK
     with warnings.catch_warnings():
         # one line per warning; the filters, once per location by default, stay
         warnings.showwarning = _print_warning
@@ -477,7 +478,15 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed must fit in u64, got {args.seed}")
             if "out" in args:
                 _check_out_dir(args.out)
-            return args.run(args)
+            code = args.run(args)
+            sys.stdout.flush()  # a closed stdout raises here, not at exit
+            return code
+        except BrokenPipeError:
+            # commands print after writing their files, so only lines are lost
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return code
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -25,7 +25,7 @@ from .blocks import (
     broadcast_batched,
 )
 from .rng import RngState
-from .tensor import Tensor, reshape
+from .tensor import Tensor, no_grad, reshape
 
 
 @dataclass
@@ -103,14 +103,9 @@ class Model(Block):
         everything before the head.
 
         These are the per-element stages: ``agg1``, then the broadcast
-        blocks, then ``agg2``. In eval mode every batchnorm is folded into
-        its layer, so each set's feature depends only on that set's rows.
-        ``train.evaluate`` therefore runs this method on blocks of whole
-        sets of about ``train.EVAL_BLOCK_ROWS`` rows, which keep each
-        layer's activations in cache, and the head once on the joined
-        features of a chunk, because the head's GEMMs would give other
-        last bits on a split of their rows. The sets become column-major
-        rows (B*N, p) once, which ``agg1`` and the broadcast chain read.
+        blocks, then ``agg2``; :meth:`eval_logits` runs them on blocks of
+        whole sets. The sets become column-major rows (B*N, p) once, which
+        ``agg1`` and the broadcast chain read.
         """
         x = sets if isinstance(sets, Tensor) else Tensor(np.asarray(sets, dtype=np.float64))
         if x.data.ndim != 3 or x.data.shape[2] != self.config.input_width:
@@ -125,6 +120,33 @@ class Model(Block):
                 z = broadcast_batched(block, z, feature, mode)
             feature = aggregate(self.agg2, z, n, mode, gen)
         return feature
+
+    @no_grad()
+    def eval_logits(self, sets: np.ndarray, block_rows: int) -> Tensor:
+        """Eval-mode logits (B, classes) of sets (B, N, p), without a tape:
+        :meth:`features` on near-equal blocks of whole sets, at most about
+        ``block_rows`` rows and at least one set each, then the head once
+        on the joined features (or those features, without a head).
+
+        Bit rule (numpy's bundled OpenBLAS, SkylakeX kernels, 1 thread):
+        eval mode folds every batchnorm, so a set's feature depends only on
+        its rows. Element products get N rows or more in any block, and by
+        ``tensor._product``'s tail rule each row keeps its bits for any
+        split, unless the layer has one output column (GEMV; in no preset).
+        Set-level products get a row per set, and a call of 1 row, or of 2
+        or 3 rows at 1024 -> 256, rounds otherwise: on ``pixel-l``, whose
+        broadcast rows ``y W_y`` are such products, blocks of 1 to 3 sets
+        moved ``bc0``'s output by up to 2.2e-16 and the logits by up to
+        8.3e-17 against one block of 32 sets; blocks of 4 or more sets kept
+        every bit, at N = 49 and 196. The head's narrow logit layers round
+        otherwise for almost any split, so the head runs once. One block
+        (``block_rows`` >= B*N) is ``forward(sets, "eval")`` bit for bit.
+        """
+        b = sets.shape[0]
+        n = min(b, -(-b * sets.shape[1] // block_rows))
+        parts = [self.features(sets[i * b // n : (i + 1) * b // n], "eval") for i in range(n)]
+        feature = parts[0] if n == 1 else Tensor(np.concatenate([part.data for part in parts]))
+        return feature if self.head is None else self.head.forward(feature, "eval")
 
     def named(self, prefix: str = "") -> Named:
         """Every block's tensors, in forward order."""

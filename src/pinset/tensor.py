@@ -261,11 +261,12 @@ def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     and the 8 before them are recomputed as ``x @ w``, and a product of no
     more rows than that runs as ``x @ w`` alone; the 8 extra rows keep a
     one-row remainder off GEMV, which rounds differently again. So at
-    output widths of 16 and more every row has the bits of ``x @ w``, and
-    a row's bits do not depend on how the rows are split into calls.
+    output widths of 16 and more every row has the bits of ``x @ w``.
     Narrower outputs (a head's logits) may differ from ``x @ w`` in their
     last bits: OpenBLAS runs them on small-matrix kernels whose rounding
-    follows the operands' layout.
+    follows the operands' layout. Wider rows keep their bits for any split
+    into calls of 4 rows or more, but not into calls of 1 row (GEMV) or,
+    at 1024 -> 256, of 2 or 3 rows (see ``models.Model.eval_logits``).
     """
     rows = x.shape[0]
     tail = rows % _TAIL_ROWS and rows % _TAIL_ROWS + _TAIL_ROWS
@@ -534,9 +535,14 @@ def batchnorm(
     input columns, the indicators of the sets, so the layer widens when
     ``d_in + S < d``. On ``pixel-l`` at B sets per batch, the broadcast
     block ``bc0`` (3 + B -> 256) takes the covariance formula and ``bc1``
-    (256 + B -> 256) the direct one. Both formulas give the same values up
-    to rounding. They share all but the batch statistics, ``gamma *
-    xhat`` and the gradients of ``x``, ``w`` and a per-set bias.
+    (256 + B -> 256) the direct one. The per-set extension stays for
+    memory: the direct formula keeps bc0's (rows, 256) ``xhat`` for the
+    backward, and over 10 alternating ``pixel-l`` benchmark pairs (seeds
+    7001-7010, 1 BLAS thread) it read ``peak_rss_mb`` 241.6-251.0 against
+    227.1-239.4 MB, ``step_ms`` unresolved (medians 229.1 against 233.0).
+    Both formulas give the same values up to rounding. They share all but
+    the batch statistics, ``gamma * xhat`` and the gradients of ``x``,
+    ``w`` and a per-set bias.
 
     There is no eval mode: ``blocks`` folds the stored statistics into
     the layer's weights and bias and runs ``affine`` instead.

@@ -25,7 +25,7 @@ from .config import ConfigError
 from .data import SetBatch
 from .models import Model, ModelConfig, build_model
 from .rng import RngState
-from .tensor import Tensor, backward, no_grad, softmax_cross_entropy
+from .tensor import Tensor, backward, softmax_cross_entropy
 
 LR_DROP_FACTOR = 10.0
 
@@ -168,40 +168,11 @@ def check_sizes(train_batch: SetBatch, test_batch: SetBatch) -> None:
 EVAL_BLOCK_ROWS = 8192
 
 
-def _chunk_logits(model: Model, sets: np.ndarray) -> Tensor:
-    """Eval-mode logits of one chunk of sets (B, N, p): ``Model.features``
-    on near-equal blocks of whole sets of about :data:`EVAL_BLOCK_ROWS`
-    rows, at least one set each, then the head once on the joined features
-    (a one-block chunk's features go to the head as they are)."""
-    b = sets.shape[0]
-    n = min(b, -(-b * sets.shape[1] // EVAL_BLOCK_ROWS))
-    parts = [model.features(sets[i * b // n : (i + 1) * b // n], "eval") for i in range(n)]
-    feature = parts[0] if n == 1 else Tensor(np.concatenate([part.data for part in parts]))
-    return feature if model.head is None else model.head.forward(feature, "eval")
-
-
-@no_grad()
 def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
-    """Accuracy, error rate, mean loss, and exact per-class counts.
-    Runs under ``no_grad``: nothing differentiates these forwards.
-
-    Each chunk of ``chunk`` sets runs its per-element stage (``agg1``,
-    the broadcast blocks, ``agg2``) in blocks of whole sets of about
-    :data:`EVAL_BLOCK_ROWS` rows, so the layers' activations stay in
-    cache. Eval mode folds every batchnorm into its layer, so a set's
-    feature depends only on its own rows, and by the tail rule of
-    ``tensor._product`` each row of an element product has the same bits
-    for any split of the rows. The head runs once on the whole chunk: its
-    logit layers (512->10, 256->10, 64->4) have narrow outputs, which at
-    a chunk's few rows are not row-partition invariant in OpenBLAS, so
-    blocking them would change the logits. Nor is an element layer with
-    one output column, which runs on GEMV (measured for 2 to 256 inputs
-    and 1 to 16 or 32 outputs, on blocks of 84 rows or more: only one
-    column differs): a custom model with such an element width may
-    evaluate to other last bits than one forward of the whole chunk,
-    still deterministically. No preset has one. The loss is taken once
-    per chunk.
-    """
+    """Accuracy, error rate, mean loss, and exact per-class counts. Each
+    chunk of ``chunk`` sets runs through ``Model.eval_logits`` (no tape) in
+    blocks of about :data:`EVAL_BLOCK_ROWS` rows, and its loss is taken
+    once; that method says which bits the blocks keep."""
     if batch.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if chunk < 1:
@@ -213,7 +184,7 @@ def evaluate(model: Model, batch: SetBatch, chunk: int = 256) -> dict:
     for start in range(0, batch.size, chunk):
         sets = batch.sets[start : start + chunk]
         labels = batch.labels[start : start + chunk]
-        logits = _chunk_logits(model, sets)
+        logits = model.eval_logits(sets, EVAL_BLOCK_ROWS)
         loss = softmax_cross_entropy(logits, labels)
         loss_sum += float(loss.data) * sets.shape[0]
         pred = logits.data.argmax(axis=1)

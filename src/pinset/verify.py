@@ -122,25 +122,9 @@ def _pair_gaps(block: AggregationBlock, sets: np.ndarray) -> list[float]:
     return np.max(np.abs(out[0] - out[1]), axis=1).tolist()
 
 
-# classifier logits trials per head forward, on their joined features.
-# Memory, not speed, sets it: the group's features are held while each set
-# runs, and at 10 or 25 trials (160 or 400 KB held) the benchmark's peak
-# RSS rose by about 0.15 MB; at 4 it did not, and most of the gain remains
+# classifier logits trials per ``Model.eval_logits`` call. Memory sets it:
+# at 10 or 25 trials the benchmark's peak RSS rose by about 0.15 MB
 LOGITS_GROUP = 4
-
-
-def _logits_group(model, root: RngState, trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """The eval features and logits of ``trials``' sets, each trial's X
-    then its PX, one row each. Every set gets its own ``Model.features``
-    call; the head runs once on the joined features."""
-    features = np.empty((2 * len(trials), model.config.feature_length))
-    for j, i in enumerate(trials):
-        gen = root.child("logits", i).generator()
-        x = gen.uniform(-1.0, 1.0, size=(784, 3))
-        perm = gen.permutation(784)
-        features[2 * j] = model.features(x[None], "eval").data
-        features[2 * j + 1] = model.features(x[perm][None], "eval").data
-    return features, model.head.forward(Tensor(features), "eval").data
 
 
 @no_grad()
@@ -149,9 +133,9 @@ def run_invariance(seed: int) -> SuiteResult:
     full classifier logits, within 1e-12.
 
     Each activation pair's 100 trials run as one eval forward of their 200
-    sets (:func:`_pair_gaps`). The classifier's trials run the ``pixel-s``
-    model's features set by set and its head once per
-    :data:`LOGITS_GROUP` trials (:func:`_logits_group`)."""
+    sets (:func:`_pair_gaps`). The classifier's trials run through
+    ``Model.eval_logits`` of a ``pixel-s`` model, one set per block, each X
+    then its PX, :data:`LOGITS_GROUP` trials per call (bits: see there)."""
     root = RngState(seed).child("invariance")
     pairs_per_config = 100
     n_elements = 40
@@ -174,9 +158,16 @@ def run_invariance(seed: int) -> SuiteResult:
         )
 
     model = build_model(pixel_s_config(), root.child("model"))
+    pixels = 784
     gaps = []
     for start in range(0, pairs_per_config, LOGITS_GROUP):
-        _, logits = _logits_group(model, root, range(start, min(start + LOGITS_GROUP, pairs_per_config)))
+        trials = range(start, min(start + LOGITS_GROUP, pairs_per_config))
+        sets = np.empty((2 * len(trials), pixels, 3))
+        for j, i in enumerate(trials):
+            gen = root.child("logits", i).generator()
+            sets[2 * j] = gen.uniform(-1.0, 1.0, size=(pixels, 3))
+            sets[2 * j + 1] = sets[2 * j][gen.permutation(pixels)]
+        logits = model.eval_logits(sets, pixels).data
         gaps += np.max(np.abs(logits[0::2] - logits[1::2]), axis=1).tolist()
     properties.append(
         _within_tolerance(

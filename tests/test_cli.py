@@ -1092,3 +1092,28 @@ def test_python_m_pinset_runs_the_cli(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "all properties passed" in result.stdout
     assert json.loads((tmp_path / "verify_report.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["params", "verify"])
+def test_a_closed_stdout_ends_quietly(command, unbuffered, tmp_path):
+    # the reader is gone before the child starts, so its first write to
+    # stdout fails: at the first print when unbuffered, else at a flush
+    argv = {
+        "params": ["params", "--set", "params.preset=table6"],
+        "verify": ["verify", "--suite", "mdd", "--out", str(tmp_path)],
+    }[command]
+    env = {key: value for key, value in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pinset", *argv], env=env, stdout=write, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, "")
+    if command == "verify":
+        assert json.loads((tmp_path / "verify_report.json").read_text())["passed"] is True

@@ -26,7 +26,6 @@ from pinset.models import (
     quadrant_config,
 )
 from pinset import tensor as tensor_mod
-from pinset import train as train_mod
 from pinset.rng import RngState
 from pinset.tensor import Tensor, _reachable, backward, no_grad, softmax_cross_entropy
 from pinset.train import OptimizerState, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -361,7 +360,6 @@ def test_every_element_array_is_column_major(preset, monkeypatch):
         return result(data, parents, backward_fn)
 
     monkeypatch.setattr(tensor_mod, "_result", recording)
-    monkeypatch.setattr(train_mod, "EVAL_BLOCK_ROWS", 2 * n)  # two blocks of whole sets
     cfg = PRESETS[preset]()
     model = build_model(cfg, RngState(7))
     gen = RngState(8).generator()
@@ -378,8 +376,32 @@ def test_every_element_array_is_column_major(preset, monkeypatch):
         if node._backward is not None:
             node._backward = functools.partial(keeping, own=node._backward)
     backward(loss, list(model.parameters().values()))
-    with no_grad():
-        train_mod._chunk_logits(model, sets)
+    model.eval_logits(sets, 2 * n)  # two blocks of whole sets
     element = [a for a in made + handed_on if a.ndim == 2 and a.shape[0] % n == 0]
     assert len(element) > 10
     assert all(a.mT.flags.c_contiguous for a in element), [(a.shape, a.strides) for a in element]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("factor", [1, 3])
+def test_eval_logits_of_one_block_are_the_eval_forward(preset, factor, monkeypatch):
+    # block_rows of the sets' rows or more: one features call, then the
+    # head, as in the eval forward, and no tape node
+    b, n = 5, 32
+    cfg = PRESETS[preset]()
+    model = build_model(cfg, RngState(9))
+    sets = RngState(10).generator().uniform(-1, 1, size=(b, n, cfg.input_width))
+    taped = []
+    result = tensor_mod._result
+
+    def counting(*args):
+        node = result(*args)
+        if node._backward is not None:
+            taped.append(node)
+        return node
+
+    monkeypatch.setattr(tensor_mod, "_result", counting)
+    logits = model.eval_logits(sets, factor * b * n)
+    assert taped == [] and not logits.requires_grad
+    with no_grad():
+        np.testing.assert_array_equal(logits.data, model.forward(sets, "eval").data)

@@ -8,8 +8,8 @@
 - ``pinset decompose``'s factor files, and its report without the path
   fields, for a well-conditioned and an ill-conditioned seeded tensor.
 
-The digests hold for the numpy, BLAS and CPU that the file records as its
-``environment``; anywhere else the tests skip and name what differs. A
+The digests hold for the numpy, BLAS, BLAS kernels and CPU that the file
+records as its ``environment``; anywhere else the tests skip and name what differs. A
 change that means to move some of these bits rewrites the file with
 
     PYTHONPATH=src python tests/test_outputs.py
@@ -23,6 +23,7 @@ thread count in its own child process.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -36,12 +37,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinset import train as train_mod
 from pinset import verify
 from pinset.cli import main
 from pinset.models import PRESETS, build_model
 from pinset.rng import RngState
-from pinset.tensor import backward, no_grad, softmax_cross_entropy
+from pinset.tensor import backward, softmax_cross_entropy
 from pinset.textio import write_tensor
 
 TESTS = Path(__file__).resolve().parent
@@ -56,15 +56,28 @@ DECOMPOSE_CASES = (("well", (3, 4, 5), 12), ("ill", (2,) * 6, 32))
 
 
 def environment() -> dict:
-    """What the pinned bits depend on besides pinset: numpy, its BLAS and
-    the CPU whose kernels that BLAS picks."""
+    """What the pinned bits depend on besides pinset: numpy, its BLAS, the
+    kernels that BLAS picks at run time and the CPU it picks them for."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
+        "blas_core": _blas_core(),
         "machine": platform.machine(),
         "cpu": _cpu_model(),
     }
+
+
+def _blas_core() -> str | None:
+    """The OpenBLAS core whose kernels run, as ``scipy_openblas_get_corename64_()``
+    of numpy's bundled ``libscipy_openblas64_`` names it (``numpy.show_config()``
+    gives only the build's configured target); None without that library.
+    The symbol is not global, so the library is opened by its path."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def _cpu_model() -> str:
@@ -112,8 +125,7 @@ def train_step_arrays(preset: str, batch: int = BATCH, set_size: int = SET_SIZE)
     return arrays
 
 
-@no_grad()
-def eval_chunk_logits(preset: str, batch: int = BATCH, set_size: int = SET_SIZE) -> np.ndarray:
+def blocked_eval_logits(preset: str, batch: int = BATCH, set_size: int = SET_SIZE) -> np.ndarray:
     """The eval logits of one chunk of seeded sets, its elements run in
     two blocks, by a fresh ``preset`` model with seeded running statistics
     (so that every batchnorm fold moves its layer)."""
@@ -124,11 +136,7 @@ def eval_chunk_logits(preset: str, batch: int = BATCH, set_size: int = SET_SIZE)
         state.mean = gen.uniform(-0.5, 0.5, size=state.mean.shape)
         state.var = gen.uniform(0.5, 2.0, size=state.var.shape)
     sets = gen.uniform(-1, 1, size=(batch, set_size, cfg.input_width))
-    block_rows, train_mod.EVAL_BLOCK_ROWS = train_mod.EVAL_BLOCK_ROWS, batch // 2 * set_size
-    try:
-        return train_mod._chunk_logits(model, sets).data
-    finally:
-        train_mod.EVAL_BLOCK_ROWS = block_rows
+    return model.eval_logits(sets, batch // 2 * set_size).data
 
 
 def verify_report_digest(seed: int) -> str:
@@ -177,7 +185,7 @@ def compute_all(out_dir) -> dict:
     digests.update(decompose_digests(out_dir))
     for preset in sorted(PRESETS):
         digests[f"train_step.{preset}"] = _joined_digest(train_step_arrays(preset))
-        digests[f"eval_chunk.{preset}"] = _joined_digest({"logits": eval_chunk_logits(preset)})
+        digests[f"eval_chunk.{preset}"] = _joined_digest({"logits": blocked_eval_logits(preset)})
     return digests
 
 
@@ -230,7 +238,7 @@ def test_train_step(pinned, preset):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_eval_chunk(pinned, preset):
-    _check(pinned, f"eval_chunk.{preset}", _joined_digest({"logits": eval_chunk_logits(preset)}))
+    _check(pinned, f"eval_chunk.{preset}", _joined_digest({"logits": blocked_eval_logits(preset)}))
 
 
 # the outputs checked across OpenBLAS thread counts, each as the digests
@@ -239,8 +247,8 @@ def test_eval_chunk(pinned, preset):
 THREAD_CASES = {
     "train_step.pixel-l": lambda: array_digests(train_step_arrays("pixel-l", 32, 196)),
     "train_step.pixel-s": lambda: array_digests(train_step_arrays("pixel-s", 32, 196)),
-    "eval_chunk.pixel-l": lambda: array_digests({"logits": eval_chunk_logits("pixel-l", 32, 196)}),
-    "eval_chunk.pixel-s": lambda: array_digests({"logits": eval_chunk_logits("pixel-s", 32, 196)}),
+    "eval_chunk.pixel-l": lambda: array_digests({"logits": blocked_eval_logits("pixel-l", 32, 196)}),
+    "eval_chunk.pixel-s": lambda: array_digests({"logits": blocked_eval_logits("pixel-s", 32, 196)}),
     "verify_report.seed0": lambda: {"report": verify_report_digest(0)},
 }
 

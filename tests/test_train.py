@@ -379,10 +379,13 @@ class TestEvaluate:
         model = build_model(quadrant_config(), RngState(32))
         train(model, train_b, test_b, TrainConfig(epochs=1), RngState(33))
         taped = _count_tape_nodes(monkeypatch)
-        # the same function without its no_grad decorator records a tape
-        recording = getattr(evaluate, "__wrapped__", evaluate)(model, test_b, chunk=16)
+        # the same evaluate records a tape once eval_logits loses its no_grad decorator
+        eval_logits = models_mod.Model.eval_logits
+        monkeypatch.setattr(models_mod.Model, "eval_logits", eval_logits.__wrapped__)
+        recording = evaluate(model, test_b, chunk=16)
         assert len(taped) > 0
         del taped[:]
+        monkeypatch.setattr(models_mod.Model, "eval_logits", eval_logits)
         assert evaluate(model, test_b, chunk=16) == recording
         assert len(taped) == 0, f"evaluate recorded {len(taped)} tape nodes"
 
@@ -435,8 +438,10 @@ class TestEvaluate:
 
     def test_perfect_oracle_stub(self):
         class Oracle:
-            # evaluate reads the features of each block, and the head on them
+            # evaluate runs the model's eval_logits, which reads the
+            # features of each block, and the head on them
             head = None
+            eval_logits = models_mod.Model.eval_logits
 
             class config:
                 class_count = 4
@@ -524,7 +529,7 @@ class TestBlockedEvaluate:
             sets = batch.sets[start : start + chunk]
             assert sets.shape[0] * 196 > train_mod.EVAL_BLOCK_ROWS
             with tensor_mod.no_grad():
-                blocked = train_mod._chunk_logits(model, sets).data
+                blocked = model.eval_logits(sets, train_mod.EVAL_BLOCK_ROWS).data
                 whole = model.forward(sets, "eval").data
             np.testing.assert_array_equal(blocked, whole)
         taped = _count_tape_nodes(monkeypatch)

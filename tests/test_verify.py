@@ -6,30 +6,42 @@ import pytest
 
 from pinset import decomp, verify
 from pinset.blocks import aggregate, per_element_contribution
-from pinset.models import Model, build_model, pixel_s_config
+from pinset.models import Model
 from pinset.rng import RngState
 from pinset.tensor import Tensor, no_grad
 
 SEEDS = (0, 4242)
 
 
-@no_grad()
-def test_logits_trials_match_one_set_forwards():
+def test_logits_trials_match_one_set_forwards(monkeypatch):
+    calls = []
+    eval_logits = Model.eval_logits
+
+    def recording(self, sets, block_rows):
+        logits = eval_logits(self, sets, block_rows)
+        calls.append((self, sets, block_rows, logits.data))
+        return logits
+
+    monkeypatch.setattr(Model, "eval_logits", recording)
+    assert verify.run_invariance(0).passed
+    group = verify.LOGITS_GROUP
+    assert len(calls) == 100 // group
     root = RngState(0).child("invariance")
-    model = build_model(pixel_s_config(), root.child("model"))
-    for start in range(0, 5 * verify.LOGITS_GROUP, verify.LOGITS_GROUP):
-        group = range(start, start + verify.LOGITS_GROUP)
-        features, logits = verify._logits_group(model, root, group)
-        assert features.shape[0] == logits.shape[0] == 2 * len(group)
-        for j, i in enumerate(group):
-            gen = root.child("logits", i).generator()
-            x = gen.uniform(-1.0, 1.0, size=(784, 3))
-            perm = gen.permutation(784)
-            for row, s in zip((2 * j, 2 * j + 1), (x, x[perm])):
-                assert np.array_equal(features[row], model.features(s[None], "eval").data[0])
-                # the head's GEMM over the group's rows may round other last bits
-                ref = model.forward(s[None], "eval").data[0]
-                assert np.max(np.abs(logits[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    with no_grad():
+        for k, (model, sets, block_rows, logits) in enumerate(calls):
+            assert sets.shape == (2 * group, 784, 3) and block_rows == 784
+            features = []
+            for j in range(group):
+                gen = root.child("logits", k * group + j).generator()
+                x = gen.uniform(-1.0, 1.0, size=(784, 3))
+                perm = gen.permutation(784)
+                for row, s in zip((2 * j, 2 * j + 1), (x, x[perm])):
+                    assert np.array_equal(sets[row], s)
+                    features.append(model.features(s[None], "eval").data[0])
+                    # the head's GEMM over the group's rows may round other last bits
+                    ref = model.forward(s[None], "eval").data[0]
+                    assert np.max(np.abs(logits[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(logits, model.head.forward(Tensor(np.stack(features)), "eval").data)
 
 
 def test_logits_invariance_catches_order_dependent_features(monkeypatch):
