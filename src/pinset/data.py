@@ -9,6 +9,7 @@ once.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -53,53 +54,51 @@ def _read_u32(f, what: str, path) -> int:
     return struct.unpack(">I", _read_exact(f, 4, what, path))[0]
 
 
+# each IDX file kind: its magic, and the names of its magic, of its
+# header's u32 extents and of its uint8 payload
+_IMAGE_FILE = (IMAGE_MAGIC, "image magic", ("image count", "row count", "column count"), "pixel data")
+_LABEL_FILE = (LABEL_MAGIC, "label magic", ("label count",), "label data")
+
+
+def _read_idx(path, magic: int, magic_name: str, extents: tuple[str, ...], payload: str) -> np.ndarray:
+    """One IDX file's uint8 payload, shaped by its header's extents, after
+    a check of its magic."""
+    with open(path, "rb") as f:
+        found = _read_u32(f, magic_name, path)
+        if found != magic:
+            raise IdxFormatError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        shape = [_read_u32(f, name, path) for name in extents]
+        return np.frombuffer(_read_exact(f, math.prod(shape), payload, path), dtype=np.uint8).reshape(shape)
+
+
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Parse big-endian IDX image/label files into uint8 arrays.
 
     Validates magic numbers, declared sizes against actual payload, and
     that both files carry the same number of items.
     """
-    with open(images_path, "rb") as f:
-        magic = _read_u32(f, "image magic", images_path)
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
-            )
-        count = _read_u32(f, "image count", images_path)
-        rows = _read_u32(f, "row count", images_path)
-        cols = _read_u32(f, "column count", images_path)
-        payload = _read_exact(f, count * rows * cols, "pixel data", images_path)
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_u32(f, "label magic", labels_path)
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
-            )
-        label_count = _read_u32(f, "label count", labels_path)
-        labels = np.frombuffer(
-            _read_exact(f, label_count, "label data", labels_path), dtype=np.uint8
-        )
-
-    if count != label_count:
+    images = _read_idx(images_path, *_IMAGE_FILE)
+    labels = _read_idx(labels_path, *_LABEL_FILE)
+    if len(images) != len(labels):
         raise IdxCountMismatchError(
-            f"{count} images in {images_path} but {label_count} labels in {labels_path}"
+            f"{len(images)} images in {images_path} but {len(labels)} labels in {labels_path}"
         )
     return images, labels
 
 
+def _write_idx(path, array, magic: int, magic_name: str, extents: tuple[str, ...], payload: str) -> None:
+    array = np.asarray(array, dtype=np.uint8)
+    if array.ndim != len(extents):
+        raise ValueError(f"{payload} needs {len(extents)} axes ({', '.join(extents)}), got shape {array.shape}")
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        f.write(array.tobytes())
+
+
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
     """Write uint8 images/labels back out in IDX format (fixtures, exports)."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, count, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+    _write_idx(images_path, images, *_IMAGE_FILE)
+    _write_idx(labels_path, labels, *_LABEL_FILE)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import os
 import secrets
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,6 +89,8 @@ CONFIG_KEYS = {
     "train.checkpoint_every": "checkpoint_every",
 }
 _KEY_OF = {name: key for key, name in CONFIG_KEYS.items()}
+# the OptimizerState field of each optimizer.* key a checkpoint stores
+_OPTIMIZER_KEYS = {key: name for key, name in CONFIG_KEYS.items() if key.startswith("optimizer.")}
 
 
 @dataclass
@@ -134,8 +136,10 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """The SGD hyperparameters a run trains with, defaults from
-    :class:`TrainConfig`, and the per-parameter momentum buffers."""
+    """The SGD hyperparameters a step trains with, defaults from
+    :class:`TrainConfig`, and the per-parameter momentum buffers. A run's
+    state, the one its checkpoints store, holds the base ``lr`` that
+    :meth:`TrainConfig.lr_at` schedules."""
 
     momentum: float = TrainConfig.momentum
     weight_decay: float = TrainConfig.weight_decay
@@ -225,7 +229,8 @@ def train(
     history: list[dict] = []
 
     for epoch in range(cfg.epochs):
-        state.lr = cfg.lr_at(epoch)
+        # the epoch's scheduled rate, on the run's momentum buffers
+        step_state = replace(state, lr=cfg.lr_at(epoch))
         t0 = time.perf_counter()
         order = rng.child("shuffle", epoch).generator().permutation(train_batch.size)
         dropout_gen = rng.child("dropout", epoch).generator()
@@ -243,7 +248,7 @@ def train(
             if not np.isfinite(value):
                 raise DivergenceError(epoch, bi, value)
             grad_map = backward(loss, param_list)
-            sgd_step(params, {name: grad_map[p] for name, p in params.items()}, state)
+            sgd_step(params, {name: grad_map[p] for name, p in params.items()}, step_state)
             loss_sum += value * idx.size
             hit += int((logits.data.argmax(axis=1) == labels).sum())
             seen += idx.size
@@ -257,7 +262,7 @@ def train(
                 "loss": loss_sum / seen,
                 "accuracy": hit / seen,
                 "error_rate": 1.0 - hit / seen,
-                "lr": state.lr,
+                "lr": step_state.lr,
                 "wall_seconds": train_time,
             }
         )
@@ -273,7 +278,7 @@ def train(
                 "loss": metrics["loss"],
                 "accuracy": metrics["accuracy"],
                 "error_rate": metrics["error_rate"],
-                "lr": state.lr,
+                "lr": step_state.lr,
                 "wall_seconds": time.perf_counter() - t1,
             }
         )
@@ -376,9 +381,7 @@ def save_checkpoint(
     if rng is not None:
         meta["train.seed"] = str(rng.seed)
     if optimizer is not None:
-        meta["optimizer.momentum"] = repr(optimizer.momentum)
-        meta["optimizer.weight_decay"] = repr(optimizer.weight_decay)
-        meta["optimizer.lr"] = repr(optimizer.lr)
+        meta.update({key: repr(getattr(optimizer, name)) for key, name in _OPTIMIZER_KEYS.items()})
     meta_text = "".join(f"{k} = {v}\n" for k, v in sorted(meta.items()))
 
     buf = io.BytesIO()
@@ -476,7 +479,7 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
             raise CheckpointError(f"{path}: metadata key {key} appears twice")
         meta[key] = value
     # the model.* keys are checked by config_from_flat
-    run_keys = {"train.epoch", "train.seed", "optimizer.momentum", "optimizer.weight_decay", "optimizer.lr"}
+    run_keys = {"train.epoch", "train.seed", *_OPTIMIZER_KEYS}
     unread = sorted(key for key in meta.keys() - run_keys if not key.startswith("model."))
     if unread:
         raise CheckpointError(f"{path}: unknown metadata key {unread[0]}")
@@ -496,9 +499,9 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         config = models_mod.config_from_flat(meta)
         rng = RngState(int(meta.get("train.seed", "0")))
         optimizer = OptimizerState()
-        for key in ("momentum", "weight_decay", "lr"):
-            if f"optimizer.{key}" in meta:
-                setattr(optimizer, key, float(meta[f"optimizer.{key}"]))
+        for key, name in _OPTIMIZER_KEYS.items():
+            if key in meta:
+                setattr(optimizer, name, float(meta[key]))
         epoch = int(meta.get("train.epoch", "0"))
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None

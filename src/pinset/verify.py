@@ -13,7 +13,6 @@ Suites are deterministic given the master seed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import warnings
@@ -21,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import decomp, kernels
+from . import decomp
 from .blocks import (
     ACTIVATION_KINDS,
     AggregationBlock,
@@ -75,11 +74,6 @@ class SuiteResult:
         return {"suite": self.suite, "seed": self.seed, "passed": self.passed, "properties": properties}
 
 
-def _worse(worst: float, value: float) -> float:
-    """The larger of two values, NaN once either is NaN."""
-    return value if np.isnan(value) or value > worst else worst
-
-
 def _holds(name: str, oks: list, detail: str, worst: float | None = None) -> PropertyResult:
     """A property with one trial per entry of ``oks``, which fails unless
     its entry is true; ``worst`` is reported as given."""
@@ -89,7 +83,7 @@ def _holds(name: str, oks: list, detail: str, worst: float | None = None) -> Pro
 def _within_tolerance(name: str, values: list[float], tol: float, detail: str) -> PropertyResult:
     """A property whose trial fails unless its value is at most ``tol``;
     the worst trial is the largest value, or NaN if any is NaN."""
-    return _holds(name, [v <= tol for v in values], detail, functools.reduce(_worse, values))  # NaN fails
+    return _holds(name, [v <= tol for v in values], detail, float(np.max(values)))  # NaN fails
 
 
 def relative_error(a, b) -> float:
@@ -206,7 +200,7 @@ def run_mdd(seed: int) -> SuiteResult:
         for _ in range(lambdas):
             lam = gen.standard_normal((l - m, n))
             c = decomp.sample_solution(sol, lam)
-            worst_resid = _worse(worst_resid, np.linalg.norm(b @ c - a) / denom)
+            worst_resid = np.maximum(worst_resid, np.linalg.norm(b @ c - a) / denom)
         kernel_ok = sol.kernel_basis.shape == (l, l - m)
         annihilation = float(np.max(np.abs(b @ sol.kernel_basis))) if l > m else 0.0
         gram = sol.kernel_basis.T @ sol.kernel_basis
@@ -258,37 +252,40 @@ def enumerate_dims() -> list[tuple[int, ...]]:
 
 def run_cp(seed: int) -> SuiteResult:
     """Reconstruction at the cardinality bound over every dims tuple with
-    product <= 64, rejection one below the bound, and full flattened rank."""
+    product <= 64, rejection one below the bound, and full flattened rank.
+
+    The flattened factor matrix is, transposed, the system that the
+    decomposition at the bound has just solved: it has full column rank
+    when the condition number from that solve's own SVD is below
+    ``1 / tol``, the verdict :func:`decomp.numeric_rank` at ``tol`` gives
+    on it for every tuple here."""
     root = RngState(seed).child("cp")
     dims_list = enumerate_dims()
 
     errors, rejected, full_rank = [], [], []
     for dims in dims_list:
-        lead = sorted(dims)[:-1]
-        bound = int(np.prod(lead))
+        bound = int(np.prod(sorted(dims)[:-1]))
         gen = root.child("tensor", *dims).generator()
         t = gen.uniform(-1.0, 1.0, size=dims)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", decomp.ConditioningWarning)
-            errors.append(decomp.cp_decompose(t, bound).rel_residual)
+            factors = decomp.cp_decompose(t, bound)
             try:
                 decomp.cp_decompose(t, bound - 1)
                 rejected.append(False)
             except decomp.CardinalityError:
                 rejected.append(True)
-
-        # flattened Vandermonde rank (a one-axis tensor's is a column of
-        # ones); conditions of real-node Vandermonde matrices force the
-        # tighter tolerance beyond 16 columns
-        flat = kernels._khatri_rao(decomp.vandermonde_factors(lead, bound), bound)
-        full_rank.append(decomp.numeric_rank(flat, decomp.RANK_TOL if bound <= 16 else 1e-13) == bound)
+        errors.append(factors.rel_residual)
+        # conditions of real-node Vandermonde matrices force the tighter
+        # tolerance beyond 16 columns
+        full_rank.append(factors.condition < 1 / (decomp.RANK_TOL if bound <= 16 else 1e-13))
 
     properties = [
         _holds(
             "reconstruction_at_bound",
             [err < 1e-6 for err in errors],
             "relative Frobenius reconstruction error with N at the cardinality bound, tolerance 1e-6",
-            functools.reduce(_worse, errors),
+            float(np.max(errors)),
         ),
         _holds("below_bound_rejected", rejected, "N one below the bound raises the cardinality error"),
         _holds("flattened_rank", full_rank, "flattened factor matrix reaches full column rank"),
@@ -328,7 +325,7 @@ def run_rankstab(seed: int) -> SuiteResult:
     rows = [deficient(i) for i in range(deficient_trials)]
     norms = [r[1] for r in rows]
     fracs = [stable(i) for i in range(stable_trials)]
-    largest = functools.reduce(_worse, norms)
+    largest = float(np.max(norms))
     properties = [
         _holds(
             "perturb_reaches_full_rank",
@@ -354,23 +351,26 @@ def run_rankstab(seed: int) -> SuiteResult:
 
 
 def _draw_gradcheck_batch(model, root: RngState, index: int, margin: float):
-    """Seeded batch whose loss is differentiable with margin: every relu
-    pre-activation stays at least ``margin`` from the kink (finite
-    differences are meaningless astride it). Deterministic rejection.
-    Returns the sets, labels and train-mode logits of the accepted batch."""
+    """Seeded batch for a model with a head whose loss is differentiable
+    with margin: every relu pre-activation stays at least ``margin`` from
+    the kink (finite differences are meaningless astride it).
+    Deterministic rejection. Returns the sets and labels of the accepted
+    batch, and its train-mode features and the head's logits on them, both
+    on the tape: the ops of ``Model.forward``."""
     for attempt in range(64):
         gen = root.child("batch", index, attempt).generator()
         sets = gen.uniform(-1.0, 1.0, size=(4, 12, model.config.input_width))
         labels = gen.integers(0, model.config.class_count, size=4)
-        logits = model.forward(sets, "train")
+        feature = model.features(sets, "train")
+        logits = model.head.forward(feature, "train")
         smallest = min((float(np.min(np.abs(a))) for a in relu_inputs(logits)), default=np.inf)
         if smallest > margin:
-            return sets, labels, logits
+            return sets, labels, feature, logits
     raise RuntimeError("could not draw a batch clear of activation kinks")
 
 
 def _directional_probe(
-    model, sets, labels, gradients: dict, state: RngState, h: float
+    model, sets, labels, feature: Tensor, gradients: dict, state: RngState, h: float
 ) -> list[tuple[float, float]]:
     """Each parameter's analytic gradient ``g`` along a seeded Gaussian
     direction ``v``, against the central difference ``D_v`` of the
@@ -380,21 +380,18 @@ def _directional_probe(
     ``D_v`` is :func:`finite_difference_gradient` of a one-element ``t``:
     each loss runs under ``no_grad`` with the tensor's ``.data`` bound to
     ``own + t[0] * v``, and the tensor gets its own array back afterwards.
-    For a ``head.*`` tensor the loss runs only the head, on the batch's
-    train-mode features computed once per call: those are the ops
-    ``Model.forward`` runs after ``Model.features``, which do not read the
-    head. Every other loss runs one whole ``Model.forward``. The forwards
-    move the running statistics, which no train-mode forward reads.
+    For a ``head.*`` tensor the loss runs only the head, on ``feature``,
+    the batch's train-mode features from :func:`_draw_gradcheck_batch`:
+    those are the ops ``Model.forward`` runs after ``Model.features``,
+    which do not read the head. Every other loss runs one whole
+    ``Model.forward``. The forwards move the running statistics, which no
+    train-mode forward reads.
 
     Returns, per tensor, the guarded relative error of ``<g, v>`` against
     ``D_v``, and ``|<g, v> - D_v|`` as a ratio of the bound ``1e-8 *
     sqrt(|v|) + 1e-6 * sum|g_i v_i|``: a floor far above the difference's
     own error, and a slope that a 1e-3 scale error of a tensor with a real
     gradient exceeds unless ``<g, v>`` cancels."""
-
-    if model.head is not None:
-        with no_grad():
-            feature = model.features(sets, "train")
 
     def loss_along(p: Tensor, v: np.ndarray, head_only: bool):
         own = p.data
@@ -434,9 +431,9 @@ def run_gradcheck(seed: int) -> SuiteResult:
 
     rows = []
     for bi in range(batches):
-        sets, labels, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
+        sets, labels, feature, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * step)
         grad_map = backward(softmax_cross_entropy(logits, labels), list(params.values()))
-        rows += _directional_probe(model, sets, labels, grad_map, root.child("direction", bi), step)
+        rows += _directional_probe(model, sets, labels, feature, grad_map, root.child("direction", bi), step)
     properties = [
         _within_tolerance(
             "parameter_gradients_match_fd",

@@ -384,11 +384,6 @@ class TestOverlongFileName:
 
     NAME = "n" * 300
 
-    def test_out_is_refused_before_any_work(self, tmp_path, capsys):
-        assert main(["verify", "--suite", "collapse", "--out", str(tmp_path / self.NAME / "run")]) == 1
-        assert re.fullmatch(r"config error: --out: a name of 300 bytes in \S+ exceeds \d+", _one_config_error(capsys))
-        assert capsys.readouterr().out == ""
-
     def test_decompose_input_exits_2(self, tmp_path, capsys):
         argv = ["decompose", "--input", str(tmp_path / self.NAME), "--components", "2", "--out", str(tmp_path)]
         assert main(argv) == 2
@@ -698,6 +693,61 @@ def test_idx_fault_is_one_data_error(images, labels, pattern, tmp_path, capsys):
     assert not out.exists()
 
 
+def _beyond_path_max(tmp_path) -> str:
+    # every name fits the file system, the whole path does not
+    return os.path.join(tmp_path, *["d" * 250] * (os.pathconf(tmp_path, "PC_PATH_MAX") // 250 + 1))
+
+
+@pytest.mark.parametrize(
+    "out, code, pattern",
+    [
+        ("file", 1, r"config error: --out \S+/file: \S+/file exists and is not a directory"),
+        ("file/run", 1, r"config error: --out \S+/file/run: \S+/file exists and is not a directory"),
+        ("n" * 300 + "/run", 1, r"config error: --out: a name of 300 bytes in \S+ exceeds \d+"),
+        # a directory cannot be made through a symlink to nowhere
+        ("dangling/run", 2, r"data error: \[Errno 2\] No such file or directory: '\S+/dangling/run'"),
+        (_beyond_path_max, 2, r"data error: \[Errno 36\] File name too long: '\S+'"),
+    ],
+    ids=["regular-file", "under-a-regular-file", "name-over-name-max", "dangling-symlink", "path-over-path-max"],
+)
+def test_out_fault_is_one_error(out, code, pattern, tmp_path, capsys):
+    # a path under /proc would fail as a directory that cannot be made
+    # too, but a test has no business writing there; and as root a
+    # mode-0500 directory stays writable
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing" / "x")
+    path = out(tmp_path) if callable(out) else str(tmp_path / out)
+    assert main(["verify", "--suite", "collapse", "--out", path]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and re.fullmatch(pattern, lines[0]), captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "shape, components, line",
+    [
+        # 0 is a count, not a missing one: it gets the error that -1 gets
+        ((2, 3), "0", "error: decomposition requires N >= 2 set elements, got 0"),
+        ((2, 3), "-1", "error: decomposition requires N >= 2 set elements, got -1"),
+        ((2, 3), "1.5", "config error: pinset decompose: argument --components: invalid int value: '1.5'"),
+        ((2, 3), "two", "config error: pinset decompose: argument --components: invalid int value: 'two'"),
+        ((4, 4), "3", "error: decomposition requires N >= 4 set elements, got 3"),
+        ((2, 3), "7", "error: at most 6 components (the tensor's entry count) are allowed, got 7"),
+        ((2, 3), str(2**63), f"error: at most 6 components (the tensor's entry count) are allowed, got {2**63}"),
+        ((2, 3), str(-(2**64)), f"error: decomposition requires N >= 2 set elements, got {-(2**64)}"),
+    ],
+    ids=["zero", "negative", "fraction", "word", "below-bound", "above-entry-count", "above-int64", "below-int64"],
+)
+def test_components_fault_is_one_error(shape, components, line, tmp_path, capsys):
+    src, out = tmp_path / "t.txt", tmp_path / "out"
+    write_tensor(src, np.ones(shape))
+    assert main(["decompose", "--input", str(src), "--components", components, "--out", str(out)]) == 1
+    assert _one_error_line(capsys, "") == line
+    assert not out.exists()
+
+
 class TestEvalReadsOnlyWhatItUses:
     def test_quadrant_eval_draws_no_training_set_and_needs_no_model_keys(self, tmp_path, monkeypatch, capsys):
         ckpt = tmp_path / "quadrant.dmpp"
@@ -915,24 +965,6 @@ class TestDecomposeCommand:
         for i in range(2):
             recon += np.outer(factors[0][i], factors[1][i])
         np.testing.assert_allclose(recon, t, rtol=0, atol=1e-6)
-
-    def test_below_bound_exits_1_with_minimum(self, tmp_path, capsys):
-        t = np.ones((4, 4))
-        src = tmp_path / "t.txt"
-        write_tensor(src, t)
-        code = main(["decompose", "--input", str(src), "--components", "3", "--out", str(tmp_path)])
-        assert code == 1
-        assert "N >= 4" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("components", ["0", "-1"])
-    def test_count_below_one_is_one_cardinality_error(self, components, tmp_path, capsys):
-        # 0 is a count, not a missing one: it gets the error that -1 gets
-        src = tmp_path / "t.txt"
-        write_tensor(src, np.ones((2, 3)))
-        code = main(["decompose", "--input", str(src), "--components", components, "--out", str(tmp_path)])
-        assert code == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == [f"error: decomposition requires N >= 2 set elements, got {components}"]
 
     def test_rank_deficient_system_exits_1_with_rank(self, tmp_path, capsys):
         src = tmp_path / "t.txt"

@@ -27,6 +27,7 @@ from pinset import verify
 from pinset.blocks import Mlp, MlpSpec, aggregate_order_n
 from pinset.models import (
     AggregationSpec,
+    Model,
     ModelConfig,
     _twin_aggregation,
     build_model,
@@ -498,15 +499,18 @@ def test_broadcast_model_gradients(index):
     model = build_model(_broadcast_config(), RngState(90))
     params = model.parameters()
     assert {"bc0.w_x", "bc0.w_y", "bc0.bias", "bc0.bn_gamma", "bc0.bn_beta"} <= set(params)
-    sets, labels, _ = _draw_gradcheck_batch(model, RngState(91), index, margin=10 * H)
+    sets, labels, _, _ = _draw_gradcheck_batch(model, RngState(91), index, margin=10 * H)
     _check_parameters(params, lambda: softmax_cross_entropy(model.forward(sets, "train"), labels))
 
 
 def _batch_0():
+    """Verify's gradcheck model and its first batch, with the batch's
+    features and the gradients of its loss."""
     root = RngState(0).child("gradcheck")
     model = build_model(gradcheck_config(), root.child("model"))
-    sets, labels, _ = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
-    return model, sets, labels
+    sets, labels, feature, logits = _draw_gradcheck_batch(model, root, 0, margin=10 * H)
+    grads = backward(softmax_cross_entropy(logits, labels), list(model.parameters().values()))
+    return model, sets, labels, feature, grads
 
 
 def test_gradcheck_runs_one_directional_probe_per_tensor_and_batch(monkeypatch):
@@ -522,6 +526,29 @@ def test_gradcheck_runs_one_directional_probe_per_tensor_and_batch(monkeypatch):
     monkeypatch.setattr(verify, "finite_difference_gradient", counting)
     verify.run_gradcheck(0)
     assert sizes == [1] * 180
+
+
+def test_gradcheck_runs_the_features_once_per_attempt_and_non_head_loss(monkeypatch):
+    # each drawn batch's taped forward gives the head probes their
+    # features; only the 12 non-head tensors' two losses rerun them
+    calls = {"features": 0, "attempts": 0}
+    features, relus = Model.features, verify.relu_inputs
+
+    def counting_features(self, *args, **kwargs):
+        calls["features"] += 1
+        return features(self, *args, **kwargs)
+
+    def counting_attempts(out):
+        calls["attempts"] += 1
+        return relus(out)
+
+    monkeypatch.setattr(Model, "features", counting_features)
+    monkeypatch.setattr(verify, "relu_inputs", counting_attempts)
+    assert verify.run_gradcheck(0).passed
+    params = build_model(gradcheck_config(), RngState(0)).parameters()
+    non_head = sum(not name.startswith("head.") for name in params)
+    assert non_head == 12 and calls["attempts"] >= 10
+    assert calls["features"] == calls["attempts"] + 2 * non_head * 10
 
 
 def test_gradcheck_puts_every_parameter_array_back(monkeypatch):
@@ -560,9 +587,8 @@ def test_gradcheck_passes_at_other_seeds(seed):
 
 
 def test_a_probe_puts_the_array_back_when_the_forward_raises(monkeypatch):
-    model, sets, labels = _batch_0()
+    model, sets, labels, feature, grads = _batch_0()
     params = list(model.parameters().values())
-    grads = backward(softmax_cross_entropy(model.forward(sets, "train"), labels), params)
     own = [p.data for p in params]
 
     def failing(*args, **kwargs):
@@ -570,17 +596,17 @@ def test_a_probe_puts_the_array_back_when_the_forward_raises(monkeypatch):
 
     monkeypatch.setattr(verify, "softmax_cross_entropy", failing)
     with pytest.raises(RuntimeError, match="forward failed"):
-        verify._directional_probe(model, sets, labels, grads, RngState(0), H)
+        verify._directional_probe(model, sets, labels, feature, grads, RngState(0), H)
     for p, data in zip(params, own):
         assert p.data is data
 
 
 def test_head_probe_losses_equal_full_forward_losses(monkeypatch):
-    # a head tensor's probe runs only the head on the batch's features;
-    # along its direction each loss has the bits of a whole forward's
-    model, sets, labels = _batch_0()
+    # a head tensor's probe runs only the head on the batch's taped
+    # features; along its direction each loss has the bits of a whole
+    # forward's
+    model, sets, labels, feature, grads = _batch_0()
     params = model.parameters()
-    grads = backward(softmax_cross_entropy(model.forward(sets, "train"), labels), list(params.values()))
     state = RngState(7)
     steps = (-1e-3, -H, 0.0, 0.25)
     losses = []
@@ -590,7 +616,7 @@ def test_head_probe_losses_equal_full_forward_losses(monkeypatch):
         return np.zeros(1)
 
     monkeypatch.setattr(verify, "finite_difference_gradient", recording)
-    verify._directional_probe(model, sets, labels, grads, state, H)
+    verify._directional_probe(model, sets, labels, feature, grads, state, H)
     head = [name for name in params if name.startswith("head.")]
     assert len(head) == 6 and len(losses) == len(params)
     for name, probed in zip(params, losses):
@@ -631,11 +657,11 @@ def _broadcast_probe_ratios(seed: int, corrupt=None) -> dict:
     params = model.parameters()
     ratios = {name: [] for name in params}
     for bi in range(3):
-        sets, labels, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * H)
+        sets, labels, feature, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * H)
         grads = backward(softmax_cross_entropy(logits, labels), list(params.values()))
         if corrupt is not None:
             grads = {p: corrupt(name, grads[p]) for name, p in params.items()}
-        rows = verify._directional_probe(model, sets, labels, grads, root.child("direction", bi), H)
+        rows = verify._directional_probe(model, sets, labels, feature, grads, root.child("direction", bi), H)
         for name, (_, ratio) in zip(params, rows):
             ratios[name].append(ratio)
     return ratios
@@ -687,7 +713,7 @@ def _tensors_with_real_gradients() -> list[str]:
     params = model.parameters()
     largest = dict.fromkeys(params, 0.0)
     for bi in range(10):
-        sets, labels, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * H)
+        _, labels, _, logits = _draw_gradcheck_batch(model, root, bi, margin=10 * H)
         grads = backward(softmax_cross_entropy(logits, labels), list(params.values()))
         for name, p in params.items():
             largest[name] = max(largest[name], float(np.max(np.abs(grads[p]))))
@@ -731,11 +757,11 @@ def test_gradcheck_suite_catches_one_wrong_gradient(monkeypatch, target):
     along = []
     probe = verify._directional_probe
 
-    def recording(model, sets, labels, gradients, state, h):
+    def recording(model, sets, labels, feature, gradients, state, h):
         p = model.parameters()[target]
         v = state.child(target).generator().standard_normal(p.data.shape)
         along.append(abs(float((gradients[p] * v).sum())))
-        return probe(model, sets, labels, gradients, state, h)
+        return probe(model, sets, labels, feature, gradients, state, h)
 
     monkeypatch.setattr(verify, "_directional_probe", recording)
     prop = verify.run_gradcheck(0).properties[0]

@@ -270,6 +270,19 @@ class TestTrainLoop:
         b = evaluate(restored, test_b)
         assert a == b
 
+    def test_checkpoint_stores_the_base_rate_the_schedule_drops(self, tmp_path):
+        # the metrics show each epoch's rate; every checkpoint's
+        # optimizer.lr is the run config's, which TrainConfig.lr_at schedules
+        train_b, test_b = _tiny_task()
+        model = build_model(quadrant_config(), RngState(8))
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=0.01, lr_drop_epoch=1, checkpoint_every=1)
+        history = train(model, train_b, test_b, cfg, RngState(9), out_dir=str(tmp_path))
+        assert [row["lr"] for row in history] == [cfg.lr_at(e) for e in (0, 0, 1, 1, 2, 2)]
+        assert [row["lr"] for row in history[::2]] == [0.01, 0.001, 0.001]
+        for name in ("checkpoint_epoch1.dmpp", "checkpoint_epoch3.dmpp", "checkpoint.dmpp"):
+            _, optimizer, _, meta = load_checkpoint(tmp_path / name)
+            assert meta["optimizer.lr"] == repr(0.01) and optimizer.lr == cfg.lr, name
+
 
 def _count_tape_nodes(monkeypatch) -> list:
     """Wrap ``tensor._result``; the returned list collects every node that

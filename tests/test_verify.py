@@ -4,7 +4,7 @@ one-set (or one-matrix) computation, and still catch what they test."""
 import numpy as np
 import pytest
 
-from pinset import decomp, verify
+from pinset import decomp, kernels, verify
 from pinset.blocks import aggregate, per_element_contribution
 from pinset.models import Model
 from pinset.rng import RngState
@@ -177,6 +177,43 @@ def _square_systems_get_a_kernel_column(monkeypatch):
     monkeypatch.setattr(decomp, "sample_solution", lambda sol, lam: sol.particular)
 
 
+def test_cp_suite_takes_no_rank_of_its_own(monkeypatch):
+    # the flattened rank is read from the decomposition's own solve
+    calls = []
+    rank = decomp.numeric_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "numeric_rank", counting)
+    assert verify.run_cp(0).passed
+    assert calls == []
+
+
+def test_flattened_rank_is_the_rank_of_the_flattened_vandermonde_matrix(monkeypatch):
+    # reference: the suite once took numeric_rank of the Khatri-Rao product
+    # of the leading factors, at RANK_TOL up to 16 columns and 1e-13 above;
+    # the condition of the system at the bound gives the same verdict
+    conditions = {}
+    decompose = decomp.cp_decompose
+
+    def recording(t, count, nodes=None):
+        factors = decompose(t, count, nodes)
+        conditions[t.shape] = factors.condition
+        return factors
+
+    monkeypatch.setattr(decomp, "cp_decompose", recording)
+    assert verify.run_cp(0).passed
+    assert len(conditions) == len(verify.enumerate_dims()) == 197
+    for dims, condition in conditions.items():
+        lead = sorted(dims)[:-1]
+        bound = int(np.prod(lead))
+        tol = decomp.RANK_TOL if bound <= 16 else 1e-13
+        flat = kernels._khatri_rao(decomp.vandermonde_factors(lead, bound), bound)
+        assert (decomp.numeric_rank(flat, tol) == bound) == (condition < 1 / tol), dims
+
+
 def _odd_systems_solve_to_nan(monkeypatch):
     solve = decomp.mdd_solve
 
@@ -215,8 +252,16 @@ def _matrices_accept_one_below_the_bound(monkeypatch):
 
 
 def _even_flattenings_lose_a_rank(monkeypatch):
-    rank = decomp.numeric_rank
-    monkeypatch.setattr(decomp, "numeric_rank", lambda m, tol=decomp.RANK_TOL: rank(m, tol) - (m.shape[0] % 2 == 0))
+    # a singular system has an infinite condition number
+    decompose = decomp.cp_decompose
+
+    def decompose_singular(t, count, nodes=None):
+        factors = decompose(t, count, nodes)
+        if count % 2 == 0:
+            factors.condition = np.inf
+        return factors
+
+    monkeypatch.setattr(decomp, "cp_decompose", decompose_singular)
 
 
 def _perturbations_overshoot_or_give_up(monkeypatch):
