@@ -447,7 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_out_dir(path: str) -> None:
     """``--out`` must name a directory or a path that can become one, each
-    name that it adds no longer than the directory it goes into allows:
+    name that it adds no longer than the directory it goes into allows, and
+    the path with one more name of that length in it (every file a command
+    writes is one name under ``--out``) no longer than the path limit:
     refused before any work, not when the first file is written."""
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
@@ -458,6 +460,10 @@ def _check_out_dir(path: str) -> None:
     for name in os.path.relpath(os.path.abspath(path), existing).split(os.sep):
         if 0 < name_max < len(os.fsencode(name)):
             raise ConfigError(f"--out: a name of {len(os.fsencode(name))} bytes in {existing} exceeds {name_max}")
+    # the path limit counts the terminating NUL
+    size, path_max = len(os.fsencode(path)), os.pathconf(existing, "PC_PATH_MAX")
+    if 0 < name_max and 0 < path_max <= size + 1 + name_max:
+        raise ConfigError(f"--out: a path of {size} bytes leaves no room for a name of {name_max} bytes in {path_max}")
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:

@@ -2,13 +2,14 @@
 
     out[a_1, ..., a_n] = sum_i  prod_j  F_j[i, a_j]
 
-With KR the row-wise Khatri-Rao product, the output matricized at any split
-k is ``KR(F_1..F_k)^T KR(F_{k+1}..F_n)``, one GEMM; the forward pass takes
-the narrowest split. The gradient for factor j is an MTTKRP (matricized
-tensor times Khatri-Rao product; Kolda & Bader, SIAM Review 2009),
-``grad_j[i, a] = sum_{l, r} P_j[i, l] G[l, a, r] S_j[i, r]``, with prefix
-``P_j = KR(F_1..F_{j-1})`` and suffix ``S_j = KR(F_{j+1}..F_n)`` built once
-per backward pass: the wider meets G in a GEMM, the narrower a per-row sum.
+With KR the row-wise Khatri-Rao product, the output matricized at a split k
+is ``KR(F_1..F_k)^T KR(F_{k+1}..F_n)``, one GEMM; ``_split`` picks the
+narrowest k for both passes. The backward pass is reverse mode through that
+same product (the dimension-tree idea for all-mode MTTKRP; Phan, Tichavsky
+& Cichocki, IEEE TSP 2013): two GEMMs give the gradients of the two
+Khatri-Rao products, ``dKR_L = G KR_R`` and ``dKR_R = G^T KR_L``, and each
+side's chain of Khatri-Rao steps is then walked back, every step becoming
+two per-row contractions, one for each of its operands.
 """
 
 from __future__ import annotations
@@ -50,30 +51,45 @@ def _checked(factors) -> list[np.ndarray]:
     return arrays
 
 
+def _split(widths) -> int:
+    """The split k of both passes: the narrowest pair of Khatri-Rao
+    products; ties go to the later k, so an empty side is the right one."""
+    return min(range(len(widths) + 1), key=lambda k: (math.prod(widths[:k]) + math.prod(widths[k:]), -k))
+
+
 def sum_product_forward(factors) -> np.ndarray:
     """Flat sum-over-rows of entrywise factor products, row-major order."""
     arrays = _checked(factors)
-    widths = [f.shape[1] for f in arrays]
-    # the narrowest split; ties go to the later k
-    k = min(range(len(arrays) + 1), key=lambda k: (math.prod(widths[:k]) + math.prod(widths[k:]), -k))
+    k = _split([f.shape[1] for f in arrays])
     rows = arrays[0].shape[0]
     return (_khatri_rao(arrays[:k], rows).T @ _khatri_rao(arrays[k:], rows)).reshape(-1)
 
 
+def _unwind(cols, chain, d) -> list[np.ndarray]:
+    """Gradients of the transposed factors ``cols`` from ``d``, the gradient
+    of their Khatri-Rao product, given the chain of partial products that
+    built it: each step ``t = t_prev (x) c`` is taken apart, last first."""
+    grads = []
+    for c, prev in zip(cols[:0:-1], chain[-2::-1]):
+        d = d.reshape(prev.shape[0], c.shape[0], -1)
+        grads.append(np.einsum("abi,ai->bi", d, prev))
+        d = np.einsum("abi,bi->ai", d, c)
+    return [d, *grads[::-1]] if cols else []
+
+
 def sum_product_backward(factors, grad_flat) -> list[np.ndarray]:
     """Gradients of ``sum(grad_flat * forward)`` with respect to each factor."""
-    cols = [np.ascontiguousarray(f.T) for f in _checked(factors)]
-    ones = np.ones((1, cols[0].shape[1]))
-    prefixes = [ones, *itertools.accumulate(cols[:-1], _outer_columns)]
-    suffixes = [*itertools.accumulate(cols[:0:-1], lambda s, f: _outer_columns(f, s))][::-1] + [ones]
+    arrays = _checked(factors)
+    widths = [f.shape[1] for f in arrays]
     g = np.asarray(grad_flat, dtype=np.float64).reshape(-1)
-    grads = []
-    for f, p, s in zip(cols, prefixes, suffixes):
-        c, rows = f.shape
-        if p.shape[0] >= s.shape[0]:
-            t = (g.reshape(p.shape[0], -1).T @ p).reshape(c, -1, rows)
-            grads.append(np.ascontiguousarray(np.einsum("ari,ri->ia", t, s)))
-        else:
-            t = (g.reshape(-1, s.shape[0]) @ s).reshape(-1, c, rows)
-            grads.append(np.ascontiguousarray(np.einsum("lai,li->ia", t, p)))
-    return grads
+    if g.size != math.prod(widths):
+        raise ValueError(f"grad_flat has {g.size} entries, expected {math.prod(widths)} for widths {tuple(widths)}")
+    k = _split(widths)
+    cols = [np.ascontiguousarray(f.T) for f in arrays]
+    # an empty side's product is a row of ones
+    ones = [np.ones((1, arrays[0].shape[0]))]
+    left = list(itertools.accumulate(cols[:k], _outer_columns)) or ones
+    right = list(itertools.accumulate(cols[k:], _outer_columns)) or ones
+    g = g.reshape(left[-1].shape[0], right[-1].shape[0])
+    grads = _unwind(cols[:k], left, g @ right[-1]) + _unwind(cols[k:], right, g.T @ left[-1])
+    return [np.ascontiguousarray(d.T) for d in grads]

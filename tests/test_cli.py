@@ -706,7 +706,7 @@ def _beyond_path_max(tmp_path) -> str:
         ("n" * 300 + "/run", 1, r"config error: --out: a name of 300 bytes in \S+ exceeds \d+"),
         # a directory cannot be made through a symlink to nowhere
         ("dangling/run", 2, r"data error: \[Errno 2\] No such file or directory: '\S+/dangling/run'"),
-        (_beyond_path_max, 2, r"data error: \[Errno 36\] File name too long: '\S+'"),
+        (_beyond_path_max, 1, r"config error: --out: a path of \d+ bytes leaves no room for a name of \d+ bytes in \d+"),
     ],
     ids=["regular-file", "under-a-regular-file", "name-over-name-max", "dangling-symlink", "path-over-path-max"],
 )
@@ -723,6 +723,22 @@ def test_out_fault_is_one_error(out, code, pattern, tmp_path, capsys):
     assert len(lines) == 1 and re.fullmatch(pattern, lines[0]), captured.err
     assert captured.out == ""
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / ("d" * 250)).exists()
+
+
+def test_out_path_limit_leaves_room_for_one_name(tmp_path, capsys):
+    # the longest --out accepted, and one byte more
+    path_max, name_max = os.pathconf(tmp_path, "PC_PATH_MAX"), os.pathconf(tmp_path, "PC_NAME_MAX")
+    room = path_max - 2 - name_max
+    path = os.path.join(tmp_path, *["d" * 250] * ((room - len(str(tmp_path)) - 2) // 251))
+    path = os.path.join(path, "e" * (room - len(path) - 1))
+    assert len(os.fsencode(path)) == room
+    assert main(["verify", "--suite", "collapse", "--out", path + "e"]) == 1
+    line = _one_config_error(capsys)
+    assert line.endswith(f"a path of {room + 1} bytes leaves no room for a name of {name_max} bytes in {path_max}")
+    assert not (tmp_path / ("d" * 250)).exists()
+    assert main(["verify", "--suite", "collapse", "--out", path]) == 0
+    assert os.path.isfile(os.path.join(path, "verify_report.json"))
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,33 @@ def _brute_force_mttkrp(factors, weights, dims):
     return grads
 
 
+def _einsum_mttkrp(factors, weights, dims):
+    """grad_j = G contracted with every factor but F_j, as one einsum; the
+    column of ones carries the row axis when F_j is the only factor."""
+    n = len(dims)
+    grads = []
+    for j in range(n):
+        operands = [weights.reshape(dims), list(range(n)), np.ones(factors[0].shape[0]), [n]]
+        for k, f in enumerate(factors):
+            if k != j:
+                operands += [f, [n, k]]
+        grads.append(np.einsum(*operands, [n, j]))
+    return grads
+
+
 SHAPES = [(3,), (2, 3), (3, 1, 2), (2, 3, 2), (2, 2, 2, 3), (2, 1, 2, 2, 3), (2, 2, 1, 2, 2, 2)]
+
+# the lab workload's widths, and the splits the passes take at each: how
+# many factors go on the left of the one GEMM
+SPLITS = [
+    pytest.param((6, 6, 6), 2, id="6-6-6-one-factor-right"),
+    pytest.param((16, 8, 8), 1, id="16-8-8-one-factor-left"),
+    pytest.param((8, 8, 4, 4), 2, id="8-8-4-4-two-each-side"),
+    pytest.param((8, 4, 4, 4, 2), 2, id="8-4-4-4-2-two-left-three-right"),
+    pytest.param((4, 4, 4, 4, 2, 2), 3, id="4-4-4-4-2-2-three-each-side"),
+    pytest.param((5,), 1, id="5-empty-right"),
+    pytest.param((1, 1, 1), 3, id="1-1-1-empty-right"),
+]
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -52,6 +78,17 @@ def test_backward_matches_brute_force(dims):
     assert [g.shape for g in grads] == [f.shape for f in factors]
     for got, want in zip(grads, expected):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims, split", SPLITS)
+def test_backward_matches_einsum_at_lab_widths(dims, split):
+    assert kernels._split(dims) == split
+    factors = _random_factors(dims, 7, seed=6)
+    grad = RngState(7).generator().uniform(-1, 1, size=int(np.prod(dims)))
+    grads = kernels.sum_product_backward(factors, grad)
+    assert [g.shape for g in grads] == [f.shape for f in factors]
+    for got, want in zip(grads, _einsum_mttkrp(factors, grad, dims)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_backward_matches_finite_differences():
@@ -78,3 +115,9 @@ def test_row_count_mismatch_rejected():
         kernels.sum_product_forward([np.ones((3, 2)), np.ones((4, 2))])
     with pytest.raises(ValueError, match="rows"):
         kernels.sum_product_backward([np.ones((3, 2)), np.ones((4, 2))], np.ones(4))
+
+
+@pytest.mark.parametrize("size", [0, 12])
+def test_gradient_size_mismatch_rejected(size):
+    with pytest.raises(ValueError, match=f"grad_flat has {size} entries, expected 6"):
+        kernels.sum_product_backward([np.ones((3, 2)), np.ones((3, 3))], np.ones(size))
