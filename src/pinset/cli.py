@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -54,10 +55,12 @@ from .models import (
 from .rng import RngState
 from .textio import TextTensorError, format_tensor, read_tensor
 from .train import (
+    CHECKPOINT_NAME,
     CONFIG_KEYS as TRAIN_CONFIG_KEYS,
     CheckpointError,
     DivergenceError,
     TrainConfig,
+    _temp_path,
     _write_atomic,
     evaluate,
     load_checkpoint,
@@ -148,7 +151,7 @@ def _refuse_other_task_keys(raw: dict[str, str], task: str) -> None:
     for other, keys in _TASK_KEYS.items():
         for key in keys:
             if other != task and key in raw:
-                raise ConfigError(f"{key} applies only to task = {other}", key=key)
+                raise ConfigError(f"{key} applies only to task = {other}")
 
 
 # the keys that set a custom model's widths, each required
@@ -158,7 +161,7 @@ _CUSTOM_KEYS = ("model.input_width", "model.classes", "model.agg.mlp1", "model.a
 def _build_custom_model_config(cfg: dict) -> ModelConfig:
     for key in _CUSTOM_KEYS:
         if not cfg.get(key):
-            raise ConfigError(f"custom model needs {key!r}", key=key)
+            raise ConfigError(f"custom model needs {key!r}")
     p = cfg["model.input_width"]
     classes = cfg["model.classes"]
     try:
@@ -185,7 +188,7 @@ def _load_split(cfg: dict, seed: int, split: str) -> SetBatch:
     size = cfg[size_key]
     # 0 means every image on pixel-idx; a negative size is an error on both tasks
     if size < 0:
-        raise ConfigError(f"{size_key} must be >= 0, got {size}", key=size_key)
+        raise ConfigError(f"{size_key} must be >= 0, got {size}")
     if cfg["task"] == "quadrant":
         spec = SyntheticTaskSpec(
             set_size=cfg["data.set_size"],
@@ -194,14 +197,14 @@ def _load_split(cfg: dict, seed: int, split: str) -> SetBatch:
             seed=seed,
             margin=cfg["data.margin"],
         )
-        with _allocatable(f"{size_key} = {size} sets of data.set_size = {spec.set_size} points", "data.set_size"):
+        with _allocatable(f"{size_key} = {size} sets of data.set_size = {spec.set_size} points"):
             train_batch, test_batch = make_synthetic_task(spec)
         return train_batch if split == "train" else test_batch
 
     paths = (f"data.{split}_images", f"data.{split}_labels")
     for key in paths:
         if not cfg[key]:
-            raise ConfigError(f"pixel-idx task needs {key!r}", key=key)
+            raise ConfigError(f"pixel-idx task needs {key!r}")
         if not os.path.exists(cfg[key]):
             raise FileNotFoundError(f"{key}: no such file {cfg[key]!r}")
     images, labels = load_mnist_idx(*(cfg[key] for key in paths))
@@ -231,15 +234,15 @@ def _check_data_fits(config: ModelConfig, *batches: SetBatch) -> None:
 
 
 @contextlib.contextmanager
-def _allocatable(what: str, key: str, errors=(MemoryError, ValueError)):
+def _allocatable(what: str, errors=(MemoryError, ValueError)):
     """Makes a failed allocation in the body one config error that names
-    ``what`` and ``key``: numpy raises MemoryError when memory runs short
-    and ValueError for a size no array can have (``errors`` leaves that
-    out for a body that raises ValueError for other causes too)."""
+    ``what``: numpy raises MemoryError when memory runs short and
+    ValueError for a size no array can have (``errors`` leaves that out
+    for a body that raises ValueError for other causes too)."""
     try:
         yield
     except errors as exc:
-        raise ConfigError(f"{what} cannot be allocated: {exc}", key=key) from exc
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
 
 
 def _activations_fit(cfg: dict, *keys: str):
@@ -247,7 +250,7 @@ def _activations_fit(cfg: dict, *keys: str):
     that size the activations: the task's set-size key and ``keys``."""
     set_key = "data.set_size" if cfg["task"] == "quadrant" else "data.downsample"
     sizes = ", ".join(f"{key} = {cfg[key]}" for key in (set_key, *keys))
-    return _allocatable(f"the activations for {sizes}", set_key, MemoryError)
+    return _allocatable(f"the activations for {sizes}", MemoryError)
 
 
 def cmd_train(args) -> int:
@@ -258,7 +261,7 @@ def cmd_train(args) -> int:
         # only a custom model reads them; a preset would silently drop them
         for key in raw:
             if key.startswith("model.") and key != "model.preset":
-                raise ConfigError(f"{key} applies only to model.preset = custom", key=key)
+                raise ConfigError(f"{key} applies only to model.preset = custom")
     train_batch = _load_split(cfg, args.seed, "train")
     test_batch = _load_split(cfg, args.seed, "test")
     if cfg["model.preset"] == "custom":
@@ -271,7 +274,7 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(**{name: cfg[key] for key, name in TRAIN_CONFIG_KEYS.items()})
     rng = RngState(args.seed)
     size = param_count(model_config).total
-    with _allocatable(f"{model_key} = {raw[model_key]}: the model's {size:,} parameters", model_key):
+    with _allocatable(f"{model_key} = {raw[model_key]}: the model's {size:,} parameters"):
         model = build_model(model_config, rng.child("model"))
     with _activations_fit(cfg, "train.batch_size"):
         history = train(model, train_batch, test_batch, train_cfg, rng.child("train"), out_dir=args.out)
@@ -283,7 +286,7 @@ def cmd_train(args) -> int:
             f"{final[-1]['accuracy']:.4f} (error rate {final[-1]['error_rate']:.4f})"
         )
     print(f"metrics: {os.path.join(args.out, 'metrics.csv')}")
-    print(f"checkpoint: {os.path.join(args.out, 'checkpoint.dmpp')}")
+    print(f"checkpoint: {os.path.join(args.out, CHECKPOINT_NAME)}")
     return EXIT_OK
 
 
@@ -294,7 +297,7 @@ def cmd_eval(args) -> int:
     model, _, epoch, _ = load_checkpoint(cfg["eval.checkpoint"])
     test_batch = _load_split(cfg, args.seed, "test")
     if not test_batch.size:
-        raise ConfigError("data.test_size gives no test sets to evaluate", key="data.test_size")
+        raise ConfigError("data.test_size gives no test sets to evaluate")
     _check_data_fits(model.config, test_batch)
     with _activations_fit(cfg):
         metrics = evaluate(model, test_batch)
@@ -319,6 +322,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    stem = os.path.splitext(os.path.basename(args.input))[0]
+    report_path = os.path.join(args.out, f"{stem}.decompose.json")
+    _check_name_fits(report_path)  # the longest name: an array has at most 64 factors
     tensor = read_tensor(args.input)
     try:
         # the text comes back on the result; it is printed once on success
@@ -335,7 +341,6 @@ def cmd_decompose(args) -> int:
         print(f"warning: {factors.conditioning_warning}", file=sys.stderr)
     rel = factors.rel_residual
 
-    stem = os.path.splitext(os.path.basename(args.input))[0]
     payloads = {
         os.path.join(args.out, f"{stem}.factor{j}.txt"): format_tensor(factor).encode()
         for j, factor in enumerate(factors.factors)
@@ -349,7 +354,6 @@ def cmd_decompose(args) -> int:
         "condition": factors.condition,
         "conditioning_warning": factors.conditioning_warning,
     }
-    report_path = os.path.join(args.out, f"{stem}.decompose.json")
     # the factors and the report are one set: a failed write keeps the old one
     payloads[report_path] = json.dumps(report, indent=2, allow_nan=False).encode()
     _write_atomic(payloads)
@@ -384,13 +388,9 @@ def cmd_params(args) -> int:
             try:
                 s, t = (int(v) for v in spec.lower().split("x"))
             except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for params.factorization: {spec!r}", key="params.factorization"
-                ) from exc
+                raise ConfigError(f"bad value for params.factorization: {spec!r}") from exc
             if s < 1 or t < 1:
-                raise ConfigError(
-                    f"params.factorization needs positive widths, got {spec!r}", key="params.factorization"
-                )
+                raise ConfigError(f"params.factorization needs positive widths, got {spec!r}")
             pairs = [(s, t)]
         for s, t in pairs:
             report = param_count(point_ablation_config(s, t))
@@ -445,15 +445,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _existing_ancestor(path: str) -> str:
+    """``path`` made absolute, or its nearest ancestor that exists."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    return existing
+
+
+def _check_name_fits(path: str) -> None:
+    """Refuses, before any work, a ``path`` whose temp file (``_temp_path``)
+    has a longer name than the directory it goes into allows."""
+    existing = _existing_ancestor(os.path.dirname(path))
+    size = len(os.fsencode(os.path.basename(_temp_path(path))))
+    name_max = os.pathconf(existing, "PC_NAME_MAX")
+    if 0 < name_max < size:
+        message = f"File name too long: an output's temp name of {size} bytes exceeds {name_max} in {existing}"
+        raise OSError(errno.ENAMETOOLONG, message)
+
+
 def _check_out_dir(path: str) -> None:
     """``--out`` must name a directory or a path that can become one, each
     name that it adds no longer than the directory it goes into allows, and
     the path with one more name of that length in it (every file a command
     writes is one name under ``--out``) no longer than the path limit:
     refused before any work, not when the first file is written."""
-    existing = os.path.abspath(path)
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
+    existing = _existing_ancestor(path)
     if not os.path.isdir(existing):
         raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
     name_max = os.pathconf(existing, "PC_NAME_MAX")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
+    """A configuration, command line or size that cannot run; its message
+    names the key at fault (or the flag or value)."""
 
 
 @dataclass
@@ -39,7 +38,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not key:
             raise ConfigError(f"line {lineno}: empty key in {raw!r}")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -75,9 +74,7 @@ def _parse_value(key: str, value: str, field: Field):
             return [int(v) for v in value.split(",")] if value else []
         return value
     except ValueError as exc:
-        raise ConfigError(
-            f"bad value for {key}: {value!r} ({exc})", key=key
-        ) from exc
+        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
 def validate(raw: dict[str, str], schema: dict[str, Field]) -> dict:
@@ -86,18 +83,16 @@ def validate(raw: dict[str, str], schema: dict[str, Field]) -> dict:
     out = {}
     for key, value in raw.items():
         if key not in schema:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
+            raise ConfigError(f"unknown config key {key!r}")
         field = schema[key]
         parsed = _parse_value(key, value, field)
         if field.choices is not None and parsed not in field.choices:
-            raise ConfigError(
-                f"{key} must be one of {field.choices}, got {parsed!r}", key=key
-            )
+            raise ConfigError(f"{key} must be one of {field.choices}, got {parsed!r}")
         out[key] = parsed
     for key, field in schema.items():
         if key in out:
             continue
         if field.required:
-            raise ConfigError(f"missing required config key {key!r}", key=key)
+            raise ConfigError(f"missing required config key {key!r}")
         out[key] = field.default
     return out

@@ -122,10 +122,6 @@ class SetBatch:
     def size(self) -> int:
         return self.sets.shape[0]
 
-    @property
-    def set_size(self) -> int:
-        return self.sets.shape[1]
-
 
 def pixel_set_batch(
     images: np.ndarray,
@@ -146,10 +142,7 @@ def pixel_set_batch(
     if h != w or h == 0:
         raise IdxFormatError(f"pixel sets need square images with a nonzero side, got {h}x{w}")
     if downsample < 1 or h % downsample:
-        raise ConfigError(
-            f"data.downsample must be a positive divisor of the image sides {(h, w)}, got {downsample}",
-            key="data.downsample",
-        )
+        raise ConfigError(f"data.downsample must be a positive divisor of the image sides {(h, w)}, got {downsample}")
     side = h // downsample
     gray = images.astype(np.float64)
     if downsample > 1:
@@ -186,9 +179,9 @@ class SyntheticTaskSpec:
         # fewer than 2 elements never give a majority with a lead of 2, so
         # _quadrant_set would redraw forever
         if self.set_size < 2:
-            raise ConfigError(f"data.set_size must be >= 2, got {self.set_size}", key="data.set_size")
+            raise ConfigError(f"data.set_size must be >= 2, got {self.set_size}")
         if not 0.0 <= self.margin <= 1.0:
-            raise ConfigError(f"data.margin must be in [0, 1], got {self.margin}", key="data.margin")
+            raise ConfigError(f"data.margin must be in [0, 1], got {self.margin}")
 
 
 def quadrant_majority_label(points: np.ndarray) -> np.ndarray:

@@ -31,19 +31,18 @@ LR_DROP_FACTOR = 10.0
 
 CHECKPOINT_MAGIC = b"DMPP"
 CHECKPOINT_VERSION = 2
+CHECKPOINT_NAME = "checkpoint.dmpp"
 
 METRIC_FIELDS = ("epoch", "split", "loss", "accuracy", "error_rate", "lr", "wall_seconds")
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss: in train step ``batch`` of an
-    epoch, or (``batch`` None) in the evaluation that ends the epoch."""
+    """Training produced a non-finite loss; the message names the epoch and
+    its train step ``batch``, or its evaluation when ``batch`` is None."""
 
     def __init__(self, epoch: int, batch: int | None, value: float):
         where = "evaluation" if batch is None else f"batch {batch}"
         super().__init__(f"non-finite loss {value!r} at epoch {epoch}, {where}")
-        self.epoch = epoch
-        self.batch = batch
 
 
 class CheckpointError(ValueError):
@@ -121,8 +120,7 @@ class TrainConfig:
         ):
             if not ok:
                 # ConfigError is a ValueError that names the run-config key at fault
-                key = _KEY_OF[name]
-                raise ConfigError(f"{key} must be {rule}, got {getattr(self, name)}", key=key)
+                raise ConfigError(f"{_KEY_OF[name]} must be {rule}, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         """``lr``, dropped once by :data:`LR_DROP_FACTOR` at
@@ -152,15 +150,9 @@ def check_sizes(train_batch: SetBatch, test_batch: SetBatch) -> None:
     normalization needs two rows, and one test set, because every epoch
     ends with an evaluation. Raises ConfigError naming the size at fault."""
     if train_batch.size < 2:
-        raise ConfigError(
-            f"training needs at least 2 sets, data.train_size gives {train_batch.size}",
-            key="data.train_size",
-        )
+        raise ConfigError(f"training needs at least 2 sets, data.train_size gives {train_batch.size}")
     if test_batch.size < 1:
-        raise ConfigError(
-            "every epoch ends with an evaluation, but data.test_size gives no test sets",
-            key="data.test_size",
-        )
+        raise ConfigError("every epoch ends with an evaluation, but data.test_size gives no test sets")
 
 
 # Rows of one block of whole sets in evaluate's per-element stage. The
@@ -287,7 +279,7 @@ def train(
                 f"{out_dir}/checkpoint_epoch{epoch + 1}.dmpp", model, state, epoch + 1, rng
             )
     if out_dir is not None:
-        save_checkpoint(f"{out_dir}/checkpoint.dmpp", model, state, cfg.epochs, rng)
+        save_checkpoint(f"{out_dir}/{CHECKPOINT_NAME}", model, state, cfg.epochs, rng)
     return history
 
 
@@ -369,6 +361,15 @@ def _read_tensor(r: _Reader) -> tuple[str, tuple[int, ...], memoryview]:
     return name, shape, r.take(8 * math.prod(shape), f"data of {name}")
 
 
+def _records(model: Model) -> dict[str, tuple[object, str]]:
+    """Each parameter and normalization record of a checkpoint, in file
+    order (momentum records follow): name -> (holder, attribute) of its array."""
+    records = {f"param.{name}": (p, "data") for name, p in model.parameters().items()}
+    for name, st in model.norm_states().items():
+        records.update({f"norm.{name}.{stat}": (st, stat) for stat in ("mean", "var")})
+    return records
+
+
 def save_checkpoint(
     path,
     model: Model,
@@ -391,20 +392,21 @@ def save_checkpoint(
     buf.write(struct.pack("<Q", len(encoded)))
     buf.write(encoded)
 
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, p in model.parameters().items():
-        tensors.append((f"param.{name}", p.data))
-    for name, st in model.norm_states().items():
-        tensors.append((f"norm.{name}.mean", st.mean))
-        tensors.append((f"norm.{name}.var", st.var))
+    tensors = [(name, getattr(holder, attr)) for name, (holder, attr) in _records(model).items()]
     if optimizer is not None:
-        for name, arr in optimizer.buffers.items():
-            tensors.append((f"momentum.{name}", arr))
+        tensors += [(f"momentum.{name}", arr) for name, arr in optimizer.buffers.items()]
 
     buf.write(struct.pack("<Q", len(tensors)))
     for name, arr in tensors:
         _write_tensor(buf, name, arr)
     _write_atomic({path: buf.getvalue()})
+
+
+def _temp_path(path) -> str:
+    """The temp file :func:`_write_atomic` writes ``path`` through: in the
+    same directory, 18 bytes longer, ``.`` before and ``.<12 hex>.tmp`` after."""
+    directory, base = os.path.split(os.fspath(path))
+    return os.path.join(directory, f".{base}.{secrets.token_hex(6)}.tmp")
 
 
 def _write_atomic(files: dict) -> None:
@@ -416,13 +418,9 @@ def _write_atomic(files: dict) -> None:
     meanwhile as a hard link) or is removed if it had none. Temp files are
     removed either way. A missing target directory is made first, so a
     run that fails before it writes leaves no directory behind."""
-    def temp(path):
-        directory, base = os.path.split(os.fspath(path))
-        return os.path.join(directory, f".{base}.{secrets.token_hex(6)}.tmp")
-
     for path in files:
         os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
-    tmps = {path: temp(path) for path in files}
+    tmps = {path: _temp_path(path) for path in files}
     olds, done = {}, []
     try:
         for path, payload in files.items():
@@ -434,7 +432,7 @@ def _write_atomic(files: dict) -> None:
         for path in files:
             # the last rename needs no old copy: nothing after it can fail
             if path != last and os.path.exists(path):
-                olds[path] = temp(path)
+                olds[path] = _temp_path(path)
                 os.link(path, olds[path])
             os.replace(tmps[path], path)
             done.append(path)
@@ -513,12 +511,9 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         raise CheckpointError(f"{path}: the stored config gives {size:,} parameters, more than the file holds")
 
     model = build_model(config, rng)
-    params = model.parameters()
-    shapes = {name: p.data.shape for name, p in params.items()}
-    required = {f"param.{name}": shape for name, shape in shapes.items()}
-    for name, st in model.norm_states().items():
-        required[f"norm.{name}.mean"] = required[f"norm.{name}.var"] = st.mean.shape
-    allowed = {**required, **{f"momentum.{name}": shape for name, shape in shapes.items()}}
+    table = _records(model)
+    required = {name: getattr(holder, attr).shape for name, (holder, attr) in table.items()}
+    allowed = {**required, **{f"momentum.{name}": p.data.shape for name, p in model.parameters().items()}}
     missing = sorted(required.keys() - records.keys())
     if missing:
         raise CheckpointError(f"{path}: {len(missing)} tensors missing, first {missing[0]}")
@@ -534,11 +529,8 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         for name, (shape, payload) in records.items()
     }
 
-    for name, p in params.items():
-        p.data = tensors[f"param.{name}"]
-    for name, st in model.norm_states().items():
-        st.mean = tensors[f"norm.{name}.mean"]
-        st.var = tensors[f"norm.{name}.var"]
+    for name, (holder, attr) in table.items():
+        setattr(holder, attr, tensors[name])
     for name, arr in tensors.items():
         if name.startswith("momentum."):
             optimizer.buffers[name[len("momentum.") :]] = arr

@@ -278,7 +278,7 @@ def run_cp(seed: int) -> SuiteResult:
         errors.append(factors.rel_residual)
         # conditions of real-node Vandermonde matrices force the tighter
         # tolerance beyond 16 columns
-        full_rank.append(factors.condition < 1 / (decomp.RANK_TOL if bound <= 16 else 1e-13))
+        full_rank.append(factors.condition < 1 / (decomp.RANK_TOL if bound <= 16 else decomp._CONSTRUCTED_RANK_TOL))
 
     properties = [
         _holds(

@@ -17,6 +17,8 @@ from pinset.rng import RngState
 from pinset.textio import read_tensor, write_tensor
 from pinset.train import evaluate, save_checkpoint
 
+from checkpoint_files import DAMAGED, checkpoint_parts, container
+
 QUADRANT_CFG = """
 task = quadrant
 data.train_size = 96
@@ -389,6 +391,18 @@ class TestOverlongFileName:
         assert main(argv) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error: [Errno 36] File name too long"), lines
+
+    def test_decompose_output_names_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # a 240-byte stem fits, but the temp file of its report does not:
+        # refused before the input is read, and no output directory is made
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        src, out = tmp_path / ("s" * 240 + ".txt"), tmp_path / "out"
+        write_tensor(src, np.arange(6.0).reshape(2, 3))
+        monkeypatch.setattr(cli, "read_tensor", lambda path: pytest.fail("the input was read"))
+        assert main(["decompose", "--input", str(src), "--components", "2", "--out", str(out)]) == 2
+        line = _one_error_line(capsys, "data error: [Errno 36] File name too long: ")
+        assert line.endswith(f"an output's temp name of {240 + 15 + 18} bytes exceeds {name_max} in {tmp_path}"), line
+        assert not out.exists()
 
     def test_eval_checkpoint_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -906,14 +920,13 @@ class TestDamagedCheckpointExits2:
         for name, st in model.norm_states().items():
             tensors += [(f"norm.{name}.mean", st.mean), (f"norm.{name}.var", st.var)]
         text = "".join(f"{k} = {v}\n" for k, v in sorted(meta.items())).encode()
-        raw = b"DMPP" + struct.pack("<IQ", 1, len(text)) + text + struct.pack("<Q", len(tensors))
-        for name, arr in tensors:
-            raw += struct.pack("<Q", len(name)) + name.encode() + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape)
-            raw += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        assert "checkpoint version 1, this pinset reads version 2" in eval_damaged(raw)
+        assert "checkpoint version 1, this pinset reads version 2" in eval_damaged(container(text, tensors, version=1))
 
-    def test_text_file(self, eval_damaged):
-        assert "not a checkpoint (magic b'hell')" in eval_damaged(b"hello, world\n")
+    @pytest.mark.parametrize("damage", DAMAGED)
+    def test_damaged_file(self, eval_damaged, damage, tmp_path):
+        # the files load_checkpoint refuses, each with the same message
+        payload, pattern = DAMAGED[damage](*checkpoint_parts(tmp_path)[:2])
+        assert re.search(pattern, eval_damaged(payload))
 
 
 def test_checkpoint_whose_model_gives_a_non_finite_loss_exits_2(quadrant_config, tmp_path, capsys):

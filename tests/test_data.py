@@ -222,7 +222,7 @@ class TestSyntheticTask:
         train, _ = make_synthetic_task(SyntheticTaskSpec(train_size=50, test_size=10, seed=1))
         gen = RngState(9).generator()
         for i in range(train.size):
-            perm = gen.permutation(train.set_size)
+            perm = gen.permutation(train.sets.shape[1])
             assert quadrant_majority_label(train.sets[i][perm]) == train.labels[i]
 
     def test_same_seed_identical(self):

@@ -129,9 +129,8 @@ class TestSchemaValidation:
 
     @pytest.mark.parametrize("value", ["4,,4", "64,", ",64", ","])
     def test_intlist_empty_item_named(self, value):
-        with pytest.raises(ConfigError, match="bad value for model.head") as info:
+        with pytest.raises(ConfigError, match="bad value for model.head"):
             validate({"task": "quadrant", "model.head": value}, self.SCHEMA)
-        assert info.value.key == "model.head"
 
     def test_intlist_empty_value(self):
         assert validate({"task": "quadrant", "model.head": ""}, self.SCHEMA)["model.head"] == []

@@ -1,8 +1,6 @@
 import gc
-import io
 import json
 import os
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +31,8 @@ from pinset.train import (
     sgd_step,
     train,
 )
+
+from checkpoint_files import DAMAGED, checkpoint_parts, container
 
 
 def _scalar_param(value):
@@ -147,9 +147,8 @@ class TestTrainLoop:
         ],
     )
     def test_bad_optimizer_setting_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {value}$") as info:
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {value}$"):
             TrainConfig(**{CONFIG_KEYS[key]: value})
-        assert info.value.key == key
 
     def test_schema_defaults_are_the_record_defaults(self):
         cfg = validate({"task": "quadrant", "model.preset": "quadrant"}, cli.TRAIN_SCHEMA)
@@ -509,14 +508,17 @@ def _random_statistics(model, gen) -> None:
         st.var = gen.uniform(0.5, 2.0, st.var.shape)
 
 
-def _count_features_calls(monkeypatch) -> list:
+def _count_features_calls(monkeypatch, run=True) -> list:
     """Wrap ``Model.features``; the returned list collects the set count
-    of every call."""
+    of every call. With ``run`` false the wrapper returns zero features
+    instead of computing them."""
     seen = []
     features = models_mod.Model.features
 
     def counting_features(self, sets, mode="eval", gen=None):
         seen.append(len(sets))
+        if not run:
+            return Tensor(np.zeros((len(sets), self.config.head.layer_dims[0])))
         return features(self, sets, mode, gen)
 
     monkeypatch.setattr(models_mod.Model, "features", counting_features)
@@ -571,6 +573,20 @@ class TestBlockedEvaluate:
         seen = _count_features_calls(monkeypatch)
         evaluate(model, batch)
         assert seen == [1, 1]
+
+    def test_blocks_hold_4_sets_or_more_up_to_1170_points(self, monkeypatch):
+        # blocks of 4 or more sets keep pixel-l's bits (Model.eval_logits);
+        # 1170 = 8192 // 7 points is the bound: every chunk of 4 to 256 sets
+        # splits so, but 7 sets of 1171 points are 8197 rows, 3 + 4 sets
+        model = build_model(quadrant_config(), RngState(56))
+        seen = _count_features_calls(monkeypatch, run=False)
+        for size in range(4, 257):
+            seen.clear()
+            model.eval_logits(np.zeros((size, 1170, 2)), train_mod.EVAL_BLOCK_ROWS)
+            assert min(seen) >= 4 and sum(seen) == size, (size, seen)
+        seen.clear()
+        model.eval_logits(np.zeros((7, 1171, 2)), train_mod.EVAL_BLOCK_ROWS)
+        assert seen == [3, 4]
 
 
 def _glibc() -> bool:
@@ -649,50 +665,18 @@ class TestMetricsCsv:
         assert float(loss_field) == rows[0]["loss"]
 
 
-def _checkpoint_parts(tmp_path, momentum=True):
-    """Metadata bytes and named tensors of a saved gradcheck-preset model
-    with non-trivial running statistics, plus the saved file's bytes."""
-    model = build_model(gradcheck_config(), RngState(20))
-    model.forward(RngState(21).generator().uniform(-1, 1, size=(4, 12, 3)), "train")
-    state = OptimizerState()
-    if momentum:
-        state.buffers = {name: np.full_like(p.data, 0.5) for name, p in model.parameters().items()}
-    path = tmp_path / "gradcheck.dmpp"
-    save_checkpoint(path, model, state, epoch=2, rng=RngState(20))
-    raw = path.read_bytes()
-    (meta_len,) = struct.unpack("<Q", raw[8:16])
-    tensors = [(f"param.{name}", p.data) for name, p in model.parameters().items()]
-    for name, st in model.norm_states().items():
-        tensors += [(f"norm.{name}.mean", st.mean), (f"norm.{name}.var", st.var)]
-    tensors += [(f"momentum.{name}", buf) for name, buf in state.buffers.items()]
-    return raw[16 : 16 + meta_len], tensors, raw
-
-
-def _container(meta: bytes, tensors, version=train_mod.CHECKPOINT_VERSION) -> bytes:
-    """A checkpoint file in the documented layout, built independently of
-    save_checkpoint."""
-    buf = io.BytesIO()
-    buf.write(b"DMPP" + struct.pack("<IQ", version, len(meta)) + meta + struct.pack("<Q", len(tensors)))
-    for name, arr in tensors:
-        encoded = name.encode()
-        buf.write(struct.pack("<Q", len(encoded)) + encoded)
-        buf.write(struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return buf.getvalue()
-
-
 class TestCheckpointFile:
     def test_layout_matches_the_documented_format(self, tmp_path):
-        meta, tensors, raw = _checkpoint_parts(tmp_path)
-        assert raw == _container(meta, tensors)
+        meta, tensors, raw = checkpoint_parts(tmp_path)
+        assert raw == container(meta, tensors)
 
     def test_save_leaves_only_the_target(self, tmp_path):
-        _checkpoint_parts(tmp_path)
+        checkpoint_parts(tmp_path)
         assert os.listdir(tmp_path) == ["gradcheck.dmpp"]
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_save_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch, failing):
-        _, _, before = _checkpoint_parts(tmp_path)
+        _, _, before = checkpoint_parts(tmp_path)
 
         def fail(*args):
             raise OSError(f"{failing} failed")
@@ -716,9 +700,9 @@ class TestCheckpointErrors:
         assert "\n" not in str(info.value)
 
     def test_intact_container_loads(self, tmp_path):
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
+        meta, tensors, _ = checkpoint_parts(tmp_path)
         path = tmp_path / "rebuilt.dmpp"
-        path.write_bytes(_container(meta, tensors))
+        path.write_bytes(container(meta, tensors))
         model, optimizer, epoch, _ = load_checkpoint(path)
         assert epoch == 2 and len(optimizer.buffers) == len(model.parameters())
 
@@ -729,56 +713,7 @@ class TestCheckpointErrors:
         assert not any(key.startswith("optimizer.") for key in meta)
         assert optimizer == OptimizerState()
 
-    def test_text_file_and_wrong_version(self, tmp_path):
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
-        self._load(tmp_path, b"hello, world\n", r"not a checkpoint \(magic b'hell'\)")
-        for version in (1, 3):
-            match = f"checkpoint version {version}, this pinset reads version 2"
-            self._load(tmp_path, _container(meta, tensors, version=version), match)
-
-    def test_length_fields_beyond_the_file(self, tmp_path):
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
-        raw = _container(meta, tensors)
-        huge = struct.pack("<Q", 2**63)
-        self._load(tmp_path, raw[:8] + huge + raw[16:], "truncated: metadata needs 9223372036854775808 bytes")
-        start = 16 + len(meta)
-        self._load(tmp_path, raw[:start] + huge + raw[start + 8 :], "truncated: 9223372036854775808 tensors")
-        name_len = start + 8
-        self._load(tmp_path, raw[:name_len] + huge + raw[name_len + 8 :], "truncated: tensor name needs")
-        rank = name_len + 8 + len(tensors[0][0])
-        self._load(tmp_path, raw[:rank] + huge + raw[rank + 8 :], "truncated: shape of")
-        self._load(tmp_path, raw[: rank + 8] + struct.pack("<Q", 2**40) + raw[rank + 16 :], "truncated: data of")
-
-    def test_undecodable_or_unusable_metadata(self, tmp_path):
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
-        self._load(tmp_path, _container(b"\xff" + meta, tensors), "metadata is not utf-8")
-        self._load(tmp_path, _container(meta + b"no separator\n", tensors), "malformed metadata line 'no separator'")
-        lines = meta.decode().splitlines(keepends=True)
-        no_width = "".join(line for line in lines if not line.startswith("model.input_width "))
-        self._load(tmp_path, _container(no_width.encode(), tensors), "metadata lacks key 'model.input_width'")
-        bad_dims = meta.replace(b"model.agg.mlp1.dims = 3,", b"model.agg.mlp1.dims = x,")
-        assert bad_dims != meta
-        self._load(tmp_path, _container(bad_dims, tensors), "metadata does not describe a model")
-        self._load(tmp_path, _container(meta + b"train.epoch = 7\n", tensors), "metadata key train.epoch appears twice")
-
-    @pytest.mark.parametrize("line", ["model.broadcasts.activation = relu", "format.init = fanin_uniform"])
-    def test_unread_metadata_key(self, tmp_path, line):
-        # model.* keys are refused by config_from_flat, the rest by the reader
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
-        key = line.partition(" = ")[0]
-        self._load(tmp_path, _container(meta + f"{line}\n".encode(), tensors), f"unknown (metadata )?key {key}$")
-
-    def test_missing_extra_duplicate_and_trailing(self, tmp_path):
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
-        self._load(tmp_path, _container(meta, tensors[1:]), f"1 tensors missing, first {tensors[0][0]}")
-        self._load(tmp_path, _container(meta, tensors + [("param.spare", np.ones(2))]), "unexpected tensor param.spare")
-        self._load(tmp_path, _container(meta, tensors + tensors[:1]), f"tensor {tensors[0][0]} appears twice")
-        self._load(tmp_path, _container(meta, tensors) + b"\0", "1 unexpected bytes after the last tensor")
-
-    @pytest.mark.parametrize("prefix", ["param.", "norm.", "momentum."])
-    def test_shape_that_disagrees_with_the_config(self, tmp_path, prefix):
-        meta, tensors, _ = _checkpoint_parts(tmp_path)
-        i = next(i for i, (name, _) in enumerate(tensors) if name.startswith(prefix))
-        name, arr = tensors[i]
-        tensors[i] = (name, np.append(arr, 1.0))
-        self._load(tmp_path, _container(meta, tensors), f"tensor {name} has shape \\({arr.size + 1},\\)")
+    @pytest.mark.parametrize("damage", DAMAGED)
+    def test_damaged_file(self, tmp_path, damage):
+        meta, tensors, _ = checkpoint_parts(tmp_path)
+        self._load(tmp_path, *DAMAGED[damage](meta, tensors))
