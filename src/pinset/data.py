@@ -195,33 +195,68 @@ def quadrant_majority_label(points: np.ndarray) -> np.ndarray:
     return counts.argmax(axis=-1)
 
 
+# the sign pattern of each quadrant's points, in label order
+_SIGNS = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=np.float64)
+
+
+def _target_cdf(target: int) -> np.ndarray:
+    # the target quadrant draws with probability 0.55, each other one 0.15;
+    # normalised exactly as Generator.choice normalises its p
+    probs = np.full(4, 0.15)
+    probs[target] = 0.55
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+_CDFS = tuple(_target_cdf(target) for target in range(4))
+
+
 def _quadrant_set(gen: np.random.Generator, n: int, margin: float) -> np.ndarray:
-    signs = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=np.float64)
+    """One set of ``n`` points whose target quadrant leads the runner-up by
+    at least 2, so that no single point decides the label.
+
+    Each attempt draws ``integers(4)`` for the target, then ``random(n)``
+    mapped to quadrants through the target's CDF (inverse transform); an
+    accepted attempt then draws ``uniform(margin, 1, (n, 2))`` for the
+    magnitudes. That is the draw ``gen.choice(4, size=n, p=probs)`` made,
+    bit for bit and with the same generator state after it, so no set or
+    digest moved; written out, it skips choice's checks of a ``p`` that never
+    changes (choice took about 16 µs per 32-point set, the lookup itself
+    2.5 µs) and no longer depends on how numpy implements ``choice``.
+    """
     while True:
         target = int(gen.integers(4))
-        probs = np.full(4, 0.15)
-        probs[target] = 0.55
-        quadrants = gen.choice(4, size=n, p=probs)
-        counts = np.bincount(quadrants, minlength=4)
-        ranked = np.sort(counts)
-        # require a clear winner, ahead by at least 2, so that no single
-        # point decides the label
-        if counts[target] != ranked[-1] or ranked[-1] - ranked[-2] < 2:
+        quadrants = _CDFS[target].searchsorted(gen.random(n), side="right")
+        counts = np.bincount(quadrants, minlength=4).tolist()
+        *_, second, first = sorted(counts)
+        if counts[target] != first or first - second < 2:
             continue
         magnitudes = gen.uniform(margin, 1.0, size=(n, 2))
-        return magnitudes * signs[quadrants]
+        return magnitudes * _SIGNS[quadrants]
 
 
 def _quadrant_batch(rng: RngState, spec: SyntheticTaskSpec, count: int) -> SetBatch:
     gen = rng.generator()
     sets = np.empty((count, spec.set_size, 2))
+    # set by set, not one batched draw: PCG64 keeps the spare 32-bit half of
+    # each integers(4) draw for the next one, so a batch would move the data
     for i in range(count):
         sets[i] = _quadrant_set(gen, spec.set_size, spec.margin)
     return SetBatch(sets=sets, labels=quadrant_majority_label(sets))
 
 
 def make_synthetic_task(spec: SyntheticTaskSpec) -> tuple[SetBatch, SetBatch]:
-    """Deterministic train/test batches with permutation-invariant labels."""
+    """Deterministic train/test batches with permutation-invariant labels.
+
+    Each split draws its sets one by one from its own child stream
+    (``train``, ``test``); :func:`_quadrant_set` says which draws a set
+    consumes. They are the draws the former ``Generator.choice`` loop made,
+    so every set, label and digest kept its bits. Written out, the draw
+    cuts set-up: the 2,048 + 512 sets of the ``quadrant`` benchmark took
+    27–38 ms against 67–100 ms through ``choice`` (one Xeon core, 1 BLAS
+    thread), and its ``setup_s`` fell from 0.243 to 0.210 s (medians of 12
+    alternating pairs)."""
     root = RngState(spec.seed)
     train = _quadrant_batch(root.child("train"), spec, spec.train_size)
     test = _quadrant_batch(root.child("test"), spec, spec.test_size)

@@ -92,6 +92,29 @@ _KEY_OF = {name: key for key, name in CONFIG_KEYS.items()}
 _OPTIMIZER_KEYS = {key: name for key, name in CONFIG_KEYS.items() if key.startswith("optimizer.")}
 
 
+# the test and the wording of each TrainConfig field's rule, which a
+# checkpoint's stored values keep too: a negative count would silently act
+# as 0, batch normalization needs two sets per batch, a negative rate
+# ascends the loss, and momentum >= 1 lets the buffer grow without bound
+_RULES = {
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "batch_size": (lambda v: v >= 2, ">= 2"),
+    "lr_drop_epoch": (lambda v: v >= 0, ">= 0"),
+    "warmup_epochs": (lambda v: v >= 0, ">= 0"),
+    "checkpoint_every": (lambda v: v >= 0, ">= 0"),
+    "lr": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "weight_decay": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+}
+
+
+def _broken_rule(name: str, value) -> str | None:
+    """The wording of the rule of TrainConfig field ``name`` when ``value``
+    breaks it, else None."""
+    ok, rule = _RULES[name]
+    return None if ok(value) else rule
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 20
@@ -104,23 +127,11 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
     def __post_init__(self):
-        # a negative count would silently act as 0, batch normalization
-        # needs two sets per batch, a negative rate ascends the loss, and
-        # momentum >= 1 lets the buffer grow without bound
-        finite = math.isfinite
-        for name, ok, rule in (
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("batch_size", self.batch_size >= 2, ">= 2"),
-            ("lr_drop_epoch", self.lr_drop_epoch >= 0, ">= 0"),
-            ("warmup_epochs", self.warmup_epochs >= 0, ">= 0"),
-            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
-            ("lr", finite(self.lr) and self.lr > 0, "finite and > 0"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-            ("weight_decay", finite(self.weight_decay) and self.weight_decay >= 0, "finite and >= 0"),
-        ):
-            if not ok:
+        for name in _RULES:
+            value = getattr(self, name)
+            if rule := _broken_rule(name, value):
                 # ConfigError is a ValueError that names the run-config key at fault
-                raise ConfigError(f"{_KEY_OF[name]} must be {rule}, got {getattr(self, name)}")
+                raise ConfigError(f"{_KEY_OF[name]} must be {rule}, got {value}")
 
     def lr_at(self, epoch: int) -> float:
         """``lr``, dropped once by :data:`LR_DROP_FACTOR` at
@@ -455,10 +466,12 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
     epoch counter from a checkpoint file.
 
     Raises :class:`CheckpointError` for another version, a truncated or
-    malformed file, a metadata key this version does not read, a model
-    with more parameters than the file holds values (before the model is
-    built), and for tensors that are missing, unexpected or of the wrong
-    shape for the model the metadata describes.
+    malformed file, a metadata key this version does not read, a stored
+    ``train.epoch`` or ``optimizer.*`` value that breaks the rule
+    :class:`TrainConfig` states for it, a model with more parameters than
+    the file holds values (before the model is built), and for tensors
+    that are missing, unexpected or of the wrong shape for the model the
+    metadata describes.
     """
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
@@ -505,6 +518,12 @@ def load_checkpoint(path) -> tuple[Model, OptimizerState, int, dict]:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: metadata does not describe a model: {exc}") from None
+    # the stored epoch counts the epochs trained, so it keeps their rule
+    stored = {"train.epoch": ("epochs", epoch)}
+    stored |= {key: (name, getattr(optimizer, name)) for key, name in _OPTIMIZER_KEYS.items()}
+    for key, (name, value) in stored.items():
+        if rule := _broken_rule(name, value):
+            raise CheckpointError(f"{path}: {key} must be {rule}, got {value}")
     # checked before the model is allocated, which a forged width could not be
     size = models_mod.param_count(config).total
     if size > sum(math.prod(shape) for shape, _ in records.values()):

@@ -106,6 +106,26 @@ DAMAGED = {
         container(m + b"format.init = fanin_uniform\n", t),
         "unknown (metadata )?key format.init$",
     ),
+    # stored run values that break the rules TrainConfig states
+    "epoch-negative": lambda m, t: (
+        container(_replaced(m, b"train.epoch = 2\n", b"train.epoch = -3\n"), t),
+        "train.epoch must be >= 0, got -3$",
+    ),
+    **{
+        f"lr-{kind}": lambda m, t, value=value: (
+            container(_replaced(m, b"optimizer.lr = 0.01\n", f"optimizer.lr = {value}\n".encode()), t),
+            f"optimizer.lr must be finite and > 0, got {float(value)}$",
+        )
+        for kind, value in (("nan", "nan"), ("inf", "inf"), ("negative", "-0.01"))
+    },
+    "momentum-one": lambda m, t: (
+        container(_replaced(m, b"optimizer.momentum = 0.9\n", b"optimizer.momentum = 1.0\n"), t),
+        r"optimizer.momentum must be in \[0, 1\), got 1.0$",
+    ),
+    "weight-decay-negative": lambda m, t: (
+        container(_replaced(m, b"optimizer.weight_decay = 0.0001\n", b"optimizer.weight_decay = -1e-4\n"), t),
+        "optimizer.weight_decay must be finite and >= 0, got -0.0001$",
+    ),
     "tensor-missing": lambda m, t: (container(m, t[1:]), f"1 tensors missing, first {t[0][0]}"),
     "tensor-unexpected": lambda m, t: (
         container(m, t + [("param.spare", np.ones(2))]),

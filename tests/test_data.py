@@ -15,6 +15,7 @@ from pinset.data import (
     quadrant_majority_label,
     write_idx,
 )
+from pinset.data import _quadrant_batch
 from pinset.rng import RngState
 
 
@@ -190,7 +191,62 @@ def _reference_quadrant_labels(points) -> np.ndarray:
     return np.array(labels).reshape(points.shape[:-2])
 
 
+def _reference_quadrant_batch(gen, count: int, n: int, margin: float) -> np.ndarray:
+    """The quadrant sets as ``Generator.choice`` drew them, set by set."""
+    signs = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=np.float64)
+    sets = np.empty((count, n, 2))
+    for i in range(count):
+        while True:
+            target = int(gen.integers(4))
+            probs = np.full(4, 0.15)
+            probs[target] = 0.55
+            quadrants = gen.choice(4, size=n, p=probs)
+            counts = np.bincount(quadrants, minlength=4)
+            ranked = np.sort(counts)
+            if counts[target] == ranked[-1] and ranked[-1] - ranked[-2] >= 2:
+                break
+        sets[i] = gen.uniform(margin, 1.0, size=(n, 2)) * signs[quadrants]
+    return sets
+
+
+class _HeldGenerator:
+    """Stands in for an RngState whose generator the caller keeps."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def generator(self):
+        return self.gen
+
+
 class TestSyntheticTask:
+    @pytest.mark.parametrize("set_size", [2, 3, 32, 100])
+    @pytest.mark.parametrize("margin", [0.0, 0.15, 1.0])
+    def test_draw_matches_generator_choice(self, set_size, margin):
+        # the inverse-CDF draw gives the sets choice gave, bit for bit, and
+        # consumes the same draws: the generator ends in the same state
+        for seed in (0, 1, 7):
+            spec = SyntheticTaskSpec(set_size=set_size, train_size=24, test_size=6, seed=seed, margin=margin)
+            root = RngState(seed)
+            for batch, stream, count in zip(make_synthetic_task(spec), ("train", "test"), (24, 6)):
+                expected = _reference_quadrant_batch(root.child(stream).generator(), count, set_size, margin)
+                assert batch.sets.tobytes() == expected.tobytes()
+                np.testing.assert_array_equal(batch.labels, _reference_quadrant_labels(expected))
+            gen, reference = root.child("train").generator(), root.child("train").generator()
+            _quadrant_batch(_HeldGenerator(gen), spec, 24)
+            _reference_quadrant_batch(reference, 24, set_size, margin)
+            assert gen.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("set_size", [2, 3, 5, 32])
+    def test_majority_leads_by_two(self, set_size):
+        # no single point decides a label: at small sizes ties are common,
+        # and each one was redrawn
+        train, test = make_synthetic_task(SyntheticTaskSpec(set_size=set_size, train_size=300, test_size=50, seed=5))
+        for batch in (train, test):
+            for counts, label in zip(_reference_quadrant_counts(batch.sets), batch.labels):
+                *_, second, first = sorted(counts)
+                assert first - second >= 2 and counts[label] == first
+
     def test_quadrant_of_all_four(self):
         points = np.array([[[0.5, 0.5]], [[-0.5, 0.5]], [[-0.5, -0.5]], [[0.5, -0.5]]])
         np.testing.assert_array_equal(quadrant_majority_label(points), [0, 1, 2, 3])
